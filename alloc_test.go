@@ -37,29 +37,55 @@ func measureAllocs(f func()) float64 {
 	return testing.AllocsPerRun(100, f)
 }
 
+// TestTopKAppendZeroAllocs pins every way the planner takes a segment: at
+// 10k rows the default probes the streams and retires them into a sweep, the
+// stream-pinned engine runs the aggregation to termination, and the
+// sweep-only engine never binds a stream. The sweep's block scratch and
+// per-segment accounting live in the pooled context like everything else,
+// on float32 columns too (approximate sweep plus exact rescore).
 func TestTopKAppendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on otherwise alloc-free paths")
 	}
 	data := dataset.Generate(dataset.Uniform, 10_000, 4, 1)
-	idx, err := NewSDIndex(data, allocRoles())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := allocQuery()
-	var buf []Result
-	avg := measureAllocs(func() {
-		var err error
-		buf, err = idx.TopKAppend(buf[:0], q)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("SDIndex.TopKAppend allocates %.2f objects per query in steady state, want 0", avg)
-	}
-	if len(buf) != q.K {
-		t.Fatalf("got %d results, want %d", len(buf), q.K)
+	for _, mode := range []struct {
+		name         string
+		opts         []SDOption
+		swept, fetch bool // what the query must have done
+	}{
+		{"default", nil, true, true},
+		{"stream", []SDOption{WithStreamOnly()}, false, true},
+		{"sweep", []SDOption{WithAccessCost(SweepOnly)}, true, false},
+		{"default-float32", []SDOption{WithColumnWidth(32)}, true, true},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			idx, err := NewSDIndex(data, allocRoles(), mode.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := allocQuery()
+			_, st, err := idx.TopKWithStats(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (st.Swept > 0) != mode.swept || (st.Fetched > 0) != mode.fetch {
+				t.Fatalf("query did not take the path under test: %+v", st)
+			}
+			var buf []Result
+			avg := measureAllocs(func() {
+				var err error
+				buf, err = idx.TopKAppend(buf[:0], q)
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("SDIndex.TopKAppend allocates %.2f objects per query in steady state, want 0", avg)
+			}
+			if len(buf) != q.K {
+				t.Fatalf("got %d results, want %d", len(buf), q.K)
+			}
+		})
 	}
 }
 

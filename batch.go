@@ -249,8 +249,15 @@ type QueryStats struct {
 	Segments int
 	// Fetched counts sorted-access emissions across all subproblems.
 	Fetched int
-	// Scored counts distinct points scored by random access.
+	// Scored counts distinct points scored exactly — by random access after a
+	// sorted access surfaced them, or by a sweep.
 	Scored int
+	// Swept is the part of Scored that came from sweeping sealed segments'
+	// columns end to end instead of streaming them, and SweptSegments the
+	// number of segments the planner finished that way: "stream or sweep?"
+	// for this query (see the package documentation's Performance section).
+	Swept         int
+	SweptSegments int
 	// Rounds counts scheduler steps — one adaptive batch dispatched to one
 	// subproblem — under either scheduling mode (WithScheduler).
 	Rounds int

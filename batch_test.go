@@ -72,7 +72,9 @@ func TestTopKBatchPropagatesErrors(t *testing.T) {
 func TestTopKWithStats(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 10_000, 4, 24)
 	roles := []Role{Repulsive, Attractive, Repulsive, Attractive}
-	idx, err := NewSDIndex(data, roles)
+	// Stream-pinned: these are the paper's counters. (At 10k rows the
+	// planning default hands the segment to a sweep — checked below.)
+	idx, err := NewSDIndex(data, roles, WithStreamOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +91,9 @@ func TestTopKWithStats(t *testing.T) {
 	if len(res) != 5 {
 		t.Fatalf("%d results, want 5", len(res))
 	}
+	if stats.Swept != 0 || stats.SweptSegments != 0 {
+		t.Fatalf("stream-pinned engine swept: %+v", stats)
+	}
 	if stats.Subproblems != 2 { // two (repulsive, attractive) pairs
 		t.Fatalf("Subproblems = %d, want 2", stats.Subproblems)
 	}
@@ -102,6 +107,26 @@ func TestTopKWithStats(t *testing.T) {
 	if _, _, err := idx.TopKWithStats(Query{Point: []float64{1}, K: 1,
 		Roles: roles[:1], Weights: []float64{1}}); err == nil {
 		t.Fatal("invalid query accepted")
+	}
+
+	// The default engine finishes this segment with a sweep: Swept names the
+	// part of Scored that no sorted access paid for.
+	planned, err := NewSDIndex(data, roles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pres, ps, err := planned.TopKWithStats(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res {
+		if pres[i] != res[i] {
+			t.Fatalf("planned answer differs at rank %d: %+v vs %+v", i, pres[i], res[i])
+		}
+	}
+	if ps.SweptSegments != 1 || ps.Swept == 0 || ps.Swept > planned.Len() ||
+		ps.Scored-ps.Swept > ps.Fetched || ps.Fetched >= stats.Fetched {
+		t.Fatalf("implausible planned stats: %+v (stream-pinned: %+v)", ps, stats)
 	}
 }
 

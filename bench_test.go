@@ -6,6 +6,8 @@ package sdquery
 // cmd/sdbench). Micro-benchmarks for the public API follow.
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -61,17 +63,23 @@ func BenchmarkAblationAlg4(b *testing.B)        { runExperiment(b, "ablation-alg
 // --- Micro-benchmarks: per-query cost of the public engines -------------
 
 func benchQueries(n int, seed int64) []Query {
+	return benchQueriesK(n, seed, benchRoles, 5)
+}
+
+var benchRoles = []Role{Repulsive, Attractive, Repulsive, Attractive, Repulsive, Attractive}
+
+func benchQueriesK(n int, seed int64, roles []Role, k int) []Query {
 	rng := rand.New(rand.NewSource(seed))
-	roles := []Role{Repulsive, Attractive, Repulsive, Attractive, Repulsive, Attractive}
+	dims := len(roles)
 	out := make([]Query, n)
 	for i := range out {
 		q := Query{
-			Point:   make([]float64, 6),
-			K:       5,
+			Point:   make([]float64, dims),
+			K:       k,
 			Roles:   roles,
-			Weights: make([]float64, 6),
+			Weights: make([]float64, dims),
 		}
-		for d := 0; d < 6; d++ {
+		for d := 0; d < dims; d++ {
 			q.Point[d] = rng.Float64()
 			q.Weights[d] = rng.Float64()
 		}
@@ -246,4 +254,92 @@ func BenchmarkInsertSDIndex(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// --- Sweep or stream: where the planner's two plans cross ---------------
+
+// clusteredData draws n rows from 16 Gaussian clusters (σ = 0.05) clipped to
+// the unit cube — the shape of the served benchmark workloads, where the
+// prune line cuts less deep than on uniform data.
+func clusteredData(n, dims int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	centres := dataset.Generate(dataset.Uniform, 16, dims, 0x5d)
+	data := make([][]float64, n)
+	for i := range data {
+		c := centres[rng.Intn(len(centres))]
+		row := make([]float64, dims)
+		for d := range row {
+			row[d] = math.Min(1, math.Max(0, c[d]+0.05*rng.NormFloat64()))
+		}
+		data[i] = row
+	}
+	return data
+}
+
+// BenchmarkPlannerCrossover maps the planner's decision: every cell runs the
+// same queries on a stream-pinned engine, a sweep-only engine and the
+// default (planning) engine, so the three ns/op sit side by side with the
+// work counters that explain them. The default must track the cheaper of the
+// other two everywhere; DefaultAccessCost (internal/core/sweep.go) is derived
+// from this benchmark's stream ns per fetched access and sweep ns per row.
+// The 2-dimensional cell is the stream's home ground — one pair tree, a deep
+// prune — and the planner must still stream there.
+func BenchmarkPlannerCrossover(b *testing.B) {
+	type plan struct {
+		name string
+		opts []SDOption
+	}
+	plans := []plan{
+		{"stream", []SDOption{WithStreamOnly()}},
+		{"sweep", []SDOption{WithAccessCost(SweepOnly)}},
+		{"default", nil},
+	}
+	cell := func(b *testing.B, data [][]float64, roles []Role, ks []int, mustStream bool) {
+		for _, pl := range plans {
+			idx, err := NewSDIndex(data, roles, pl.opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, k := range ks {
+				b.Run(fmt.Sprintf("k=%d/%s", k, pl.name), func(b *testing.B) {
+					queries := benchQueriesK(64, 2, roles, k)
+					var buf []Result
+					var fetched, swept int
+					for _, q := range queries { // warm pools, count the work once
+						_, st, err := idx.TopKWithStats(q)
+						if err != nil {
+							b.Fatal(err)
+						}
+						fetched += st.Fetched
+						swept += st.Swept
+					}
+					if mustStream && pl.name == "default" && swept > 0 {
+						b.Fatalf("planner swept %d rows where the stream wins", swept)
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if buf, err = idx.TopKAppend(buf[:0], queries[i%len(queries)]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(fetched)/float64(len(queries)), "fetched/op")
+					b.ReportMetric(float64(swept)/float64(len(queries)), "swept/op")
+				})
+			}
+		}
+	}
+	for _, dist := range []string{"uniform", "clustered"} {
+		for _, n := range []int{10_000, 50_000, 200_000, 1_000_000} {
+			b.Run(fmt.Sprintf("%s/n=%d", dist, n), func(b *testing.B) {
+				data := dataset.Generate(dataset.Uniform, n, 6, 1)
+				if dist == "clustered" {
+					data = clusteredData(n, 6, 1)
+				}
+				cell(b, data, benchRoles, []int{1, 5, 50}, false)
+			})
+		}
+	}
+	b.Run("uniform-2d/n=10000", func(b *testing.B) {
+		cell(b, dataset.Generate(dataset.Uniform, 10_000, 2, 1), []Role{Repulsive, Attractive}, []int{5}, true)
+	})
 }

@@ -101,6 +101,12 @@ type workloadJSON struct {
 	ScoredMean      float64 `json:"scored_mean,omitempty"`
 	SubproblemsMean float64 `json:"subproblems_mean,omitempty"`
 	RoundsMean      float64 `json:"rounds_mean,omitempty"`
+	// SweptMean is the part of ScoredMean that came from sweeping sealed
+	// segments' columns instead of streaming them, and SweptSegmentsMean the
+	// number of segments per query the planner finished that way: stream or
+	// sweep, per workload. Both are absent on workloads that only stream.
+	SweptMean         float64 `json:"swept_mean,omitempty"`
+	SweptSegmentsMean float64 `json:"swept_segments_mean,omitempty"`
 	// PlanCacheHitRate is hits / (queries × engines consulted): 1.0 means
 	// every query after the warm-up answered from a cached plan.
 	PlanCacheHitRate float64 `json:"plan_cache_hit_rate,omitempty"`
@@ -126,6 +132,8 @@ func collectStats(src statsSource, queries []sdquery.Query, cacheDenom int) (w w
 		}
 		total.Fetched += st.Fetched
 		total.Scored += st.Scored
+		total.Swept += st.Swept
+		total.SweptSegments += st.SweptSegments
 		total.Subproblems += st.Subproblems
 		total.Rounds += st.Rounds
 		total.PlanCacheHits += st.PlanCacheHits
@@ -133,6 +141,8 @@ func collectStats(src statsSource, queries []sdquery.Query, cacheDenom int) (w w
 	qn := float64(len(queries))
 	w.FetchedMean = float64(total.Fetched) / qn
 	w.ScoredMean = float64(total.Scored) / qn
+	w.SweptMean = float64(total.Swept) / qn
+	w.SweptSegmentsMean = float64(total.SweptSegments) / qn
 	w.SubproblemsMean = float64(total.Subproblems) / qn
 	w.RoundsMean = float64(total.Rounds) / qn
 	w.PlanCacheHitRate = float64(total.PlanCacheHits) / (qn * float64(cacheDenom))

@@ -191,7 +191,8 @@
 //
 // # Performance
 //
-// A query is snapshotted, planned, scheduled, and batch-executed. The
+// A query is snapshotted, planned, scheduled — streamed or swept, segment
+// by segment — and batch-executed. The
 // snapshot is one atomic load (see above). The planner resolves
 // the query's shape (active dimensions, roles, zero weights) to the
 // surviving subproblem set, memoized per shape in a per-engine plan cache
@@ -216,9 +217,28 @@
 // baseline, at answers byte-identical to the scan oracle (property-tested
 // and fuzzed).
 //
+// Streaming is not always the cheaper exact plan: a sorted access costs as
+// much as sweeping on the order of a hundred rows of a segment's contiguous
+// columns, so the engine chooses per segment and per query. A segment whose
+// sweep costs no more than probing the plan's streams is swept up front,
+// like the memtable (and sealed without an index when that holds for every
+// plan — about a thousand rows); any other segment is streamed, and the
+// scheduler retires it into one sweep as soon as what its streams have
+// spent plus what they are predicted to still need exceeds the sweep's
+// cost, or the spend alone reaches it. A query therefore pays at most
+// probe + sweep where the sweep wins, at most twice the cheaper plan where
+// the prediction errs, and exactly the stream where the stream wins; no
+// state is carried across queries and answers are byte-identical either
+// way. QueryStats names the choice: Fetched counts sorted accesses only,
+// Scored every row scored exactly however it was reached, Swept the part of
+// Scored that segment sweeps contributed, SweptSegments the segments
+// finished that way. There is no option to set — SchedRoundRobin remains
+// the paper's pure-stream loop — and BenchmarkPlannerCrossover maps where
+// the two plans cross.
+//
 // All per-query state — weights, bounds, descent rates, emission buffers,
-// the seen bitset, stream cursors and heaps, the result collector, the
-// plan scratch — lives in per-engine sync.Pool contexts. SDIndex.TopKAppend
+// the sweep's block scratch, the seen bitset, stream cursors and heaps, the
+// result collector, the plan scratch — lives in per-engine sync.Pool contexts. SDIndex.TopKAppend
 // and ShardedIndex.TopKAppend append results into a caller-reused buffer;
 // on a compacted index (one sealed segment, empty memtable — the steady
 // state background compaction converges to) they perform zero heap
@@ -242,7 +262,9 @@
 // best k-th score any task has proven), and the per-segment top-k sets
 // merge deterministically — answers stay byte-identical to the
 // sequential schedule, enforced by the differential suites and a
-// scheduler-equivalence property test. The fan-out only helps when there
+// scheduler-equivalence property test. A segment task chooses between
+// streaming and sweeping exactly as the sequential schedule does, so it
+// may finish as one column sweep, publishing to the floor block by block. The fan-out only helps when there
 // are multiple sealed segments (sustained insert traffic, a segment row
 // cap via WithMaxSegmentRows, or a freshly loaded multi-segment file)
 // and spare cores; on one core, or on the compacted single-segment

@@ -41,12 +41,18 @@ const (
 // across subproblems (the scheduling layer of the Threshold Algorithm).
 type SchedulerMode = core.Scheduler
 
-// Scheduler modes. SchedBoundDriven (the default) always drains the
-// subproblem whose frontier bound is highest, lowering the termination
-// threshold as fast as possible per sorted access and re-checking it after
-// every batch; SchedRoundRobin is the paper's fixed rotation with per-round
-// threshold checks, kept as an ablation so the scheduling win stays
-// benchmarkable. Both modes return byte-identical answers.
+// Scheduler modes. SchedBoundDriven (the default) drains, at every step, the
+// subproblem whose frontier bound is measured to be falling fastest per
+// sorted access — the descent rate over a window of accesses, not the bound's
+// level, so a plateau of tied contributions cannot hold the schedule — and
+// re-checks the termination threshold after every batch. It is also where
+// the engine chooses between streaming a sealed segment and sweeping its
+// columns: a segment whose streams have spent, or are predicted to need,
+// more than one sweep of its rows costs is finished with that sweep (see the
+// package documentation's Performance section). SchedRoundRobin is the
+// paper's fixed rotation with per-round threshold checks and no such
+// planner — always pure streaming — kept as an ablation so the scheduling
+// win stays benchmarkable. Both modes return byte-identical answers.
 const (
 	SchedBoundDriven = core.SchedBoundDriven
 	SchedRoundRobin  = core.SchedRoundRobin
@@ -91,6 +97,7 @@ type sdConfig struct {
 	columnWidth  int
 	maxSegRows   int
 	sched        SchedulerMode
+	accessCost   int // core.Config.AccessCost; only tests set it (export_test.go)
 	noPlanCache  bool
 	memSize      int
 	noCompact    bool
@@ -115,7 +122,8 @@ func (c *sdConfig) coreConfig(roles []Role) (core.Config, error) {
 	cfg := core.Config{Roles: roles, Pairing: c.pairing, Tree: c.tree,
 		Scheduler: c.sched, DisablePlanCache: c.noPlanCache,
 		MemtableSize: c.memSize, DisableCompaction: c.noCompact,
-		ColumnWidth: c.columnWidth, MaxSegmentRows: c.maxSegRows}
+		ColumnWidth: c.columnWidth, MaxSegmentRows: c.maxSegRows,
+		AccessCost: c.accessCost}
 	if c.useAngles {
 		cfg.Tree.Angles = nil
 		for _, d := range c.angleDegrees {
@@ -147,8 +155,10 @@ func WithBranching(b int) SDOption {
 	return func(c *sdConfig) { c.tree.Branching = b }
 }
 
-// WithLeafCapacity sets the number of points per tree leaf (default 1; the
-// paper's disk-style bulk packing uses larger leaves).
+// WithLeafCapacity sets the number of points per tree leaf. The default is
+// 64 — the paper's disk-style bulk packing, and the widest leaf the engine's
+// leaf cursor supports; 1 restores the paper's in-memory layout of
+// single-point leaves.
 func WithLeafCapacity(cap int) SDOption {
 	return func(c *sdConfig) { c.tree.LeafCap = cap }
 }
@@ -260,7 +270,9 @@ func WithShards(n int) SDOption {
 // intra-query segment parallelism: one query's sealed segments are
 // aggregated concurrently, cooperating through a shared termination
 // threshold, and the per-segment candidate sets merge into answers
-// byte-identical to the sequential schedule. Omitting the option keeps
+// byte-identical to the sequential schedule. A segment task chooses between
+// streaming and sweeping its segment exactly as the sequential schedule
+// does, so it may finish as one column sweep. Omitting the option keeps
 // the sequential path with its fully deterministic Stats trace; an index
 // with a single sealed segment (the compacted steady state) runs
 // sequentially either way. Shard engines inside a ShardedIndex always

@@ -22,14 +22,42 @@ func TestDifferentialScan(t *testing.T) {
 	})
 }
 
+// plannerModes are the three ways the sweep-or-stream planner can take a
+// segment, each forced in turn so every SD-Index configuration is held to
+// the oracle on all of them: the workloads are far too small for the default
+// planner to ever stream (every segment is swept up front, most are sealed
+// without an index), so pure streaming is pinned explicitly, and an access
+// cost of 2 rows makes even these segments worth probing and then, on about
+// two queries in three, retiring mid-stream — after the streams have already
+// added points to the collector.
+var plannerModes = []struct {
+	name string
+	opts []sdquery.SDOption
+}{
+	{"stream", []sdquery.SDOption{sdquery.WithStreamOnly()}},
+	{"default", nil},
+	{"bailout", []sdquery.SDOption{sdquery.WithAccessCost(2)}},
+}
+
+// runSDIndex runs the oracle workloads against one SD-Index configuration
+// under every planner mode.
+func runSDIndex(t *testing.T, name string, opts ...sdquery.SDOption) {
+	for _, mode := range plannerModes {
+		all := append(append([]sdquery.SDOption(nil), opts...), mode.opts...)
+		t.Run(mode.name, func(t *testing.T) {
+			enginetest.Run(t, enginetest.Factory{
+				Name:          name + "-" + mode.name,
+				Deterministic: true,
+				New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
+					return sdquery.NewSDIndex(data, roles, all...)
+				},
+			})
+		})
+	}
+}
+
 func TestDifferentialSDIndex(t *testing.T) {
-	enginetest.Run(t, enginetest.Factory{
-		Name:          "sdindex",
-		Deterministic: true,
-		New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-			return sdquery.NewSDIndex(data, roles)
-		},
-	})
+	runSDIndex(t, "sdindex")
 }
 
 func TestDifferentialSDIndexPairings(t *testing.T) {
@@ -38,13 +66,7 @@ func TestDifferentialSDIndexPairings(t *testing.T) {
 	} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
-			enginetest.Run(t, enginetest.Factory{
-				Name:          "sdindex-" + p.String(),
-				Deterministic: true,
-				New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-					return sdquery.NewSDIndex(data, roles, sdquery.WithPairing(p))
-				},
-			})
+			runSDIndex(t, "sdindex-"+p.String(), sdquery.WithPairing(p))
 		})
 	}
 }
@@ -55,22 +77,10 @@ func TestDifferentialSDIndexPairings(t *testing.T) {
 // the bound-driven cached default (covered by TestDifferentialSDIndex).
 func TestDifferentialSDIndexScheduling(t *testing.T) {
 	t.Run("round-robin", func(t *testing.T) {
-		enginetest.Run(t, enginetest.Factory{
-			Name:          "sdindex-roundrobin",
-			Deterministic: true,
-			New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-				return sdquery.NewSDIndex(data, roles, sdquery.WithScheduler(sdquery.SchedRoundRobin))
-			},
-		})
+		runSDIndex(t, "sdindex-roundrobin", sdquery.WithScheduler(sdquery.SchedRoundRobin))
 	})
 	t.Run("no-plan-cache", func(t *testing.T) {
-		enginetest.Run(t, enginetest.Factory{
-			Name:          "sdindex-nocache",
-			Deterministic: true,
-			New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-				return sdquery.NewSDIndex(data, roles, sdquery.WithPlanCache(false))
-			},
-		})
+		runSDIndex(t, "sdindex-nocache", sdquery.WithPlanCache(false))
 	})
 }
 
@@ -82,32 +92,14 @@ func TestDifferentialSDIndexScheduling(t *testing.T) {
 // byte-identical to the oracle in both regimes.
 func TestDifferentialSDIndexStorage(t *testing.T) {
 	t.Run("tiny-memtable", func(t *testing.T) {
-		enginetest.Run(t, enginetest.Factory{
-			Name:          "sdindex-tiny-memtable",
-			Deterministic: true,
-			New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-				return sdquery.NewSDIndex(data, roles, sdquery.WithMemtableSize(4))
-			},
-		})
+		runSDIndex(t, "sdindex-tiny-memtable", sdquery.WithMemtableSize(4))
 	})
 	t.Run("no-compaction", func(t *testing.T) {
-		enginetest.Run(t, enginetest.Factory{
-			Name:          "sdindex-no-compaction",
-			Deterministic: true,
-			New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-				return sdquery.NewSDIndex(data, roles, sdquery.WithCompaction(false))
-			},
-		})
+		runSDIndex(t, "sdindex-no-compaction", sdquery.WithCompaction(false))
 	})
 	t.Run("tiny-memtable-roundrobin", func(t *testing.T) {
-		enginetest.Run(t, enginetest.Factory{
-			Name:          "sdindex-tiny-memtable-roundrobin",
-			Deterministic: true,
-			New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-				return sdquery.NewSDIndex(data, roles,
-					sdquery.WithMemtableSize(4), sdquery.WithScheduler(sdquery.SchedRoundRobin))
-			},
-		})
+		runSDIndex(t, "sdindex-tiny-memtable-roundrobin",
+			sdquery.WithMemtableSize(4), sdquery.WithScheduler(sdquery.SchedRoundRobin))
 	})
 }
 
@@ -117,23 +109,11 @@ func TestDifferentialSDIndexStorage(t *testing.T) {
 // update phase's seals and folds.
 func TestDifferentialSDIndexColumns(t *testing.T) {
 	t.Run("float32", func(t *testing.T) {
-		enginetest.Run(t, enginetest.Factory{
-			Name:          "sdindex-float32",
-			Deterministic: true,
-			New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-				return sdquery.NewSDIndex(data, roles, sdquery.WithColumnWidth(32))
-			},
-		})
+		runSDIndex(t, "sdindex-float32", sdquery.WithColumnWidth(32))
 	})
 	t.Run("float32-tiny-memtable", func(t *testing.T) {
-		enginetest.Run(t, enginetest.Factory{
-			Name:          "sdindex-float32-tiny-memtable",
-			Deterministic: true,
-			New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-				return sdquery.NewSDIndex(data, roles,
-					sdquery.WithColumnWidth(32), sdquery.WithMemtableSize(4))
-			},
-		})
+		runSDIndex(t, "sdindex-float32-tiny-memtable",
+			sdquery.WithColumnWidth(32), sdquery.WithMemtableSize(4))
 	})
 }
 
@@ -141,29 +121,18 @@ func TestDifferentialSDIndexColumns(t *testing.T) {
 // segment parallelism on: a segment row cap forces multi-segment stacks and
 // WithWorkers fans each query's segments out to the pool. Answers must stay
 // byte-identical to the oracle under both schedulers however the segment
-// tasks interleave.
+// tasks interleave — and whichever of them finish as sweeps, publishing to
+// the shared floor block by block.
 func TestDifferentialSDIndexParallel(t *testing.T) {
 	t.Run("bound-driven", func(t *testing.T) {
-		enginetest.Run(t, enginetest.Factory{
-			Name:          "sdindex-parallel",
-			Deterministic: true,
-			New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-				return sdquery.NewSDIndex(data, roles,
-					sdquery.WithWorkers(3), sdquery.WithMaxSegmentRows(24))
-			},
-		})
+		runSDIndex(t, "sdindex-parallel",
+			sdquery.WithWorkers(3), sdquery.WithMaxSegmentRows(24))
 	})
 	t.Run("round-robin-float32", func(t *testing.T) {
-		enginetest.Run(t, enginetest.Factory{
-			Name:          "sdindex-parallel-roundrobin-float32",
-			Deterministic: true,
-			New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-				return sdquery.NewSDIndex(data, roles,
-					sdquery.WithWorkers(2), sdquery.WithMaxSegmentRows(24),
-					sdquery.WithScheduler(sdquery.SchedRoundRobin),
-					sdquery.WithColumnWidth(32))
-			},
-		})
+		runSDIndex(t, "sdindex-parallel-roundrobin-float32",
+			sdquery.WithWorkers(2), sdquery.WithMaxSegmentRows(24),
+			sdquery.WithScheduler(sdquery.SchedRoundRobin),
+			sdquery.WithColumnWidth(32))
 	})
 }
 
@@ -199,14 +168,18 @@ func TestDifferentialShardedIndex(t *testing.T) {
 	for _, shards := range []int{1, 2, 5} {
 		shards := shards
 		t.Run(map[int]string{1: "one", 2: "two", 5: "five"}[shards], func(t *testing.T) {
-			enginetest.Run(t, enginetest.Factory{
-				Name:          "sharded",
-				Deterministic: true,
-				New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-					return sdquery.NewShardedIndex(data, roles,
-						sdquery.WithShards(shards), sdquery.WithWorkers(3))
-				},
-			})
+			for _, mode := range plannerModes {
+				opts := append([]sdquery.SDOption{sdquery.WithShards(shards), sdquery.WithWorkers(3)}, mode.opts...)
+				t.Run(mode.name, func(t *testing.T) {
+					enginetest.Run(t, enginetest.Factory{
+						Name:          "sharded-" + mode.name,
+						Deterministic: true,
+						New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
+							return sdquery.NewShardedIndex(data, roles, opts...)
+						},
+					})
+				})
+			}
 		})
 	}
 }

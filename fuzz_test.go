@@ -63,6 +63,18 @@ func FuzzTopKChurn(f *testing.F) {
 		if err != nil {
 			t.Fatalf("build float32: %v", err)
 		}
+		// A planner twin: an access cost of 2 rows makes these tiny segments
+		// worth streaming and then retiring into a sweep mid-query, so the
+		// hand-over from streams to sweep runs under churn too.
+		idxBail, err := sdquery.NewSDIndex(data, roles,
+			sdquery.WithMemtableSize(4), sdquery.WithAccessCost(2))
+		if err != nil {
+			t.Fatalf("build bail-out: %v", err)
+		}
+		twins := []struct {
+			name string
+			idx  *sdquery.SDIndex
+		}{{"float32", idx32}, {"bail-out", idxBail}}
 		mirror := append([][]float64(nil), data...)
 		dead := make([]bool, len(mirror))
 
@@ -133,8 +145,10 @@ func FuzzTopKChurn(f *testing.F) {
 				if id != len(mirror) {
 					t.Fatalf("op %d: insert returned %d, want %d", op, id, len(mirror))
 				}
-				if id32, err := idx32.Insert(p); err != nil || id32 != id {
-					t.Fatalf("op %d: float32 insert returned %d, %v; want %d", op, id32, err, id)
+				for _, tw := range twins {
+					if tid, err := tw.idx.Insert(p); err != nil || tid != id {
+						t.Fatalf("op %d: %s insert returned %d, %v; want %d", op, tw.name, tid, err, id)
+					}
 				}
 				mirror = append(mirror, p)
 				dead = append(dead, false)
@@ -143,8 +157,10 @@ func FuzzTopKChurn(f *testing.F) {
 				if idx.Remove(id) != !dead[id] {
 					t.Fatalf("op %d: Remove(%d) disagrees with mirror", op, id)
 				}
-				if idx32.Remove(id) != !dead[id] {
-					t.Fatalf("op %d: float32 Remove(%d) disagrees with mirror", op, id)
+				for _, tw := range twins {
+					if tw.idx.Remove(id) != !dead[id] {
+						t.Fatalf("op %d: %s Remove(%d) disagrees with mirror", op, tw.name, id)
+					}
 				}
 				dead[id] = true
 			case 2:
@@ -155,11 +171,13 @@ func FuzzTopKChurn(f *testing.F) {
 				}
 				want := oracleTopK(mirror, dead, q)
 				checkOne("live", got, want)
-				got32, err := idx32.TopK(q)
-				if err != nil {
-					t.Fatalf("op %d: float32 query: %v", op, err)
+				for _, tw := range twins {
+					got, err := tw.idx.TopK(q)
+					if err != nil {
+						t.Fatalf("op %d: %s query: %v", op, tw.name, err)
+					}
+					checkOne("live-"+tw.name, got, want)
 				}
-				checkOne("live-float32", got32, want)
 			default:
 				q := newQuery()
 				got, err := snap.TopK(q)
@@ -191,6 +209,19 @@ func FuzzTopK(f *testing.F) {
 		idx32, err := sdquery.NewSDIndex(data, roles, sdquery.WithColumnWidth(32))
 		if err != nil {
 			t.Fatalf("build float32: %v", err)
+		}
+		// The planner's other two ways through a segment: these datasets are
+		// so small the default sweeps them outright, so one twin is pinned to
+		// pure streaming and one (access cost 2 rows, float32 columns) probes
+		// and then retires its streams into a sweep mid-query.
+		idxStream, err := sdquery.NewSDIndex(data, roles, sdquery.WithStreamOnly())
+		if err != nil {
+			t.Fatalf("build stream-only: %v", err)
+		}
+		idxBail, err := sdquery.NewSDIndex(data, roles,
+			sdquery.WithAccessCost(2), sdquery.WithColumnWidth(32))
+		if err != nil {
+			t.Fatalf("build bail-out: %v", err)
 		}
 		oracle, err := sdquery.NewScan(data)
 		if err != nil {
@@ -236,7 +267,8 @@ func FuzzTopK(f *testing.F) {
 		for _, eng := range []struct {
 			name string
 			idx  *sdquery.SDIndex
-		}{{"sdindex", idx}, {"sdindex-float32", idx32}} {
+		}{{"sdindex", idx}, {"sdindex-float32", idx32},
+			{"sdindex-stream", idxStream}, {"sdindex-bail-out-float32", idxBail}} {
 			got, err := eng.idx.TopK(q)
 			if err != nil {
 				t.Fatalf("%s: %v", eng.name, err)

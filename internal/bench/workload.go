@@ -99,9 +99,13 @@ func runQueries(eng engine, specs []query.Spec) float64 {
 }
 
 // newSDEngine builds the SD-Index with the evaluation defaults (branching 8,
-// single-point leaves, the five §6.1 angles).
+// single-point leaves, the five §6.1 angles). Like every engine this package
+// builds, it is pinned to pure streaming (core.StreamOnly): the figures and
+// ablations reproduce the paper's index — sorted accesses against baselines'
+// — and the served engine's sweep-or-stream planner would answer most of
+// their reduced-scale datasets with a column sweep instead.
 func newSDEngine(data [][]float64, roles []query.Role) *core.Engine {
-	eng, err := core.New(data, core.Config{Roles: roles})
+	eng, err := core.New(data, core.Config{Roles: roles, AccessCost: core.StreamOnly})
 	if err != nil {
 		panic(err)
 	}

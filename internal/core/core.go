@@ -165,6 +165,16 @@ type Config struct {
 	// Open replays the tail over the last checkpoint after a crash. See
 	// wal.go.
 	WAL *WALConfig
+	// AccessCost overrides the sweep-or-stream planner's one unit cost — the
+	// price of a sorted access in swept rows (DefaultAccessCost). No public
+	// option sets it: 0, what every user-facing constructor passes, selects
+	// the measured constant. StreamOnly pins pure streaming — no segment is
+	// ever swept and every seal builds its index — for the paper-figure
+	// engines of internal/bench and the stream halves of the
+	// differential suites, whose datasets are all small enough that the
+	// planner would sweep them and leave the streams without coverage. A
+	// positive value is for tests that need bail-outs on tiny data.
+	AccessCost int
 }
 
 // Engine is the SD-Index. All read paths (TopK and friends, Len, Bytes,
@@ -197,6 +207,7 @@ type Engine struct {
 	colWidth   int    // sealed-segment sweep precision: 64, or 32 for the narrow copy
 	maxSegRows int    // sealed-segment row cap, 0 = unbounded
 	pool       Runner // intra-query segment fan-out, nil = sequential
+	accessCost int    // a sorted access in swept rows; 0 = never sweep (scheduler.go)
 
 	// wal is the engine's write-ahead log, nil when durability is off —
 	// see wal.go. Mutations append to it under wrMu and wait for the group
@@ -286,6 +297,7 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 		colWidth:    cfg.ColumnWidth,
 		maxSegRows:  cfg.MaxSegmentRows,
 		pool:        cfg.Pool,
+		accessCost:  resolveAccessCost(cfg.AccessCost, cfg.Scheduler),
 		noPlanCache: cfg.DisablePlanCache,
 	}
 	sn := &snapshot{
@@ -323,7 +335,7 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 					c[i] = data[lo+i][d]
 				}
 			}
-			seg, err := buildSegment(cols, ids[lo:hi:hi], dims, &e.layout, e.treeCfg, e.colWidth)
+			seg, err := e.seal(cols, ids[lo:hi:hi])
 			if err != nil {
 				return nil, err
 			}
@@ -488,9 +500,16 @@ type Stats struct {
 	Segments int
 	// Fetched counts sorted-access emissions across all subproblems.
 	Fetched int
-	// Scored counts distinct points scored by random access (memtable rows
-	// included — they are always scored exactly).
+	// Scored counts distinct points scored exactly: by random access after a
+	// sorted access surfaced them, or by a sweep (memtable rows and swept
+	// segment rows are always scored exactly).
 	Scored int
+	// Swept is the part of Scored that came from sweeping sealed segments'
+	// columns instead of streaming them, and SweptSegments the number of
+	// segments the planner finished that way — up front or by retiring their
+	// streams mid-query (scheduler.go). Both are 0 on a pure-stream engine.
+	Swept         int
+	SweptSegments int
 	// Rounds counts scheduler steps: one adaptive batch dispatched to one
 	// subproblem (under either scheduler), so the figure is comparable
 	// across scheduling modes.

@@ -125,16 +125,24 @@ func TestAllEnginesAgreeWithScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sdEng, err := New(data, Config{Roles: roles, Tree: topk.Config{Branching: 2 + rng.Intn(7)}})
-		if err != nil {
-			t.Fatal(err)
+		// The SD-Index three ways (sweep.go): the default plans — at these
+		// sizes, sweeps outright — one engine is pinned to pure streaming,
+		// and one is priced so that streams start and are retired mid-query.
+		tree := topk.Config{Branching: 2 + rng.Intn(7)}
+		var sdEngs [3]*Engine
+		for i, cost := range []int{0, StreamOnly, 2} {
+			if sdEngs[i], err = New(data, Config{Roles: roles, Tree: tree, AccessCost: cost}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for qi := 0; qi < 8; qi++ {
 			spec := randomSpec(rng, data, roles)
 			checkAgainst(t, "ta", taEng, truth, spec)
 			checkAgainst(t, "brs", brsEng, truth, spec)
 			checkAgainst(t, "pe", peEng, truth, spec)
-			checkAgainst(t, "sd", sdEng, truth, spec)
+			checkAgainst(t, "sd", sdEngs[0], truth, spec)
+			checkAgainst(t, "sd-stream", sdEngs[1], truth, spec)
+			checkAgainst(t, "sd-bail-out", sdEngs[2], truth, spec)
 		}
 	}
 }
@@ -388,7 +396,9 @@ func TestBytesEstimate(t *testing.T) {
 	const n, dims = 500, 4
 	data := dataset.Generate(dataset.Uniform, n, dims, 19)
 	roles := []query.Role{query.Repulsive, query.Attractive, query.Repulsive, query.Repulsive}
-	eng, err := New(data, Config{Roles: roles, DisableCompaction: true})
+	// Stream-pinned so the 500-row segment is indexed at all: the default
+	// seals a segment this small without structures (TestSealIndexesBySize).
+	eng, err := New(data, Config{Roles: roles, DisableCompaction: true, AccessCost: StreamOnly})
 	if err != nil {
 		t.Fatal(err)
 	}

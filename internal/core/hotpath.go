@@ -8,7 +8,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/pq"
 	"repro/internal/query"
-	"repro/internal/simd"
 	"repro/internal/topk"
 )
 
@@ -95,23 +94,26 @@ type queryCtx struct {
 	anchorB []float64 // bound at the start of the current rate window
 	sinceN  []int     // accesses accumulated in the current rate window
 
-	segSum  []float64 // per-segment Σ bounds (scheduler scratch)
-	segPad  []float64 // per-segment float-error pad
-	segDone []bool    // segment fully enumerated (one sub exhausted)
+	segSum     []float64 // per-segment Σ bounds (scheduler scratch)
+	segPad     []float64 // per-segment float-error pad
+	segDone    []bool    // segment fully enumerated (one sub exhausted) or retired
+	segFetched []int     // per-segment sorted accesses so far: the planner's spend
+	segSettled []int     // per-segment live rows the streams scored or pruned
 
 	emit [maxBatch]query.Emission
 	// Candidate batch scratch: runBatch defers the emissions that survive its
 	// masks and prune to these arrays and scores the whole batch with one
 	// column-sweep kernel call instead of a strided per-row loop.
-	candRow   [maxBatch]int32
-	candGID   [maxBatch]int32
-	candScore [maxBatch]float64
-	seen      []uint64 // bitset over global dataset IDs
-	coll      *pq.TopK[int]
-	drain     []pq.Scored[int]
-	scratch   queryPlan // plan storage for uncached shapes
-	sortRep   []int32   // adaptive planner scratch: active dims by weight
-	sortAtt   []int32
+	candRow    [maxBatch]int32
+	candGID    [maxBatch]int32
+	candScore  [maxBatch]float64
+	sweepScore [sweepBlock]float64 // one sweep block's scores (sweep.go)
+	seen       []uint64            // bitset over global dataset IDs
+	coll       *pq.TopK[int]
+	drain      []pq.Scored[int]
+	scratch    queryPlan // plan storage for uncached shapes
+	sortRep    []int32   // adaptive planner scratch: active dims by weight
+	sortAtt    []int32
 
 	// done is the query's optional cancellation signal (a context's Done
 	// channel on the serving path); nil means the query runs to completion.
@@ -204,7 +206,14 @@ func (e *Engine) getCtx(sn *snapshot) *queryCtx {
 		c.segSum = make([]float64, nseg)
 		c.segPad = make([]float64, nseg)
 		c.segDone = make([]bool, nseg)
+		c.segFetched = make([]int, nseg)
+		c.segSettled = make([]int, nseg)
 	}
+	// Per-segment accumulators start every query (and every parallel
+	// segment task) at zero.
+	clear(c.segPad[:nseg])
+	clear(c.segFetched[:nseg])
+	clear(c.segSettled[:nseg])
 	return c
 }
 
@@ -224,6 +233,11 @@ func (e *Engine) putCtx(c *queryCtx) {
 	e.ctxPool.Put(c)
 }
 
+// isSeen reports whether a stream has already surfaced a global dataset ID.
+func (c *queryCtx) isSeen(id int32) bool {
+	return c.seen[int(id)>>6]&(1<<(uint(id)&63)) != 0
+}
+
 // markSeen reports "newly seen" for a global dataset ID. Every emission's ID
 // is below the snapshot's total, which the bitset covers by construction.
 func (c *queryCtx) markSeen(id int32) bool {
@@ -240,13 +254,15 @@ func (c *queryCtx) markSeen(id int32) bool {
 // the steady-state query path performs no allocation. Results are appended
 // best-first; dst's existing elements are preserved.
 //
-// The flow is snapshot, plan, build, schedule: one atomic load freezes the
-// engine's segment stack (no lock is taken anywhere on this path), the
-// query's shape resolves to a plan (usually a cache hit — see plan.go)
-// naming the surviving subproblems, the plan's subproblems are bound to
-// every sealed segment, the memtable's rows are scored exactly up front,
-// and the engine's configured scheduler (scheduler.go) drives the §5
-// aggregation to the exact answer.
+// The flow is snapshot, plan, sweep, build, schedule: one atomic load
+// freezes the engine's segment stack (no lock is taken anywhere on this
+// path), the query's shape resolves to a plan (usually a cache hit — see
+// plan.go) naming the surviving subproblems, the memtable's rows and the
+// segments too small to be worth streaming are swept exactly up front
+// (sweep.go), the plan's subproblems are bound to every other sealed
+// segment, and the engine's configured scheduler (scheduler.go) drives the
+// §5 aggregation to the exact answer — finishing a segment with a sweep
+// when its streams turn out dearer than that.
 func (e *Engine) TopKAppend(dst []query.Result, spec query.Spec) ([]query.Result, Stats, error) {
 	return e.topKAppendAt(e.snap.Load(), dst, spec, nil)
 }
@@ -314,67 +330,36 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 		return c.appendResults(dst), stats, nil
 	}
 
-	// Bind the plan's subproblems to every sealed segment. pad bounds the
-	// absolute floating-point error between a pair stream's emitted
-	// scores/bounds (computed in normalized projection space and rescaled)
-	// and the exact contribution α·|Δy| − β·|Δx| the random-access rescoring
-	// uses. Points are only discarded, and iteration only stopped, when they
-	// are worse than the k-th best by more than this pad — so a point in an
-	// exact tie at the k-th rank can never be lost to an ulp of projection
-	// arithmetic, and answers stay byte-identical to the scan oracle. The 1D
-	// list subproblems emit exact contributions, but they still contribute
-	// their weighted reach to the pad: the prune and retirement tests sum
-	// contributions and sibling bounds in SUBPROBLEM order, which rounds
-	// differently than the score kernel's dimension-order sum — on an exact
-	// tie at the k-th rank that one-ulp difference is enough to discard a
-	// point the oracle keeps (found by fuzzing; regression seed
-	// testdata/fuzz/FuzzTopKChurn/89b7ba70eb2254e4). floatSlack times the
-	// summed weighted reach budgets the whole summation chain with orders
-	// of magnitude to spare. Pads are tracked per segment: a point's
-	// unknown contributions come only from its own segment's subproblems.
-	par := e.pool != nil && len(sn.segs) > 1
-	if !par {
-		for s := 0; s < len(sn.segs); s++ {
-			c.segPad[s] = 0
-		}
-		c.prepSubs(pl)
-		for si := range sn.segs {
-			if err := c.buildSegSubs(pl, spec, si); err != nil {
-				return dst, stats, err
-			}
-		}
-	}
-
-	// The memtable is scored exactly, up front: its rows are few (bounded by
+	// The memtable is swept exactly, up front: its rows are few (bounded by
 	// the compaction threshold), they live in no index structure, and
 	// seeding the collector with their exact scores only tightens the
-	// threshold the segment aggregation prunes against. Scoring runs through
-	// the same unrolled batch kernel as the sealed segments (in row-major
-	// form — the memtable is append-oriented), a block at a time through the
-	// pooled candidate scratch; dead rows are skipped at collection, so
-	// scoring them costs arithmetic but never correctness.
-	d := e.dims
-	for base := 0; base < len(sn.memIDs); base += maxBatch {
-		nb := len(sn.memIDs) - base
-		if nb > maxBatch {
-			nb = maxBatch
-		}
-		scores := c.candScore[:nb]
-		simd.ScoreRows(scores, sn.memFlat[base*d:(base+nb)*d], d, spec.Point, c.signed)
-		for i := 0; i < nb; i++ {
-			if bitGet(sn.memDead, base+i) {
-				continue
-			}
-			stats.Scored++
-			coll.Add(int(sn.memIDs[base+i]), scores[i])
-		}
-	}
+	// threshold everything after it prunes against. It runs through the same
+	// block sweep as the sealed segments (sweep.go), in row-major form — the
+	// memtable is append-oriented.
+	c.sweep(nil, sn.memIDs, sn.memDead, spec.Point)
+	stats.Scored += len(sn.memIDs) - popcount(sn.memDead)
 
-	if par {
+	if e.pool != nil && len(sn.segs) > 1 {
 		if err := c.runParallel(pl, spec, &stats); err != nil {
 			return dst, stats, err
 		}
 	} else {
+		// Sweep the segments the planner does not stream at all (sweep.go)
+		// and bind the plan's subproblems to the rest.
+		c.prepSubs(pl)
+		nsubs := pl.nsubs()
+		for si, seg := range sn.segs {
+			if e.sweepsFirst(seg, nsubs) {
+				c.sweepSegment(si, spec.Point, &stats)
+				if c.canceled {
+					return dst, stats, ErrCanceled
+				}
+				continue
+			}
+			if err := c.buildSegSubs(pl, spec, si); err != nil {
+				return dst, stats, err
+			}
+		}
 		stats.Subproblems = len(c.subs)
 		if len(c.subs) > 0 {
 			if e.sched == SchedRoundRobin {
@@ -398,6 +383,24 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 // segment's pad. Degenerate pairs (one zero weight) are valid: they
 // enumerate a single dimension's frontier through the same tree, which is
 // how adaptive engines run leftover dimensions without sorted lists.
+//
+// The pad bounds the absolute floating-point error between a pair stream's
+// emitted scores/bounds (computed in normalized projection space and
+// rescaled) and the exact contribution α·|Δy| − β·|Δx| the random-access
+// rescoring uses. Points are only discarded, and iteration only stopped,
+// when they are worse than the k-th best by more than this pad — so a point
+// in an exact tie at the k-th rank can never be lost to an ulp of projection
+// arithmetic, and answers stay byte-identical to the scan oracle. The 1D
+// list subproblems emit exact contributions, but they still contribute
+// their weighted reach to the pad: the prune and retirement tests sum
+// contributions and sibling bounds in SUBPROBLEM order, which rounds
+// differently than the score kernel's dimension-order sum — on an exact tie
+// at the k-th rank that one-ulp difference is enough to discard a point the
+// oracle keeps (found by fuzzing; regression seed
+// testdata/fuzz/FuzzTopKChurn/89b7ba70eb2254e4). floatSlack times the
+// summed weighted reach budgets the whole summation chain with orders of
+// magnitude to spare. Pads are tracked per segment: a point's unknown
+// contributions come only from its own segment's subproblems.
 func (c *queryCtx) addPairSub(tree *topk.Index, ref subRef, rep, attr int, wr, wa float64, qpt []float64) error {
 	q2 := geom.Point{X: qpt[attr], Y: qpt[rep]}
 	ps := &c.pairSubs[c.nPair]

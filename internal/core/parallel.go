@@ -138,6 +138,8 @@ func (c *queryCtx) runParallel(pl *queryPlan, spec query.Spec, stats *Stats) err
 		stats.Rounds += st.Rounds
 		stats.Fetched += st.Fetched
 		stats.Scored += st.Scored
+		stats.Swept += st.Swept
+		stats.SweptSegments += st.SweptSegments
 		k.drain = k.coll.DrainInto(k.drain[:0])
 		for _, s := range k.drain {
 			c.coll.Add(s.Item, s.Score)
@@ -147,10 +149,11 @@ func (c *queryCtx) runParallel(pl *queryPlan, spec query.Spec, stats *Stats) err
 	return err
 }
 
-// runKid is one parallel query's per-segment task: acquire a pooled context,
-// bind the plan's subproblems to segment i alone, and run the engine's
-// configured scheduler loop against a private collector plus the shared
-// floor. The parent's seen bitset is NOT shared — a point lives in exactly
+// runKid is one parallel query's per-segment task: acquire a pooled context
+// and either sweep segment i outright (sweep.go) or bind the plan's
+// subproblems to it alone and run the engine's configured scheduler loop —
+// which may itself finish the segment with a sweep — against a private
+// collector plus the shared floor. The parent's seen bitset is NOT shared — a point lives in exactly
 // one segment, so per-task bitsets partition the ID space and first-emission
 // semantics are preserved. The context is recorded for the parent to drain
 // and release; a task that fails to bind records its error and releases its
@@ -163,10 +166,13 @@ func (c *queryCtx) runKid(i int) {
 	copy(k.w, c.w)
 	copy(k.signed, c.signed)
 	k.coll.Reset(c.parSpec.K)
-	for s := range k.segPad[:len(c.sn.segs)] {
-		k.segPad[s] = 0
-	}
 	pl, spec := c.parPl, c.parSpec
+	st := &c.kidStats[i]
+	if e.sweepsFirst(c.sn.segs[i], pl.nsubs()) {
+		c.kidCtx[i] = k
+		k.sweepSegment(i, spec.Point, st)
+		return
+	}
 	k.prepSubs(pl)
 	if err := k.buildSegSubs(pl, spec, i); err != nil {
 		c.kidErr[i] = err
@@ -174,7 +180,6 @@ func (c *queryCtx) runKid(i int) {
 		return
 	}
 	c.kidCtx[i] = k
-	st := &c.kidStats[i]
 	st.Subproblems = len(k.subs)
 	if len(k.subs) > 0 {
 		if e.sched == SchedRoundRobin {

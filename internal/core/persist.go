@@ -56,6 +56,8 @@ type RuntimeOptions struct {
 	// from the file.
 	MaxSegmentRows int
 	Pool           Runner
+	// AccessCost mirrors Config.AccessCost.
+	AccessCost int
 }
 
 type countingWriter struct {
@@ -351,6 +353,7 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 		colWidth:    colWidth,
 		maxSegRows:  opt.MaxSegmentRows,
 		pool:        opt.Pool,
+		accessCost:  resolveAccessCost(opt.AccessCost, opt.Scheduler),
 		noPlanCache: opt.DisablePlanCache,
 	}
 
@@ -421,7 +424,7 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 		if version < 3 {
 			cols = transposeToCols(block, len(ids), dims)
 		}
-		seg, err := buildSegment(cols, ids, dims, &e.layout, e.treeCfg, e.colWidth)
+		seg, err := e.seal(cols, ids)
 		if err != nil {
 			return nil, err
 		}

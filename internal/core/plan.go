@@ -85,6 +85,14 @@ func planSignature(spec query.Spec) (uint64, bool) {
 	return sig, true
 }
 
+// nsubs is the number of subproblems the plan binds to each streamed
+// segment: the fixed layout's surviving pairs and lone dimensions, or the
+// adaptive zip's matched pairs plus leftovers (the larger active role set).
+// Only one of the two forms is populated on any engine.
+func (p *queryPlan) nsubs() int {
+	return len(p.pairs) + len(p.lone) + max(len(p.activeRep), len(p.activeAtt))
+}
+
 // derivePlanInto computes the plan for spec's shape into p, reusing p's
 // slices. It is the single source of truth both the cached and the scratch
 // paths share.

@@ -19,7 +19,9 @@ const (
 	// the right greedy signal). The termination threshold is re-checked
 	// after every batch rather than once per rotation, so the loop stops
 	// the moment the k-th best score clears it, and the final batches are
-	// clamped to the predicted accesses-to-termination.
+	// clamped to the predicted accesses-to-termination. The same prediction
+	// drives the sweep-or-stream planner (sweep.go): a segment whose streams
+	// cost more than one sweep of its columns is finished with that sweep.
 	SchedBoundDriven Scheduler = iota
 	// SchedRoundRobin is the paper's literal §5 loop — every round fetches
 	// one adaptive batch from every subproblem in fixed rotation, and the
@@ -75,13 +77,13 @@ func (s Scheduler) valid() bool {
 // peeks (PeekScore / Bound, no fetch) instead of +Inf, which only tightens
 // the same inequalities.
 
-// rateWindow is the minimum number of sorted accesses a frontier's descent
+// RateWindow is the minimum number of sorted accesses a frontier's descent
 // rate is measured over. Longer windows smooth across plateaus of duplicate
 // contributions but probe unwanted frontiers deeper and react later; on the
 // evaluation workload fetch counts are nearly flat from 4 to 32 (≈1890 to
 // ≈1903 mean accesses), and 8 sits on the flat part while keeping the
 // forced probe of a useless frontier cheap.
-const rateWindow = 8
+const RateWindow = 8
 
 // pollCancel reports whether the query's cancellation signal has fired,
 // latching the result into c.canceled. Both scheduler loops poll it once
@@ -211,40 +213,62 @@ func (c *queryCtx) runBoundDriven(qpt []float64, stats *Stats) {
 				other += b
 			}
 		}
-		// Near termination the adaptive batch overshoots: a 64-wide drain
-		// keeps fetching after the threshold has already fallen past the
-		// k-th best. The measured rate predicts how many accesses the
-		// remaining gap needs if this frontier keeps its slope, so the batch
-		// is clamped to that estimate (never below 1; growth bookkeeping in
-		// runBatch is untouched, so a frontier that flattens out re-expands).
+		// Once the frontier's descent rate is measured, the remaining gap
+		// between this segment's padded frontier sum and the prune line
+		// predicts how many more accesses termination needs if the frontier
+		// keeps its slope. Two decisions hang on that one estimate.
 		size := bsize[best]
+		need := math.Inf(1) // predicted accesses to termination; +Inf = unknown
 		if math.IsInf(rate[best], 1) {
 			// Probe phase: stop exactly at the window edge, so an unwanted
-			// frontier costs rateWindow accesses, not a doubled overshoot.
-			if rem := rateWindow - sinceN[best]; size > rem {
+			// frontier costs RateWindow accesses, not a doubled overshoot.
+			if rem := RateWindow - sinceN[best]; size > rem {
 				size = rem
 			}
 		} else if r := rate[best]; r > 0 {
 			if line, ok := c.pruneLine(); ok {
-				if gap := segSum[bs] + segPad[bs] - line; gap/r < float64(size-1) {
-					size = int(gap/r) + 1
-				}
+				need = (segSum[bs] + segPad[bs] - line) / r
 			}
+		}
+		// Sweep or stream (sweep.go): retire the segment into one sweep of
+		// its columns when what its streams have spent plus what they are
+		// predicted to still need exceeds the sweep's cost, and at the
+		// latest when the spend alone reaches it — a flat or unmeasured
+		// frontier predicts nothing, and the hard stop is what bounds the
+		// regret at twice the cheaper plan. The prediction takes the
+		// steepest frontier's word for the whole segment, so it errs toward
+		// streaming on. A batch never outruns the budget that is left.
+		if cost := c.e.accessCost; cost > 0 {
+			left := refs[best].seg.rows/cost - c.segFetched[bs] // accesses until the hard stop
+			if left <= 0 || (!math.IsInf(need, 1) && need > float64(left)) {
+				c.sweepSegment(int(bs), qpt, stats)
+				segDone[bs] = true
+				continue
+			}
+			size = min(size, left)
+		}
+		// Near termination the adaptive batch overshoots: a 64-wide drain
+		// keeps fetching after the threshold has already fallen past the
+		// k-th best, so the batch is clamped to the prediction (never below
+		// 1; growth bookkeeping in runBatch is untouched, so a frontier that
+		// flattens out re-expands).
+		if need < float64(size-1) {
+			size = int(need) + 1
 		}
 		if n := c.runBatch(best, size, qpt, segPad[bs], other, stats); n > 0 {
 			// Rates are measured over completed windows of at least
-			// rateWindow accesses, not per batch: a single-access sample on
+			// RateWindow accesses, not per batch: a single-access sample on
 			// a plateau of duplicate contributions would read as rate 0 and
 			// starve that frontier forever — even when the steepest descent
 			// of all lies just past its plateau (the failure mode that made
 			// naive greedy 2.4× worse than optimal on real queries). Until
 			// its first window completes a frontier keeps rate +Inf, so
-			// every subproblem is probed rateWindow deep (highest bound
+			// every subproblem is probed RateWindow deep (highest bound
 			// first) before the greedy phase begins. An exhausted frontier
 			// stops updating, but exhaustion retires its segment above
 			// before its rate is consulted.
 			sinceN[best] += n
-			if sinceN[best] >= rateWindow {
+			if sinceN[best] >= RateWindow {
 				rate[best] = (anchorB[best] - bounds[best]) / float64(sinceN[best])
 				anchorB[best] = bounds[best]
 				sinceN[best] = 0
@@ -363,7 +387,7 @@ func (c *queryCtx) runBatch(i, size int, qpt []float64, pad, otherBounds float64
 	// to the per-emission consult — and on the parallel path the hoist also
 	// caps the shared-floor atomics at one load per batch.
 	line, lineOK := c.pruneLine()
-	nc := 0
+	nc, settled := 0, 0
 	for _, em := range c.emit[:n] {
 		gid := seg.ids[em.ID]
 		if !c.markSeen(gid) {
@@ -372,6 +396,7 @@ func (c *queryCtx) runBatch(i, size int, qpt []float64, pad, otherBounds float64
 		if bitGet(ref.tomb, int(em.ID)) {
 			continue // tombstoned: removed after this segment sealed
 		}
+		settled++ // scored below or soundly discarded: a sweep skips it
 		if lineOK && em.Contrib+otherBounds+pad < line {
 			continue // cannot enter the top k, now or later
 		}
@@ -379,6 +404,8 @@ func (c *queryCtx) runBatch(i, size int, qpt []float64, pad, otherBounds float64
 		c.candGID[nc] = gid
 		nc++
 	}
+	c.segFetched[ref.ord] += n
+	c.segSettled[ref.ord] += settled
 	if nc > 0 {
 		stats.Scored += nc
 		scores := c.candScore[:nc]

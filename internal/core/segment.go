@@ -55,9 +55,13 @@ type segment struct {
 	cols32 []float32
 	qerr   []float64
 
-	trees []*topk.Index   // fixed-pairing: parallel to layout.pairs
-	grid  []*topk.Index   // adaptive: gridRep × gridAtt trees
-	lists []*dimlist.List // parallel to layout.lone
+	// indexed is false on a segment too small to ever be streamed (see
+	// Engine.seal): it carries no trees, grid, or lists, and every query
+	// sweeps it.
+	indexed bool
+	trees   []*topk.Index   // fixed-pairing: parallel to layout.pairs
+	grid    []*topk.Index   // adaptive: gridRep × gridAtt trees
+	lists   []*dimlist.List // parallel to layout.lone
 
 	// structBytes caches the resident size of the index structures (trees,
 	// grid, lists); they never change after the build, so Bytes() does not
@@ -103,16 +107,25 @@ func transposeToCols(flat []float64, rows, dims int) []float64 {
 	return cols
 }
 
+// seal builds one sealed segment under the engine's layout. A segment that
+// costs no more to sweep than a single stream costs to probe is swept by
+// every query whatever its plan (sweepsFirst), so it is sealed without
+// index structures.
+func (e *Engine) seal(cols []float64, ids []int32) (*segment, error) {
+	return buildSegment(cols, ids, e.dims, &e.layout, e.treeCfg, e.colWidth, len(ids) > e.probeCost(1))
+}
+
 // buildSegment seals rows (cols, dimension-major, with their global IDs) into
 // an immutable segment under the engine's layout and tree configuration. IDs
 // must be strictly ascending; width is the engine's column width (64, or 32
-// for the narrow-sweep layout). An empty row set returns nil.
-func buildSegment(cols []float64, ids []int32, dims int, lo *layout, treeCfg topk.Config, width int) (*segment, error) {
+// for the narrow-sweep layout); indexed false leaves the trees and lists
+// unbuilt. An empty row set returns nil.
+func buildSegment(cols []float64, ids []int32, dims int, lo *layout, treeCfg topk.Config, width int, indexed bool) (*segment, error) {
 	rows := len(ids)
 	if rows == 0 {
 		return nil, nil
 	}
-	s := &segment{ids: ids, cols: cols, rows: rows, dims: dims}
+	s := &segment{ids: ids, cols: cols, rows: rows, dims: dims, indexed: indexed}
 	if width == 32 {
 		s.cols32 = make([]float32, len(cols))
 		s.qerr = make([]float64, dims)
@@ -127,6 +140,9 @@ func buildSegment(cols []float64, ids []int32, dims int, lo *layout, treeCfg top
 			}
 			s.qerr[d] = worst
 		}
+	}
+	if !indexed {
+		return s, nil
 	}
 	// Trees and lists copy their input columns, so they can slice the block
 	// directly — the throwaway per-dimension copies the row-major layout

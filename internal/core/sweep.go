@@ -1,0 +1,163 @@
+package core
+
+import "repro/internal/simd"
+
+// Sweep or stream. A sealed segment can be answered two exact ways: by its
+// pair-tree streams under the §5 aggregation, which touch few rows but pay a
+// heap pop, a key blend and a random-access score per sorted access, or by
+// one contiguous sweep of its columns, which touches every row at streaming
+// bandwidth. Neither dominates — streams win on large segments the prune
+// line cuts deep into, the sweep wins everywhere else — so the engine
+// chooses per segment and per query, from the numbers the scheduler already
+// keeps, in one currency: swept rows.
+//
+//   - Sweeping segment s costs rows(s).
+//   - A sorted access costs accessCost rows (below).
+//   - sweepsFirst: a segment whose sweep costs no more than probing the
+//     plan's streams one rate window deep is swept up front like the
+//     memtable, before anything is bound; a segment for which that holds
+//     under every plan is sealed without an index (Engine.seal).
+//   - runBoundDriven retires a streamed segment into a sweep as soon as what
+//     its streams have spent plus what they are predicted to still need
+//     exceeds its sweep cost, and unconditionally once the spend alone
+//     reaches it.
+//
+// So a query pays, per segment, at most probe + sweep where the sweep wins,
+// at most twice the cheaper plan wherever the prediction errs, and exactly
+// the stream's cost where the stream wins. Nothing is carried across
+// queries: every choice is a function of the query and the snapshot, which
+// keeps sequential Stats deterministic. A sweep scores exactly the rows the
+// streams had not settled, with the same per-row arithmetic as the stream
+// path's rescoring, into the same order-independent collector, so answers
+// are byte-identical whichever way each segment went.
+
+// DefaultAccessCost is the price of one sorted access in swept rows — the
+// planner's single tuning constant. Measured with BenchmarkPlannerCrossover
+// (6 dimensions, k ∈ {1, 5, 50}, one thread of the 2-vCPU 2.1 GHz Xeon this
+// repository is benchmarked on), which reports both sides of the ratio. A
+// sweep costs 6–10 ns per row including the threshold filter, at every size
+// from 10k to 1M rows. A sorted access — tree-heap pop, key blend, seen and
+// prune tests, gathered rescore — costs 280–540 ns in the steady state of a
+// stream over a cache-resident segment (10k–50k rows), 700–950 ns at 1M rows
+// where trees and columns miss cache, and about 1 µs in a stream's first few
+// dozen accesses, which pay for binding it and descending its cold tree: the
+// accesses the planner's up-front and early bail-out decisions price. That
+// is 40–70 rows per access at the cheap end and 100–140 everywhere the
+// decision is actually taken; rerunning the benchmark's default column at
+// 64, 96, 128 and 192 came out faster at each step on uniform data from 50k
+// to 1M rows (1M, k = 5: 11.6, 9.4, 8.4, 7.8 ms against a 6.4 ms sweep and a
+// 13.4 ms stream), with the 2-dimensional cell still streaming at all of
+// them. 128 is the measured ratio rounded to a power of two, not the fitted
+// optimum: the planner's regret is bounded for any value — a wrong one only
+// moves the crossover — and erring high is the cheaper mistake, since a
+// sweep that should have been a stream costs the ratio's error once while a
+// stream that should have been a sweep pays it on every access up to the
+// hard stop.
+const DefaultAccessCost = 128
+
+// StreamOnly is the Config.AccessCost that pins pure streaming.
+const StreamOnly = -1
+
+// resolveAccessCost maps Config.AccessCost to the engine's cost: StreamOnly
+// turns the planner off, as does the round-robin scheduler — the paper's
+// literal loop has none.
+func resolveAccessCost(cfg int, sched Scheduler) int {
+	switch {
+	case cfg < 0 || sched == SchedRoundRobin:
+		return 0
+	case cfg == 0:
+		return DefaultAccessCost
+	}
+	return cfg
+}
+
+// probeCost is what probing nsubs streams one rate window deep costs, in
+// swept rows — the least a segment's streams can spend before the scheduler
+// knows anything about them.
+func (e *Engine) probeCost(nsubs int) int { return nsubs * RateWindow * e.accessCost }
+
+// sweepsFirst reports whether a segment is swept before any of the plan's
+// nsubs streams is bound to it.
+func (e *Engine) sweepsFirst(seg *segment, nsubs int) bool {
+	return !seg.indexed || seg.rows <= e.probeCost(nsubs)
+}
+
+const (
+	// sweepBlock rows are scored per kernel call into pooled scratch: 4 KB
+	// of scores, resident in L1 next to the collector.
+	sweepBlock = 512
+	// sweepPollBlocks is the cancellation poll interval of a sweep: every
+	// 4096 rows, about the ≈ 25 µs a scheduler step's 64 accesses cost.
+	sweepPollBlocks = 8
+)
+
+// sweep scores every live row of one layer that the streams have not already
+// settled, exactly and block by block, into the collector. The layer is a
+// sealed segment's contiguous dimension-major columns or — seg nil — the
+// memtable's row-major block; ids and dead are its global IDs and
+// tombstones. Rows below the prune line are dropped on the score alone
+// (strictly below: a tie at the k-th rank still reaches the collector's ID
+// tie-break), so tombstones and the seen bitset are consulted only for the
+// few rows that could enter the top k. On float32 columns the swept score is
+// approximate: it is padded by the quantization error and by the rounding
+// slack between the two summation chains, exactly as runBatch pads it, and
+// the rows that survive are rescored from the float64 columns.
+func (c *queryCtx) sweep(seg *segment, ids []int32, dead []uint64, qpt []float64) {
+	coll := c.coll
+	d := c.e.dims
+	narrow := seg != nil && seg.cols32 != nil
+	var qpad float64
+	if narrow {
+		for dd, w := range c.w {
+			qpad += w * (seg.qerr[dd] + floatSlack*c.sn.reach(dd, qpt[dd]))
+		}
+	}
+	for base, blk := 0, 1; base < len(ids); base, blk = base+sweepBlock, blk+1 {
+		if blk%sweepPollBlocks == 0 && c.pollCancel() {
+			return
+		}
+		scores := c.sweepScore[:min(len(ids)-base, sweepBlock)]
+		switch {
+		case seg == nil:
+			simd.ScoreRows(scores, c.sn.memFlat[base*d:], d, qpt, c.signed)
+		case narrow:
+			simd.ScoreCols32(scores, seg.cols32, seg.rows, base, qpt, c.signed)
+		default:
+			simd.ScoreCols(scores, seg.cols, seg.rows, base, qpt, c.signed)
+		}
+		line, lineOK := c.pruneLine()
+		for j, sc := range scores {
+			if lineOK && sc+qpad < line {
+				continue
+			}
+			l := base + j
+			if bitGet(dead, l) || c.isSeen(ids[l]) {
+				continue
+			}
+			if narrow {
+				sc = seg.scoreLocal(l, qpt, c.signed)
+			}
+			if coll.Add(int(ids[l]), sc) {
+				line, lineOK = c.pruneLine()
+			}
+		}
+		if c.floor != nil && coll.Full() {
+			c.floor.raise(coll.Threshold())
+		}
+	}
+}
+
+// sweepSegment finishes sealed segment si with one sweep and accounts for
+// it: every live row the segment's streams had not settled is scored. A
+// sweep that cancellation cut short is not counted.
+func (c *queryCtx) sweepSegment(si int, qpt []float64, stats *Stats) {
+	seg, tomb := c.sn.segs[si], c.sn.tombs[si]
+	c.sweep(seg, seg.ids, tomb, qpt)
+	if c.canceled {
+		return
+	}
+	n := seg.rows - popcount(tomb) - c.segSettled[si]
+	stats.Scored += n
+	stats.Swept += n
+	stats.SweptSegments++
+}

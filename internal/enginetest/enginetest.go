@@ -13,10 +13,12 @@
 // must be byte-identical to the oracle; the rest (BRS, PE) must return the
 // exact top-k score multiset with every claimed score verified by
 // rescoring. Engines exposing Insert/Remove are additionally exercised
-// through a randomized update phase with the oracle tracking live rows,
-// and engines exposing Snapshot are held to snapshot isolation: views
-// pinned mid-stream are re-queried after every later mutation against the
-// oracle frozen at their acquisition point.
+// through a randomized update phase with the oracle tracking live rows
+// and a purge phase that removes rows wholesale (tombstone-heavy segments,
+// wholly dead segments, finally an empty index), and engines exposing
+// Snapshot are held to snapshot isolation: views pinned mid-stream are
+// re-queried after every later mutation against the oracle frozen at their
+// acquisition point.
 package enginetest
 
 import (
@@ -401,6 +403,43 @@ func runUpdates(t *testing.T, f Factory, wl workload, eng sdquery.Engine, up upd
 		}
 	}
 	checkSnapshots(60)
+	runPurge(t, f, wl, eng, up, mirror, dead)
+}
+
+// runPurge removes rows wholesale, in three waves, and checks the query mix
+// after each: nine in ten of the live rows at random (every segment left
+// tombstone-heavy — the regime where a sweep's score filter passes mostly
+// dead rows), then every row in the lower half of the ID space (under a
+// segment row cap, whole segments go dead while others stay live), then
+// everything (every k exceeds the live rows, down to an empty answer).
+func runPurge(t *testing.T, f Factory, wl workload, eng sdquery.Engine, up updatable, mirror [][]float64, dead []bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(wl.seed * 13))
+	waves := []func(id int) bool{
+		func(int) bool { return rng.Intn(10) != 0 },
+		func(id int) bool { return id < len(mirror)/2 },
+		func(int) bool { return true },
+	}
+	for wi, doomed := range waves {
+		for id := range mirror {
+			if !dead[id] && doomed(id) {
+				if !up.Remove(id) {
+					t.Fatalf("purge wave %d: Remove(%d) of a live row reported false", wi, id)
+				}
+				dead[id] = true
+			}
+		}
+		if got, want := eng.Len(), liveCount(dead); got != want {
+			t.Fatalf("purge wave %d: Len = %d, oracle has %d", wi, got, want)
+		}
+		for qi, q := range queries(wl, 6) {
+			got, err := eng.TopK(q)
+			if err != nil {
+				t.Fatalf("purge wave %d query %d: %v", wi, qi, err)
+			}
+			check(t, q, mirror, dead, got, f.Deterministic)
+		}
+	}
 }
 
 func liveCount(dead []bool) int {

@@ -184,3 +184,80 @@ func GatherScore32(dst []float64, cols []float32, rows int, idx []int32, q, sign
 		}
 	}
 }
+
+// ScoreCols fills dst[j] with the SD-score of row off+j read contiguously
+// from dimension-major float64 columns (column d is cols[d·rows:(d+1)·rows]):
+// the segment sweep kernel. Eight consecutive rows advance together, each
+// with a register accumulator carried across the dimensions in ascending
+// order — the same operation order as the scalar row loop and GatherScore,
+// so scores are bit-identical to both — and every load is sequential, so a
+// sweep runs at streaming bandwidth instead of GatherScore's one cache miss
+// per candidate per dimension. off+len(dst) must not exceed rows.
+func ScoreCols(dst []float64, cols []float64, rows, off int, q, signed []float64) {
+	dims := len(q)
+	signed = signed[:dims]
+	j := 0
+	for ; j+8 <= len(dst); j += 8 {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		base := off + j
+		for d := 0; d < dims; d++ {
+			c := cols[base : base+8 : base+8]
+			base += rows
+			qd, wd := q[d], signed[d]
+			s0 += wd * math.Abs(c[0]-qd)
+			s1 += wd * math.Abs(c[1]-qd)
+			s2 += wd * math.Abs(c[2]-qd)
+			s3 += wd * math.Abs(c[3]-qd)
+			s4 += wd * math.Abs(c[4]-qd)
+			s5 += wd * math.Abs(c[5]-qd)
+			s6 += wd * math.Abs(c[6]-qd)
+			s7 += wd * math.Abs(c[7]-qd)
+		}
+		out := dst[j : j+8 : j+8]
+		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+		out[4], out[5], out[6], out[7] = s4, s5, s6, s7
+	}
+	for ; j < len(dst); j++ {
+		var s float64
+		for d := 0; d < dims; d++ {
+			s += signed[d] * math.Abs(cols[d*rows+off+j]-q[d])
+		}
+		dst[j] = s
+	}
+}
+
+// ScoreCols32 is ScoreCols over float32 columns, widened to float64 before
+// any arithmetic exactly like GatherScore32: the approximate half-bandwidth
+// sweep whose quantization error the caller's pad absorbs.
+func ScoreCols32(dst []float64, cols []float32, rows, off int, q, signed []float64) {
+	dims := len(q)
+	signed = signed[:dims]
+	j := 0
+	for ; j+8 <= len(dst); j += 8 {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		base := off + j
+		for d := 0; d < dims; d++ {
+			c := cols[base : base+8 : base+8]
+			base += rows
+			qd, wd := q[d], signed[d]
+			s0 += wd * math.Abs(float64(c[0])-qd)
+			s1 += wd * math.Abs(float64(c[1])-qd)
+			s2 += wd * math.Abs(float64(c[2])-qd)
+			s3 += wd * math.Abs(float64(c[3])-qd)
+			s4 += wd * math.Abs(float64(c[4])-qd)
+			s5 += wd * math.Abs(float64(c[5])-qd)
+			s6 += wd * math.Abs(float64(c[6])-qd)
+			s7 += wd * math.Abs(float64(c[7])-qd)
+		}
+		out := dst[j : j+8 : j+8]
+		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+		out[4], out[5], out[6], out[7] = s4, s5, s6, s7
+	}
+	for ; j < len(dst); j++ {
+		var s float64
+		for d := 0; d < dims; d++ {
+			s += signed[d] * math.Abs(float64(cols[d*rows+off+j])-q[d])
+		}
+		dst[j] = s
+	}
+}

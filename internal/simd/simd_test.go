@@ -46,6 +46,26 @@ func gatherScore32Scalar(dst []float64, cols []float32, rows int, idx []int32, q
 	}
 }
 
+func scoreColsScalar(dst []float64, cols []float64, rows, off int, q, signed []float64) {
+	for j := range dst {
+		var s float64
+		for d := range q {
+			s += signed[d] * math.Abs(cols[d*rows+off+j]-q[d])
+		}
+		dst[j] = s
+	}
+}
+
+func scoreCols32Scalar(dst []float64, cols []float32, rows, off int, q, signed []float64) {
+	for j := range dst {
+		var s float64
+		for d := range q {
+			s += signed[d] * math.Abs(float64(cols[d*rows+off+j])-q[d])
+		}
+		dst[j] = s
+	}
+}
+
 func randVals(rng *rand.Rand, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
@@ -127,6 +147,40 @@ func TestKernelBitIdentity(t *testing.T) {
 			requireBitEqual(t, "GatherScore32", got, want)
 		}
 	}
+	// The contiguous sweep kernels, at offsets that put the block's start,
+	// its 8-wide body and its tail everywhere in the column — and against
+	// the gather kernel over the same rows, which the engine's stream path
+	// scores with: a row must score identically whichever path reaches it.
+	for _, n := range sizes {
+		for _, dims := range []int{1, 2, 6, 13} {
+			rows := n + 11
+			off := rng.Intn(12)
+			cols := randVals(rng, rows*dims)
+			cols32 := make([]float32, len(cols))
+			for i, v := range cols {
+				cols32[i] = float32(v)
+			}
+			q := randVals(rng, dims)
+			signed := randVals(rng, dims)
+			idx := make([]int32, n)
+			for i := range idx {
+				idx[i] = int32(off + i)
+			}
+			got := make([]float64, n)
+			want := make([]float64, n)
+			ScoreCols(got, cols, rows, off, q, signed)
+			scoreColsScalar(want, cols, rows, off, q, signed)
+			requireBitEqual(t, "ScoreCols", got, want)
+			GatherScore(want, cols, rows, idx, q, signed)
+			requireBitEqual(t, "ScoreCols vs GatherScore", got, want)
+
+			ScoreCols32(got, cols32, rows, off, q, signed)
+			scoreCols32Scalar(want, cols32, rows, off, q, signed)
+			requireBitEqual(t, "ScoreCols32", got, want)
+			GatherScore32(want, cols32, rows, idx, q, signed)
+			requireBitEqual(t, "ScoreCols32 vs GatherScore32", got, want)
+		}
+	}
 }
 
 // TestBlendKeysGenericMatchesDispatch pins the generic path against the
@@ -193,6 +247,21 @@ func BenchmarkScoreKernel(b *testing.B) {
 		b.SetBytes(n * dims * 8)
 		for i := 0; i < b.N; i++ {
 			ScoreRows(dst, flat, dims, q, signed)
+		}
+	})
+	// The segment sweep: the same values dimension-major, in 512-row blocks.
+	b.Run("cols-scalar", func(b *testing.B) {
+		b.SetBytes(n * dims * 8)
+		for i := 0; i < b.N; i++ {
+			scoreColsScalar(dst, flat, n, 0, q, signed)
+		}
+	})
+	b.Run("cols-sweep", func(b *testing.B) {
+		b.SetBytes(n * dims * 8)
+		for i := 0; i < b.N; i++ {
+			for off := 0; off < n; off += 512 {
+				ScoreCols(dst[off:off+512], flat, n, off, q, signed)
+			}
 		}
 	})
 }

@@ -214,17 +214,17 @@ func normalizeAngles(in []geom.Angle) ([]geom.Angle, []float64, error) {
 	return out, outD, nil
 }
 
-// buildArena carves node structs, bounds vectors, and leaf coordinate
-// columns out of shared slabs during a bulk load. The query hot path reads
-// (child node header, child bounds) for every sibling of an expanded node,
-// so siblings are placed adjacently: one cache line then serves several
-// children instead of one pointer-chased heap object each. Slabs are
-// chunked and never reallocated once an object has been handed out, so
-// interior pointers stay valid; the tree keeps the slabs alive through
-// those pointers and the arena itself is dropped when the build returns.
-// Incremental updates allocate nodes individually as before — every carved
-// slice is capacity-clamped, so an append on a leaf column reallocates
-// instead of bleeding into a sibling's region.
+// buildArena carves node structs, bounds vectors, child arrays and leaf
+// coordinate columns out of shared slabs during a build. The query hot path
+// reads (child node header, child bounds) for every sibling of an expanded
+// node, so siblings are placed adjacently: one cache line then serves several
+// children instead of one pointer-chased heap object each. Every slab is
+// sized exactly for the subtree being built (newArena counts its nodes
+// first), so a built tree carries no slack, and never reallocated, so
+// interior pointers stay valid; the tree keeps the slabs alive through those
+// pointers and the arena itself is dropped when the build returns. Every
+// carved slice is capacity-clamped, so an append on a leaf column
+// reallocates instead of bleeding into a sibling's region.
 type buildArena struct {
 	nodes  []node
 	bounds []float64
@@ -234,71 +234,45 @@ type buildArena struct {
 	ids    []int32
 }
 
-const arenaNodeChunk = 1024
-
-// newNodes returns n adjacent zero node structs. Chunks start small and
-// double so an incremental leaf split (a dozen nodes) doesn't pin a
-// bulk-sized slab.
-func (a *buildArena) newNodes(n int) []node {
-	if len(a.nodes)+n > cap(a.nodes) {
-		c := 2 * cap(a.nodes)
-		if c < 16 {
-			c = 16
-		}
-		if c > arenaNodeChunk {
-			c = arenaNodeChunk
-		}
-		if n > c {
-			c = n
-		}
-		a.nodes = make([]node, 0, c)
+// newArena sizes an arena for the subtree fillNode builds over the sorted
+// points: every point lands in exactly one leaf, every node has one bounds
+// vector, and every node but the subtree's root is somebody's child.
+func (idx *Index) newArena(pts []geom.Point) *buildArena {
+	nodes := idx.countNodes(pts)
+	return &buildArena{
+		nodes:  make([]node, 0, nodes),
+		bounds: make([]float64, 0, nodes*4*len(idx.angles)),
+		kids:   make([]*node, 0, nodes-1),
+		xs:     make([]float64, 0, len(pts)),
+		ys:     make([]float64, 0, len(pts)),
+		ids:    make([]int32, 0, len(pts)),
 	}
-	a.nodes = a.nodes[:len(a.nodes)+n]
-	return a.nodes[len(a.nodes)-n : len(a.nodes) : len(a.nodes)]
+}
+
+// newNodes returns n adjacent zero node structs.
+func (a *buildArena) newNodes(n int) []node {
+	l := len(a.nodes)
+	a.nodes = a.nodes[:l+n]
+	return a.nodes[l : l+n : l+n]
 }
 
 // newBounds returns an n-float region; sequential calls within one parent
 // yield adjacent regions.
 func (a *buildArena) newBounds(n int) []float64 {
-	if len(a.bounds)+n > cap(a.bounds) {
-		c := 2 * cap(a.bounds)
-		if c < 256 {
-			c = 256
-		}
-		if c > 4*arenaNodeChunk {
-			c = 4 * arenaNodeChunk
-		}
-		if n > c {
-			c = n
-		}
-		a.bounds = make([]float64, 0, c)
-	}
-	a.bounds = a.bounds[:len(a.bounds)+n]
-	return a.bounds[len(a.bounds)-n : len(a.bounds) : len(a.bounds)]
+	l := len(a.bounds)
+	a.bounds = a.bounds[:l+n]
+	return a.bounds[l : l+n : l+n]
 }
 
 // newKids returns an n-pointer child array.
 func (a *buildArena) newKids(n int) []*node {
-	if len(a.kids)+n > cap(a.kids) {
-		c := 2 * cap(a.kids)
-		if c < 64 {
-			c = 64
-		}
-		if c > arenaNodeChunk {
-			c = arenaNodeChunk
-		}
-		if n > c {
-			c = n
-		}
-		a.kids = make([]*node, 0, c)
-	}
-	a.kids = a.kids[:len(a.kids)+n]
-	return a.kids[len(a.kids)-n : len(a.kids) : len(a.kids)]
+	l := len(a.kids)
+	a.kids = a.kids[:l+n]
+	return a.kids[l : l+n : l+n]
 }
 
-// newCols carves an n-point leaf's coordinate and id columns. The column
-// slabs are pre-sized to the exact point total (every point lands in exactly
-// one leaf), so leaves come out packed in x order.
+// newCols carves an n-point leaf's coordinate and id columns; leaves come
+// out packed in x order.
 func (a *buildArena) newCols(n int) (xs, ys []float64, ids []int32) {
 	lx, ly, li := len(a.xs), len(a.ys), len(a.ids)
 	a.xs, a.ys, a.ids = a.xs[:lx+n], a.ys[:ly+n], a.ids[:li+n]
@@ -325,11 +299,7 @@ func (idx *Index) rebuild(points []geom.Point) {
 		idx.builtDepth = 0
 		return
 	}
-	idx.arena = &buildArena{
-		xs:  make([]float64, 0, len(pts)),
-		ys:  make([]float64, 0, len(pts)),
-		ids: make([]int32, 0, len(pts)),
-	}
+	idx.arena = idx.newArena(pts)
 	root := &idx.arena.newNodes(1)[0]
 	idx.fillNode(root, pts, 0)
 	idx.arena = nil
@@ -337,19 +307,18 @@ func (idx *Index) rebuild(points []geom.Point) {
 	idx.builtDepth = treeDepth(idx.root)
 }
 
-// fillNode recursively splits a sorted slice into at most b children,
-// building the subtree in place in nd. Runs of equal x never straddle a
-// separator, so delete/insert routing by x is exact. Child node structs and
-// child bounds vectors are arena-allocated up front, before any recursion,
-// so all siblings land adjacent in memory.
-func (idx *Index) fillNode(nd *node, pts []geom.Point, depth int) {
+// splitCuts returns the boundaries at which fillNode splits a sorted slice
+// into at most b children — child i is pts[cuts[i]:cuts[i+1]] — or nil when
+// the slice becomes a leaf: it fits one, or all its points share one x (or
+// ties defeated every cut) and it cannot be split. Runs of equal x never
+// straddle a separator, so delete/insert routing by x is exact.
+func (idx *Index) splitCuts(pts []geom.Point) []int {
 	n := len(pts)
 	if n <= idx.cfg.LeafCap {
-		idx.fillLeaf(nd, pts, depth)
-		return
+		return nil
 	}
 	b := idx.cfg.Branching
-	cuts := []int{0}
+	cuts := make([]int, 1, b+1)
 	for i := 1; i < b; i++ {
 		e := i * n / b
 		if e <= cuts[len(cuts)-1] {
@@ -363,9 +332,29 @@ func (idx *Index) fillNode(nd *node, pts []geom.Point, depth int) {
 		}
 		cuts = append(cuts, e)
 	}
-	cuts = append(cuts, n)
-	if len(cuts) == 2 {
-		// All points share one x (or ties defeated every cut): unsplittable.
+	if len(cuts) == 1 {
+		return nil
+	}
+	return append(cuts, n)
+}
+
+// countNodes is the number of nodes fillNode builds over a sorted slice.
+func (idx *Index) countNodes(pts []geom.Point) int {
+	cuts := idx.splitCuts(pts)
+	n := 1
+	for i := 1; i < len(cuts); i++ {
+		n += idx.countNodes(pts[cuts[i-1]:cuts[i]])
+	}
+	return n
+}
+
+// fillNode recursively splits a sorted slice into at most b children,
+// building the subtree in place in nd. Child node structs and
+// child bounds vectors are arena-allocated up front, before any recursion,
+// so all siblings land adjacent in memory.
+func (idx *Index) fillNode(nd *node, pts []geom.Point, depth int) {
+	cuts := idx.splitCuts(pts)
+	if cuts == nil {
 		idx.fillLeaf(nd, pts, depth)
 		return
 	}
@@ -396,11 +385,7 @@ func (idx *Index) fillNode(nd *node, pts []geom.Point, depth int) {
 // transient arena sized to the subtree.
 func (idx *Index) buildNode(pts []geom.Point, depth int) *node {
 	saved := idx.arena
-	idx.arena = &buildArena{
-		xs:  make([]float64, 0, len(pts)),
-		ys:  make([]float64, 0, len(pts)),
-		ids: make([]int32, 0, len(pts)),
-	}
+	idx.arena = idx.newArena(pts)
 	nd := &idx.arena.newNodes(1)[0]
 	idx.fillNode(nd, pts, depth)
 	idx.arena = saved
@@ -411,9 +396,11 @@ func (idx *Index) buildNode(pts []geom.Point, depth int) *node {
 func (idx *Index) newLeaf(pts []geom.Point, depth int) *node {
 	saved := idx.arena
 	idx.arena = &buildArena{
-		xs:  make([]float64, 0, len(pts)),
-		ys:  make([]float64, 0, len(pts)),
-		ids: make([]int32, 0, len(pts)),
+		nodes:  make([]node, 0, 1),
+		bounds: make([]float64, 0, 4*len(idx.angles)),
+		xs:     make([]float64, 0, len(pts)),
+		ys:     make([]float64, 0, len(pts)),
+		ids:    make([]int32, 0, len(pts)),
 	}
 	nd := &idx.arena.newNodes(1)[0]
 	idx.fillLeaf(nd, pts, depth)

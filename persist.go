@@ -71,6 +71,7 @@ func runtimeOptions(opts []SDOption) (core.RuntimeOptions, sdConfig) {
 		MemtableSize:      cfg.memSize,
 		DisableCompaction: cfg.noCompact,
 		MaxSegmentRows:    cfg.maxSegRows,
+		AccessCost:        cfg.accessCost,
 	}, cfg
 }
 

@@ -78,6 +78,17 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 				sdquery.WithScheduler(sdquery.SchedRoundRobin),
 				sdquery.WithColumnWidth(32),
 			}},
+			// Sweep or stream is one more scheduling choice. At these sizes the
+			// default (variant 0) sweeps every segment outright, so pure
+			// streaming and mid-stream retirement are forced explicitly.
+			{"stream-only", []sdquery.SDOption{sdquery.WithStreamOnly()}},
+			{"bail-out", []sdquery.SDOption{sdquery.WithAccessCost(2)}},
+			{"parallel/bail-out/float32", []sdquery.SDOption{
+				sdquery.WithWorkers(2),
+				sdquery.WithMaxSegmentRows(40),
+				sdquery.WithAccessCost(2),
+				sdquery.WithColumnWidth(32),
+			}},
 		} {
 			eng, err := sdquery.NewSDIndex(data, roles, v.opts...)
 			if err != nil {
@@ -154,7 +165,9 @@ func TestBoundDrivenFetchesLess(t *testing.T) {
 	fetched := map[sdquery.SchedulerMode]int{}
 	var answers [][]sdquery.Result
 	for _, mode := range []sdquery.SchedulerMode{sdquery.SchedBoundDriven, sdquery.SchedRoundRobin} {
-		idx, err := sdquery.NewSDIndex(data, roles, sdquery.WithScheduler(mode))
+		// Stream-pinned, so the comparison is between schedules and not
+		// between a schedule and the sweep the default would retire into.
+		idx, err := sdquery.NewSDIndex(data, roles, sdquery.WithScheduler(mode), sdquery.WithStreamOnly())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +300,7 @@ func TestPlanCache(t *testing.T) {
 func TestShardedStats(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 4_000, 4, 13)
 	roles := []sdquery.Role{sdquery.Repulsive, sdquery.Attractive, sdquery.Repulsive, sdquery.Attractive}
-	idx, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(4))
+	idx, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(4), sdquery.WithStreamOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,6 +338,26 @@ func TestShardedStats(t *testing.T) {
 	for i := range want {
 		if res[i] != want[i] {
 			t.Fatalf("stats path diverges at rank %d: %+v vs %+v", i, res[i], want[i])
+		}
+	}
+
+	// The planning default sweeps these 1000-row shards outright: the sweep
+	// counters sum across shards like the rest.
+	planned, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer planned.Close()
+	pres, ps, err := planned.TopKWithStats(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.SweptSegments != planned.Shards() || ps.Swept != len(data) || ps.Scored != ps.Swept || ps.Fetched != 0 {
+		t.Fatalf("sharded sweep stats not aggregated: %+v", ps)
+	}
+	for i := range want {
+		if pres[i] != want[i] {
+			t.Fatalf("planned sharded answer diverges at rank %d: %+v vs %+v", i, pres[i], want[i])
 		}
 	}
 }

@@ -130,6 +130,8 @@ type metrics struct {
 	// TopKWithStats path); statQueries is their denominator.
 	fetched     atomic.Uint64
 	scored      atomic.Uint64
+	swept       atomic.Uint64 // rows scored by segment sweeps (part of scored)
+	sweptSegs   atomic.Uint64 // segments the planner finished with a sweep
 	planHits    atomic.Uint64
 	statQueries atomic.Uint64
 }
@@ -236,6 +238,10 @@ func (m *metrics) writeProm(w io.Writer, idx Index, cache *resultCache) {
 	fmt.Fprintf(w, "sdserver_engine_fetched_total %d\n", m.fetched.Load())
 	fmt.Fprintf(w, "# HELP sdserver_engine_scored_total Points scored by stats-enabled queries.\n# TYPE sdserver_engine_scored_total counter\n")
 	fmt.Fprintf(w, "sdserver_engine_scored_total %d\n", m.scored.Load())
+	fmt.Fprintf(w, "# HELP sdserver_engine_swept_rows_total Rows scored by sweeping a sealed segment's columns instead of streaming it (part of scored), stats-enabled queries.\n# TYPE sdserver_engine_swept_rows_total counter\n")
+	fmt.Fprintf(w, "sdserver_engine_swept_rows_total %d\n", m.swept.Load())
+	fmt.Fprintf(w, "# HELP sdserver_engine_swept_segments_total Sealed segments the planner finished with a sweep, stats-enabled queries.\n# TYPE sdserver_engine_swept_segments_total counter\n")
+	fmt.Fprintf(w, "sdserver_engine_swept_segments_total %d\n", m.sweptSegs.Load())
 	fmt.Fprintf(w, "# HELP sdserver_engine_plan_cache_hits_total Plan-cache hits reported by stats-enabled queries.\n# TYPE sdserver_engine_plan_cache_hits_total counter\n")
 	fmt.Fprintf(w, "sdserver_engine_plan_cache_hits_total %d\n", m.planHits.Load())
 	fmt.Fprintf(w, "# HELP sdserver_engine_stats_queries_total Queries that carried stats=true.\n# TYPE sdserver_engine_stats_queries_total counter\n")
@@ -376,6 +382,8 @@ type Statz struct {
 
 	EngineFetched  uint64 `json:"engine_fetched"`
 	EngineScored   uint64 `json:"engine_scored"`
+	EngineSwept    uint64 `json:"engine_swept_rows"`
+	EngineSweptSeg uint64 `json:"engine_swept_segments"`
 	EnginePlanHits uint64 `json:"engine_plan_cache_hits"`
 	StatsQueries   uint64 `json:"stats_queries"`
 
@@ -410,6 +418,8 @@ func (m *metrics) statz(idx Index, cache *resultCache) Statz {
 		Swaps:              m.swaps.Load(),
 		EngineFetched:      m.fetched.Load(),
 		EngineScored:       m.scored.Load(),
+		EngineSwept:        m.swept.Load(),
+		EngineSweptSeg:     m.sweptSegs.Load(),
 		EnginePlanHits:     m.planHits.Load(),
 		StatsQueries:       m.statQueries.Load(),
 	}

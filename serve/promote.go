@@ -91,7 +91,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 
-	body, err := readBody(w, r)
+	body, err := readBody(r, nil)
 	if err != nil {
 		status = http.StatusBadRequest
 		writeError(w, status, err)
@@ -216,7 +216,7 @@ func (s *Server) handleDemote(w http.ResponseWriter, r *http.Request) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 
-	body, err := readBody(w, r)
+	body, err := readBody(r, nil)
 	if err != nil {
 		status = http.StatusBadRequest
 		writeError(w, status, err)

@@ -410,15 +410,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	defer func() { s.met.observe(epTopK, time.Since(t0), status) }()
 
-	body, err := readBody(w, r)
-	if err != nil {
-		status = http.StatusBadRequest
-		writeError(w, status, err)
-		return
-	}
 	box := s.box.Load()
 	idx := box.idx
-	q, wantStats, err := decodeQuery(body, box.dims)
+	q, wantStats, err := readQuery(r, box.dims)
 	if err != nil {
 		status = http.StatusBadRequest
 		writeError(w, status, err)
@@ -459,6 +453,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		s.met.statQueries.Add(1)
 		s.met.fetched.Add(uint64(st.Fetched))
 		s.met.scored.Add(uint64(st.Scored))
+		s.met.swept.Add(uint64(st.Swept))
+		s.met.sweptSegs.Add(uint64(st.SweptSegments))
 		s.met.planHits.Add(uint64(st.PlanCacheHits))
 		writeJSON(w, http.StatusOK, topkResponse{Results: wireResults(res), Stats: wireQueryStats(st)})
 		return
@@ -553,7 +549,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, fmt.Errorf("serve: batch concurrency limit reached"))
 		return
 	}
-	body, err := readBody(w, r)
+	body, err := readBody(r, nil)
 	if err != nil {
 		status = http.StatusBadRequest
 		writeError(w, status, err)
@@ -628,7 +624,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, fmt.Errorf("serve: index is read-only: %w", st.Err))
 		return
 	}
-	body, err := readBody(w, r)
+	body, err := readBody(r, nil)
 	if err != nil {
 		status = http.StatusBadRequest
 		writeError(w, status, err)

@@ -24,7 +24,7 @@ func testRoles() []sdquery.Role {
 	return []sdquery.Role{sdquery.Repulsive, sdquery.Attractive, sdquery.Repulsive, sdquery.Attractive}
 }
 
-func testIndex(t *testing.T, n int, seed int64, opts ...sdquery.SDOption) *sdquery.ShardedIndex {
+func testIndex(t testing.TB, n int, seed int64, opts ...sdquery.SDOption) *sdquery.ShardedIndex {
 	t.Helper()
 	data := dataset.Generate(dataset.Uniform, n, len(testRoles()), seed)
 	idx, err := sdquery.NewShardedIndex(data, testRoles(), append([]sdquery.SDOption{sdquery.WithShards(4)}, opts...)...)
@@ -56,7 +56,7 @@ func testQueries(n int, seed int64) []sdquery.Query {
 }
 
 // queryBody renders the wire JSON for a query.
-func queryBody(t *testing.T, q sdquery.Query) []byte {
+func queryBody(t testing.TB, q sdquery.Query) []byte {
 	t.Helper()
 	roles := make([]string, len(q.Roles))
 	for i, r := range q.Roles {
@@ -328,7 +328,10 @@ func TestInsertRemove(t *testing.T) {
 
 // TestObservabilityEndpoints sanity-checks /healthz, /metrics, and /statz.
 func TestObservabilityEndpoints(t *testing.T) {
-	idx := testIndex(t, 1_000, 9)
+	// 4 shards of 5000 rows: large enough that the engine binds and probes
+	// its streams before retiring each shard into a sweep, so both halves
+	// of the planner's accounting are nonzero.
+	idx := testIndex(t, 20_000, 9)
 	srv := New(idx)
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -351,7 +354,8 @@ func TestObservabilityEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &tr); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Stats == nil || tr.Stats.Fetched == 0 {
+	if tr.Stats == nil || tr.Stats.Fetched == 0 || tr.Stats.Swept == 0 || tr.Stats.SweptSegments == 0 ||
+		tr.Stats.Scored < tr.Stats.Swept {
 		t.Fatalf("stats=true response carries no work counters: %s", body)
 	}
 
@@ -378,6 +382,8 @@ func TestObservabilityEndpoints(t *testing.T) {
 		"sdserver_index_segments",
 		"sdserver_index_compactions_total",
 		"sdserver_engine_fetched_total",
+		"sdserver_engine_swept_rows_total",
+		"sdserver_engine_swept_segments_total",
 	} {
 		if !bytes.Contains(prom, []byte(metric)) {
 			t.Fatalf("/metrics missing %q:\n%s", metric, prom)
@@ -397,7 +403,8 @@ func TestObservabilityEndpoints(t *testing.T) {
 	if st.Endpoints["topk"].Requests < 5 {
 		t.Fatalf("statz records %d topk requests, want ≥ 5", st.Endpoints["topk"].Requests)
 	}
-	if st.EngineFetched == 0 || st.StatsQueries != 1 {
+	if st.EngineFetched == 0 || st.StatsQueries != 1 ||
+		st.EngineSwept != uint64(tr.Stats.Swept) || st.EngineSweptSeg != uint64(tr.Stats.SweptSegments) {
 		t.Fatalf("statz engine counters not wired: %+v", st)
 	}
 

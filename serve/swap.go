@@ -113,7 +113,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := readBody(w, r)
+	body, err := readBody(r, nil)
 	if err != nil {
 		status = http.StatusBadRequest
 		writeError(w, status, err)

@@ -1,13 +1,14 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"strings"
+	"sync"
 
 	sdquery "repro"
 )
@@ -25,7 +26,7 @@ import (
 // A top-k response:
 //
 //	{"results": [{"id": 17, "score": 0.42}, ...],
-//	 "stats": {"fetched": 1890, ...}}        // only when requested
+//	 "stats": {"fetched": 48, "swept": 24910, ...}}   // only when requested
 //
 // Scores are encoded with encoding/json's shortest-roundtrip float
 // formatting, so a response is byte-identical to encoding the results of a
@@ -71,6 +72,8 @@ type wireStats struct {
 	Segments      int `json:"segments"`
 	Fetched       int `json:"fetched"`
 	Scored        int `json:"scored"`
+	Swept         int `json:"swept"`
+	SweptSegments int `json:"swept_segments"`
 	Rounds        int `json:"rounds"`
 	PlanCacheHits int `json:"plan_cache_hits"`
 }
@@ -132,18 +135,58 @@ func decodeQuery(data []byte, dims int) (sdquery.Query, bool, error) {
 	return q, wq.Stats, err
 }
 
+// strictDecoder is a pooled json.Decoder. encoding/json only rejects unknown
+// fields through a Decoder, and a Decoder per request costs its own
+// allocation, a reader, and a fresh read buffer the body is copied into;
+// pooled, all three are paid once. The decoder reads from the strictDecoder
+// itself, which serves one body after another: to the Decoder that is one
+// long stream that delivers more after each EOF, which is how a stream
+// decoder is meant to be fed.
+type strictDecoder struct {
+	data      []byte // the body being decoded
+	off       int    // bytes of data delivered so far
+	delivered int64  // bytes of all bodies delivered so far: data[0]'s stream offset is delivered-off
+	dec       *json.Decoder
+}
+
+func (d *strictDecoder) Read(p []byte) (int, error) {
+	if d.off == len(d.data) {
+		return 0, io.EOF
+	}
+	n := copy(p, d.data[d.off:])
+	d.off += n
+	d.delivered += int64(n)
+	return n, nil
+}
+
+var strictDecoders = sync.Pool{New: func() any {
+	d := new(strictDecoder)
+	d.dec = json.NewDecoder(d)
+	d.dec.DisallowUnknownFields()
+	return d
+}}
+
 // strictDecode decodes exactly one JSON value with unknown fields rejected;
-// trailing non-whitespace data (a concatenated second body, a framing bug)
-// fails instead of being silently dropped.
+// anything but whitespace after it (a concatenated second body, a framing
+// bug) fails instead of being silently dropped. Only a decoder that took its
+// whole input cleanly goes back to the pool — after an error it may hold a
+// sticky failure or unread bytes of the bad body, while after a clean decode
+// all it can hold is the body's trailing whitespace, which the next decode
+// skips.
 func strictDecode(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	d := strictDecoders.Get().(*strictDecoder)
+	d.data, d.off = data, 0
+	base := d.delivered
+	if err := d.dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after the JSON body")
+	for _, c := range data[d.dec.InputOffset()-base:] {
+		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			return fmt.Errorf("trailing data after the JSON body")
+		}
 	}
+	d.data = nil // never pin a request's body
+	strictDecoders.Put(d)
 	return nil
 }
 
@@ -212,19 +255,67 @@ func wireQueryStats(st sdquery.QueryStats) *wireStats {
 		Segments:      st.Segments,
 		Fetched:       st.Fetched,
 		Scored:        st.Scored,
+		Swept:         st.Swept,
+		SweptSegments: st.SweptSegments,
 		Rounds:        st.Rounds,
 		PlanCacheHits: st.PlanCacheHits,
 	}
 }
 
-// readBody slurps a bounded request body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
+var errBodyTooLarge = errors.New("request body too large")
+
+// readBody reads a bounded request body, reusing buf when it is large
+// enough. A declared Content-Length — every client but a chunking one sends
+// it, and net/http ends the body there — sizes the buffer once and fills it
+// with a single read loop; an undeclared length falls back to reading to
+// EOF under the same bound.
+func readBody(r *http.Request, buf []byte) ([]byte, error) {
+	n := r.ContentLength
+	switch {
+	case n > maxBodyBytes:
+		return nil, fmt.Errorf("read body: %w", errBodyTooLarge)
+	case n < 0:
+		data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+		if err == nil && len(data) > maxBodyBytes {
+			err = errBodyTooLarge
+		}
+		if err != nil {
+			return nil, fmt.Errorf("read body: %w", err)
+		}
+		return data, nil
+	}
+	if int64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r.Body, buf); err != nil {
 		return nil, fmt.Errorf("read body: %w", err)
 	}
-	return data, nil
+	return buf, nil
+}
+
+// bodyBufs recycles /v1/topk request-body buffers.
+var bodyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
+
+// readQuery reads and decodes a /v1/topk body through a pooled buffer: a
+// query body is a few hundred bytes and nothing decoded from it aliases it
+// (encoding/json copies), so the buffer goes back as soon as the query is
+// decoded — unless the body was outsized and grew it past what is worth
+// keeping.
+func readQuery(r *http.Request, dims int) (q sdquery.Query, wantStats bool, err error) {
+	bp := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(bp)
+	body, err := readBody(r, *bp)
+	if err != nil {
+		return q, false, err
+	}
+	if cap(body) <= 64<<10 {
+		*bp = body[:0]
+	}
+	return decodeQuery(body, dims)
 }
 
 // marshalBody encodes v into exactly the bytes writeJSON puts on the wire —
@@ -239,10 +330,15 @@ func marshalBody(v any) ([]byte, error) {
 	return append(body, '\n'), nil
 }
 
+// jsonContentType is every response's Content-Type value, shared: Header.Set
+// would allocate a one-element slice per response, and net/http only reads
+// header values.
+var jsonContentType = []string{"application/json"}
+
 // writeRawJSON writes a pre-marshaled body (from marshalBody, possibly via
 // the result cache).
 func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(body)
 }

@@ -272,6 +272,8 @@ func (s *ShardedIndex) TopKWithStats(q Query) ([]Result, QueryStats, error) {
 		total.Segments += st.Segments
 		total.Fetched += st.Fetched
 		total.Scored += st.Scored
+		total.Swept += st.Swept
+		total.SweptSegments += st.SweptSegments
 		total.Rounds += st.Rounds
 		total.PlanCacheHits += st.PlanCacheHits
 	}
