@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/query"
 )
 
 func allocRoles() []Role {
@@ -89,74 +88,86 @@ func TestTopKAppendZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestShardQueryPathZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates on otherwise alloc-free paths")
-	}
-	data := dataset.Generate(dataset.Uniform, 10_000, 4, 1)
-	idx, err := NewShardedIndex(data, allocRoles(), WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	spec := query.Spec{
-		Point:   []float64{0.3, 0.7, 0.1, 0.9},
-		K:       10,
-		Roles:   allocRoles(),
-		Weights: []float64{0.8, 0.5, 0.3, 0.9},
-	}
-	// The per-shard query path — one lock-free shard-engine top-k into a
-	// reused buffer, already in global-ID space — is the unit BatchTopK
-	// schedules Q×P times; it must stay allocation-free for the batch
-	// layer's pooling to matter.
-	for si, sh := range idx.shards {
-		var buf []query.Result
-		avg := measureAllocs(func() {
-			var err error
-			buf, _, err = sh.eng.TopKAppend(buf[:0], spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg != 0 {
-			t.Fatalf("shard %d query path allocates %.2f objects per query in steady state, want 0", si, avg)
-		}
-	}
-}
-
 // TestTopKAppendZeroAllocsParallel pins the intra-query fan-out: with
-// WithWorkers and a segment cap forcing a multi-segment stack, a warm query
-// still allocates nothing — the per-segment task contexts come from the
-// engine's context pool, the dispatch state (claim counter, barrier, claim
-// closure) is pooled inside the worker pool, and the parent's merge drains
-// through pooled buffers.
+// WithWorkers over a WithShards(4) stack, a warm query still allocates
+// nothing — the per-segment task contexts come from the engine's context
+// pool, the dispatch state (claim counter, barrier, claim closure) is pooled
+// inside the worker pool, and the parent's merge drains through pooled
+// buffers. It holds on the freshly built stack and again after update churn
+// and a Compact, which must hand back four equal segments.
 func TestTopKAppendZeroAllocsParallel(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on otherwise alloc-free paths")
 	}
 	data := dataset.Generate(dataset.Uniform, 10_000, 4, 1)
-	idx, err := NewSDIndex(data, allocRoles(), WithWorkers(2), WithMaxSegmentRows(2_500))
+	idx, err := NewSDIndex(data, allocRoles(), WithWorkers(2), WithShards(4), WithMemtableSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	if segs, _ := idx.Segments(); segs != 4 {
-		t.Fatalf("expected 4 sealed segments under the row cap, have %d", segs)
-	}
 	q := allocQuery()
-	var buf []Result
-	avg := measureAllocs(func() {
-		var err error
-		buf, err = idx.TopKAppend(buf[:0], q)
-		if err != nil {
+	check := func(state string) {
+		if segs, mem := idx.Segments(); segs != 4 || mem != 0 {
+			t.Fatalf("%s: %d sealed segments, %d memtable rows, want 4, 0", state, segs, mem)
+		}
+		var buf []Result
+		avg := measureAllocs(func() {
+			var err error
+			buf, err = idx.TopKAppend(buf[:0], q)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("%s: parallel TopKAppend allocates %.2f objects per query in steady state, want 0", state, avg)
+		}
+		if len(buf) != q.K {
+			t.Fatalf("%s: got %d results, want %d", state, len(buf), q.K)
+		}
+	}
+	check("built")
+	for i := 0; i < 2_000; i++ {
+		if _, err := idx.Insert([]float64{0.1, 0.9, 0.4, 0.6}); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("parallel TopKAppend allocates %.2f objects per query in steady state, want 0", avg)
+		if i%3 == 0 {
+			idx.Remove(i * 4 % 10_000)
+		}
 	}
-	if len(buf) != q.K {
-		t.Fatalf("got %d results, want %d", len(buf), q.K)
+	idx.Compact()
+	check("churned and compacted")
+}
+
+// TestBatchTopKZeroAllocsPerQuery pins the batch path: one task per query on
+// the index's own pool, each through the pooled scratch buffer, so a warm
+// batch allocates its answer — the outer slice and one exact-size result
+// slice per query — plus a handful of objects per call (the task closure,
+// the first-error record, what the runtime needs to park the caller on the
+// barrier), and nothing that grows with the batch or the segment count.
+func TestBatchTopKZeroAllocsPerQuery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise alloc-free paths")
+	}
+	data := dataset.Generate(dataset.Uniform, 10_000, 4, 1)
+	idx, err := NewShardedIndex(data, allocRoles(), WithShards(4), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	for _, n := range []int{16, 64} {
+		queries := make([]Query, n)
+		for i := range queries {
+			queries[i] = allocQuery()
+			queries[i].Point[0] = float64(i) / float64(n)
+		}
+		avg := measureAllocs(func() {
+			if _, err := idx.BatchTopK(queries); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := float64(n + 8); avg > want {
+			t.Fatalf("BatchTopK of %d allocates %.2f objects per call in steady state, want ≤ %.0f", n, avg, want)
+		}
 	}
 }
 

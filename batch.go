@@ -10,12 +10,13 @@ import (
 )
 
 // workerPool is a reusable fixed set of goroutines executing submitted
-// closures. It backs every parallel execution path in the package: a
-// ShardedIndex keeps one for the lifetime of the index (per-query shard
-// fan-out and batch pipelining), and SDIndex.TopKBatch spins up a transient
-// one per batch. The pool bounds the helper goroutines only — every do
+// closures. It backs both parallel execution paths in the package: an index
+// built WithWorkers keeps one for its lifetime, and one query's segment
+// fan-out (through the engine's Runner hook) and BatchTopK's task per query
+// both run on it. The pool bounds the helper goroutines only — every do
 // caller works through its own task list too (see do), so one call runs on
 // up to workers+1 goroutines and concurrent calls add their callers on top.
+// A nil pool is the index without WithWorkers: do runs on the caller alone.
 type workerPool struct {
 	tasks      chan func()
 	quit       chan struct{}
@@ -69,15 +70,14 @@ func newDispatch() *dispatch {
 	return d
 }
 
-// defaultParallelism is the pool and shard-count default.
+// defaultParallelism is the pool-size and segment-count default.
 func defaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
 // poolRunner adapts a workerPool to the engine's core.Runner interface, the
-// hook intra-query segment parallelism fans out through. Each SDIndex built
-// WithWorkers owns its pool outright, so the engine's per-segment tasks are
-// the only do callers on it and the no-nested-do rule below holds by
-// construction (a ShardedIndex's shard engines deliberately get no Runner —
-// their queries already run inside the shard fan-out's do).
+// hook intra-query segment parallelism fans out through. The index owns its
+// pool outright, and the only other do caller on it — BatchTopK — runs its
+// queries on the engine's sequential schedule, so the no-nested-do rule below
+// holds by construction.
 type poolRunner struct{ p *workerPool }
 
 func (r poolRunner) Do(n int, f func(i int)) { r.p.do(n, f) }
@@ -116,6 +116,12 @@ func newWorkerPool(workers int) *workerPool {
 // claim loop runs entirely on the caller's goroutine, so the pool degrades
 // to sequential execution rather than blocking.
 func (p *workerPool) do(n int, f func(i int)) {
+	if p == nil {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
 	if n == 0 {
 		return
 	}
@@ -195,9 +201,11 @@ burst:
 	p.dispatches.Put(d)
 }
 
-// close releases the worker goroutines. Idempotent.
+// close releases the worker goroutines. Idempotent; a nil pool has none.
 func (p *workerPool) close() {
-	p.once.Do(func() { close(p.quit) })
+	if p != nil {
+		p.once.Do(func() { close(p.quit) })
+	}
 }
 
 // batchErr tracks the first error of a parallel batch deterministically: the
@@ -242,10 +250,10 @@ type QueryStats struct {
 	// Subproblems consulted (2D pairs plus 1D leftovers; zero-weight ones
 	// are skipped), summed across every sealed segment.
 	Subproblems int
-	// Segments counts the sealed segments the query planned across (on a
-	// ShardedIndex, summed over shards). A freshly built or Compact-ed
-	// engine reports 1 per engine; sustained insert traffic grows it until
-	// the background compactor folds the stack back down.
+	// Segments counts the sealed segments the query planned across. A
+	// freshly built or Compact-ed index reports 1 (WithShards(n): n);
+	// sustained insert traffic grows it until the background compactor folds
+	// the stack back down.
 	Segments int
 	// Fetched counts sorted-access emissions across all subproblems.
 	Fetched int
@@ -262,9 +270,7 @@ type QueryStats struct {
 	// subproblem — under either scheduling mode (WithScheduler).
 	Rounds int
 	// PlanCacheHits is 1 when the query's derived plan came from the
-	// engine's plan cache and 0 when it was derived afresh; on a
-	// ShardedIndex it is summed across shards (each shard keeps its own
-	// cache), so full fan-out hits report the shard count.
+	// index's plan cache and 0 when it was derived afresh.
 	PlanCacheHits int
 }
 
@@ -279,29 +285,29 @@ func (s *SDIndex) TopKWithStats(q Query) ([]Result, QueryStats, error) {
 	return convertResults(res), QueryStats(core.Stats(st)), nil
 }
 
-// TopKBatch answers many queries concurrently on the shared index using up
-// to parallelism pool goroutines plus the calling goroutine, which always
-// participates (≤ 0 selects GOMAXPROCS). Results are returned in query
-// order; the first error (lowest query index) aborts the batch.
-func (s *SDIndex) TopKBatch(queries []Query, parallelism int) ([][]Result, error) {
+// BatchTopK answers many queries as one call: one task per query on the
+// index's worker pool (WithWorkers), each query on the sequential schedule —
+// queries, not segments, are a batch's parallel unit, so the pool is never
+// entered twice — with the caller working through the tasks too. A batch of
+// one takes the single-query path and fans out over segments instead.
+// Without a pool the queries run in order on the caller. Results are
+// returned in query order; the first error (lowest query index) aborts the
+// batch.
+func (s *SDIndex) BatchTopK(queries []Query) ([][]Result, error) {
+	return s.batchTopK(queries, nil)
+}
+
+// batchTopK is the shared BatchTopK/BatchTopKContext body; a non-nil done
+// channel cancels every in-flight query at its next scheduling step.
+func (s *SDIndex) batchTopK(queries []Query, done <-chan struct{}) ([][]Result, error) {
 	out := make([][]Result, len(queries))
-	if len(queries) == 0 {
-		return out, nil
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(queries) {
-		parallelism = len(queries)
-	}
-	pool := newWorkerPool(parallelism)
-	defer pool.close()
+	seq := len(queries) > 1
 	var be batchErr
-	pool.do(len(queries), func(i int) {
+	s.pool.do(len(queries), func(i int) {
 		if be.shouldSkip(i) {
 			return
 		}
-		res, err := s.TopK(queries[i])
+		res, err := s.appendVia(s.eng.View(), nil, queries[i], done, seq)
 		if err != nil {
 			be.record(i, fmt.Errorf("query %d: %w", i, err))
 			return

@@ -1,21 +1,35 @@
 package sdquery
 
 import (
-	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
 )
 
-func TestTopKBatchMatchesSequential(t *testing.T) {
+// TestBatchTopKMatchesSequential: a batch answers every query exactly as a
+// TopK loop does, on an index with a pool (one task per query, segments
+// walked sequentially inside each) and on one without (the caller's
+// goroutine alone).
+func TestBatchTopKMatchesSequential(t *testing.T) {
+	for name, opts := range map[string][]SDOption{
+		"pool":    {WithShards(3), WithWorkers(4)},
+		"no-pool": nil,
+	} {
+		t.Run(name, func(t *testing.T) { testBatchMatchesSequential(t, opts...) })
+	}
+}
+
+func testBatchMatchesSequential(t *testing.T, opts ...SDOption) {
 	data := dataset.Generate(dataset.Uniform, 20_000, 4, 21)
 	roles := []Role{Repulsive, Attractive, Repulsive, Attractive}
-	idx, err := NewSDIndex(data, roles)
+	idx, err := NewSDIndex(data, roles, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer idx.Close()
 	rng := rand.New(rand.NewSource(22))
 	queries := make([]Query, 40)
 	for i := range queries {
@@ -26,7 +40,7 @@ func TestTopKBatchMatchesSequential(t *testing.T) {
 			Weights: []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()},
 		}
 	}
-	batch, err := idx.TopKBatch(queries, 4)
+	batch, err := idx.BatchTopK(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,28 +56,29 @@ func TestTopKBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("query %d: %d results, want %d", i, len(batch[i]), len(want))
 		}
 		for j := range want {
-			if math.Abs(batch[i][j].Score-want[j].Score) > 1e-12 {
-				t.Fatalf("query %d rank %d: %v vs %v", i, j, batch[i][j].Score, want[j].Score)
+			if batch[i][j] != want[j] {
+				t.Fatalf("query %d rank %d: %v vs %v", i, j, batch[i][j], want[j])
 			}
 		}
 	}
 }
 
-func TestTopKBatchPropagatesErrors(t *testing.T) {
+func TestBatchTopKPropagatesErrors(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 100, 2, 23)
 	roles := []Role{Repulsive, Attractive}
-	idx, err := NewSDIndex(data, roles)
+	idx, err := NewSDIndex(data, roles, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer idx.Close()
 	queries := []Query{
 		{Point: []float64{0.5, 0.5}, K: 1, Roles: roles, Weights: []float64{1, 1}},
 		{Point: []float64{0.5}, K: 1, Roles: roles[:1], Weights: []float64{1}}, // bad dims
 	}
-	if _, err := idx.TopKBatch(queries, 2); err == nil {
-		t.Fatal("batch with an invalid query did not fail")
+	if _, err := idx.BatchTopK(queries); err == nil || !strings.Contains(err.Error(), "query 1") {
+		t.Fatalf("batch with an invalid query: err = %v, want it to name query 1", err)
 	}
-	empty, err := idx.TopKBatch(nil, 3)
+	empty, err := idx.BatchTopK(nil)
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty batch: %v, %v", empty, err)
 	}

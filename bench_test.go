@@ -163,12 +163,12 @@ func BenchmarkQueryTop1(b *testing.B) {
 	}
 }
 
-// --- Batch benchmarks: the sharded execution layer ---------------------
+// --- Batch benchmarks --------------------------------------------------
 //
-// The acceptance comparison for the sharding PR: the same batch workload on
-// a serial SDIndex loop, the query-parallel SDIndex batch, a single-shard
-// ShardedIndex (pure overhead measurement), and a GOMAXPROCS-sharded one.
-// At GOMAXPROCS ≥ 4 the sharded pipeline must beat the single-shard runs.
+// The same batch workload as a serial TopK loop, as one BatchTopK on a
+// one-segment index with a worker pool (query parallelism only), and on the
+// NewShardedIndex defaults at one segment (pure overhead measurement) and at
+// GOMAXPROCS segments. At GOMAXPROCS ≥ 4 the batches must beat the loop.
 
 func batchWorkload() ([][]float64, []Role, []Query) {
 	data := dataset.Generate(dataset.Uniform, 50_000, 6, 1)
@@ -194,13 +194,14 @@ func BenchmarkBatchSerialSDIndex(b *testing.B) {
 
 func BenchmarkBatchParallelSDIndex(b *testing.B) {
 	data, roles, queries := batchWorkload()
-	idx, err := NewSDIndex(data, roles)
+	idx, err := NewSDIndex(data, roles, WithWorkers(0))
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer idx.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := idx.TopKBatch(queries, 0); err != nil {
+		if _, err := idx.BatchTopK(queries); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -226,7 +227,7 @@ func benchmarkBatchSharded(b *testing.B, shards int) {
 }
 
 func BenchmarkBatchSharded1(b *testing.B) { benchmarkBatchSharded(b, 1) }
-func BenchmarkBatchSharded(b *testing.B)  { benchmarkBatchSharded(b, 0) } // GOMAXPROCS shards
+func BenchmarkBatchSharded(b *testing.B)  { benchmarkBatchSharded(b, 0) } // GOMAXPROCS segments
 
 func BenchmarkBuildSDIndex(b *testing.B) {
 	data := dataset.Generate(dataset.Uniform, 20_000, 6, 1)

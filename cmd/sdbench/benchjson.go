@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,12 +28,17 @@ import (
 // are the regression signal. The -baseline flag diffs a fresh report against
 // a committed one and fails on regression — see diff.go for the gate rules.
 type benchJSON struct {
-	Schema    string         `json:"schema"`
-	Generated string         `json:"generated"`
-	GoVersion string         `json:"go"`
-	NumCPU    int            `json:"num_cpu"`
-	Scale     float64        `json:"scale"`
-	Workloads []workloadJSON `json:"workloads"`
+	Schema    string `json:"schema"`
+	Generated string `json:"generated"`
+	GoVersion string `json:"go"`
+	NumCPU    int    `json:"num_cpu"`
+	// NonTestLOC is the repository's non-test Go line count when the report
+	// was generated (see countNonTestLOC) — ROADMAP tracks it next to the
+	// timings because deleting code at unchanged numbers is a result too.
+	// Absent when sdbench did not run from the repository root.
+	NonTestLOC int            `json:"non_test_loc,omitempty"`
+	Scale      float64        `json:"scale"`
+	Workloads  []workloadJSON `json:"workloads"`
 }
 
 type workloadJSON struct {
@@ -94,9 +103,7 @@ type workloadJSON struct {
 	// nothing (or invalidating everything) halves no latency number as
 	// loudly as it should.
 	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
-	// Work counters averaged over the query set. For sharded workloads the
-	// counters are summed across shards first, so scheduler and plan-cache
-	// wins stay visible end-to-end.
+	// Work counters averaged over the query set.
 	FetchedMean     float64 `json:"fetched_mean,omitempty"`
 	ScoredMean      float64 `json:"scored_mean,omitempty"`
 	SubproblemsMean float64 `json:"subproblems_mean,omitempty"`
@@ -107,26 +114,44 @@ type workloadJSON struct {
 	// sweep, per workload. Both are absent on workloads that only stream.
 	SweptMean         float64 `json:"swept_mean,omitempty"`
 	SweptSegmentsMean float64 `json:"swept_segments_mean,omitempty"`
-	// PlanCacheHitRate is hits / (queries × engines consulted): 1.0 means
-	// every query after the warm-up answered from a cached plan.
+	// PlanCacheHitRate is hits / queries: 1.0 means every query after the
+	// warm-up answered from a cached plan.
 	PlanCacheHitRate float64 `json:"plan_cache_hit_rate,omitempty"`
 }
 
 const benchJSONSchema = "sdbench/v9"
 
-// statsSource is the work-counter surface shared by SDIndex and
-// ShardedIndex.
-type statsSource interface {
-	TopKWithStats(sdquery.Query) ([]sdquery.Result, sdquery.QueryStats, error)
+// countNonTestLOC counts lines the way CI's "Non-test line budget" step
+// does: every .go file under root that is not a test, outside benchmark/
+// (the repository benchmark, a module of its own) and its .bench_build/
+// scratch.
+func countNonTestLOC(root string) (int, error) {
+	lines := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if rel, _ := filepath.Rel(root, path); rel == "benchmark" || rel == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		lines += bytes.Count(src, []byte{'\n'})
+		return err
+	})
+	return lines, err
 }
 
 // collectStats runs the query set once and averages the counters.
-// cacheDenom is the hit-rate denominator per query (engines consulted: 1 for
-// a single engine, the shard count for a sharded index).
-func collectStats(src statsSource, queries []sdquery.Query, cacheDenom int) (w workloadJSON, err error) {
+func collectStats(idx *sdquery.SDIndex, queries []sdquery.Query) (w workloadJSON, err error) {
 	var total sdquery.QueryStats
 	for _, q := range queries {
-		_, st, err := src.TopKWithStats(q)
+		_, st, err := idx.TopKWithStats(q)
 		if err != nil {
 			return w, err
 		}
@@ -145,7 +170,7 @@ func collectStats(src statsSource, queries []sdquery.Query, cacheDenom int) (w w
 	w.SweptSegmentsMean = float64(total.SweptSegments) / qn
 	w.SubproblemsMean = float64(total.Subproblems) / qn
 	w.RoundsMean = float64(total.Rounds) / qn
-	w.PlanCacheHitRate = float64(total.PlanCacheHits) / (qn * float64(cacheDenom))
+	w.PlanCacheHitRate = float64(total.PlanCacheHits) / qn
 	return w, nil
 }
 
@@ -246,7 +271,7 @@ func runMixedRW(data [][]float64, roles []sdquery.Role, queries []sdquery.Query)
 
 // runDurableMixedRW measures the write-ahead log's cost, and group commit's
 // recovery of it, under the given sync policy. Four writer goroutines churn
-// durable remove+insert pairs through a WAL-backed sharded index on the real
+// durable remove+insert pairs through a WAL-backed two-segment index on the real
 // filesystem while the read path is timed exactly as in runMixedRW; the
 // report carries read p50/p99 (the WAL must be write-path-only — these track
 // the log-less mixed-rw figures), writer throughput as QPS, and the WAL
@@ -395,6 +420,11 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 		NumCPU:    runtime.NumCPU(),
 		Scale:     scale,
 	}
+	if _, err := os.Stat("go.mod"); err == nil {
+		if report.NonTestLOC, err = countNonTestLOC("."); err != nil {
+			return err
+		}
+	}
 	add := func(name string, r testing.BenchmarkResult, stats workloadJSON, procs int) {
 		stats.Name = name
 		stats.N, stats.Dims, stats.K, stats.Queries = n, dims, k, len(queries)
@@ -420,7 +450,7 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 		if err != nil {
 			return err
 		}
-		stats, err := collectStats(idx, queries, 1)
+		stats, err := collectStats(idx, queries)
 		if err != nil {
 			return err
 		}
@@ -454,8 +484,8 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 	add("topk/sdindex", r, workloadJSON{}, runtime.GOMAXPROCS(0))
 
 	// Intra-query segment parallelism scaling curve: the identical
-	// multi-segment index (a row cap splits the build into 8 sealed
-	// segments) measured sequentially (scaling-1) and with each query's
+	// multi-segment index (WithShards(8): 8 sealed segments) measured
+	// sequentially (scaling-1) and with each query's
 	// segments fanned out across 2, 4, and 8 claimers (the caller plus
 	// width−1 pool workers). Each width pins GOMAXPROCS to
 	// min(width, NumCPU) for its whole lifetime so the curve is a genuine
@@ -465,7 +495,6 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 	// makes fetch depth timing-dependent, and the fetched_mean gate would
 	// trip on pure scheduling noise. The diff gate instead checks the curve
 	// itself — on a ≥ 4-CPU machine, scaling-4 must beat scaling-1 by ≥ 2×.
-	segCap := (n + 7) / 8
 	var seqAnswers [][]sdquery.Result
 	for _, width := range []int{1, 2, 4, 8} {
 		if err := func() error {
@@ -478,7 +507,7 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 				runtime.GOMAXPROCS(procs)
 				defer runtime.GOMAXPROCS(prev) // restored on every path, errors included
 			}
-			opts := []sdquery.SDOption{sdquery.WithMaxSegmentRows(segCap)}
+			opts := []sdquery.SDOption{sdquery.WithShards(8)}
 			if width > 1 {
 				opts = append(opts, sdquery.WithWorkers(width-1))
 			}
@@ -530,50 +559,43 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 		}
 	}
 
-	// Sharded batch pipeline: one op = the whole batch, at 1 shard (pure
-	// overhead measurement) and at NumCPU shards. The parallel workload
-	// elevates GOMAXPROCS to NumCPU for its whole lifetime (build, warm-up,
-	// stats, measurement): a harness invoked under GOMAXPROCS=1 previously
-	// built a 1-shard "gomaxprocs" index and recorded timings identical to
-	// the 1-shard run, silently measuring nothing.
-	for _, shards := range []int{1, 0} {
-		if err := func() error {
-			prev := runtime.GOMAXPROCS(0)
-			procs := prev
-			if shards == 0 && runtime.NumCPU() > procs {
-				procs = runtime.NumCPU()
-				runtime.GOMAXPROCS(procs)
-				defer runtime.GOMAXPROCS(prev) // restored on every path, errors included
-			}
-			sidx, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(shards))
-			if err != nil {
-				return err
-			}
-			defer sidx.Close()
-			if _, err := sidx.BatchTopK(queries); err != nil { // warm pools
-				return err
-			}
-			stats, err := collectStats(sidx, queries, sidx.Shards())
-			if err != nil {
-				return err
-			}
-			r = testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := sidx.BatchTopK(queries); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			name := fmt.Sprintf("batch/sharded-%d", sidx.Shards())
-			if shards == 0 {
-				name = "batch/sharded-gomaxprocs"
-			}
-			add(name, r, stats, procs)
-			return nil
-		}(); err != nil {
+	// Batch path: one op = the whole batch, one task per query on the
+	// index's worker pool. The workload elevates GOMAXPROCS to NumCPU for its
+	// whole lifetime (build, warm-up, stats, measurement): a harness invoked
+	// under GOMAXPROCS=1 would otherwise build a one-segment, one-worker
+	// index and silently measure nothing parallel.
+	if err := func() error {
+		prev := runtime.GOMAXPROCS(0)
+		procs := prev
+		if runtime.NumCPU() > procs {
+			procs = runtime.NumCPU()
+			runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(prev) // restored on every path, errors included
+		}
+		bidx, err := sdquery.NewShardedIndex(data, roles)
+		if err != nil {
 			return err
 		}
+		defer bidx.Close()
+		if _, err := bidx.BatchTopK(queries); err != nil { // warm pools
+			return err
+		}
+		stats, err := collectStats(bidx, queries)
+		if err != nil {
+			return err
+		}
+		r = testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bidx.BatchTopK(queries); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		add("batch/topk", r, stats, procs)
+		return nil
+	}(); err != nil {
+		return err
 	}
 
 	// Mixed read/write: p50/p99 TopK latency on the lock-free read path
@@ -592,7 +614,7 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 	report.Workloads = append(report.Workloads, mixed)
 
 	// Durable mixed read/write: the same read-under-churn shape with every
-	// mutation group-committed to a per-shard WAL on the real filesystem,
+	// mutation group-committed to the index's WAL on the real filesystem,
 	// once per sync policy. always vs interval vs off quantifies what each
 	// durability level costs the writers (QPS, fsyncs/op) — and the read
 	// percentiles document that it costs the read path nothing.
@@ -615,8 +637,8 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 	}
 
 	// Serve load: end-to-end HTTP latency/throughput through the coalescing
-	// admission layer, closed-loop clients over real TCP. Like the sharded
-	// batch workload it elevates GOMAXPROCS to NumCPU for its lifetime —
+	// admission layer, closed-loop clients over real TCP. Like the batch
+	// workload it elevates GOMAXPROCS to NumCPU for its lifetime —
 	// the serving layer's whole point is concurrent traffic.
 	if err := func() error {
 		prev := runtime.GOMAXPROCS(0)

@@ -81,10 +81,11 @@ const fetchedRegressionTolerance = 0.05
 //     (renames must update the baseline, not silently drop coverage);
 //   - ns/op grew by more than nsRegressionTolerance;
 //   - a workload that was allocation-free in the baseline allocates;
-//   - a single-engine ("topk/…") workload's fetched_mean grew by more than
+//   - a "topk/…" workload's fetched_mean grew by more than
 //     fetchedRegressionTolerance — the deterministic, hardware-independent
-//     regression signal. Sharded workloads are exempt: their counters sum
-//     over a shard count that follows the machine's CPU count.
+//     regression signal. Workloads that fan out are exempt: their segment
+//     count follows the machine's CPU count, and how deep each segment
+//     fetches before a sibling raises the shared floor is timing.
 //
 // The scales must match — ns/op across different dataset sizes is
 // meaningless — and so must the schema.

@@ -19,27 +19,22 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"time"
 
-	sdquery "repro"
 	"repro/internal/bench"
-	"repro/internal/dataset"
 )
 
 func main() {
 	var (
-		list       = flag.Bool("list", false, "list experiments and exit")
-		exp        = flag.String("exp", "", "experiment id to run (e.g. fig7a, table1, ablation-angles)")
-		all        = flag.Bool("all", false, "run every experiment")
-		shardSweep = flag.Bool("shardsweep", false, "sweep shard counts for the sharded batch execution layer")
-		serveLoad  = flag.Bool("serve", false, "load-test the HTTP serving layer in-process (closed-loop client pool)")
-		jsonOut    = flag.String("json", "", "write the machine-readable micro-benchmark report to this path (\"-\" for stdout)")
-		baseline   = flag.String("baseline", "", "with -json: diff the fresh report against this committed baseline and exit non-zero on regression")
-		scale      = flag.Float64("scale", 1.0, "dataset size multiplier (1.0 = paper scale)")
-		queries    = flag.Int("queries", 100, "query points per measurement")
-		seed       = flag.Int64("seed", 1, "random seed")
-		verbose    = flag.Bool("v", false, "log progress to stderr")
+		list      = flag.Bool("list", false, "list experiments and exit")
+		exp       = flag.String("exp", "", "experiment id to run (e.g. fig7a, table1, ablation-angles)")
+		all       = flag.Bool("all", false, "run every experiment")
+		serveLoad = flag.Bool("serve", false, "load-test the HTTP serving layer in-process (closed-loop client pool)")
+		jsonOut   = flag.String("json", "", "write the machine-readable micro-benchmark report to this path (\"-\" for stdout)")
+		baseline  = flag.String("baseline", "", "with -json: diff the fresh report against this committed baseline and exit non-zero on regression")
+		scale     = flag.Float64("scale", 1.0, "dataset size multiplier (1.0 = paper scale)")
+		queries   = flag.Int("queries", 100, "query points per measurement")
+		seed      = flag.Int64("seed", 1, "random seed")
+		verbose   = flag.Bool("v", false, "log progress to stderr")
 	)
 	flag.Parse()
 
@@ -61,11 +56,6 @@ func main() {
 
 	if *serveLoad {
 		runServeStandalone(*scale, *queries, *seed)
-		return
-	}
-
-	if *shardSweep {
-		runShardSweep(*scale, *queries, *seed)
 		return
 	}
 
@@ -105,56 +95,5 @@ func main() {
 		fmt.Printf("== %s: %s (scale %g)\n", e.ID, e.Title, *scale)
 		report := e.Run(cfg)
 		report.Print(os.Stdout)
-	}
-}
-
-// runShardSweep measures batch top-k throughput against the shard count:
-// one ShardedIndex per power-of-two P up to 2·GOMAXPROCS over the same
-// uniform workload, reporting wall milliseconds per batch and the speedup
-// over P = 1. On a machine with GOMAXPROCS ≥ 4 the sweep shows the sharded
-// pipeline overtaking the single-shard engine; on a single core it shows
-// the sharding overhead instead.
-func runShardSweep(scale float64, queries int, seed int64) {
-	if queries <= 0 {
-		queries = 100 // the experiments' default, as bench.Config applies it
-	}
-	n := int(200_000 * scale)
-	if n < 1000 {
-		n = 1000
-	}
-	const dims, attractive, k = 6, 3, 10
-	fmt.Printf("== shardsweep: batch of %d queries, n=%d, d=%d, k=%d, GOMAXPROCS=%d\n",
-		queries, n, dims, k, runtime.GOMAXPROCS(0))
-	data := dataset.Generate(dataset.Uniform, n, dims, seed)
-	specs, roles := bench.BatchSpecs(dims, attractive, k, queries, seed+1)
-	qs := make([]sdquery.Query, len(specs))
-	for i, sp := range specs {
-		qs[i] = sdquery.Query{Point: sp.Point, K: sp.K, Roles: sp.Roles, Weights: sp.Weights}
-	}
-
-	fmt.Printf("%-8s %-12s %-10s\n", "shards", "batch-ms", "speedup")
-	base := 0.0
-	for p := 1; p <= 2*runtime.GOMAXPROCS(0); p *= 2 {
-		idx, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(p))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdbench: shards=%d: %v\n", p, err)
-			os.Exit(1)
-		}
-		// One warm-up batch, then the timed one.
-		if _, err := idx.BatchTopK(qs); err != nil {
-			fmt.Fprintf(os.Stderr, "sdbench: shards=%d: %v\n", p, err)
-			os.Exit(1)
-		}
-		start := time.Now()
-		if _, err := idx.BatchTopK(qs); err != nil {
-			fmt.Fprintf(os.Stderr, "sdbench: shards=%d: %v\n", p, err)
-			os.Exit(1)
-		}
-		ms := float64(time.Since(start).Nanoseconds()) / 1e6
-		idx.Close()
-		if base == 0 {
-			base = ms
-		}
-		fmt.Printf("%-8d %-12.2f %-10.2f\n", p, ms, base/ms)
 	}
 }

@@ -34,7 +34,7 @@ func main() {
 		pointF  = flag.String("point", "", "query point, comma-separated (required unless only -save)")
 		weightF = flag.String("weights", "", "weights, comma-separated (default all 1)")
 		k       = flag.Int("k", 5, "answer size")
-		engine  = flag.String("engine", "sd", "sd | sharded | scan | ta | brs | pe")
+		engine  = flag.String("engine", "sd", "sd | sharded (sd split into GOMAXPROCS segments, with a worker pool) | scan | ta | brs | pe")
 		saveF   = flag.String("save", "", "persist the built index (engine sd or sharded) to this file")
 		indexF  = flag.String("index", "", "serve a persisted index from this file instead of building from CSV")
 	)
@@ -61,12 +61,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		eng, err = sdquery.Load(f)
+		idx, err := sdquery.LoadSDIndex(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
 		}
-		roles = loadedRoles(eng)
+		eng, roles = idx, idx.Roles()
 	} else {
 		f, err := os.Open(*path)
 		if err != nil {
@@ -93,11 +93,14 @@ func main() {
 				fatal(fmt.Errorf("role %q: use a, r, or i", c))
 			}
 		}
+		var idx *sdquery.SDIndex // set by the engines -save supports
 		switch *engine {
 		case "sd":
-			eng, err = sdquery.NewSDIndex(data, roles)
+			idx, err = sdquery.NewSDIndex(data, roles)
+			eng = idx
 		case "sharded":
-			eng, err = sdquery.NewShardedIndex(data, roles)
+			idx, err = sdquery.NewShardedIndex(data, roles)
+			eng = idx
 		case "scan":
 			eng, err = sdquery.NewScan(data)
 		case "ta":
@@ -113,7 +116,10 @@ func main() {
 			fatal(err)
 		}
 		if *saveF != "" {
-			if err := saveIndex(eng, *saveF); err != nil {
+			if idx == nil {
+				fatal(fmt.Errorf("-save supports the sd and sharded engines only"))
+			}
+			if err := saveIndex(idx, *saveF); err != nil {
 				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "sdquery: saved %d-point index to %s\n", eng.Len(), *saveF)
@@ -151,36 +157,17 @@ func main() {
 	}
 }
 
-// saveIndex persists an index that supports it.
-func saveIndex(eng sdquery.Engine, path string) error {
+// saveIndex persists the index to path.
+func saveIndex(idx *sdquery.SDIndex, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	var saveErr error
-	switch e := eng.(type) {
-	case *sdquery.SDIndex:
-		saveErr = e.Save(f)
-	case *sdquery.ShardedIndex:
-		saveErr = e.Save(f)
-	default:
-		saveErr = fmt.Errorf("-save supports the sd and sharded engines only")
-	}
+	saveErr := idx.Save(f)
 	if err := f.Close(); saveErr == nil {
 		saveErr = err
 	}
 	return saveErr
-}
-
-// loadedRoles extracts the build-time roles a persisted index carries.
-func loadedRoles(eng sdquery.Engine) []sdquery.Role {
-	switch e := eng.(type) {
-	case *sdquery.SDIndex:
-		return e.Roles()
-	case *sdquery.ShardedIndex:
-		return e.Roles()
-	}
-	return nil
 }
 
 func parseFloats(s string) ([]float64, error) {

@@ -21,7 +21,7 @@
 //
 //	curl -s localhost:8080/v1/admin/swap -d '{"path":"tomorrow.sdx"}'
 //
-// Serve durably: every insert/delete is group-committed to a per-shard
+// Serve durably: every insert/delete is group-committed to the index's
 // write-ahead log before its 200, and a restart pointed at the same
 // directory recovers every acknowledged write (torn tails included):
 //
@@ -62,7 +62,7 @@ func main() {
 		header  = flag.Bool("header", false, "CSV has a header row")
 		rolesF  = flag.String("roles", "", "one letter per column: a/r/i (required unless -index)")
 		indexF  = flag.String("index", "", "serve a persisted index from this file instead of building from CSV")
-		shards  = flag.Int("shards", 0, "data shards (≤ 0 selects GOMAXPROCS)")
+		shards  = flag.Int("shards", 0, "segments a query's work is spread over (≤ 0 selects GOMAXPROCS)")
 		workers = flag.Int("workers", 0, "worker-pool size (≤ 0 selects GOMAXPROCS)")
 
 		walDir   = flag.String("wal-dir", "", "write-ahead-log directory: recover the durable index living there, or (with -data) create one and log every write")
@@ -170,20 +170,16 @@ func parseSync(s string) (sdquery.SyncPolicy, error) {
 // when -wal-dir is set — a durable directory: recovered if it already holds a
 // MANIFEST, created from the CSV otherwise.
 func buildIndex(path string, header bool, rolesF, indexF string, shards, workers int,
-	walDir string, sync sdquery.SyncPolicy, syncInt time.Duration) (serve.Index, error) {
+	walDir string, sync sdquery.SyncPolicy, syncInt time.Duration) (*sdquery.ShardedIndex, error) {
 	if walDir != "" {
 		if indexF != "" {
 			return nil, fmt.Errorf("-wal-dir and -index are mutually exclusive (a durable directory is its own persistence)")
 		}
 		if _, err := os.Stat(walDir + "/MANIFEST"); err == nil {
 			fmt.Fprintf(os.Stderr, "sdserver: recovering durable index from %s\n", walDir)
-			eng, err := sdquery.Open(walDir,
-				sdquery.WithWorkers(workers),
+			return sdquery.OpenShardedIndex(walDir,
+				sdquery.WithShards(shards), sdquery.WithWorkers(workers),
 				sdquery.WithSyncPolicy(sync), sdquery.WithSyncInterval(syncInt))
-			if err != nil {
-				return nil, err
-			}
-			return serve.AsIndex(eng)
 		}
 	}
 	if indexF != "" {
@@ -192,11 +188,7 @@ func buildIndex(path string, header bool, rolesF, indexF string, shards, workers
 			return nil, err
 		}
 		defer f.Close()
-		eng, err := sdquery.Load(f, sdquery.WithWorkers(workers))
-		if err != nil {
-			return nil, err
-		}
-		return serve.AsIndex(eng)
+		return sdquery.LoadShardedIndex(f, sdquery.WithShards(shards), sdquery.WithWorkers(workers))
 	}
 	if path == "" || rolesF == "" {
 		flag.Usage()

@@ -21,13 +21,23 @@
 //   - Top1Index — the specialized 2D structure (§3) for workloads where k
 //     and the weights are fixed up front: O(log n) queries over precomputed
 //     envelope regions.
-//   - ShardedIndex — the parallel execution layer: the dataset is
-//     partitioned across P shards (WithShards, default GOMAXPROCS), each
-//     backed by an independent SD-Index engine indexing its rows under
-//     their global dataset IDs; TopK fans out to per-shard goroutines on a
-//     reusable worker pool (WithWorkers) and a bounded merge recovers the
-//     exact global answer, byte-identical to the single engine's. BatchTopK
-//     pipelines whole query batches across the (query × shard) grid.
+//
+// # Segments and workers
+//
+// There is one engine, and how much of the machine it uses is two options.
+// WithShards(n) splits the index into n segments: a bulk build seals n
+// equal contiguous-ID segments concurrently, and compaction keeps the stack
+// about that wide. WithWorkers(n) gives the index a worker pool: one query
+// fans out over the sealed segments, one task each, under a shared
+// termination threshold, and BatchTopK runs one task per query — both
+// byte-identical to the sequential schedule, because the SD-score of a
+// point depends on that point alone. NewSDIndex with neither is one
+// segment queried on the caller's goroutine; NewShardedIndex (and
+// LoadShardedIndex, OpenShardedIndex, NewFollowerIndex — what cmd/sdserver
+// uses) is the same index defaulting both to GOMAXPROCS. ShardedIndex is
+// an alias of SDIndex: it was once a second engine of P independent ones
+// behind a routing table, and files and one-shard directories it wrote
+// still load.
 //
 // # Storage: segments, snapshots, compaction
 //
@@ -44,17 +54,19 @@
 // WithMemtableSize rows, disabled by WithCompaction(false) — seals the
 // memtable into a segment, keeps the stack logarithmic (each segment at
 // least twice its successor), and rewrites dead-heavy segments; Compact
-// forces a synchronous full fold. SDIndex.Snapshot / ShardedIndex.Snapshot
-// pin a point-in-time view that keeps answering byte-identically to the
-// scan oracle at its acquisition instant while churn proceeds underneath.
+// forces a synchronous full fold. SDIndex.Snapshot pins a point-in-time
+// view — one atomic load is already a consistent cut — that keeps answering
+// byte-identically to the scan oracle at its acquisition instant while
+// churn proceeds underneath.
 //
 // # Persistence
 //
 // Save serializes an index's snapshot to a versioned binary format — the
 // structural configuration plus every segment's rows, IDs, and tombstones;
-// index structures rebuild deterministically at load, so LoadSDIndex /
-// LoadShardedIndex / Load reconstruct an index that answers byte-
-// identically and reports the same Bytes, with no data re-ingestion:
+// index structures rebuild deterministically at load, so LoadSDIndex (or
+// LoadShardedIndex, for the GOMAXPROCS defaults) reconstructs an index that
+// answers byte-identically and reports the same Bytes, with no data
+// re-ingestion:
 //
 //	f, _ := os.Create("points.sdx")
 //	err := idx.Save(f) // lock-free, snapshot-consistent
@@ -70,14 +82,14 @@
 //
 // Save captures a moment; WithWAL makes every mutation crash-safe. An index
 // built with WithWAL(dir) appends each Insert/Remove as a checksummed,
-// LSN-sequenced record to a per-shard write-ahead log before publishing it,
-// and Open(dir) (or OpenSDIndex / OpenShardedIndex) reconstructs the index
-// after a crash — checkpoint first, then the live log tail:
+// LSN-sequenced record to its write-ahead log before publishing it, and
+// OpenSDIndex(dir) (or OpenShardedIndex) reconstructs the index after a
+// crash — checkpoint first, then the live log tail:
 //
 //	idx, err := sdquery.NewShardedIndex(data, roles, sdquery.WithWAL("/var/lib/sd"))
 //	id, err := idx.Insert(row) // returns only after the record is committed
 //	...                        // power fails here
-//	idx2, err := sdquery.Open("/var/lib/sd") // every acknowledged write intact
+//	idx2, err := sdquery.OpenShardedIndex("/var/lib/sd") // every acknowledged write intact
 //
 // WithSyncPolicy picks the durability/throughput point. SyncAlways (the
 // default) acknowledges a mutation only after an fsync covers it; a
@@ -91,7 +103,9 @@
 // checksum, duplicated records replay idempotently by LSN, and a crash
 // mid-checkpoint or mid-rotation falls back to the previous consistent
 // state. It refuses to guess only when the directory itself is damaged
-// (missing MANIFEST, corrupt checkpoint). The internal/faultfs harness
+// (missing MANIFEST, corrupt checkpoint) — or was written by the retired
+// multi-engine ShardedIndex with more than one shard, which is refused by
+// name rather than recovered in part. The internal/faultfs harness
 // proves the contract differentially: the crash suite kills a
 // fault-injecting filesystem at every operation boundary and byte watermark
 // and requires the reopened index to answer byte-identically to an oracle
@@ -129,8 +143,8 @@
 // allocates nothing. /statz and /metrics expose the hit rate. The JSON
 // wire format is documented in serve/wire.go, next to this binary format.
 //
-// Scan, SDIndex, TA, and ShardedIndex break score ties by ascending dataset
-// ID, so their answers are byte-identical to each other; BRS and PE resolve
+// Scan, SDIndex, and TA break score ties by ascending dataset ID, so their
+// answers are byte-identical to each other; BRS and PE resolve
 // exact ties at the k-th rank arbitrarily but return the same score
 // sequence. The internal/enginetest differential harness (and a native fuzz
 // target) enforces both contracts against an exhaustive-scan oracle.
@@ -164,7 +178,7 @@
 // ID space. Failures are handled per try: capped jittered backoff, p99-
 // triggered hedged reads against replicas, consecutive-failure ejection
 // with half-open recovery, and failover from a dead leader to the
-// freshest replica — gated by per-shard LSN write watermarks, so a stale
+// freshest replica — gated by LSN write watermarks, so a stale
 // follower never answers a read that misses an acknowledged write. When
 // a whole partition is unreachable reads fail fast with 503; the
 // ?allow_partial=1 flag opts into the survivors' merged answer, marked
@@ -195,7 +209,7 @@
 // by segment — and batch-executed. The
 // snapshot is one atomic load (see above). The planner resolves
 // the query's shape (active dimensions, roles, zero weights) to the
-// surviving subproblem set, memoized per shape in a per-engine plan cache
+// surviving subproblem set, memoized per shape in the index's plan cache
 // (WithPlanCache to disable; QueryStats.PlanCacheHits to observe). Under
 // the default PairAdaptive strategy the planner also picks the
 // repulsive↔attractive bijection per query by zipping the active
@@ -238,13 +252,14 @@
 //
 // All per-query state — weights, bounds, descent rates, emission buffers,
 // the sweep's block scratch, the seen bitset, stream cursors and heaps, the
-// result collector, the plan scratch — lives in per-engine sync.Pool contexts. SDIndex.TopKAppend
-// and ShardedIndex.TopKAppend append results into a caller-reused buffer;
-// on a compacted index (one sealed segment, empty memtable — the steady
-// state background compaction converges to) they perform zero heap
-// allocations per query, which alloc_test.go asserts with
-// testing.AllocsPerRun. The TopK convenience forms allocate only the
-// returned slice.
+// result collector, the plan scratch — lives in the index's sync.Pool
+// contexts. SDIndex.TopKAppend appends results into a caller-reused buffer;
+// on a compacted index (empty memtable — the steady state background
+// compaction converges to), sequential or fanned out over WithShards
+// segments, it performs zero heap allocations per query, which
+// alloc_test.go asserts with testing.AllocsPerRun. The TopK convenience
+// forms allocate only the returned slice, and BatchTopK only its answer
+// plus a constant handful of objects per call.
 //
 // Below the scheduler, sealed segments store their coordinates in
 // dimension-major columns and every bulk scoring site — packed leaf
@@ -264,13 +279,14 @@
 // sequential schedule, enforced by the differential suites and a
 // scheduler-equivalence property test. A segment task chooses between
 // streaming and sweeping exactly as the sequential schedule does, so it
-// may finish as one column sweep, publishing to the floor block by block. The fan-out only helps when there
-// are multiple sealed segments (sustained insert traffic, a segment row
-// cap via WithMaxSegmentRows, or a freshly loaded multi-segment file)
-// and spare cores; on one core, or on the compacted single-segment
-// steady state, the sequential path is already optimal. QueryStats
-// remains accurate in total but its per-counter split becomes
-// timing-dependent under the fan-out.
+// may finish as one column sweep, publishing to the floor block by block.
+// The fan-out only helps when there are multiple sealed segments
+// (WithShards, sustained insert traffic, or a freshly loaded multi-segment
+// file) and spare cores; on one core, or on a single sealed segment, the
+// sequential path is already optimal — and on the 2-vCPU box the committed
+// numbers come from it buys nothing yet (ROADMAP item 3 owes the multi-core
+// baseline). QueryStats remains accurate in total but its per-counter
+// split becomes timing-dependent under the fan-out.
 //
 // Reproduce the numbers with `go test -bench 'BenchmarkTopK$' -benchmem .`
 // or regenerate the machine-readable trajectory with

@@ -108,8 +108,8 @@ func TestDurableShardedIndexRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", re.Shards())
+	if got, want := re.Len(), liveRows(dead); got != want {
+		t.Fatalf("reopened Len = %d, oracle has %d live rows", got, want)
 	}
 	durableCheck(t, "reopened sharded", re, data, dead)
 	data, dead = durableMutate(t, re, data, dead, 30, 6)
@@ -138,38 +138,6 @@ func TestDurableShardedHardDrop(t *testing.T) {
 	durableCheck(t, "hard-drop sharded", re, data, dead)
 }
 
-func TestDurableOpenDispatchesOnKind(t *testing.T) {
-	fs := faultfs.NewMem()
-	data := tieProneData(20, len(durableRoles), 9)
-	if _, err := NewSDIndex(data, durableRoles, WithWAL("one"), WithWALFS(fs)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewShardedIndex(data, durableRoles, WithWAL("many"), WithWALFS(fs), WithShards(2)); err != nil {
-		t.Fatal(err)
-	}
-	e1, err := Open("one", WithWALFS(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e1.(*SDIndex); !ok {
-		t.Fatalf("Open(one) = %T, want *SDIndex", e1)
-	}
-	e2, err := Open("many", WithWALFS(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e2.(*ShardedIndex); !ok {
-		t.Fatalf("Open(many) = %T, want *ShardedIndex", e2)
-	}
-	// Kind-specific opens refuse the other kind.
-	if _, err := OpenSDIndex("many", WithWALFS(fs)); err == nil {
-		t.Fatal("OpenSDIndex on a sharded dir must fail")
-	}
-	if _, err := OpenShardedIndex("one", WithWALFS(fs)); err == nil {
-		t.Fatal("OpenShardedIndex on an sdindex dir must fail")
-	}
-}
-
 func TestDurableCreateRefusesExistingDir(t *testing.T) {
 	fs := faultfs.NewMem()
 	data := tieProneData(10, len(durableRoles), 10)
@@ -186,8 +154,8 @@ func TestDurableCreateRefusesExistingDir(t *testing.T) {
 
 func TestDurableRemovedReclaimedIDsRouteNowhere(t *testing.T) {
 	// Remove rows, force compaction to physically reclaim them, checkpoint,
-	// reopen: the reclaimed IDs are absent from every shard and must route
-	// to "not live" without panicking.
+	// reopen: the reclaimed IDs are absent from every segment and must read
+	// as "not live" without panicking.
 	fs := faultfs.NewMem()
 	data := tieProneData(30, len(durableRoles), 11)
 	idx, err := NewShardedIndex(data, durableRoles,
@@ -248,6 +216,17 @@ func TestDurableShardedSyncErrorDegradesToReadOnly(t *testing.T) {
 	}
 	// Reads keep working.
 	durableCheckReadsOnly(t, idx, data)
+}
+
+// liveRows counts the oracle's live rows.
+func liveRows(dead []bool) int {
+	n := 0
+	for _, d := range dead {
+		if !d {
+			n++
+		}
+	}
+	return n
 }
 
 func durableCheckReadsOnly(t *testing.T, idx Engine, data [][]float64) {

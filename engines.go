@@ -1,6 +1,8 @@
 package sdquery
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -80,10 +82,10 @@ const (
 var ErrWAL = core.ErrWAL
 
 // WALStats is the observable state of an index's write-ahead log; see
-// SDIndex.WALStats and ShardedIndex.WALStats.
+// SDIndex.WALStats.
 type WALStats = core.WALStats
 
-// SDOption configures NewSDIndex.
+// SDOption configures the SD-Index constructors (New*, Load*, Open*).
 type SDOption func(*sdConfig)
 
 type sdConfig struct {
@@ -92,10 +94,10 @@ type sdConfig struct {
 	angleDegrees []float64
 	useAngles    bool
 	shards       int
+	shardsSet    bool
 	workers      int
 	workersSet   bool
 	columnWidth  int
-	maxSegRows   int
 	sched        SchedulerMode
 	accessCost   int // core.Config.AccessCost; only tests set it (export_test.go)
 	noPlanCache  bool
@@ -107,22 +109,58 @@ type sdConfig struct {
 	syncInterval time.Duration
 }
 
-// walConfig materializes the WAL option set for one engine logging under
-// dir; nil when WithWAL was not given.
-func (c *sdConfig) walConfig(dir string) *core.WALConfig {
-	if c.walDir == "" {
-		return nil
+// parseOptions applies an option list to a zero configuration.
+func parseOptions(opts []SDOption) sdConfig {
+	var cfg sdConfig
+	for _, o := range opts {
+		o(&cfg)
 	}
-	return &core.WALConfig{Dir: dir, FS: c.walFS, Policy: c.syncPolicy, Interval: c.syncInterval}
+	return cfg
+}
+
+// shardedDefaults is all the ShardedIndex constructors add to the SDIndex
+// ones: a split into GOMAXPROCS segments and a pool of GOMAXPROCS workers,
+// unless the caller's own options (applied after) say otherwise.
+func shardedDefaults(opts []SDOption) []SDOption {
+	return append([]SDOption{WithShards(0), WithWorkers(0)}, opts...)
+}
+
+// segments resolves WithShards: 0 when the option was not given (one
+// segment, sized by the compactor alone), GOMAXPROCS for n ≤ 0.
+func (c *sdConfig) segments() int {
+	switch {
+	case !c.shardsSet:
+		return 0
+	case c.shards <= 0:
+		return defaultParallelism()
+	}
+	return c.shards
+}
+
+// startPool starts the index's worker pool when WithWorkers asked for one,
+// returning it twice: as the pool the index owns and as the engine's Runner
+// (nil, not a typed nil, without the option).
+func (c *sdConfig) startPool() (*workerPool, core.Runner) {
+	if !c.workersSet {
+		return nil, nil
+	}
+	p := newWorkerPool(c.workers)
+	return p, poolRunner{p}
+}
+
+// walConfig materializes the WAL option set for the engine logging under the
+// index directory c.walDir.
+func (c *sdConfig) walConfig() core.WALConfig {
+	return core.WALConfig{Dir: engineWALDir(c.walDir), FS: c.walFS, Policy: c.syncPolicy, Interval: c.syncInterval}
 }
 
 // coreConfig materializes the option set into the internal engine
-// configuration for one (sub-)dataset with the given roles.
+// configuration for a dataset with the given roles.
 func (c *sdConfig) coreConfig(roles []Role) (core.Config, error) {
 	cfg := core.Config{Roles: roles, Pairing: c.pairing, Tree: c.tree,
 		Scheduler: c.sched, DisablePlanCache: c.noPlanCache,
 		MemtableSize: c.memSize, DisableCompaction: c.noCompact,
-		ColumnWidth: c.columnWidth, MaxSegmentRows: c.maxSegRows,
+		ColumnWidth: c.columnWidth, Segments: c.segments(),
 		AccessCost: c.accessCost}
 	if c.useAngles {
 		cfg.Tree.Angles = nil
@@ -172,28 +210,19 @@ func WithAngles(degrees ...float64) SDOption {
 	}
 }
 
-// WithRebuildThreshold sets the imbalance fraction θ that triggers a tree
-// rebuild after updates (default 0.25).
-func WithRebuildThreshold(theta float64) SDOption {
-	return func(c *sdConfig) { c.tree.RebuildThreshold = theta }
-}
-
 // WithScheduler selects the sorted-access scheduling mode of the §5
 // aggregation (default SchedBoundDriven). Scheduling never changes answers —
 // only how many sorted accesses a query spends — so the knob exists for
-// ablation benchmarks and regression comparisons. A ShardedIndex applies the
-// mode to every shard engine.
+// ablation benchmarks and regression comparisons.
 func WithScheduler(m SchedulerMode) SDOption {
 	return func(c *sdConfig) { c.sched = m }
 }
 
-// WithPlanCache enables or disables the per-engine query-plan cache
-// (default enabled). The cache memoizes the derived plan — surviving
-// subproblems, active weight signs — per query shape (which dimensions are
-// active, which roles engaged, which weights are zero), so repeated traffic
-// shapes skip plan derivation; QueryStats.PlanCacheHits reports hits. Each
-// shard of a ShardedIndex keeps its own cache, shared across its pooled
-// query contexts.
+// WithPlanCache enables or disables the index's query-plan cache (default
+// enabled). The cache memoizes the derived plan — surviving subproblems,
+// active weight signs — per query shape (which dimensions are active, which
+// roles engaged, which weights are zero), so repeated traffic shapes skip
+// plan derivation; QueryStats.PlanCacheHits reports hits.
 func WithPlanCache(enabled bool) SDOption {
 	return func(c *sdConfig) { c.noPlanCache = !enabled }
 }
@@ -202,8 +231,7 @@ func WithPlanCache(enabled bool) SDOption {
 // compactor seals recent inserts into an immutable segment (default 1024).
 // Smaller values seal more eagerly — less per-query memtable scanning, more
 // frequent tree builds; larger values batch more inserts per seal. Queries
-// are exact at every setting. A ShardedIndex applies the threshold to every
-// shard engine.
+// are exact at every setting.
 func WithMemtableSize(rows int) SDOption {
 	return func(c *sdConfig) { c.memSize = rows }
 }
@@ -219,14 +247,13 @@ func WithCompaction(enabled bool) SDOption {
 
 // WithWAL gives the index a crash-safe write-ahead log rooted at dir.
 // Every Insert and Remove is appended — checksummed and length-prefixed —
-// to a per-engine log before it is acknowledged, so a crash (process kill
-// or, under SyncAlways, power loss) never loses an acknowledged mutation:
-// Open/OpenSDIndex/OpenShardedIndex recover the directory by loading its
-// last checkpoint and replaying the log tail, truncating torn tails
-// instead of failing. dir must be empty or nonexistent at creation; an
+// to the index's one group-committed log before it is acknowledged, so a
+// crash (process kill or, under SyncAlways, power loss) never loses an
+// acknowledged mutation: OpenSDIndex/OpenShardedIndex recover the directory
+// by loading its last checkpoint and replaying the log tail, truncating torn
+// tails instead of failing. dir must be empty or nonexistent at creation; an
 // existing durable index is recovered with the Open functions, never
-// overwritten. A ShardedIndex keeps one independently group-committed log
-// per shard under dir.
+// overwritten.
 func WithWAL(dir string) SDOption {
 	return func(c *sdConfig) { c.walDir = dir }
 }
@@ -251,33 +278,31 @@ func WithWALFS(fs faultfs.FS) SDOption {
 	return func(c *sdConfig) { c.walFS = fs }
 }
 
-// WithShards sets the number of data shards NewShardedIndex partitions the
-// dataset into (≤ 0 selects GOMAXPROCS; the count is capped at the dataset
-// size). NewSDIndex ignores it.
+// WithShards splits the index into n segments — the unit one query's work
+// is spread over (n ≤ 0 selects GOMAXPROCS). A bulk build seals n equal
+// contiguous-ID segments concurrently, and compaction keeps the stack about
+// that wide as the data changes (no fold above ⌈live rows/n⌉; Compact
+// restores n equal segments). Answers are unaffected. Without the option
+// NewSDIndex builds one segment; the ShardedIndex constructors default to
+// WithShards(0). On Load and Open the stack comes from the file or directory
+// as saved and the option only steers compaction from there.
 func WithShards(n int) SDOption {
-	return func(c *sdConfig) { c.shards = n }
+	return func(c *sdConfig) { c.shards = n; c.shardsSet = true }
 }
 
-// WithWorkers sets the size of the worker pool queries fan out on (≤ 0
-// selects GOMAXPROCS). The calling goroutine always participates in its own
-// query's fan-out, so the effective parallelism of one call is up to
-// workers+1, and concurrent calls each add their calling goroutine on top
-// of the shared pool — the pool bounds the extra goroutines, not total CPU
-// use.
-//
-// On a ShardedIndex the pool carries the per-shard fan-out, as before. On
-// NewSDIndex (and LoadSDIndex/OpenSDIndex) the option now enables
-// intra-query segment parallelism: one query's sealed segments are
-// aggregated concurrently, cooperating through a shared termination
-// threshold, and the per-segment candidate sets merge into answers
-// byte-identical to the sequential schedule. A segment task chooses between
-// streaming and sweeping its segment exactly as the sequential schedule
-// does, so it may finish as one column sweep. Omitting the option keeps
-// the sequential path with its fully deterministic Stats trace; an index
-// with a single sealed segment (the compacted steady state) runs
-// sequentially either way. Shard engines inside a ShardedIndex always
-// aggregate sequentially — the shard fan-out already occupies the pool,
-// and nesting batches on one pool could starve it.
+// WithWorkers gives the index a pool of n worker goroutines (n ≤ 0 selects
+// GOMAXPROCS) and with it the two parallel paths: one query fans out over
+// the sealed segments — one task per segment, cooperating through a shared
+// termination threshold, each choosing between streaming and sweeping its
+// segment exactly as the sequential schedule does — and BatchTopK runs one
+// task per query. Either way the answers are byte-identical to the
+// sequential schedule. The calling goroutine always works through its own
+// call's tasks too, so one call runs on up to n+1 goroutines and concurrent
+// calls each add their caller: the pool bounds the extra goroutines, not
+// total CPU use. Without the option (NewSDIndex's default; the ShardedIndex
+// constructors default to WithWorkers(0)) everything runs on the caller's
+// goroutine with a fully deterministic Stats trace, and an index with a
+// single sealed segment answers single queries sequentially either way.
 func WithWorkers(n int) SDOption {
 	return func(c *sdConfig) { c.workers = n; c.workersSet = true }
 }
@@ -293,56 +318,96 @@ func WithColumnWidth(bits int) SDOption {
 	return func(c *sdConfig) { c.columnWidth = bits }
 }
 
-// WithMaxSegmentRows caps the rows of any sealed segment: the initial bulk
-// build and every compaction split their output into ⌈rows/cap⌉ segments
-// instead of one. A cap turns the single-segment steady state into a stack
-// of bounded segments — the unit WithWorkers' intra-query parallelism fans
-// out over. 0 (the default) leaves segments unbounded; answers are
-// unaffected either way.
-func WithMaxSegmentRows(rows int) SDOption {
-	return func(c *sdConfig) { c.maxSegRows = rows }
-}
-
 // SDIndex is the paper's SD-Index: the general top-k engine with k and
-// weights supplied at query time.
+// weights supplied at query time. Every index is one engine — one segment
+// stack, one write-ahead log, one compactor, one plan cache, one epoch —
+// and parallelism is a property of how it is built (WithShards,
+// WithWorkers), not a different type.
 type SDIndex struct {
 	eng   *core.Engine
 	roles []Role
-	pool  *workerPool // owned intra-query fan-out pool; nil without WithWorkers
+	pool  *workerPool // nil without WithWorkers: every path runs on the caller
 	buf   sync.Pool   // *[]query.Result scratch for the Append paths
 }
 
+// ShardedIndex is SDIndex under the name of the constructors that default
+// to WithShards(0) and WithWorkers(0). It used to be a second engine — P
+// independent engines behind a routing table — and is kept so callers of
+// those constructors keep compiling.
+type ShardedIndex = SDIndex
+
 // NewSDIndex builds the SD-Index over data (row-major, n × d) with the
 // given build-time roles. Queries may later demote an active dimension to
-// Ignored but may not flip attractive and repulsive.
+// Ignored but may not flip attractive and repulsive. With no options the
+// index is one sealed segment queried on the caller's goroutine.
 func NewSDIndex(data [][]float64, roles []Role, opts ...SDOption) (*SDIndex, error) {
-	var cfg sdConfig
-	for _, o := range opts {
-		o(&cfg)
+	return newIndex(data, nil, roles, opts)
+}
+
+// NewShardedIndex is NewSDIndex defaulting to WithShards(0) and
+// WithWorkers(0): GOMAXPROCS segments, sealed concurrently, and a worker
+// pool to query them on — what cmd/sdserver builds.
+func NewShardedIndex(data [][]float64, roles []Role, opts ...SDOption) (*ShardedIndex, error) {
+	return newIndex(data, nil, roles, shardedDefaults(opts))
+}
+
+// NewShardedIndexWithIDs is NewShardedIndex for a dataset that carries its
+// own global IDs — the constructor a cluster partition uses, so a node
+// holding rows {3, 17, 40, …} of the logical dataset answers queries with
+// those original IDs and the scatter-gather merge over partitions is
+// byte-identical to one index over the whole dataset. ids must be
+// non-negative and strictly ascending, one per row.
+func NewShardedIndexWithIDs(data [][]float64, ids []int, roles []Role, opts ...SDOption) (*ShardedIndex, error) {
+	if len(data) != len(ids) {
+		return nil, fmt.Errorf("sdquery: %d rows but %d ids", len(data), len(ids))
 	}
+	if len(data) == 0 {
+		return nil, fmt.Errorf("sdquery: empty dataset")
+	}
+	ids32 := make([]int32, len(ids))
+	for i, id := range ids {
+		if id < 0 || id > math.MaxInt32 {
+			return nil, fmt.Errorf("sdquery: id %d outside the supported ID space", id)
+		}
+		ids32[i] = int32(id)
+	}
+	return newIndex(data, ids32, roles, shardedDefaults(opts))
+}
+
+// newIndex is the one bulk build behind the constructors; nil ids number
+// the rows 0..n−1.
+func newIndex(data [][]float64, ids []int32, roles []Role, opts []SDOption) (*SDIndex, error) {
+	cfg := parseOptions(opts)
 	coreCfg, err := cfg.coreConfig(roles)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.walDir != "" {
-		if err := writeManifest(&cfg, manifestKindSDIndex, 1); err != nil {
+		if err := writeManifest(&cfg); err != nil {
 			return nil, err
 		}
-		coreCfg.WAL = cfg.walConfig(shardWALDir(cfg.walDir, 0))
+		wal := cfg.walConfig()
+		coreCfg.WAL = &wal
 	}
-	var pool *workerPool
-	if cfg.workersSet {
-		pool = newWorkerPool(cfg.workers)
-		coreCfg.Pool = poolRunner{pool}
+	pool, runner := cfg.startPool()
+	coreCfg.Pool = runner
+	var eng *core.Engine
+	if ids == nil {
+		eng, err = core.New(data, coreCfg)
+	} else {
+		eng, err = core.NewWithIDs(data, ids, coreCfg)
 	}
-	eng, err := core.New(data, coreCfg)
+	return wrapEngine(eng, err, pool)
+}
+
+// wrapEngine finishes a constructor: the index around a built, loaded or
+// recovered engine, or — on failure — the pool released.
+func wrapEngine(eng *core.Engine, err error, pool *workerPool) (*SDIndex, error) {
 	if err != nil {
-		if pool != nil {
-			pool.close()
-		}
+		pool.close()
 		return nil, err
 	}
-	return &SDIndex{eng: eng, roles: append([]Role(nil), roles...), pool: pool}, nil
+	return &SDIndex{eng: eng, roles: eng.Roles(), pool: pool}, nil
 }
 
 // TopK answers the query. See Engine.
@@ -357,7 +422,7 @@ func (s *SDIndex) TopK(q Query) ([]Result, error) {
 // preserved; a nil dst behaves like TopK. The whole path is lock-free —
 // snapshot acquisition is a single atomic load (see Snapshot).
 func (s *SDIndex) TopKAppend(dst []Result, q Query) ([]Result, error) {
-	return s.appendVia(s.eng.View(), dst, q, nil)
+	return s.appendVia(s.eng.View(), dst, q, nil, false)
 }
 
 // Len reports the number of live points.
@@ -407,13 +472,12 @@ func (s *SDIndex) Checkpoint() error { return s.eng.Checkpoint() }
 
 // Close flushes and closes the index's write-ahead log and releases the
 // WithWorkers pool's goroutines. The index stays queryable — reads never
-// touch the log, and a closed pool degrades queries to the sequential
-// schedule (same answers) rather than failing — but every later mutation
-// fails with ErrWAL on a WAL index. Idempotent.
+// touch the log, and a closed pool degrades queries to the caller's
+// goroutine (same answers) rather than failing — but every later mutation
+// fails with ErrWAL on a WAL index. Idempotent, and safe to call
+// concurrently with queries.
 func (s *SDIndex) Close() {
-	if s.pool != nil {
-		s.pool.close()
-	}
+	s.pool.close()
 	s.eng.Close()
 }
 
@@ -423,7 +487,8 @@ func (s *SDIndex) Close() {
 func (s *SDIndex) WALStats() WALStats { return s.eng.WALStats() }
 
 // Compact synchronously folds the index's segment stack and memtable into a
-// single sealed segment, dropping tombstoned rows. Queries keep flowing
+// single sealed segment — WithShards(n) equal ones on an index built or
+// opened with that option — dropping tombstoned rows. Queries keep flowing
 // throughout; use it to finish a bulk-load phase or to pin the zero-alloc
 // steady state before latency-critical serving.
 func (s *SDIndex) Compact() { s.eng.Compact() }

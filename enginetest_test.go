@@ -1,11 +1,12 @@
-// Cross-engine differential tests: every public engine, and the sharded
-// execution layer at several shard counts, runs the internal/enginetest
-// oracle workloads. This is the module's §6 validation strategy as a
-// first-class harness — any engine change that perturbs an answer fails
-// here with the workload and rank that diverged.
+// Cross-engine differential tests: every public engine, and the SD-Index
+// at several segment counts with and without a worker pool, runs the
+// internal/enginetest oracle workloads. This is the module's §6 validation
+// strategy as a first-class harness — any engine change that perturbs an
+// answer fails here with the workload and rank that diverged.
 package sdquery_test
 
 import (
+	"fmt"
 	"testing"
 
 	sdquery "repro"
@@ -42,18 +43,24 @@ var plannerModes = []struct {
 // runSDIndex runs the oracle workloads against one SD-Index configuration
 // under every planner mode.
 func runSDIndex(t *testing.T, name string, opts ...sdquery.SDOption) {
-	for _, mode := range plannerModes {
-		all := append(append([]sdquery.SDOption(nil), opts...), mode.opts...)
-		t.Run(mode.name, func(t *testing.T) {
-			enginetest.Run(t, enginetest.Factory{
-				Name:          name + "-" + mode.name,
-				Deterministic: true,
-				New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-					return sdquery.NewSDIndex(data, roles, all...)
-				},
-			})
-		})
+	for mode := range plannerModes {
+		runSDIndexMode(t, name, mode, opts...)
 	}
+}
+
+// runSDIndexMode is runSDIndex for one planner mode.
+func runSDIndexMode(t *testing.T, name string, mode int, opts ...sdquery.SDOption) {
+	m := plannerModes[mode]
+	all := append(append([]sdquery.SDOption(nil), opts...), m.opts...)
+	t.Run(m.name, func(t *testing.T) {
+		enginetest.Run(t, enginetest.Factory{
+			Name:          name + "-" + m.name,
+			Deterministic: true,
+			New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
+				return sdquery.NewSDIndex(data, roles, all...)
+			},
+		})
+	})
 }
 
 func TestDifferentialSDIndex(t *testing.T) {
@@ -117,22 +124,56 @@ func TestDifferentialSDIndexColumns(t *testing.T) {
 	})
 }
 
-// TestDifferentialSDIndexParallel runs the oracle workloads with intra-query
-// segment parallelism on: a segment row cap forces multi-segment stacks and
-// WithWorkers fans each query's segments out to the pool. Answers must stay
-// byte-identical to the oracle under both schedulers however the segment
-// tasks interleave — and whichever of them finish as sweeps, publishing to
-// the shared floor block by block.
+// TestDifferentialSDIndexParallel runs the oracle workloads over the axes
+// that decide how one engine spends a query: how many segments the bulk
+// build is split into (1, 2, 7), whether a worker pool fans a query's
+// segments out (unset: sequential; WithWorkers(0): GOMAXPROCS workers), and
+// whether the stack the update phase runs against holds still (default
+// memtable: the built segments stay, tombstones and memtable rows pile up)
+// or churns (a 4-row memtable: every few inserts seal, fold and re-split
+// under the segment cap). Answers must stay byte-identical to the oracle in
+// every cell however the segment tasks interleave — and whichever of them
+// finish as sweeps, publishing to the shared floor block by block. The
+// planner mode rotates with the cell, so that each segment count, and each
+// (workers, stack) pair, meets all three modes without the grid tripling.
+// The remaining tests pin the corners the grid does not reach: the
+// round-robin scheduler over float32 columns (every mode), and the
+// NewShardedIndex spelling.
 func TestDifferentialSDIndexParallel(t *testing.T) {
-	t.Run("bound-driven", func(t *testing.T) {
-		runSDIndex(t, "sdindex-parallel",
-			sdquery.WithWorkers(3), sdquery.WithMaxSegmentRows(24))
-	})
+	cell := 0
+	for _, segs := range []int{1, 2, 7} {
+		for _, workers := range []struct {
+			name string
+			opts []sdquery.SDOption
+		}{{"sequential", nil}, {"workers", []sdquery.SDOption{sdquery.WithWorkers(0)}}} {
+			for _, stack := range []struct {
+				name string
+				opts []sdquery.SDOption
+			}{{"static", nil}, {"churn", []sdquery.SDOption{sdquery.WithMemtableSize(4)}}} {
+				opts := append([]sdquery.SDOption{sdquery.WithShards(segs)}, workers.opts...)
+				opts = append(opts, stack.opts...)
+				mode := cell % len(plannerModes)
+				cell++
+				t.Run(fmt.Sprintf("segments=%d/%s/%s", segs, workers.name, stack.name), func(t *testing.T) {
+					runSDIndexMode(t, "sdindex-parallel", mode, opts...)
+				})
+			}
+		}
+	}
 	t.Run("round-robin-float32", func(t *testing.T) {
 		runSDIndex(t, "sdindex-parallel-roundrobin-float32",
-			sdquery.WithWorkers(2), sdquery.WithMaxSegmentRows(24),
+			sdquery.WithWorkers(2), sdquery.WithShards(5),
 			sdquery.WithScheduler(sdquery.SchedRoundRobin),
 			sdquery.WithColumnWidth(32))
+	})
+	t.Run("sharded-constructor", func(t *testing.T) {
+		enginetest.Run(t, enginetest.Factory{
+			Name:          "sharded",
+			Deterministic: true,
+			New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
+				return sdquery.NewShardedIndex(data, roles)
+			},
+		})
 	})
 }
 
@@ -162,24 +203,4 @@ func TestDifferentialPE(t *testing.T) {
 			return sdquery.NewPE(data)
 		},
 	})
-}
-
-func TestDifferentialShardedIndex(t *testing.T) {
-	for _, shards := range []int{1, 2, 5} {
-		shards := shards
-		t.Run(map[int]string{1: "one", 2: "two", 5: "five"}[shards], func(t *testing.T) {
-			for _, mode := range plannerModes {
-				opts := append([]sdquery.SDOption{sdquery.WithShards(shards), sdquery.WithWorkers(3)}, mode.opts...)
-				t.Run(mode.name, func(t *testing.T) {
-					enginetest.Run(t, enginetest.Factory{
-						Name:          "sharded-" + mode.name,
-						Deterministic: true,
-						New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-							return sdquery.NewShardedIndex(data, roles, opts...)
-						},
-					})
-				})
-			}
-		})
-	}
 }

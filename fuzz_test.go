@@ -40,9 +40,10 @@ func fuzzDataset(seed int64, n, dims int) ([][]float64, []sdquery.Role) {
 // FuzzTopKChurn drives the storage layer: a tiny memtable (so coverage-
 // guided inputs force seals, folds, and tombstone masking through the
 // background compactor) under an interleaved insert/remove/query stream,
-// with a snapshot pinned mid-churn. Every live answer must match the oracle
-// over the current row set; the pinned snapshot must keep matching the
-// oracle frozen at its acquisition.
+// with a snapshot pinned mid-churn, on a one-segment sequential index and
+// on twins including a multi-segment one with workers. Every live answer
+// must match the oracle over the current row set; the pinned snapshot must
+// keep matching the oracle frozen at its acquisition.
 func FuzzTopKChurn(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(3), uint8(5), int64(2), uint8(30))
 	f.Add(int64(9), uint8(60), uint8(5), uint8(2), int64(3), uint8(80))
@@ -71,10 +72,20 @@ func FuzzTopKChurn(f *testing.F) {
 		if err != nil {
 			t.Fatalf("build bail-out: %v", err)
 		}
+		// A segmented twin with a worker pool: the same churn over a
+		// three-segment stack the compactor keeps re-splitting under its
+		// cap, every query fanned out over the segments and checked once
+		// more as half of a batch (one pool task per query).
+		idxSeg, err := sdquery.NewSDIndex(data, roles,
+			sdquery.WithMemtableSize(4), sdquery.WithShards(3), sdquery.WithWorkers(2))
+		if err != nil {
+			t.Fatalf("build segmented: %v", err)
+		}
+		defer idxSeg.Close()
 		twins := []struct {
 			name string
 			idx  *sdquery.SDIndex
-		}{{"float32", idx32}, {"bail-out", idxBail}}
+		}{{"float32", idx32}, {"bail-out", idxBail}, {"segmented", idxSeg}}
 		mirror := append([][]float64(nil), data...)
 		dead := make([]bool, len(mirror))
 
@@ -178,6 +189,13 @@ func FuzzTopKChurn(f *testing.F) {
 					}
 					checkOne("live-"+tw.name, got, want)
 				}
+				q2 := newQuery()
+				batch, err := idxSeg.BatchTopK([]sdquery.Query{q, q2})
+				if err != nil {
+					t.Fatalf("op %d: batch: %v", op, err)
+				}
+				checkOne("batch[0]", batch[0], want)
+				checkOne("batch[1]", batch[1], oracleTopK(mirror, dead, q2))
 			default:
 				q := newQuery()
 				got, err := snap.TopK(q)

@@ -74,13 +74,14 @@ func (e *Engine) foldableTail(sn *snapshot) int {
 		}
 	}
 	// Fold: restore the 2× size-ratio invariant — unless the merged segment
-	// would break the configured row cap, which deliberately keeps the stack
+	// would break the row cap (segCap), which deliberately keeps the stack
 	// wide (one segment is the unit of intra-query fan-out). A capped merge
 	// would be re-split by compactTail anyway, so skipping it here avoids a
 	// fold/re-split livelock.
-	if n >= 2 && sn.segs[n-2].rows < 2*sn.segs[n-1].rows &&
-		(e.maxSegRows == 0 || sn.segs[n-2].rows+sn.segs[n-1].rows <= e.maxSegRows) {
-		return 2
+	if n >= 2 && sn.segs[n-2].rows < 2*sn.segs[n-1].rows {
+		if c := e.segCap(sn.live); c == 0 || sn.segs[n-2].rows+sn.segs[n-1].rows <= c {
+			return 2
+		}
 	}
 	return 0
 }
@@ -102,11 +103,11 @@ func (e *Engine) compactSteps() {
 }
 
 // Compact synchronously folds the engine's entire current contents — every
-// sealed segment and the whole memtable — into a single fresh segment,
-// dropping all tombstoned rows. Queries keep running throughout; rows
-// inserted while Compact runs land in the memtable behind it. An engine
-// that is already fully compacted (one segment, no tombstones, empty
-// memtable) returns without rebuilding anything.
+// sealed segment and the whole memtable — into a single fresh segment (or
+// Config.Segments equal ones), dropping all tombstoned rows. Queries keep
+// running throughout; rows inserted while Compact runs land in the memtable
+// behind it. An engine that is already one segment, no tombstones and an
+// empty memtable returns without rebuilding anything.
 func (e *Engine) Compact() {
 	e.compactMu.Lock()
 	defer e.compactMu.Unlock()
@@ -135,7 +136,7 @@ func (e *Engine) compactTail(nSegs, memUpto int) {
 	// Phase 1 (no locks): gather the live rows — in ascending global-ID
 	// order, which the stack invariant reduces to simple concatenation —
 	// and build the replacement segments' trees and lists. The output is
-	// one segment, or ⌈kept/max⌉ equal chunks under a configured row cap;
+	// one segment, or ⌈kept/cap⌉ equal chunks under the row cap (segCap);
 	// columns are gathered dimension-major (source segments are already
 	// columnar, memtable rows are transposed on the way through).
 	type src struct{ seg, local int32 }
@@ -161,36 +162,35 @@ func (e *Engine) compactTail(nSegs, memUpto int) {
 	}
 	nk := len(kept)
 	nchunks := 1
-	if e.maxSegRows > 0 && nk > e.maxSegRows {
-		nchunks = (nk + e.maxSegRows - 1) / e.maxSegRows
+	if c := e.segCap(sn.live); c > 0 && nk > c {
+		nchunks = (nk + c - 1) / c
 	}
 	var builts []*segment
-	for ci := 0; ci < nchunks; ci++ {
-		clo, chi := ci*nk/nchunks, (ci+1)*nk/nchunks
-		rows := chi - clo
-		if rows == 0 {
-			continue // nothing survived at all
-		}
-		cols := make([]float64, rows*d)
-		for dd := 0; dd < d; dd++ {
-			c := cols[dd*rows : (dd+1)*rows]
-			for j := range c {
-				if k := kept[clo+j]; k.seg == memSrc {
-					c[j] = sn.memFlat[int(k.local)*d+dd]
-				} else {
-					s := sn.segs[k.seg]
-					c[j] = s.cols[dd*s.rows+int(k.local)]
+	if nk > 0 { // else nothing survived at all
+		var err error
+		builts, err = e.sealAll(nchunks, func(ci int) ([]float64, []int32) {
+			clo, chi := ci*nk/nchunks, (ci+1)*nk/nchunks
+			rows := chi - clo
+			cols := make([]float64, rows*d)
+			for dd := 0; dd < d; dd++ {
+				c := cols[dd*rows : (dd+1)*rows]
+				for j := range c {
+					if k := kept[clo+j]; k.seg == memSrc {
+						c[j] = sn.memFlat[int(k.local)*d+dd]
+					} else {
+						s := sn.segs[k.seg]
+						c[j] = s.cols[dd*s.rows+int(k.local)]
+					}
 				}
 			}
-		}
-		built, err := e.seal(cols, ids[clo:chi:chi])
+			return cols, ids[clo:chi:chi]
+		})
 		if err != nil {
 			// Every row was validated at insert time; a build failure here is
 			// a bug, but the safe reaction is to leave the current (correct,
 			// just uncompacted) snapshot in place.
 			return
 		}
-		builts = append(builts, built)
 	}
 
 	// Phase 2: swap. Re-apply tombstones that landed while we were

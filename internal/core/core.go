@@ -144,14 +144,15 @@ type Config struct {
 	// cannot reach the k-th best — survivors are rescored from the float64
 	// columns, so answers are byte-identical at either width.
 	ColumnWidth int
-	// MaxSegmentRows caps the rows of any sealed segment: the initial build
-	// splits the dataset into ⌈n/max⌉ equal segments and compaction never
-	// folds segments into an output larger than the cap. 0 (the default)
-	// leaves segment sizing to the compactor's 2× stack invariant. The cap
-	// exists for intra-query parallelism (see Config.Pool): one segment is
-	// the unit of fan-out, so a capped stack gives one query enough segments
-	// to spread across cores.
-	MaxSegmentRows int
+	// Segments is how many large sealed segments the engine keeps: the initial
+	// build splits the dataset into that many equal contiguous-ID segments
+	// (sealed concurrently), and compaction never folds segments into an
+	// output above ⌈live rows/Segments⌉, so the stack stays that wide as the
+	// data grows or shrinks. 0 or 1 (the default) leaves segment sizing to the
+	// compactor's 2× stack invariant. The split exists for intra-query
+	// parallelism (see Config.Pool): one segment is the unit of fan-out, so a
+	// split stack gives one query enough segments to spread across cores.
+	Segments int
 	// Pool, when non-nil, fans the sealed segments of a single query out to
 	// the supplied runner (one task per segment, each running the full
 	// scheduler loop over that segment's subproblems with a shared
@@ -205,7 +206,7 @@ type Engine struct {
 	noCompact   bool
 
 	colWidth   int    // sealed-segment sweep precision: 64, or 32 for the narrow copy
-	maxSegRows int    // sealed-segment row cap, 0 = unbounded
+	segments   int    // large sealed segments to keep (segCap); ≤ 1 = unbounded
 	pool       Runner // intra-query segment fan-out, nil = sequential
 	accessCost int    // a sorted access in swept rows; 0 = never sweep (scheduler.go)
 
@@ -238,9 +239,9 @@ func New(data [][]float64, cfg Config) (*Engine, error) {
 }
 
 // NewWithIDs is New with caller-assigned global dataset IDs (strictly
-// ascending). The sharded execution layer deals rows to shard engines this
-// way, so every engine's results — and its ascending-ID tie-break — are in
-// terms of the same global ID space.
+// ascending). A cluster partition holding rows {3, 17, 40, …} of the logical
+// dataset builds this way, so its results — and its ascending-ID tie-break —
+// are in terms of the cluster's global ID space.
 func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 	dims := len(cfg.Roles)
 	if len(ids) != len(data) {
@@ -273,8 +274,8 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 	if cfg.ColumnWidth != 32 && cfg.ColumnWidth != 64 {
 		return nil, fmt.Errorf("core: unsupported column width %d (want 32 or 64)", cfg.ColumnWidth)
 	}
-	if cfg.MaxSegmentRows < 0 {
-		return nil, fmt.Errorf("core: negative segment row cap %d", cfg.MaxSegmentRows)
+	if cfg.Segments < 0 {
+		return nil, fmt.Errorf("core: negative segment count %d", cfg.Segments)
 	}
 	// The engine defaults its per-pair trees to packed leaves: the tree
 	// semantics are identical (the paper's §4 disk-style layout), and the
@@ -295,7 +296,7 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 		memSize:     cfg.MemtableSize,
 		noCompact:   cfg.DisableCompaction,
 		colWidth:    cfg.ColumnWidth,
-		maxSegRows:  cfg.MaxSegmentRows,
+		segments:    cfg.Segments,
 		pool:        cfg.Pool,
 		accessCost:  resolveAccessCost(cfg.AccessCost, cfg.Scheduler),
 		noPlanCache: cfg.DisablePlanCache,
@@ -317,15 +318,12 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 	}
 	if n := len(ids); n > 0 {
 		sn.total = int(ids[n-1]) + 1
-		// One sealed segment unless a row cap splits the initial build into
-		// ⌈n/max⌉ equal chunks (ascending-ID order, so the stack invariant
-		// holds by construction). Columns are gathered dimension-major
-		// straight from the caller's rows — the segment's primary layout.
-		nchunks := 1
-		if e.maxSegRows > 0 && n > e.maxSegRows {
-			nchunks = (n + e.maxSegRows - 1) / e.maxSegRows
-		}
-		for ci := 0; ci < nchunks; ci++ {
+		// One sealed segment unless Segments splits the initial build into
+		// equal chunks (ascending-ID order, so the stack invariant holds by
+		// construction). Columns are gathered dimension-major straight from
+		// the caller's rows — the segment's primary layout.
+		nchunks := max(1, min(e.segments, n))
+		segs, err := e.sealAll(nchunks, func(ci int) ([]float64, []int32) {
 			lo, hi := ci*n/nchunks, (ci+1)*n/nchunks
 			rows := hi - lo
 			cols := make([]float64, rows*dims)
@@ -335,13 +333,13 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 					c[i] = data[lo+i][d]
 				}
 			}
-			seg, err := e.seal(cols, ids[lo:hi:hi])
-			if err != nil {
-				return nil, err
-			}
-			sn.segs = append(sn.segs, seg)
-			sn.tombs = append(sn.tombs, nil)
+			return cols, ids[lo:hi:hi]
+		})
+		if err != nil {
+			return nil, err
 		}
+		sn.segs = segs
+		sn.tombs = make([][]uint64, len(segs))
 	}
 	e.snap.Store(sn)
 	e.initCtxPool()
@@ -515,7 +513,7 @@ type Stats struct {
 	// across scheduling modes.
 	Rounds int
 	// PlanCacheHits is 1 when the query's plan came from the engine's plan
-	// cache, 0 when it was derived. Sharded engines sum it across shards.
+	// cache, 0 when it was derived.
 	PlanCacheHits int
 }
 

@@ -264,7 +264,7 @@ func (c *queryCtx) markSeen(id int32) bool {
 // §5 aggregation to the exact answer — finishing a segment with a sweep
 // when its streams turn out dearer than that.
 func (e *Engine) TopKAppend(dst []query.Result, spec query.Spec) ([]query.Result, Stats, error) {
-	return e.topKAppendAt(e.snap.Load(), dst, spec, nil)
+	return e.topKAppendAt(e.snap.Load(), dst, spec, nil, false)
 }
 
 // TopKAppendCancel is TopKAppend with a cancellation signal: when done is
@@ -274,12 +274,12 @@ func (e *Engine) TopKAppend(dst []query.Result, spec query.Spec) ([]query.Result
 // zero-allocation hot path is unchanged; the poll is nil-guarded). This is
 // the deadline plumbing the serving layer's per-request timeouts stand on.
 func (e *Engine) TopKAppendCancel(dst []query.Result, spec query.Spec, done <-chan struct{}) ([]query.Result, Stats, error) {
-	return e.topKAppendAt(e.snap.Load(), dst, spec, done)
+	return e.topKAppendAt(e.snap.Load(), dst, spec, done, false)
 }
 
 // topKAppendAt is TopKAppend evaluated at a pinned snapshot (the View query
-// path and the default path share it).
-func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec, done <-chan struct{}) ([]query.Result, Stats, error) {
+// path and the default path share it); seq keeps the segments off the Runner.
+func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec, done <-chan struct{}, seq bool) ([]query.Result, Stats, error) {
 	var stats Stats
 	if err := spec.Validate(e.dims); err != nil {
 		return dst, stats, err
@@ -308,7 +308,7 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 
 	// Ties are broken by ascending global dataset ID, exactly like the
 	// sequential scan: every engine answer is then byte-identical to the
-	// oracle's, and per-shard answers merge into the exact global top-k.
+	// oracle's, and per-partition answers merge into the exact global top-k.
 	coll := c.coll
 	coll.Reset(spec.K)
 	stats.Segments = len(sn.segs)
@@ -339,7 +339,7 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 	c.sweep(nil, sn.memIDs, sn.memDead, spec.Point)
 	stats.Scored += len(sn.memIDs) - popcount(sn.memDead)
 
-	if e.pool != nil && len(sn.segs) > 1 {
+	if e.pool != nil && !seq && len(sn.segs) > 1 {
 		if err := c.runParallel(pl, spec, &stats); err != nil {
 			return dst, stats, err
 		}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/query"
@@ -48,14 +49,15 @@ type RuntimeOptions struct {
 	DisablePlanCache  bool
 	MemtableSize      int
 	DisableCompaction bool
-	// MaxSegmentRows and Pool mirror the Config fields of the same names:
-	// the sealed-segment row cap and the intra-query fan-out runner. Both
-	// are runtime concerns (neither changes answers), so Load takes them
-	// fresh like the scheduler. Note the column width is NOT here — it is
-	// structural (it decides what segment storage is materialized) and comes
-	// from the file.
-	MaxSegmentRows int
-	Pool           Runner
+	// Segments and Pool mirror the Config fields of the same names: how many
+	// large sealed segments compaction keeps, and the intra-query fan-out
+	// runner. Both are runtime concerns (neither changes answers), so Load
+	// takes them fresh like the scheduler; the file's own segment stack loads
+	// as saved and compaction reshapes it from there. Note the column width
+	// is NOT here — it is structural (it decides what segment storage is
+	// materialized) and comes from the file.
+	Segments int
+	Pool     Runner
 	// AccessCost mirrors Config.AccessCost.
 	AccessCost int
 }
@@ -193,8 +195,8 @@ func (e *Engine) saveSnapshot(w io.Writer, sn *snapshot) error {
 // warmth, plan cache contents, in-flight compaction).
 //
 // Load consumes exactly the engine's section of the stream — it does not
-// buffer ahead — so several engines concatenate in one file (the sharded
-// format relies on this). Callers should hand in an already-buffered
+// buffer ahead — so several engines concatenate in one file (the retired
+// sharded format did; see Merge). Callers should hand in an already-buffered
 // reader.
 func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 	cr := &countingReader{r: r}
@@ -338,8 +340,8 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 	if !opt.Scheduler.valid() {
 		return fail("unknown scheduler %v", opt.Scheduler)
 	}
-	if opt.MaxSegmentRows < 0 {
-		return fail("negative segment row cap %d", opt.MaxSegmentRows)
+	if opt.Segments < 0 {
+		return fail("negative segment count %d", opt.Segments)
 	}
 	e := &Engine{
 		dims:        dims,
@@ -351,7 +353,7 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 		memSize:     opt.MemtableSize,
 		noCompact:   opt.DisableCompaction,
 		colWidth:    colWidth,
-		maxSegRows:  opt.MaxSegmentRows,
+		segments:    opt.Segments,
 		pool:        opt.Pool,
 		accessCost:  resolveAccessCost(opt.AccessCost, opt.Scheduler),
 		noPlanCache: opt.DisablePlanCache,
@@ -404,6 +406,9 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 	if cr.err != nil || nSegs > sn.total+1 {
 		return fail("bad segment count")
 	}
+	segIDs := make([][]int32, nSegs)
+	blocks := make([][]float64, nSegs)
+	sn.tombs = make([][]uint64, nSegs)
 	for si := 0; si < nSegs; si++ {
 		ids, block, err := readRows()
 		if err != nil {
@@ -412,30 +417,29 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 		if len(ids) == 0 {
 			return fail("segment %d is empty", si)
 		}
-		if len(sn.segs) > 0 {
-			prev := sn.segs[len(sn.segs)-1]
-			if ids[0] <= prev.ids[prev.rows-1] {
+		if si > 0 {
+			if prev := segIDs[si-1]; ids[0] <= prev[len(prev)-1] {
 				return fail("segment %d breaks the ascending-ID stack invariant", si)
 			}
 		}
-		// v3 blocks are the segments' native dimension-major columns; older
-		// files carry row-major blocks and transpose once here.
-		cols := block
-		if version < 3 {
-			cols = transposeToCols(block, len(ids), dims)
-		}
-		seg, err := e.seal(cols, ids)
-		if err != nil {
-			return nil, err
-		}
-		tomb, err := readBitset()
-		if err != nil {
+		segIDs[si], blocks[si] = ids, block
+		if sn.tombs[si], err = readBitset(); err != nil {
 			return fail("%v", err)
 		}
-		sn.segs = append(sn.segs, seg)
-		sn.tombs = append(sn.tombs, tomb)
 	}
+	// The rebuild is the whole cost of a load, and segments rebuild
+	// independently. v3 blocks are the segments' native dimension-major
+	// columns; older files carry row-major blocks and transpose once here.
 	var err error
+	sn.segs, err = e.sealAll(nSegs, func(si int) ([]float64, []int32) {
+		if version < 3 {
+			return transposeToCols(blocks[si], len(segIDs[si]), dims), segIDs[si]
+		}
+		return blocks[si], segIDs[si]
+	})
+	if err != nil {
+		return nil, err
+	}
 	if sn.memIDs, sn.memFlat, err = readRows(); err != nil {
 		return nil, err
 	}
@@ -465,5 +469,58 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 
 	e.snap.Store(sn)
 	e.initCtxPool()
+	return e, nil
+}
+
+// Merge builds one engine over the live rows of several whose rows are
+// disjoint slices of one global ID space — how a file written by the retired
+// sharded index (one engine section per shard) loads. Structure (roles,
+// pairing, tree shape, column width) is the first part's; the ID space spans
+// the widest part's, so an ID the old index assigned and then removed is not
+// handed out again.
+func Merge(parts []*Engine, opt RuntimeOptions) (*Engine, error) {
+	first := parts[0]
+	type row struct {
+		id int32
+		p  []float64
+	}
+	var live []row
+	total := 0
+	for pi, e := range parts {
+		if e.dims != first.dims {
+			return nil, fmt.Errorf("core: merge: part %d has %d dims, part 0 has %d", pi, e.dims, first.dims)
+		}
+		sn := e.snap.Load()
+		total = max(total, sn.total)
+		for si, s := range sn.segs {
+			for l, id := range s.ids {
+				if !bitGet(sn.tombs[si], l) {
+					p := make([]float64, e.dims)
+					s.copyRow(l, p)
+					live = append(live, row{id, p})
+				}
+			}
+		}
+		for l, id := range sn.memIDs {
+			if !bitGet(sn.memDead, l) {
+				live = append(live, row{id, sn.memFlat[l*e.dims : (l+1)*e.dims]})
+			}
+		}
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+	data := make([][]float64, len(live))
+	ids := make([]int32, len(live))
+	for i, r := range live {
+		data[i], ids[i] = r.p, r.id
+	}
+	e, err := NewWithIDs(data, ids, Config{
+		Roles: first.roles, Pairing: first.pairing, Tree: first.treeCfg, ColumnWidth: first.colWidth,
+		Scheduler: opt.Scheduler, DisablePlanCache: opt.DisablePlanCache, MemtableSize: opt.MemtableSize,
+		DisableCompaction: opt.DisableCompaction, Segments: opt.Segments, Pool: opt.Pool, AccessCost: opt.AccessCost,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: merge: %w", err)
+	}
+	e.snap.Load().total = total // not yet shared: no reader can hold this snapshot
 	return e, nil
 }

@@ -173,7 +173,11 @@ func (c *queryCtx) runBoundDriven(qpt []float64, stats *Stats) {
 		// same tie-at-the-k-th-rank reason as the prune. The line is
 		// pruneLine, not the raw local threshold: a parallel segment task
 		// also retires against the shared floor its siblings have raised.
-		if line, ok := c.pruneLine(); ok {
+		// It is read once per step: the estimate below must see the line
+		// this check just passed, or a sibling raising the floor in between
+		// would turn "not yet retired" into a negative distance to go.
+		line, lineOK := c.pruneLine()
+		if lineOK {
 			for s := range segSum {
 				if !segDone[s] && line > segSum[s]+segPad[s] {
 					segDone[s] = true
@@ -225,10 +229,8 @@ func (c *queryCtx) runBoundDriven(qpt []float64, stats *Stats) {
 			if rem := RateWindow - sinceN[best]; size > rem {
 				size = rem
 			}
-		} else if r := rate[best]; r > 0 {
-			if line, ok := c.pruneLine(); ok {
-				need = (segSum[bs] + segPad[bs] - line) / r
-			}
+		} else if r := rate[best]; r > 0 && lineOK {
+			need = (segSum[bs] + segPad[bs] - line) / r // ≥ 0: bs survived the check above
 		}
 		// Sweep or stream (sweep.go): retire the segment into one sweep of
 		// its columns when what its streams have spent plus what they are

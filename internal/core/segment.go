@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	mathbits "math/bits"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dimlist"
 	"repro/internal/query"
@@ -113,6 +116,49 @@ func transposeToCols(flat []float64, rows, dims int) []float64 {
 // index structures.
 func (e *Engine) seal(cols []float64, ids []int32) (*segment, error) {
 	return buildSegment(cols, ids, e.dims, &e.layout, e.treeCfg, e.colWidth, len(ids) > e.probeCost(1))
+}
+
+// sealAll seals n segments, segment i from the columns and IDs input(i)
+// returns, on up to GOMAXPROCS goroutines: buildSegment is a pure function of
+// its inputs, so a split bulk build, a multi-segment load, and a compaction
+// that re-splits its output all build their segments side by side. input runs
+// on the sealing goroutine, so the gather it does is spread out too. The
+// first failing segment's error (lowest index) is returned.
+func (e *Engine) sealAll(n int, input func(i int) (cols []float64, ids []int32)) ([]*segment, error) {
+	segs := make([]*segment, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			segs[i], errs[i] = e.seal(input(i))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(n, runtime.GOMAXPROCS(0)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work() // the caller is the first sealer: one segment spawns nothing
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return segs, nil
+}
+
+// segCap is the row cap Config.Segments puts on a compaction output at a
+// given live-row count: ⌈live/segments⌉, or 0 — unbounded — when the engine
+// keeps no split.
+func (e *Engine) segCap(live int) int {
+	if e.segments <= 1 {
+		return 0
+	}
+	return (live + e.segments - 1) / e.segments
 }
 
 // buildSegment seals rows (cols, dimension-major, with their global IDs) into

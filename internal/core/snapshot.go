@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -143,14 +144,18 @@ func (v View) TopK(spec query.Spec) ([]query.Result, error) {
 
 // TopKAppend is Engine.TopKAppend evaluated at the View's snapshot.
 func (v View) TopKAppend(dst []query.Result, spec query.Spec) ([]query.Result, Stats, error) {
-	return v.e.topKAppendAt(v.sn, dst, spec, nil)
+	return v.e.topKAppendAt(v.sn, dst, spec, nil, false)
 }
 
 // TopKAppendCancel is Engine.TopKAppendCancel evaluated at the View's
 // snapshot: when done is closed the aggregation stops at its next
-// scheduling step and returns ErrCanceled.
-func (v View) TopKAppendCancel(dst []query.Result, spec query.Spec, done <-chan struct{}) ([]query.Result, Stats, error) {
-	return v.e.topKAppendAt(v.sn, dst, spec, done)
+// scheduling step and returns ErrCanceled. seq pins the sequential schedule
+// whatever Config.Pool says — what a caller already running as a task of
+// that Runner must ask for (the public batch path runs one task per query),
+// because a Do nested inside a Do could wait on workers that are all waiting
+// on it.
+func (v View) TopKAppendCancel(dst []query.Result, spec query.Spec, done <-chan struct{}, seq bool) ([]query.Result, Stats, error) {
+	return v.e.topKAppendAt(v.sn, dst, spec, done, seq)
 }
 
 // Insert appends a point to the memtable and returns its global dataset ID.
@@ -160,10 +165,53 @@ func (v View) TopKAppendCancel(dst []query.Result, spec query.Spec, done <-chan 
 // shared group-commit fsync), and in-flight queries are never blocked or
 // perturbed. On a WAL-backed engine the call returns only once the record
 // is committed per the sync policy; a durability failure returns ErrWAL.
-func (e *Engine) Insert(p []float64) (int, error) {
-	id, wait, err := e.InsertAsync(p)
+func (e *Engine) Insert(p []float64) (int, error) { return e.insert(p, -1) }
+
+// ErrIDExists reports an InsertWithID whose ID is not above the engine's ID
+// space: the slot was already assigned. It is decided under the writer lock,
+// so of two racing inserts under one ID exactly one gets it.
+var ErrIDExists = errors.New("core: ID already within the indexed ID space")
+
+// InsertWithID is Insert with a caller-assigned global ID, which must
+// exceed every ID already indexed (else ErrIDExists) — a cluster's router
+// assigns IDs this way so every partition's results carry cluster-wide IDs
+// natively.
+func (e *Engine) InsertWithID(id int, p []float64) error {
+	if id < 0 || int64(id) > math.MaxInt32 {
+		return fmt.Errorf("core: ID %d outside int32 range", id)
+	}
+	_, err := e.insert(p, id)
+	return err
+}
+
+// insert is the write path behind both: id < 0 assigns the next ID. The
+// mutation is applied and logged under the writer lock; durability is awaited
+// after releasing it, so concurrent writers stack up in one commit window
+// and share its fsync (group commit).
+func (e *Engine) insert(p []float64, id int) (int, error) {
+	if err := validRow(p, e.dims); err != nil {
+		return 0, err
+	}
+	e.wrMu.Lock()
+	cur := e.snap.Load()
+	switch {
+	case id < 0:
+		if id = cur.total; int64(id) > math.MaxInt32 {
+			e.wrMu.Unlock()
+			return 0, fmt.Errorf("core: dataset ID space exhausted (%d rows)", id)
+		}
+	case id < cur.total:
+		e.wrMu.Unlock()
+		return 0, fmt.Errorf("%w (ID %d, space %d)", ErrIDExists, id, cur.total)
+	}
+	wait, err := e.logAndPublishInsert(cur, int32(id), p)
+	memRows := len(e.snap.Load().memIDs)
+	e.wrMu.Unlock()
 	if err != nil {
 		return 0, err
+	}
+	if memRows >= e.memSize {
+		e.kickCompactor()
 	}
 	if wait != nil {
 		if err := wait(); err != nil {
@@ -171,75 +219,6 @@ func (e *Engine) Insert(p []float64) (int, error) {
 		}
 	}
 	return id, nil
-}
-
-// InsertAsync is Insert split in two: the mutation is applied and logged
-// before return, but durability is awaited by calling the returned
-// CommitWait (nil when there is nothing to wait for). Batching callers —
-// the sharded layer — enqueue several inserts and then wait, so one group
-// commit covers them all.
-func (e *Engine) InsertAsync(p []float64) (int, CommitWait, error) {
-	if err := validRow(p, e.dims); err != nil {
-		return 0, nil, err
-	}
-	e.wrMu.Lock()
-	cur := e.snap.Load()
-	id := cur.total
-	if int64(id) > math.MaxInt32 {
-		e.wrMu.Unlock()
-		return 0, nil, fmt.Errorf("core: dataset ID space exhausted (%d rows)", id)
-	}
-	wait, err := e.logAndPublishInsert(cur, int32(id), p)
-	memRows := len(e.snap.Load().memIDs)
-	e.wrMu.Unlock()
-	if err != nil {
-		return 0, nil, err
-	}
-	if memRows >= e.memSize {
-		e.kickCompactor()
-	}
-	return id, wait, nil
-}
-
-// InsertWithID is Insert with a caller-assigned global ID, which must
-// exceed every ID already indexed — the sharded layer deals rows to shard
-// engines this way so results carry global IDs natively.
-func (e *Engine) InsertWithID(id int, p []float64) error {
-	wait, err := e.InsertWithIDAsync(id, p)
-	if err != nil {
-		return err
-	}
-	if wait != nil {
-		return wait()
-	}
-	return nil
-}
-
-// InsertWithIDAsync is InsertWithID with the durability wait split out —
-// see InsertAsync.
-func (e *Engine) InsertWithIDAsync(id int, p []float64) (CommitWait, error) {
-	if err := validRow(p, e.dims); err != nil {
-		return nil, err
-	}
-	if id < 0 || int64(id) > math.MaxInt32 {
-		return nil, fmt.Errorf("core: ID %d outside int32 range", id)
-	}
-	e.wrMu.Lock()
-	cur := e.snap.Load()
-	if id < cur.total {
-		e.wrMu.Unlock()
-		return nil, fmt.Errorf("core: ID %d not above the indexed ID space (%d)", id, cur.total)
-	}
-	wait, err := e.logAndPublishInsert(cur, int32(id), p)
-	memRows := len(e.snap.Load().memIDs)
-	e.wrMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if memRows >= e.memSize {
-		e.kickCompactor()
-	}
-	return wait, nil
 }
 
 // logAndPublishInsert appends the insert's WAL record (if logging) and
@@ -298,39 +277,22 @@ func (e *Engine) publishInsert(cur *snapshot, id int32, p []float64, lsn uint64)
 // On a WAL-backed engine Remove waits for durability but drops the error;
 // callers that must surface it (the serving layer) use RemoveDurable.
 func (e *Engine) Remove(id int) bool {
-	ok, wait, _ := e.RemoveAsync(id)
-	if wait != nil {
-		wait()
-	}
+	ok, _ := e.RemoveDurable(id)
 	return ok
 }
 
 // RemoveDurable is Remove with the durability outcome: ok reports whether
 // the row was live, err a WAL append or commit failure (ErrWAL). On an
-// append failure the tombstone is not applied.
+// append failure the tombstone is not applied. A remove that found no live
+// row logs nothing. Durability is awaited outside the writer lock, like
+// insert.
 func (e *Engine) RemoveDurable(id int) (bool, error) {
-	ok, wait, err := e.RemoveAsync(id)
-	if err != nil {
-		return false, err
-	}
-	if wait != nil {
-		if err := wait(); err != nil {
-			return ok, err
-		}
-	}
-	return ok, nil
-}
-
-// RemoveAsync is Remove with the durability wait split out — see
-// InsertAsync. A remove that found no live row returns (false, nil, nil)
-// and logs nothing.
-func (e *Engine) RemoveAsync(id int) (bool, CommitWait, error) {
 	e.wrMu.Lock()
 	cur := e.snap.Load()
 	seg, local, ok := cur.locate(id)
 	if !ok || !cur.alive(seg, local) {
 		e.wrMu.Unlock()
-		return false, nil, nil
+		return false, nil
 	}
 	lsn := cur.walLSN
 	var wait CommitWait
@@ -339,12 +301,17 @@ func (e *Engine) RemoveAsync(id int) (bool, CommitWait, error) {
 		var err error
 		if wait, err = e.wal.appendRemove(lsn, id); err != nil {
 			e.wrMu.Unlock()
-			return false, nil, err
+			return false, err
 		}
 	}
 	e.removeLocked(cur, id, lsn)
 	e.wrMu.Unlock()
-	return true, wait, nil
+	if wait != nil {
+		if err := wait(); err != nil {
+			return true, err
+		}
+	}
+	return true, nil
 }
 
 // removeLocked publishes the post-remove snapshot for a row known present,

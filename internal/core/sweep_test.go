@@ -97,7 +97,7 @@ func TestCancelMidSweep(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 2*segRows, 4, 9)
 	currentData = data
 	r := &closeAfterFirst{done: make(chan struct{})}
-	eng, err := New(data, Config{Roles: sweepTestRoles(), MaxSegmentRows: segRows, Pool: r, AccessCost: 1 << 30})
+	eng, err := New(data, Config{Roles: sweepTestRoles(), Segments: 2, Pool: r, AccessCost: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@
 // quantized coordinates that force duplicate scores; degenerate
 // all-attractive and all-repulsive role sets) and checks every answer
 // against the oracle recomputed from first principles. Engines that promise
-// deterministic ascending-ID tie-breaking (scan, SDIndex, TA, ShardedIndex)
-// must be byte-identical to the oracle; the rest (BRS, PE) must return the
+// deterministic ascending-ID tie-breaking (scan, SDIndex, TA) must be
+// byte-identical to the oracle; the rest (BRS, PE) must return the
 // exact top-k score multiset with every claimed score verified by
 // rescoring. Engines exposing Insert/Remove are additionally exercised
 // through a randomized update phase with the oracle tracking live rows
@@ -47,27 +47,15 @@ type Factory struct {
 	SkipUpdates bool
 }
 
-// updatable is the update surface shared by SDIndex and ShardedIndex.
+// updatable is SDIndex's update surface.
 type updatable interface {
 	Insert(p []float64) (int, error)
 	Remove(id int) bool
 }
 
-// frozenView is the query surface of a point-in-time snapshot.
-type frozenView interface {
-	TopK(q sdquery.Query) ([]sdquery.Result, error)
-	Len() int
-}
-
-// snapshotOf acquires an engine's snapshot when it offers one (SDIndex and
-// ShardedIndex return distinct concrete types; both satisfy frozenView).
-func snapshotOf(eng sdquery.Engine) frozenView {
-	switch e := eng.(type) {
-	case interface{ Snapshot() *sdquery.Snapshot }:
-		return e.Snapshot()
-	case interface {
-		Snapshot() *sdquery.ShardedSnapshot
-	}:
+// snapshotOf acquires an engine's snapshot when it offers one.
+func snapshotOf(eng sdquery.Engine) *sdquery.Snapshot {
+	if e, ok := eng.(interface{ Snapshot() *sdquery.Snapshot }); ok {
 		return e.Snapshot()
 	}
 	return nil
@@ -329,7 +317,7 @@ func runUpdates(t *testing.T, f Factory, wl workload, eng sdquery.Engine, up upd
 	// at a few fixed steps so isolation is tested across varying amounts of
 	// subsequent churn.
 	type frozen struct {
-		view   frozenView
+		view   *sdquery.Snapshot
 		mirror [][]float64
 		dead   []bool
 		step   int
@@ -409,8 +397,8 @@ func runUpdates(t *testing.T, f Factory, wl workload, eng sdquery.Engine, up upd
 // runPurge removes rows wholesale, in three waves, and checks the query mix
 // after each: nine in ten of the live rows at random (every segment left
 // tombstone-heavy — the regime where a sweep's score filter passes mostly
-// dead rows), then every row in the lower half of the ID space (under a
-// segment row cap, whole segments go dead while others stay live), then
+// dead rows), then every row in the lower half of the ID space (on a WithShards
+// index, whole segments go dead while others stay live), then
 // everything (every k exceeds the live rows, down to an empty answer).
 func runPurge(t *testing.T, f Factory, wl workload, eng sdquery.Engine, up updatable, mirror [][]float64, dead []bool) {
 	t.Helper()

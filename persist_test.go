@@ -57,13 +57,25 @@ func persistQueries(dims int, roles []Role, seed int64) []Query {
 	return out
 }
 
+// TestSaveLoadSDIndexRoundTrip runs on the one-segment sequential index and
+// on a three-segment one with a worker pool: the file is the same format
+// either way, and the segment stack round-trips as saved.
 func TestSaveLoadSDIndexRoundTrip(t *testing.T) {
+	t.Run("one-segment", func(t *testing.T) { testSaveLoadRoundTrip(t) })
+	t.Run("three-segments-workers", func(t *testing.T) {
+		testSaveLoadRoundTrip(t, WithShards(3), WithWorkers(2))
+	})
+}
+
+func testSaveLoadRoundTrip(t *testing.T, opts ...SDOption) {
 	roles := []Role{Repulsive, Attractive, Repulsive, Attractive}
 	data := dataset.Generate(dataset.Uniform, 600, len(roles), 41)
-	idx, err := NewSDIndex(data, roles, WithMemtableSize(64), WithCompaction(false))
+	opts = append(opts, WithMemtableSize(64), WithCompaction(false))
+	idx, err := NewSDIndex(data, roles, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer idx.Close()
 	churn(t, idx, len(roles), 300, 42)
 	idx.Compact() // seal part of the history...
 	churn(t, idx, len(roles), 90, 43)
@@ -74,10 +86,11 @@ func TestSaveLoadSDIndexRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	saved := append([]byte(nil), buf.Bytes()...)
-	loaded, err := LoadSDIndex(bytes.NewReader(saved), WithCompaction(false))
+	loaded, err := LoadSDIndex(bytes.NewReader(saved), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer loaded.Close()
 
 	if loaded.Len() != idx.Len() {
 		t.Fatalf("Len: loaded %d, saved %d", loaded.Len(), idx.Len())
@@ -127,68 +140,8 @@ func TestSaveLoadSDIndexRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveLoadShardedRoundTrip(t *testing.T) {
-	roles := []Role{Repulsive, Attractive, Repulsive}
-	data := dataset.Generate(dataset.Uniform, 500, len(roles), 51)
-	idx, err := NewShardedIndex(data, roles, WithShards(3), WithMemtableSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	churn(t, idx, len(roles), 250, 52)
-
-	var buf bytes.Buffer
-	if err := idx.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, ok := eng.(*ShardedIndex)
-	if !ok {
-		t.Fatalf("Load returned %T, want *ShardedIndex", eng)
-	}
-	defer loaded.Close()
-	if loaded.Shards() != idx.Shards() {
-		t.Fatalf("shards: loaded %d, saved %d", loaded.Shards(), idx.Shards())
-	}
-	if loaded.Len() != idx.Len() {
-		t.Fatalf("Len: loaded %d, saved %d", loaded.Len(), idx.Len())
-	}
-	if loaded.Bytes() != idx.Bytes() {
-		t.Fatalf("Bytes: loaded %d, saved %d", loaded.Bytes(), idx.Bytes())
-	}
-	for _, q := range persistQueries(len(roles), roles, 53) {
-		want, err := idx.TopK(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.TopK(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResults(t, "loaded vs saved", got, want)
-	}
-	// Round-robin insert routing resumes where the saved index left off.
-	id, err := loaded.Insert([]float64{0.1, 0.2, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantID, err := idx.Insert([]float64{0.1, 0.2, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != wantID {
-		t.Fatalf("post-load Insert returned ID %d, original returns %d", id, wantID)
-	}
-	if !loaded.Remove(id) {
-		t.Fatal("post-load Remove of the fresh row failed")
-	}
-}
-
 func TestLoadRejectsBadInput(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not an index file at all"))); err == nil {
+	if _, err := LoadSDIndex(bytes.NewReader([]byte("not an index file at all"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	roles := []Role{Repulsive, Attractive}
@@ -200,9 +153,11 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	if err := idx.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Kind mismatch is a clear error, not a misparse.
-	if _, err := LoadShardedIndex(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("LoadShardedIndex accepted a single-engine file")
+	// An unknown kind byte is a clear error, not a misparse.
+	alien := append([]byte(nil), buf.Bytes()...)
+	alien[5] = 9
+	if _, err := LoadSDIndex(bytes.NewReader(alien)); err == nil {
+		t.Fatal("unknown index kind accepted")
 	}
 	// Truncation anywhere fails loudly.
 	for _, cut := range []int{5, buf.Len() / 2, buf.Len() - 3} {

@@ -3,19 +3,17 @@ package sdquery
 import (
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 
 	"repro/internal/core"
 )
 
 // Replication surface: what a leader exports so a follower can mirror it,
 // and what a follower (or any caller assembling an index from replicated
-// state) needs to apply the stream. The unit of replication is the shard
-// engine — each shard ships an independent snapshot + WAL-tail pair, and
-// freshness is a per-shard LSN vector (shards log independently, so no
-// scalar position describes the whole index; comparing vectors
-// componentwise is what makes "replica is at least as fresh as X" sound).
+// state) needs to apply the stream. An index replicates as one stream — a
+// snapshot plus the WAL tail after it — and its position is one LSN. The
+// methods still speak of shard 0 and a one-element LSN vector because that
+// is the shape the wire format and package serve were built around when an
+// index was several engines.
 //
 // See internal/core/repl.go for the stream formats and the gap contract;
 // package serve wires these methods to the /v1/repl/{manifest,segment,wal}
@@ -31,9 +29,9 @@ var ErrReplGap = core.ErrReplGap
 // incarnation of it). Callers implementing idempotent retries compare the
 // occupying row with PointByID to distinguish their own duplicate from a
 // genuine collision.
-var ErrIDExists = fmt.Errorf("sdquery: ID already within the indexed ID space")
+var ErrIDExists = core.ErrIDExists
 
-// ReplTail describes one shard's WAL-tail export; see core.WALTailInfo.
+// ReplTail describes a WAL-tail export; see core.WALTailInfo.
 type ReplTail struct {
 	From, Last uint64
 	LeaderLSN  uint64
@@ -42,80 +40,73 @@ type ReplTail struct {
 	Capped     bool
 }
 
-// ReplShards reports how many independently-replicated shard streams the
-// index exports.
-func (s *ShardedIndex) ReplShards() int { return len(s.shards) }
+// ReplShards reports how many replication streams the index exports: 1.
+func (s *SDIndex) ReplShards() int { return 1 }
 
-// ShardLSNs returns the per-shard last-applied LSN vector — the index's
-// replication position. Componentwise comparison of two vectors orders two
-// replicas' states; a sum does not (two shards can trade equal record
-// counts while holding different histories).
-func (s *ShardedIndex) ShardLSNs() []uint64 {
-	out := make([]uint64, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.eng.LastLSN()
+// ShardLSNs returns the index's replication position — the LSN of the last
+// applied mutation — as a one-element vector.
+func (s *SDIndex) ShardLSNs() []uint64 { return []uint64{s.eng.LastLSN()} }
+
+// onlyShard rejects any stream index but 0.
+func onlyShard(si int) error {
+	if si != 0 {
+		return fmt.Errorf("sdquery: shard %d of 1", si)
 	}
-	return out
+	return nil
 }
 
-// ReplSnapshot streams shard si's current snapshot in the checkpoint format
-// and returns the WAL LSN the stream covers.
-func (s *ShardedIndex) ReplSnapshot(si int, w io.Writer) (uint64, error) {
-	if si < 0 || si >= len(s.shards) {
-		return 0, fmt.Errorf("sdquery: shard %d of %d", si, len(s.shards))
+// ReplSnapshot streams the index's current snapshot in the checkpoint format
+// and returns the WAL LSN the stream covers (si must be 0).
+func (s *SDIndex) ReplSnapshot(si int, w io.Writer) (uint64, error) {
+	if err := onlyShard(si); err != nil {
+		return 0, err
 	}
-	return s.shards[si].eng.SaveWithLSN(w)
+	return s.eng.SaveWithLSN(w)
 }
 
-// ReplWALTail streams shard si's WAL records after LSN from, writing at
-// most maxBytes of records per call (0 = unbounded; a capped export sets
+// ReplWALTail streams the WAL records after LSN from (si must be 0), writing
+// at most maxBytes of records per call (0 = unbounded; a capped export sets
 // Capped and the caller resumes from Last); see core.Engine.WALTail for the
 // gap contract.
-func (s *ShardedIndex) ReplWALTail(si int, from uint64, w io.Writer, maxBytes int) (ReplTail, error) {
-	if si < 0 || si >= len(s.shards) {
-		return ReplTail{}, fmt.Errorf("sdquery: shard %d of %d", si, len(s.shards))
+func (s *SDIndex) ReplWALTail(si int, from uint64, w io.Writer, maxBytes int) (ReplTail, error) {
+	if err := onlyShard(si); err != nil {
+		return ReplTail{}, err
 	}
-	info, err := s.shards[si].eng.WALTail(w, from, maxBytes)
+	info, err := s.eng.WALTail(w, from, maxBytes)
 	return ReplTail(info), err
 }
 
-// ApplyReplWAL applies a ReplWALTail stream to shard si, idempotently by
+// ApplyReplWAL applies a ReplWALTail stream (si must be 0), idempotently by
 // LSN, and reports how many records actually applied. The index must have
-// been built from the same leader's snapshots (NewFollowerIndex); applying
-// an unrelated stream fails with ErrReplGap. The applied mutations bypass
-// the routing table — a follower index is read-only by contract, queried
-// but never written directly.
-func (s *ShardedIndex) ApplyReplWAL(si int, r io.Reader) (int, error) {
-	if si < 0 || si >= len(s.shards) {
-		return 0, fmt.Errorf("sdquery: shard %d of %d", si, len(s.shards))
+// been built from the same leader's snapshot (NewFollowerIndex); applying
+// an unrelated stream fails with ErrReplGap. A follower index is read-only
+// by contract, queried but never written directly.
+func (s *SDIndex) ApplyReplWAL(si int, r io.Reader) (int, error) {
+	if err := onlyShard(si); err != nil {
+		return 0, err
 	}
-	_, n, err := s.shards[si].eng.ApplyWALStream(r)
+	_, n, err := s.eng.ApplyWALStream(r)
 	return n, err
 }
 
 // AttachWAL makes a follower index durable in place — the promotion path:
-// an index assembled from a leader's snapshot streams (NewFollowerIndex)
+// an index assembled from a leader's snapshot stream (NewFollowerIndex)
 // owns no log, and a replica elected leader must become durable before it
-// accepts writes. AttachWAL writes a fresh MANIFEST under dir and attaches
-// one WAL per shard, each seeded with a checkpoint of the shard's current
-// state; mutations from here on log at the LSNs the replicated history left
-// off at, so the index's own followers see one contiguous stream. dir must
-// not already hold a durable index. The option list supplies the WAL knobs
-// to run with (WithSyncPolicy, WithSyncInterval, WithWALFS); the caller
-// must guarantee no mutations are in flight during the attach.
-func (s *ShardedIndex) AttachWAL(dir string, opts ...SDOption) error {
-	var cfg sdConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+// accepts writes. AttachWAL writes a fresh MANIFEST under dir and attaches a
+// WAL seeded with a checkpoint of the index's current state; mutations from
+// here on log at the LSN the replicated history left off at, so the index's
+// own followers see one contiguous stream. dir must not already hold a
+// durable index. The option list supplies the WAL knobs to run with
+// (WithSyncPolicy, WithSyncInterval, WithWALFS); the caller must guarantee
+// no mutations are in flight during the attach.
+func (s *SDIndex) AttachWAL(dir string, opts ...SDOption) error {
+	cfg := parseOptions(opts)
 	cfg.walDir = dir
-	if err := writeManifest(&cfg, manifestKindSharded, len(s.shards)); err != nil {
+	if err := writeManifest(&cfg); err != nil {
 		return err
 	}
-	for si, sh := range s.shards {
-		if err := sh.eng.AttachWAL(*cfg.walConfig(shardWALDir(dir, si))); err != nil {
-			return fmt.Errorf("sdquery: attach wal: shard %d: %w", si, err)
-		}
+	if err := s.eng.AttachWAL(cfg.walConfig()); err != nil {
+		return fmt.Errorf("sdquery: attach wal: %w", err)
 	}
 	return nil
 }
@@ -123,248 +114,39 @@ func (s *ShardedIndex) AttachWAL(dir string, opts ...SDOption) error {
 // Total reports the size of the index's global ID space: every indexed ID
 // is below it, and the next caller-assigned ID must not be. (Len counts
 // live rows; Total counts the space, removals included.)
-func (s *ShardedIndex) Total() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.byGlobal)
-}
-
-// Dims reports the index's dimensionality.
-func (s *ShardedIndex) Dims() int { return len(s.roles) }
-
-// InsertWithID inserts p under a caller-assigned global ID, which must be
-// above every ID the index has seen (IDs are append-only and ascending, the
-// same contract the core engines enforce); an ID already inside the space
-// fails with ErrIDExists. A distributed writer (cmd/sdrouter) assigns
-// cluster-unique ascending IDs and retries ambiguous failures under the
-// same ID — the ErrIDExists + PointByID pair is what makes that retry
-// provably idempotent. Durability matches Insert.
-func (s *ShardedIndex) InsertWithID(id int, p []float64) error {
-	s.mu.Lock()
-	if id < len(s.byGlobal) {
-		s.mu.Unlock()
-		return ErrIDExists
-	}
-	si := id % len(s.shards)
-	wait, err := s.shards[si].eng.InsertWithIDAsync(id, p)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	for len(s.byGlobal) < id {
-		s.byGlobal = append(s.byGlobal, -1)
-	}
-	s.byGlobal = append(s.byGlobal, int32(si))
-	s.mu.Unlock()
-	if wait != nil {
-		return wait()
-	}
-	return nil
-}
-
-// PointByID returns a copy of the coordinates indexed under a global ID —
-// live or tombstoned — with ok=false when the ID locates nowhere (never
-// inserted, or reclaimed by compaction after removal).
-func (s *ShardedIndex) PointByID(id int) ([]float64, bool) {
-	s.mu.Lock()
-	if id < 0 || id >= len(s.byGlobal) || s.byGlobal[id] < 0 {
-		s.mu.Unlock()
-		return nil, false
-	}
-	eng := s.shards[s.byGlobal[id]].eng
-	s.mu.Unlock()
-	return eng.Row(id)
-}
-
-// NewShardedIndexWithIDs is NewShardedIndex for a dataset that carries its
-// own global IDs — the constructor a cluster partition uses, so a node
-// holding rows {3, 17, 40, …} of the logical dataset answers queries with
-// those original IDs and the scatter-gather merge over partitions is
-// byte-identical to one index over the whole dataset. ids must be strictly
-// ascending, one per row.
-func NewShardedIndexWithIDs(data [][]float64, ids []int, roles []Role, opts ...SDOption) (*ShardedIndex, error) {
-	if len(data) != len(ids) {
-		return nil, fmt.Errorf("sdquery: %d rows but %d ids", len(data), len(ids))
-	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("sdquery: empty dataset")
-	}
-	if ids[0] < 0 || !sort.IntsAreSorted(ids) {
-		return nil, fmt.Errorf("sdquery: ids must be non-negative and strictly ascending")
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i] == ids[i-1] {
-			return nil, fmt.Errorf("sdquery: duplicate id %d", ids[i])
-		}
-	}
-	var cfg sdConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	p := cfg.shards
-	if p <= 0 {
-		p = defaultParallelism()
-	}
-	if p > len(data) {
-		p = len(data)
-	}
-	if p < 1 {
-		p = 1
-	}
-	coreCfg, err := cfg.coreConfig(roles)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.walDir != "" {
-		if err := writeManifest(&cfg, manifestKindSharded, p); err != nil {
-			return nil, err
-		}
-	}
-	s := &ShardedIndex{
-		roles:    append([]Role(nil), roles...),
-		byGlobal: make([]int32, ids[len(ids)-1]+1),
-		shards:   make([]*shard, p),
-	}
-	for i := range s.byGlobal {
-		s.byGlobal[i] = -1
-	}
-	parts := make([][][]float64, p)
-	partIDs := make([][]int32, p)
-	// Dealing ascending rows round-robin keeps every shard's ID sequence
-	// ascending, which the core engines require.
-	for i, row := range data {
-		si := i % p
-		parts[si] = append(parts[si], row)
-		partIDs[si] = append(partIDs[si], int32(ids[i]))
-		s.byGlobal[ids[i]] = int32(si)
-	}
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for si := 0; si < p; si++ {
-		s.shards[si] = &shard{}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			cc := coreCfg
-			if cfg.walDir != "" {
-				cc.WAL = cfg.walConfig(shardWALDir(cfg.walDir, si))
-			}
-			eng, err := core.NewWithIDs(parts[si], partIDs[si], cc)
-			if err != nil {
-				errs[si] = fmt.Errorf("shard %d: %w", si, err)
-				return
-			}
-			s.shards[si].eng = eng
-		}(si)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.next = len(ids) % p
-	s.pool = newWorkerPool(cfg.workers)
-	return s, nil
-}
-
-// NewFollowerIndex assembles a ShardedIndex from per-shard snapshot streams
-// (a leader's ReplSnapshot output, one reader per shard, in shard order).
-// The result serves reads exactly like the leader's index did at those
-// snapshots; advance it with ApplyReplWAL as the leader's logs grow. The
-// option list supplies runtime knobs only (workers, scheduler, memtable);
-// structure comes from the streams.
-func NewFollowerIndex(snaps []io.Reader, opts ...SDOption) (*ShardedIndex, error) {
-	if len(snaps) == 0 {
-		return nil, fmt.Errorf("sdquery: no snapshot streams")
-	}
-	opt, cfg := runtimeOptions(opts)
-	engines := make([]*core.Engine, len(snaps))
-	for si, r := range snaps {
-		eng, err := core.Load(r, opt)
-		if err != nil {
-			return nil, fmt.Errorf("sdquery: follower shard %d: %w", si, err)
-		}
-		engines[si] = eng
-	}
-	return assembleSharded(engines, cfg.workers), nil
-}
-
-// assembleSharded builds the ShardedIndex wrapper around recovered or
-// replicated shard engines, rebuilding the global-ID routing table from
-// their contents so no separate routing state can disagree with the data.
-func assembleSharded(engines []*core.Engine, workers int) *ShardedIndex {
-	s := &ShardedIndex{shards: make([]*shard, len(engines))}
-	total := 0
-	for si, eng := range engines {
-		s.shards[si] = &shard{eng: eng}
-		if t := eng.Total(); t > total {
-			total = t
-		}
-	}
-	s.byGlobal = make([]int32, total)
-	for i := range s.byGlobal {
-		s.byGlobal[i] = -1
-	}
-	for si, sh := range s.shards {
-		sh.eng.RangeIDs(func(id int32) { s.byGlobal[id] = int32(si) })
-	}
-	s.next = total % len(s.shards)
-	s.roles = s.shards[0].eng.Roles()
-	s.pool = newWorkerPool(workers)
-	return s
-}
-
-// Single-engine (SDIndex) replication surface: one shard stream.
-
-// ReplShards reports 1 — an SDIndex replicates as a single shard stream.
-func (s *SDIndex) ReplShards() int { return 1 }
-
-// ShardLSNs returns the one-element LSN vector. See ShardedIndex.ShardLSNs.
-func (s *SDIndex) ShardLSNs() []uint64 { return []uint64{s.eng.LastLSN()} }
-
-// ReplSnapshot streams the index snapshot (shard must be 0).
-func (s *SDIndex) ReplSnapshot(si int, w io.Writer) (uint64, error) {
-	if si != 0 {
-		return 0, fmt.Errorf("sdquery: shard %d of 1", si)
-	}
-	return s.eng.SaveWithLSN(w)
-}
-
-// ReplWALTail streams WAL records after LSN from (shard must be 0), writing
-// at most maxBytes of records per call (0 = unbounded).
-func (s *SDIndex) ReplWALTail(si int, from uint64, w io.Writer, maxBytes int) (ReplTail, error) {
-	if si != 0 {
-		return ReplTail{}, fmt.Errorf("sdquery: shard %d of 1", si)
-	}
-	info, err := s.eng.WALTail(w, from, maxBytes)
-	return ReplTail(info), err
-}
-
-// ApplyReplWAL applies a WAL-tail stream (shard must be 0).
-func (s *SDIndex) ApplyReplWAL(si int, r io.Reader) (int, error) {
-	if si != 0 {
-		return 0, fmt.Errorf("sdquery: shard %d of 1", si)
-	}
-	_, n, err := s.eng.ApplyWALStream(r)
-	return n, err
-}
-
-// Total reports the global-ID-space size. See ShardedIndex.Total.
 func (s *SDIndex) Total() int { return s.eng.Total() }
 
 // Dims reports the index's dimensionality.
 func (s *SDIndex) Dims() int { return len(s.roles) }
 
-// InsertWithID inserts p under a caller-assigned ascending global ID. See
-// ShardedIndex.InsertWithID.
-func (s *SDIndex) InsertWithID(id int, p []float64) error {
-	if id < s.eng.Total() {
-		return ErrIDExists
-	}
-	return s.eng.InsertWithID(id, p)
-}
+// InsertWithID inserts p under a caller-assigned global ID, which must be
+// above every ID the index has seen (IDs are append-only and ascending); an
+// ID already inside the space fails with ErrIDExists. A distributed writer
+// (cmd/sdrouter) assigns cluster-unique ascending IDs and retries ambiguous
+// failures under the same ID — the ErrIDExists + PointByID pair is what
+// makes that retry provably idempotent. Durability matches Insert.
+func (s *SDIndex) InsertWithID(id int, p []float64) error { return s.eng.InsertWithID(id, p) }
 
-// PointByID returns the coordinates indexed under a global ID. See
-// ShardedIndex.PointByID.
+// PointByID returns a copy of the coordinates indexed under a global ID —
+// live or tombstoned — with ok=false when the ID locates nowhere (never
+// inserted, or reclaimed by compaction after removal).
 func (s *SDIndex) PointByID(id int) ([]float64, bool) { return s.eng.Row(id) }
+
+// NewFollowerIndex assembles an index from a leader's ReplSnapshot stream
+// (snaps holds that one reader). The result serves reads exactly like the
+// leader's index did at the snapshot; advance it with ApplyReplWAL as the
+// leader's log grows. It defaults to WithShards(0) and WithWorkers(0); the
+// option list supplies runtime knobs only (workers, scheduler, memtable) —
+// structure comes from the stream. More than one stream is a leader from
+// before the index became one engine, which cannot be followed.
+func NewFollowerIndex(snaps []io.Reader, opts ...SDOption) (*ShardedIndex, error) {
+	if len(snaps) != 1 {
+		return nil, fmt.Errorf("sdquery: follower: leader exports %d snapshot streams, this version follows exactly 1 (upgrade the leader)", len(snaps))
+	}
+	opt, _, pool := runtimeOptions(shardedDefaults(opts))
+	eng, err := core.Load(snaps[0], opt)
+	if err != nil {
+		err = fmt.Errorf("sdquery: follower: %w", err)
+	}
+	return wrapEngine(eng, err, pool)
+}

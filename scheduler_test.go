@@ -66,15 +66,15 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 			}},
 			// Intra-query segment parallelism is a scheduling choice too: the
 			// segment tasks' interleaving (and the shared floor's timing) must
-			// not leak into answers. Small segment caps force real multi-
-			// segment stacks on these tiny datasets.
+			// not leak into answers. WithShards forces real multi-segment
+			// stacks on these tiny datasets.
 			{"parallel", []sdquery.SDOption{
 				sdquery.WithWorkers(2),
-				sdquery.WithMaxSegmentRows(32),
+				sdquery.WithShards(4),
 			}},
 			{"parallel/round-robin/float32", []sdquery.SDOption{
 				sdquery.WithWorkers(3),
-				sdquery.WithMaxSegmentRows(17),
+				sdquery.WithShards(7),
 				sdquery.WithScheduler(sdquery.SchedRoundRobin),
 				sdquery.WithColumnWidth(32),
 			}},
@@ -85,7 +85,7 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 			{"bail-out", []sdquery.SDOption{sdquery.WithAccessCost(2)}},
 			{"parallel/bail-out/float32", []sdquery.SDOption{
 				sdquery.WithWorkers(2),
-				sdquery.WithMaxSegmentRows(40),
+				sdquery.WithShards(3),
 				sdquery.WithAccessCost(2),
 				sdquery.WithColumnWidth(32),
 			}},
@@ -295,9 +295,11 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
-// TestShardedStats: the sharded stats surface must sum per-shard work and
-// report per-shard plan-cache hits, with answers identical to the fast path.
-func TestShardedStats(t *testing.T) {
+// TestSegmentedStats: on a WithShards index queried through the worker pool
+// the stats surface sums the segment tasks' work, the one plan cache reports
+// one hit however many segments planned from it, and the stats path answers
+// exactly like the fast path and the scan.
+func TestSegmentedStats(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 4_000, 4, 13)
 	roles := []sdquery.Role{sdquery.Repulsive, sdquery.Attractive, sdquery.Repulsive, sdquery.Attractive}
 	idx, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(4), sdquery.WithStreamOnly())
@@ -311,7 +313,7 @@ func TestShardedStats(t *testing.T) {
 		Roles:   roles,
 		Weights: []float64{0.8, 0.5, 0.3, 0.9},
 	}
-	if _, _, err := idx.TopKWithStats(q); err != nil { // warm per-shard caches
+	if _, _, err := idx.TopKWithStats(q); err != nil { // warm the plan cache
 		t.Fatal(err)
 	}
 	res, st, err := idx.TopKWithStats(q)
@@ -319,30 +321,37 @@ func TestShardedStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Fetched <= 0 || st.Scored <= 0 || st.Rounds <= 0 {
-		t.Fatalf("sharded stats not aggregated: %+v", st)
+		t.Fatalf("segment stats not aggregated: %+v", st)
 	}
-	if st.Subproblems < idx.Shards() {
-		t.Fatalf("Subproblems %d < shard count %d", st.Subproblems, idx.Shards())
+	if st.Segments != 4 || st.Subproblems < st.Segments {
+		t.Fatalf("Segments %d, Subproblems %d; want 4 segments with at least a subproblem each", st.Segments, st.Subproblems)
 	}
-	if st.PlanCacheHits != idx.Shards() {
-		t.Fatalf("warm sharded query reported %d plan-cache hits, want one per shard (%d)",
-			st.PlanCacheHits, idx.Shards())
+	if st.PlanCacheHits != 1 {
+		t.Fatalf("warm query reported %d plan-cache hits, want 1", st.PlanCacheHits)
 	}
-	want, err := idx.TopK(q)
+	scan, err := sdquery.NewScan(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != len(want) {
-		t.Fatalf("stats path returned %d results, fast path %d", len(res), len(want))
+	want, err := scan.TopK(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, err := idx.TopK(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != len(want) || len(fast) != len(want) {
+		t.Fatalf("stats path returned %d results, fast path %d, scan %d", len(res), len(fast), len(want))
 	}
 	for i := range want {
-		if res[i] != want[i] {
-			t.Fatalf("stats path diverges at rank %d: %+v vs %+v", i, res[i], want[i])
+		if res[i] != want[i] || fast[i] != want[i] {
+			t.Fatalf("rank %d: stats path %+v, fast path %+v, scan %+v", i, res[i], fast[i], want[i])
 		}
 	}
 
-	// The planning default sweeps these 1000-row shards outright: the sweep
-	// counters sum across shards like the rest.
+	// The planning default sweeps these 1000-row segments outright: the
+	// sweep counters sum across segments like the rest.
 	planned, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
@@ -352,12 +361,12 @@ func TestShardedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.SweptSegments != planned.Shards() || ps.Swept != len(data) || ps.Scored != ps.Swept || ps.Fetched != 0 {
-		t.Fatalf("sharded sweep stats not aggregated: %+v", ps)
+	if ps.SweptSegments != 4 || ps.Swept != len(data) || ps.Scored != ps.Swept || ps.Fetched != 0 {
+		t.Fatalf("segment sweep stats not aggregated: %+v", ps)
 	}
 	for i := range want {
 		if pres[i] != want[i] {
-			t.Fatalf("planned sharded answer diverges at rank %d: %+v vs %+v", i, pres[i], want[i])
+			t.Fatalf("planned answer diverges at rank %d: %+v vs %+v", i, pres[i], want[i])
 		}
 	}
 }

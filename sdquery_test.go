@@ -91,7 +91,6 @@ func TestSDIndexOptions(t *testing.T) {
 		"branch32":    {WithBranching(32), WithLeafCapacity(8)},
 		"angles2":     {WithAngles(0, 90)},
 		"angles9":     {WithAngles(0, 11, 22, 33, 45, 56, 67, 79, 90)},
-		"rebuild":     {WithRebuildThreshold(0.9)},
 	} {
 		idx, err := NewSDIndex(data, roles, opts...)
 		if err != nil {

@@ -17,7 +17,7 @@ import (
 	"repro/internal/faultfs"
 )
 
-// durableTestIndex builds a WAL-backed sharded index over fs (nil = real
+// durableTestIndex builds a WAL-backed two-segment index over fs (nil = real
 // filesystem at dir).
 func durableTestIndex(t *testing.T, fs faultfs.FS, dir string, n int, seed int64, opts ...sdquery.SDOption) *sdquery.ShardedIndex {
 	t.Helper()

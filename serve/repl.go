@@ -71,7 +71,9 @@ const (
 )
 
 // replSource is the index capability the leader endpoints need — implemented
-// by ShardedIndex and SDIndex (via singleIndex embedding).
+// by SDIndex. An index is one stream, so ReplShards is 1 and the LSN vector
+// has one element; the shard parameter and the vector stay on the wire for
+// the nodes and routers already speaking it.
 type replSource interface {
 	ReplShards() int
 	ShardLSNs() []uint64

@@ -15,7 +15,7 @@ import (
 	"repro/internal/dataset"
 )
 
-// walTestIndex builds a WAL-backed sharded index — the leader shape.
+// walTestIndex builds a WAL-backed two-segment index — the leader shape.
 func walTestIndex(t *testing.T, n int, seed int64) *sdquery.ShardedIndex {
 	t.Helper()
 	data := dataset.Generate(dataset.Uniform, n, len(testRoles()), seed)
@@ -265,11 +265,12 @@ func TestReplEndpointContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if m.Format != replFormat || m.Shards != 2 || m.Dims != 4 || len(m.LSNs) != 2 || m.Source == "" {
+	// One engine, one stream: the manifest keeps its shape with a vector of 1.
+	if m.Format != replFormat || m.Shards != 1 || m.Dims != 4 || len(m.LSNs) != 1 || m.Source == "" {
 		t.Fatalf("manifest %+v", m)
 	}
 
-	sresp, err := ts.Client().Get(ts.URL + "/v1/repl/segment?shard=1")
+	sresp, err := ts.Client().Get(ts.URL + "/v1/repl/segment?shard=0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestReplEndpointContract(t *testing.T) {
 	if sresp.StatusCode != http.StatusOK || sresp.Header.Get(headerReplSource) != m.Source {
 		t.Fatalf("segment: %d source %q want %q", sresp.StatusCode, sresp.Header.Get(headerReplSource), m.Source)
 	}
-	if bad, err := ts.Client().Get(ts.URL + "/v1/repl/segment?shard=7"); err != nil || bad.StatusCode != http.StatusBadRequest {
+	if bad, err := ts.Client().Get(ts.URL + "/v1/repl/segment?shard=1"); err != nil || bad.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range shard: %v %v", bad.StatusCode, err)
 	} else {
 		bad.Body.Close()

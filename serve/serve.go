@@ -1,6 +1,6 @@
 // Package serve is the production HTTP serving layer over the SD-Query
-// engines: an HTTP/JSON API on top of ShardedIndex (or any Index), built
-// for heavy concurrent traffic.
+// engines: an HTTP/JSON API on top of SDIndex (or any Index), built for
+// heavy concurrent traffic.
 //
 //	POST   /v1/topk          one SD-Query → top-k results
 //	POST   /v1/batch         many queries in one call
@@ -16,8 +16,8 @@
 //
 //   - Request coalescing (coalesce.go): concurrently-arriving /v1/topk
 //     requests are gathered — bounded window, bounded batch — into single
-//     BatchTopK calls, riding the engine's pooled, pipelined batch path
-//     instead of paying one independent shard fan-out per request.
+//     BatchTopK calls, riding the index's one-task-per-query batch path
+//     instead of paying one independent segment fan-out per request.
 //   - Hot-query result cache (cache.go, sketch.go; WithResultCache):
 //     answers are cached keyed on canonical query bytes and versioned by
 //     the snapshot epoch, which every insert/remove/compaction/swap
@@ -55,8 +55,8 @@ import (
 	sdquery "repro"
 )
 
-// Index is the engine surface the server needs. *sdquery.ShardedIndex
-// implements it directly; wrap an *sdquery.SDIndex with AsIndex.
+// Index is the engine surface the server needs; *sdquery.SDIndex implements
+// it.
 type Index interface {
 	TopK(q sdquery.Query) ([]sdquery.Result, error)
 	TopKContext(ctx context.Context, q sdquery.Query) ([]sdquery.Result, error)
@@ -86,9 +86,6 @@ type compactioner interface {
 type closer interface {
 	Close()
 }
-type sharder interface {
-	Shards() int
-}
 
 // walStater exposes write-ahead-log health — implemented by WithWAL indexes.
 // A sticky WALStats.Err flips the server into read-only degradation: writes
@@ -109,9 +106,9 @@ type syncer interface {
 	Sync() error
 }
 
-var _ Index = (*sdquery.ShardedIndex)(nil)
-var _ segmenter = (*sdquery.ShardedIndex)(nil)
-var _ compactioner = (*sdquery.ShardedIndex)(nil)
+var _ Index = (*sdquery.SDIndex)(nil)
+var _ segmenter = (*sdquery.SDIndex)(nil)
+var _ compactioner = (*sdquery.SDIndex)(nil)
 
 // Option configures a Server.
 type Option func(*config)

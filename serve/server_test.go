@@ -328,8 +328,8 @@ func TestInsertRemove(t *testing.T) {
 
 // TestObservabilityEndpoints sanity-checks /healthz, /metrics, and /statz.
 func TestObservabilityEndpoints(t *testing.T) {
-	// 4 shards of 5000 rows: large enough that the engine binds and probes
-	// its streams before retiring each shard into a sweep, so both halves
+	// 4 segments of 5000 rows: large enough that the engine binds and probes
+	// its streams before retiring each segment into a sweep, so both halves
 	// of the planner's accounting are nonzero.
 	idx := testIndex(t, 20_000, 9)
 	srv := New(idx)

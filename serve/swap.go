@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -17,18 +16,17 @@ import (
 // queries keep flowing against the old index; the swap itself is the
 // pointer store. Requests that grabbed the old index before the store keep
 // using it to completion: every query path takes the index exactly once
-// (handlers and the coalescer grab it per request/batch, never per shard),
-// and within an index the engine's snapshot discipline pins a consistent
-// row set, so no request can observe half an old index and half a new one.
+// (handlers and the coalescer grab it per request/batch), and within an
+// index the engine's snapshot discipline pins a consistent row set, so no
+// request can observe half an old index and half a new one.
 //
 // The old index's worker pool is released after the swap. Close only parks
 // the pool's goroutines — queries already running on the old index degrade
 // to caller-goroutine execution and still answer correctly (documented on
-// ShardedIndex.Close), so releasing immediately is safe.
+// SDIndex.Close), so releasing immediately is safe.
 
 // defaultLoader builds the swap loader used when WithLoader is not given:
-// open the file, load whichever index kind it holds, and adapt it to the
-// serving interface.
+// open the file and load the index it holds.
 func defaultLoader(opts []sdquery.SDOption) func(path string) (Index, error) {
 	return func(path string) (Index, error) {
 		f, err := os.Open(path)
@@ -36,53 +34,12 @@ func defaultLoader(opts []sdquery.SDOption) func(path string) (Index, error) {
 			return nil, err
 		}
 		defer f.Close()
-		eng, err := sdquery.Load(f, opts...)
+		idx, err := sdquery.LoadSDIndex(f, opts...)
 		if err != nil {
-			return nil, err
+			return nil, err // not a typed nil inside Index
 		}
-		return AsIndex(eng)
+		return idx, nil
 	}
-}
-
-// AsIndex adapts an engine to the serving Index interface. A ShardedIndex
-// passes through; an SDIndex is wrapped so its TopKBatch stands in for
-// BatchTopK. Other engines (the read-only baselines) are rejected.
-func AsIndex(eng sdquery.Engine) (Index, error) {
-	switch e := eng.(type) {
-	case Index:
-		return e, nil
-	case *sdquery.SDIndex:
-		return singleIndex{e}, nil
-	}
-	return nil, fmt.Errorf("serve: engine %T does not support serving (need ShardedIndex or SDIndex)", eng)
-}
-
-// singleIndex adapts *sdquery.SDIndex: everything is already there except
-// BatchTopK's name and shape.
-type singleIndex struct {
-	*sdquery.SDIndex
-}
-
-func (s singleIndex) BatchTopK(queries []sdquery.Query) ([][]sdquery.Result, error) {
-	return s.TopKBatch(queries, 0)
-}
-
-// BatchTopKContext degrades to a sequential TopKContext loop when the
-// context is cancellable — SDIndex.TopKBatch has no cancellation plumbing —
-// and to the parallel TopKBatch otherwise (context.Background and friends).
-func (s singleIndex) BatchTopKContext(ctx context.Context, queries []sdquery.Query) ([][]sdquery.Result, error) {
-	if ctx.Done() == nil {
-		return s.TopKBatch(queries, 0)
-	}
-	out := make([][]sdquery.Result, len(queries))
-	for i, q := range queries {
-		res, err := s.SDIndex.TopKContext(ctx, q)
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-		out[i] = res
-	}
-	return out, nil
 }
 
 // Swap atomically replaces the serving index and returns the previous one.

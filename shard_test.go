@@ -205,11 +205,29 @@ func TestShardedIndexShardAndWorkerKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	if idx.Shards() != len(data) {
-		t.Fatalf("Shards = %d, want clamp to dataset size %d", idx.Shards(), len(data))
+	if segs, _ := idx.Segments(); segs != len(data) {
+		t.Fatalf("%d segments, want the split clamped to the dataset size %d", segs, len(data))
 	}
-	if idx.Workers() != 2 {
-		t.Fatalf("Workers = %d, want 2", idx.Workers())
+	if idx.pool == nil || idx.pool.workers != 2 {
+		t.Fatalf("pool = %+v, want 2 workers", idx.pool)
+	}
+	// NewSDIndex takes the same options; without them it is one segment and
+	// no pool, and NewShardedIndex defaults both to GOMAXPROCS.
+	plain, err := NewSDIndex(data, roles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := plain.Segments(); segs != 1 || plain.pool != nil {
+		t.Fatalf("NewSDIndex default: %d segments, pool %v; want 1, nil", segs, plain.pool)
+	}
+	def, err := NewShardedIndex(data, roles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer def.Close()
+	if segs, _ := def.Segments(); segs != defaultParallelism() || def.pool.workers != defaultParallelism() {
+		t.Fatalf("NewShardedIndex default: %d segments, %d workers; want %d of each",
+			segs, def.pool.workers, defaultParallelism())
 	}
 	if got := idx.Roles(); len(got) != len(roles) || got[0] != roles[0] || got[1] != roles[1] {
 		t.Fatalf("Roles = %v, want %v", got, roles)
