@@ -267,7 +267,7 @@ type QueryStats struct {
 	Swept         int
 	SweptSegments int
 	// Rounds counts scheduler steps — one adaptive batch dispatched to one
-	// subproblem — under either scheduling mode (WithScheduler).
+	// subproblem.
 	Rounds int
 	// PlanCacheHits is 1 when the query's derived plan came from the
 	// index's plan cache and 0 when it was derived afresh.

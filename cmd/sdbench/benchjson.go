@@ -70,20 +70,16 @@ type workloadJSON struct {
 	// completed during the measurement window (mixed workloads only) —
 	// context for judging the write pressure behind the latency figures.
 	WriterOps int64 `json:"writer_ops,omitempty"`
-	// QPS is the end-to-end throughput of the serve load workload: requests
-	// completed per wall second by the closed-loop client pool. For the
-	// durable mixed workloads it is the writers' durable-mutation throughput.
+	// QPS is the cluster failover workload's read throughput through the
+	// router (requests completed per wall second by the closed-loop client
+	// pool); for the durable mixed workloads it is the writers'
+	// durable-mutation throughput.
 	QPS float64 `json:"qps,omitempty"`
 	// FsyncsPerOp is the durable mixed workloads' WAL fsync count per
 	// acknowledged mutation. Under SyncAlways with concurrent writers, group
 	// commit keeps it well below 1 (one fsync acknowledges a whole commit
 	// window); the diff gate fails if it collapses toward one-fsync-per-write.
 	FsyncsPerOp float64 `json:"fsyncs_per_op,omitempty"`
-	// CoalescedBatchMean is the serve workload's mean coalesced batch size —
-	// queries per BatchTopK call executed by the admission layer. > 1 means
-	// request coalescing is actually batching concurrent traffic; the diff
-	// gate fails if it collapses back to 1.
-	CoalescedBatchMean float64 `json:"coalesced_batch_mean,omitempty"`
 	// Availability is the cluster failover workload's fraction of reads
 	// answered 200 across a measurement window that contains a hard leader
 	// kill. The router's retry/failover machinery is what holds it at ~1.0;
@@ -97,12 +93,6 @@ type workloadJSON struct {
 	// an absolute ceiling — promotion that never fires shows up here, not in
 	// read availability.
 	WriteUnavailableMs float64 `json:"write_unavailable_ms,omitempty"`
-	// CacheHitRate is the serve/hot workload's achieved result-cache hit
-	// rate (hits / lookups) under Zipf traffic. The diff gate fails if it
-	// collapses to under half the baseline: the cache silently admitting
-	// nothing (or invalidating everything) halves no latency number as
-	// loudly as it should.
-	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
 	// Work counters averaged over the query set.
 	FetchedMean     float64 `json:"fetched_mean,omitempty"`
 	ScoredMean      float64 `json:"scored_mean,omitempty"`
@@ -119,7 +109,7 @@ type workloadJSON struct {
 	PlanCacheHitRate float64 `json:"plan_cache_hit_rate,omitempty"`
 }
 
-const benchJSONSchema = "sdbench/v9"
+const benchJSONSchema = "sdbench/v10"
 
 // countNonTestLOC counts lines the way CI's "Non-test line budget" step
 // does: every .go file under root that is not a test, outside benchmark/
@@ -436,44 +426,30 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 	}
 
 	// Single-query hot path: TopKAppend into a reused buffer (the
-	// zero-allocation guarantee), plus the work counters of the query set —
-	// under the default bound-driven scheduler and under the round-robin
-	// ablation, so the scheduling delta is part of the committed trajectory.
-	for _, mode := range []struct {
-		name  string
-		sched sdquery.SchedulerMode
-	}{
-		{"topk/sdindex-append", sdquery.SchedBoundDriven},
-		{"topk/sdindex-append-roundrobin", sdquery.SchedRoundRobin},
-	} {
-		idx, err := sdquery.NewSDIndex(data, roles, sdquery.WithScheduler(mode.sched))
-		if err != nil {
-			return err
-		}
-		stats, err := collectStats(idx, queries)
-		if err != nil {
-			return err
-		}
-		var buf []sdquery.Result
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var err error
-				buf, err = idx.TopKAppend(buf[:0], queries[i%len(queries)])
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		add(mode.name, r, stats, runtime.GOMAXPROCS(0))
-	}
-
-	// The allocating convenience API, for the conversion-cost trajectory.
+	// zero-allocation guarantee), plus the work counters of the query set.
 	idx, err := sdquery.NewSDIndex(data, roles)
 	if err != nil {
 		return err
 	}
+	stats, err := collectStats(idx, queries)
+	if err != nil {
+		return err
+	}
+	var buf []sdquery.Result
 	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			buf, err = idx.TopKAppend(buf[:0], queries[i%len(queries)])
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	add("topk/sdindex-append", r, stats, runtime.GOMAXPROCS(0))
+
+	// The allocating convenience API, for the conversion-cost trajectory.
+	r = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := idx.TopK(queries[i%len(queries)]); err != nil {
@@ -487,24 +463,23 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 	// multi-segment index (WithShards(8): 8 sealed segments) measured
 	// sequentially (scaling-1) and with each query's
 	// segments fanned out across 2, 4, and 8 claimers (the caller plus
-	// width−1 pool workers). Each width pins GOMAXPROCS to
-	// min(width, NumCPU) for its whole lifetime so the curve is a genuine
-	// CPU-scaling measurement, and every parallel width's answers are
-	// checked byte-identical to the sequential run before being timed. Work
+	// width−1 pool workers). A width the machine has no CPUs for writes no
+	// row — it would be a narrower width's number under a wrong name. Each
+	// width pins GOMAXPROCS to itself for its whole lifetime so the curve is
+	// a genuine CPU-scaling measurement, and every parallel width's answers
+	// are checked byte-identical to the sequential run before being timed. Work
 	// counters are omitted: on the parallel path the shared prune floor
 	// makes fetch depth timing-dependent, and the fetched_mean gate would
 	// trip on pure scheduling noise. The diff gate instead checks the curve
 	// itself — on a ≥ 4-CPU machine, scaling-4 must beat scaling-1 by ≥ 2×.
 	var seqAnswers [][]sdquery.Result
 	for _, width := range []int{1, 2, 4, 8} {
+		if width > runtime.NumCPU() {
+			break
+		}
 		if err := func() error {
-			prev := runtime.GOMAXPROCS(0)
-			procs := width
-			if procs > runtime.NumCPU() {
-				procs = runtime.NumCPU()
-			}
-			if procs != prev {
-				runtime.GOMAXPROCS(procs)
+			if prev := runtime.GOMAXPROCS(0); width != prev {
+				runtime.GOMAXPROCS(width)
 				defer runtime.GOMAXPROCS(prev) // restored on every path, errors included
 			}
 			opts := []sdquery.SDOption{sdquery.WithShards(8)}
@@ -552,7 +527,7 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 					}
 				}
 			})
-			add(fmt.Sprintf("topk/scaling-%d", width), r, workloadJSON{}, procs)
+			add(fmt.Sprintf("topk/scaling-%d", width), r, workloadJSON{}, width)
 			return nil
 		}(); err != nil {
 			return err
@@ -636,10 +611,8 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 		report.Workloads = append(report.Workloads, dw)
 	}
 
-	// Serve load: end-to-end HTTP latency/throughput through the coalescing
-	// admission layer, closed-loop clients over real TCP. Like the batch
-	// workload it elevates GOMAXPROCS to NumCPU for its lifetime —
-	// the serving layer's whole point is concurrent traffic.
+	// Like the batch workload, the cluster workload elevates GOMAXPROCS to
+	// NumCPU for its lifetime — it is all concurrent traffic.
 	if err := func() error {
 		prev := runtime.GOMAXPROCS(0)
 		procs := prev
@@ -648,29 +621,6 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 			runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
 		}
-		sw, err := runServeLoad(scale, len(queries), seed, 4096, false)
-		if err != nil {
-			return err
-		}
-		sw.Name = "serve/topk"
-		sw.Queries = len(queries)
-		sw.GOMAXPROCS = procs
-		report.Workloads = append(report.Workloads, sw)
-
-		// Serve hot: the same serving stack with the result cache enabled and
-		// Zipf-skewed traffic — the hot-head/long-tail shape production top-k
-		// traffic has. Reports the achieved hit rate (gated against collapse)
-		// and the cache hit path's allocation count (gated exactly at the
-		// committed baseline of zero, via AllocsPerOp).
-		hw, err := runServeLoad(scale, len(queries), seed, 4096, true)
-		if err != nil {
-			return err
-		}
-		hw.Name = "serve/hot"
-		hw.Queries = len(queries)
-		hw.GOMAXPROCS = procs
-		report.Workloads = append(report.Workloads, hw)
-
 		// Cluster failover: a two-partition replicated cluster behind the
 		// scatter-gather router, read under closed-loop load while one
 		// leader is hard-killed mid-window. Reports availability (reads

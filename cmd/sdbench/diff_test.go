@@ -32,7 +32,6 @@ func TestDiffAgainstBaseline(t *testing.T) {
 			{Name: "topk/sdindex-append", NsPerOp: 1_000_000, AllocsPerOp: 0, FetchedMean: 2000},
 			{Name: "topk/sdindex", NsPerOp: 1_000_000, AllocsPerOp: 4},
 			{Name: "batch/topk", NsPerOp: 1_000_000, AllocsPerOp: 70, FetchedMean: 2000},
-			{Name: "serve/hot", NsPerOp: 1_000_000, AllocsPerOp: 0, CacheHitRate: 0.8},
 			{Name: "cluster/failover", NsPerOp: 1_000_000, AllocsPerOp: -1, Availability: 0.999, WriteUnavailableMs: 800},
 		},
 	}
@@ -42,7 +41,6 @@ func TestDiffAgainstBaseline(t *testing.T) {
 		{Name: "topk/sdindex-append", NsPerOp: 1_150_000, AllocsPerOp: 0, FetchedMean: 2040}, // +15% ns, +2% fetched: within tolerance
 		{Name: "topk/sdindex", NsPerOp: 900_000, AllocsPerOp: 6},                             // allocs gated only at baseline 0
 		{Name: "batch/topk", NsPerOp: 1_000_000, AllocsPerOp: 70, FetchedMean: 9000},         // segment count follows CPU count: exempt
-		{Name: "serve/hot", NsPerOp: 1_400_000, AllocsPerOp: 0, CacheHitRate: 0.5},           // noisy latency gate, hit rate above half of baseline
 		{Name: "cluster/failover", NsPerOp: 1_400_000, AllocsPerOp: -1,
 			Availability: 0.996, WriteUnavailableMs: 4_500}, // both absolute gates: above the floor, under the ceiling
 		{Name: "topk/new-workload", NsPerOp: 1, AllocsPerOp: 99}, // extra workloads are fine
@@ -60,11 +58,9 @@ func TestDiffAgainstBaseline(t *testing.T) {
 		{"alloc regression", func(b *benchJSON) { b.Workloads[0].AllocsPerOp = 1 }, "guarantees 0"},
 		{"fetched regression", func(b *benchJSON) { b.Workloads[0].FetchedMean = 2200 }, "hardware-independent"},
 		{"queries mismatch", func(b *benchJSON) { b.Workloads[0].Queries = 128 }, "not comparable"},
-		{"hit rate collapse", func(b *benchJSON) { b.Workloads[3].CacheHitRate = 0.3 }, "cache_hit_rate"},
-		{"hit path allocates", func(b *benchJSON) { b.Workloads[3].AllocsPerOp = 2 }, "guarantees 0"},
-		{"availability floor", func(b *benchJSON) { b.Workloads[4].Availability = 0.985 }, "below the 0.99 floor"},
-		{"availability collapse", func(b *benchJSON) { b.Workloads[4].Availability = 0.991 }, "collapsed from baseline"},
-		{"write-unavailability ceiling", func(b *benchJSON) { b.Workloads[4].WriteUnavailableMs = 30_000 }, "ceiling"},
+		{"availability floor", func(b *benchJSON) { b.Workloads[3].Availability = 0.985 }, "below the 0.99 floor"},
+		{"availability collapse", func(b *benchJSON) { b.Workloads[3].Availability = 0.991 }, "collapsed from baseline"},
+		{"write-unavailability ceiling", func(b *benchJSON) { b.Workloads[3].WriteUnavailableMs = 30_000 }, "ceiling"},
 		{"missing workload", func(b *benchJSON) { b.Workloads = b.Workloads[1:] }, "missing from report"},
 		{"scale mismatch", func(b *benchJSON) { b.Scale = 0.25 }, "not comparable"},
 		{"schema mismatch", func(b *benchJSON) { b.Schema = "sdbench/v1" }, "regenerate the baseline"},

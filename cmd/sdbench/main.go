@@ -11,7 +11,6 @@
 //	sdbench -all -scale 0.1
 //	sdbench -json BENCH_sdbench.json [-scale 1] [-queries 64]
 //	sdbench -json report.json -baseline BENCH_sdbench.json   # regression gate
-//	sdbench -serve                                           # HTTP serve load test
 package main
 
 import (
@@ -25,16 +24,15 @@ import (
 
 func main() {
 	var (
-		list      = flag.Bool("list", false, "list experiments and exit")
-		exp       = flag.String("exp", "", "experiment id to run (e.g. fig7a, table1, ablation-angles)")
-		all       = flag.Bool("all", false, "run every experiment")
-		serveLoad = flag.Bool("serve", false, "load-test the HTTP serving layer in-process (closed-loop client pool)")
-		jsonOut   = flag.String("json", "", "write the machine-readable micro-benchmark report to this path (\"-\" for stdout)")
-		baseline  = flag.String("baseline", "", "with -json: diff the fresh report against this committed baseline and exit non-zero on regression")
-		scale     = flag.Float64("scale", 1.0, "dataset size multiplier (1.0 = paper scale)")
-		queries   = flag.Int("queries", 100, "query points per measurement")
-		seed      = flag.Int64("seed", 1, "random seed")
-		verbose   = flag.Bool("v", false, "log progress to stderr")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		exp      = flag.String("exp", "", "experiment id to run (e.g. fig7a, table1, ablation-angles)")
+		all      = flag.Bool("all", false, "run every experiment")
+		jsonOut  = flag.String("json", "", "write the machine-readable micro-benchmark report to this path (\"-\" for stdout)")
+		baseline = flag.String("baseline", "", "with -json: diff the fresh report against this committed baseline and exit non-zero on regression")
+		scale    = flag.Float64("scale", 1.0, "dataset size multiplier (1.0 = paper scale)")
+		queries  = flag.Int("queries", 100, "query points per measurement")
+		seed     = flag.Int64("seed", 1, "random seed")
+		verbose  = flag.Bool("v", false, "log progress to stderr")
 	)
 	flag.Parse()
 
@@ -51,11 +49,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sdbench: %v\n", err)
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *serveLoad {
-		runServeStandalone(*scale, *queries, *seed)
 		return
 	}
 

@@ -147,9 +147,7 @@ func main() {
 		}
 		// Shutdown already force-synced the WAL; Close flushes the group-commit
 		// queue and seals the log files so the next Open replays a clean tail.
-		if cl, ok := srv.Index().(interface{ Close() }); ok {
-			cl.Close()
-		}
+		srv.Index().Close()
 		fmt.Fprintln(os.Stderr, "sdserver: drained")
 	}
 }

@@ -157,7 +157,8 @@
 // # Cluster
 //
 // Past one machine (or one failure domain), sdserver nodes form leader
-// groups: a WAL-backed leader streams its snapshot and live WAL tail over
+// groups: an index replicates as one stream at one position (SDIndex.LSN),
+// so a WAL-backed leader streams its snapshot and live WAL tail over
 // /v1/repl/{manifest,segment,wal}, and followers (sdserver -follow, or
 // serve.NewFollower) bootstrap from the snapshot, apply WAL records
 // idempotently by LSN, serve reads from their own copy, and refuse writes
@@ -184,13 +185,13 @@
 // ?allow_partial=1 flag opts into the survivors' merged answer, marked
 // "degraded":true — incomplete answers are opt-in and marked, never
 // silent. Steady-state reads load-balance by power-of-two-choices over
-// the leader and every replica whose cached LSN vector covers the write
+// the leader and every replica whose cached LSN has reached the write
 // watermark (Config.NoReadBalance pins reads to the leader).
 //
 // Leader loss heals itself: when a leader stays ejected past
-// Config.PromoteAfter the router promotes the most caught-up live
-// replica — one whose LSN vector covers the write watermark and every
-// other live replica — via POST /v1/admin/promote, fenced by a
+// Config.PromoteAfter the router promotes the live replica with the
+// highest LSN — provided it has reached the write watermark — via POST
+// /v1/admin/promote, fenced by a
 // generation number allocated strictly above any the cluster has
 // reported. Writes are stamped with the topology's generation and nodes
 // refuse mismatches, so a deposed leader can't take writes; when it
@@ -210,9 +211,8 @@
 // snapshot is one atomic load (see above). The planner resolves
 // the query's shape (active dimensions, roles, zero weights) to the
 // surviving subproblem set, memoized per shape in the index's plan cache
-// (WithPlanCache to disable; QueryStats.PlanCacheHits to observe). Under
-// the default PairAdaptive strategy the planner also picks the
-// repulsive↔attractive bijection per query by zipping the active
+// (WithPlanCache to disable; QueryStats.PlanCacheHits to observe). The
+// planner also picks the repulsive↔attractive bijection per query by zipping the active
 // dimensions of each role in descending weight order over a pre-built
 // pair-tree grid — the guided mapping of the paper's future-work
 // discussion, measured within ~1.5% of the per-query optimal bijection's
@@ -223,8 +223,8 @@
 // sealed segment — whose frontier bound is falling fastest per sorted
 // access, with sibling bounds, float pads, and retirement tracked per
 // segment and the termination threshold re-checked after every batch
-// (WithScheduler(SchedRoundRobin) restores the paper's rotation as an
-// ablation). Every subproblem implements a bulk fetch that drains whole
+// (the paper's fixed rotation is kept as an ablation, sdbench -exp
+// ablation-scheduler). Every subproblem implements a bulk fetch that drains whole
 // runs and returns its post-batch frontier bound for free. Together,
 // plan-time pairing and bound-driven scheduling cut sorted accesses on
 // the default 50k × 6 workload by ~32% against the round-robin in-order
@@ -246,9 +246,8 @@
 // way. QueryStats names the choice: Fetched counts sorted accesses only,
 // Scored every row scored exactly however it was reached, Swept the part of
 // Scored that segment sweeps contributed, SweptSegments the segments
-// finished that way. There is no option to set — SchedRoundRobin remains
-// the paper's pure-stream loop — and BenchmarkPlannerCrossover maps where
-// the two plans cross.
+// finished that way. There is no option to set, and
+// BenchmarkPlannerCrossover maps where the two plans cross.
 //
 // All per-query state — weights, bounds, descent rates, emission buffers,
 // the sweep's block scratch, the seen bitset, stream cursors and heaps, the

@@ -17,49 +17,6 @@ import (
 	"repro/internal/topk"
 )
 
-// PairingStrategy selects how repulsive dimensions are mapped to attractive
-// ones for the 2D subproblems (the bijection of Eqn. 10).
-type PairingStrategy = core.Pairing
-
-// Pairing strategies. PairAdaptive — the default — indexes the full
-// repulsive × attractive pair-tree grid (within an internal size budget) and
-// lets the query planner zip the active dimensions of each role in
-// descending weight order per query, the guided mapping the paper's
-// future-work discussion asks about; measured on the evaluation workload its
-// sorted-access floor is within ~1.5% of the per-query optimal bijection.
-// PairInOrder is the paper's arbitrary build-time mapping (and what
-// PairAdaptive falls back to past its grid budget); PairByCorrelation and
-// PairByVariance are build-time guided mappings; PairNone disables pairing
-// entirely, degenerating the engine into the adapted Threshold Algorithm.
-const (
-	PairAdaptive      = core.PairAdaptive
-	PairInOrder       = core.PairInOrder
-	PairByCorrelation = core.PairByCorrelation
-	PairByVariance    = core.PairByVariance
-	PairNone          = core.PairNone
-)
-
-// SchedulerMode selects how the §5 aggregation orders its sorted accesses
-// across subproblems (the scheduling layer of the Threshold Algorithm).
-type SchedulerMode = core.Scheduler
-
-// Scheduler modes. SchedBoundDriven (the default) drains, at every step, the
-// subproblem whose frontier bound is measured to be falling fastest per
-// sorted access — the descent rate over a window of accesses, not the bound's
-// level, so a plateau of tied contributions cannot hold the schedule — and
-// re-checks the termination threshold after every batch. It is also where
-// the engine chooses between streaming a sealed segment and sweeping its
-// columns: a segment whose streams have spent, or are predicted to need,
-// more than one sweep of its rows costs is finished with that sweep (see the
-// package documentation's Performance section). SchedRoundRobin is the
-// paper's fixed rotation with per-round threshold checks and no such
-// planner — always pure streaming — kept as an ablation so the scheduling
-// win stays benchmarkable. Both modes return byte-identical answers.
-const (
-	SchedBoundDriven = core.SchedBoundDriven
-	SchedRoundRobin  = core.SchedRoundRobin
-)
-
 // SyncPolicy selects when write-ahead-log records are fsynced — the
 // durability/latency trade of WithWAL indexes. See the constants.
 type SyncPolicy = core.SyncPolicy
@@ -89,7 +46,7 @@ type WALStats = core.WALStats
 type SDOption func(*sdConfig)
 
 type sdConfig struct {
-	pairing      PairingStrategy
+	pairing      core.Pairing // pairing, tree, angles and sched: only tests set them (export_test.go)
 	tree         topk.Config
 	angleDegrees []float64
 	useAngles    bool
@@ -98,8 +55,8 @@ type sdConfig struct {
 	workers      int
 	workersSet   bool
 	columnWidth  int
-	sched        SchedulerMode
-	accessCost   int // core.Config.AccessCost; only tests set it (export_test.go)
+	sched        core.Scheduler
+	accessCost   int // core.Config.AccessCost; test-only too
 	noPlanCache  bool
 	memSize      int
 	noCompact    bool
@@ -177,45 +134,6 @@ func (c *sdConfig) coreConfig(roles []Role) (core.Config, error) {
 		}
 	}
 	return cfg, nil
-}
-
-// WithPairing selects the dimension-pairing strategy (default PairAdaptive).
-// Pairing never changes answers — only index memory and sorted-access
-// counts; WithPairing(PairInOrder) restores the previous fixed mapping and
-// its smaller min(|D|, |S|)-tree footprint.
-func WithPairing(p PairingStrategy) SDOption {
-	return func(c *sdConfig) { c.pairing = p }
-}
-
-// WithBranching sets the fan-out b of the per-pair projection trees
-// (default 8).
-func WithBranching(b int) SDOption {
-	return func(c *sdConfig) { c.tree.Branching = b }
-}
-
-// WithLeafCapacity sets the number of points per tree leaf. The default is
-// 64 — the paper's disk-style bulk packing, and the widest leaf the engine's
-// leaf cursor supports; 1 restores the paper's in-memory layout of
-// single-point leaves.
-func WithLeafCapacity(cap int) SDOption {
-	return func(c *sdConfig) { c.tree.LeafCap = cap }
-}
-
-// WithAngles sets the indexed projection angles in degrees. 0 and 90 are
-// always added if absent. Default: {0, 23, 45, 67, 90} (§6.1).
-func WithAngles(degrees ...float64) SDOption {
-	return func(c *sdConfig) {
-		c.useAngles = true
-		c.angleDegrees = append([]float64(nil), degrees...)
-	}
-}
-
-// WithScheduler selects the sorted-access scheduling mode of the §5
-// aggregation (default SchedBoundDriven). Scheduling never changes answers —
-// only how many sorted accesses a query spends — so the knob exists for
-// ablation benchmarks and regression comparisons.
-func WithScheduler(m SchedulerMode) SDOption {
-	return func(c *sdConfig) { c.sched = m }
 }
 
 // WithPlanCache enables or disables the index's query-plan cache (default

@@ -10,10 +10,7 @@ import (
 // Replication surface: what a leader exports so a follower can mirror it,
 // and what a follower (or any caller assembling an index from replicated
 // state) needs to apply the stream. An index replicates as one stream — a
-// snapshot plus the WAL tail after it — and its position is one LSN. The
-// methods still speak of shard 0 and a one-element LSN vector because that
-// is the shape the wire format and package serve were built around when an
-// index was several engines.
+// snapshot plus the WAL tail after it — and its position is one LSN.
 //
 // See internal/core/repl.go for the stream formats and the gap contract;
 // package serve wires these methods to the /v1/repl/{manifest,segment,wal}
@@ -40,51 +37,29 @@ type ReplTail struct {
 	Capped     bool
 }
 
-// ReplShards reports how many replication streams the index exports: 1.
-func (s *SDIndex) ReplShards() int { return 1 }
-
-// ShardLSNs returns the index's replication position — the LSN of the last
-// applied mutation — as a one-element vector.
-func (s *SDIndex) ShardLSNs() []uint64 { return []uint64{s.eng.LastLSN()} }
-
-// onlyShard rejects any stream index but 0.
-func onlyShard(si int) error {
-	if si != 0 {
-		return fmt.Errorf("sdquery: shard %d of 1", si)
-	}
-	return nil
-}
+// LSN returns the index's replication position: the log sequence number of
+// the last applied mutation (0 before any was logged).
+func (s *SDIndex) LSN() uint64 { return s.eng.LastLSN() }
 
 // ReplSnapshot streams the index's current snapshot in the checkpoint format
-// and returns the WAL LSN the stream covers (si must be 0).
-func (s *SDIndex) ReplSnapshot(si int, w io.Writer) (uint64, error) {
-	if err := onlyShard(si); err != nil {
-		return 0, err
-	}
-	return s.eng.SaveWithLSN(w)
-}
+// and returns the WAL LSN the stream covers.
+func (s *SDIndex) ReplSnapshot(w io.Writer) (uint64, error) { return s.eng.SaveWithLSN(w) }
 
-// ReplWALTail streams the WAL records after LSN from (si must be 0), writing
-// at most maxBytes of records per call (0 = unbounded; a capped export sets
-// Capped and the caller resumes from Last); see core.Engine.WALTail for the
-// gap contract.
-func (s *SDIndex) ReplWALTail(si int, from uint64, w io.Writer, maxBytes int) (ReplTail, error) {
-	if err := onlyShard(si); err != nil {
-		return ReplTail{}, err
-	}
+// ReplWALTail streams the WAL records after LSN from, writing at most
+// maxBytes of records per call (0 = unbounded; a capped export sets Capped
+// and the caller resumes from Last); see core.Engine.WALTail for the gap
+// contract.
+func (s *SDIndex) ReplWALTail(from uint64, w io.Writer, maxBytes int) (ReplTail, error) {
 	info, err := s.eng.WALTail(w, from, maxBytes)
 	return ReplTail(info), err
 }
 
-// ApplyReplWAL applies a ReplWALTail stream (si must be 0), idempotently by
-// LSN, and reports how many records actually applied. The index must have
-// been built from the same leader's snapshot (NewFollowerIndex); applying
-// an unrelated stream fails with ErrReplGap. A follower index is read-only
-// by contract, queried but never written directly.
-func (s *SDIndex) ApplyReplWAL(si int, r io.Reader) (int, error) {
-	if err := onlyShard(si); err != nil {
-		return 0, err
-	}
+// ApplyReplWAL applies a ReplWALTail stream, idempotently by LSN, and reports
+// how many records actually applied. The index must have been built from the
+// same leader's snapshot (NewFollowerIndex); applying an unrelated stream
+// fails with ErrReplGap. A follower index is read-only by contract, queried
+// but never written directly.
+func (s *SDIndex) ApplyReplWAL(r io.Reader) (int, error) {
 	_, n, err := s.eng.ApplyWALStream(r)
 	return n, err
 }
@@ -132,19 +107,14 @@ func (s *SDIndex) InsertWithID(id int, p []float64) error { return s.eng.InsertW
 // inserted, or reclaimed by compaction after removal).
 func (s *SDIndex) PointByID(id int) ([]float64, bool) { return s.eng.Row(id) }
 
-// NewFollowerIndex assembles an index from a leader's ReplSnapshot stream
-// (snaps holds that one reader). The result serves reads exactly like the
-// leader's index did at the snapshot; advance it with ApplyReplWAL as the
-// leader's log grows. It defaults to WithShards(0) and WithWorkers(0); the
-// option list supplies runtime knobs only (workers, scheduler, memtable) —
-// structure comes from the stream. More than one stream is a leader from
-// before the index became one engine, which cannot be followed.
-func NewFollowerIndex(snaps []io.Reader, opts ...SDOption) (*ShardedIndex, error) {
-	if len(snaps) != 1 {
-		return nil, fmt.Errorf("sdquery: follower: leader exports %d snapshot streams, this version follows exactly 1 (upgrade the leader)", len(snaps))
-	}
+// NewFollowerIndex assembles an index from a leader's ReplSnapshot stream.
+// The result serves reads exactly like the leader's index did at the
+// snapshot; advance it with ApplyReplWAL as the leader's log grows. It
+// defaults to WithShards(0) and WithWorkers(0); the option list supplies
+// runtime knobs only (workers, memtable) — structure comes from the stream.
+func NewFollowerIndex(snap io.Reader, opts ...SDOption) (*ShardedIndex, error) {
 	opt, _, pool := runtimeOptions(shardedDefaults(opts))
-	eng, err := core.Load(snaps[0], opt)
+	eng, err := core.Load(snap, opt)
 	if err != nil {
 		err = fmt.Errorf("sdquery: follower: %w", err)
 	}

@@ -20,14 +20,14 @@ import (
 // loop that tails the leader's WAL to stay fresh:
 //
 //	poll:  GET /v1/repl/manifest          — leader position + source token
-//	       GET /v1/repl/wal?shard&from    — per lagging shard; apply by LSN
+//	       GET /v1/repl/wal?shard=0&from  — while behind; apply by LSN
 //
-// The apply path is crash recovery's: records at or below the shard's
+// The apply path is crash recovery's: records at or below the index's
 // last-applied LSN are skipped, successors apply, anything else is a gap.
 // That makes every pull idempotent — a retried or duplicated tail re-applies
 // as a no-op — so the loop needs no careful exactly-once transport.
 //
-// Three events force a full re-bootstrap (fresh snapshots, atomically
+// Three events force a full re-bootstrap (a fresh snapshot, atomically
 // published with Server.Swap so in-flight reads finish on the old index):
 // the leader's source token changes (restart or index swap — the LSN cursor
 // may describe a different history), a /wal request answers 410 Gone (a
@@ -50,7 +50,7 @@ type followerState struct {
 	mu     sync.Mutex // guards source
 	source string
 
-	lag        atomic.Uint64 // sum over shards of leaderLSN − appliedLSN
+	lag        atomic.Uint64 // leader LSN − applied LSN at the last poll
 	lastPull   atomic.Int64  // unix nanos of the last successful poll
 	pulls      atomic.Uint64
 	pullErrs   atomic.Uint64
@@ -63,13 +63,13 @@ type followerState struct {
 
 // WithFollowInterval sets how often a follower polls its leader for new WAL
 // records (default 200ms). Lower is fresher; each poll is one manifest GET
-// plus one /wal GET per lagging shard.
+// plus, when behind, /wal GETs up to the position it reported.
 func WithFollowInterval(d time.Duration) Option {
 	return func(c *config) { c.followInterval = d }
 }
 
 // NewFollower builds a read-only Server mirroring the leader at leaderURL.
-// It bootstraps synchronously (snapshots are fetched and loaded before
+// It bootstraps synchronously (the snapshot is fetched and loaded before
 // NewFollower returns, so a returned follower is immediately serving) and
 // then keeps itself fresh in the background until Close or Shutdown. All
 // serving options apply as usual; WithLoadOptions supplies the runtime knobs
@@ -127,8 +127,7 @@ func (s *Server) Follower() string {
 func (s *Server) Generation() uint64 { return s.gen.Load() }
 
 // ReplLag reports the follower's current replication lag in records (0 for
-// a leader): the sum over shards of the leader's last-seen LSN minus the
-// locally applied LSN.
+// a leader): the leader's last-seen LSN minus the locally applied LSN.
 func (s *Server) ReplLag() uint64 {
 	f := s.repl.Load()
 	if f == nil {
@@ -137,27 +136,31 @@ func (s *Server) ReplLag() uint64 {
 	return f.lag.Load()
 }
 
-// manifest fetches and validates the leader's replication manifest.
-func (f *followerState) manifest() (replManifest, error) {
+// manifest fetches the leader's replication manifest and returns its source
+// token and LSN. A leader that exports anything but one stream (a node from
+// before an index became one engine) cannot be followed and is refused here,
+// before any snapshot is fetched.
+func (f *followerState) manifest() (source string, lsn uint64, err error) {
 	resp, err := f.client.Get(f.leaderURL + "/v1/repl/manifest")
 	if err != nil {
-		return replManifest{}, err
+		return "", 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return replManifest{}, fmt.Errorf("manifest: leader answered %d", resp.StatusCode)
+		return "", 0, fmt.Errorf("manifest: leader answered %d", resp.StatusCode)
 	}
 	var m replManifest
 	if err := strictDecode(mustReadAll(resp.Body), &m); err != nil {
-		return replManifest{}, fmt.Errorf("manifest: %w", err)
+		return "", 0, fmt.Errorf("manifest: %w", err)
 	}
 	if m.Format != replFormat {
-		return replManifest{}, fmt.Errorf("manifest: leader speaks %q, this follower %q", m.Format, replFormat)
+		return "", 0, fmt.Errorf("manifest: leader speaks %q, this follower %q", m.Format, replFormat)
 	}
-	if m.Shards < 1 || m.Shards != len(m.LSNs) {
-		return replManifest{}, fmt.Errorf("manifest: %d shards with %d lsns", m.Shards, len(m.LSNs))
+	if m.Shards != 1 || len(m.LSNs) != 1 {
+		return "", 0, fmt.Errorf("manifest: leader %s exports %d replication streams (%d lsns), this version follows exactly 1 (upgrade the leader)",
+			f.leaderURL, m.Shards, len(m.LSNs))
 	}
-	return m, nil
+	return m.Source, m.LSNs[0], nil
 }
 
 func mustReadAll(r io.Reader) []byte {
@@ -168,40 +171,34 @@ func mustReadAll(r io.Reader) []byte {
 	return data
 }
 
-// bootstrap pulls a full snapshot set and assembles a serving index from it.
+// bootstrap pulls a full snapshot and assembles a serving index from it.
 func (f *followerState) bootstrap() (Index, string, error) {
-	m, err := f.manifest()
+	source, _, err := f.manifest()
 	if err != nil {
 		return nil, "", err
 	}
-	readers := make([]io.Reader, m.Shards)
-	for si := 0; si < m.Shards; si++ {
-		resp, err := f.client.Get(fmt.Sprintf("%s/v1/repl/segment?shard=%d", f.leaderURL, si))
-		if err != nil {
-			return nil, "", fmt.Errorf("segment %d: %w", si, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return nil, "", fmt.Errorf("segment %d: leader answered %d", si, resp.StatusCode)
-		}
-		if src := resp.Header.Get(headerReplSource); src != m.Source {
-			// The leader swapped or restarted between the manifest and this
-			// segment; the set would mix histories. Caller retries.
-			resp.Body.Close()
-			return nil, "", fmt.Errorf("segment %d: leader source changed mid-bootstrap (%s → %s)", si, m.Source, src)
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, "", fmt.Errorf("segment %d: %w", si, err)
-		}
-		readers[si] = bytes.NewReader(data)
+	resp, err := f.client.Get(f.leaderURL + "/v1/repl/segment?shard=0")
+	if err != nil {
+		return nil, "", fmt.Errorf("segment: %w", err)
 	}
-	idx, err := sdquery.NewFollowerIndex(readers, f.loadOpts...)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, "", fmt.Errorf("segment: leader answered %d", resp.StatusCode)
+	}
+	if src := resp.Header.Get(headerReplSource); src != source {
+		// The leader swapped or restarted between the manifest and the
+		// snapshot; the cursor would describe another history. Caller retries.
+		return nil, "", fmt.Errorf("segment: leader source changed mid-bootstrap (%s → %s)", source, src)
+	}
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, "", fmt.Errorf("segment: %w", err)
+	}
+	idx, err := sdquery.NewFollowerIndex(bytes.NewReader(data), f.loadOpts...)
 	if err != nil {
 		return nil, "", err
 	}
-	return idx, m.Source, nil
+	return idx, source, nil
 }
 
 // followLoop polls the leader until the server closes or the node is
@@ -228,77 +225,64 @@ func (s *Server) followLoop(f *followerState) {
 }
 
 // pullOnce advances the follower by one poll: fetch the leader's position,
-// tail every lagging shard, update the lag gauge. Any gap signal ends in a
+// tail the log up to it, update the lag gauge. Any gap signal ends in a
 // re-bootstrap; any transport error is left for the next tick.
 func (s *Server) pullOnce(f *followerState) error {
-	m, err := f.manifest()
+	source, leaderLSN, err := f.manifest()
 	if err != nil {
 		return err
 	}
 	f.mu.Lock()
 	src := f.source
 	f.mu.Unlock()
-	if m.Source != src {
+	if source != src {
 		return s.rebootstrap(f)
 	}
-	ra, ok := s.Index().(replApplier)
-	if !ok {
-		return fmt.Errorf("serve: follower index lost its replication surface")
-	}
-	applied := ra.ShardLSNs()
-	if len(applied) != len(m.LSNs) {
-		return s.rebootstrap(f)
-	}
-	for si := range applied {
-		// The leader caps each /wal response, so one poll may take several
-		// pulls to reach the manifest position; loop until caught up to the
-		// position this poll observed (the leader moving further meanwhile
-		// is the next tick's work).
-		for applied[si] < m.LSNs[si] {
-			resp, err := f.client.Get(fmt.Sprintf("%s/v1/repl/wal?shard=%d&from=%d", f.leaderURL, si, applied[si]))
-			if err != nil {
-				return err
-			}
-			if resp.StatusCode == http.StatusGone {
-				resp.Body.Close()
-				return s.rebootstrap(f)
-			}
-			if resp.StatusCode != http.StatusOK {
-				resp.Body.Close()
-				return fmt.Errorf("wal shard %d: leader answered %d", si, resp.StatusCode)
-			}
-			if src := resp.Header.Get(headerReplSource); src != m.Source {
-				resp.Body.Close()
-				return s.rebootstrap(f)
-			}
-			n, err := ra.ApplyReplWAL(si, resp.Body)
+	idx := s.Index()
+	// The leader caps each /wal response, so one poll may take several pulls
+	// to reach the manifest position; loop until caught up to the position
+	// this poll observed (the leader moving further meanwhile is the next
+	// tick's work).
+	for idx.LSN() < leaderLSN {
+		resp, err := f.client.Get(fmt.Sprintf("%s/v1/repl/wal?shard=0&from=%d", f.leaderURL, idx.LSN()))
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode == http.StatusGone {
 			resp.Body.Close()
-			if errors.Is(err, sdquery.ErrReplGap) {
-				return s.rebootstrap(f)
-			}
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				// No forward progress; leave the rest for the next tick
-				// rather than spin.
-				break
-			}
-			applied[si] = ra.ShardLSNs()[si]
+			return s.rebootstrap(f)
+		}
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			return fmt.Errorf("wal: leader answered %d", resp.StatusCode)
+		}
+		if src := resp.Header.Get(headerReplSource); src != source {
+			resp.Body.Close()
+			return s.rebootstrap(f)
+		}
+		n, err := idx.ApplyReplWAL(resp.Body)
+		resp.Body.Close()
+		if errors.Is(err, sdquery.ErrReplGap) {
+			return s.rebootstrap(f)
+		}
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			// No forward progress; leave the rest for the next tick rather
+			// than spin.
+			break
 		}
 	}
 	var lag uint64
-	applied = ra.ShardLSNs()
-	for si := range m.LSNs {
-		if si < len(applied) && m.LSNs[si] > applied[si] {
-			lag += m.LSNs[si] - applied[si]
-		}
+	if applied := idx.LSN(); leaderLSN > applied {
+		lag = leaderLSN - applied
 	}
 	f.lag.Store(lag)
 	return nil
 }
 
-// rebootstrap replaces the follower's index with a fresh snapshot set. The
+// rebootstrap replaces the follower's index with a fresh snapshot. The
 // swap is the same atomic publication /v1/admin/swap uses, so readers never
 // observe a torn index; the displaced index only has its worker pool to
 // release (follower indexes own no WAL).
@@ -310,10 +294,7 @@ func (s *Server) rebootstrap(f *followerState) error {
 	f.mu.Lock()
 	f.source = src
 	f.mu.Unlock()
-	old := s.Swap(idx)
-	if c, ok := old.(closer); ok && old != idx {
-		c.Close()
-	}
+	s.Swap(idx).Close()
 	f.bootstraps.Add(1)
 	return nil
 }

@@ -247,50 +247,44 @@ func (m *metrics) writeProm(w io.Writer, idx Index, cache *resultCache) {
 	fmt.Fprintf(w, "# HELP sdserver_engine_stats_queries_total Queries that carried stats=true.\n# TYPE sdserver_engine_stats_queries_total counter\n")
 	fmt.Fprintf(w, "sdserver_engine_stats_queries_total %d\n", m.statQueries.Load())
 
-	// Index-shape gauges: live points, resident bytes, and — when the index
-	// exposes them — the segment stack shape and the compaction counter.
+	// Index-shape gauges: live points, resident bytes, the segment stack
+	// shape and the compaction counter.
 	fmt.Fprintf(w, "# HELP sdserver_index_points Live points in the serving index.\n# TYPE sdserver_index_points gauge\n")
 	fmt.Fprintf(w, "sdserver_index_points %d\n", idx.Len())
 	fmt.Fprintf(w, "# HELP sdserver_index_bytes Estimated resident bytes of the serving index.\n# TYPE sdserver_index_bytes gauge\n")
 	fmt.Fprintf(w, "sdserver_index_bytes %d\n", idx.Bytes())
-	if sg, ok := idx.(segmenter); ok {
-		segs, mem := sg.Segments()
-		fmt.Fprintf(w, "# HELP sdserver_index_segments Sealed segments across the serving index.\n# TYPE sdserver_index_segments gauge\n")
-		fmt.Fprintf(w, "sdserver_index_segments %d\n", segs)
-		fmt.Fprintf(w, "# HELP sdserver_index_memtable_rows Unsealed memtable rows across the serving index.\n# TYPE sdserver_index_memtable_rows gauge\n")
-		fmt.Fprintf(w, "sdserver_index_memtable_rows %d\n", mem)
-	}
-	if cp, ok := idx.(compactioner); ok {
-		fmt.Fprintf(w, "# HELP sdserver_index_compactions_total Compaction steps completed by the serving index.\n# TYPE sdserver_index_compactions_total counter\n")
-		fmt.Fprintf(w, "sdserver_index_compactions_total %d\n", cp.Compactions())
-	}
+	segs, mem := idx.Segments()
+	fmt.Fprintf(w, "# HELP sdserver_index_segments Sealed segments across the serving index.\n# TYPE sdserver_index_segments gauge\n")
+	fmt.Fprintf(w, "sdserver_index_segments %d\n", segs)
+	fmt.Fprintf(w, "# HELP sdserver_index_memtable_rows Unsealed memtable rows across the serving index.\n# TYPE sdserver_index_memtable_rows gauge\n")
+	fmt.Fprintf(w, "sdserver_index_memtable_rows %d\n", mem)
+	fmt.Fprintf(w, "# HELP sdserver_index_compactions_total Compaction steps completed by the serving index.\n# TYPE sdserver_index_compactions_total counter\n")
+	fmt.Fprintf(w, "sdserver_index_compactions_total %d\n", idx.Compactions())
 
 	// Write-ahead-log telemetry, present when the serving index is durable.
-	if ws, ok := idx.(walStater); ok {
-		if st := ws.WALStats(); st.Enabled {
-			fmt.Fprintf(w, "# HELP sdserver_wal_appends_total Records appended to the write-ahead log.\n# TYPE sdserver_wal_appends_total counter\n")
-			fmt.Fprintf(w, "sdserver_wal_appends_total %d\n", st.Appends)
-			fmt.Fprintf(w, "# HELP sdserver_wal_fsyncs_total Fsyncs issued by the write-ahead log (group commit makes this <= appends).\n# TYPE sdserver_wal_fsyncs_total counter\n")
-			fmt.Fprintf(w, "sdserver_wal_fsyncs_total %d\n", st.Fsyncs)
-			fmt.Fprintf(w, "# HELP sdserver_wal_bytes_total Record bytes appended to the write-ahead log.\n# TYPE sdserver_wal_bytes_total counter\n")
-			fmt.Fprintf(w, "sdserver_wal_bytes_total %d\n", st.Bytes)
-			fmt.Fprintf(w, "# HELP sdserver_wal_replay_records Log records replayed by the last recovery.\n# TYPE sdserver_wal_replay_records gauge\n")
-			fmt.Fprintf(w, "sdserver_wal_replay_records %d\n", st.ReplayRecords)
-			fmt.Fprintf(w, "# HELP sdserver_wal_last_lsn Log sequence number of the last applied mutation.\n# TYPE sdserver_wal_last_lsn gauge\n")
-			fmt.Fprintf(w, "sdserver_wal_last_lsn %d\n", st.LSN)
-			degraded := 0
-			if st.Err != nil {
-				degraded = 1
-			}
-			fmt.Fprintf(w, "# HELP sdserver_wal_degraded Whether the write-ahead log failed and the server is read-only (1 = degraded).\n# TYPE sdserver_wal_degraded gauge\n")
-			fmt.Fprintf(w, "sdserver_wal_degraded %d\n", degraded)
+	if st := idx.WALStats(); st.Enabled {
+		fmt.Fprintf(w, "# HELP sdserver_wal_appends_total Records appended to the write-ahead log.\n# TYPE sdserver_wal_appends_total counter\n")
+		fmt.Fprintf(w, "sdserver_wal_appends_total %d\n", st.Appends)
+		fmt.Fprintf(w, "# HELP sdserver_wal_fsyncs_total Fsyncs issued by the write-ahead log (group commit makes this <= appends).\n# TYPE sdserver_wal_fsyncs_total counter\n")
+		fmt.Fprintf(w, "sdserver_wal_fsyncs_total %d\n", st.Fsyncs)
+		fmt.Fprintf(w, "# HELP sdserver_wal_bytes_total Record bytes appended to the write-ahead log.\n# TYPE sdserver_wal_bytes_total counter\n")
+		fmt.Fprintf(w, "sdserver_wal_bytes_total %d\n", st.Bytes)
+		fmt.Fprintf(w, "# HELP sdserver_wal_replay_records Log records replayed by the last recovery.\n# TYPE sdserver_wal_replay_records gauge\n")
+		fmt.Fprintf(w, "sdserver_wal_replay_records %d\n", st.ReplayRecords)
+		fmt.Fprintf(w, "# HELP sdserver_wal_last_lsn Log sequence number of the last applied mutation.\n# TYPE sdserver_wal_last_lsn gauge\n")
+		fmt.Fprintf(w, "sdserver_wal_last_lsn %d\n", st.LSN)
+		degraded := 0
+		if st.Err != nil {
+			degraded = 1
 		}
+		fmt.Fprintf(w, "# HELP sdserver_wal_degraded Whether the write-ahead log failed and the server is read-only (1 = degraded).\n# TYPE sdserver_wal_degraded gauge\n")
+		fmt.Fprintf(w, "sdserver_wal_degraded %d\n", degraded)
 	}
 }
 
 // writeReplProm appends the node-role and replication series to /metrics.
 // It is a Server method (not a metrics method) because the data lives on
-// the server: the follower state and the index's LSN vector.
+// the server: the follower state and the index's LSN.
 func (s *Server) writeReplProm(w io.Writer) {
 	role := "leader"
 	if s.repl.Load() != nil {
@@ -298,12 +292,8 @@ func (s *Server) writeReplProm(w io.Writer) {
 	}
 	fmt.Fprintf(w, "# HELP sdserver_role Node role (the labeled role has value 1).\n# TYPE sdserver_role gauge\n")
 	fmt.Fprintf(w, "sdserver_role{role=%q} 1\n", role)
-	if lv, ok := s.Index().(lsnVectorer); ok {
-		fmt.Fprintf(w, "# HELP sdserver_repl_lsn Last-applied WAL LSN per shard.\n# TYPE sdserver_repl_lsn gauge\n")
-		for si, lsn := range lv.ShardLSNs() {
-			fmt.Fprintf(w, "sdserver_repl_lsn{shard=\"%d\"} %d\n", si, lsn)
-		}
-	}
+	fmt.Fprintf(w, "# HELP sdserver_repl_lsn Last-applied WAL LSN per shard.\n# TYPE sdserver_repl_lsn gauge\n")
+	fmt.Fprintf(w, "sdserver_repl_lsn{shard=\"0\"} %d\n", s.Index().LSN())
 	fmt.Fprintf(w, "# HELP sdserver_generation Cluster generation (promotion fencing token).\n# TYPE sdserver_generation gauge\n")
 	fmt.Fprintf(w, "sdserver_generation %d\n", s.gen.Load())
 	f := s.repl.Load()
@@ -353,8 +343,8 @@ type Statz struct {
 	Endpoints     map[string]EndpointStatz `json:"endpoints"`
 
 	// Role is "leader" or "follower"; Repl is present only on followers.
-	// ReplLSNs is the per-shard last-applied LSN vector (empty without a
-	// WAL); IndexIDSpace is the size of the global ID space — every indexed
+	// ReplLSNs is the last-applied LSN, as the one-element array the wire
+	// format carries it in; IndexIDSpace is the size of the global ID space — every indexed
 	// ID is below it, which is how a router seeds cluster-unique IDs.
 	Role         string     `json:"role"`
 	Generation   uint64     `json:"generation"`
@@ -444,27 +434,21 @@ func (m *metrics) statz(idx Index, cache *resultCache) Statz {
 	if up > 0 {
 		st.QPS = float64(total) / up
 	}
-	if sg, ok := idx.(segmenter); ok {
-		st.IndexSegments, st.IndexMemRows = sg.Segments()
-	}
-	if cp, ok := idx.(compactioner); ok {
-		st.IndexCompactions = cp.Compactions()
-	}
+	st.IndexSegments, st.IndexMemRows = idx.Segments()
+	st.IndexCompactions = idx.Compactions()
 	if cache != nil {
 		st.CacheEntries = cache.len()
 	}
-	if ws, ok := idx.(walStater); ok {
-		if wst := ws.WALStats(); wst.Enabled {
-			st.WALEnabled = true
-			st.WALAppends = wst.Appends
-			st.WALFsyncs = wst.Fsyncs
-			st.WALBytes = wst.Bytes
-			st.WALReplayRecords = wst.ReplayRecords
-			st.WALLastLSN = wst.LSN
-			if wst.Err != nil {
-				st.WALDegraded = true
-				st.WALError = wst.Err.Error()
-			}
+	if wst := idx.WALStats(); wst.Enabled {
+		st.WALEnabled = true
+		st.WALAppends = wst.Appends
+		st.WALFsyncs = wst.Fsyncs
+		st.WALBytes = wst.Bytes
+		st.WALReplayRecords = wst.ReplayRecords
+		st.WALLastLSN = wst.LSN
+		if wst.Err != nil {
+			st.WALDegraded = true
+			st.WALError = wst.Err.Error()
 		}
 	}
 	return st

@@ -6,8 +6,6 @@ import (
 	"os"
 	"strings"
 	"time"
-
-	sdquery "repro"
 )
 
 // trimURL canonicalizes a node URL the way NewFollower does.
@@ -53,12 +51,6 @@ func trimURL(u string) string { return strings.TrimRight(u, "/") }
 // — acceptable for tests, stated loudly in the response.
 func WithPromotionWALDir(dir string) Option {
 	return func(c *config) { c.promoteWALDir = dir }
-}
-
-// walAttacher is the index capability promotion needs for durability —
-// implemented by SDIndex (the type every follower serves).
-type walAttacher interface {
-	AttachWAL(dir string, opts ...sdquery.SDOption) error
 }
 
 type wirePromote struct {
@@ -130,7 +122,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Stop tailing the old leader before anything else: once the WAL attach
-	// below checkpoints a shard, replicated records applied concurrently
+	// below checkpoints the index, replicated records applied concurrently
 	// would land in the engine but not in the new log and be lost on crash.
 	f.stop()
 
@@ -156,15 +148,14 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) promotedResponse(gen uint64) promoteResponse {
-	resp := promoteResponse{Promoted: true, Generation: gen}
 	idx := s.Index()
-	if ws, ok := idx.(walStater); ok {
-		resp.Durable = ws.WALStats().Enabled && ws.WALStats().Err == nil
+	ws := idx.WALStats()
+	return promoteResponse{
+		Promoted:   true,
+		Generation: gen,
+		Durable:    ws.Enabled && ws.Err == nil,
+		LSNs:       wireLSNs(idx),
 	}
-	if lv, ok := idx.(lsnVectorer); ok {
-		resp.LSNs = lv.ShardLSNs()
-	}
-	return resp
 }
 
 // attachPromotionWAL opens the promoted node's own write-ahead log under a
@@ -172,10 +163,6 @@ func (s *Server) promotedResponse(gen uint64) promoteResponse {
 // generation (crash between attach and ack) from colliding with the
 // half-attached directory a previous attempt left behind.
 func (s *Server) attachPromotionWAL(gen uint64) error {
-	wa, ok := s.Index().(walAttacher)
-	if !ok {
-		return fmt.Errorf("index %T cannot attach a write-ahead log", s.Index())
-	}
 	if err := os.MkdirAll(s.cfg.promoteWALDir, 0o755); err != nil {
 		return err
 	}
@@ -183,7 +170,7 @@ func (s *Server) attachPromotionWAL(gen uint64) error {
 	if err != nil {
 		return err
 	}
-	return wa.AttachWAL(dir, s.cfg.loadOpts...)
+	return s.Index().AttachWAL(dir, s.cfg.loadOpts...)
 }
 
 // resumeFollowing restarts the pull loop after a failed promotion. The old
@@ -291,9 +278,8 @@ func (s *Server) handleDemote(w http.ResponseWriter, r *http.Request) {
 	s.gen.Store(wd.Generation)
 	s.repl.Store(nf)
 	wasOwned := s.ownsIndex.Swap(true)
-	oldIdx := s.Swap(idx)
-	if c, ok := oldIdx.(closer); ok && wasOwned && oldIdx != idx {
-		c.Close()
+	if oldIdx := s.Swap(idx); wasOwned {
+		oldIdx.Close()
 	}
 	go s.followLoop(nf)
 	writeJSON(w, http.StatusOK, demoteResponse{Demoted: true, Generation: wd.Generation, Leader: nf.leaderURL})

@@ -4,14 +4,9 @@ import (
 	"bytes"
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
-
-	sdquery "repro"
 )
 
 // Replication endpoints — the leader half of follower replication. A leader
@@ -19,11 +14,19 @@ import (
 // pulls them:
 //
 //	GET /v1/repl/manifest            JSON: stream format, source token,
-//	                                 shard count, dims, per-shard LSN vector
-//	GET /v1/repl/segment?shard=N     shard N's snapshot (checkpoint format)
-//	GET /v1/repl/wal?shard=N&from=L  shard N's WAL records with LSN > L
-//	                                 (log-record framing); 410 Gone when the
-//	                                 range was retired by a checkpoint
+//	                                 dims, the leader's LSN
+//	GET /v1/repl/segment?shard=0     the snapshot (checkpoint format)
+//	GET /v1/repl/wal?shard=0&from=L  WAL records with LSN > L (log-record
+//	                                 framing); 410 Gone when the range was
+//	                                 retired by a checkpoint
+//
+// An index is one replication stream at one LSN. The wire format dates from
+// when a node exported one stream per shard, and nodes and routers of that
+// vintage still speak it, so it keeps its shape: "shards" is always 1, the
+// shard parameter always 0, and every LSN travels as a one-element array
+// (or a one-number header). wireLSNs, setReplLSNs, replShard and
+// followerState.manifest are the only places that shape is written or read
+// (plus the literal shard="0" label on the sdserver_repl_lsn gauge).
 //
 // The streams are exactly the formats the engine already trusts with
 // durability (sdquery Save / WAL records), so replication adds no new
@@ -47,13 +50,12 @@ const replFormat = "sd-repl/v1"
 // position).
 const replWALChunkBytes = 4 << 20
 
-// Replication headers. X-SD-Repl-Lsns carries a comma-separated per-shard
-// LSN vector: on follower /v1/topk responses it states the freshness of the
-// snapshot that answered (computed before the answer, so it never
-// over-reports), and on leader write acks it states a position at which the
-// write is visible (computed after, so it never under-reports). The router
-// compares the two vectors componentwise to decide whether a replica may
-// answer a read-your-writes query.
+// Replication headers. X-SD-Repl-Lsns carries an LSN: on follower /v1/topk
+// responses it states the freshness of the snapshot that answered (computed
+// before the answer, so it never over-reports), and on leader write acks it
+// states a position at which the write is visible (computed after, so it
+// never under-reports). The router compares the two to decide whether a
+// replica may answer a read-your-writes query.
 const (
 	headerReplLSNs   = "X-SD-Repl-Lsns"
 	headerReplSource = "X-SD-Repl-Source"
@@ -69,41 +71,6 @@ const (
 	headerRole       = "X-SD-Role"
 	headerGeneration = "X-SD-Generation"
 )
-
-// replSource is the index capability the leader endpoints need — implemented
-// by SDIndex. An index is one stream, so ReplShards is 1 and the LSN vector
-// has one element; the shard parameter and the vector stay on the wire for
-// the nodes and routers already speaking it.
-type replSource interface {
-	ReplShards() int
-	ShardLSNs() []uint64
-	ReplSnapshot(si int, w io.Writer) (uint64, error)
-	ReplWALTail(si int, from uint64, w io.Writer, maxBytes int) (sdquery.ReplTail, error)
-}
-
-// replApplier is the follower side: apply a leader's WAL stream to a shard.
-type replApplier interface {
-	ShardLSNs() []uint64
-	ApplyReplWAL(si int, r io.Reader) (int, error)
-}
-
-// lsnVectorer is the minimal freshness surface (a strict subset of
-// replSource, split out so header emission needs only one assertion).
-type lsnVectorer interface {
-	ShardLSNs() []uint64
-}
-
-// idInserter accepts caller-assigned global IDs — the surface a distributed
-// writer needs for provably idempotent insert retries.
-type idInserter interface {
-	InsertWithID(id int, p []float64) error
-	PointByID(id int) ([]float64, bool)
-}
-
-// totaler reports the size of the global ID space (indexed IDs are below it).
-type totaler interface {
-	Total() int
-}
 
 // replManifest is the /v1/repl/manifest document.
 type replManifest struct {
@@ -132,51 +99,47 @@ func (s *Server) replToken(box *indexBox) string {
 	return s.serverID + "-" + strconv.FormatUint(box.gen, 10)
 }
 
-var errNoRepl = errors.New("serve: index does not export replication streams")
+// wireLSNs renders the index's position as /statz, the manifest and the
+// promote response carry it.
+func wireLSNs(idx Index) []uint64 { return []uint64{idx.LSN()} }
+
+// setReplLSNs emits the freshness header.
+func setReplLSNs(w http.ResponseWriter, idx Index) {
+	w.Header().Set(headerReplLSNs, strconv.FormatUint(idx.LSN(), 10))
+}
 
 func (s *Server) handleReplManifest(w http.ResponseWriter, r *http.Request) {
 	box := s.box.Load()
-	rs, ok := box.idx.(replSource)
-	if !ok {
-		writeError(w, http.StatusNotFound, errNoRepl)
-		return
-	}
 	writeJSON(w, http.StatusOK, replManifest{
 		Format: replFormat,
 		Source: s.replToken(box),
-		Shards: rs.ReplShards(),
+		Shards: 1,
 		Dims:   box.dims,
-		LSNs:   rs.ShardLSNs(),
+		LSNs:   wireLSNs(box.idx),
 	})
 }
 
-// replShard parses and bounds the shard query parameter.
-func replShard(r *http.Request, rs replSource) (int, error) {
+// replShard checks the shard query parameter, which must name stream 0.
+func replShard(r *http.Request) error {
 	si, err := strconv.Atoi(r.URL.Query().Get("shard"))
 	if err != nil {
-		return 0, fmt.Errorf("serve: shard parameter: %w", err)
+		return fmt.Errorf("serve: shard parameter: %w", err)
 	}
-	if si < 0 || si >= rs.ReplShards() {
-		return 0, fmt.Errorf("serve: shard %d of %d", si, rs.ReplShards())
+	if si != 0 {
+		return fmt.Errorf("serve: shard %d of 1", si)
 	}
-	return si, nil
+	return nil
 }
 
 func (s *Server) handleReplSegment(w http.ResponseWriter, r *http.Request) {
 	box := s.box.Load()
-	rs, ok := box.idx.(replSource)
-	if !ok {
-		writeError(w, http.StatusNotFound, errNoRepl)
-		return
-	}
-	si, err := replShard(r, rs)
-	if err != nil {
+	if err := replShard(r); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(headerReplSource, s.replToken(box))
-	if _, err := rs.ReplSnapshot(si, w); err != nil {
+	if _, err := box.idx.ReplSnapshot(w); err != nil {
 		// Bytes are already on the wire; the only honest failure signal left
 		// is killing the connection so the follower sees a short stream (which
 		// Load rejects) instead of a clean EOF.
@@ -186,13 +149,7 @@ func (s *Server) handleReplSegment(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	box := s.box.Load()
-	rs, ok := box.idx.(replSource)
-	if !ok {
-		writeError(w, http.StatusNotFound, errNoRepl)
-		return
-	}
-	si, err := replShard(r, rs)
-	if err != nil {
+	if err := replShard(r); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -208,7 +165,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	// the engine holds its checkpoint lock — stays bounded no matter how
 	// much log is retained.
 	var buf bytes.Buffer
-	tail, err := rs.ReplWALTail(si, from, &buf, replWALChunkBytes)
+	tail, err := box.idx.ReplWALTail(from, &buf, replWALChunkBytes)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -225,25 +182,6 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(headerRecords, strconv.Itoa(tail.Records))
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf.Bytes())
-}
-
-// lsnCSV renders an LSN vector for the X-SD-Repl-Lsns header.
-func lsnCSV(lsns []uint64) string {
-	var b strings.Builder
-	for i, v := range lsns {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatUint(v, 10))
-	}
-	return b.String()
-}
-
-// setReplLSNs emits the freshness header when the index exposes a vector.
-func setReplLSNs(w http.ResponseWriter, idx Index) {
-	if lv, ok := idx.(lsnVectorer); ok {
-		w.Header().Set(headerReplLSNs, lsnCSV(lv.ShardLSNs()))
-	}
 }
 
 // pointsEqual compares coordinates bit-for-bit. The router retries an insert

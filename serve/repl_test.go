@@ -294,3 +294,49 @@ func TestReplEndpointContract(t *testing.T) {
 		t.Fatalf("gapped tail status %d, want 410", gone.StatusCode)
 	}
 }
+
+// TestFollowerRefusesMultiStreamLeader: a leader whose manifest describes
+// anything but one replication stream (a node from when an index was one
+// engine per shard) is refused at the manifest, with an error naming it and
+// the count, before any snapshot is downloaded.
+func TestFollowerRefusesMultiStreamLeader(t *testing.T) {
+	for _, tc := range []struct {
+		name, manifest string
+		lsn            uint64 // the position a followable manifest reports
+		refused        string // what the error must mention, "" = followable
+	}{
+		{name: "one stream", manifest: `"shards":1,"lsns":[7]`, lsn: 7},
+		{name: "two streams", manifest: `"shards":2,"lsns":[7,9]`, refused: "2 replication streams"},
+		{name: "one shard, two lsns", manifest: `"shards":1,"lsns":[7,9]`, refused: "(2 lsns)"},
+		{name: "two shards, one lsn", manifest: `"shards":2,"lsns":[7]`, refused: "2 replication streams"},
+		{name: "no stream", manifest: `"shards":0,"lsns":[]`, refused: "0 replication streams"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var segments atomic.Int32
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/repl/manifest" {
+					fmt.Fprintf(w, `{"format":%q,"source":"peer-1","dims":4,%s}`, replFormat, tc.manifest)
+					return
+				}
+				segments.Add(1)
+				http.Error(w, "no snapshot here", http.StatusInternalServerError)
+			}))
+			defer peer.Close()
+			f := &followerState{leaderURL: peer.URL, client: peer.Client()}
+
+			if tc.refused == "" {
+				if src, lsn, err := f.manifest(); err != nil || src != "peer-1" || lsn != tc.lsn {
+					t.Fatalf("manifest() = %q, %d, %v", src, lsn, err)
+				}
+				return
+			}
+			_, _, err := f.bootstrap()
+			if err == nil || !strings.Contains(err.Error(), peer.URL) || !strings.Contains(err.Error(), tc.refused) {
+				t.Fatalf("bootstrap error %v, want one naming %s and %q", err, peer.URL, tc.refused)
+			}
+			if n := segments.Load(); n != 0 {
+				t.Fatalf("%d snapshot requests reached a leader that cannot be followed", n)
+			}
+		})
+	}
+}

@@ -33,30 +33,22 @@ type node struct {
 	downSince atomic.Int64 // unix nanos when tripped; 0 = closed (healthy)
 	lat       latRing
 
-	// lsns caches the last LSN vector this node reported (on read responses
-	// and candidate probes). Read balancing consults it to skip replicas
-	// known to be staler than the partition watermark; it is a hint, not a
-	// proof — the answer-time freshness gate in fetchOn stays authoritative.
-	lsnMu    sync.Mutex
-	lsns     []uint64
-	seenLSNs bool
+	// lsn caches the last LSN this node reported (on read responses and
+	// candidate probes); lsnSeen is false until it has reported one. Read
+	// balancing consults the pair to skip replicas known to be staler than
+	// the partition watermark; it is a hint, not a proof — the answer-time
+	// freshness gate in fetchOn stays authoritative.
+	lsn     atomic.Uint64
+	lsnSeen atomic.Bool
 }
 
-func (n *node) setLSNs(v []uint64) {
-	n.lsnMu.Lock()
-	n.lsns = append(n.lsns[:0], v...)
-	n.seenLSNs = true
-	n.lsnMu.Unlock()
+func (n *node) setLSN(v uint64) {
+	n.lsn.Store(v)
+	n.lsnSeen.Store(true)
 }
 
-func (n *node) lastLSNs() ([]uint64, bool) {
-	n.lsnMu.Lock()
-	defer n.lsnMu.Unlock()
-	if !n.seenLSNs {
-		return nil, false
-	}
-	return append([]uint64(nil), n.lsns...), true
-}
+// knownStale reports whether the node's last-reported position is behind hw.
+func (n *node) knownStale(hw uint64) bool { return n.lsnSeen.Load() && n.lsn.Load() < hw }
 
 func (n *node) ok() {
 	n.fails.Store(0)
@@ -146,10 +138,7 @@ func (rt *Router) probeAll() {
 				if !up {
 					return
 				}
-				cur := p.maxGen.Load()
-				for gen > cur && !p.maxGen.CompareAndSwap(cur, gen) {
-					cur = p.maxGen.Load()
-				}
+				raise(&p.maxGen, gen)
 				if n != topo.leader && role == "leader" && gen < topo.gen {
 					// A deposed leader came back still believing itself the
 					// leader of a past generation. Its writes are already
@@ -231,10 +220,10 @@ func (rt *Router) promoteDue() {
 }
 
 // promote elects and fences a new leader for a partition whose leader is
-// gone. The candidate must be a live replica whose LSN vector covers the
-// partition's write watermark (no acknowledged write may be lost) and every
-// other live replica's vector (no fresher survivor is left behind). If no
-// replica qualifies the attempt is abandoned — the router keeps waiting, by
+// gone. The candidate is the live replica with the highest LSN (no fresher
+// survivor is left behind), and that LSN must have reached the partition's
+// write watermark (no acknowledged write may be lost). If no replica
+// qualifies the attempt is abandoned — the router keeps waiting, by
 // design: promoting a lagging replica would silently drop acked writes.
 // The new generation is allocated above both the topology's and the highest
 // generation any node has ever reported, so a promote whose ack was lost
@@ -245,33 +234,20 @@ func (rt *Router) promote(p *partition, topo *topology) bool {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), adminTimeout)
 	defer cancel()
-	hw := p.hwVector()
-	type candidate struct {
-		n    *node
-		lsns []uint64
-	}
-	var cands []candidate
+	hw := p.hw.Load()
+	var best *node
+	var bestLSN uint64
 	for _, rn := range topo.replicas {
 		if !rn.healthy() {
 			continue
 		}
-		lsns, err := rt.replLSNs(ctx, rn)
+		lsn, err := rt.replLSN(ctx, rn)
 		if err != nil {
 			continue
 		}
-		rn.setLSNs(lsns)
-		cands = append(cands, candidate{rn, lsns})
-	}
-	var best *candidate
-	for i := range cands {
-		c := &cands[i]
-		qualified := vectorCovers(c.lsns, hw)
-		for j := range cands {
-			qualified = qualified && vectorCovers(c.lsns, cands[j].lsns)
-		}
-		if qualified {
-			best = c
-			break
+		rn.setLSN(lsn)
+		if lsn >= hw && (best == nil || lsn > bestLSN) {
+			best, bestLSN = rn, lsn
 		}
 	}
 	if best == nil {
@@ -286,7 +262,7 @@ func (rt *Router) promote(p *partition, topo *topology) bool {
 	if err != nil {
 		return false
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, best.n.url+"/v1/admin/promote", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, best.url+"/v1/admin/promote", bytes.NewReader(body))
 	if err != nil {
 		return false
 	}
@@ -302,50 +278,52 @@ func (rt *Router) promote(p *partition, topo *topology) bool {
 	}
 	// The candidate accepted the fence; even if this router crashed here the
 	// generation bookkeeping above keeps the next attempt strictly newer.
-	nt := &topology{gen: gen, leader: best.n}
+	nt := &topology{gen: gen, leader: best}
 	nt.replicas = append(nt.replicas, topo.leader)
 	for _, rn := range topo.replicas {
-		if rn != best.n {
+		if rn != best {
 			nt.replicas = append(nt.replicas, rn)
 		}
 	}
 	p.topo.Store(nt)
-	cur := p.maxGen.Load()
-	for gen > cur && !p.maxGen.CompareAndSwap(cur, gen) {
-		cur = p.maxGen.Load()
-	}
+	raise(&p.maxGen, gen)
 	rt.met.promotions.Add(1)
 	return true
 }
 
-// replLSNs asks one replica for its applied LSN vector (the repl_lsns field
-// of /statz) — the promotion candidate gate's evidence.
-func (rt *Router) replLSNs(ctx context.Context, n *node) ([]uint64, error) {
+// replLSN asks one replica for its applied LSN (the repl_lsns field of
+// /statz, a one-element vector) — the promotion candidate gate's evidence.
+// Any other length is a multi-stream node whose position this router cannot
+// compare, reported as an error so the node is no candidate.
+func (rt *Router) replLSN(ctx context.Context, n *node) (uint64, error) {
 	tctx, cancel := context.WithTimeout(ctx, rt.cfg.TryTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(tctx, http.MethodGet, n.url+"/statz", nil)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("router: %s /statz answered %d", n.url, resp.StatusCode)
+		return 0, fmt.Errorf("router: %s /statz answered %d", n.url, resp.StatusCode)
 	}
 	var st struct {
 		LSNs []uint64 `json:"repl_lsns"`
 	}
 	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return st.LSNs, nil
+	if len(st.LSNs) != 1 {
+		return 0, fmt.Errorf("router: %s reports %d replication positions, want 1", n.url, len(st.LSNs))
+	}
+	return st.LSNs[0], nil
 }
 
 // demote tells a stale self-declared leader to rejoin as a follower of the

@@ -151,35 +151,21 @@ type partition struct {
 	// nodes with the same generation.
 	maxGen atomic.Uint64
 
-	// hw is the write high-watermark: the componentwise max of the
-	// X-SD-Repl-Lsns vectors on this partition's write acks through this
-	// router. A replica may answer a read only when its own vector covers
-	// hw — the read-your-writes guarantee across failover.
-	hwMu sync.Mutex
-	hw   []uint64
+	// hw is the write high-watermark: the highest LSN on this partition's
+	// write acks through this router (0 before any). A replica may answer a
+	// read only from a position at or past it — the read-your-writes
+	// guarantee across failover.
+	hw atomic.Uint64
 }
 
-func (p *partition) hwVector() []uint64 {
-	p.hwMu.Lock()
-	defer p.hwMu.Unlock()
-	return append([]uint64(nil), p.hw...)
-}
-
-// raiseHW lifts the watermark to cover v (componentwise max).
-func (p *partition) raiseHW(v []uint64) {
-	if len(v) == 0 {
-		return
-	}
-	p.hwMu.Lock()
-	for len(p.hw) < len(v) {
-		p.hw = append(p.hw, 0)
-	}
-	for i, x := range v {
-		if x > p.hw[i] {
-			p.hw[i] = x
+// raise lifts a to at least v.
+func raise(a *atomic.Uint64, v uint64) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
 		}
 	}
-	p.hwMu.Unlock()
 }
 
 // routerMetrics are the router's own counters (served on /statz, /metrics).
@@ -328,49 +314,24 @@ var (
 
 const maxBody = 8 << 20
 
-// parseLSNs decodes an X-SD-Repl-Lsns header ("" → nil).
-func parseLSNs(h string) []uint64 {
-	if h == "" {
-		return nil
-	}
-	fields := strings.Split(h, ",")
-	out := make([]uint64, 0, len(fields))
-	for _, f := range fields {
-		v, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
-		if err != nil {
-			return nil
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// vectorCovers reports a ≥ b componentwise (the freshness order). An empty
-// b is covered by anything; a shorter a cannot cover a longer b.
-func vectorCovers(a, b []uint64) bool {
-	if len(b) == 0 {
-		return true
-	}
-	if len(a) < len(b) {
-		return false
-	}
-	for i := range b {
-		if a[i] < b[i] {
-			return false
-		}
-	}
-	return true
+// parseLSN decodes an X-SD-Repl-Lsns header: one LSN. On the wire it is a
+// per-shard vector, which every node this router can front reports with one
+// element; an absent or malformed header, or the comma-separated vector of a
+// multi-stream node, is "position unknown" — never its first element.
+func parseLSN(h string) (lsn uint64, known bool) {
+	lsn, err := strconv.ParseUint(h, 10, 64)
+	return lsn, err == nil
 }
 
 // readCandidates orders the nodes a read may use under one topology,
 // admitting only nodes the breaker allows. Qualified nodes come first: the
 // leader (definitionally fresh) and every replica whose last-reported LSN
-// vector covers hw — or that has never reported one, so it deserves a try.
+// has reached hw — or that has never reported one, so it deserves a try.
 // Known-stale replicas go last: they cannot answer a read-your-writes query
-// now, but keeping them reachable lets a retry refresh their vector once
+// now, but keeping them reachable lets a retry refresh their position once
 // they catch up. attempt rotates the order so consecutive retries move on
 // instead of hammering the same dead node.
-func (rt *Router) readCandidates(topo *topology, hw []uint64, attempt int) []*node {
+func (rt *Router) readCandidates(topo *topology, hw uint64, attempt int) []*node {
 	var cands, stale []*node
 	if topo.leader.available(rt.cfg.ReopenAfter) {
 		cands = append(cands, topo.leader)
@@ -379,7 +340,7 @@ func (rt *Router) readCandidates(topo *topology, hw []uint64, attempt int) []*no
 		if !r.available(rt.cfg.ReopenAfter) {
 			continue
 		}
-		if v, seen := r.lastLSNs(); seen && !vectorCovers(v, hw) {
+		if r.knownStale(hw) {
 			stale = append(stale, r)
 			continue
 		}
@@ -423,7 +384,7 @@ func (rt *Router) balance(cands []*node) {
 
 // fetchOn runs one bounded attempt against one node and applies the breaker
 // and freshness disciplines. Returns the response body on 200.
-func (rt *Router) fetchOn(ctx context.Context, topo *topology, n *node, method, path string, body []byte, hw []uint64) ([]byte, error) {
+func (rt *Router) fetchOn(ctx context.Context, topo *topology, n *node, method, path string, body []byte, hw uint64) ([]byte, error) {
 	tctx, cancel := context.WithTimeout(ctx, rt.cfg.TryTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -467,13 +428,13 @@ func (rt *Router) fetchOn(ctx context.Context, topo *topology, n *node, method, 
 	if n != topo.leader {
 		// A replica's answer is admissible only when its snapshot covers
 		// every write this router has acknowledged for the partition. Either
-		// way the reported vector refreshes the node's freshness cache, which
+		// way a reported position refreshes the node's freshness cache, which
 		// read candidate selection consults (readCandidates).
-		v := parseLSNs(resp.Header.Get("X-SD-Repl-Lsns"))
-		if v != nil {
-			n.setLSNs(v)
+		lsn, known := parseLSN(resp.Header.Get("X-SD-Repl-Lsns"))
+		if known {
+			n.setLSN(lsn)
 		}
-		if !vectorCovers(v, hw) {
+		if hw > 0 && (!known || lsn < hw) {
 			rt.met.staleRejects.Add(1)
 			return nil, errStale
 		}
@@ -510,7 +471,7 @@ func (rt *Router) hedgeDelay(primary *node) time.Duration {
 // fails. First success wins; the loser is cancelled. Reads are the only
 // hedged operations — writes go through writeToLeader, where an ambiguous
 // outcome is retried under the same idempotent ID instead of raced.
-func (rt *Router) hedgedFetch(ctx context.Context, topo *topology, primary, hedge *node, method, path string, body []byte, hw []uint64) ([]byte, error) {
+func (rt *Router) hedgedFetch(ctx context.Context, topo *topology, primary, hedge *node, method, path string, body []byte, hw uint64) ([]byte, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
@@ -574,7 +535,7 @@ func (rt *Router) hedgedFetch(ctx context.Context, topo *topology, primary, hedg
 // partitionFetch is the full per-partition read discipline: candidate
 // selection, hedging, then capped-backoff retries.
 func (rt *Router) partitionFetch(ctx context.Context, p *partition, method, path string, body []byte) ([]byte, error) {
-	hw := p.hwVector()
+	hw := p.hw.Load()
 	var lastErr error
 	backoff := rt.cfg.BackoffBase
 	for attempt := 0; attempt <= rt.cfg.Retries; attempt++ {

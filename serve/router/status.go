@@ -99,7 +99,10 @@ func (rt *Router) Statz() Statz {
 	}
 	for _, p := range rt.parts {
 		topo := p.topo.Load()
-		ps := PartitionStatz{Name: p.name, Generation: topo.gen, Leader: nodeStatz(topo.leader), HW: p.hwVector()}
+		ps := PartitionStatz{Name: p.name, Generation: topo.gen, Leader: nodeStatz(topo.leader)}
+		if hw := p.hw.Load(); hw > 0 {
+			ps.HW = []uint64{hw} // one-element vector: the shape peers and dashboards parse
+		}
 		for _, r := range topo.replicas {
 			ps.Replicas = append(ps.Replicas, nodeStatz(r))
 		}

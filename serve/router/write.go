@@ -141,7 +141,7 @@ func (rt *Router) seedIDs(ctx context.Context) error {
 // idSpaceOf asks one partition's leader how large its ID space is.
 func (rt *Router) idSpaceOf(ctx context.Context, p *partition) (int, error) {
 	topo := p.topo.Load()
-	data, err := rt.fetchOn(ctx, topo, topo.leader, http.MethodGet, "/statz", nil, nil)
+	data, err := rt.fetchOn(ctx, topo, topo.leader, http.MethodGet, "/statz", nil, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -209,9 +209,9 @@ func (rt *Router) writeToLeader(ctx context.Context, p *partition, method, path 
 }
 
 // writeOn is one bounded write attempt against the topology's leader,
-// lifting the partition's high-watermark from the ack's LSN vector on
-// success. The request is stamped with the topology generation — a node at
-// any other generation refuses it with 503 — and the ack's generation is
+// lifting the partition's high-watermark to the ack's LSN on success. The
+// request is stamped with the topology generation — a node at any other
+// generation refuses it with 503 — and the ack's generation is
 // validated against the partition's CURRENT generation before the write is
 // trusted: if a promotion landed while this write was in flight, the ack
 // came from a deposed leader whose unreplicated tail will be discarded on
@@ -245,7 +245,9 @@ func (rt *Router) writeOn(ctx context.Context, p *partition, topo *topology, met
 				return nil, nil, fmt.Errorf("router: %s acked under generation %s but the partition moved to %d; retrying against the new leader", leader.url, ag, cur)
 			}
 		}
-		p.raiseHW(parseLSNs(resp.Header.Get("X-SD-Repl-Lsns")))
+		if lsn, known := parseLSN(resp.Header.Get("X-SD-Repl-Lsns")); known {
+			raise(&p.hw, lsn)
+		}
 		return data, resp.Header, nil
 	case resp.StatusCode >= http.StatusInternalServerError,
 		resp.StatusCode == http.StatusTooManyRequests,

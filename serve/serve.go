@@ -44,6 +44,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -55,60 +56,52 @@ import (
 	sdquery "repro"
 )
 
-// Index is the engine surface the server needs; *sdquery.SDIndex implements
-// it.
+// Index is the engine surface the server calls: queries, writes, the gauges
+// behind /metrics and /statz, and the one replication stream (repl.go,
+// follower.go, promote.go). *sdquery.SDIndex implements it; it is an
+// interface so a caller can hand New a wrapper (spans around calls, a gate
+// in a test).
 type Index interface {
-	TopK(q sdquery.Query) ([]sdquery.Result, error)
 	TopKContext(ctx context.Context, q sdquery.Query) ([]sdquery.Result, error)
 	TopKWithStats(q sdquery.Query) ([]sdquery.Result, sdquery.QueryStats, error)
-	BatchTopK(queries []sdquery.Query) ([][]sdquery.Result, error)
 	BatchTopKContext(ctx context.Context, queries []sdquery.Query) ([][]sdquery.Result, error)
 	Insert(p []float64) (int, error)
-	Remove(id int) bool
+	// InsertWithID and PointByID are what make a distributed writer's insert
+	// retries provably idempotent (insertWithID).
+	InsertWithID(id int, p []float64) error
+	PointByID(id int) ([]float64, bool)
+	// RemoveDurable distinguishes "not live" from "log failed" on removes.
+	RemoveDurable(id int) (bool, error)
 	Len() int
+	Total() int // size of the global ID space: indexed IDs are below it
 	Bytes() int
 	Roles() []sdquery.Role
+	Segments() (segments, memRows int)
+	Compactions() uint64
 	// Epoch is the version number of the index's visible row set: strictly
 	// increasing across inserts, removes, and compactions, equal across
 	// calls only when nothing changed. The result cache keys entries on it,
 	// so a mutation invalidates every cached answer without any explicit
 	// invalidation path.
 	Epoch() uint64
-}
-
-// Optional index capabilities, surfaced in metrics when present.
-type segmenter interface {
-	Segments() (segments, memRows int)
-}
-type compactioner interface {
-	Compactions() uint64
-}
-type closer interface {
+	// WALStats exposes write-ahead-log health. A sticky WALStats.Err flips
+	// the server into read-only degradation: writes answer 503, /healthz and
+	// /metrics report the state, reads keep flowing.
+	WALStats() sdquery.WALStats
+	// Sync is the drain hook: Shutdown fsyncs the index's WAL through it so
+	// an interval- or never-synced log survives power loss after a clean stop.
+	Sync() error
+	// LSN is the index's replication position; the next three methods export
+	// and apply its stream, and AttachWAL makes a promoted follower durable.
+	LSN() uint64
+	ReplSnapshot(w io.Writer) (uint64, error)
+	ReplWALTail(from uint64, w io.Writer, maxBytes int) (sdquery.ReplTail, error)
+	ApplyReplWAL(r io.Reader) (int, error)
+	AttachWAL(dir string, opts ...sdquery.SDOption) error
 	Close()
 }
 
-// walStater exposes write-ahead-log health — implemented by WithWAL indexes.
-// A sticky WALStats.Err flips the server into read-only degradation: writes
-// answer 503, /healthz and /metrics report the state, reads keep flowing.
-type walStater interface {
-	WALStats() sdquery.WALStats
-}
-
-// durableRemover distinguishes "not live" from "log failed" on removes —
-// without it DELETE falls back to the bool-only Remove.
-type durableRemover interface {
-	RemoveDurable(id int) (bool, error)
-}
-
-// syncer is the drain hook: Shutdown fsyncs the index's WAL through it so
-// an interval- or never-synced log survives power loss after a clean stop.
-type syncer interface {
-	Sync() error
-}
-
 var _ Index = (*sdquery.SDIndex)(nil)
-var _ segmenter = (*sdquery.SDIndex)(nil)
-var _ compactioner = (*sdquery.SDIndex)(nil)
 
 // Option configures a Server.
 type Option func(*config)
@@ -332,12 +325,8 @@ func (s *Server) Statz() Statz {
 	idx := s.Index()
 	st := s.met.statz(idx, s.cache)
 	st.Role = "leader"
-	if lv, ok := idx.(lsnVectorer); ok {
-		st.ReplLSNs = lv.ShardLSNs()
-	}
-	if t, ok := idx.(totaler); ok {
-		st.IndexIDSpace = t.Total()
-	}
+	st.ReplLSNs = wireLSNs(idx)
+	st.IndexIDSpace = idx.Total()
 	st.Generation = s.gen.Load()
 	if f := s.repl.Load(); f != nil {
 		st.Role = "follower"
@@ -395,11 +384,8 @@ func statusFor(err error) int {
 // semantics are left to the operator (the state does not clear without a
 // reopen).
 func (s *Server) walDegraded() (sdquery.WALStats, bool) {
-	if ws, ok := s.Index().(walStater); ok {
-		st := ws.WALStats()
-		return st, st.Err != nil
-	}
-	return sdquery.WALStats{}, false
+	st := s.Index().WALStats()
+	return st, st.Err != nil
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -416,11 +402,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.repl.Load() != nil {
-		// A follower labels every answer with the LSN vector of the snapshot
-		// that produced it, read BEFORE the answer is computed (including the
+		// A follower labels every answer with the LSN of the snapshot that
+		// produced it, read BEFORE the answer is computed (including the
 		// cache lookup) so concurrent replication can only make the label
 		// under-report freshness — a router comparing it against a write's
-		// ack vector then errs toward "too stale", never "fresh enough" when
+		// ack LSN then errs toward "too stale", never "fresh enough" when
 		// it isn't. Leaders skip the header on reads: they are definitionally
 		// fresh, and the read path stays allocation-clean.
 		setReplLSNs(w, idx)
@@ -513,24 +499,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeRawJSON(w, http.StatusOK, body)
-}
-
-// ProbeCache reports whether q would be answered from the result cache
-// right now, exercising the exact hit path (key encode, pooled buffer,
-// lookup, version check) minus HTTP. The probe feeds the admission sketch
-// like any lookup but does not move the hit/miss counters — it exists so
-// the bench harness can measure hit-path allocations in-process.
-func (s *Server) ProbeCache(q sdquery.Query) bool {
-	if s.cache == nil {
-		return false
-	}
-	box := s.box.Load()
-	kb := s.cache.getBuf()
-	key := appendQueryKey((*kb)[:0], q)
-	_, ok := s.cache.get(key, box.gen, box.idx.Epoch())
-	*kb = key
-	s.cache.putBuf(kb)
-	return ok
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -644,7 +612,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	// The ack's LSN vector is read AFTER the insert committed, so it is a
+	// The ack's LSN is read AFTER the insert committed, so it is a
 	// position at which the write is certainly visible (over-reporting is
 	// safe on the write side: it only makes a router demand fresher
 	// replicas than strictly needed).
@@ -660,18 +628,13 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 // taken by a different point, two writers collided and the 409 is a real
 // error, never silently absorbed. Returns the status for the metrics defer.
 func (s *Server) insertWithID(w http.ResponseWriter, idx Index, id int, point []float64) int {
-	ii, ok := idx.(idInserter)
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: index does not accept caller-assigned ids"))
-		return http.StatusBadRequest
-	}
 	if id < 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: id must be non-negative, got %d", id))
 		return http.StatusBadRequest
 	}
-	err := ii.InsertWithID(id, point)
+	err := idx.InsertWithID(id, point)
 	if errors.Is(err, sdquery.ErrIDExists) {
-		if p, found := ii.PointByID(id); found && pointsEqual(p, point) {
+		if p, found := idx.PointByID(id); found && pointsEqual(p, point) {
 			setReplLSNs(w, idx)
 			writeJSON(w, http.StatusOK, insertResponse{ID: id})
 			return http.StatusOK
@@ -761,22 +724,16 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Like inserts, removes answer 200 only after their tombstone commits
-	// per the sync policy; RemoveDurable surfaces the log verdict where the
-	// bool-only Remove would swallow it.
+	// per the sync policy; RemoveDurable surfaces the log verdict.
 	idx := s.Index()
-	var removed bool
-	if dr, ok := idx.(durableRemover); ok {
-		removed, err = dr.RemoveDurable(id)
-		if err != nil {
-			status = statusFor(err)
-			writeError(w, status, err)
-			return
-		}
-	} else {
-		removed = idx.Remove(id)
+	removed, err := idx.RemoveDurable(id)
+	if err != nil {
+		status = statusFor(err)
+		writeError(w, status, err)
+		return
 	}
 	if !removed {
-		removed = s.tombstoned(idx, id)
+		removed = tombstoned(idx, id)
 	}
 	setReplLSNs(w, idx)
 	writeJSON(w, http.StatusOK, removeResponse{ID: id, Removed: removed})
@@ -791,12 +748,8 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 // tombstoned. An ID physically reclaimed by compaction locates nowhere and
 // keeps reporting removed:false — that window is the log-retention horizon,
 // same as replication's.
-func (s *Server) tombstoned(idx Index, id int) bool {
-	ii, ok := idx.(idInserter)
-	if !ok {
-		return false
-	}
-	_, found := ii.PointByID(id)
+func tombstoned(idx Index, id int) bool {
+	_, found := idx.PointByID(id)
 	return found
 }
 
@@ -883,10 +836,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = hs.Shutdown(ctx)
 	}
 	s.Close()
-	if sy, ok := s.Index().(syncer); ok {
-		if serr := sy.Sync(); err == nil {
-			err = serr
-		}
+	if serr := s.Index().Sync(); err == nil {
+		err = serr
 	}
 	return err
 }
@@ -901,9 +852,7 @@ func (s *Server) Close() {
 		f.stop()
 	}
 	if s.ownsIndex.Load() {
-		if c, ok := s.Index().(closer); ok {
-			c.Close()
-		}
+		s.Index().Close()
 	}
 	if s.co != nil {
 		s.co.close()

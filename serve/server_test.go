@@ -546,11 +546,6 @@ type slowIndex struct {
 	gate chan struct{}
 }
 
-func (s *slowIndex) BatchTopK(queries []sdquery.Query) ([][]sdquery.Result, error) {
-	<-s.gate
-	return s.Index.BatchTopK(queries)
-}
-
 func (s *slowIndex) BatchTopKContext(ctx context.Context, queries []sdquery.Query) ([][]sdquery.Result, error) {
 	select {
 	case <-s.gate:

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -196,7 +197,7 @@ func TestServerConcurrentStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := cur.TopK(q)
+		direct, err := cur.TopKContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

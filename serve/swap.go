@@ -93,9 +93,8 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, fmt.Errorf("load %s: %w", ws.Path, err))
 		return
 	}
-	old := s.Swap(next)
-	if c, ok := old.(closer); ok && old != next {
-		c.Close()
+	if old := s.Swap(next); old != next {
+		old.Close()
 	}
 	writeJSON(w, http.StatusOK, swapResponse{Swapped: true, Points: next.Len()})
 }
