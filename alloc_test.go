@@ -40,8 +40,7 @@ func measureAllocs(f func()) float64 {
 // 10k rows the default probes the streams and retires them into a sweep, the
 // stream-pinned engine runs the aggregation to termination, and the
 // sweep-only engine never binds a stream. The sweep's block scratch and
-// per-segment accounting live in the pooled context like everything else,
-// on float32 columns too (approximate sweep plus exact rescore).
+// per-segment accounting live in the pooled context like everything else.
 func TestTopKAppendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on otherwise alloc-free paths")
@@ -55,7 +54,6 @@ func TestTopKAppendZeroAllocs(t *testing.T) {
 		{"default", nil, true, true},
 		{"stream", []SDOption{WithStreamOnly()}, false, true},
 		{"sweep", []SDOption{WithAccessCost(SweepOnly)}, true, false},
-		{"default-float32", []SDOption{WithColumnWidth(32)}, true, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			idx, err := NewSDIndex(data, allocRoles(), mode.opts...)

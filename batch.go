@@ -275,8 +275,9 @@ type QueryStats struct {
 }
 
 // TopKWithStats answers the query and reports its work counters. Useful for
-// understanding convergence on a given dataset (see EXPERIMENTS.md for how
-// fetch counts scale against dataset size and correlation).
+// understanding convergence on a given dataset (cmd/sdbench regenerates the
+// paper's figures of how fetch counts scale against dataset size and
+// correlation).
 func (s *SDIndex) TopKWithStats(q Query) ([]Result, QueryStats, error) {
 	res, st, err := s.eng.TopKWithStats(q.spec())
 	if err != nil {

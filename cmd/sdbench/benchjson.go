@@ -8,10 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,32 +51,20 @@ type workloadJSON struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
 	// Per-op figures from testing.Benchmark; for batch workloads one op is
 	// the whole batch. AllocsPerOp is -1 when the workload cannot attribute
-	// allocations to the measured path (mixed read/write workloads run a
-	// concurrent writer whose allocations land in the same global
-	// counters); the diff gate skips negative baselines.
+	// allocations to the measured path (the cluster workload's servers share
+	// the process-wide counters); the diff gate skips negative baselines.
 	NsPerOp     int64 `json:"ns_per_op"`
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
-	// Latency percentiles over individually timed queries — reported by the
-	// mixed read/write workload, where tail latency under concurrent write
-	// churn (memtable scans, segment stacks, background compaction) is the
+	// Latency percentiles over individually timed requests — reported by the
+	// cluster failover workload, where the tail across a leader kill is the
 	// signal a mean would hide.
 	P50NsPerOp int64 `json:"p50_ns_per_op,omitempty"`
 	P99NsPerOp int64 `json:"p99_ns_per_op,omitempty"`
-	// WriterOps counts the remove+insert pairs the concurrent writer
-	// completed during the measurement window (mixed workloads only) —
-	// context for judging the write pressure behind the latency figures.
-	WriterOps int64 `json:"writer_ops,omitempty"`
 	// QPS is the cluster failover workload's read throughput through the
 	// router (requests completed per wall second by the closed-loop client
-	// pool); for the durable mixed workloads it is the writers'
-	// durable-mutation throughput.
+	// pool).
 	QPS float64 `json:"qps,omitempty"`
-	// FsyncsPerOp is the durable mixed workloads' WAL fsync count per
-	// acknowledged mutation. Under SyncAlways with concurrent writers, group
-	// commit keeps it well below 1 (one fsync acknowledges a whole commit
-	// window); the diff gate fails if it collapses toward one-fsync-per-write.
-	FsyncsPerOp float64 `json:"fsyncs_per_op,omitempty"`
 	// Availability is the cluster failover workload's fraction of reads
 	// answered 200 across a measurement window that contains a hard leader
 	// kill. The router's retry/failover machinery is what holds it at ~1.0;
@@ -109,7 +94,7 @@ type workloadJSON struct {
 	PlanCacheHitRate float64 `json:"plan_cache_hit_rate,omitempty"`
 }
 
-const benchJSONSchema = "sdbench/v10"
+const benchJSONSchema = "sdbench/v11"
 
 // countNonTestLOC counts lines the way CI's "Non-test line budget" step
 // does: every .go file under root that is not a test, outside benchmark/
@@ -161,225 +146,6 @@ func collectStats(idx *sdquery.SDIndex, queries []sdquery.Query) (w workloadJSON
 	w.SubproblemsMean = float64(total.Subproblems) / qn
 	w.RoundsMean = float64(total.Rounds) / qn
 	w.PlanCacheHitRate = float64(total.PlanCacheHits) / qn
-	return w, nil
-}
-
-// runMixedRW measures single-query latency percentiles under sustained
-// concurrent write churn. The writer cycles over a working set of 5% of the
-// build rows, removing and reinserting each as fast as the engine admits
-// writes; every query is timed individually so the report captures the
-// tail, not just the mean. Queries run through TopKAppend with a reused
-// buffer — the same zero-allocation path the read-only workloads measure —
-// but AllocsPerOp is reported as -1: the concurrent writer (and the
-// background compactor it keeps busy) shares the process-wide counters, so
-// per-query attribution would be fiction.
-func runMixedRW(data [][]float64, roles []sdquery.Role, queries []sdquery.Query) (workloadJSON, error) {
-	var w workloadJSON
-	idx, err := sdquery.NewSDIndex(data, roles)
-	if err != nil {
-		return w, err
-	}
-	churn := len(data) / 20
-	if churn < 1 {
-		churn = 1
-	}
-	// Slots hold the current dataset ID of each churned row; removal and
-	// reinsertion keep the live count constant at len(data).
-	slots := make([]int, churn)
-	rows := make([][]float64, churn)
-	for i := range slots {
-		slots[i] = len(data) - churn + i
-		rows[i] = data[slots[i]]
-	}
-	stop := make(chan struct{})
-	var writerOps int64
-	var writerErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i = (i + 1) % churn {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			idx.Remove(slots[i])
-			id, err := idx.Insert(rows[i])
-			if err != nil {
-				// A dead writer silently turns this into a read-only
-				// measurement; fail the workload instead.
-				writerErr = err
-				return
-			}
-			slots[i] = id
-			writerOps++
-		}
-	}()
-
-	const measureOps = 512
-	var buf []sdquery.Result
-	for i := 0; i < 32; i++ { // warm pools under churn
-		if buf, err = idx.TopKAppend(buf[:0], queries[i%len(queries)]); err != nil {
-			close(stop)
-			wg.Wait()
-			return w, err
-		}
-	}
-	lats := make([]int64, 0, measureOps)
-	for i := 0; i < measureOps; i++ {
-		q := queries[i%len(queries)]
-		t0 := time.Now()
-		buf, err = idx.TopKAppend(buf[:0], q)
-		lat := time.Since(t0)
-		if err != nil {
-			close(stop)
-			wg.Wait()
-			return w, err
-		}
-		lats = append(lats, lat.Nanoseconds())
-	}
-	close(stop)
-	wg.Wait()
-	if writerErr != nil {
-		return w, fmt.Errorf("mixed-rw writer died after %d ops: %w", writerOps, writerErr)
-	}
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	var sum int64
-	for _, l := range lats {
-		sum += l
-	}
-	w.NsPerOp = sum / int64(len(lats))
-	w.P50NsPerOp = lats[len(lats)/2]
-	w.P99NsPerOp = lats[len(lats)*99/100]
-	w.AllocsPerOp = -1
-	w.BytesPerOp = -1
-	w.WriterOps = writerOps
-	return w, nil
-}
-
-// runDurableMixedRW measures the write-ahead log's cost, and group commit's
-// recovery of it, under the given sync policy. Four writer goroutines churn
-// durable remove+insert pairs through a WAL-backed two-segment index on the real
-// filesystem while the read path is timed exactly as in runMixedRW; the
-// report carries read p50/p99 (the WAL must be write-path-only — these track
-// the log-less mixed-rw figures), writer throughput as QPS, and the WAL
-// fsync count per acknowledged mutation. Under SyncAlways the concurrent
-// writers share commit windows, so fsyncs/op sits well below 1; that
-// collapse ratio, not the absolute latency, is the hardware-independent
-// signal the diff gate protects.
-func runDurableMixedRW(data [][]float64, roles []sdquery.Role, queries []sdquery.Query,
-	policy sdquery.SyncPolicy) (workloadJSON, error) {
-	var w workloadJSON
-	dir, err := os.MkdirTemp("", "sdbench-wal-*")
-	if err != nil {
-		return w, err
-	}
-	defer os.RemoveAll(dir)
-	idx, err := sdquery.NewShardedIndex(data, roles,
-		sdquery.WithShards(2),
-		sdquery.WithWAL(dir+"/idx"),
-		sdquery.WithSyncPolicy(policy),
-		sdquery.WithSyncInterval(2*time.Millisecond))
-	if err != nil {
-		return w, err
-	}
-	defer idx.Close()
-
-	const writers = 4
-	churn := len(data) / 20 / writers
-	if churn < 1 {
-		churn = 1
-	}
-	stop := make(chan struct{})
-	var writerOps atomic.Int64
-	writerErrs := make([]error, writers)
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			slots := make([]int, churn)
-			rows := make([][]float64, churn)
-			for i := range slots {
-				slots[i] = len(data) - (g+1)*churn + i
-				rows[i] = data[slots[i]]
-			}
-			for i := 0; ; i = (i + 1) % churn {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := idx.RemoveDurable(slots[i]); err != nil {
-					writerErrs[g] = err
-					return
-				}
-				id, err := idx.Insert(rows[i])
-				if err != nil {
-					writerErrs[g] = err
-					return
-				}
-				slots[i] = id
-				writerOps.Add(2) // remove + insert, each individually durable
-			}
-		}(g)
-	}
-
-	const measureOps = 512
-	var buf []sdquery.Result
-	for i := 0; i < 32; i++ { // warm pools under durable churn
-		if buf, err = idx.TopKAppend(buf[:0], queries[i%len(queries)]); err != nil {
-			close(stop)
-			wg.Wait()
-			return w, err
-		}
-	}
-	opsBefore := writerOps.Load()
-	fsyncsBefore := idx.WALStats().Fsyncs
-	wall := time.Now()
-	lats := make([]int64, 0, measureOps)
-	for i := 0; i < measureOps; i++ {
-		q := queries[i%len(queries)]
-		t0 := time.Now()
-		buf, err = idx.TopKAppend(buf[:0], q)
-		lat := time.Since(t0)
-		if err != nil {
-			close(stop)
-			wg.Wait()
-			return w, err
-		}
-		lats = append(lats, lat.Nanoseconds())
-	}
-	elapsed := time.Since(wall)
-	ops := writerOps.Load() - opsBefore
-	fsyncs := idx.WALStats().Fsyncs - fsyncsBefore
-	close(stop)
-	wg.Wait()
-	for g, werr := range writerErrs {
-		if werr != nil {
-			return w, fmt.Errorf("durable writer %d died: %w", g, werr)
-		}
-	}
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	var sum int64
-	for _, l := range lats {
-		sum += l
-	}
-	w.NsPerOp = sum / int64(len(lats))
-	w.P50NsPerOp = lats[len(lats)/2]
-	w.P99NsPerOp = lats[len(lats)*99/100]
-	w.AllocsPerOp = -1
-	w.BytesPerOp = -1
-	w.WriterOps = ops
-	if s := elapsed.Seconds(); s > 0 && ops > 0 {
-		w.QPS = float64(ops) / s
-	}
-	if ops > 0 {
-		w.FsyncsPerOp = float64(fsyncs) / float64(ops)
-	}
 	return w, nil
 }
 
@@ -571,44 +337,6 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 		return nil
 	}(); err != nil {
 		return err
-	}
-
-	// Mixed read/write: p50/p99 TopK latency on the lock-free read path
-	// while a writer goroutine continuously churns 5% of the rows
-	// (remove + reinsert), driving memtable fills, background seals, and
-	// segment folds for the whole measurement window. This is the workload
-	// the segment architecture exists for; before it, the same writer
-	// stalled every query behind a lock.
-	mixed, err := runMixedRW(data, roles, queries)
-	if err != nil {
-		return err
-	}
-	mixed.Name = "mixed-rw"
-	mixed.N, mixed.Dims, mixed.K, mixed.Queries = n, dims, k, len(queries)
-	mixed.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	report.Workloads = append(report.Workloads, mixed)
-
-	// Durable mixed read/write: the same read-under-churn shape with every
-	// mutation group-committed to the index's WAL on the real filesystem,
-	// once per sync policy. always vs interval vs off quantifies what each
-	// durability level costs the writers (QPS, fsyncs/op) — and the read
-	// percentiles document that it costs the read path nothing.
-	for _, pol := range []struct {
-		name   string
-		policy sdquery.SyncPolicy
-	}{
-		{"mixed-rw/durable-always", sdquery.SyncAlways},
-		{"mixed-rw/durable-interval", sdquery.SyncInterval},
-		{"mixed-rw/durable-off", sdquery.SyncNever},
-	} {
-		dw, err := runDurableMixedRW(data, roles, queries, pol.policy)
-		if err != nil {
-			return err
-		}
-		dw.Name = pol.name
-		dw.N, dw.Dims, dw.K, dw.Queries = n, dims, k, len(queries)
-		dw.GOMAXPROCS = runtime.GOMAXPROCS(0)
-		report.Workloads = append(report.Workloads, dw)
 	}
 
 	// Like the batch workload, the cluster workload elevates GOMAXPROCS to

@@ -1,8 +1,8 @@
 // Command sdbench regenerates every table and figure of the paper's
 // evaluation (§6). Each experiment prints the same series the paper plots;
 // absolute times depend on hardware, but the shapes — who wins, by what
-// factor, where crossovers fall — are the reproduction target (see
-// EXPERIMENTS.md).
+// factor, where crossovers fall — are the reproduction target (README.md,
+// "Performance", records the measured numbers).
 //
 // Usage:
 //

@@ -129,7 +129,7 @@ func readManifest(ffs faultfs.FS, dir string) (manifest, error) {
 // OpenSDIndex recovers a durable index from its WithWAL directory:
 // checkpoint load, idempotent log replay, torn-tail truncation. Structural
 // options are in the checkpoint; the option list supplies runtime knobs
-// (scheduler, plan cache, memtable size, compaction, workers, the segment
+// (memtable size, compaction, workers, the segment
 // count compaction steers towards) and the WAL knobs to run with from here
 // on (WithSyncPolicy, WithSyncInterval, WithWALFS). WithWAL on the option
 // list is ignored — dir is authoritative.

@@ -46,20 +46,13 @@ type WALStats = core.WALStats
 type SDOption func(*sdConfig)
 
 type sdConfig struct {
-	pairing      core.Pairing // pairing, tree, angles and sched: only tests set them (export_test.go)
+	pairing      core.Pairing // pairing, tree, angles, scheduler and access cost: only tests set them (export_test.go)
 	tree         topk.Config
 	angleDegrees []float64
 	useAngles    bool
-	shards       int
-	shardsSet    bool
+	rt           core.RuntimeOptions // runtimeOptions adds the Pool
 	workers      int
 	workersSet   bool
-	columnWidth  int
-	sched        core.Scheduler
-	accessCost   int // core.Config.AccessCost; test-only too
-	noPlanCache  bool
-	memSize      int
-	noCompact    bool
 	walDir       string
 	walFS        faultfs.FS
 	syncPolicy   SyncPolicy
@@ -82,27 +75,18 @@ func shardedDefaults(opts []SDOption) []SDOption {
 	return append([]SDOption{WithShards(0), WithWorkers(0)}, opts...)
 }
 
-// segments resolves WithShards: 0 when the option was not given (one
-// segment, sized by the compactor alone), GOMAXPROCS for n ≤ 0.
-func (c *sdConfig) segments() int {
-	switch {
-	case !c.shardsSet:
-		return 0
-	case c.shards <= 0:
-		return defaultParallelism()
+// runtimeOptions parses an option list into the engine's runtime knobs,
+// starting the worker pool WithWorkers asks for; the caller hands the pool to
+// wrapEngine on every path.
+func runtimeOptions(opts []SDOption) (core.RuntimeOptions, sdConfig, *workerPool) {
+	cfg := parseOptions(opts)
+	opt := cfg.rt
+	if !cfg.workersSet {
+		return opt, cfg, nil
 	}
-	return c.shards
-}
-
-// startPool starts the index's worker pool when WithWorkers asked for one,
-// returning it twice: as the pool the index owns and as the engine's Runner
-// (nil, not a typed nil, without the option).
-func (c *sdConfig) startPool() (*workerPool, core.Runner) {
-	if !c.workersSet {
-		return nil, nil
-	}
-	p := newWorkerPool(c.workers)
-	return p, poolRunner{p}
+	pool := newWorkerPool(cfg.workers)
+	opt.Pool = poolRunner{pool}
+	return opt, cfg, pool
 }
 
 // walConfig materializes the WAL option set for the engine logging under the
@@ -111,20 +95,17 @@ func (c *sdConfig) walConfig() core.WALConfig {
 	return core.WALConfig{Dir: engineWALDir(c.walDir), FS: c.walFS, Policy: c.syncPolicy, Interval: c.syncInterval}
 }
 
-// coreConfig materializes the option set into the internal engine
-// configuration for a dataset with the given roles.
-func (c *sdConfig) coreConfig(roles []Role) (core.Config, error) {
-	cfg := core.Config{Roles: roles, Pairing: c.pairing, Tree: c.tree,
-		Scheduler: c.sched, DisablePlanCache: c.noPlanCache,
-		MemtableSize: c.memSize, DisableCompaction: c.noCompact,
-		ColumnWidth: c.columnWidth, Segments: c.segments(),
-		AccessCost: c.accessCost}
+// newEngine builds the engine over data under the option set and the
+// runtime knobs opt, creating the WAL directory when WithWAL names one; nil
+// ids number the rows 0..n−1.
+func (c *sdConfig) newEngine(data [][]float64, ids []int32, roles []Role, opt core.RuntimeOptions) (*core.Engine, error) {
+	cfg := core.Config{Roles: roles, Pairing: c.pairing, Tree: c.tree, RuntimeOptions: opt}
 	if c.useAngles {
 		cfg.Tree.Angles = nil
 		for _, d := range c.angleDegrees {
 			a, err := geom.AngleFromDegrees(d)
 			if err != nil {
-				return core.Config{}, err
+				return nil, err
 			}
 			cfg.Tree.Angles = append(cfg.Tree.Angles, a)
 		}
@@ -133,16 +114,17 @@ func (c *sdConfig) coreConfig(roles []Role) (core.Config, error) {
 			cfg.Tree.Angles = []geom.Angle{{Alpha: 1, Beta: 0}, {Alpha: 0, Beta: 1}}
 		}
 	}
-	return cfg, nil
-}
-
-// WithPlanCache enables or disables the index's query-plan cache (default
-// enabled). The cache memoizes the derived plan — surviving subproblems,
-// active weight signs — per query shape (which dimensions are active, which
-// roles engaged, which weights are zero), so repeated traffic shapes skip
-// plan derivation; QueryStats.PlanCacheHits reports hits.
-func WithPlanCache(enabled bool) SDOption {
-	return func(c *sdConfig) { c.noPlanCache = !enabled }
+	if c.walDir != "" {
+		if err := writeManifest(c); err != nil {
+			return nil, err
+		}
+		wal := c.walConfig()
+		cfg.WAL = &wal
+	}
+	if ids == nil {
+		return core.New(data, cfg)
+	}
+	return core.NewWithIDs(data, ids, cfg)
 }
 
 // WithMemtableSize sets the memtable row count past which the background
@@ -151,7 +133,7 @@ func WithPlanCache(enabled bool) SDOption {
 // frequent tree builds; larger values batch more inserts per seal. Queries
 // are exact at every setting.
 func WithMemtableSize(rows int) SDOption {
-	return func(c *sdConfig) { c.memSize = rows }
+	return func(c *sdConfig) { c.rt.MemtableSize = rows }
 }
 
 // WithCompaction enables or disables background compaction (default
@@ -160,7 +142,7 @@ func WithMemtableSize(rows int) SDOption {
 // folded by an explicit Compact call; useful for tests and for bulk-load
 // phases that end with one big Compact.
 func WithCompaction(enabled bool) SDOption {
-	return func(c *sdConfig) { c.noCompact = !enabled }
+	return func(c *sdConfig) { c.rt.DisableCompaction = !enabled }
 }
 
 // WithWAL gives the index a crash-safe write-ahead log rooted at dir.
@@ -205,7 +187,12 @@ func WithWALFS(fs faultfs.FS) SDOption {
 // WithShards(0). On Load and Open the stack comes from the file or directory
 // as saved and the option only steers compaction from there.
 func WithShards(n int) SDOption {
-	return func(c *sdConfig) { c.shards = n; c.shardsSet = true }
+	return func(c *sdConfig) {
+		if n <= 0 {
+			n = defaultParallelism()
+		}
+		c.rt.Segments = n
+	}
 }
 
 // WithWorkers gives the index a pool of n worker goroutines (n ≤ 0 selects
@@ -223,17 +210,6 @@ func WithShards(n int) SDOption {
 // single sealed segment answers single queries sequentially either way.
 func WithWorkers(n int) SDOption {
 	return func(c *sdConfig) { c.workers = n; c.workersSet = true }
-}
-
-// WithColumnWidth selects the precision of the sealed segments' scoring
-// columns: 64 (the default) stores the sweep columns as float64; 32 adds a
-// float32 copy the batch kernels sweep at half the memory bandwidth,
-// rescoring survivors against the exact rows so answers remain byte-identical
-// to the float64 path. The narrow copy costs ~50% extra column memory and is
-// structural: persisted indexes record it, and Load restores it from the
-// file.
-func WithColumnWidth(bits int) SDOption {
-	return func(c *sdConfig) { c.columnWidth = bits }
 }
 
 // SDIndex is the paper's SD-Index: the general top-k engine with k and
@@ -295,26 +271,8 @@ func NewShardedIndexWithIDs(data [][]float64, ids []int, roles []Role, opts ...S
 // newIndex is the one bulk build behind the constructors; nil ids number
 // the rows 0..n−1.
 func newIndex(data [][]float64, ids []int32, roles []Role, opts []SDOption) (*SDIndex, error) {
-	cfg := parseOptions(opts)
-	coreCfg, err := cfg.coreConfig(roles)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.walDir != "" {
-		if err := writeManifest(&cfg); err != nil {
-			return nil, err
-		}
-		wal := cfg.walConfig()
-		coreCfg.WAL = &wal
-	}
-	pool, runner := cfg.startPool()
-	coreCfg.Pool = runner
-	var eng *core.Engine
-	if ids == nil {
-		eng, err = core.New(data, coreCfg)
-	} else {
-		eng, err = core.NewWithIDs(data, ids, coreCfg)
-	}
+	opt, cfg, pool := runtimeOptions(opts)
+	eng, err := cfg.newEngine(data, ids, roles, opt)
 	return wrapEngine(eng, err, pool)
 }
 

@@ -6,6 +6,7 @@
 package sdquery_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -40,16 +41,28 @@ var plannerModes = []struct {
 	{"bailout", []sdquery.SDOption{sdquery.WithAccessCost(2)}},
 }
 
+// builder makes the SD-Index under test from a dataset and an option list.
+type builder func(data [][]float64, roles []sdquery.Role, opts ...sdquery.SDOption) (sdquery.Engine, error)
+
+func newSDIndex(data [][]float64, roles []sdquery.Role, opts ...sdquery.SDOption) (sdquery.Engine, error) {
+	return sdquery.NewSDIndex(data, roles, opts...)
+}
+
 // runSDIndex runs the oracle workloads against one SD-Index configuration
 // under every planner mode.
 func runSDIndex(t *testing.T, name string, opts ...sdquery.SDOption) {
+	runBuilt(t, name, newSDIndex, opts...)
+}
+
+// runBuilt is runSDIndex over the indexes build makes.
+func runBuilt(t *testing.T, name string, build builder, opts ...sdquery.SDOption) {
 	for mode := range plannerModes {
-		runSDIndexMode(t, name, mode, opts...)
+		runSDIndexMode(t, name, mode, build, opts...)
 	}
 }
 
-// runSDIndexMode is runSDIndex for one planner mode.
-func runSDIndexMode(t *testing.T, name string, mode int, opts ...sdquery.SDOption) {
+// runSDIndexMode is runBuilt for one planner mode.
+func runSDIndexMode(t *testing.T, name string, mode int, build builder, opts ...sdquery.SDOption) {
 	m := plannerModes[mode]
 	all := append(append([]sdquery.SDOption(nil), opts...), m.opts...)
 	t.Run(m.name, func(t *testing.T) {
@@ -57,11 +70,69 @@ func runSDIndexMode(t *testing.T, name string, mode int, opts ...sdquery.SDOptio
 			Name:          name + "-" + m.name,
 			Deterministic: true,
 			New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-				return sdquery.NewSDIndex(data, roles, all...)
+				return build(data, roles, all...)
 			},
 		})
 	})
 }
+
+// loadWidth32 builds the index, saves it, marks the file's column width 32 —
+// what an index with a float32 sweep copy wrote before the copy was retired
+// — and loads it back with the same options. Such files carry float64
+// columns like every other and come up as the one format.
+func loadWidth32(data [][]float64, roles []sdquery.Role, opts ...sdquery.SDOption) (sdquery.Engine, error) {
+	idx, err := sdquery.NewSDIndex(data, roles, opts...)
+	if err != nil {
+		return nil, err
+	}
+	defer idx.Close()
+	var buf bytes.Buffer
+	if err := idx.Save(&buf); err != nil {
+		return nil, err
+	}
+	// The envelope (6 bytes), the format version and dimension count (4
+	// each), one role byte per dimension and the pairing byte come first.
+	file := buf.Bytes()
+	at := 6 + 4 + 4 + len(roles) + 1
+	if file[at] != 64 {
+		return nil, fmt.Errorf("Save wrote column width %d, want 64", file[at])
+	}
+	file[at] = 32
+	return sdquery.LoadSDIndex(bytes.NewReader(file), opts...)
+}
+
+// widePad ignored dimensions lift every workload past the 21 the plan
+// cache's shape signature covers.
+const widePad = 22
+
+// wideIndex serves a workload through an SD-Index padded with widePad
+// ignored, zero-valued dimensions, which add exactly 0 to every score: each
+// query derives its plan into the pooled scratch plan instead of the cache.
+type wideIndex struct{ *sdquery.SDIndex }
+
+func padWide[T any](v []T) []T { return append(append([]T(nil), v...), make([]T, widePad)...) }
+
+func newWideIndex(data [][]float64, roles []sdquery.Role, opts ...sdquery.SDOption) (sdquery.Engine, error) {
+	wide := make([][]float64, len(data))
+	for i, p := range data {
+		wide[i] = padWide(p)
+	}
+	idx, err := sdquery.NewSDIndex(wide, padWide(roles), opts...) // the zero Role is Ignored
+	if err != nil {
+		return nil, err
+	}
+	return wideIndex{idx}, nil
+}
+
+func (w wideIndex) TopK(q sdquery.Query) ([]sdquery.Result, error) {
+	q.Point, q.Roles, q.Weights = padWide(q.Point), padWide(q.Roles), padWide(q.Weights)
+	return w.SDIndex.TopK(q)
+}
+
+func (w wideIndex) Insert(p []float64) (int, error) { return w.SDIndex.Insert(padWide(p)) }
+
+// Snapshot hides the embedded index's: its views answer at the padded width.
+func (w wideIndex) Snapshot() *sdquery.Snapshot { return nil }
 
 func TestDifferentialSDIndex(t *testing.T) {
 	runSDIndex(t, "sdindex")
@@ -79,15 +150,16 @@ func TestDifferentialSDIndexPairings(t *testing.T) {
 }
 
 // TestDifferentialSDIndexScheduling runs the full oracle workloads against
-// the scheduling/plan ablation knobs: the round-robin rotation and the
-// uncached planner must answer byte-identically to the oracle, exactly like
-// the bound-driven cached default (covered by TestDifferentialSDIndex).
+// the scheduling ablation and the uncached planner: the round-robin rotation
+// and shapes too wide for the plan cache must answer byte-identically to the
+// oracle, exactly like the bound-driven cached default (covered by
+// TestDifferentialSDIndex).
 func TestDifferentialSDIndexScheduling(t *testing.T) {
 	t.Run("round-robin", func(t *testing.T) {
 		runSDIndex(t, "sdindex-roundrobin", sdquery.WithScheduler(sdquery.SchedRoundRobin))
 	})
 	t.Run("no-plan-cache", func(t *testing.T) {
-		runSDIndex(t, "sdindex-nocache", sdquery.WithPlanCache(false))
+		runBuilt(t, "sdindex-nocache", newWideIndex)
 	})
 }
 
@@ -110,17 +182,16 @@ func TestDifferentialSDIndexStorage(t *testing.T) {
 	})
 }
 
-// TestDifferentialSDIndexColumns runs the oracle workloads over the narrow
-// float32 scoring columns: the approximate sweep plus exact rescore must
-// answer byte-identically to the float64 default, including across the
-// update phase's seals and folds.
+// TestDifferentialSDIndexColumns runs the oracle workloads over indexes
+// loaded from files that record the retired float32 column width: they must
+// answer byte-identically to the oracle, including across the update phase's
+// seals and folds.
 func TestDifferentialSDIndexColumns(t *testing.T) {
 	t.Run("float32", func(t *testing.T) {
-		runSDIndex(t, "sdindex-float32", sdquery.WithColumnWidth(32))
+		runBuilt(t, "sdindex-float32", loadWidth32)
 	})
 	t.Run("float32-tiny-memtable", func(t *testing.T) {
-		runSDIndex(t, "sdindex-float32-tiny-memtable",
-			sdquery.WithColumnWidth(32), sdquery.WithMemtableSize(4))
+		runBuilt(t, "sdindex-float32-tiny-memtable", loadWidth32, sdquery.WithMemtableSize(4))
 	})
 }
 
@@ -137,8 +208,8 @@ func TestDifferentialSDIndexColumns(t *testing.T) {
 // planner mode rotates with the cell, so that each segment count, and each
 // (workers, stack) pair, meets all three modes without the grid tripling.
 // The remaining tests pin the corners the grid does not reach: the
-// round-robin scheduler over float32 columns (every mode), and the
-// NewShardedIndex spelling.
+// round-robin scheduler over a five-segment stack loaded from a float32-width
+// file (every mode), and the NewShardedIndex spelling.
 func TestDifferentialSDIndexParallel(t *testing.T) {
 	cell := 0
 	for _, segs := range []int{1, 2, 7} {
@@ -155,16 +226,15 @@ func TestDifferentialSDIndexParallel(t *testing.T) {
 				mode := cell % len(plannerModes)
 				cell++
 				t.Run(fmt.Sprintf("segments=%d/%s/%s", segs, workers.name, stack.name), func(t *testing.T) {
-					runSDIndexMode(t, "sdindex-parallel", mode, opts...)
+					runSDIndexMode(t, "sdindex-parallel", mode, newSDIndex, opts...)
 				})
 			}
 		}
 	}
 	t.Run("round-robin-float32", func(t *testing.T) {
-		runSDIndex(t, "sdindex-parallel-roundrobin-float32",
+		runBuilt(t, "sdindex-parallel-roundrobin-float32", loadWidth32,
 			sdquery.WithWorkers(2), sdquery.WithShards(5),
-			sdquery.WithScheduler(sdquery.SchedRoundRobin),
-			sdquery.WithColumnWidth(32))
+			sdquery.WithScheduler(sdquery.SchedRoundRobin))
 	})
 	t.Run("sharded-constructor", func(t *testing.T) {
 		enginetest.Run(t, enginetest.Factory{

@@ -19,7 +19,7 @@ func WithStreamOnly() SDOption { return WithAccessCost(core.StreamOnly) }
 // rows — so tests can force up-front sweeps (a huge value), or mid-stream
 // bail-outs on tiny data (a small one).
 func WithAccessCost(rows int) SDOption {
-	return func(c *sdConfig) { c.accessCost = rows }
+	return func(c *sdConfig) { c.rt.AccessCost = rows }
 }
 
 // SweepOnly is an access cost under which every segment is swept up front.
@@ -76,5 +76,5 @@ func WithAngles(degrees ...float64) SDOption {
 // WithScheduler selects the sorted-access scheduling mode of the §5
 // aggregation (default SchedBoundDriven).
 func WithScheduler(m SchedulerMode) SDOption {
-	return func(c *sdConfig) { c.sched = m }
+	return func(c *sdConfig) { c.rt.Scheduler = m }
 }

@@ -57,13 +57,6 @@ func FuzzTopKChurn(f *testing.F) {
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
-		// A float32-column twin churns through the same seals and folds: its
-		// narrow sealed segments must answer identically throughout.
-		idx32, err := sdquery.NewSDIndex(data, roles,
-			sdquery.WithMemtableSize(4), sdquery.WithColumnWidth(32))
-		if err != nil {
-			t.Fatalf("build float32: %v", err)
-		}
 		// A planner twin: an access cost of 2 rows makes these tiny segments
 		// worth streaming and then retiring into a sweep mid-query, so the
 		// hand-over from streams to sweep runs under churn too.
@@ -85,7 +78,7 @@ func FuzzTopKChurn(f *testing.F) {
 		twins := []struct {
 			name string
 			idx  *sdquery.SDIndex
-		}{{"float32", idx32}, {"bail-out", idxBail}, {"segmented", idxSeg}}
+		}{{"bail-out", idxBail}, {"segmented", idxSeg}}
 		mirror := append([][]float64(nil), data...)
 		dead := make([]bool, len(mirror))
 
@@ -222,22 +215,15 @@ func FuzzTopK(f *testing.F) {
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
-		// Same dataset through the narrow float32 scoring columns: the
-		// approximate sweep plus exact rescore must match the oracle too.
-		idx32, err := sdquery.NewSDIndex(data, roles, sdquery.WithColumnWidth(32))
-		if err != nil {
-			t.Fatalf("build float32: %v", err)
-		}
 		// The planner's other two ways through a segment: these datasets are
 		// so small the default sweeps them outright, so one twin is pinned to
-		// pure streaming and one (access cost 2 rows, float32 columns) probes
-		// and then retires its streams into a sweep mid-query.
+		// pure streaming and one (access cost 2 rows) probes and then retires
+		// its streams into a sweep mid-query.
 		idxStream, err := sdquery.NewSDIndex(data, roles, sdquery.WithStreamOnly())
 		if err != nil {
 			t.Fatalf("build stream-only: %v", err)
 		}
-		idxBail, err := sdquery.NewSDIndex(data, roles,
-			sdquery.WithAccessCost(2), sdquery.WithColumnWidth(32))
+		idxBail, err := sdquery.NewSDIndex(data, roles, sdquery.WithAccessCost(2))
 		if err != nil {
 			t.Fatalf("build bail-out: %v", err)
 		}
@@ -285,8 +271,7 @@ func FuzzTopK(f *testing.F) {
 		for _, eng := range []struct {
 			name string
 			idx  *sdquery.SDIndex
-		}{{"sdindex", idx}, {"sdindex-float32", idx32},
-			{"sdindex-stream", idxStream}, {"sdindex-bail-out-float32", idxBail}} {
+		}{{"sdindex", idx}, {"sdindex-stream", idxStream}, {"sdindex-bail-out", idxBail}} {
 			got, err := eng.idx.TopK(q)
 			if err != nil {
 				t.Fatalf("%s: %v", eng.name, err)

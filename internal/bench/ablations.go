@@ -61,7 +61,7 @@ func runAblationAngles(cfg Config) Report {
 	timeSeries := Series{Name: "query ms"}
 	memSeries := Series{Name: "index MB"}
 	for _, m := range []int{2, 3, 5, 9, 17} {
-		eng, err := core.New(data, core.Config{Roles: roles, AccessCost: core.StreamOnly,
+		eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly,
 			Tree: topk.Config{Angles: uniformAngles(m)}})
 		if err != nil {
 			panic(err)
@@ -95,7 +95,7 @@ func runAblationPairing(cfg Config) Report {
 		specs := makeSpecs(roles, k, cfg.Queries, cfg.Seed+2)
 		s := Series{Name: dist.String()}
 		for si, strat := range strategies {
-			eng, err := core.New(data, core.Config{Roles: roles, AccessCost: core.StreamOnly, Pairing: strat})
+			eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly, Pairing: strat})
 			if err != nil {
 				panic(err)
 			}
@@ -127,7 +127,7 @@ func runAblationScheduler(cfg Config) Report {
 	timeSeries := Series{Name: "total ms"}
 	fetchSeries := Series{Name: "fetched mean"}
 	for si, sched := range []core.Scheduler{core.SchedRoundRobin, core.SchedBoundDriven} {
-		eng, err := core.New(data, core.Config{Roles: roles, AccessCost: core.StreamOnly, Scheduler: sched})
+		eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: core.RuntimeOptions{AccessCost: core.StreamOnly, Scheduler: sched}})
 		if err != nil {
 			panic(err)
 		}
@@ -166,14 +166,14 @@ func runAblationGranularity(cfg Config) Report {
 	specs := makeSpecs(roles, k, cfg.Queries, cfg.Seed+2)
 	var series []Series
 
-	engPaired, err := core.New(data, core.Config{Roles: roles, AccessCost: core.StreamOnly})
+	engPaired, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly})
 	if err != nil {
 		panic(err)
 	}
 	series = append(series, Series{Name: "2-d subproblems (SD-Index)",
 		X: []float64{0}, Y: []float64{runQueries(engPaired, specs)}})
 
-	engFlat, err := core.New(data, core.Config{Roles: roles, AccessCost: core.StreamOnly, Pairing: core.PairNone})
+	engFlat, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly, Pairing: core.PairNone})
 	if err != nil {
 		panic(err)
 	}
@@ -207,7 +207,7 @@ func runAblationBranching(cfg Config) Report {
 	specs := makeSpecs(roles, k, cfg.Queries, cfg.Seed+2)
 	s := Series{Name: "SD-Index topK"}
 	for _, b := range []int{2, 4, 8, 16, 32, 64} {
-		eng, err := core.New(data, core.Config{Roles: roles, AccessCost: core.StreamOnly, Tree: topk.Config{Branching: b}})
+		eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly, Tree: topk.Config{Branching: b}})
 		if err != nil {
 			panic(err)
 		}
@@ -297,7 +297,7 @@ func runAblationBulk(cfg Config) Report {
 	timeSeries := Series{Name: "query ms"}
 	memSeries := Series{Name: "index MB"}
 	for _, lc := range []int{1, 4, 16, 64} {
-		eng, err := core.New(data, core.Config{Roles: roles, AccessCost: core.StreamOnly, Tree: topk.Config{LeafCap: lc}})
+		eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly, Tree: topk.Config{LeafCap: lc}})
 		if err != nil {
 			panic(err)
 		}

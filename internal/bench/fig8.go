@@ -356,7 +356,7 @@ func runFig8Branching(cfg Config) Report {
 			s    *Series
 			leaf int
 		}{{&leaf1, 1}, {&leaf64, 64}} {
-			eng, err := core.New(data, core.Config{Roles: roles, AccessCost: core.StreamOnly,
+			eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly,
 				Tree: topk.Config{Branching: b, LeafCap: variant.leaf}})
 			if err != nil {
 				panic(err)

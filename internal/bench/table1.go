@@ -32,7 +32,7 @@ func runTable1(cfg Config) Report {
 	mols := dataset.ChEMBL(n, cfg.Seed)
 	data := dataset.MoleculeVectors(mols) // [drug-likeness, MW] normalized
 	roles := []query.Role{query.Attractive, query.Repulsive}
-	eng, err := core.New(data, core.Config{Roles: roles, AccessCost: core.StreamOnly})
+	eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly})
 	if err != nil {
 		panic(err)
 	}

@@ -98,14 +98,16 @@ func runQueries(eng engine, specs []query.Spec) float64 {
 	})
 }
 
+// streamOnly pins every engine this package builds to pure streaming: the
+// figures and ablations reproduce the paper's index — sorted accesses against
+// baselines' — and the served engine's sweep-or-stream planner would answer
+// most of their reduced-scale datasets with a column sweep instead.
+var streamOnly = core.RuntimeOptions{AccessCost: core.StreamOnly}
+
 // newSDEngine builds the SD-Index with the evaluation defaults (branching 8,
-// single-point leaves, the five §6.1 angles). Like every engine this package
-// builds, it is pinned to pure streaming (core.StreamOnly): the figures and
-// ablations reproduce the paper's index — sorted accesses against baselines'
-// — and the served engine's sweep-or-stream planner would answer most of
-// their reduced-scale datasets with a column sweep instead.
+// single-point leaves, the five §6.1 angles), streaming only.
 func newSDEngine(data [][]float64, roles []query.Role) *core.Engine {
-	eng, err := core.New(data, core.Config{Roles: roles, AccessCost: core.StreamOnly})
+	eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly})
 	if err != nil {
 		panic(err)
 	}

@@ -121,14 +121,23 @@ type Config struct {
 	Pairing Pairing
 	// Tree configures the per-pair §4 indexes.
 	Tree topk.Config
+	// WAL, when non-nil, makes every mutation durable: Insert and Remove
+	// append checksummed records to a per-engine log before publishing, and
+	// Open replays the tail over the last checkpoint after a crash. See
+	// wal.go.
+	WAL *WALConfig
+	RuntimeOptions
+}
+
+// RuntimeOptions are the engine knobs that change neither the answers nor the
+// persisted file. Config embeds them; Load and Open take them fresh, while
+// the structural configuration — roles, pairing layout, tree shape — comes
+// from the file. apply is the one place they reach an Engine.
+type RuntimeOptions struct {
 	// Scheduler selects the sorted-access order of the §5 aggregation.
 	// Default SchedBoundDriven; SchedRoundRobin is the pre-scheduler
 	// behaviour, kept as an ablation. Answers are identical either way.
 	Scheduler Scheduler
-	// DisablePlanCache turns off the per-engine query-plan cache (plan.go),
-	// deriving every query's plan from scratch — the ablation baseline for
-	// the cache's hit-rate statistics.
-	DisablePlanCache bool
 	// MemtableSize is the memtable row count past which the background
 	// compactor seals it into an immutable segment. Default 1024.
 	MemtableSize int
@@ -136,22 +145,15 @@ type Config struct {
 	// memtable grows without bound (queries stay correct, scanning it
 	// exactly) and segments are only ever folded by an explicit Compact.
 	DisableCompaction bool
-	// ColumnWidth selects the sealed segments' sweep-column precision: 0 or
-	// 64 stores float64 columns only (the default); 32 additionally stores a
-	// float32 copy the batch score kernel sweeps at half the memory
-	// bandwidth, with per-dimension quantization pads guaranteeing that
-	// candidates are skipped only when even the padded approximate score
-	// cannot reach the k-th best — survivors are rescored from the float64
-	// columns, so answers are byte-identical at either width.
-	ColumnWidth int
 	// Segments is how many large sealed segments the engine keeps: the initial
 	// build splits the dataset into that many equal contiguous-ID segments
 	// (sealed concurrently), and compaction never folds segments into an
 	// output above ⌈live rows/Segments⌉, so the stack stays that wide as the
 	// data grows or shrinks. 0 or 1 (the default) leaves segment sizing to the
 	// compactor's 2× stack invariant. The split exists for intra-query
-	// parallelism (see Config.Pool): one segment is the unit of fan-out, so a
-	// split stack gives one query enough segments to spread across cores.
+	// parallelism (see Pool): one segment is the unit of fan-out, so a split
+	// stack gives one query enough segments to spread across cores. A loaded
+	// file's own stack loads as saved and compaction reshapes it from there.
 	Segments int
 	// Pool, when non-nil, fans the sealed segments of a single query out to
 	// the supplied runner (one task per segment, each running the full
@@ -161,11 +163,6 @@ type Config struct {
 	// only the Stats trace varies with timing. Nil (the default) keeps the
 	// fully sequential, deterministic-stats path.
 	Pool Runner
-	// WAL, when non-nil, makes every mutation durable: Insert and Remove
-	// append checksummed records to a per-engine log before publishing, and
-	// Open replays the tail over the last checkpoint after a crash. See
-	// wal.go.
-	WAL *WALConfig
 	// AccessCost overrides the sweep-or-stream planner's one unit cost — the
 	// price of a sorted access in swept rows (DefaultAccessCost). No public
 	// option sets it: 0, what every user-facing constructor passes, selects
@@ -176,6 +173,27 @@ type Config struct {
 	// planner would sweep them and leave the streams without coverage. A
 	// positive value is for tests that need bail-outs on tiny data.
 	AccessCost int
+}
+
+// apply validates the knobs and sets them on e, defaulting the memtable size
+// and resolving the access cost.
+func (opt RuntimeOptions) apply(e *Engine) error {
+	if !opt.Scheduler.valid() {
+		return fmt.Errorf("unknown scheduler %v", opt.Scheduler)
+	}
+	if opt.Segments < 0 {
+		return fmt.Errorf("negative segment count %d", opt.Segments)
+	}
+	e.sched = opt.Scheduler
+	e.memSize = opt.MemtableSize
+	if e.memSize <= 0 {
+		e.memSize = defaultMemtableSize
+	}
+	e.noCompact = opt.DisableCompaction
+	e.segments = opt.Segments
+	e.pool = opt.Pool
+	e.accessCost = resolveAccessCost(opt.AccessCost, opt.Scheduler)
+	return nil
 }
 
 // Engine is the SD-Index. All read paths (TopK and friends, Len, Bytes,
@@ -205,7 +223,6 @@ type Engine struct {
 	memSize     int
 	noCompact   bool
 
-	colWidth   int    // sealed-segment sweep precision: 64, or 32 for the narrow copy
 	segments   int    // large sealed segments to keep (segCap); ≤ 1 = unbounded
 	pool       Runner // intra-query segment fan-out, nil = sequential
 	accessCost int    // a sorted access in swept rows; 0 = never sweep (scheduler.go)
@@ -222,9 +239,8 @@ type Engine struct {
 	// Plans depend only on the build-time layout and roles — which never
 	// change after New — so Insert, Remove, and compaction need no
 	// invalidation.
-	noPlanCache bool
-	planMu      sync.Mutex
-	plans       atomic.Pointer[map[uint64]*queryPlan]
+	planMu sync.Mutex
+	plans  atomic.Pointer[map[uint64]*queryPlan]
 }
 
 // New builds the SD-Index over the dataset, sealing it into the engine's
@@ -262,21 +278,6 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("core: unknown role %d", r)
 		}
 	}
-	if !cfg.Scheduler.valid() {
-		return nil, fmt.Errorf("core: unknown scheduler %v", cfg.Scheduler)
-	}
-	if cfg.MemtableSize <= 0 {
-		cfg.MemtableSize = defaultMemtableSize
-	}
-	if cfg.ColumnWidth == 0 {
-		cfg.ColumnWidth = 64
-	}
-	if cfg.ColumnWidth != 32 && cfg.ColumnWidth != 64 {
-		return nil, fmt.Errorf("core: unsupported column width %d (want 32 or 64)", cfg.ColumnWidth)
-	}
-	if cfg.Segments < 0 {
-		return nil, fmt.Errorf("core: negative segment count %d", cfg.Segments)
-	}
 	// The engine defaults its per-pair trees to packed leaves: the tree
 	// semantics are identical (the paper's §4 disk-style layout), and the
 	// 64-point leaves — the widest the leaf-cursor bitmask supports — cut
@@ -287,19 +288,14 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 		cfg.Tree.LeafCap = 64
 	}
 	e := &Engine{
-		dims:        dims,
-		roles:       append([]query.Role(nil), cfg.Roles...),
-		pairing:     cfg.Pairing,
-		layout:      makeLayout(data, cfg.Roles, cfg.Pairing),
-		treeCfg:     cfg.Tree,
-		sched:       cfg.Scheduler,
-		memSize:     cfg.MemtableSize,
-		noCompact:   cfg.DisableCompaction,
-		colWidth:    cfg.ColumnWidth,
-		segments:    cfg.Segments,
-		pool:        cfg.Pool,
-		accessCost:  resolveAccessCost(cfg.AccessCost, cfg.Scheduler),
-		noPlanCache: cfg.DisablePlanCache,
+		dims:    dims,
+		roles:   append([]query.Role(nil), cfg.Roles...),
+		pairing: cfg.Pairing,
+		layout:  makeLayout(data, cfg.Roles, cfg.Pairing),
+		treeCfg: cfg.Tree,
+	}
+	if err := cfg.RuntimeOptions.apply(e); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	sn := &snapshot{
 		total:  0,

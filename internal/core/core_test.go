@@ -131,7 +131,7 @@ func TestAllEnginesAgreeWithScan(t *testing.T) {
 		tree := topk.Config{Branching: 2 + rng.Intn(7)}
 		var sdEngs [3]*Engine
 		for i, cost := range []int{0, StreamOnly, 2} {
-			if sdEngs[i], err = New(data, Config{Roles: roles, Tree: tree, AccessCost: cost}); err != nil {
+			if sdEngs[i], err = New(data, Config{Roles: roles, Tree: tree, RuntimeOptions: RuntimeOptions{AccessCost: cost}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -398,7 +398,7 @@ func TestBytesEstimate(t *testing.T) {
 	roles := []query.Role{query.Repulsive, query.Attractive, query.Repulsive, query.Repulsive}
 	// Stream-pinned so the 500-row segment is indexed at all: the default
 	// seals a segment this small without structures (TestSealIndexesBySize).
-	eng, err := New(data, Config{Roles: roles, DisableCompaction: true, AccessCost: StreamOnly})
+	eng, err := New(data, Config{Roles: roles, RuntimeOptions: RuntimeOptions{DisableCompaction: true, AccessCost: StreamOnly}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,8 +417,6 @@ func TestBytesEstimate(t *testing.T) {
 			structures += segStruct
 			want += segStruct
 			want += 8 * len(seg.cols)    // dimension-major column block
-			want += 4 * len(seg.cols32)  // narrow sweep copy (float32 engines)
-			want += 8 * len(seg.qerr)    // per-dimension quantization pads
 			want += 4 * len(seg.ids)     // global-ID map
 			want += 8 * len(sn.tombs[i]) // tombstone bitset words
 		}

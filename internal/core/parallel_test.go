@@ -42,7 +42,7 @@ func TestParallelFloorRisesMidStep(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 6_000, 4, 17)
 	currentData = data
 	roles := sweepTestRoles()
-	eng, err := New(data, Config{Roles: roles, Segments: 2, Pool: goRunner{}, AccessCost: StreamOnly})
+	eng, err := New(data, Config{Roles: roles, RuntimeOptions: RuntimeOptions{Segments: 2, Pool: goRunner{}, AccessCost: StreamOnly}})
 	if err != nil {
 		t.Fatal(err)
 	}

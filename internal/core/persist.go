@@ -9,8 +9,8 @@ package core
 // serialized but rebuilt at load, which is deterministic: a segment's trees
 // are a pure function of its rows and the tree configuration, so the
 // reloaded engine's segment stack is structurally identical to the saved
-// one. Runtime knobs (scheduler, plan cache, compaction) are not part of
-// the file; Load takes them fresh.
+// one. Runtime knobs (RuntimeOptions) are not part of the file; Load takes
+// them fresh.
 
 import (
 	"bufio"
@@ -30,37 +30,15 @@ import (
 // rather than guessing. Version 2 added the snapshot's WAL sequence number
 // (walLSN); version-1 files load with walLSN 0. Version 3 switched segment
 // coordinate blocks from row-major to the segments' native dimension-major
-// column layout and added the engine's column width; v1/v2 files still load
-// (their row-major blocks are transposed once at read) and come up as
-// 64-bit-column engines.
+// column layout and added a column-width byte (64, or 32 from the retired
+// float32 sweep copy: the columns on disk are float64 either way); v1/v2
+// files still load (their row-major blocks are transposed once at read).
 const persistVersion = 3
 
 // maxPersistDims caps the dimensionality Load will accept — a sanity bound
 // that turns a corrupt header into an error instead of an absurd
 // allocation.
 const maxPersistDims = 1 << 16
-
-// RuntimeOptions are the knobs Load applies to a persisted engine. The
-// structural configuration — roles, pairing layout, tree shape — comes from
-// the file and cannot be overridden: it determines the answers' exactness
-// contract.
-type RuntimeOptions struct {
-	Scheduler         Scheduler
-	DisablePlanCache  bool
-	MemtableSize      int
-	DisableCompaction bool
-	// Segments and Pool mirror the Config fields of the same names: how many
-	// large sealed segments compaction keeps, and the intra-query fan-out
-	// runner. Both are runtime concerns (neither changes answers), so Load
-	// takes them fresh like the scheduler; the file's own segment stack loads
-	// as saved and compaction reshapes it from there. Note the column width
-	// is NOT here — it is structural (it decides what segment storage is
-	// materialized) and comes from the file.
-	Segments int
-	Pool     Runner
-	// AccessCost mirrors Config.AccessCost.
-	AccessCost int
-}
 
 type countingWriter struct {
 	w   io.Writer
@@ -116,7 +94,7 @@ func (e *Engine) saveSnapshot(w io.Writer, sn *snapshot) error {
 		cw.write(uint8(r))
 	}
 	cw.write(uint8(e.pairing))
-	cw.write(uint8(e.colWidth))
+	cw.write(uint8(64)) // column width: the columns are float64 (Load also accepts 32)
 
 	// Fixed layout.
 	lo := &e.layout
@@ -228,14 +206,14 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 	}
 	var pairing uint8
 	cr.read(&pairing)
-	colWidth := 64
 	if version >= 3 {
+		// Column width: 64, or 32 from an engine that also kept a float32
+		// sweep copy. The persisted columns are float64 either way.
 		var wb uint8
 		cr.read(&wb)
 		if cr.err == nil && wb != 32 && wb != 64 {
 			return fail("unsupported column width %d", wb)
 		}
-		colWidth = int(wb)
 	}
 
 	dim := func(v uint32) (int, error) {
@@ -334,29 +312,15 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 		return fail("implausible row counts (total %d, live %d)", sn.total, sn.live)
 	}
 
-	if opt.MemtableSize <= 0 {
-		opt.MemtableSize = defaultMemtableSize
-	}
-	if !opt.Scheduler.valid() {
-		return fail("unknown scheduler %v", opt.Scheduler)
-	}
-	if opt.Segments < 0 {
-		return fail("negative segment count %d", opt.Segments)
-	}
 	e := &Engine{
-		dims:        dims,
-		roles:       roles,
-		pairing:     Pairing(pairing),
-		layout:      lo,
-		treeCfg:     treeCfg,
-		sched:       opt.Scheduler,
-		memSize:     opt.MemtableSize,
-		noCompact:   opt.DisableCompaction,
-		colWidth:    colWidth,
-		segments:    opt.Segments,
-		pool:        opt.Pool,
-		accessCost:  resolveAccessCost(opt.AccessCost, opt.Scheduler),
-		noPlanCache: opt.DisablePlanCache,
+		dims:    dims,
+		roles:   roles,
+		pairing: Pairing(pairing),
+		layout:  lo,
+		treeCfg: treeCfg,
+	}
+	if err := opt.apply(e); err != nil {
+		return fail("%v", err)
 	}
 
 	readBitset := func() ([]uint64, error) {
@@ -475,7 +439,7 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 // Merge builds one engine over the live rows of several whose rows are
 // disjoint slices of one global ID space — how a file written by the retired
 // sharded index (one engine section per shard) loads. Structure (roles,
-// pairing, tree shape, column width) is the first part's; the ID space spans
+// pairing, tree shape) is the first part's; the ID space spans
 // the widest part's, so an ID the old index assigned and then removed is not
 // handed out again.
 func Merge(parts []*Engine, opt RuntimeOptions) (*Engine, error) {
@@ -514,9 +478,7 @@ func Merge(parts []*Engine, opt RuntimeOptions) (*Engine, error) {
 		data[i], ids[i] = r.p, r.id
 	}
 	e, err := NewWithIDs(data, ids, Config{
-		Roles: first.roles, Pairing: first.pairing, Tree: first.treeCfg, ColumnWidth: first.colWidth,
-		Scheduler: opt.Scheduler, DisablePlanCache: opt.DisablePlanCache, MemtableSize: opt.MemtableSize,
-		DisableCompaction: opt.DisableCompaction, Segments: opt.Segments, Pool: opt.Pool, AccessCost: opt.AccessCost,
+		Roles: first.roles, Pairing: first.pairing, Tree: first.treeCfg, RuntimeOptions: opt,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: merge: %w", err)

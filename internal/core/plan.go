@@ -153,15 +153,11 @@ func (e *Engine) derivePlanInto(p *queryPlan, spec query.Spec) {
 
 // planFor resolves the plan for spec: a cache hit returns the published
 // immutable plan, a miss derives and (size cap permitting) publishes a fresh
-// one, and shapes outside the signature's coverage — or engines built with
-// the cache disabled — derive into the pooled scratch plan. The hit path
-// performs no allocation and no locking (an atomic pointer load plus one map
-// read), which is what keeps TopKAppend zero-alloc in steady state.
+// one, and shapes outside the signature's coverage derive into the pooled
+// scratch plan. The hit path performs no allocation and no locking (an atomic
+// pointer load plus one map read), which is what keeps TopKAppend zero-alloc
+// in steady state.
 func (e *Engine) planFor(spec query.Spec, scratch *queryPlan) (pl *queryPlan, hit bool) {
-	if e.noPlanCache {
-		e.derivePlanInto(scratch, spec)
-		return scratch, false
-	}
 	sig, ok := planSignature(spec)
 	if !ok {
 		e.derivePlanInto(scratch, spec)

@@ -411,29 +411,9 @@ func (c *queryCtx) runBatch(i, size int, qpt []float64, pad, otherBounds float64
 	if nc > 0 {
 		stats.Scored += nc
 		scores := c.candScore[:nc]
-		if seg.cols32 != nil {
-			// Narrow sweep: approximate scores from the float32 columns at
-			// half the bandwidth, then skip candidates whose padded
-			// approximate score cannot reach the k-th best even on an exact
-			// tie (strict <, like every prune) and rescore the rest exactly.
-			// qpad covers quantization per active dimension; the segment pad
-			// covers the two summation chains' rounding difference.
-			simd.GatherScore32(scores, seg.cols32, seg.rows, c.candRow[:nc], qpt, c.signed)
-			qpad := pad
-			for d, w := range c.w {
-				qpad += w * seg.qerr[d]
-			}
-			for j := 0; j < nc; j++ {
-				if coll.Full() && scores[j]+qpad < coll.Threshold() {
-					continue
-				}
-				coll.Add(int(c.candGID[j]), seg.scoreLocal(int(c.candRow[j]), qpt, c.signed))
-			}
-		} else {
-			simd.GatherScore(scores, seg.cols, seg.rows, c.candRow[:nc], qpt, c.signed)
-			for j := 0; j < nc; j++ {
-				coll.Add(int(c.candGID[j]), scores[j])
-			}
+		simd.GatherScore(scores, seg.cols, seg.rows, c.candRow[:nc], qpt, c.signed)
+		for j := 0; j < nc; j++ {
+			coll.Add(int(c.candGID[j]), scores[j])
 		}
 	}
 	// The batch size adapts: it doubles toward the leaf cap while the

@@ -47,17 +47,6 @@ type segment struct {
 	rows int
 	dims int
 
-	// cols32 is the optional narrow sweep copy (Config.ColumnWidth 32): the
-	// same dimension-major block quantized to float32. The batch kernel
-	// sweeps it at half the memory bandwidth, and qerr[d] — the largest
-	// |column value − widened float32| per dimension — pads the approximate
-	// scores so candidates are only skipped when even the padded approximate
-	// score cannot reach the k-th best; survivors are rescored exactly from
-	// cols, so answers are byte-identical to a float64 engine. Both are nil
-	// on (default) 64-bit engines.
-	cols32 []float32
-	qerr   []float64
-
 	// indexed is false on a segment too small to ever be streamed (see
 	// Engine.seal): it carries no trees, grid, or lists, and every query
 	// sweeps it.
@@ -84,18 +73,6 @@ func (s *segment) copyRow(local int, dst []float64) {
 	}
 }
 
-// scoreLocal computes one row's exact score from the float64 columns, in the
-// same ascending-dimension order as the batch kernels and the old row-major
-// kernel — bit-identical to both. It is the rescore path for candidates that
-// survive the float32 pre-filter.
-func (s *segment) scoreLocal(local int, qpt, signed []float64) float64 {
-	var sc float64
-	for d := 0; d < s.dims; d++ {
-		sc += signed[d] * math.Abs(s.cols[d*s.rows+local]-qpt[d])
-	}
-	return sc
-}
-
 // transposeToCols converts a row-major block to the segment's dimension-major
 // layout — the build-time bridge for data that arrives as rows (initial
 // datasets, memtable seals, persisted v1/v2 files).
@@ -115,7 +92,7 @@ func transposeToCols(flat []float64, rows, dims int) []float64 {
 // every query whatever its plan (sweepsFirst), so it is sealed without
 // index structures.
 func (e *Engine) seal(cols []float64, ids []int32) (*segment, error) {
-	return buildSegment(cols, ids, e.dims, &e.layout, e.treeCfg, e.colWidth, len(ids) > e.probeCost(1))
+	return buildSegment(cols, ids, e.dims, &e.layout, e.treeCfg, len(ids) > e.probeCost(1))
 }
 
 // sealAll seals n segments, segment i from the columns and IDs input(i)
@@ -163,30 +140,14 @@ func (e *Engine) segCap(live int) int {
 
 // buildSegment seals rows (cols, dimension-major, with their global IDs) into
 // an immutable segment under the engine's layout and tree configuration. IDs
-// must be strictly ascending; width is the engine's column width (64, or 32
-// for the narrow-sweep layout); indexed false leaves the trees and lists
+// must be strictly ascending; indexed false leaves the trees and lists
 // unbuilt. An empty row set returns nil.
-func buildSegment(cols []float64, ids []int32, dims int, lo *layout, treeCfg topk.Config, width int, indexed bool) (*segment, error) {
+func buildSegment(cols []float64, ids []int32, dims int, lo *layout, treeCfg topk.Config, indexed bool) (*segment, error) {
 	rows := len(ids)
 	if rows == 0 {
 		return nil, nil
 	}
 	s := &segment{ids: ids, cols: cols, rows: rows, dims: dims, indexed: indexed}
-	if width == 32 {
-		s.cols32 = make([]float32, len(cols))
-		s.qerr = make([]float64, dims)
-		for d := 0; d < dims; d++ {
-			var worst float64
-			for i, v := range cols[d*rows : (d+1)*rows] {
-				n := float32(v)
-				s.cols32[d*rows+i] = n
-				if e := math.Abs(v - float64(n)); e > worst {
-					worst = e
-				}
-			}
-			s.qerr[d] = worst
-		}
-	}
 	if !indexed {
 		return s, nil
 	}
@@ -232,11 +193,9 @@ func buildSegment(cols []float64, ids []int32, dims int, lo *layout, treeCfg top
 }
 
 // bytes is the segment's resident size: index structures plus the column
-// block (and the narrow copy with its per-dimension error pads, when built),
-// the global-ID map, and (caller-supplied) tombstone words.
+// block, the global-ID map, and (caller-supplied) tombstone words.
 func (s *segment) bytes(tombWords int) int {
-	return s.structBytes + 8*len(s.cols) + 4*len(s.cols32) + 8*len(s.qerr) +
-		4*len(s.ids) + 8*tombWords
+	return s.structBytes + 8*len(s.cols) + 4*len(s.ids) + 8*tombWords
 }
 
 // findLocal locates a global ID in the segment by binary search over the

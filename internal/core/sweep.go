@@ -98,44 +98,28 @@ const (
 // tombstones. Rows below the prune line are dropped on the score alone
 // (strictly below: a tie at the k-th rank still reaches the collector's ID
 // tie-break), so tombstones and the seen bitset are consulted only for the
-// few rows that could enter the top k. On float32 columns the swept score is
-// approximate: it is padded by the quantization error and by the rounding
-// slack between the two summation chains, exactly as runBatch pads it, and
-// the rows that survive are rescored from the float64 columns.
+// few rows that could enter the top k.
 func (c *queryCtx) sweep(seg *segment, ids []int32, dead []uint64, qpt []float64) {
 	coll := c.coll
 	d := c.e.dims
-	narrow := seg != nil && seg.cols32 != nil
-	var qpad float64
-	if narrow {
-		for dd, w := range c.w {
-			qpad += w * (seg.qerr[dd] + floatSlack*c.sn.reach(dd, qpt[dd]))
-		}
-	}
 	for base, blk := 0, 1; base < len(ids); base, blk = base+sweepBlock, blk+1 {
 		if blk%sweepPollBlocks == 0 && c.pollCancel() {
 			return
 		}
 		scores := c.sweepScore[:min(len(ids)-base, sweepBlock)]
-		switch {
-		case seg == nil:
+		if seg == nil {
 			simd.ScoreRows(scores, c.sn.memFlat[base*d:], d, qpt, c.signed)
-		case narrow:
-			simd.ScoreCols32(scores, seg.cols32, seg.rows, base, qpt, c.signed)
-		default:
+		} else {
 			simd.ScoreCols(scores, seg.cols, seg.rows, base, qpt, c.signed)
 		}
 		line, lineOK := c.pruneLine()
 		for j, sc := range scores {
-			if lineOK && sc+qpad < line {
+			if lineOK && sc < line {
 				continue
 			}
 			l := base + j
 			if bitGet(dead, l) || c.isSeen(ids[l]) {
 				continue
-			}
-			if narrow {
-				sc = seg.scoreLocal(l, qpt, c.signed)
 			}
 			if coll.Add(int(ids[l]), sc) {
 				line, lineOK = c.pruneLine()

@@ -42,7 +42,7 @@ func TestSealIndexesBySize(t *testing.T) {
 	} {
 		data := dataset.Generate(dataset.Uniform, tc.rows, len(roles), 5)
 		currentData = data
-		eng, err := New(data, Config{Roles: roles, AccessCost: tc.cost})
+		eng, err := New(data, Config{Roles: roles, RuntimeOptions: RuntimeOptions{AccessCost: tc.cost}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestCancelMidSweep(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 2*segRows, 4, 9)
 	currentData = data
 	r := &closeAfterFirst{done: make(chan struct{})}
-	eng, err := New(data, Config{Roles: sweepTestRoles(), Segments: 2, Pool: r, AccessCost: 1 << 30})
+	eng, err := New(data, Config{Roles: sweepTestRoles(), RuntimeOptions: RuntimeOptions{Segments: 2, Pool: r, AccessCost: 1 << 30}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func applyScript(t *testing.T, e *Engine, muts []walMutation) {
 // compaction disabled — the ground truth a recovered engine must match.
 func oracleFor(t *testing.T, muts []walMutation, m int) *Engine {
 	t.Helper()
-	e, err := New(nil, Config{Roles: walRoles, DisableCompaction: true})
+	e, err := New(nil, Config{Roles: walRoles, RuntimeOptions: RuntimeOptions{DisableCompaction: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func newWALEngine(t *testing.T, fs faultfs.FS, dir string, wc WALConfig) *Engine
 	t.Helper()
 	wc.Dir = dir
 	wc.FS = fs
-	e, err := New(nil, Config{Roles: walRoles, MemtableSize: 16, WAL: &wc})
+	e, err := New(nil, Config{Roles: walRoles, WAL: &wc, RuntimeOptions: RuntimeOptions{MemtableSize: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}

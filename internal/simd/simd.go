@@ -15,7 +15,7 @@
 //     while fused-multiply-add — a different rounding — stays forbidden.
 //
 //  2. Hoist every per-element branch to the call site. The callers
-//     pre-resolve projection kinds, weight signs, and column widths into
+//     pre-resolve projection kinds and weight signs into
 //     plain coefficients, so the loops are branch-free and the compiler
 //     keeps them in registers.
 //
@@ -152,39 +152,6 @@ func GatherScore(dst []float64, cols []float64, rows int, idx []int32, q, signed
 	}
 }
 
-// GatherScore32 is GatherScore over float32 columns: values are widened to
-// float64 before any arithmetic, so the only precision loss is the storage
-// quantization itself — the error the caller's float-pad machinery absorbs.
-// Reading half the bytes per candidate is the point: the hot sweep runs at
-// half the memory bandwidth of the float64 columns.
-func GatherScore32(dst []float64, cols []float32, rows int, idx []int32, q, signed []float64) {
-	dims := len(q)
-	idx = idx[:len(dst)]
-	for j := range dst {
-		dst[j] = 0
-	}
-	for d := 0; d < dims; d++ {
-		col := cols[d*rows : (d+1)*rows : (d+1)*rows]
-		qd, wd := q[d], signed[d]
-		j := 0
-		for ; j+8 <= len(dst); j += 8 {
-			i := idx[j : j+8 : j+8]
-			o := dst[j : j+8 : j+8]
-			o[0] += wd * math.Abs(float64(col[i[0]])-qd)
-			o[1] += wd * math.Abs(float64(col[i[1]])-qd)
-			o[2] += wd * math.Abs(float64(col[i[2]])-qd)
-			o[3] += wd * math.Abs(float64(col[i[3]])-qd)
-			o[4] += wd * math.Abs(float64(col[i[4]])-qd)
-			o[5] += wd * math.Abs(float64(col[i[5]])-qd)
-			o[6] += wd * math.Abs(float64(col[i[6]])-qd)
-			o[7] += wd * math.Abs(float64(col[i[7]])-qd)
-		}
-		for ; j < len(dst); j++ {
-			dst[j] += wd * math.Abs(float64(col[idx[j]])-qd)
-		}
-	}
-}
-
 // ScoreCols fills dst[j] with the SD-score of row off+j read contiguously
 // from dimension-major float64 columns (column d is cols[d·rows:(d+1)·rows]):
 // the segment sweep kernel. Eight consecutive rows advance together, each
@@ -221,42 +188,6 @@ func ScoreCols(dst []float64, cols []float64, rows, off int, q, signed []float64
 		var s float64
 		for d := 0; d < dims; d++ {
 			s += signed[d] * math.Abs(cols[d*rows+off+j]-q[d])
-		}
-		dst[j] = s
-	}
-}
-
-// ScoreCols32 is ScoreCols over float32 columns, widened to float64 before
-// any arithmetic exactly like GatherScore32: the approximate half-bandwidth
-// sweep whose quantization error the caller's pad absorbs.
-func ScoreCols32(dst []float64, cols []float32, rows, off int, q, signed []float64) {
-	dims := len(q)
-	signed = signed[:dims]
-	j := 0
-	for ; j+8 <= len(dst); j += 8 {
-		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		base := off + j
-		for d := 0; d < dims; d++ {
-			c := cols[base : base+8 : base+8]
-			base += rows
-			qd, wd := q[d], signed[d]
-			s0 += wd * math.Abs(float64(c[0])-qd)
-			s1 += wd * math.Abs(float64(c[1])-qd)
-			s2 += wd * math.Abs(float64(c[2])-qd)
-			s3 += wd * math.Abs(float64(c[3])-qd)
-			s4 += wd * math.Abs(float64(c[4])-qd)
-			s5 += wd * math.Abs(float64(c[5])-qd)
-			s6 += wd * math.Abs(float64(c[6])-qd)
-			s7 += wd * math.Abs(float64(c[7])-qd)
-		}
-		out := dst[j : j+8 : j+8]
-		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
-		out[4], out[5], out[6], out[7] = s4, s5, s6, s7
-	}
-	for ; j < len(dst); j++ {
-		var s float64
-		for d := 0; d < dims; d++ {
-			s += signed[d] * math.Abs(float64(cols[d*rows+off+j])-q[d])
 		}
 		dst[j] = s
 	}

@@ -36,31 +36,11 @@ func gatherScoreScalar(dst []float64, cols []float64, rows int, idx []int32, q, 
 	}
 }
 
-func gatherScore32Scalar(dst []float64, cols []float32, rows int, idx []int32, q, signed []float64) {
-	for j := range dst {
-		var s float64
-		for d := range q {
-			s += signed[d] * math.Abs(float64(cols[d*rows+int(idx[j])])-q[d])
-		}
-		dst[j] = s
-	}
-}
-
 func scoreColsScalar(dst []float64, cols []float64, rows, off int, q, signed []float64) {
 	for j := range dst {
 		var s float64
 		for d := range q {
 			s += signed[d] * math.Abs(cols[d*rows+off+j]-q[d])
-		}
-		dst[j] = s
-	}
-}
-
-func scoreCols32Scalar(dst []float64, cols []float32, rows, off int, q, signed []float64) {
-	for j := range dst {
-		var s float64
-		for d := range q {
-			s += signed[d] * math.Abs(float64(cols[d*rows+off+j])-q[d])
 		}
 		dst[j] = s
 	}
@@ -137,14 +117,6 @@ func TestKernelBitIdentity(t *testing.T) {
 			GatherScore(got, cols, rows, idx, q, signed)
 			gatherScoreScalar(want, cols, rows, idx, q, signed)
 			requireBitEqual(t, "GatherScore", got, want)
-
-			cols32 := make([]float32, len(cols))
-			for i, v := range cols {
-				cols32[i] = float32(v)
-			}
-			GatherScore32(got, cols32, rows, idx, q, signed)
-			gatherScore32Scalar(want, cols32, rows, idx, q, signed)
-			requireBitEqual(t, "GatherScore32", got, want)
 		}
 	}
 	// The contiguous sweep kernels, at offsets that put the block's start,
@@ -156,10 +128,6 @@ func TestKernelBitIdentity(t *testing.T) {
 			rows := n + 11
 			off := rng.Intn(12)
 			cols := randVals(rng, rows*dims)
-			cols32 := make([]float32, len(cols))
-			for i, v := range cols {
-				cols32[i] = float32(v)
-			}
 			q := randVals(rng, dims)
 			signed := randVals(rng, dims)
 			idx := make([]int32, n)
@@ -173,12 +141,6 @@ func TestKernelBitIdentity(t *testing.T) {
 			requireBitEqual(t, "ScoreCols", got, want)
 			GatherScore(want, cols, rows, idx, q, signed)
 			requireBitEqual(t, "ScoreCols vs GatherScore", got, want)
-
-			ScoreCols32(got, cols32, rows, off, q, signed)
-			scoreCols32Scalar(want, cols32, rows, off, q, signed)
-			requireBitEqual(t, "ScoreCols32", got, want)
-			GatherScore32(want, cols32, rows, idx, q, signed)
-			requireBitEqual(t, "ScoreCols32 vs GatherScore32", got, want)
 		}
 	}
 }

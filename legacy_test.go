@@ -10,9 +10,25 @@ import (
 	"repro/internal/faultfs"
 )
 
-// Inputs written before the index became one engine: a file saved by the
-// retired ShardedIndex must still load, and a directory it logged several
-// shards into must be refused whole.
+// Inputs written by earlier versions: a file saved by the retired
+// ShardedIndex or with the retired float32 sweep columns must still load, and
+// a directory the ShardedIndex logged several shards into must be refused
+// whole.
+
+// lcgRows is the first n four-dimensional rows of the LCG stream both
+// legacy files were built from.
+func lcgRows(n int) [][]float64 {
+	x := uint64(12345)
+	next := func() float64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return float64(x>>11) / (1 << 53)
+	}
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = []float64{next(), next(), next(), next()}
+	}
+	return rows
+}
 
 // legacyRows regenerates the dataset behind testdata/legacy/sharded-v1.sdqx,
 // which the parent commit's ShardedIndex.Save wrote (3 shards, compaction
@@ -20,21 +36,50 @@ import (
 // seventh ID and ID 319 removed — tombstones in sealed segments and in the
 // memtables, and an ID space (320) that outlives its highest live row.
 func legacyRows() (rows [][]float64, dead []bool) {
-	x := uint64(12345)
-	next := func() float64 {
-		x = x*6364136223846793005 + 1442695040888963407
-		return float64(x>>11) / (1 << 53)
-	}
-	rows = make([][]float64, 320)
-	for i := range rows {
-		rows[i] = []float64{next(), next(), next(), next()}
-	}
+	rows = lcgRows(320)
 	dead = make([]bool, len(rows))
 	for id := 0; id < len(rows); id += 7 {
 		dead[id] = true
 	}
 	dead[319] = true
 	return rows, dead
+}
+
+// TestLoadWidth32File loads testdata/legacy/width32-v3.sdqx, which the last
+// commit with float32 sweep columns saved from an index built over
+// rows[:2000] with those columns and compaction off, after inserting
+// rows[2000:] and removing every ninth ID. Its header says width 32 but its
+// columns are float64 like every v3 file's, so it comes up as today's one
+// format and answers exactly.
+func TestLoadWidth32File(t *testing.T) {
+	file, err := os.ReadFile("testdata/legacy/width32-v3.sdqx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := lcgRows(2040)
+	dead := make([]bool, len(rows))
+	for id := 0; id < len(rows); id += 9 {
+		dead[id] = true
+	}
+	roles := []Role{Repulsive, Attractive, Repulsive, Attractive}
+	idx, err := LoadSDIndex(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	if got, want := idx.Len(), liveRows(dead); got != want {
+		t.Fatalf("Len = %d, want the file's %d live rows", got, want)
+	}
+	rng := rand.New(rand.NewSource(37))
+	for i := 0; i < 60; i++ {
+		q := randomQuery(rng, roles, 40) // k ≤ 43: the sweep's prune has work to do
+		q.Point = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+		got, err := idx.TopK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, "width-32 file vs scan of its live rows", got, oracleTopK(rows, dead, q))
+	}
 }
 
 func TestLoadLegacyShardedFile(t *testing.T) {

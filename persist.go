@@ -19,10 +19,8 @@ import (
 //
 // The file's structural identity — roles, pairing layout, tree shape,
 // segment stack — is authoritative; SDOptions passed to the Load functions
-// configure runtime behavior only (scheduler, plan cache, memtable
-// threshold, compaction, workers, and the segment count compaction steers
-// towards). Structural options (pairing, branching, angles) are ignored on
-// load.
+// configure runtime behavior only: the memtable threshold, compaction,
+// workers, and the segment count compaction steers towards.
 
 // fileMagic opens every persisted index; fileVersion versions the outer
 // envelope (the core engine section carries its own version).
@@ -38,23 +36,6 @@ const (
 	kindSDIndex = 1
 	kindSharded = 2
 )
-
-// runtimeOptions projects an option list onto the knobs Load and Open
-// honor, starting the worker pool WithWorkers asks for; the caller hands the
-// pool to wrapEngine on every path.
-func runtimeOptions(opts []SDOption) (core.RuntimeOptions, sdConfig, *workerPool) {
-	cfg := parseOptions(opts)
-	pool, runner := cfg.startPool()
-	return core.RuntimeOptions{
-		Scheduler:         cfg.sched,
-		DisablePlanCache:  cfg.noPlanCache,
-		MemtableSize:      cfg.memSize,
-		DisableCompaction: cfg.noCompact,
-		Segments:          cfg.segments(),
-		Pool:              runner,
-		AccessCost:        cfg.accessCost,
-	}, cfg, pool
-}
 
 // Save serializes the index's current snapshot. Like every read path it is
 // lock-free: concurrent queries, inserts, and compactions proceed

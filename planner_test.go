@@ -69,8 +69,7 @@ func alternatingRoles(dims int) []Role {
 // into a sweep. The sweep must skip exactly the settled rows — a row added
 // twice would surface as a duplicate, a row skipped wrongly as a lost tie at
 // the k-th rank — so the data is quantized (every rank is a tie group) and a
-// small access cost makes bail-outs happen on 600 rows. Float32 columns take the
-// same hand-over through the padded approximate sweep.
+// small access cost makes bail-outs happen on 600 rows.
 func TestPlannerBailoutAfterAdds(t *testing.T) {
 	roles := alternatingRoles(4)
 	data := plannerData("quantized", 600, 4, 3)
@@ -78,42 +77,40 @@ func TestPlannerBailoutAfterAdds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, width := range []int{64, 32} {
-		idx, err := NewSDIndex(data, roles, WithAccessCost(8), WithColumnWidth(width))
+	idx, err := NewSDIndex(data, roles, WithAccessCost(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	handovers := 0
+	for qi, q := range plannerQueries(60, roles, 4) {
+		got, st, err := idx.TopKWithStats(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		handovers := 0
-		for qi, q := range plannerQueries(60, roles, 4) {
-			got, st, err := idx.TopKWithStats(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := oracle.TopK(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, "bail-out", got, want)
-			if st.Scored-st.Swept > st.Fetched {
-				t.Fatalf("query %d: %d points scored by random access from %d sorted accesses: %+v",
-					qi, st.Scored-st.Swept, st.Fetched, st)
-			}
-			if st.SweptSegments > 0 && st.Scored > st.Swept {
-				handovers++ // streams scored points, then the segment was swept
-			}
-			// Same query, same snapshot: the same choice and the same work.
-			_, again, err := idx.TopKWithStats(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			again.PlanCacheHits = st.PlanCacheHits
-			if again != st {
-				t.Fatalf("query %d: stats differ between identical runs:\n%+v\n%+v", qi, st, again)
-			}
+		want, err := oracle.TopK(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if handovers < 10 {
-			t.Fatalf("width %d: only %d of 60 queries bailed out after scoring points; the scenario is not exercised", width, handovers)
+		sameResults(t, "bail-out", got, want)
+		if st.Scored-st.Swept > st.Fetched {
+			t.Fatalf("query %d: %d points scored by random access from %d sorted accesses: %+v",
+				qi, st.Scored-st.Swept, st.Fetched, st)
 		}
+		if st.SweptSegments > 0 && st.Scored > st.Swept {
+			handovers++ // streams scored points, then the segment was swept
+		}
+		// Same query, same snapshot: the same choice and the same work.
+		_, again, err := idx.TopKWithStats(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again.PlanCacheHits = st.PlanCacheHits
+		if again != st {
+			t.Fatalf("query %d: stats differ between identical runs:\n%+v\n%+v", qi, st, again)
+		}
+	}
+	if handovers < 10 {
+		t.Fatalf("only %d of 60 queries bailed out after scoring points; the scenario is not exercised", handovers)
 	}
 }
 

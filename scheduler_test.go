@@ -14,7 +14,7 @@ import (
 )
 
 // TestSchedulerEquivalenceProperty drives random specs through the same
-// dataset under every scheduler × plan-cache × pairing combination and
+// dataset under every scheduler × pairing × planner combination and
 // requires byte-identical answers. This is the re-proof of the
 // prune-at-first-emission argument for non-uniform access order, run as a
 // property: a point's first emission is bounded by every sibling frontier
@@ -58,10 +58,8 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 		}{
 			{"bound-driven", nil},
 			{"round-robin", []sdquery.SDOption{sdquery.WithScheduler(sdquery.SchedRoundRobin)}},
-			{"no-plan-cache", []sdquery.SDOption{sdquery.WithPlanCache(false)}},
-			{"round-robin/no-cache/in-order", []sdquery.SDOption{
+			{"round-robin/in-order", []sdquery.SDOption{
 				sdquery.WithScheduler(sdquery.SchedRoundRobin),
-				sdquery.WithPlanCache(false),
 				sdquery.WithPairing(sdquery.PairInOrder),
 			}},
 			// Intra-query segment parallelism is a scheduling choice too: the
@@ -72,22 +70,20 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 				sdquery.WithWorkers(2),
 				sdquery.WithShards(4),
 			}},
-			{"parallel/round-robin/float32", []sdquery.SDOption{
+			{"parallel/round-robin", []sdquery.SDOption{
 				sdquery.WithWorkers(3),
 				sdquery.WithShards(7),
 				sdquery.WithScheduler(sdquery.SchedRoundRobin),
-				sdquery.WithColumnWidth(32),
 			}},
 			// Sweep or stream is one more scheduling choice. At these sizes the
 			// default (variant 0) sweeps every segment outright, so pure
 			// streaming and mid-stream retirement are forced explicitly.
 			{"stream-only", []sdquery.SDOption{sdquery.WithStreamOnly()}},
 			{"bail-out", []sdquery.SDOption{sdquery.WithAccessCost(2)}},
-			{"parallel/bail-out/float32", []sdquery.SDOption{
+			{"parallel/bail-out", []sdquery.SDOption{
 				sdquery.WithWorkers(2),
 				sdquery.WithShards(3),
 				sdquery.WithAccessCost(2),
-				sdquery.WithColumnWidth(32),
 			}},
 		} {
 			eng, err := sdquery.NewSDIndex(data, roles, v.opts...)
@@ -192,9 +188,9 @@ func TestBoundDrivenFetchesLess(t *testing.T) {
 }
 
 // TestPlanCache pins the cache contract: repeated shapes hit, distinct
-// shapes (different zero-weight or role patterns) miss then hit, disabling
-// the cache reports no hits, and a cached role-mismatch error is still an
-// error on every repetition.
+// shapes (different zero-weight or role patterns) miss then hit, a cached
+// role-mismatch error is still an error on every repetition, and shapes wider
+// than the cache's signature never hit and still answer exactly.
 func TestPlanCache(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 500, 4, 11)
 	roles := []sdquery.Role{sdquery.Repulsive, sdquery.Attractive, sdquery.Repulsive, sdquery.Attractive}
@@ -266,31 +262,49 @@ func TestPlanCache(t *testing.T) {
 		t.Fatalf("shape published after error churn missed the cache")
 	}
 
-	// Disabled cache: never hits, same answers.
-	off, err := sdquery.NewSDIndex(data, roles, sdquery.WithPlanCache(false))
+	// Past 21 dimensions the shape signature does not fit its key: every
+	// query derives its plan into the pooled scratch plan, never hits, and
+	// answers exactly like the scan.
+	const wide = 24
+	wideRoles := make([]sdquery.Role, wide)
+	for d := range wideRoles {
+		wideRoles[d] = []sdquery.Role{sdquery.Repulsive, sdquery.Attractive, sdquery.Ignored}[d%3]
+	}
+	wideData := dataset.Generate(dataset.Uniform, 3_000, wide, 12)
+	wideIdx, err := sdquery.NewSDIndex(wideData, wideRoles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		_, st, err := off.TopKWithStats(q)
+	scan, err := sdquery.NewScan(wideData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	wq := sdquery.Query{Point: make([]float64, wide), K: 10, Roles: wideRoles, Weights: make([]float64, wide)}
+	for i := 0; i < 6; i++ {
+		if i%3 == 0 { // a new point and weights every third query; the shape stays
+			for d := range wq.Point {
+				wq.Point[d], wq.Weights[d] = rng.Float64(), rng.Float64()
+			}
+		}
+		got, st, err := wideIdx.TopKWithStats(wq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.PlanCacheHits != 0 {
-			t.Fatalf("disabled plan cache reported hits")
+			t.Fatalf("query %d of a %d-dimension shape reported a plan-cache hit", i, wide)
 		}
-	}
-	want, err := idx.TopK(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := off.TopK(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("plan cache changed answers at rank %d: %+v vs %+v", i, got[i], want[i])
+		want, err := scan.TopK(wq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("query %d: %d results, scan %d", i, len(got), len(want))
+		}
+		for r := range want {
+			if got[r] != want[r] {
+				t.Fatalf("query %d rank %d: %+v, scan %+v", i, r, got[r], want[r])
+			}
 		}
 	}
 }

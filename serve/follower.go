@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,6 +67,23 @@ func WithFollowInterval(d time.Duration) Option {
 	return func(c *config) { c.followInterval = d }
 }
 
+// newFollowerState is the follower half for leaderURL under cfg: the one
+// place the poll cadence default and the HTTP client are set.
+func newFollowerState(leaderURL string, cfg *config) *followerState {
+	f := &followerState{
+		leaderURL: trimURL(leaderURL),
+		client:    &http.Client{Timeout: 30 * time.Second},
+		interval:  cfg.followInterval,
+		loadOpts:  cfg.loadOpts,
+		quit:      make(chan struct{}),
+		done:      make(chan struct{}),
+	}
+	if f.interval <= 0 {
+		f.interval = 200 * time.Millisecond
+	}
+	return f
+}
+
 // NewFollower builds a read-only Server mirroring the leader at leaderURL.
 // It bootstraps synchronously (the snapshot is fetched and loaded before
 // NewFollower returns, so a returned follower is immediately serving) and
@@ -79,17 +95,7 @@ func NewFollower(leaderURL string, opts ...Option) (*Server, error) {
 	for _, o := range opts {
 		o(&probe)
 	}
-	f := &followerState{
-		leaderURL: strings.TrimRight(leaderURL, "/"),
-		client:    &http.Client{Timeout: 30 * time.Second},
-		interval:  probe.followInterval,
-		loadOpts:  probe.loadOpts,
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
-	if f.interval <= 0 {
-		f.interval = 200 * time.Millisecond
-	}
+	f := newFollowerState(leaderURL, &probe)
 	// The leader may still be coming up (both nodes launched together); a
 	// few paced attempts cover that without hiding a dead address for long.
 	var idx Index

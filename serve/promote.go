@@ -175,17 +175,10 @@ func (s *Server) attachPromotionWAL(gen uint64) error {
 
 // resumeFollowing restarts the pull loop after a failed promotion. The old
 // followerState's control channels are spent (stop closed them), so the
-// loop gets a fresh pair around the same leader, cursor, and counters.
+// loop gets a fresh state around the same leader, cursor, and counters.
 func (s *Server) resumeFollowing(old *followerState) {
-	nf := &followerState{
-		leaderURL: old.leaderURL,
-		client:    old.client,
-		interval:  old.interval,
-		loadOpts:  old.loadOpts,
-		source:    old.source,
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
+	nf := newFollowerState(old.leaderURL, &s.cfg)
+	nf.source = old.source
 	nf.lag.Store(old.lag.Load())
 	nf.lastPull.Store(old.lastPull.Load())
 	nf.pulls.Store(old.pulls.Load())
@@ -247,17 +240,7 @@ func (s *Server) handleDemote(w http.ResponseWriter, r *http.Request) {
 	// Build the new follower state and bootstrap from the new leader BEFORE
 	// touching the serving state: if the new leader is unreachable the node
 	// stays in its current role and the router retries on its next probe.
-	nf := &followerState{
-		leaderURL: trimURL(wd.Leader),
-		client:    &http.Client{Timeout: 30 * time.Second},
-		interval:  s.cfg.followInterval,
-		loadOpts:  s.cfg.loadOpts,
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
-	if nf.interval <= 0 {
-		nf.interval = 200 * time.Millisecond
-	}
+	nf := newFollowerState(wd.Leader, &s.cfg)
 	idx, src, err := nf.bootstrap()
 	if err != nil {
 		status = http.StatusServiceUnavailable

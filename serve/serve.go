@@ -116,7 +116,6 @@ type config struct {
 	batchLimit int
 	cacheOn    bool
 	cacheCap   int
-	loader     func(path string) (Index, error)
 	loadOpts   []sdquery.SDOption
 
 	followInterval time.Duration // follower poll cadence (follower.go)
@@ -174,13 +173,10 @@ func WithResultCache(on bool) Option { return func(c *config) { c.cacheOn = on }
 // default is a few hundred KB at saturation.
 func WithCacheCapacity(n int) Option { return func(c *config) { c.cacheCap = n } }
 
-// WithLoader replaces how /v1/admin/swap turns a path into an Index. The
-// default opens the file and loads whichever persisted index kind it holds
-// (sdquery.Load), applying the options given to WithLoadOptions.
-func WithLoader(f func(path string) (Index, error)) Option { return func(c *config) { c.loader = f } }
-
-// WithLoadOptions sets the sdquery options the default swap loader applies
-// (runtime knobs: scheduler, plan cache, memtable size, workers).
+// WithLoadOptions sets the sdquery options applied to every index the server
+// loads itself — /v1/admin/swap's sdquery.LoadSDIndex, a follower's
+// replicated snapshots, and a promoted follower's WAL: runtime knobs
+// (memtable size, compaction, workers, segments) and the WAL ones.
 func WithLoadOptions(opts ...sdquery.SDOption) Option {
 	return func(c *config) { c.loadOpts = append([]sdquery.SDOption(nil), opts...) }
 }
@@ -285,9 +281,6 @@ func New(idx Index, opts ...Option) *Server {
 		serverID: newServerID(),
 		writeSem: make(chan struct{}, cfg.writeLimit),
 		batchSem: make(chan struct{}, cfg.batchLimit),
-	}
-	if cfg.loader == nil {
-		s.cfg.loader = defaultLoader(cfg.loadOpts)
 	}
 	if cfg.cacheOn {
 		s.cache = newResultCache(s.cfg.cacheCap)

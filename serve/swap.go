@@ -25,23 +25,6 @@ import (
 // to caller-goroutine execution and still answer correctly (documented on
 // SDIndex.Close), so releasing immediately is safe.
 
-// defaultLoader builds the swap loader used when WithLoader is not given:
-// open the file and load the index it holds.
-func defaultLoader(opts []sdquery.SDOption) func(path string) (Index, error) {
-	return func(path string) (Index, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		idx, err := sdquery.LoadSDIndex(f, opts...)
-		if err != nil {
-			return nil, err // not a typed nil inside Index
-		}
-		return idx, nil
-	}
-}
-
 // Swap atomically replaces the serving index and returns the previous one.
 // In-flight requests finish on whichever index they grabbed. The caller
 // owns the returned index (the HTTP swap handler releases its worker pool;
@@ -87,7 +70,12 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, fmt.Errorf("swap needs a path"))
 		return
 	}
-	next, err := s.cfg.loader(ws.Path)
+	var next *sdquery.SDIndex
+	f, err := os.Open(ws.Path)
+	if err == nil {
+		next, err = sdquery.LoadSDIndex(f, s.cfg.loadOpts...)
+		f.Close()
+	}
 	if err != nil {
 		status = http.StatusBadRequest
 		writeError(w, status, fmt.Errorf("load %s: %w", ws.Path, err))
