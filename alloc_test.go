@@ -86,13 +86,12 @@ func TestTopKAppendZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTopKAppendZeroAllocsParallel pins the intra-query fan-out: with
-// WithWorkers over a WithShards(4) stack, a warm query still allocates
-// nothing — the per-segment task contexts come from the engine's context
-// pool, the dispatch state (claim counter, barrier, claim closure) is pooled
-// inside the worker pool, and the parent's merge drains through pooled
-// buffers. It holds on the freshly built stack and again after update churn
-// and a Compact, which must hand back four equal segments.
+// TestTopKAppendZeroAllocsParallel pins the served shape: on a WithWorkers
+// index over a WithShards(4) stack, a warm single query walks all four
+// segments on the caller's goroutine and allocates nothing — the per-segment
+// scheduler arrays live in the pooled context. It holds on the freshly built
+// stack and again after update churn and a Compact, which must hand back
+// four equal segments.
 func TestTopKAppendZeroAllocsParallel(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on otherwise alloc-free paths")
@@ -117,7 +116,7 @@ func TestTopKAppendZeroAllocsParallel(t *testing.T) {
 			}
 		})
 		if avg != 0 {
-			t.Fatalf("%s: parallel TopKAppend allocates %.2f objects per query in steady state, want 0", state, avg)
+			t.Fatalf("%s: TopKAppend over 4 segments allocates %.2f objects per query in steady state, want 0", state, avg)
 		}
 		if len(buf) != q.K {
 			t.Fatalf("%s: got %d results, want %d", state, len(buf), q.K)
@@ -136,12 +135,13 @@ func TestTopKAppendZeroAllocsParallel(t *testing.T) {
 	check("churned and compacted")
 }
 
-// TestBatchTopKZeroAllocsPerQuery pins the batch path: one task per query on
-// the index's own pool, each through the pooled scratch buffer, so a warm
-// batch allocates its answer — the outer slice and one exact-size result
-// slice per query — plus a handful of objects per call (the task closure,
-// the first-error record, what the runtime needs to park the caller on the
-// barrier), and nothing that grows with the batch or the segment count.
+// TestBatchTopKZeroAllocsPerQuery pins the batch path: one task per query
+// forked over the index's workers, each through the pooled scratch buffer,
+// so a warm batch allocates its answer — the outer slice and one exact-size
+// result slice per query — plus a handful of objects per call (the task
+// closure, the first-error record, the fork-join's counter, claim loop and
+// helper goroutines), and nothing that grows with the batch or the segment
+// count.
 func TestBatchTopKZeroAllocsPerQuery(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on otherwise alloc-free paths")

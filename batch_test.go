@@ -2,17 +2,19 @@ package sdquery
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 )
 
 // TestBatchTopKMatchesSequential: a batch answers every query exactly as a
-// TopK loop does, on an index with a pool (one task per query, segments
-// walked sequentially inside each) and on one without (the caller's
-// goroutine alone).
+// TopK loop does, on an index with workers (one task per query, each over
+// the whole segment stack) and on one without (the caller's goroutine
+// alone).
 func TestBatchTopKMatchesSequential(t *testing.T) {
 	for name, opts := range map[string][]SDOption{
 		"pool":    {WithShards(3), WithWorkers(4)},
@@ -145,41 +147,53 @@ func TestTopKWithStats(t *testing.T) {
 	}
 }
 
+// goid returns the calling goroutine's ID, parsed from its stack header.
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
 // TestWorkerPoolDoPanicContainment: a panic in f on the caller's goroutine
-// must re-propagate only after the pool's accounting is settled, so a
-// recovering caller cannot race still-running workers over pooled state.
-// A closed pool makes the path deterministic: everything runs inline.
+// reaches a recovering caller with its original value, only after every
+// helper has returned — so the caller's unwind cannot race a helper still
+// running f over shared state — and the helpers claim no index after it.
 func TestWorkerPoolDoPanicContainment(t *testing.T) {
-	p := newWorkerPool(2)
-	p.close()
-	ran := make([]bool, 8)
+	const n = 64
+	p := newWorkerPool(3) // the caller and two helpers
+	caller := goid()
+	var started, finished, calls atomic.Int32
+	panicking := make(chan struct{})
 	got := func() (r any) {
 		defer func() { r = recover() }()
-		p.do(len(ran), func(i int) {
-			if i == 3 {
+		p.do(n, func(i int) {
+			calls.Add(1)
+			if goid() == caller {
+				for started.Load() < 2 { // both helpers are inside f
+					runtime.Gosched()
+				}
+				close(panicking)
 				panic("boom")
 			}
-			ran[i] = true
+			started.Add(1)
+			<-panicking
+			time.Sleep(10 * time.Millisecond) // still running while the caller unwinds
+			finished.Add(1)
 		})
 		return nil
 	}()
 	if got != "boom" {
 		t.Fatalf("recovered %v, want the original panic value", got)
 	}
-	for i := 0; i < 3; i++ {
-		if !ran[i] {
-			t.Fatalf("index %d did not run before the panic", i)
-		}
+	if s, f := started.Load(), finished.Load(); f != s {
+		t.Fatalf("do returned with %d of %d helper calls still running", s-f, s)
 	}
-	for i := 4; i < len(ran); i++ {
-		if ran[i] {
-			t.Fatalf("index %d ran after the panic on a closed pool", i)
-		}
+	if c := calls.Load(); c >= n {
+		t.Fatalf("%d of %d indices ran: the helpers kept claiming after the panic", c, n)
 	}
-	// The pool (and a fresh do call) keeps working after the failure.
-	var n atomic.Int32
-	p.do(5, func(i int) { n.Add(1) })
-	if n.Load() != 5 {
-		t.Fatalf("follow-up do ran %d of 5 tasks", n.Load())
+	// A fresh do call works after the failure.
+	var m atomic.Int32
+	p.do(5, func(i int) { m.Add(1) })
+	if m.Load() != 5 {
+		t.Fatalf("follow-up do ran %d of 5 tasks", m.Load())
 	}
 }

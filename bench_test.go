@@ -166,7 +166,7 @@ func BenchmarkQueryTop1(b *testing.B) {
 // --- Batch benchmarks --------------------------------------------------
 //
 // The same batch workload as a serial TopK loop, as one BatchTopK on a
-// one-segment index with a worker pool (query parallelism only), and on the
+// one-segment index with batch workers (query parallelism only), and on the
 // NewShardedIndex defaults at one segment (pure overhead measurement) and at
 // GOMAXPROCS segments. At GOMAXPROCS ≥ 4 the batches must beat the loop.
 

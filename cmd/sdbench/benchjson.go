@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -94,7 +93,7 @@ type workloadJSON struct {
 	PlanCacheHitRate float64 `json:"plan_cache_hit_rate,omitempty"`
 }
 
-const benchJSONSchema = "sdbench/v11"
+const benchJSONSchema = "sdbench/v12"
 
 // countNonTestLOC counts lines the way CI's "Non-test line budget" step
 // does: every .go file under root that is not a test, outside benchmark/
@@ -225,83 +224,8 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 	})
 	add("topk/sdindex", r, workloadJSON{}, runtime.GOMAXPROCS(0))
 
-	// Intra-query segment parallelism scaling curve: the identical
-	// multi-segment index (WithShards(8): 8 sealed segments) measured
-	// sequentially (scaling-1) and with each query's
-	// segments fanned out across 2, 4, and 8 claimers (the caller plus
-	// width−1 pool workers). A width the machine has no CPUs for writes no
-	// row — it would be a narrower width's number under a wrong name. Each
-	// width pins GOMAXPROCS to itself for its whole lifetime so the curve is
-	// a genuine CPU-scaling measurement, and every parallel width's answers
-	// are checked byte-identical to the sequential run before being timed. Work
-	// counters are omitted: on the parallel path the shared prune floor
-	// makes fetch depth timing-dependent, and the fetched_mean gate would
-	// trip on pure scheduling noise. The diff gate instead checks the curve
-	// itself — on a ≥ 4-CPU machine, scaling-4 must beat scaling-1 by ≥ 2×.
-	var seqAnswers [][]sdquery.Result
-	for _, width := range []int{1, 2, 4, 8} {
-		if width > runtime.NumCPU() {
-			break
-		}
-		if err := func() error {
-			if prev := runtime.GOMAXPROCS(0); width != prev {
-				runtime.GOMAXPROCS(width)
-				defer runtime.GOMAXPROCS(prev) // restored on every path, errors included
-			}
-			opts := []sdquery.SDOption{sdquery.WithShards(8)}
-			if width > 1 {
-				opts = append(opts, sdquery.WithWorkers(width-1))
-			}
-			pidx, err := sdquery.NewSDIndex(data, roles, opts...)
-			if err != nil {
-				return err
-			}
-			defer pidx.Close()
-			if width == 1 {
-				seqAnswers = make([][]sdquery.Result, len(queries))
-				for i, q := range queries {
-					if seqAnswers[i], err = pidx.TopK(q); err != nil {
-						return err
-					}
-				}
-			} else {
-				for i, q := range queries {
-					got, err := pidx.TopK(q)
-					if err != nil {
-						return err
-					}
-					if len(got) != len(seqAnswers[i]) {
-						return fmt.Errorf("topk/scaling-%d: query %d returned %d results, sequential run has %d",
-							width, i, len(got), len(seqAnswers[i]))
-					}
-					for rank := range got {
-						if got[rank] != seqAnswers[i][rank] {
-							return fmt.Errorf("topk/scaling-%d: query %d rank %d diverges from the sequential answer",
-								width, i, rank)
-						}
-					}
-				}
-			}
-			var buf []sdquery.Result
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var err error
-					buf, err = pidx.TopKAppend(buf[:0], queries[i%len(queries)])
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			add(fmt.Sprintf("topk/scaling-%d", width), r, workloadJSON{}, width)
-			return nil
-		}(); err != nil {
-			return err
-		}
-	}
-
-	// Batch path: one op = the whole batch, one task per query on the
-	// index's worker pool. The workload elevates GOMAXPROCS to NumCPU for its
+	// Batch path: one op = the whole batch, one task per query forked over
+	// the index's workers. The workload elevates GOMAXPROCS to NumCPU for its
 	// whole lifetime (build, warm-up, stats, measurement): a harness invoked
 	// under GOMAXPROCS=1 would otherwise build a one-segment, one-worker
 	// index and silently measure nothing parallel.

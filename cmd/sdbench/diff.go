@@ -42,21 +42,6 @@ const availabilitySlack = 0.005
 // 30,000ms sentinel when writes never recover).
 const writeUnavailableCeilingMs = 5000
 
-// scalingSpeedupFloor is the minimum topk/scaling-1 ÷ topk/scaling-4
-// speedup the fresh report must show on a machine with at least
-// scalingGateMinCPU CPUs. Unlike every other gate it compares the fresh
-// report against itself, not against the baseline: a baseline committed
-// from a small machine records a flat curve (scaling on one core is
-// physically impossible), and diffing flat-vs-flat would let intra-query
-// parallelism silently die on the multi-core machines it exists for. Below
-// the CPU floor the gate is off — the curve is legitimately flat there.
-const scalingSpeedupFloor = 2.0
-
-// scalingGateMinCPU is the CPU count at which the scaling gate arms: with
-// four cores and four claimers over eight segments, a healthy fan-out
-// clears 2× with room to spare.
-const scalingGateMinCPU = 4
-
 // fetchedRegressionTolerance gates the hardware-independent signal: on
 // single-engine workloads the sorted-access count is a deterministic
 // function of the seeded workload and the algorithm, identical on every
@@ -75,9 +60,8 @@ const fetchedRegressionTolerance = 0.05
 //   - a workload that was allocation-free in the baseline allocates;
 //   - a "topk/…" workload's fetched_mean grew by more than
 //     fetchedRegressionTolerance — the deterministic, hardware-independent
-//     regression signal. Workloads that fan out are exempt: their segment
-//     count follows the machine's CPU count, and how deep each segment
-//     fetches before a sibling raises the shared floor is timing.
+//     regression signal. batch/topk is exempt: its index is split into
+//     GOMAXPROCS segments, so its counters follow the machine's CPU count.
 //
 // The scales must match — ns/op across different dataset sizes is
 // meaningless — and so must the schema.
@@ -172,20 +156,6 @@ func diffAgainstBaseline(baselinePath string, fresh benchJSON) error {
 					"workload %q: fetched_mean %.1f exceeds baseline %.1f by more than %.0f%% (hardware-independent)",
 					b.Name, f.FetchedMean, b.FetchedMean, fetchedRegressionTolerance*100))
 			}
-		}
-	}
-	// Scaling-collapse gate: on a multi-core machine the intra-query
-	// parallelism curve must show real speedup. See scalingSpeedupFloor for
-	// why this checks the fresh report against itself.
-	if fresh.NumCPU >= scalingGateMinCPU {
-		s1, ok1 := byName["topk/scaling-1"]
-		s4, ok4 := byName["topk/scaling-4"]
-		if ok1 && ok4 && s4.NsPerOp > 0 &&
-			float64(s1.NsPerOp) < float64(s4.NsPerOp)*scalingSpeedupFloor {
-			violations = append(violations, fmt.Sprintf(
-				"workload %q: %.2f× over topk/scaling-1 (%d vs %d ns/op) on a %d-CPU machine, want ≥ %.1f× — intra-query parallelism is not scaling",
-				"topk/scaling-4", float64(s1.NsPerOp)/float64(s4.NsPerOp),
-				s4.NsPerOp, s1.NsPerOp, fresh.NumCPU, scalingSpeedupFloor))
 		}
 	}
 	if len(violations) > 0 {

@@ -34,7 +34,7 @@ func main() {
 		pointF  = flag.String("point", "", "query point, comma-separated (required unless only -save)")
 		weightF = flag.String("weights", "", "weights, comma-separated (default all 1)")
 		k       = flag.Int("k", 5, "answer size")
-		engine  = flag.String("engine", "sd", "sd | sharded (sd split into GOMAXPROCS segments, with a worker pool) | scan | ta | brs | pe")
+		engine  = flag.String("engine", "sd", "sd | sharded (sd split into GOMAXPROCS segments) | scan | ta | brs | pe")
 		saveF   = flag.String("save", "", "persist the built index (engine sd or sharded) to this file")
 		indexF  = flag.String("index", "", "serve a persisted index from this file instead of building from CSV")
 	)

@@ -62,8 +62,8 @@ func main() {
 		header  = flag.Bool("header", false, "CSV has a header row")
 		rolesF  = flag.String("roles", "", "one letter per column: a/r/i (required unless -index)")
 		indexF  = flag.String("index", "", "serve a persisted index from this file instead of building from CSV")
-		shards  = flag.Int("shards", 0, "segments a query's work is spread over (≤ 0 selects GOMAXPROCS)")
-		workers = flag.Int("workers", 0, "worker-pool size (≤ 0 selects GOMAXPROCS)")
+		shards  = flag.Int("shards", 0, "sealed segments, built in parallel and kept by compaction (≤ 0 selects GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "goroutines one coalesced batch runs its queries on (≤ 0 selects GOMAXPROCS)")
 
 		walDir   = flag.String("wal-dir", "", "write-ahead-log directory: recover the durable index living there, or (with -data) create one and log every write")
 		syncF    = flag.String("sync", "always", "WAL fsync policy: always (fsync before each 200), interval (timer), never (rotation/shutdown only)")

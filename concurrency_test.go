@@ -242,10 +242,9 @@ func TestQueriesConcurrentWithCompaction(t *testing.T) {
 	}
 }
 
-// TestShardedIndexConcurrentStress hammers one four-segment index and its
-// worker pool with concurrent TopK, BatchTopK, Insert, and Remove from many
-// goroutines — segment fan-outs and batches sharing one pool while the
-// snapshot moves underneath. In-flight answers can interleave with
+// TestShardedIndexConcurrentStress hammers one four-segment index with
+// concurrent TopK, BatchTopK (forked over four workers), Insert, and Remove
+// from many goroutines while the snapshot moves underneath. In-flight answers can interleave with
 // updates arbitrarily, so they are only sanity-checked; once every goroutine
 // has joined, the index must agree with the scan oracle over the mirrored
 // live set exactly. Run under -race this doubles as the memory-model check.

@@ -41,7 +41,7 @@ func (s *SDIndex) TopKContext(ctx context.Context, q Query) ([]Result, error) {
 // deadline. On cancellation it returns dst unextended and ctx.Err(); pooled
 // per-query state is released either way.
 func (s *SDIndex) TopKAppendContext(ctx context.Context, dst []Result, q Query) ([]Result, error) {
-	res, err := s.appendVia(s.eng.View(), dst, q, ctx.Done(), false)
+	res, err := s.appendVia(s.eng.View(), dst, q, ctx.Done())
 	return res, ctxErr(ctx, err)
 }
 

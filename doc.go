@@ -24,20 +24,19 @@
 //
 // # Segments and workers
 //
-// There is one engine, and how much of the machine it uses is two options.
-// WithShards(n) splits the index into n segments: a bulk build seals n
-// equal contiguous-ID segments concurrently, and compaction keeps the stack
-// about that wide. WithWorkers(n) gives the index a worker pool: one query
-// fans out over the sealed segments, one task each, under a shared
-// termination threshold, and BatchTopK runs one task per query — both
-// byte-identical to the sequential schedule, because the SD-score of a
-// point depends on that point alone. NewSDIndex with neither is one
-// segment queried on the caller's goroutine; NewShardedIndex (and
-// LoadShardedIndex, OpenShardedIndex, NewFollowerIndex — what cmd/sdserver
-// uses) is the same index defaulting both to GOMAXPROCS. ShardedIndex is
-// an alias of SDIndex: it was once a second engine of P independent ones
-// behind a routing table, and files and one-shard directories it wrote
-// still load.
+// There is one engine, and every query runs on its caller's goroutine over
+// the whole segment stack. Parallelism is across queries and at seal time,
+// and it is two options. WithShards(n) splits the index into n segments: a
+// bulk build seals n equal contiguous-ID segments concurrently, and
+// compaction keeps the stack about that wide. WithWorkers(n) makes one
+// BatchTopK call fork its queries over n goroutines, one task per query —
+// byte-identical to a TopK loop, because the SD-score of a point depends on
+// that point alone. NewSDIndex with neither is one segment and batches run
+// on the caller; NewShardedIndex (and LoadShardedIndex, OpenShardedIndex,
+// NewFollowerIndex — what cmd/sdserver uses) is the same index defaulting
+// both to GOMAXPROCS. ShardedIndex is an alias of SDIndex: it was once a
+// second engine of P independent ones behind a routing table, and files and
+// one-shard directories it wrote still load.
 //
 // # Storage: segments, snapshots, compaction
 //
@@ -254,8 +253,8 @@
 // result collector, the plan scratch — lives in the index's sync.Pool
 // contexts. SDIndex.TopKAppend appends results into a caller-reused buffer;
 // on a compacted index (empty memtable — the steady state background
-// compaction converges to), sequential or fanned out over WithShards
-// segments, it performs zero heap allocations per query, which
+// compaction converges to), and over a WithShards stack alike, it performs
+// zero heap allocations per query, which
 // alloc_test.go asserts with testing.AllocsPerRun. The TopK convenience
 // forms allocate only the returned slice, and BatchTopK only its answer
 // plus a constant handful of objects per call.
@@ -269,22 +268,16 @@
 // sweep copy measured 1.1–1.55× slower in every cell, because the sweep
 // is compute-bound, and was retired.
 //
-// WithWorkers additionally parallelizes a single query across its sealed
-// segments: each segment's subproblems run as an independent task on the
-// index's worker pool, cooperating through a shared prune floor (the
-// best k-th score any task has proven), and the per-segment top-k sets
-// merge deterministically — answers stay byte-identical to the
-// sequential schedule, enforced by the differential suites and a
-// scheduler-equivalence property test. A segment task chooses between
-// streaming and sweeping exactly as the sequential schedule does, so it
-// may finish as one column sweep, publishing to the floor block by block.
-// The fan-out only helps when there are multiple sealed segments
-// (WithShards, sustained insert traffic, or a freshly loaded multi-segment
-// file) and spare cores; on one core, or on a single sealed segment, the
-// sequential path is already optimal — and on the 2-vCPU box the committed
-// numbers come from it buys nothing yet (ROADMAP item 3 owes the multi-core
-// baseline). QueryStats remains accurate in total but its per-counter
-// split becomes timing-dependent under the fan-out.
+// A query is never split across goroutines: one scheduler loop walks every
+// sealed segment's frontiers, so QueryStats is a pure function of the query
+// and the snapshot, counter by counter, on every configuration — an index
+// built with NewShardedIndex counts exactly what NewSDIndex with the same
+// WithShards counts, and a served stats request repeats byte for byte.
+// Releases before this one could fan one query's segments out over a worker
+// pool under a shared prune floor, which made those counters depend on
+// timing; on the 2-vCPU box the numbers come from it saved 0–25 % of engine
+// time on an idle core and nothing under concurrent load, where parallelism
+// across queries already uses the CPUs.
 //
 // Reproduce the numbers with `go test -bench 'BenchmarkTopK$' -benchmem .`
 // or regenerate the machine-readable trajectory with

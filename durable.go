@@ -139,7 +139,7 @@ func readManifest(ffs faultfs.FS, dir string) (manifest, error) {
 // way to replay as one history, and recovering one shard of it would serve
 // a fraction of the acknowledged writes as if it were the index.
 func OpenSDIndex(dir string, opts ...SDOption) (*SDIndex, error) {
-	opt, cfg, pool := runtimeOptions(opts)
+	cfg := parseOptions(opts)
 	cfg.walDir = dir
 	if cfg.walFS == nil {
 		cfg.walFS = faultfs.OS{}
@@ -149,10 +149,10 @@ func OpenSDIndex(dir string, opts ...SDOption) (*SDIndex, error) {
 		err = fmt.Errorf("sdquery: open %s: directory holds a %d-shard index written before the index became one engine; it cannot be recovered by this version — rebuild it from its source data", dir, m.Shards)
 	}
 	if err != nil {
-		return wrapEngine(nil, err, pool)
+		return nil, err
 	}
-	eng, err := core.Open(cfg.walConfig(), opt)
-	return wrapEngine(eng, err, pool)
+	eng, err := core.Open(cfg.walConfig(), cfg.rt)
+	return cfg.wrap(eng, err)
 }
 
 // OpenShardedIndex is OpenSDIndex defaulting to WithShards(0) and

@@ -50,7 +50,7 @@ type sdConfig struct {
 	tree         topk.Config
 	angleDegrees []float64
 	useAngles    bool
-	rt           core.RuntimeOptions // runtimeOptions adds the Pool
+	rt           core.RuntimeOptions
 	workers      int
 	workersSet   bool
 	walDir       string
@@ -69,24 +69,23 @@ func parseOptions(opts []SDOption) sdConfig {
 }
 
 // shardedDefaults is all the ShardedIndex constructors add to the SDIndex
-// ones: a split into GOMAXPROCS segments and a pool of GOMAXPROCS workers,
+// ones: a split into GOMAXPROCS segments and GOMAXPROCS batch workers,
 // unless the caller's own options (applied after) say otherwise.
 func shardedDefaults(opts []SDOption) []SDOption {
 	return append([]SDOption{WithShards(0), WithWorkers(0)}, opts...)
 }
 
-// runtimeOptions parses an option list into the engine's runtime knobs,
-// starting the worker pool WithWorkers asks for; the caller hands the pool to
-// wrapEngine on every path.
-func runtimeOptions(opts []SDOption) (core.RuntimeOptions, sdConfig, *workerPool) {
-	cfg := parseOptions(opts)
-	opt := cfg.rt
-	if !cfg.workersSet {
-		return opt, cfg, nil
+// wrap finishes a constructor: the index around a built, loaded or recovered
+// engine, with the batch workers WithWorkers asks for.
+func (c *sdConfig) wrap(eng *core.Engine, err error) (*SDIndex, error) {
+	if err != nil {
+		return nil, err
 	}
-	pool := newWorkerPool(cfg.workers)
-	opt.Pool = poolRunner{pool}
-	return opt, cfg, pool
+	s := &SDIndex{eng: eng, roles: eng.Roles()}
+	if c.workersSet {
+		s.pool = newWorkerPool(c.workers)
+	}
+	return s, nil
 }
 
 // walConfig materializes the WAL option set for the engine logging under the
@@ -178,14 +177,15 @@ func WithWALFS(fs faultfs.FS) SDOption {
 	return func(c *sdConfig) { c.walFS = fs }
 }
 
-// WithShards splits the index into n segments — the unit one query's work
-// is spread over (n ≤ 0 selects GOMAXPROCS). A bulk build seals n equal
-// contiguous-ID segments concurrently, and compaction keeps the stack about
-// that wide as the data changes (no fold above ⌈live rows/n⌉; Compact
-// restores n equal segments). Answers are unaffected. Without the option
-// NewSDIndex builds one segment; the ShardedIndex constructors default to
-// WithShards(0). On Load and Open the stack comes from the file or directory
-// as saved and the option only steers compaction from there.
+// WithShards splits the index into n sealed segments (n ≤ 0 selects
+// GOMAXPROCS). A bulk build seals the n equal contiguous-ID segments
+// concurrently, and compaction keeps the stack about that wide as the data
+// changes (no fold above ⌈live rows/n⌉; Compact restores n equal segments).
+// Answers are unaffected, and every query still runs over the whole stack on
+// its caller's goroutine. Without the option NewSDIndex builds one segment;
+// the ShardedIndex constructors default to WithShards(0). On Load and Open
+// the stack comes from the file or directory as saved and the option only
+// steers compaction from there.
 func WithShards(n int) SDOption {
 	return func(c *sdConfig) {
 		if n <= 0 {
@@ -195,19 +195,13 @@ func WithShards(n int) SDOption {
 	}
 }
 
-// WithWorkers gives the index a pool of n worker goroutines (n ≤ 0 selects
-// GOMAXPROCS) and with it the two parallel paths: one query fans out over
-// the sealed segments — one task per segment, cooperating through a shared
-// termination threshold, each choosing between streaming and sweeping its
-// segment exactly as the sequential schedule does — and BatchTopK runs one
-// task per query. Either way the answers are byte-identical to the
-// sequential schedule. The calling goroutine always works through its own
-// call's tasks too, so one call runs on up to n+1 goroutines and concurrent
-// calls each add their caller: the pool bounds the extra goroutines, not
-// total CPU use. Without the option (NewSDIndex's default; the ShardedIndex
-// constructors default to WithWorkers(0)) everything runs on the caller's
-// goroutine with a fully deterministic Stats trace, and an index with a
-// single sealed segment answers single queries sequentially either way.
+// WithWorkers sets how many goroutines one BatchTopK call runs its queries
+// on, the caller included (n ≤ 0 selects GOMAXPROCS): each query runs whole
+// on one of them, and the answers are those of a TopK loop. Concurrent calls
+// each bring their own goroutines, so n bounds one call, not total CPU use.
+// Single queries always run on the caller's goroutine. Without the option
+// (NewSDIndex's default; the ShardedIndex constructors default to
+// WithWorkers(0)) a batch runs in order on the caller.
 func WithWorkers(n int) SDOption {
 	return func(c *sdConfig) { c.workers = n; c.workersSet = true }
 }
@@ -215,19 +209,21 @@ func WithWorkers(n int) SDOption {
 // SDIndex is the paper's SD-Index: the general top-k engine with k and
 // weights supplied at query time. Every index is one engine — one segment
 // stack, one write-ahead log, one compactor, one plan cache, one epoch —
-// and parallelism is a property of how it is built (WithShards,
-// WithWorkers), not a different type.
+// and every query runs on its caller's goroutine. Parallelism is across
+// queries (BatchTopK's WithWorkers, concurrent callers) and across segments
+// at seal time (WithShards), not a different type.
 type SDIndex struct {
 	eng   *core.Engine
 	roles []Role
-	pool  *workerPool // nil without WithWorkers: every path runs on the caller
+	pool  *workerPool // nil without WithWorkers: a batch runs on the caller
 	buf   sync.Pool   // *[]query.Result scratch for the Append paths
 }
 
 // ShardedIndex is SDIndex under the name of the constructors that default
 // to WithShards(0) and WithWorkers(0). It used to be a second engine — P
 // independent engines behind a routing table — and is kept so callers of
-// those constructors keep compiling.
+// those constructors keep compiling. It answers, and counts Stats, exactly
+// like an SDIndex built with the same options.
 type ShardedIndex = SDIndex
 
 // NewSDIndex builds the SD-Index over data (row-major, n × d) with the
@@ -239,8 +235,8 @@ func NewSDIndex(data [][]float64, roles []Role, opts ...SDOption) (*SDIndex, err
 }
 
 // NewShardedIndex is NewSDIndex defaulting to WithShards(0) and
-// WithWorkers(0): GOMAXPROCS segments, sealed concurrently, and a worker
-// pool to query them on — what cmd/sdserver builds.
+// WithWorkers(0): GOMAXPROCS segments, sealed concurrently, and GOMAXPROCS
+// goroutines per BatchTopK call — what cmd/sdserver builds.
 func NewShardedIndex(data [][]float64, roles []Role, opts ...SDOption) (*ShardedIndex, error) {
 	return newIndex(data, nil, roles, shardedDefaults(opts))
 }
@@ -271,19 +267,9 @@ func NewShardedIndexWithIDs(data [][]float64, ids []int, roles []Role, opts ...S
 // newIndex is the one bulk build behind the constructors; nil ids number
 // the rows 0..n−1.
 func newIndex(data [][]float64, ids []int32, roles []Role, opts []SDOption) (*SDIndex, error) {
-	opt, cfg, pool := runtimeOptions(opts)
-	eng, err := cfg.newEngine(data, ids, roles, opt)
-	return wrapEngine(eng, err, pool)
-}
-
-// wrapEngine finishes a constructor: the index around a built, loaded or
-// recovered engine, or — on failure — the pool released.
-func wrapEngine(eng *core.Engine, err error, pool *workerPool) (*SDIndex, error) {
-	if err != nil {
-		pool.close()
-		return nil, err
-	}
-	return &SDIndex{eng: eng, roles: eng.Roles(), pool: pool}, nil
+	cfg := parseOptions(opts)
+	eng, err := cfg.newEngine(data, ids, roles, cfg.rt)
+	return cfg.wrap(eng, err)
 }
 
 // TopK answers the query. See Engine.
@@ -298,7 +284,7 @@ func (s *SDIndex) TopK(q Query) ([]Result, error) {
 // preserved; a nil dst behaves like TopK. The whole path is lock-free —
 // snapshot acquisition is a single atomic load (see Snapshot).
 func (s *SDIndex) TopKAppend(dst []Result, q Query) ([]Result, error) {
-	return s.appendVia(s.eng.View(), dst, q, nil, false)
+	return s.appendVia(s.eng.View(), dst, q, nil)
 }
 
 // Len reports the number of live points.
@@ -346,16 +332,11 @@ func (s *SDIndex) Sync() error { return s.eng.Sync() }
 // recovery time before a planned restart. No-op without a WAL.
 func (s *SDIndex) Checkpoint() error { return s.eng.Checkpoint() }
 
-// Close flushes and closes the index's write-ahead log and releases the
-// WithWorkers pool's goroutines. The index stays queryable — reads never
-// touch the log, and a closed pool degrades queries to the caller's
-// goroutine (same answers) rather than failing — but every later mutation
-// fails with ErrWAL on a WAL index. Idempotent, and safe to call
-// concurrently with queries.
-func (s *SDIndex) Close() {
-	s.pool.close()
-	s.eng.Close()
-}
+// Close flushes and closes the index's write-ahead log. The index stays
+// queryable — reads never touch the log — but every later mutation fails
+// with ErrWAL on a WAL index. Idempotent, and safe to call concurrently with
+// queries.
+func (s *SDIndex) Close() { s.eng.Close() }
 
 // WALStats reports the write-ahead log's counters and health; Enabled is
 // false without WithWAL. A non-nil Err means the log failed and the index

@@ -1,5 +1,5 @@
 // Cross-engine differential tests: every public engine, and the SD-Index
-// at several segment counts with and without a worker pool, runs the
+// at several segment counts, queried alone and in batches, runs the
 // internal/enginetest oracle workloads. This is the module's §6 validation
 // strategy as a first-class harness — any engine change that perturbs an
 // answer fails here with the workload and rank that diverged.
@@ -8,6 +8,7 @@ package sdquery_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	sdquery "repro"
@@ -195,28 +196,55 @@ func TestDifferentialSDIndexColumns(t *testing.T) {
 	})
 }
 
+// batchIndex answers every query through a 2-query BatchTopK, the shape the
+// serving coalescer sends, so a WithWorkers index runs its fork-join under
+// the oracle. Both copies of the query must come back identical.
+type batchIndex struct{ *sdquery.SDIndex }
+
+func (b batchIndex) TopK(q sdquery.Query) ([]sdquery.Result, error) {
+	out, err := b.BatchTopK([]sdquery.Query{q, q})
+	if err != nil {
+		return nil, err
+	}
+	if !slices.Equal(out[0], out[1]) {
+		return nil, fmt.Errorf("one batch, two answers to the same query:\n%v\n%v", out[0], out[1])
+	}
+	return out[0], nil
+}
+
+// viaBatch wraps the indexes build makes in batchIndex.
+func viaBatch(build builder) builder {
+	return func(data [][]float64, roles []sdquery.Role, opts ...sdquery.SDOption) (sdquery.Engine, error) {
+		eng, err := build(data, roles, opts...)
+		if err != nil {
+			return nil, err
+		}
+		return batchIndex{eng.(*sdquery.SDIndex)}, nil
+	}
+}
+
 // TestDifferentialSDIndexParallel runs the oracle workloads over the axes
-// that decide how one engine spends a query: how many segments the bulk
-// build is split into (1, 2, 7), whether a worker pool fans a query's
-// segments out (unset: sequential; WithWorkers(0): GOMAXPROCS workers), and
-// whether the stack the update phase runs against holds still (default
-// memtable: the built segments stay, tombstones and memtable rows pile up)
-// or churns (a 4-row memtable: every few inserts seal, fold and re-split
-// under the segment cap). Answers must stay byte-identical to the oracle in
-// every cell however the segment tasks interleave — and whichever of them
-// finish as sweeps, publishing to the shared floor block by block. The
+// that decide how one engine spends its queries: how many segments the bulk
+// build is split into (1, 2, 7), whether queries arrive one at a time on the
+// caller's goroutine (sequential) or two per BatchTopK call forked over
+// WithWorkers(0)'s GOMAXPROCS goroutines (workers), and whether the stack
+// the update phase runs against holds still (default memtable: the built
+// segments stay, tombstones and memtable rows pile up) or churns (a 4-row
+// memtable: every few inserts seal, fold and re-split under the segment
+// cap). Answers must stay byte-identical to the oracle in every cell. The
 // planner mode rotates with the cell, so that each segment count, and each
 // (workers, stack) pair, meets all three modes without the grid tripling.
 // The remaining tests pin the corners the grid does not reach: the
 // round-robin scheduler over a five-segment stack loaded from a float32-width
-// file (every mode), and the NewShardedIndex spelling.
+// file, batched (every mode), and the NewShardedIndex spelling.
 func TestDifferentialSDIndexParallel(t *testing.T) {
 	cell := 0
 	for _, segs := range []int{1, 2, 7} {
 		for _, workers := range []struct {
-			name string
-			opts []sdquery.SDOption
-		}{{"sequential", nil}, {"workers", []sdquery.SDOption{sdquery.WithWorkers(0)}}} {
+			name  string
+			build builder
+			opts  []sdquery.SDOption
+		}{{"sequential", newSDIndex, nil}, {"workers", viaBatch(newSDIndex), []sdquery.SDOption{sdquery.WithWorkers(0)}}} {
 			for _, stack := range []struct {
 				name string
 				opts []sdquery.SDOption
@@ -226,13 +254,13 @@ func TestDifferentialSDIndexParallel(t *testing.T) {
 				mode := cell % len(plannerModes)
 				cell++
 				t.Run(fmt.Sprintf("segments=%d/%s/%s", segs, workers.name, stack.name), func(t *testing.T) {
-					runSDIndexMode(t, "sdindex-parallel", mode, newSDIndex, opts...)
+					runSDIndexMode(t, "sdindex-parallel", mode, workers.build, opts...)
 				})
 			}
 		}
 	}
 	t.Run("round-robin-float32", func(t *testing.T) {
-		runBuilt(t, "sdindex-parallel-roundrobin-float32", loadWidth32,
+		runBuilt(t, "sdindex-parallel-roundrobin-float32", viaBatch(loadWidth32),
 			sdquery.WithWorkers(2), sdquery.WithShards(5),
 			sdquery.WithScheduler(sdquery.SchedRoundRobin))
 	})

@@ -65,10 +65,10 @@ func FuzzTopKChurn(f *testing.F) {
 		if err != nil {
 			t.Fatalf("build bail-out: %v", err)
 		}
-		// A segmented twin with a worker pool: the same churn over a
+		// A segmented twin with batch workers: the same churn over a
 		// three-segment stack the compactor keeps re-splitting under its
-		// cap, every query fanned out over the segments and checked once
-		// more as half of a batch (one pool task per query).
+		// cap, every query checked once more as half of a batch (one forked
+		// task per query).
 		idxSeg, err := sdquery.NewSDIndex(data, roles,
 			sdquery.WithMemtableSize(4), sdquery.WithShards(3), sdquery.WithWorkers(2))
 		if err != nil {

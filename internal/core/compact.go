@@ -74,10 +74,9 @@ func (e *Engine) foldableTail(sn *snapshot) int {
 		}
 	}
 	// Fold: restore the 2× size-ratio invariant — unless the merged segment
-	// would break the row cap (segCap), which deliberately keeps the stack
-	// wide (one segment is the unit of intra-query fan-out). A capped merge
-	// would be re-split by compactTail anyway, so skipping it here avoids a
-	// fold/re-split livelock.
+	// would break the row cap (segCap), which keeps the stack as wide as
+	// Segments asks. A capped merge would be re-split by compactTail anyway,
+	// so skipping it here avoids a fold/re-split livelock.
 	if n >= 2 && sn.segs[n-2].rows < 2*sn.segs[n-1].rows {
 		if c := e.segCap(sn.live); c == 0 || sn.segs[n-2].rows+sn.segs[n-1].rows <= c {
 			return 2

@@ -150,19 +150,11 @@ type RuntimeOptions struct {
 	// (sealed concurrently), and compaction never folds segments into an
 	// output above ⌈live rows/Segments⌉, so the stack stays that wide as the
 	// data grows or shrinks. 0 or 1 (the default) leaves segment sizing to the
-	// compactor's 2× stack invariant. The split exists for intra-query
-	// parallelism (see Pool): one segment is the unit of fan-out, so a split
-	// stack gives one query enough segments to spread across cores. A loaded
-	// file's own stack loads as saved and compaction reshapes it from there.
+	// compactor's 2× stack invariant. The split lets a bulk build or a
+	// re-splitting compaction seal its segments in parallel; every query still
+	// runs over the whole stack on its caller's goroutine. A loaded file's own
+	// stack loads as saved and compaction reshapes it from there.
 	Segments int
-	// Pool, when non-nil, fans the sealed segments of a single query out to
-	// the supplied runner (one task per segment, each running the full
-	// scheduler loop over that segment's subproblems with a shared
-	// termination-threshold floor), merging the per-segment candidates
-	// deterministically. Answers are byte-identical to sequential execution;
-	// only the Stats trace varies with timing. Nil (the default) keeps the
-	// fully sequential, deterministic-stats path.
-	Pool Runner
 	// AccessCost overrides the sweep-or-stream planner's one unit cost — the
 	// price of a sorted access in swept rows (DefaultAccessCost). No public
 	// option sets it: 0, what every user-facing constructor passes, selects
@@ -191,7 +183,6 @@ func (opt RuntimeOptions) apply(e *Engine) error {
 	}
 	e.noCompact = opt.DisableCompaction
 	e.segments = opt.Segments
-	e.pool = opt.Pool
 	e.accessCost = resolveAccessCost(opt.AccessCost, opt.Scheduler)
 	return nil
 }
@@ -223,9 +214,13 @@ type Engine struct {
 	memSize     int
 	noCompact   bool
 
-	segments   int    // large sealed segments to keep (segCap); ≤ 1 = unbounded
-	pool       Runner // intra-query segment fan-out, nil = sequential
-	accessCost int    // a sorted access in swept rows; 0 = never sweep (scheduler.go)
+	segments   int // large sealed segments to keep (segCap); ≤ 1 = unbounded
+	accessCost int // a sorted access in swept rows; 0 = never sweep (scheduler.go)
+
+	// sweptHook, when set, runs after every completed segment sweep: a test
+	// seam (TestCancelMidSweep cancels a query between two sweeps with it),
+	// nil otherwise.
+	sweptHook func()
 
 	// wal is the engine's write-ahead log, nil when durability is off —
 	// see wal.go. Mutations append to it under wrMu and wait for the group

@@ -123,30 +123,13 @@ type queryCtx struct {
 	// query leaks no pooled buffers.
 	done     <-chan struct{}
 	canceled bool
-
-	// Intra-query parallel state (parallel.go). floor is set only while the
-	// context runs as one segment's task of a parallel query: both scheduler
-	// loops then prune and terminate against max(local k-th best, floor).
-	// The remaining fields belong to the parent: floorStore is the query's
-	// shared floor, parPl/parSpec stage the plan for the segment tasks, the
-	// kid* arrays collect per-task contexts, stats, and errors, and parFn is
-	// the method value handed to the Runner — bound once at pool-construction
-	// time so dispatching a parallel query allocates nothing.
-	floor      *qfloor
-	floorStore qfloor
-	parPl      *queryPlan
-	parSpec    query.Spec
-	kidCtx     []*queryCtx
-	kidStats   []Stats
-	kidErr     []error
-	parFn      func(i int)
 }
 
 // initCtxPool wires the engine's context pool; called once at build time,
 // after the layout is fixed.
 func (e *Engine) initCtxPool() {
 	e.ctxPool.New = func() any {
-		c := &queryCtx{
+		return &queryCtx{
 			e:       e,
 			w:       make([]float64, e.dims),
 			signed:  make([]float64, e.dims),
@@ -154,8 +137,6 @@ func (e *Engine) initCtxPool() {
 			sortRep: make([]int32, 0, len(e.layout.gridRep)),
 			sortAtt: make([]int32, 0, len(e.layout.gridAtt)),
 		}
-		c.parFn = c.runKid
-		return c
 	}
 }
 
@@ -209,8 +190,7 @@ func (e *Engine) getCtx(sn *snapshot) *queryCtx {
 		c.segFetched = make([]int, nseg)
 		c.segSettled = make([]int, nseg)
 	}
-	// Per-segment accumulators start every query (and every parallel
-	// segment task) at zero.
+	// Per-segment accumulators start every query at zero.
 	clear(c.segPad[:nseg])
 	clear(c.segFetched[:nseg])
 	clear(c.segSettled[:nseg])
@@ -228,7 +208,6 @@ func (e *Engine) putCtx(c *queryCtx) {
 	c.refs = c.refs[:0]
 	c.sn = nil
 	c.done, c.canceled = nil, false // never pin a request's Done channel
-	c.floor = nil
 	clear(c.seen)
 	e.ctxPool.Put(c)
 }
@@ -264,7 +243,7 @@ func (c *queryCtx) markSeen(id int32) bool {
 // §5 aggregation to the exact answer — finishing a segment with a sweep
 // when its streams turn out dearer than that.
 func (e *Engine) TopKAppend(dst []query.Result, spec query.Spec) ([]query.Result, Stats, error) {
-	return e.topKAppendAt(e.snap.Load(), dst, spec, nil, false)
+	return e.topKAppendAt(e.snap.Load(), dst, spec, nil)
 }
 
 // TopKAppendCancel is TopKAppend with a cancellation signal: when done is
@@ -274,12 +253,14 @@ func (e *Engine) TopKAppend(dst []query.Result, spec query.Spec) ([]query.Result
 // zero-allocation hot path is unchanged; the poll is nil-guarded). This is
 // the deadline plumbing the serving layer's per-request timeouts stand on.
 func (e *Engine) TopKAppendCancel(dst []query.Result, spec query.Spec, done <-chan struct{}) ([]query.Result, Stats, error) {
-	return e.topKAppendAt(e.snap.Load(), dst, spec, done, false)
+	return e.topKAppendAt(e.snap.Load(), dst, spec, done)
 }
 
 // topKAppendAt is TopKAppend evaluated at a pinned snapshot (the View query
-// path and the default path share it); seq keeps the segments off the Runner.
-func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec, done <-chan struct{}, seq bool) ([]query.Result, Stats, error) {
+// path and the default path share it). The whole query runs on the caller's
+// goroutine over the whole segment stack, so its Stats are a pure function of
+// the query and the snapshot.
+func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec, done <-chan struct{}) ([]query.Result, Stats, error) {
 	var stats Stats
 	if err := spec.Validate(e.dims); err != nil {
 		return dst, stats, err
@@ -339,34 +320,28 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 	c.sweep(nil, sn.memIDs, sn.memDead, spec.Point)
 	stats.Scored += len(sn.memIDs) - popcount(sn.memDead)
 
-	if e.pool != nil && !seq && len(sn.segs) > 1 {
-		if err := c.runParallel(pl, spec, &stats); err != nil {
+	// Sweep the segments the planner does not stream at all (sweep.go) and
+	// bind the plan's subproblems to the rest.
+	c.prepSubs(pl)
+	nsubs := pl.nsubs()
+	for si, seg := range sn.segs {
+		if e.sweepsFirst(seg, nsubs) {
+			c.sweepSegment(si, spec.Point, &stats)
+			if c.canceled {
+				return dst, stats, ErrCanceled
+			}
+			continue
+		}
+		if err := c.buildSegSubs(pl, spec, si); err != nil {
 			return dst, stats, err
 		}
-	} else {
-		// Sweep the segments the planner does not stream at all (sweep.go)
-		// and bind the plan's subproblems to the rest.
-		c.prepSubs(pl)
-		nsubs := pl.nsubs()
-		for si, seg := range sn.segs {
-			if e.sweepsFirst(seg, nsubs) {
-				c.sweepSegment(si, spec.Point, &stats)
-				if c.canceled {
-					return dst, stats, ErrCanceled
-				}
-				continue
-			}
-			if err := c.buildSegSubs(pl, spec, si); err != nil {
-				return dst, stats, err
-			}
-		}
-		stats.Subproblems = len(c.subs)
-		if len(c.subs) > 0 {
-			if e.sched == SchedRoundRobin {
-				c.runRoundRobin(spec.Point, &stats)
-			} else {
-				c.runBoundDriven(spec.Point, &stats)
-			}
+	}
+	stats.Subproblems = len(c.subs)
+	if len(c.subs) > 0 {
+		if e.sched == SchedRoundRobin {
+			c.runRoundRobin(spec.Point, &stats)
+		} else {
+			c.runBoundDriven(spec.Point, &stats)
 		}
 	}
 	if c.canceled {
@@ -434,10 +409,8 @@ func (c *queryCtx) prepSubs(pl *queryPlan) {
 }
 
 // buildSegSubs binds the plan's subproblems to one sealed segment,
-// accumulating that segment's float-error pad. Callers run prepSubs first.
-// The split into prepare-once and bind-per-segment is what lets a parallel
-// query's segment tasks each bind exactly their own segment (parallel.go)
-// while the sequential path loops over the stack.
+// accumulating that segment's float-error pad. Callers run prepSubs once per
+// query first.
 //
 // Adaptive layouts zip the sorted role lists strongest-with-strongest;
 // leftover dimensions of the longer side run as degenerate pairs with a zero

@@ -169,8 +169,8 @@ func (e *Engine) saveSnapshot(w io.Writer, sn *snapshot) error {
 // Load reconstructs an engine from a Save stream, rebuilding every sealed
 // segment's trees and lists deterministically from the persisted rows. The
 // reloaded engine answers byte-identically to the one that was saved and
-// reports the same Bytes (the only state not round-tripped is runtime: pool
-// warmth, plan cache contents, in-flight compaction).
+// reports the same Bytes (the only state not round-tripped is runtime:
+// context-pool warmth, plan cache contents, in-flight compaction).
 //
 // Load consumes exactly the engine's section of the stream — it does not
 // buffer ahead — so several engines concatenate in one file (the retired

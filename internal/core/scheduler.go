@@ -126,13 +126,6 @@ func (c *queryCtx) runBoundDriven(qpt []float64, stats *Stats) {
 	segSum := c.segSum[:nseg]
 	segDone := c.segDone[:nseg]
 	segPad := c.segPad[:nseg]
-	// Segments owning no subproblem are born retired: on the sequential path
-	// every segment owns the plan's full subproblem set, so this is the old
-	// all-false init, while a parallel segment task binds exactly one
-	// segment and must never consult the others' (unbound) sums.
-	for s := range segDone {
-		segDone[s] = true
-	}
 	for i, s := range subs {
 		bounds[i] = s.bound() // peek, no fetch: live prune line from step one
 		bsize[i] = 1
@@ -170,18 +163,15 @@ func (c *queryCtx) runBoundDriven(qpt []float64, stats *Stats) {
 		// fetching from it would be pure waste. This is the per-segment
 		// form of the old single-stack termination test — when the last
 		// segment retires, the query is done. Strict inequality, for the
-		// same tie-at-the-k-th-rank reason as the prune. The line is
-		// pruneLine, not the raw local threshold: a parallel segment task
-		// also retires against the shared floor its siblings have raised.
-		// It is read once per step: the estimate below must see the line
-		// this check just passed, or a sibling raising the floor in between
-		// would turn "not yet retired" into a negative distance to go.
-		line, lineOK := c.pruneLine()
-		if lineOK {
-			for s := range segSum {
-				if !segDone[s] && line > segSum[s]+segPad[s] {
-					segDone[s] = true
-				}
+		// same tie-at-the-k-th-rank reason as the prune. The line is the
+		// collector's threshold, −Inf until it holds k rows, so nothing
+		// retires before then. It is read once per step: the estimate below
+		// must see the line this check just passed, or "not yet retired"
+		// could turn into a negative distance to go.
+		line := c.coll.Threshold()
+		for s := range segSum {
+			if !segDone[s] && line > segSum[s]+segPad[s] {
+				segDone[s] = true
 			}
 		}
 		// The steepest live frontier across all remaining segments. All
@@ -229,8 +219,8 @@ func (c *queryCtx) runBoundDriven(qpt []float64, stats *Stats) {
 			if rem := RateWindow - sinceN[best]; size > rem {
 				size = rem
 			}
-		} else if r := rate[best]; r > 0 && lineOK {
-			need = (segSum[bs] + segPad[bs] - line) / r // ≥ 0: bs survived the check above
+		} else if r := rate[best]; r > 0 {
+			need = (segSum[bs] + segPad[bs] - line) / r // ≥ 0: bs survived the check above; +Inf with no line yet
 		}
 		// Sweep or stream (sweep.go): retire the segment into one sweep of
 		// its columns when what its streams have spent plus what they are
@@ -293,17 +283,9 @@ func (c *queryCtx) runRoundRobin(qpt []float64, stats *Stats) {
 	nseg := len(c.sn.segs)
 	segSum := c.segSum[:nseg]
 	segPad := c.segPad[:nseg]
-	segDone := c.segDone[:nseg]
-	// As in runBoundDriven, segments owning no subproblem are born retired
-	// and excluded from the termination sum — on the sequential path that
-	// excludes nothing; a parallel segment task binds only its own segment.
-	for s := range segDone {
-		segDone[s] = true
-	}
 	for i := range bounds {
 		bounds[i] = math.Inf(1)
 		bsize[i] = 1
-		segDone[refs[i].ord] = false
 	}
 	for {
 		if c.pollCancel() {
@@ -329,26 +311,25 @@ func (c *queryCtx) runRoundRobin(qpt []float64, stats *Stats) {
 		// within the float slack of the projection bounds) might still
 		// displace a kept one through the ID tie-break. A segment with an
 		// exhausted subproblem sums to −Inf — fully enumerated, nothing
-		// unseen left in it.
+		// unseen left in it. The planner never sweeps under this scheduler,
+		// so every segment owns subproblems and takes part.
+		if !c.coll.Full() {
+			continue
+		}
 		for s := range segSum {
 			segSum[s] = 0
 		}
 		for i, b := range bounds {
 			segSum[refs[i].ord] += b
 		}
-		if line, ok := c.pruneLine(); ok {
-			worst := math.Inf(-1)
-			for s, sum := range segSum {
-				if segDone[s] {
-					continue
-				}
-				if t := sum + segPad[s]; t > worst {
-					worst = t
-				}
+		worst := math.Inf(-1)
+		for s, sum := range segSum {
+			if t := sum + segPad[s]; t > worst {
+				worst = t
 			}
-			if math.IsInf(worst, -1) || line > worst {
-				break
-			}
+		}
+		if math.IsInf(worst, -1) || c.coll.Threshold() > worst {
+			break
 		}
 	}
 }
@@ -385,10 +366,10 @@ func (c *queryCtx) runBatch(i, size int, qpt []float64, pad, otherBounds float64
 	seg := ref.seg
 	coll := c.coll
 	// The prune line is hoisted out of the loop: Adds are deferred past it,
-	// so the local threshold cannot move mid-batch — behaviour is identical
-	// to the per-emission consult — and on the parallel path the hoist also
-	// caps the shared-floor atomics at one load per batch.
-	line, lineOK := c.pruneLine()
+	// so the threshold cannot move mid-batch — behaviour is identical to the
+	// per-emission consult. It is −Inf, which prunes nothing, until the
+	// collector holds k rows.
+	line := coll.Threshold()
 	nc, settled := 0, 0
 	for _, em := range c.emit[:n] {
 		gid := seg.ids[em.ID]
@@ -399,7 +380,7 @@ func (c *queryCtx) runBatch(i, size int, qpt []float64, pad, otherBounds float64
 			continue // tombstoned: removed after this segment sealed
 		}
 		settled++ // scored below or soundly discarded: a sweep skips it
-		if lineOK && em.Contrib+otherBounds+pad < line {
+		if em.Contrib+otherBounds+pad < line {
 			continue // cannot enter the top k, now or later
 		}
 		c.candRow[nc] = em.ID
@@ -430,13 +411,6 @@ func (c *queryCtx) runBatch(i, size int, qpt []float64, pad, otherBounds float64
 		}
 	} else {
 		c.bsize[i] = 1
-	}
-	// Publish this task's k-th best to the parallel query's shared floor so
-	// sibling segment tasks can prune against it. raise is an atomic load
-	// plus an early return unless the floor actually rises, so the cost in
-	// steady state is one uncontended load per batch.
-	if c.floor != nil && coll.Full() {
-		c.floor.raise(coll.Threshold())
 	}
 	return n
 }

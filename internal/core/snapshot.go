@@ -144,18 +144,14 @@ func (v View) TopK(spec query.Spec) ([]query.Result, error) {
 
 // TopKAppend is Engine.TopKAppend evaluated at the View's snapshot.
 func (v View) TopKAppend(dst []query.Result, spec query.Spec) ([]query.Result, Stats, error) {
-	return v.e.topKAppendAt(v.sn, dst, spec, nil, false)
+	return v.e.topKAppendAt(v.sn, dst, spec, nil)
 }
 
 // TopKAppendCancel is Engine.TopKAppendCancel evaluated at the View's
 // snapshot: when done is closed the aggregation stops at its next
-// scheduling step and returns ErrCanceled. seq pins the sequential schedule
-// whatever Config.Pool says — what a caller already running as a task of
-// that Runner must ask for (the public batch path runs one task per query),
-// because a Do nested inside a Do could wait on workers that are all waiting
-// on it.
-func (v View) TopKAppendCancel(dst []query.Result, spec query.Spec, done <-chan struct{}, seq bool) ([]query.Result, Stats, error) {
-	return v.e.topKAppendAt(v.sn, dst, spec, done, seq)
+// scheduling step and returns ErrCanceled.
+func (v View) TopKAppendCancel(dst []query.Result, spec query.Spec, done <-chan struct{}) ([]query.Result, Stats, error) {
+	return v.e.topKAppendAt(v.sn, dst, spec, done)
 }
 
 // Insert appends a point to the memtable and returns its global dataset ID.

@@ -26,7 +26,7 @@ import "repro/internal/simd"
 // at most twice the cheaper plan wherever the prediction errs, and exactly
 // the stream's cost where the stream wins. Nothing is carried across
 // queries: every choice is a function of the query and the snapshot, which
-// keeps sequential Stats deterministic. A sweep scores exactly the rows the
+// keeps Stats deterministic. A sweep scores exactly the rows the
 // streams had not settled, with the same per-row arithmetic as the stream
 // path's rescoring, into the same order-independent collector, so answers
 // are byte-identical whichever way each segment went.
@@ -112,9 +112,9 @@ func (c *queryCtx) sweep(seg *segment, ids []int32, dead []uint64, qpt []float64
 		} else {
 			simd.ScoreCols(scores, seg.cols, seg.rows, base, qpt, c.signed)
 		}
-		line, lineOK := c.pruneLine()
+		line := coll.Threshold() // −Inf, which drops nothing, until k rows are kept
 		for j, sc := range scores {
-			if lineOK && sc < line {
+			if sc < line {
 				continue
 			}
 			l := base + j
@@ -122,11 +122,8 @@ func (c *queryCtx) sweep(seg *segment, ids []int32, dead []uint64, qpt []float64
 				continue
 			}
 			if coll.Add(int(ids[l]), sc) {
-				line, lineOK = c.pruneLine()
+				line = coll.Threshold()
 			}
-		}
-		if c.floor != nil && coll.Full() {
-			c.floor.raise(coll.Threshold())
 		}
 	}
 }
@@ -144,4 +141,7 @@ func (c *queryCtx) sweepSegment(si int, qpt []float64, stats *Stats) {
 	stats.Scored += n
 	stats.Swept += n
 	stats.SweptSegments++
+	if h := c.e.sweptHook; h != nil {
+		h()
+	}
 }

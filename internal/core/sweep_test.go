@@ -66,46 +66,32 @@ func TestSealIndexesBySize(t *testing.T) {
 	}
 }
 
-// closeAfterFirst is a Runner that runs the tasks in order on the calling
-// goroutine and, on its first use, closes done once the first task has
-// finished.
-type closeAfterFirst struct {
-	done   chan struct{}
-	closed bool
-}
-
-func (r *closeAfterFirst) Do(n int, f func(i int)) {
-	for i := 0; i < n; i++ {
-		f(i)
-		if !r.closed {
-			r.closed = true
-			close(r.done)
-		}
-	}
-}
-
 // TestCancelMidSweep closes the query's done channel while a sweep is under
-// way — deterministically: two sweep-only segments run as the tasks of a
-// parallel query on a Runner that closes done after the first. The second
-// task enters its sweep unconditionally (a swept-first segment polls nothing
-// before its first block), so the only place it can notice is the poll
-// inside the sweep loop, sweepPollBlocks blocks in. The query must report
-// ErrCanceled, abandon the second sweep, and leak nothing: the same engine
-// then answers uncancelled queries exactly.
+// way — deterministically: a query over two sweep-only segments runs on the
+// caller's goroutine, and the done channel is closed the moment the first
+// sweep completes. The second sweep is entered unconditionally (a swept-first
+// segment polls nothing before its first block), so the only place it can
+// notice is the poll inside the sweep loop, sweepPollBlocks blocks in. The
+// query must report ErrCanceled, abandon the second sweep, and leak nothing:
+// the same engine then answers uncancelled queries exactly.
 func TestCancelMidSweep(t *testing.T) {
 	const segRows = 4 * sweepPollBlocks * sweepBlock
 	data := dataset.Generate(dataset.Uniform, 2*segRows, 4, 9)
 	currentData = data
-	r := &closeAfterFirst{done: make(chan struct{})}
-	eng, err := New(data, Config{Roles: sweepTestRoles(), RuntimeOptions: RuntimeOptions{Segments: 2, Pool: r, AccessCost: 1 << 30}})
+	eng, err := New(data, Config{Roles: sweepTestRoles(), RuntimeOptions: RuntimeOptions{Segments: 2, AccessCost: 1 << 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if segs, _ := eng.Segments(); segs != 2 {
 		t.Fatalf("%d segments, want 2", segs)
 	}
+	done := make(chan struct{})
+	eng.sweptHook = func() {
+		eng.sweptHook = nil
+		close(done)
+	}
 	spec := sweepTestSpec(5)
-	res, st, err := eng.TopKAppendCancel(nil, spec, r.done)
+	res, st, err := eng.TopKAppendCancel(nil, spec, done)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled (stats %+v)", err, st)
 	}

@@ -53,9 +53,9 @@ func (s *SDIndex) Save(w io.Writer) error {
 // too, one way: its shards' live rows are gathered in ascending ID order and
 // built into one engine, and Save writes the single-engine kind from then on.
 func LoadSDIndex(r io.Reader, opts ...SDOption) (*SDIndex, error) {
-	opt, _, pool := runtimeOptions(opts)
-	eng, err := loadEngine(bufio.NewReader(r), opt)
-	return wrapEngine(eng, err, pool)
+	cfg := parseOptions(opts)
+	eng, err := loadEngine(bufio.NewReader(r), cfg.rt)
+	return cfg.wrap(eng, err)
 }
 
 // LoadShardedIndex is LoadSDIndex defaulting to WithShards(0) and

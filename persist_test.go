@@ -58,7 +58,7 @@ func persistQueries(dims int, roles []Role, seed int64) []Query {
 }
 
 // TestSaveLoadSDIndexRoundTrip runs on the one-segment sequential index and
-// on a three-segment one with a worker pool: the file is the same format
+// on a three-segment one with batch workers: the file is the same format
 // either way, and the segment stack round-trips as saved.
 func TestSaveLoadSDIndexRoundTrip(t *testing.T) {
 	t.Run("one-segment", func(t *testing.T) { testSaveLoadRoundTrip(t) })

@@ -113,10 +113,10 @@ func (s *SDIndex) PointByID(id int) ([]float64, bool) { return s.eng.Row(id) }
 // defaults to WithShards(0) and WithWorkers(0); the option list supplies
 // runtime knobs only (workers, memtable) — structure comes from the stream.
 func NewFollowerIndex(snap io.Reader, opts ...SDOption) (*ShardedIndex, error) {
-	opt, _, pool := runtimeOptions(shardedDefaults(opts))
-	eng, err := core.Load(snap, opt)
+	cfg := parseOptions(shardedDefaults(opts))
+	eng, err := core.Load(snap, cfg.rt)
 	if err != nil {
 		err = fmt.Errorf("sdquery: follower: %w", err)
 	}
-	return wrapEngine(eng, err, pool)
+	return cfg.wrap(eng, err)
 }

@@ -7,6 +7,7 @@ package sdquery_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	sdquery "repro"
@@ -62,16 +63,12 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 				sdquery.WithScheduler(sdquery.SchedRoundRobin),
 				sdquery.WithPairing(sdquery.PairInOrder),
 			}},
-			// Intra-query segment parallelism is a scheduling choice too: the
-			// segment tasks' interleaving (and the shared floor's timing) must
-			// not leak into answers. WithShards forces real multi-segment
-			// stacks on these tiny datasets.
-			{"parallel", []sdquery.SDOption{
-				sdquery.WithWorkers(2),
-				sdquery.WithShards(4),
-			}},
-			{"parallel/round-robin", []sdquery.SDOption{
-				sdquery.WithWorkers(3),
+			// How the rows are split into segments is a scheduling choice too:
+			// the scheduler interleaves every segment's frontiers in one loop,
+			// and that must not leak into answers. WithShards forces real
+			// multi-segment stacks on these tiny datasets.
+			{"segmented", []sdquery.SDOption{sdquery.WithShards(4)}},
+			{"segmented/round-robin", []sdquery.SDOption{
 				sdquery.WithShards(7),
 				sdquery.WithScheduler(sdquery.SchedRoundRobin),
 			}},
@@ -80,8 +77,7 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 			// streaming and mid-stream retirement are forced explicitly.
 			{"stream-only", []sdquery.SDOption{sdquery.WithStreamOnly()}},
 			{"bail-out", []sdquery.SDOption{sdquery.WithAccessCost(2)}},
-			{"parallel/bail-out", []sdquery.SDOption{
-				sdquery.WithWorkers(2),
+			{"segmented/bail-out", []sdquery.SDOption{
 				sdquery.WithShards(3),
 				sdquery.WithAccessCost(2),
 			}},
@@ -131,9 +127,6 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 					}
 				}
 			}
-		}
-		for _, v := range variants {
-			v.eng.Close() // release the parallel variants' worker pools
 		}
 	}
 }
@@ -309,10 +302,10 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
-// TestSegmentedStats: on a WithShards index queried through the worker pool
-// the stats surface sums the segment tasks' work, the one plan cache reports
-// one hit however many segments planned from it, and the stats path answers
-// exactly like the fast path and the scan.
+// TestSegmentedStats: on a WithShards index the stats surface sums every
+// segment's work, the one plan cache reports one hit however many segments
+// planned from it, and the stats path answers exactly like the fast path and
+// the scan.
 func TestSegmentedStats(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 4_000, 4, 13)
 	roles := []sdquery.Role{sdquery.Repulsive, sdquery.Attractive, sdquery.Repulsive, sdquery.Attractive}
@@ -382,5 +375,94 @@ func TestSegmentedStats(t *testing.T) {
 		if pres[i] != want[i] {
 			t.Fatalf("planned answer diverges at rank %d: %+v vs %+v", i, pres[i], want[i])
 		}
+	}
+}
+
+// servedWorkload is the repository benchmark's served shape at a test's
+// size: n rows of 6-d data drawn from 16 Gaussian clusters (σ = 0.05,
+// clipped to [0, 1]) under roles aaarrr, and q queries with point and
+// weights U(0,1), one in four with two weights zeroed, k ∈ {1, 5, 50} at
+// shares 25/50/25.
+func servedWorkload(n, q int, seed int64) ([][]float64, []sdquery.Role, []sdquery.Query) {
+	const dims = 6
+	rng := rand.New(rand.NewSource(seed))
+	var centres [16][dims]float64
+	for c := range centres {
+		for d := range centres[c] {
+			centres[c][d] = rng.Float64()
+		}
+	}
+	data := make([][]float64, n)
+	for i := range data {
+		c := &centres[rng.Intn(len(centres))]
+		data[i] = make([]float64, dims)
+		for d := range data[i] {
+			data[i][d] = min(1, max(0, c[d]+0.05*rng.NormFloat64()))
+		}
+	}
+	roles := []sdquery.Role{
+		sdquery.Attractive, sdquery.Attractive, sdquery.Attractive,
+		sdquery.Repulsive, sdquery.Repulsive, sdquery.Repulsive,
+	}
+	queries := make([]sdquery.Query, q)
+	for i := range queries {
+		qq := sdquery.Query{Point: make([]float64, dims), K: 5, Roles: roles, Weights: make([]float64, dims)}
+		for d := 0; d < dims; d++ {
+			qq.Point[d], qq.Weights[d] = rng.Float64(), rng.Float64()
+		}
+		if rng.Intn(4) == 0 {
+			a := rng.Intn(dims)
+			b := (a + 1 + rng.Intn(dims-1)) % dims
+			qq.Weights[a], qq.Weights[b] = 0, 0
+		}
+		switch rng.Intn(4) {
+		case 0:
+			qq.K = 1
+		case 3:
+			qq.K = 50
+		}
+		queries[i] = qq
+	}
+	return data, roles, queries
+}
+
+// TestStatsDeterministicServed: every query runs on its caller's goroutine,
+// so its work counters are a pure function of the query and the snapshot.
+// On the served configuration — four segments of benchmark-shaped rows,
+// large enough that the planner probes their streams before it streams or
+// sweeps them — NewShardedIndex, which adds WithWorkers, reports exactly the
+// Stats NewSDIndex does, field for field, on every repetition.
+func TestStatsDeterministicServed(t *testing.T) {
+	data, roles, queries := servedWorkload(20_000, 200, 27)
+	sharded, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := sdquery.NewSDIndex(data, roles, sdquery.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetched := 0
+	for rep := 0; rep < 3; rep++ {
+		for i, q := range queries {
+			got, gst, err := sharded.TopKWithStats(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wst, err := plain.TopKWithStats(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gst != wst {
+				t.Fatalf("repetition %d query %d: sharded stats %+v, plain %+v", rep, i, gst, wst)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("repetition %d query %d: answers differ\n%v\n%v", rep, i, got, want)
+			}
+			fetched += gst.Fetched
+		}
+	}
+	if fetched == 0 {
+		t.Fatal("no query streamed: the workload no longer reaches the scheduler")
 	}
 }

@@ -34,7 +34,7 @@ import (
 // inline FNV-1a, the map lookup uses the compiler's []byte→string
 // no-copy conversion, and the cached body is written to the response as-is.
 // A single mutex guards map and sketch together; the critical section is a
-// few hundred nanoseconds, far below the cost of the engine fan-out a hit
+// few hundred nanoseconds, far below the cost of the engine query a hit
 // saves, and the common contention case (many goroutines hitting the same
 // hot key) is exactly the case the cache exists for.
 type resultCache struct {

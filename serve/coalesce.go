@@ -11,11 +11,10 @@ import (
 
 // Request coalescing: the admission layer between /v1/topk handlers and the
 // engine. Concurrently-arriving single queries are gathered into one
-// SDIndex.BatchTopK call, which runs one task per query on the index's
-// worker pool with pooled result buffers, instead of paying one independent
-// segment fan-out per request. Under load the server therefore executes a
-// few wide batches per scheduling quantum rather than hundreds of narrow
-// ones.
+// SDIndex.BatchTopK call, which forks one task per query over the index's
+// WithWorkers goroutines with pooled result buffers, each query running
+// whole on one of them. Under load the server therefore executes a few wide
+// batches per scheduling quantum rather than hundreds of narrow ones.
 //
 // Shape: handlers enqueue pending requests on a bounded queue (a full queue
 // is the backpressure signal — the handler answers 429 with Retry-After

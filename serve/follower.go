@@ -290,8 +290,8 @@ func (s *Server) pullOnce(f *followerState) error {
 
 // rebootstrap replaces the follower's index with a fresh snapshot. The
 // swap is the same atomic publication /v1/admin/swap uses, so readers never
-// observe a torn index; the displaced index only has its worker pool to
-// release (follower indexes own no WAL).
+// observe a torn index; closing the displaced one releases nothing in use
+// (follower indexes own no WAL).
 func (s *Server) rebootstrap(f *followerState) error {
 	idx, src, err := f.bootstrap()
 	if err != nil {

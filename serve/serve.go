@@ -17,7 +17,7 @@
 //   - Request coalescing (coalesce.go): concurrently-arriving /v1/topk
 //     requests are gathered — bounded window, bounded batch — into single
 //     BatchTopK calls, riding the index's one-task-per-query batch path
-//     instead of paying one independent segment fan-out per request.
+//     instead of paying one engine dispatch per request.
 //   - Hot-query result cache (cache.go, sketch.go; WithResultCache):
 //     answers are cached keyed on canonical query bytes and versioned by
 //     the snapshot epoch, which every insert/remove/compaction/swap
@@ -154,8 +154,8 @@ func WithRequestTimeout(d time.Duration) Option { return func(c *config) { c.req
 func WithWriteConcurrency(n int) Option { return func(c *config) { c.writeLimit = n } }
 
 // WithBatchConcurrency bounds concurrent /v1/batch handlers and stats=true
-// /v1/topk queries (default 4) — both run their own full fan-out outside
-// the coalescer, so a few in flight saturate the pool.
+// /v1/topk queries (default 4) — both run outside the coalescer, so a few
+// in flight saturate the CPUs.
 func WithBatchConcurrency(n int) Option { return func(c *config) { c.batchLimit = n } }
 
 // WithResultCache enables the hot-query result cache (default off). Cached
@@ -411,7 +411,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		// Stats-enabled queries need per-query counters, so they bypass the
 		// coalescer (their counters feed the /metrics engine totals) — but
 		// not backpressure: they share /v1/batch's concurrency limit, since
-		// each runs its own uncoalesced, uncancellable fan-out.
+		// each runs its own uncoalesced, uncancellable engine query.
 		select {
 		case s.batchSem <- struct{}{}:
 			defer func() { <-s.batchSem }()

@@ -20,15 +20,14 @@ import (
 // index the engine's snapshot discipline pins a consistent row set, so no
 // request can observe half an old index and half a new one.
 //
-// The old index's worker pool is released after the swap. Close only parks
-// the pool's goroutines — queries already running on the old index degrade
-// to caller-goroutine execution and still answer correctly (documented on
-// SDIndex.Close), so releasing immediately is safe.
+// The old index is closed after the swap. Close only closes its WAL —
+// queries already running on the old index still answer correctly
+// (documented on SDIndex.Close), so closing immediately is safe.
 
 // Swap atomically replaces the serving index and returns the previous one.
 // In-flight requests finish on whichever index they grabbed. The caller
-// owns the returned index (the HTTP swap handler releases its worker pool;
-// an in-process caller may want to keep it).
+// owns the returned index (the HTTP swap handler closes it; an in-process
+// caller may want to keep it).
 func (s *Server) Swap(idx Index) Index {
 	// The new box's generation makes every cached entry stale at once:
 	// entries are versioned by (gen, epoch) and no entry carries the new gen.

@@ -31,6 +31,9 @@ import (
 // Scores are encoded with encoding/json's shortest-roundtrip float
 // formatting, so a response is byte-identical to encoding the results of a
 // direct ShardedIndex.TopK call — the property the e2e golden tests pin.
+// The stats counters are deterministic too: every query runs on one
+// goroutine, so two identical requests at the same index epoch and plan-cache
+// state return byte-identical bodies (TestStatsDeterministic).
 // Unknown fields are rejected: a typo'd knob fails loudly with a 400
 // instead of being silently ignored.
 

@@ -44,20 +44,19 @@ func (sn *Snapshot) TopK(q Query) ([]Result, error) {
 // pooled buffers, so with a caller-reused dst the steady-state path
 // performs no allocation.
 func (sn *Snapshot) TopKAppend(dst []Result, q Query) ([]Result, error) {
-	return sn.s.appendVia(sn.view, dst, q, nil, false)
+	return sn.s.appendVia(sn.view, dst, q, nil)
 }
 
 // appendVia is the one query path of SDIndex, Snapshot and the batch tasks:
 // run the core query against the given view into a pooled scratch buffer,
 // then convert into dst. A non-nil done channel cancels the aggregation (the
-// TopKContext path); nil costs nothing. seq keeps the query off the worker
-// pool — a batch task is already on it.
-func (s *SDIndex) appendVia(view core.View, dst []Result, q Query, done <-chan struct{}, seq bool) ([]Result, error) {
+// TopKContext path); nil costs nothing.
+func (s *SDIndex) appendVia(view core.View, dst []Result, q Query, done <-chan struct{}) ([]Result, error) {
 	bp, _ := s.buf.Get().(*[]query.Result)
 	if bp == nil {
 		bp = new([]query.Result)
 	}
-	res, _, err := view.TopKAppendCancel((*bp)[:0], q.spec(), done, seq)
+	res, _, err := view.TopKAppendCancel((*bp)[:0], q.spec(), done)
 	*bp = res[:0] // keep the grown capacity pooled either way
 	if err != nil {
 		s.buf.Put(bp)
