@@ -7,21 +7,6 @@ import (
 	"strings"
 )
 
-// nsRegressionTolerance is the fractional ns/op increase a workload may show
-// against the committed baseline before the diff fails. 20% absorbs
-// machine-to-machine and run-to-run noise while still catching real
-// regressions; the allocs/op gate below is exact, because the zero-alloc
-// guarantee is an invariant, not a measurement.
-const nsRegressionTolerance = 0.20
-
-// clusterNsRegressionTolerance is the looser ns/op and p99 gate for the
-// "cluster/…" workloads: their latencies are measured under a closed-loop
-// client pool over real sockets across a leader kill, so run-to-run variance
-// is inherently higher than the single-process workloads'. 50% still catches
-// the failure modes that workload exists to guard, which are multiples, not
-// percentages.
-const clusterNsRegressionTolerance = 0.50
-
 // availabilityFloor is the absolute availability the cluster failover
 // workload must clear regardless of the baseline: at least 99% of reads
 // answered across a window containing a hard leader kill. Failing it means
@@ -52,19 +37,24 @@ const writeUnavailableCeilingMs = 5000
 const fetchedRegressionTolerance = 0.05
 
 // diffAgainstBaseline loads the committed baseline report and fails (with
-// every violation listed) when the fresh report regresses:
+// every violation listed) when the fresh report breaks a rule that holds on
+// any machine:
 //
 //   - a workload present in the baseline is missing from the fresh report
 //     (renames must update the baseline, not silently drop coverage);
-//   - ns/op grew by more than nsRegressionTolerance;
 //   - a workload that was allocation-free in the baseline allocates;
 //   - a "topk/…" workload's fetched_mean grew by more than
 //     fetchedRegressionTolerance — the deterministic, hardware-independent
 //     regression signal. batch/topk is exempt: its index is split into
-//     GOMAXPROCS segments, so its counters follow the machine's CPU count.
+//     GOMAXPROCS segments, so its counters follow the machine's CPU count;
+//   - the failover workload's availability or write-unavailability window
+//     crossed its absolute bound.
 //
-// The scales must match — ns/op across different dataset sizes is
-// meaningless — and so must the schema.
+// ns/op and p99 are printed next to the baseline's but gate nothing: on a
+// shared machine they swing by more than any tolerance that would still
+// catch a regression, and end-to-end speed is the repository benchmark's
+// job (BENCHMARK.json). The scales must match — the counters, like ns/op,
+// depend on the dataset size — and so must the schema.
 func diffAgainstBaseline(baselinePath string, fresh benchJSON) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -99,25 +89,12 @@ func diffAgainstBaseline(baselinePath string, fresh benchJSON) error {
 				"workload %q: %d queries, baseline has %d: not comparable", b.Name, f.Queries, b.Queries))
 			continue
 		}
-		nsTol := nsRegressionTolerance
-		if strings.HasPrefix(b.Name, "cluster/") {
-			nsTol = clusterNsRegressionTolerance
-		}
-		if limit := float64(b.NsPerOp) * (1 + nsTol); float64(f.NsPerOp) > limit {
-			violations = append(violations, fmt.Sprintf(
-				"workload %q: ns/op %d exceeds baseline %d by more than %.0f%%",
-				b.Name, f.NsPerOp, b.NsPerOp, nsTol*100))
-		}
-		// Tail-latency gate for workloads that report percentiles (cluster
-		// failover): the p99 regressing while the mean holds is exactly the
-		// "a few unlucky requests stall" signature.
+		// Timing is printed for the reader, not gated (see above).
+		fmt.Fprintf(os.Stderr, "sdbench: %-24s ns/op %d (baseline %d)", b.Name, f.NsPerOp, b.NsPerOp)
 		if b.P99NsPerOp > 0 && f.P99NsPerOp > 0 {
-			if limit := float64(b.P99NsPerOp) * (1 + clusterNsRegressionTolerance); float64(f.P99NsPerOp) > limit {
-				violations = append(violations, fmt.Sprintf(
-					"workload %q: p99 ns/op %d exceeds baseline %d by more than %.0f%%",
-					b.Name, f.P99NsPerOp, b.P99NsPerOp, clusterNsRegressionTolerance*100))
-			}
+			fmt.Fprintf(os.Stderr, ", p99 %d (baseline %d)", f.P99NsPerOp, b.P99NsPerOp)
 		}
+		fmt.Fprintln(os.Stderr)
 		// AllocsPerOp < 0 marks an unattributable measurement (servers
 		// sharing the global counters) — no alloc invariant to gate.
 		if b.AllocsPerOp == 0 && f.AllocsPerOp > 0 {
@@ -161,7 +138,6 @@ func diffAgainstBaseline(baselinePath string, fresh benchJSON) error {
 	if len(violations) > 0 {
 		return fmt.Errorf("benchmark regression vs %s:\n  %s", baselinePath, strings.Join(violations, "\n  "))
 	}
-	fmt.Fprintf(os.Stderr, "sdbench: no regression vs %s (%d workloads, ns tolerance %.0f%%)\n",
-		baselinePath, len(base.Workloads), nsRegressionTolerance*100)
+	fmt.Fprintf(os.Stderr, "sdbench: no regression vs %s (%d workloads)\n", baselinePath, len(base.Workloads))
 	return nil
 }

@@ -21,9 +21,10 @@ func writeBaseline(t *testing.T, b benchJSON) string {
 	return path
 }
 
-// TestDiffAgainstBaseline pins the CI gate's rules: pass within tolerance,
-// fail on >20% ns/op growth, fail on any allocation in a zero-alloc
-// workload, fail on dropped workloads, and refuse scale/schema mismatches.
+// TestDiffAgainstBaseline pins the CI gate's rules: ns/op and p99 never fail
+// it, however far they move; any allocation in a zero-alloc workload, a
+// fetched_mean growth past 5%, the failover workload's absolute bounds and
+// dropped workloads do; scale/schema mismatches are refused.
 func TestDiffAgainstBaseline(t *testing.T) {
 	base := benchJSON{
 		Schema: benchJSONSchema,
@@ -32,16 +33,16 @@ func TestDiffAgainstBaseline(t *testing.T) {
 			{Name: "topk/sdindex-append", NsPerOp: 1_000_000, AllocsPerOp: 0, FetchedMean: 2000},
 			{Name: "topk/sdindex", NsPerOp: 1_000_000, AllocsPerOp: 4},
 			{Name: "batch/topk", NsPerOp: 1_000_000, AllocsPerOp: 70, FetchedMean: 2000},
-			{Name: "cluster/failover", NsPerOp: 1_000_000, AllocsPerOp: -1, Availability: 0.999, WriteUnavailableMs: 800},
+			{Name: "cluster/failover", NsPerOp: 1_000_000, P99NsPerOp: 2_000_000, AllocsPerOp: -1, Availability: 0.999, WriteUnavailableMs: 800},
 		},
 	}
 	path := writeBaseline(t, base)
 
 	ok := benchJSON{Schema: benchJSONSchema, Scale: 1, Workloads: []workloadJSON{
-		{Name: "topk/sdindex-append", NsPerOp: 1_150_000, AllocsPerOp: 0, FetchedMean: 2040}, // +15% ns, +2% fetched: within tolerance
+		{Name: "topk/sdindex-append", NsPerOp: 3_000_000, AllocsPerOp: 0, FetchedMean: 2040}, // 3× ns: printed, not gated; +2% fetched: within tolerance
 		{Name: "topk/sdindex", NsPerOp: 900_000, AllocsPerOp: 6},                             // allocs gated only at baseline 0
 		{Name: "batch/topk", NsPerOp: 1_000_000, AllocsPerOp: 70, FetchedMean: 9000},         // segment count follows CPU count: exempt
-		{Name: "cluster/failover", NsPerOp: 1_400_000, AllocsPerOp: -1,
+		{Name: "cluster/failover", NsPerOp: 1_400_000, P99NsPerOp: 9_000_000, AllocsPerOp: -1,
 			Availability: 0.996, WriteUnavailableMs: 4_500}, // both absolute gates: above the floor, under the ceiling
 		{Name: "topk/new-workload", NsPerOp: 1, AllocsPerOp: 99}, // extra workloads are fine
 	}}
@@ -54,7 +55,6 @@ func TestDiffAgainstBaseline(t *testing.T) {
 		mut  func(*benchJSON)
 		want string
 	}{
-		{"ns regression", func(b *benchJSON) { b.Workloads[0].NsPerOp = 1_250_000 }, "exceeds baseline"},
 		{"alloc regression", func(b *benchJSON) { b.Workloads[0].AllocsPerOp = 1 }, "guarantees 0"},
 		{"fetched regression", func(b *benchJSON) { b.Workloads[0].FetchedMean = 2200 }, "hardware-independent"},
 		{"queries mismatch", func(b *benchJSON) { b.Workloads[0].Queries = 128 }, "not comparable"},

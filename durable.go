@@ -53,9 +53,8 @@ type manifest struct {
 func engineWALDir(root string) string { return filepath.Join(root, "shard-000") }
 
 // writeManifest creates the index directory and atomically installs its
-// MANIFEST (tmp + fsync + rename + dir sync). It refuses a directory that
-// already holds one: durable indexes are recovered with Open, never
-// re-created over.
+// MANIFEST (faultfs.WriteFileAtomic). It refuses a directory that already
+// holds one: durable indexes are recovered with Open, never re-created over.
 func writeManifest(cfg *sdConfig) error {
 	ffs := cfg.walFS
 	if ffs == nil {
@@ -64,34 +63,17 @@ func writeManifest(cfg *sdConfig) error {
 	if err := ffs.MkdirAll(cfg.walDir); err != nil {
 		return fmt.Errorf("sdquery: wal dir: %w", err)
 	}
-	path := filepath.Join(cfg.walDir, manifestName)
-	if _, err := ffs.Stat(path); err == nil {
+	if _, err := ffs.Stat(filepath.Join(cfg.walDir, manifestName)); err == nil {
 		return fmt.Errorf("sdquery: %s already holds a durable index; recover it with Open instead of creating over it", cfg.walDir)
 	}
 	data, err := json.Marshal(manifest{Format: manifestFormat, Kind: manifestKindSDIndex, Shards: 1})
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	f, err := ffs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("sdquery: manifest: %w", err)
-	}
-	_, err = f.Write(append(data, '\n'))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		ffs.Remove(tmp)
-		return fmt.Errorf("sdquery: manifest: %w", err)
-	}
-	if err := ffs.Rename(tmp, path); err != nil {
-		return fmt.Errorf("sdquery: manifest: %w", err)
-	}
-	if err := ffs.SyncDir(cfg.walDir); err != nil {
+	if err := faultfs.WriteFileAtomic(ffs, cfg.walDir, manifestName, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	}); err != nil {
 		return fmt.Errorf("sdquery: manifest: %w", err)
 	}
 	return nil

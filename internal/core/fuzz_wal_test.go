@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
@@ -67,7 +68,9 @@ func refParseApplied(raw []byte) uint64 {
 // panic and never error (a corrupt tail is the normal shape of a crashed
 // log), must never apply records past the first structural corruption, and
 // must be idempotent — recovering its own repaired output reproduces the
-// same state.
+// same state. The same bytes as a replication stream, applied to an engine
+// loaded from the same checkpoint, must reach the same LSN and Len, and may
+// be accepted without error only if recovery kept the file whole.
 func FuzzWALReplay(f *testing.F) {
 	valid := fuzzValidLog()
 	f.Add(append([]byte(nil), valid...))
@@ -93,6 +96,15 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		fh.Write(raw)
 		fh.Close()
+		ckpt, err := fs.OpenFile("idx/"+ckptName, os.O_RDONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		follower, err := Load(bufio.NewReader(ckpt), RuntimeOptions{DisableCompaction: true})
+		ckpt.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		re, err := Open(WALConfig{Dir: "idx", FS: fs}, RuntimeOptions{DisableCompaction: true})
 		if err != nil {
@@ -108,6 +120,14 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		n := re.Len()
 		re.Close()
+
+		lsn, _, aerr := follower.ApplyWALStream(bytes.NewReader(raw))
+		if lsn != st.LSN || follower.Len() != n {
+			t.Fatalf("stream apply reached LSN %d, Len %d; recovery LSN %d, Len %d", lsn, follower.Len(), st.LSN, n)
+		}
+		if size, _ := fs.Stat("idx/000000001.wal"); aerr == nil && size != int64(len(raw)) {
+			t.Fatalf("stream applied cleanly, but recovery cut the file from %d to %d bytes", len(raw), size)
+		}
 
 		// Idempotence: recovery truncated the corruption away; a second
 		// recovery sees a clean log and lands on the same state.

@@ -10,7 +10,9 @@ package core
 // are a pure function of its rows and the tree configuration, so the
 // reloaded engine's segment stack is structurally identical to the saved
 // one. Runtime knobs (RuntimeOptions) are not part of the file; Load takes
-// them fresh.
+// them fresh. One version is written and read (persistVersion); the bytes
+// reach Load from files, CHECKPOINTs and replication streams this process
+// did not write, so Load checks every field before it allocates or builds.
 
 import (
 	"bufio"
@@ -18,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -26,19 +29,24 @@ import (
 )
 
 // persistVersion identifies the core engine's section of the file format.
-// Bump on any incompatible change; Load rejects unknown versions outright
-// rather than guessing. Version 2 added the snapshot's WAL sequence number
-// (walLSN); version-1 files load with walLSN 0. Version 3 switched segment
-// coordinate blocks from row-major to the segments' native dimension-major
-// column layout and added a column-width byte (64, or 32 from the retired
-// float32 sweep copy: the columns on disk are float64 either way); v1/v2
-// files still load (their row-major blocks are transposed once at read).
+// Bump on any incompatible change; Load reads this version only and refuses
+// every other by number rather than guessing. Version 3 stores each segment
+// as dimension-major columns and carries the snapshot's WAL sequence number
+// (walLSN) and a column-width byte (64, or 32 from the retired float32 sweep
+// copy: the columns on disk are float64 either way). Versions 1 and 2, which
+// stored row-major blocks, are refused.
 const persistVersion = 3
 
 // maxPersistDims caps the dimensionality Load will accept — a sanity bound
 // that turns a corrupt header into an error instead of an absurd
-// allocation.
+// allocation. It bounds the tree fan-out the same way.
 const maxPersistDims = 1 << 16
+
+// loadChunk bounds how far Load allocates ahead of the bytes it has read: a
+// length field can claim anything, so every length-prefixed array grows with
+// its data (readArray) and a length the stream cannot back ends in
+// io.ErrUnexpectedEOF instead of an allocation sized by the claim.
+const loadChunk = 1 << 16
 
 type countingWriter struct {
 	w   io.Writer
@@ -56,10 +64,21 @@ type countingReader struct {
 	err error
 }
 
+// read decodes v; every field is mandatory, so running out of stream is an
+// io.ErrUnexpectedEOF wherever it happens.
 func (cr *countingReader) read(v any) {
 	if cr.err == nil {
 		cr.err = binary.Read(cr.r, binary.LittleEndian, v)
+		if cr.err == io.EOF {
+			cr.err = io.ErrUnexpectedEOF
+		}
 	}
+}
+
+func (cr *countingReader) u8() uint8 {
+	var v uint8
+	cr.read(&v)
+	return v
 }
 
 func (cr *countingReader) u32() uint32 {
@@ -72,6 +91,25 @@ func (cr *countingReader) u64() uint64 {
 	var v uint64
 	cr.read(&v)
 	return v
+}
+
+// readArray reads n little-endian values. The slice grows as the bytes
+// arrive, at most loadChunk elements per read and by doubling from loadChunk
+// up to exactly n, so memory stays within about twice the bytes read and the
+// result carries no spare capacity.
+func readArray[T int32 | uint64 | float64](cr *countingReader, n int) []T {
+	var out []T
+	for len(out) < n && cr.err == nil {
+		if len(out) == cap(out) {
+			grown := make([]T, len(out), min(n, max(loadChunk, 2*cap(out))))
+			copy(grown, out)
+			out = grown
+		}
+		m := min(cap(out), len(out)+loadChunk)
+		cr.read(out[len(out):m])
+		out = out[:m]
+	}
+	return out
 }
 
 // Save serializes the engine's current snapshot. It is lock-free like every
@@ -172,114 +210,120 @@ func (e *Engine) saveSnapshot(w io.Writer, sn *snapshot) error {
 // reports the same Bytes (the only state not round-tripped is runtime:
 // context-pool warmth, plan cache contents, in-flight compaction).
 //
+// Load trusts nothing it reads. Every length-prefixed array is read in
+// bounded chunks (readArray), the layout must name each active dimension
+// exactly once in a slot of its role, IDs must ascend within [0, total),
+// tombstones must fall on rows and agree with the live count, and any other
+// version than persistVersion is refused.
+//
 // Load consumes exactly the engine's section of the stream — it does not
 // buffer ahead — so several engines concatenate in one file (the retired
 // sharded format did; see Merge). Callers should hand in an already-buffered
 // reader.
 func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 	cr := &countingReader{r: r}
-	fail := func(format string, args ...any) (*Engine, error) {
-		return nil, fmt.Errorf("core: load: "+format, args...)
+	// bad records the first refusal in cr.err, where reads stop too: every
+	// read after it returns zero values, so the checks below run in stream
+	// order and the first failure is the one reported.
+	bad := func(format string, args ...any) {
+		if cr.err == nil {
+			cr.err = fmt.Errorf(format, args...)
+		}
 	}
+	fail := func() (*Engine, error) { return nil, fmt.Errorf("core: load: %w", cr.err) }
 
-	version := cr.u32()
-	if cr.err == nil && (version < 1 || version > persistVersion) {
-		return fail("unsupported format version %d (have %d)", version, persistVersion)
+	if version := cr.u32(); version != persistVersion {
+		bad("unsupported format version %d (this build reads version %d only)", version, persistVersion)
 	}
 	dims := int(cr.u32())
-	if cr.err == nil && dims > maxPersistDims {
-		return fail("implausible dimensionality %d", dims)
+	if dims > maxPersistDims {
+		bad("implausible dimensionality %d", dims)
 	}
 	if cr.err != nil {
-		return fail("%v", cr.err)
+		return fail()
 	}
 	roles := make([]query.Role, dims)
+	active := 0
 	for d := range roles {
-		var b uint8
-		cr.read(&b)
-		roles[d] = query.Role(b)
-		switch roles[d] {
-		case query.Ignored, query.Attractive, query.Repulsive:
+		switch roles[d] = query.Role(cr.u8()); roles[d] {
+		case query.Attractive, query.Repulsive:
+			active++
+		case query.Ignored:
 		default:
-			return fail("unknown role %d for dimension %d", b, d)
+			bad("unknown role %d for dimension %d", roles[d], d)
 		}
 	}
-	var pairing uint8
-	cr.read(&pairing)
-	if version >= 3 {
-		// Column width: 64, or 32 from an engine that also kept a float32
-		// sweep copy. The persisted columns are float64 either way.
-		var wb uint8
-		cr.read(&wb)
-		if cr.err == nil && wb != 32 && wb != 64 {
-			return fail("unsupported column width %d", wb)
-		}
+	pairing := Pairing(cr.u8())
+	if pairing > PairNone {
+		bad("unknown pairing %d", pairing)
+	}
+	// Column width: 64, or 32 from an engine that also kept a float32 sweep
+	// copy. The persisted columns are float64 either way.
+	if width := cr.u8(); width != 32 && width != 64 {
+		bad("unsupported column width %d", width)
 	}
 
-	dim := func(v uint32) (int, error) {
-		if int(v) >= dims {
-			return 0, fmt.Errorf("core: load: dimension %d out of range (%d dims)", v, dims)
+	// The layout names every active dimension exactly once, each in a slot
+	// of its role: pair and grid rows are repulsive, pair and grid columns
+	// attractive, lone dimensions either.
+	seen := make([]bool, dims)
+	listed := 0
+	dim := func(slot string, want ...query.Role) int {
+		switch v := cr.u32(); {
+		case cr.err != nil:
+		case v >= uint32(dims):
+			bad("%s dimension %d out of range (%d dims)", slot, v, dims)
+		case !slices.Contains(want, roles[v]):
+			bad("%s dimension %d has role %v", slot, v, roles[v])
+		case seen[v]:
+			bad("dimension %d is listed twice in the layout", v)
+		default:
+			seen[v] = true
+			listed++
+			return int(v)
 		}
-		return int(v), nil
+		return 0
+	}
+	count := func(slot string) int {
+		n := cr.u32()
+		if n > uint32(dims) {
+			bad("bad %s count %d", slot, n)
+			return 0
+		}
+		return int(n)
+	}
+	dimList := func(slot string, want ...query.Role) []int {
+		out := make([]int, count(slot))
+		for i := range out {
+			out[i] = dim(slot, want...)
+		}
+		return out
 	}
 	var lo layout
-	var adaptive uint8
-	cr.read(&adaptive)
-	if cr.err == nil && adaptive == 1 {
+	switch layoutByte := cr.u8(); {
+	case cr.err != nil:
+	case layoutByte == 1:
 		lo.adaptive = true
+		lo.gridRep = dimList("grid row", query.Repulsive)
+		lo.gridAtt = dimList("grid column", query.Attractive)
 		lo.gridPos = make([]int32, dims)
-		nRep := int(cr.u32())
-		if cr.err != nil || nRep > dims {
-			return fail("bad grid row count")
-		}
-		lo.gridRep = make([]int, nRep)
-		for i := range lo.gridRep {
-			d, err := dim(cr.u32())
-			if cr.err == nil && err != nil {
-				return nil, err
-			}
-			lo.gridRep[i] = d
+		for i, d := range lo.gridRep {
 			lo.gridPos[d] = int32(i)
 		}
-		nAtt := int(cr.u32())
-		if cr.err != nil || nAtt > dims {
-			return fail("bad grid column count")
-		}
-		lo.gridAtt = make([]int, nAtt)
-		for i := range lo.gridAtt {
-			d, err := dim(cr.u32())
-			if cr.err == nil && err != nil {
-				return nil, err
-			}
-			lo.gridAtt[i] = d
+		for i, d := range lo.gridAtt {
 			lo.gridPos[d] = int32(i)
 		}
-	} else if cr.err == nil {
-		nPairs := int(cr.u32())
-		if cr.err != nil || nPairs > dims {
-			return fail("bad pair count")
-		}
-		lo.pairs = make([]Pair, nPairs)
+	case layoutByte == 0:
+		lo.pairs = make([]Pair, count("pair"))
 		for i := range lo.pairs {
-			rp, err1 := dim(cr.u32())
-			ap, err2 := dim(cr.u32())
-			if cr.err == nil && (err1 != nil || err2 != nil) {
-				return fail("pair %d names an out-of-range dimension", i)
-			}
-			lo.pairs[i] = Pair{Rep: rp, Attr: ap}
+			lo.pairs[i] = Pair{Rep: dim("pair row", query.Repulsive), Attr: dim("pair column", query.Attractive)}
 		}
-		nLone := int(cr.u32())
-		if cr.err != nil || nLone > dims {
-			return fail("bad lone count")
-		}
-		lo.lone = make([]int, nLone)
-		for i := range lo.lone {
-			d, err := dim(cr.u32())
-			if cr.err == nil && err != nil {
-				return nil, err
-			}
-			lo.lone[i] = d
-		}
+		lo.lone = dimList("lone", query.Repulsive, query.Attractive)
+	default:
+		bad("unknown layout byte %d", layoutByte)
+	}
+	if listed != active {
+		bad("layout covers %d of %d active dimensions", listed, active)
 	}
 
 	var treeCfg topk.Config
@@ -287,10 +331,10 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 	treeCfg.LeafCap = int(cr.u32())
 	cr.read(&treeCfg.RebuildThreshold)
 	nAngles := int(cr.u32())
-	if cr.err != nil || nAngles > 1024 {
-		return fail("bad angle count")
+	if nAngles > 1024 || treeCfg.Branching > maxPersistDims {
+		bad("bad tree configuration (branching %d, %d angles)", treeCfg.Branching, nAngles)
 	}
-	for i := 0; i < nAngles; i++ {
+	for i := 0; i < nAngles && cr.err == nil; i++ {
 		var a geom.Angle
 		cr.read(&a.Alpha)
 		cr.read(&a.Beta)
@@ -303,134 +347,100 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 	}
 	cr.read(sn.minVal)
 	cr.read(sn.maxVal)
-	sn.total = int(cr.u64())
-	sn.live = int(cr.u64())
-	if version >= 2 {
-		sn.walLSN = cr.u64()
+	sn.total, sn.live, sn.walLSN = int(cr.u64()), int(cr.u64()), cr.u64()
+	if sn.total < 0 || int64(sn.total) > math.MaxInt32+1 || sn.live < 0 || sn.live > sn.total {
+		bad("implausible row counts (total %d, live %d)", sn.total, sn.live)
 	}
-	if cr.err != nil || sn.total < 0 || int64(sn.total) > math.MaxInt32+1 || sn.live < 0 || sn.live > sn.total {
-		return fail("implausible row counts (total %d, live %d)", sn.total, sn.live)
+
+	// readRows reads one row block: IDs ascending across the whole stack and
+	// below total, finite coordinates.
+	lastID := int32(-1)
+	readRows := func() (ids []int32, cols []float64) {
+		rows := cr.u64()
+		if rows > uint64(sn.total) {
+			bad("implausible row count %d (total %d)", rows, sn.total)
+			return nil, nil
+		}
+		ids = readArray[int32](cr, int(rows))
+		cols = readArray[float64](cr, int(rows)*dims)
+		for _, id := range ids {
+			if id <= lastID || int(id) >= sn.total {
+				bad("ids not ascending within [0, %d)", sn.total)
+			}
+			lastID = id
+		}
+		for _, c := range cols {
+			if math.IsNaN(c) || math.IsInf(c, 0) {
+				bad("non-finite coordinate %v", c)
+			}
+		}
+		return ids, cols
+	}
+	// readBitset reads a tombstone set over rows rows: no longer than the
+	// rows need, and no bit past the last row.
+	readBitset := func(rows int) []uint64 {
+		words, full := cr.u64(), uint64(rows+63)/64
+		if words > full {
+			bad("%d tombstone words for %d rows", words, rows)
+			return nil
+		}
+		bits := readArray[uint64](cr, int(words))
+		if cr.err == nil && words == full && rows%64 != 0 && bits[words-1]>>(rows%64) != 0 {
+			bad("tombstone past the last of %d rows", rows)
+		}
+		return bits
+	}
+
+	// Segments are appended as they arrive: the count is only a claim.
+	nSegs := cr.u32()
+	if int64(nSegs) > int64(sn.total)+1 {
+		bad("bad segment count %d", nSegs)
+	}
+	var segIDs [][]int32
+	var blocks [][]float64
+	for si := 0; si < int(nSegs) && cr.err == nil; si++ {
+		ids, cols := readRows()
+		if len(ids) == 0 {
+			bad("segment %d is empty", si)
+		}
+		segIDs, blocks = append(segIDs, ids), append(blocks, cols)
+		sn.tombs = append(sn.tombs, readBitset(len(ids)))
+	}
+	sn.memIDs, sn.memFlat = readRows()
+	sn.memDead = readBitset(len(sn.memIDs))
+
+	// Cross-check the persisted live count against the actual tombstones —
+	// a mismatch means a corrupt or truncated file, and live drives Len().
+	counted := len(sn.memIDs) - popcount(sn.memDead)
+	for i, ids := range segIDs {
+		counted += len(ids) - popcount(sn.tombs[i])
+	}
+	if counted != sn.live {
+		bad("live count %d disagrees with tombstones (%d live rows)", sn.live, counted)
+	}
+	if cr.err != nil {
+		return fail()
 	}
 
 	e := &Engine{
 		dims:    dims,
 		roles:   roles,
-		pairing: Pairing(pairing),
+		pairing: pairing,
 		layout:  lo,
 		treeCfg: treeCfg,
 	}
 	if err := opt.apply(e); err != nil {
-		return fail("%v", err)
-	}
-
-	readBitset := func() ([]uint64, error) {
-		words := int(cr.u64())
-		if cr.err != nil {
-			return nil, cr.err
-		}
-		if words == 0 {
-			return nil, nil
-		}
-		if words > sn.total/64+1 {
-			return nil, fmt.Errorf("core: load: implausible bitset size %d", words)
-		}
-		bits := make([]uint64, words)
-		cr.read(bits)
-		return bits, cr.err
-	}
-	readRows := func() (ids []int32, flat []float64, err error) {
-		rows := int(cr.u64())
-		if cr.err != nil {
-			return nil, nil, cr.err
-		}
-		if rows < 0 || rows > sn.total {
-			return nil, nil, fmt.Errorf("core: load: implausible row count %d (total %d)", rows, sn.total)
-		}
-		ids = make([]int32, rows)
-		flat = make([]float64, rows*dims)
-		cr.read(ids)
-		cr.read(flat)
-		if cr.err != nil {
-			return nil, nil, cr.err
-		}
-		for i, id := range ids {
-			if id < 0 || (i > 0 && id <= ids[i-1]) || int(id) >= sn.total {
-				return nil, nil, fmt.Errorf("core: load: ids not ascending within [0, %d)", sn.total)
-			}
-		}
-		for _, c := range flat {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return nil, nil, fmt.Errorf("core: load: non-finite coordinate %v", c)
-			}
-		}
-		return ids, flat, nil
-	}
-
-	nSegs := int(cr.u32())
-	if cr.err != nil || nSegs > sn.total+1 {
-		return fail("bad segment count")
-	}
-	segIDs := make([][]int32, nSegs)
-	blocks := make([][]float64, nSegs)
-	sn.tombs = make([][]uint64, nSegs)
-	for si := 0; si < nSegs; si++ {
-		ids, block, err := readRows()
-		if err != nil {
-			return nil, err
-		}
-		if len(ids) == 0 {
-			return fail("segment %d is empty", si)
-		}
-		if si > 0 {
-			if prev := segIDs[si-1]; ids[0] <= prev[len(prev)-1] {
-				return fail("segment %d breaks the ascending-ID stack invariant", si)
-			}
-		}
-		segIDs[si], blocks[si] = ids, block
-		if sn.tombs[si], err = readBitset(); err != nil {
-			return fail("%v", err)
-		}
+		return nil, fmt.Errorf("core: load: %w", err)
 	}
 	// The rebuild is the whole cost of a load, and segments rebuild
-	// independently. v3 blocks are the segments' native dimension-major
-	// columns; older files carry row-major blocks and transpose once here.
+	// independently from their dimension-major columns.
 	var err error
-	sn.segs, err = e.sealAll(nSegs, func(si int) ([]float64, []int32) {
-		if version < 3 {
-			return transposeToCols(blocks[si], len(segIDs[si]), dims), segIDs[si]
-		}
+	sn.segs, err = e.sealAll(len(segIDs), func(si int) ([]float64, []int32) {
 		return blocks[si], segIDs[si]
 	})
 	if err != nil {
 		return nil, err
 	}
-	if sn.memIDs, sn.memFlat, err = readRows(); err != nil {
-		return nil, err
-	}
-	if len(sn.segs) > 0 && len(sn.memIDs) > 0 {
-		prev := sn.segs[len(sn.segs)-1]
-		if sn.memIDs[0] <= prev.ids[prev.rows-1] {
-			return fail("memtable breaks the ascending-ID stack invariant")
-		}
-	}
-	if sn.memDead, err = readBitset(); err != nil {
-		return fail("%v", err)
-	}
-	if cr.err != nil {
-		return fail("%v", cr.err)
-	}
-
-	// Cross-check the persisted live count against the actual tombstones —
-	// a mismatch means a corrupt or truncated file, and live drives Len().
-	counted := 0
-	for i, seg := range sn.segs {
-		counted += seg.rows - popcount(sn.tombs[i])
-	}
-	counted += len(sn.memIDs) - popcount(sn.memDead)
-	if counted != sn.live {
-		return fail("live count %d disagrees with tombstones (%d live rows)", sn.live, counted)
-	}
-
 	e.snap.Store(sn)
 	e.initCtxPool()
 	return e, nil

@@ -6,8 +6,11 @@ package core
 // stream is exactly the checkpoint format (persist.go), and a WAL tail
 // stream is exactly the log-record framing (wal.go: magic header, then
 // crc | len | lsn | payload records) — so replication inherits their
-// validation for free and a follower is bootstrapped by the same Load and
-// advanced by the same idempotent-by-LSN apply that crash recovery uses.
+// validation for free. A follower is bootstrapped by the same Load that
+// reads a CHECKPOINT and advanced by the same record loop that crash
+// recovery replays a log file with (applyRecords in wal.go: CRC, length
+// cap, idempotent-by-LSN apply); the only difference is that a stream
+// that stops early is an error here and a torn tail to truncate there.
 //
 // The contract is pull-based and stateless on the leader: a follower asks
 // for "records after LSN x" and the leader scans its log files. Checkpoints
@@ -19,10 +22,8 @@ package core
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -140,8 +141,7 @@ scan:
 			return info, fmt.Errorf("core: WALTail: open %s: %w", l.pathFor(seq), err)
 		}
 		br := bufio.NewReader(f)
-		var fhdr [walHeaderLen]byte
-		if _, err := io.ReadFull(br, fhdr[:]); err != nil || fhdr != walMagic {
+		if !readWALHeader(br) {
 			f.Close()
 			break scan // torn file header: this file is all in-flight tail
 		}
@@ -196,77 +196,20 @@ scan:
 	return info, nil
 }
 
-// ApplyWALStream reads a WALTail stream and applies it to the engine with
-// crash recovery's idempotent-by-LSN discipline: records at or below the
+// ApplyWALStream reads a WALTail stream and applies it to the engine through
+// crash recovery's own record loop (applyRecords): records at or below the
 // engine's LastLSN are skipped, the successor record applies, anything else
-// is a gap. Unlike recovery, a torn or corrupt record is an error — the
-// transport below the stream is reliable, so damage means protocol
-// violation, and the caller must re-bootstrap. Returns the number of
-// records applied (skips excluded) and the new LastLSN.
+// stops the stream. Unlike recovery, a stop is an error — the transport below
+// the stream is reliable, so damage means protocol violation, and the caller
+// must re-bootstrap. Returns the new LastLSN and the number of records applied
+// (skips excluded).
 func (e *Engine) ApplyWALStream(r io.Reader) (applied uint64, records int, err error) {
-	br := bufio.NewReader(r)
-	var hdr [walHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil || hdr != walMagic {
-		return e.LastLSN(), 0, fmt.Errorf("%w: bad stream header", ErrReplGap)
+	run := e.applyRecords(r, e.LastLSN())
+	switch {
+	case run.valid == 0:
+		err = fmt.Errorf("%w: bad stream header", ErrReplGap)
+	case !run.clean:
+		err = fmt.Errorf("%w: stream breaks off after LSN %d (LSN gap, invalid payload, or torn or corrupt record)", ErrReplGap, run.lsn)
 	}
-	cursor := e.LastLSN()
-	var applyErr error
-	clean := scanWALRecords(br, func(lsn uint64, rec, payload []byte) bool {
-		switch {
-		case lsn <= cursor:
-			return true
-		case lsn == cursor+1:
-			if !e.applyRecord(payload, lsn) {
-				applyErr = fmt.Errorf("%w: record %d is semantically invalid", ErrReplGap, lsn)
-				return false
-			}
-			cursor = lsn
-			records++
-			return true
-		default:
-			applyErr = fmt.Errorf("%w: record %d follows %d", ErrReplGap, lsn, cursor)
-			return false
-		}
-	})
-	if applyErr != nil {
-		return cursor, records, applyErr
-	}
-	if !clean {
-		return cursor, records, fmt.Errorf("%w: truncated or corrupt record in stream", ErrReplGap)
-	}
-	return cursor, records, nil
-}
-
-// scanWALRecords reads length-prefixed, CRC-checked records from r, calling
-// emit with each valid record's LSN, its raw 16-byte framing header, and its
-// payload (both valid only during the call). It stops at the first invalid
-// record or when emit returns false; clean reports ending at EOF on a record
-// boundary with emit never having declined.
-func scanWALRecords(r *bufio.Reader, emit func(lsn uint64, rec, payload []byte) bool) (clean bool) {
-	var rec [recHeaderLen]byte
-	payload := make([]byte, 0, 256)
-	for {
-		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			return err == io.EOF
-		}
-		plen := binary.LittleEndian.Uint32(rec[4:8])
-		if plen > maxWALRecord {
-			return false
-		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return false
-		}
-		crc := crc32.Checksum(rec[4:], castagnoli)
-		crc = crc32.Update(crc, castagnoli, payload)
-		if crc != binary.LittleEndian.Uint32(rec[0:4]) {
-			return false
-		}
-		if !emit(binary.LittleEndian.Uint64(rec[8:16]), rec[:], payload) {
-			return false
-		}
-	}
+	return run.lsn, run.records, err
 }

@@ -37,7 +37,9 @@ type layout struct {
 // (internal/simd) sweep one dimension's contiguous values for a whole
 // candidate batch, so the hot loop streams cache lines instead of striding
 // through row-major padding, and tree/list builds slice their input columns
-// straight out of the block with no per-dimension copy. Sealed segments are
+// straight out of the block with no per-dimension copy. The block is also
+// the persisted form (persist.go, format v3): Load seals each segment from
+// the columns exactly as read, with no transpose. Sealed segments are
 // never mutated — removals tombstone rows in the owning snapshot, and
 // compaction replaces whole segments — so queries walk them without any
 // synchronization.
@@ -71,20 +73,6 @@ func (s *segment) copyRow(local int, dst []float64) {
 	for d := 0; d < s.dims; d++ {
 		dst[d] = s.cols[d*s.rows+local]
 	}
-}
-
-// transposeToCols converts a row-major block to the segment's dimension-major
-// layout — the build-time bridge for data that arrives as rows (initial
-// datasets, memtable seals, persisted v1/v2 files).
-func transposeToCols(flat []float64, rows, dims int) []float64 {
-	cols := make([]float64, rows*dims)
-	for d := 0; d < dims; d++ {
-		c := cols[d*rows : (d+1)*rows]
-		for i := range c {
-			c[i] = flat[i*dims+d]
-		}
-	}
-	return cols
 }
 
 // seal builds one sealed segment under the engine's layout. A segment that

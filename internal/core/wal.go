@@ -365,13 +365,8 @@ func (l *walLog) flushWindow() {
 	b := l.batch
 	l.batch = nil
 	err := l.failed
-	if err == nil && l.dirty && l.f != nil {
-		if serr := l.f.Sync(); serr != nil {
-			err = l.poison("fsync", serr)
-		} else {
-			l.dirty = false
-			l.fsyncs.Add(1)
-		}
+	if err == nil && l.f != nil {
+		err = l.fsyncLocked("fsync")
 	}
 	l.mu.Unlock()
 	if b != nil {
@@ -380,22 +375,29 @@ func (l *walLog) flushWindow() {
 	}
 }
 
-// sync force-fsyncs the current file regardless of policy (the drain path).
-func (l *walLog) sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.failed != nil {
-		return l.failed
-	}
-	if l.f == nil || !l.dirty {
+// fsyncLocked fsyncs the current file if anything was written to it since
+// the last fsync; a failure poisons the log, named by op. Caller holds mu
+// and has checked that the file is open.
+func (l *walLog) fsyncLocked(op string) error {
+	if !l.dirty {
 		return nil
 	}
 	if err := l.f.Sync(); err != nil {
-		return l.poison("fsync", err)
+		return l.poison(op, err)
 	}
 	l.dirty = false
 	l.fsyncs.Add(1)
 	return nil
+}
+
+// sync force-fsyncs the current file regardless of policy (the drain path).
+func (l *walLog) sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.failed != nil || l.f == nil {
+		return l.failed
+	}
+	return l.fsyncLocked("fsync")
 }
 
 // rotate seals the current log file and opens the next — called when the
@@ -407,13 +409,8 @@ func (l *walLog) rotate() {
 	if l.failed != nil || l.f == nil || l.maxLSN == 0 {
 		return // degraded, closed, or nothing logged since the last seal
 	}
-	if l.dirty {
-		if err := l.f.Sync(); err != nil {
-			l.poison("rotate fsync", err)
-			return
-		}
-		l.dirty = false
-		l.fsyncs.Add(1)
+	if l.fsyncLocked("rotate fsync") != nil {
+		return
 	}
 	l.f.Close()
 	l.sealed = append(l.sealed, walFile{seq: l.seq, maxLSN: l.maxLSN, bytes: l.fileBytes})
@@ -476,13 +473,8 @@ func (l *walLog) close() error {
 		return l.failed
 	}
 	var err error
-	if l.dirty && l.failed == nil {
-		if err = l.f.Sync(); err != nil {
-			err = l.poison("close fsync", err)
-		} else {
-			l.dirty = false
-			l.fsyncs.Add(1)
-		}
+	if l.failed == nil {
+		err = l.fsyncLocked("close fsync")
 	}
 	cerr := l.f.Close()
 	l.f = nil
@@ -542,10 +534,10 @@ func (e *Engine) AttachWAL(c WALConfig) error {
 }
 
 // Checkpoint writes the engine's current snapshot to the WAL directory
-// (atomically: tmp + fsync + rename + dir sync) and retires every sealed
-// log file the checkpoint covers. The background compactor triggers it once
-// sealed log volume passes WALConfig.CheckpointBytes; it is also safe to
-// call explicitly. No-op without a WAL.
+// (atomically: faultfs.WriteFileAtomic) and retires every sealed log file
+// the checkpoint covers. The background compactor triggers it once sealed
+// log volume passes WALConfig.CheckpointBytes; it is also safe to call
+// explicitly. No-op without a WAL.
 func (e *Engine) Checkpoint() error {
 	l := e.wal
 	if l == nil {
@@ -554,26 +546,9 @@ func (e *Engine) Checkpoint() error {
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
 	sn := e.snap.Load()
-	tmp := filepath.Join(l.dir, ckptName+".tmp")
-	f, err := l.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	err = e.saveSnapshot(f, sn)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		l.fs.Remove(tmp)
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := l.fs.Rename(tmp, filepath.Join(l.dir, ckptName)); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := l.fs.SyncDir(l.dir); err != nil {
+	if err := faultfs.WriteFileAtomic(l.fs, l.dir, ckptName, func(w io.Writer) error {
+		return e.saveSnapshot(w, sn)
+	}); err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
 	l.checkpoints.Add(1)
@@ -706,25 +681,31 @@ func listWALFiles(ffs faultfs.FS, dir string) ([]uint64, error) {
 }
 
 // replayWAL applies the log tail to a checkpoint-loaded engine, populating
-// l.sealed with the scanned files. At the first corruption it truncates
-// that file at the last valid record and deletes every later file — nothing
-// is ever replayed past a corruption.
+// l.sealed with the scanned files. At the first corruption (a torn, corrupt
+// or semantically invalid record, an LSN gap, a torn or alien file header)
+// it truncates that file at the last valid record and deletes every later
+// file — nothing is ever replayed past a corruption. The error return is
+// for infrastructure failures only, never corruption.
 func (e *Engine) replayWAL(l *walLog, seqs []uint64) error {
 	applied := e.snap.Load().walLSN
 	for i, seq := range seqs {
 		path := l.pathFor(seq)
-		end, corrupt, fileMax, err := e.replayFile(l, path, &applied)
+		f, err := l.fs.OpenFile(path, os.O_RDONLY, 0)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: open %s: %v", ErrWAL, path, err)
 		}
-		if fileMax > 0 {
-			l.sealed = append(l.sealed, walFile{seq: seq, maxLSN: fileMax, bytes: end})
+		run := e.applyRecords(f, applied)
+		f.Close()
+		applied = run.lsn
+		l.replayed.Add(uint64(run.records))
+		if run.maxLSN > 0 {
+			l.sealed = append(l.sealed, walFile{seq: seq, maxLSN: run.maxLSN, bytes: run.valid})
 		}
-		if corrupt {
+		if !run.clean {
 			// Corruption: physically chop the tail, drop every later file
 			// (their records are past the corruption and cannot be trusted
 			// to be a prefix of the acknowledged history), and stop.
-			if terr := l.fs.Truncate(path, end); terr != nil {
+			if terr := l.fs.Truncate(path, run.valid); terr != nil {
 				return fmt.Errorf("%w: truncate torn tail of %s: %v", ErrWAL, path, terr)
 			}
 			for _, later := range seqs[i+1:] {
@@ -739,70 +720,85 @@ func (e *Engine) replayWAL(l *walLog, seqs []uint64) error {
 	return nil
 }
 
-// replayFile replays one log file. end is the byte offset of the last valid
-// record's end, corrupt reports whether a bad record (torn, checksum
-// mismatch, implausible length, LSN gap) was found past it, and fileMax is
-// the highest LSN seen among valid records (0 = none). The error return is
-// for infrastructure failures only (the file cannot be opened), never
-// corruption.
-func (e *Engine) replayFile(l *walLog, path string, applied *uint64) (end int64, corrupt bool, fileMax uint64, err error) {
-	f, err := l.fs.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return 0, false, 0, fmt.Errorf("%w: open %s: %v", ErrWAL, path, err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
+// walRun reports how far applyRecords got through one log stream.
+type walRun struct {
+	lsn     uint64 // the cursor after the run: the last LSN applied, or the one it started at
+	records int    // records applied; skipped duplicates are not counted
+	maxLSN  uint64 // highest LSN among the records read, duplicates included (0 = none)
+	valid   int64  // byte length of the valid prefix: the header plus every record read
+	clean   bool   // the stream ended at EOF on a record boundary, nothing refused
+}
 
-	var hdr [walHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil || hdr != walMagic {
-		return 0, true, 0, nil // torn or alien header: the whole file is tail
+// applyRecords applies one log stream (file header, then records) over the
+// engine with the idempotent-by-LSN rule that crash recovery and a
+// follower's WAL apply share: a record at or below the cursor is a duplicate
+// and skipped, the cursor's successor applies, and anything else (an alien or
+// torn header, a torn or corrupt record, a record applyRecord refuses, an LSN
+// gap) stops the run in front of it.
+func (e *Engine) applyRecords(r io.Reader, cursor uint64) walRun {
+	run := walRun{lsn: cursor}
+	br := bufio.NewReader(r)
+	if !readWALHeader(br) {
+		return run
 	}
-	off := int64(walHeaderLen)
+	run.valid = walHeaderLen
+	run.clean = scanWALRecords(br, func(lsn uint64, rec, payload []byte) bool {
+		switch {
+		case lsn <= run.lsn:
+			// Duplicate (retried append, or a file fully covered by the
+			// checkpoint): already applied, skip.
+		case lsn == run.lsn+1 && e.applyRecord(payload, lsn):
+			run.lsn = lsn
+			run.records++
+		default:
+			return false
+		}
+		run.maxLSN = max(run.maxLSN, lsn)
+		run.valid += int64(len(rec) + len(payload))
+		return true
+	})
+	return run
+}
+
+// readWALHeader consumes a log stream's file header, reporting whether it is
+// this format's.
+func readWALHeader(r io.Reader) bool {
+	var hdr [walHeaderLen]byte
+	_, err := io.ReadFull(r, hdr[:])
+	return err == nil && hdr == walMagic
+}
+
+// scanWALRecords reads length-prefixed, CRC-checked records from r, calling
+// emit with each valid record's LSN, its raw 16-byte framing header, and its
+// payload (both valid only during the call). It stops at the first invalid
+// record or when emit returns false; clean reports ending at EOF on a record
+// boundary with emit never having declined.
+func scanWALRecords(r *bufio.Reader, emit func(lsn uint64, rec, payload []byte) bool) (clean bool) {
 	var rec [recHeaderLen]byte
 	payload := make([]byte, 0, 256)
 	for {
 		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			if err == io.EOF {
-				return off, false, fileMax, nil // clean end at a record boundary
-			}
-			return off, true, fileMax, nil // torn header
+			return err == io.EOF
 		}
 		plen := binary.LittleEndian.Uint32(rec[4:8])
 		if plen > maxWALRecord {
-			return off, true, fileMax, nil // implausible length: corruption
+			return false
 		}
 		if cap(payload) < int(plen) {
 			payload = make([]byte, plen)
 		}
 		payload = payload[:plen]
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, true, fileMax, nil // torn payload
+			return false
 		}
 		crc := crc32.Checksum(rec[4:], castagnoli)
 		crc = crc32.Update(crc, castagnoli, payload)
 		if crc != binary.LittleEndian.Uint32(rec[0:4]) {
-			return off, true, fileMax, nil // bad checksum
+			return false
 		}
-		lsn := binary.LittleEndian.Uint64(rec[8:16])
-		switch {
-		case lsn <= *applied:
-			// Duplicate (retried append, or a file fully covered by the
-			// checkpoint): already applied, skip.
-		case lsn == *applied+1:
-			if !e.applyRecord(payload, lsn) {
-				// CRC-valid but semantically invalid (colliding corruption):
-				// treat exactly like a bad checksum.
-				return off, true, fileMax, nil
-			}
-			*applied = lsn
-			l.replayed.Add(1)
-		default:
-			return off, true, fileMax, nil // LSN gap: records are missing, stop
+		if !emit(binary.LittleEndian.Uint64(rec[8:16]), rec[:], payload) {
+			return false
 		}
-		if lsn > fileMax {
-			fileMax = lsn
-		}
-		off += recHeaderLen + int64(plen)
 	}
 }
 

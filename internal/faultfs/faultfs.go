@@ -94,3 +94,31 @@ func (OS) Stat(name string) (int64, error) {
 	}
 	return fi.Size(), nil
 }
+
+// WriteFileAtomic installs dir/name with the bytes write produces, so that a
+// crash at any point leaves either no file or the whole new one under that
+// name: write to name.tmp, fsync, close, rename over name, fsync dir. On a
+// failed write, fsync or close the tmp file is removed and name is untouched.
+func WriteFileAtomic(fsys FS, dir, name string, write func(io.Writer) error) error {
+	path := filepath.Join(dir, name)
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		return err
+	}
+	return fsys.SyncDir(dir)
+}
