@@ -19,7 +19,12 @@
 //
 // When a whole partition is unreachable, reads answer 503 by default; a
 // client that prefers availability over completeness may opt into the
-// survivors' merged answer, marked "degraded":true, with ?allow_partial=1.
+// survivors' merged answer, marked "degraded":true, with ?allow_partial=1
+// (on /v1/topk only: a batch is all or nothing).
+//
+// Read balancing and hedging take no flags: a read's first try goes to the
+// faster of two random nodes fresh enough for the partition's write
+// watermark, and hedges to the other once it outlasts that node's p99.
 //
 // Partition names are the rendezvous identity: keep them stable across
 // restarts and reconfigurations, or slots (and therefore row ownership)
@@ -66,19 +71,16 @@ func (p *partitionFlags) Set(v string) error {
 func main() {
 	var partitions partitionFlags
 	var (
-		addr     = flag.String("addr", ":9000", "listen address")
-		slots    = flag.Int("slots", 64, "rendezvous slots the ID space folds into (all routers over one cluster must agree)")
-		tryTO    = flag.Duration("try-timeout", 2*time.Second, "per-attempt deadline")
-		retries  = flag.Int("retries", 2, "retries after a failed attempt (0 disables retries)")
-		backoff  = flag.Duration("backoff-base", 10*time.Millisecond, "first retry backoff (doubles per retry, jittered)")
-		backoffC = flag.Duration("backoff-cap", 500*time.Millisecond, "retry backoff ceiling")
-		hedge    = flag.Duration("hedge-delay", 0, "hedged-read trigger delay (0 adapts to each node's p99; negative disables hedging)")
-		healthI  = flag.Duration("health-interval", 250*time.Millisecond, "active health-check cadence")
-		failN    = flag.Int("fail-after", 3, "consecutive failures before a node is ejected")
-		reopen   = flag.Duration("reopen-after", time.Second, "ejection time before a node is retried half-open")
-		promote  = flag.Duration("promote-after", 3*time.Second, "continuous leader unhealthiness before the most caught-up replica is promoted (0 disables automated promotion)")
-		noBal    = flag.Bool("no-read-balance", false, "disable replica-aware read load balancing (reads pin to the leader)")
-		drainT   = flag.Duration("drain-timeout", 15*time.Second, "maximum graceful-drain wait on SIGTERM")
+		addr    = flag.String("addr", ":9000", "listen address")
+		slots   = flag.Int("slots", 64, "rendezvous slots the ID space folds into (all routers over one cluster must agree)")
+		tryTO   = flag.Duration("try-timeout", 2*time.Second, "per-attempt deadline")
+		retries = flag.Int("retries", 2, "retries after a failed attempt (0 disables retries)")
+		backoff = flag.Duration("backoff-base", 10*time.Millisecond, "first retry backoff (doubles per retry up to 500ms, jittered)")
+		healthI = flag.Duration("health-interval", 250*time.Millisecond, "active health-check cadence")
+		failN   = flag.Int("fail-after", 3, "consecutive failures before a node is ejected")
+		reopen  = flag.Duration("reopen-after", time.Second, "ejection time before a node is retried half-open")
+		promote = flag.Duration("promote-after", 3*time.Second, "continuous leader unhealthiness before the most caught-up replica is promoted (0 disables automated promotion)")
+		drainT  = flag.Duration("drain-timeout", 15*time.Second, "maximum graceful-drain wait on SIGTERM")
 	)
 	flag.Var(&partitions, "partition", "name=leaderURL[,replicaURL...] (repeat per partition)")
 	flag.Parse()
@@ -104,13 +106,10 @@ func main() {
 		TryTimeout:     *tryTO,
 		Retries:        cfgRetries,
 		BackoffBase:    *backoff,
-		BackoffCap:     *backoffC,
-		HedgeDelay:     *hedge,
 		HealthInterval: *healthI,
 		FailAfter:      *failN,
 		ReopenAfter:    *reopen,
 		PromoteAfter:   cfgPromote,
-		NoReadBalance:  *noBal,
 	})
 	if err != nil {
 		fatal(err)

@@ -175,17 +175,18 @@
 // ambiguous-write retries provably idempotent (duplicate 200 / conflict
 // 409); inserts bound for one partition are forwarded in ID-allocation
 // order, since a node admits a caller-assigned ID only above its current
-// ID space. Failures are handled per try: capped jittered backoff, p99-
-// triggered hedged reads against replicas, consecutive-failure ejection
-// with half-open recovery, and failover from a dead leader to the
-// freshest replica — gated by LSN write watermarks, so a stale
+// ID space. Reads and writes share one attempt (per-try timeout, a
+// breaker with consecutive-failure ejection and half-open recovery, one
+// verdict) and one retry loop with capped jittered backoff; reads add
+// p99-triggered hedging against replicas and failover from a dead leader
+// to the freshest replica — gated by LSN write watermarks, so a stale
 // follower never answers a read that misses an acknowledged write. When
-// a whole partition is unreachable reads fail fast with 503; the
-// ?allow_partial=1 flag opts into the survivors' merged answer, marked
+// a whole partition is unreachable reads fail fast with 503; on /v1/topk
+// the ?allow_partial=1 flag opts into the survivors' merged answer, marked
 // "degraded":true — incomplete answers are opt-in and marked, never
 // silent. Steady-state reads load-balance by power-of-two-choices over
 // the leader and every replica whose cached LSN has reached the write
-// watermark (Config.NoReadBalance pins reads to the leader).
+// watermark; balancing and hedging have no switch.
 //
 // Leader loss heals itself: when a leader stays ejected past
 // Config.PromoteAfter the router promotes the live replica with the

@@ -23,7 +23,8 @@ func trimURL(u string) string { return strings.TrimRight(u, "/") }
 // when the node is already the generation-G leader — promotion acks can be
 // lost like any other). On success the follower stops tailing its old
 // leader, attaches a fresh write-ahead log under WithPromotionWALDir (so
-// leadership and durability arrive together), bumps its box generation —
+// leadership and durability arrive together; a follower without one
+// refuses), bumps its box generation —
 // which changes the replication source token, telling any followers OF THIS
 // NODE to re-bootstrap onto the new history — and starts accepting writes
 // stamped with generation G.
@@ -47,8 +48,8 @@ func trimURL(u string) string { return strings.TrimRight(u, "/") }
 // log. Each promotion attaches a WAL under a fresh subdirectory (one per
 // generation), seeded with a checkpoint of the replicated state, so the
 // promoted leader is exactly as durable as a leader started with -wal-dir.
-// Without it a promotion still succeeds but the new leader runs non-durable
-// — acceptable for tests, stated loudly in the response.
+// A follower without it refuses promotion with 409 and keeps following, so
+// an undurable node never becomes a leader by accident.
 func WithPromotionWALDir(dir string) Option {
 	return func(c *config) { c.promoteWALDir = dir }
 }
@@ -120,22 +121,27 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, fmt.Errorf("serve: promote generation %d is not above node generation %d", wp.Generation, cur))
 		return
 	}
+	if s.cfg.promoteWALDir == "" {
+		// A leader without a log would acknowledge writes a crash loses. The
+		// node keeps following; the router waits or picks someone else.
+		status = http.StatusConflict
+		writeError(w, status, fmt.Errorf("serve: promote refused: this follower has no -promote-wal-dir (WithPromotionWALDir), so it cannot lead durably"))
+		return
+	}
 
 	// Stop tailing the old leader before anything else: once the WAL attach
 	// below checkpoints the index, replicated records applied concurrently
 	// would land in the engine but not in the new log and be lost on crash.
 	f.stop()
 
-	if s.cfg.promoteWALDir != "" {
-		if err := s.attachPromotionWAL(wp.Generation); err != nil {
-			// Leadership without the configured durability is not leadership:
-			// resume following (fresh control channels, same leader and
-			// cursor) and let the router retry or pick someone else.
-			s.resumeFollowing(f)
-			status = http.StatusInternalServerError
-			writeError(w, status, fmt.Errorf("serve: promote: attach wal: %w", err))
-			return
-		}
+	if err := s.attachPromotionWAL(wp.Generation); err != nil {
+		// Leadership without durability is not leadership: resume following
+		// (fresh control channels, same leader and cursor) and let the
+		// router retry or pick someone else.
+		s.resumeFollowing(f)
+		status = http.StatusInternalServerError
+		writeError(w, status, fmt.Errorf("serve: promote: attach wal: %w", err))
+		return
 	}
 
 	s.gen.Store(wp.Generation)

@@ -340,3 +340,33 @@ func TestFollowerRefusesMultiStreamLeader(t *testing.T) {
 		})
 	}
 }
+
+// TestPromoteRefusedWithoutWALDir: a follower started without
+// WithPromotionWALDir refuses promotion with a 409 naming -promote-wal-dir,
+// and stays a follower that keeps applying its leader's writes — it never
+// becomes a leader that would acknowledge writes a crash loses.
+func TestPromoteRefusedWithoutWALDir(t *testing.T) {
+	leader := New(walTestIndex(t, 200, 81))
+	defer leader.Close()
+	lts := httptest.NewServer(leader.Handler())
+	defer lts.Close()
+	follower, err := NewFollower(lts.URL, WithFollowInterval(10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	fts := httptest.NewServer(follower.Handler())
+	defer fts.Close()
+
+	status, body := post(t, http.DefaultClient, fts.URL+"/v1/admin/promote", []byte(`{"generation":1}`))
+	if status != http.StatusConflict || !strings.Contains(string(body), "-promote-wal-dir") {
+		t.Fatalf("promote without a WAL directory: %d %s, want 409 naming -promote-wal-dir", status, body)
+	}
+	if follower.Follower() != lts.URL || follower.Generation() != 0 {
+		t.Fatalf("refused node follows %q at generation %d, want %q at 0", follower.Follower(), follower.Generation(), lts.URL)
+	}
+	if status, body := post(t, http.DefaultClient, lts.URL+"/v1/insert", []byte(`{"point":[0.1,0.2,0.3,0.4]}`)); status != http.StatusOK {
+		t.Fatalf("leader insert: %d %s", status, body)
+	}
+	waitCaughtUp(t, leader, follower)
+}

@@ -310,7 +310,7 @@ func TestChaosStaleReplicaNeverServes(t *testing.T) {
 		Retries: 3, BackoffBase: 5 * time.Millisecond,
 		TryTimeout: 2 * time.Second, HealthInterval: 30 * time.Millisecond,
 		FailAfter: 2, ReopenAfter: 300 * time.Millisecond,
-		HedgeDelay: time.Millisecond, // hedge to the replica on nearly every read
+		hedgeDelay: time.Millisecond, // hedge to the replica on nearly every read
 	})
 	if err != nil {
 		t.Fatal(err)

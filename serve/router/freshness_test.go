@@ -103,7 +103,7 @@ func TestMultiStreamPeerPositionUnknown(t *testing.T) {
 	} {
 		header.Store(tc.header)
 		statz.Store(tc.statz)
-		_, err := rt.fetchOn(context.Background(), topo, replica, http.MethodPost, "/v1/topk", []byte(`{}`), tc.hw)
+		_, err := rt.fetchOn(context.Background(), topo, replica, "/v1/topk", []byte(`{}`), tc.hw)
 		if tc.fresh && err != nil || !tc.fresh && !errors.Is(err, errStale) {
 			t.Errorf("header %q against watermark %d: err = %v, want fresh = %v", tc.header, tc.hw, err, tc.fresh)
 		}

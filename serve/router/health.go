@@ -232,8 +232,6 @@ func (rt *Router) promote(p *partition, topo *topology) bool {
 	if p.topo.Load() != topo {
 		return false // a concurrent regime change already superseded this one
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), adminTimeout)
-	defer cancel()
 	hw := p.hw.Load()
 	var best *node
 	var bestLSN uint64
@@ -241,7 +239,7 @@ func (rt *Router) promote(p *partition, topo *topology) bool {
 		if !rn.healthy() {
 			continue
 		}
-		lsn, err := rt.replLSN(ctx, rn)
+		lsn, err := rt.replLSN(context.Background(), rn)
 		if err != nil {
 			continue
 		}
@@ -253,27 +251,8 @@ func (rt *Router) promote(p *partition, topo *topology) bool {
 	if best == nil {
 		return false
 	}
-	gen := topo.gen
-	if mg := p.maxGen.Load(); mg > gen {
-		gen = mg
-	}
-	gen++
-	body, err := json.Marshal(map[string]uint64{"generation": gen})
-	if err != nil {
-		return false
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, best.url+"/v1/admin/promote", bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, maxBody))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	gen := max(topo.gen, p.maxGen.Load()) + 1
+	if !rt.admin(best, "/v1/admin/promote", map[string]uint64{"generation": gen}) {
 		return false
 	}
 	// The candidate accepted the fence; even if this router crashed here the
@@ -296,34 +275,25 @@ func (rt *Router) promote(p *partition, topo *topology) bool {
 // Any other length is a multi-stream node whose position this router cannot
 // compare, reported as an error so the node is no candidate.
 func (rt *Router) replLSN(ctx context.Context, n *node) (uint64, error) {
-	tctx, cancel := context.WithTimeout(ctx, rt.cfg.TryTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(tctx, http.MethodGet, n.url+"/statz", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("router: %s /statz answered %d", n.url, resp.StatusCode)
-	}
 	var st struct {
 		LSNs []uint64 `json:"repl_lsns"`
 	}
-	if err := json.Unmarshal(data, &st); err != nil {
+	if err := rt.statz(ctx, n, &st); err != nil {
 		return 0, err
 	}
 	if len(st.LSNs) != 1 {
 		return 0, fmt.Errorf("router: %s reports %d replication positions, want 1", n.url, len(st.LSNs))
 	}
 	return st.LSNs[0], nil
+}
+
+// statz reads one node's /statz into v — one attempt, breaker included.
+func (rt *Router) statz(ctx context.Context, n *node, v any) error {
+	data, _, err := rt.attempt(ctx, n, http.MethodGet, "/statz", nil, "", nil)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, v)
 }
 
 // demote tells a stale self-declared leader to rejoin as a follower of the
@@ -336,25 +306,34 @@ func (rt *Router) demote(p *partition, topo *topology, n *node) {
 	}
 	go func() {
 		defer p.demoting.Store(false)
-		ctx, cancel := context.WithTimeout(context.Background(), adminTimeout)
-		defer cancel()
-		body, err := json.Marshal(map[string]any{"generation": topo.gen, "leader": topo.leader.url})
-		if err != nil {
-			return
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.url+"/v1/admin/demote", bytes.NewReader(body))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			return
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBody))
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
+		if rt.admin(n, "/v1/admin/demote", map[string]any{"generation": topo.gen, "leader": topo.leader.url}) {
 			rt.met.demotions.Add(1)
 		}
 	}()
+}
+
+// admin POSTs one role-change command to n and reports whether it answered
+// 200. It runs under adminTimeout rather than TryTimeout, and leaves the
+// breaker alone: a slow or refused command says nothing about whether the
+// node can serve.
+func (rt *Router) admin(n *node, path string, v any) bool {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return false
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), adminTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.url+path, bytes.NewReader(body))
+	if err != nil {
+		return false
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	// Drained only so the connection can be reused: the status is the verdict.
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxBody))
+	return resp.StatusCode == http.StatusOK
 }

@@ -47,16 +47,20 @@ func (h *mergeHeap) Pop() (out any) { old := *h; n := len(old); out = old[n-1]; 
 // must each be sorted by resultLess (they are — nodes emit that order); the
 // output is the best k of their union in the same order. Returns an empty
 // (non-nil) slice when k rows don't exist, matching node behavior of
-// always encoding a "results" array.
+// always encoding a "results" array. The output is sized by the rows
+// present, never by k alone: k comes from the client, and a node accepts
+// any k ≥ 1.
 func mergeTopK(lists [][]wireResult, k int) []wireResult {
 	h := make(mergeHeap, 0, len(lists))
+	rows := 0
 	for _, l := range lists {
 		if len(l) > 0 {
 			h = append(h, mergeHead{list: l})
+			rows += len(l)
 		}
 	}
 	heap.Init(&h)
-	out := make([]wireResult, 0, k)
+	out := make([]wireResult, 0, min(k, rows))
 	for len(h) > 0 && len(out) < k {
 		out = append(out, h[0].list[h[0].pos])
 		if h[0].pos++; h[0].pos == len(h[0].list) {

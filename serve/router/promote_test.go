@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -341,13 +342,13 @@ func TestTerminalVerdictScan(t *testing.T) {
 	})
 }
 
-// TestWriteQueueCancellationStorm hammers the per-partition write queue
-// with concurrent tickets whose holders randomly abandon while waiting
-// (run under -race in CI). Invariants: the queue never wedges, and the
-// holders that do get their turn get it in strict ticket order — the
-// ordering contract that keeps retried inserts provably idempotent.
+// TestWriteQueueCancellationStorm hammers one partition's insert chain with
+// concurrent turns whose holders randomly abandon while waiting (run under
+// -race in CI). Invariants: the chain never wedges, turns never overlap,
+// and the holders that do get their turn get it in strict enqueue order —
+// the ordering contract that keeps retried inserts provably idempotent.
 func TestWriteQueueCancellationStorm(t *testing.T) {
-	q := newWriteQueue()
+	p := &partition{name: "p0"}
 	const n = 400
 	rng := rand.New(rand.NewSource(7))
 	abandon := make([]int, n) // 0 = hold, 1 = cancel now, 2 = cancel later
@@ -355,13 +356,19 @@ func TestWriteQueueCancellationStorm(t *testing.T) {
 		abandon[i] = rng.Intn(3)
 	}
 	var mu sync.Mutex
-	var order []uint64
+	next := 0 // enqueue position, assigned with the enqueue under mu
+	var order []int
+	var holding atomic.Int32
 	var wg sync.WaitGroup
 	for g := 0; g < n; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tk := q.enqueue()
+			mu.Lock()
+			pos := next
+			next++
+			tk := p.enqueue()
+			mu.Unlock()
 			ctx := context.Background()
 			if abandon[g] != 0 {
 				cctx, cancel := context.WithCancel(ctx)
@@ -373,32 +380,36 @@ func TestWriteQueueCancellationStorm(t *testing.T) {
 				defer cancel()
 				ctx = cctx
 			}
-			if err := q.await(ctx, tk); err != nil {
-				// Abandoned tickets must release through the same path or
-				// every later ticket wedges behind them.
-				q.release(tk)
+			if err := tk.await(ctx); err != nil {
+				// Abandoned turns must release through the same path or
+				// every later turn wedges behind them.
+				tk.release()
 				return
 			}
+			if holding.Add(1) != 1 {
+				t.Errorf("turn %d granted while another turn was held", pos)
+			}
 			mu.Lock()
-			order = append(order, tk)
+			order = append(order, pos)
 			mu.Unlock()
-			q.release(tk)
+			holding.Add(-1)
+			tk.release()
 		}(g)
 	}
 	wg.Wait()
 	for i := 1; i < len(order); i++ {
 		if order[i] <= order[i-1] {
-			t.Fatalf("turns granted out of ticket order: %d after %d", order[i], order[i-1])
+			t.Fatalf("turns granted out of enqueue order: %d after %d", order[i], order[i-1])
 		}
 	}
-	// The partition is not wedged: a fresh ticket gets its turn promptly.
-	tk := q.enqueue()
+	// The partition is not wedged: a fresh turn gets its go promptly.
+	tk := p.enqueue()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if err := q.await(ctx, tk); err != nil {
-		t.Fatalf("queue wedged after the storm: %v", err)
+	if err := tk.await(ctx); err != nil {
+		t.Fatalf("chain wedged after the storm: %v", err)
 	}
-	q.release(tk)
+	tk.release()
 }
 
 // TestBreakerHalfOpenReBuy pins the half-open discipline: a failed
@@ -457,7 +468,7 @@ func TestReadBalancingHitsReplicas(t *testing.T) {
 		TryTimeout: 2 * time.Second, HealthInterval: 25 * time.Millisecond,
 		FailAfter: 3, ReopenAfter: 300 * time.Millisecond,
 		PromoteAfter: time.Hour,
-		HedgeDelay:   -1, // no hedging: any replica read below is balancing
+		hedgeDelay:   -1, // no hedging: any replica read below is balancing
 	})
 	if err != nil {
 		t.Fatal(err)

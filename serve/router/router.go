@@ -26,6 +26,12 @@ type Partition struct {
 }
 
 // Config configures a Router. Zero values take the documented defaults.
+//
+// Two read disciplines have no knob. Steady-state reads balance by
+// power-of-two-choices over the leader and every replica fresh enough for
+// the partition's write watermark (readCandidates), and a read hedges to a
+// second node once its primary has taken longer than that node's own
+// observed p99 (hedgeAfter).
 type Config struct {
 	// Partitions is the cluster topology. Required, at least one.
 	Partitions []Partition
@@ -35,19 +41,13 @@ type Config struct {
 	// TryTimeout bounds each individual attempt (default 2s).
 	TryTimeout time.Duration
 	// Retries is how many times a failed attempt is retried, with
-	// exponential backoff from BackoffBase (default 10ms) capped at
-	// BackoffCap (default 500ms), jittered ±50%. The zero value takes the
-	// default of 2 (3 attempts total); any negative value disables retries
-	// entirely (1 attempt). The sdrouter -retries flag translates 0 to the
-	// negative sentinel, so "-retries 0" means what it says.
+	// exponential backoff from BackoffBase (default 10ms) capped at 500ms,
+	// jittered ±50%. The zero value takes the default of 2 (3 attempts
+	// total); any negative value disables retries entirely (1 attempt). The
+	// sdrouter -retries flag translates 0 to the negative sentinel, so
+	// "-retries 0" means what it says.
 	Retries     int
 	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// HedgeDelay is how long a read waits on its primary before racing a
-	// second copy against a replica. 0 (default) adapts per node — the
-	// node's observed p99 — so hedges fire exactly when a try is slower
-	// than that node usually is; negative disables hedging.
-	HedgeDelay time.Duration
 	// HealthInterval is the active health-check cadence (default 250ms);
 	// FailAfter consecutive failures eject a node (default 3) until
 	// ReopenAfter has passed (default 1s), after which it is half-open.
@@ -60,17 +60,18 @@ type Config struct {
 	// the partition write-unavailable until an operator intervenes). The
 	// promotion protocol is generation-fenced end to end — see health.go.
 	PromoteAfter time.Duration
-	// NoReadBalance disables replica-aware read load balancing: with it set,
-	// steady-state reads always prefer the leader (replicas serve only
-	// hedges and failover), the pre-balancing behavior. Default off —
-	// reads spread across freshness-qualified nodes by power-of-two-choices
-	// on observed latency.
-	NoReadBalance bool
 	// Seed fixes the jitter RNG for deterministic tests (0 = time-seeded).
 	Seed int64
 	// Transport overrides the HTTP transport (tests inject faults here).
 	Transport http.RoundTripper
+
+	// hedgeDelay pins the hedge trigger for tests: positive is a fixed
+	// delay, negative disables hedging, 0 is the adaptive default.
+	hedgeDelay time.Duration
 }
+
+// backoffCap bounds the exponential retry backoff.
+const backoffCap = 500 * time.Millisecond
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -88,9 +89,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.BackoffBase <= 0 {
 		out.BackoffBase = 10 * time.Millisecond
-	}
-	if out.BackoffCap <= 0 {
-		out.BackoffCap = 500 * time.Millisecond
 	}
 	if out.HealthInterval <= 0 {
 		out.HealthInterval = 250 * time.Millisecond
@@ -133,9 +131,11 @@ type partition struct {
 	name string
 	topo atomic.Pointer[topology]
 
-	// wq orders in-flight inserts so they reach the leader in ID-allocation
-	// order — the node's ID-space contract requires it (write.go).
-	wq *writeQueue
+	// tail is the done channel of the newest insert queued for this
+	// partition: the chain that makes inserts reach the leader in
+	// ID-allocation order, as the node's ID-space contract requires
+	// (write.go). nil until the first insert.
+	tail atomic.Pointer[chan struct{}]
 
 	// leaderDown stamps (unix nanos) when the current leader was first seen
 	// unhealthy by the prober; 0 while healthy. The promotion deadline is
@@ -213,7 +213,7 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("router: partition %q has no leader", pc.Name)
 		}
 		names[i] = pc.Name
-		p := &partition{name: pc.Name, wq: newWriteQueue()}
+		p := &partition{name: pc.Name}
 		topo := &topology{leader: &node{url: strings.TrimRight(pc.Leader, "/")}}
 		for _, ru := range pc.Replicas {
 			topo.replicas = append(topo.replicas, &node{url: strings.TrimRight(ru, "/")})
@@ -297,14 +297,29 @@ func (e *terminalError) Error() string {
 	return fmt.Sprintf("node answered %d: %s", e.status, bytes.TrimSpace(e.body))
 }
 
-// relayTerminal passes a node's terminal verdict through verbatim — its
-// status code and its error body — so the client sees exactly what a single
-// node would have answered (a 404 stays 404, a 413 stays 413).
-func (rt *Router) relayTerminal(w http.ResponseWriter, te *terminalError) {
+// relayErr answers a request that failed on the nodes. A terminal verdict
+// passes through verbatim — its status code and its error body — so the
+// client sees exactly what a single node would have answered (a 404 stays
+// 404, a 413 stays 413). Anything else is 503: for a write, one that may or
+// may not have committed — the client retries, and idempotent IDs make
+// that safe.
+func (rt *Router) relayErr(w http.ResponseWriter, err error) {
+	var te *terminalError
+	if !errors.As(err, &te) {
+		rt.met.unavailable.Add(1)
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
+	}
 	rt.met.errors4xx.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(te.status)
 	w.Write(te.body)
+}
+
+// badRequest answers 400 for a request the router refuses itself.
+func (rt *Router) badRequest(w http.ResponseWriter, err error) {
+	rt.met.errors4xx.Add(1)
+	writeError(w, http.StatusBadRequest, err)
 }
 
 var (
@@ -347,9 +362,9 @@ func (rt *Router) readCandidates(topo *topology, hw uint64, attempt int) []*node
 		cands = append(cands, r)
 	}
 	if len(cands) > 1 {
-		if attempt == 0 && !rt.cfg.NoReadBalance {
+		if attempt == 0 {
 			rt.balance(cands)
-		} else if attempt > 0 {
+		} else {
 			rot := attempt % len(cands)
 			cands = append(cands[rot:], cands[:rot]...)
 		}
@@ -382,9 +397,15 @@ func (rt *Router) balance(cands []*node) {
 	cands[1], cands[j] = cands[j], cands[1]
 }
 
-// fetchOn runs one bounded attempt against one node and applies the breaker
-// and freshness disciplines. Returns the response body on 200.
-func (rt *Router) fetchOn(ctx context.Context, topo *topology, n *node, method, path string, body []byte, hw uint64) ([]byte, error) {
+// attempt is one bounded try against one node, and the only way a read, a
+// write or a /statz read reaches a node. It sends body (as JSON, when
+// non-nil) stamped with gen in X-SD-Generation (when non-empty), reads the
+// bounded answer, feeds the node's breaker, and gives the verdict: 200
+// returns the body and headers; a transport failure, a broken body, a 5xx
+// or a 429 is retryable and counts against the breaker; any other status is
+// a terminalError. lat, when non-nil, gets the latency of every completed
+// response — client reads pass their node's ring, nothing else does.
+func (rt *Router) attempt(ctx context.Context, n *node, method, path string, body []byte, gen string, lat *latRing) ([]byte, http.Header, error) {
 	tctx, cancel := context.WithTimeout(ctx, rt.cfg.TryTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -393,77 +414,84 @@ func (rt *Router) fetchOn(ctx context.Context, topo *topology, n *node, method, 
 	}
 	req, err := http.NewRequestWithContext(tctx, method, n.url+path, rd)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	if gen != "" {
+		req.Header.Set("X-SD-Generation", gen)
+	}
 	t0 := time.Now()
 	resp, err := rt.client.Do(req)
-	if err != nil {
-		n.fail(int32(rt.cfg.FailAfter))
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
-	if err != nil {
-		// A mid-body reset lands here: the node (or the path to it) broke
+	var data []byte
+	if err == nil {
+		defer resp.Body.Close()
+		// A mid-body reset fails here: the node (or the path to it) broke
 		// after committing to a response. Blame it like a connect failure.
-		n.fail(int32(rt.cfg.FailAfter))
-		return nil, err
+		data, err = readAllBounded(resp.Body)
 	}
-	n.lat.observe(time.Since(t0))
+	if err != nil {
+		n.fail(int32(rt.cfg.FailAfter))
+		return nil, nil, err
+	}
+	if lat != nil {
+		lat.observe(time.Since(t0))
+	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
+		n.ok()
+		return data, resp.Header, nil
 	case resp.StatusCode >= http.StatusInternalServerError || resp.StatusCode == http.StatusTooManyRequests:
 		// 5xx and backpressure: the node can't serve this now; retryable,
 		// and consecutive ones trip the breaker.
 		n.fail(int32(rt.cfg.FailAfter))
-		return nil, fmt.Errorf("router: %s answered %d", n.url, resp.StatusCode)
+		return nil, nil, fmt.Errorf("router: %s answered %d", n.url, resp.StatusCode)
 	default:
-		// Other 4xx: the request is the problem, not the node. Terminal.
-		return nil, &terminalError{status: resp.StatusCode, body: data}
+		// Other 4xx, 409 included: the request is the problem, not the
+		// node, and a conflicting occupant is a real error the client must
+		// see. Terminal.
+		return nil, nil, &terminalError{status: resp.StatusCode, body: data}
 	}
-	n.ok()
-	if n != topo.leader {
-		// A replica's answer is admissible only when its snapshot covers
-		// every write this router has acknowledged for the partition. Either
-		// way a reported position refreshes the node's freshness cache, which
-		// read candidate selection consults (readCandidates).
-		lsn, known := parseLSN(resp.Header.Get("X-SD-Repl-Lsns"))
-		if known {
-			n.setLSN(lsn)
-		}
-		if hw > 0 && (!known || lsn < hw) {
-			rt.met.staleRejects.Add(1)
-			return nil, errStale
-		}
-		rt.met.replicaReads.Add(1)
+}
+
+// fetchOn is one read attempt: attempt plus the freshness gate.
+func (rt *Router) fetchOn(ctx context.Context, topo *topology, n *node, path string, body []byte, hw uint64) ([]byte, error) {
+	data, hdr, err := rt.attempt(ctx, n, http.MethodPost, path, body, "", &n.lat)
+	if err != nil || n == topo.leader {
+		return data, err
 	}
+	// A replica's answer is admissible only when its snapshot covers every
+	// write this router has acknowledged for the partition. Either way a
+	// reported position refreshes the node's freshness cache, which read
+	// candidate selection consults (readCandidates).
+	lsn, known := parseLSN(hdr.Get("X-SD-Repl-Lsns"))
+	if known {
+		n.setLSN(lsn)
+	}
+	if hw > 0 && (!known || lsn < hw) {
+		rt.met.staleRejects.Add(1)
+		return nil, errStale
+	}
+	rt.met.replicaReads.Add(1)
 	return data, nil
 }
 
-// hedgeDelay picks how long a read waits on primary before racing a second
-// copy: the configured delay, or adaptively the node's own recent p99
-// (bounded to [1ms, TryTimeout/2]). 0 disables.
-func (rt *Router) hedgeDelay(primary *node) time.Duration {
-	if rt.cfg.HedgeDelay < 0 {
+// hedgeAfter picks how long a read waits on primary before racing a second
+// copy: adaptively the node's own recent p99 (bounded to [1ms,
+// TryTimeout/2]), or the test seam's fixed delay. 0 disables.
+func (rt *Router) hedgeAfter(primary *node) time.Duration {
+	if rt.cfg.hedgeDelay < 0 {
 		return 0
 	}
-	d := rt.cfg.HedgeDelay
+	d := rt.cfg.hedgeDelay
 	if d == 0 {
 		d = primary.lat.quantile(0.99)
 		if d == 0 {
 			d = rt.cfg.TryTimeout / 4
 		}
 	}
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	if max := rt.cfg.TryTimeout / 2; d > max {
-		d = max
-	}
-	return d
+	return min(max(d, time.Millisecond), rt.cfg.TryTimeout/2)
 }
 
 // hedgedFetch races primary against hedge (if any): the hedge launches when
@@ -471,7 +499,7 @@ func (rt *Router) hedgeDelay(primary *node) time.Duration {
 // fails. First success wins; the loser is cancelled. Reads are the only
 // hedged operations — writes go through writeToLeader, where an ambiguous
 // outcome is retried under the same idempotent ID instead of raced.
-func (rt *Router) hedgedFetch(ctx context.Context, topo *topology, primary, hedge *node, method, path string, body []byte, hw uint64) ([]byte, error) {
+func (rt *Router) hedgedFetch(ctx context.Context, topo *topology, primary, hedge *node, path string, body []byte, hw uint64) ([]byte, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
@@ -481,7 +509,7 @@ func (rt *Router) hedgedFetch(ctx context.Context, topo *topology, primary, hedg
 	ch := make(chan result, 2)
 	launch := func(n *node) {
 		go func() {
-			data, err := rt.fetchOn(cctx, topo, n, method, path, body, hw)
+			data, err := rt.fetchOn(cctx, topo, n, path, body, hw)
 			ch <- result{data, err}
 		}()
 	}
@@ -490,7 +518,7 @@ func (rt *Router) hedgedFetch(ctx context.Context, topo *topology, primary, hedg
 	var hedgeC <-chan time.Time
 	var timer *time.Timer
 	if hedge != nil {
-		if d := rt.hedgeDelay(primary); d > 0 {
+		if d := rt.hedgeAfter(primary); d > 0 {
 			timer = time.NewTimer(d)
 			defer timer.Stop()
 			hedgeC = timer.C
@@ -506,12 +534,9 @@ func (rt *Router) hedgedFetch(ctx context.Context, topo *topology, primary, hedg
 			inflight++
 		case res := <-ch:
 			inflight--
-			if res.err == nil {
-				return res.data, nil
-			}
 			var te *terminalError
-			if errors.As(res.err, &te) {
-				return nil, res.err
+			if res.err == nil || errors.As(res.err, &te) {
+				return res.data, res.err
 			}
 			lastErr = res.err
 			if hedgeC != nil {
@@ -532,10 +557,12 @@ func (rt *Router) hedgedFetch(ctx context.Context, topo *topology, primary, hedg
 	}
 }
 
-// partitionFetch is the full per-partition read discipline: candidate
-// selection, hedging, then capped-backoff retries.
-func (rt *Router) partitionFetch(ctx context.Context, p *partition, method, path string, body []byte) ([]byte, error) {
-	hw := p.hw.Load()
+// retry runs try up to 1+Retries times against one partition, sleeping a
+// jittered, capped exponential backoff between tries. The topology is
+// reloaded for every try — a promotion mid-request moves the leader, and
+// later tries should see the new regime — and a terminal verdict ends the
+// loop at once: retrying cannot fix a bad request.
+func (rt *Router) retry(ctx context.Context, p *partition, try func(topo *topology, attempt int) ([]byte, error)) ([]byte, error) {
 	var lastErr error
 	backoff := rt.cfg.BackoffBase
 	for attempt := 0; attempt <= rt.cfg.Retries; attempt++ {
@@ -546,33 +573,35 @@ func (rt *Router) partitionFetch(ctx context.Context, p *partition, method, path
 				return nil, ctx.Err()
 			case <-time.After(rt.jitter(backoff)):
 			}
-			if backoff *= 2; backoff > rt.cfg.BackoffCap {
-				backoff = rt.cfg.BackoffCap
+			if backoff *= 2; backoff > backoffCap {
+				backoff = backoffCap
 			}
 		}
-		// Reload the topology each attempt: a promotion mid-read moves the
-		// leader, and later attempts should see the new regime.
-		topo := p.topo.Load()
+		data, err := try(p.topo.Load(), attempt)
+		var te *terminalError
+		if err == nil || errors.As(err, &te) {
+			return data, err
+		}
+		lastErr = err
+	}
+	return nil, lastErr
+}
+
+// partitionFetch is the full per-partition read discipline: candidate
+// selection and hedging inside the retry loop.
+func (rt *Router) partitionFetch(ctx context.Context, p *partition, path string, body []byte) ([]byte, error) {
+	hw := p.hw.Load()
+	return rt.retry(ctx, p, func(topo *topology, attempt int) ([]byte, error) {
 		cands := rt.readCandidates(topo, hw, attempt)
 		if len(cands) == 0 {
-			lastErr = errNoCandidates
-			continue
+			return nil, errNoCandidates
 		}
 		var hedge *node
 		if len(cands) > 1 {
 			hedge = cands[1]
 		}
-		data, err := rt.hedgedFetch(ctx, topo, cands[0], hedge, method, path, body, hw)
-		if err == nil {
-			return data, nil
-		}
-		var te *terminalError
-		if errors.As(err, &te) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
+		return rt.hedgedFetch(ctx, topo, cands[0], hedge, path, body, hw)
+	})
 }
 
 // topkResponse is the router's response encoding. Without the degraded
@@ -619,12 +648,16 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return io.ReadAll(r.Body)
 }
 
+// readAllBounded reads a node's answer, at most maxBody bytes of it.
+func readAllBounded(r io.Reader) ([]byte, error) {
+	return io.ReadAll(io.LimitReader(r, maxBody))
+}
+
 func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 	rt.met.reads.Add(1)
 	body, err := readBody(w, r)
 	if err != nil {
-		rt.met.errors4xx.Add(1)
-		writeError(w, http.StatusBadRequest, err)
+		rt.badRequest(w, err)
 		return
 	}
 	// Peek k and stats; the nodes do the full strict validation.
@@ -633,93 +666,92 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 		Stats bool `json:"stats"`
 	}
 	if err := json.Unmarshal(body, &peek); err != nil {
-		rt.met.errors4xx.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode query: %w", err))
+		rt.badRequest(w, fmt.Errorf("decode query: %w", err))
 		return
 	}
 	if peek.Stats {
-		rt.met.errors4xx.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("router: stats=true is not supported through the router (per-node counters do not merge)"))
+		rt.badRequest(w, fmt.Errorf("router: stats=true is not supported through the router (per-node counters do not merge)"))
 		return
 	}
 	if peek.K < 1 {
-		rt.met.errors4xx.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("k must be ≥ 1, got %d", peek.K))
+		rt.badRequest(w, fmt.Errorf("k must be ≥ 1, got %d", peek.K))
 		return
 	}
 
 	lists := make([][]wireResult, len(rt.parts))
-	errs := make([]error, len(rt.parts))
-	var wg sync.WaitGroup
-	for i, p := range rt.parts {
-		wg.Add(1)
-		go func(i int, p *partition) {
-			defer wg.Done()
-			data, err := rt.partitionFetch(r.Context(), p, http.MethodPost, "/v1/topk", body)
-			if err != nil {
-				errs[i] = fmt.Errorf("partition %s: %w", p.name, err)
-				return
-			}
-			var tr struct {
-				Results []wireResult `json:"results"`
-			}
-			if err := json.Unmarshal(data, &tr); err != nil {
-				errs[i] = fmt.Errorf("partition %s: decode: %w", p.name, err)
-				return
-			}
-			lists[i] = tr.Results
-		}(i, p)
-	}
-	wg.Wait()
-
-	// Scan every partition's outcome before answering: each failed partition
-	// counts exactly once, and a terminal verdict anywhere wins over the
-	// retryable failures — the request itself is invalid, and answering 503
-	// for it would invite a pointless client retry.
-	var live [][]wireResult
-	var terminal *terminalError
-	failed := 0
-	for i := range errs {
-		if errs[i] == nil {
-			live = append(live, lists[i])
-			continue
+	failed, ok := rt.scatter(w, r, "/v1/topk", body, allowPartial(r), func(i int, data []byte) error {
+		var tr struct {
+			Results []wireResult `json:"results"`
 		}
-		failed++
-		rt.met.partitionFailures.Add(1)
-		var te *terminalError
-		if terminal == nil && errors.As(errs[i], &te) {
-			terminal = te
+		if err := json.Unmarshal(data, &tr); err != nil {
+			return fmt.Errorf("decode: %w", err)
 		}
-	}
-	if terminal != nil {
-		// The request itself is invalid — every partition would agree. Relay
-		// the node's own verdict (status and body), exactly as a single node
-		// would have answered.
-		rt.relayTerminal(w, terminal)
+		lists[i] = tr.Results
+		return nil
+	})
+	if !ok {
 		return
 	}
-	if failed > 0 && (!allowPartial(r) || failed == len(rt.parts)) {
-		rt.met.unavailable.Add(1)
-		writeError(w, http.StatusServiceUnavailable, joinErrs(errs))
-		return
-	}
-	merged := mergeTopK(live, peek.K)
-	if merged == nil {
-		merged = []wireResult{}
-	}
-	resp := topkResponse{Results: merged, Degraded: failed > 0}
+	// A failed partition's list stays nil, which the merge skips.
+	resp := topkResponse{Results: mergeTopK(lists, peek.K), Degraded: failed > 0}
 	if failed > 0 {
 		rt.met.degraded.Add(1)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// scatter sends one read to every partition in parallel, hands each 200
+// body to decode, then scans every outcome before answering. Each failed
+// partition counts exactly once, and a terminal verdict anywhere wins over
+// the retryable failures: the request itself is invalid — every partition
+// would agree — so the node's own verdict (status and body) is relayed,
+// exactly as a single node would have answered; a 503 would invite a
+// pointless client retry. Otherwise any failure answers 503, unless partial
+// is set and some partition survived. ok is false when scatter has already
+// answered; failed counts the partitions a partial answer lacks.
+func (rt *Router) scatter(w http.ResponseWriter, r *http.Request, path string, body []byte, partial bool, decode func(i int, data []byte) error) (failed int, ok bool) {
+	errs := make([]error, len(rt.parts))
+	var wg sync.WaitGroup
+	for i, p := range rt.parts {
+		wg.Add(1)
+		go func(i int, p *partition) {
+			defer wg.Done()
+			data, err := rt.partitionFetch(r.Context(), p, path, body)
+			if err == nil {
+				err = decode(i, data)
+			}
+			if err != nil {
+				errs[i] = fmt.Errorf("partition %s: %w", p.name, err)
+			}
+		}(i, p)
+	}
+	wg.Wait()
+	var terminal *terminalError
+	for _, err := range errs {
+		if err != nil {
+			failed++
+			rt.met.partitionFailures.Add(1)
+			if terminal == nil {
+				errors.As(err, &terminal)
+			}
+		}
+	}
+	switch {
+	case terminal != nil:
+		rt.relayErr(w, terminal)
+		return failed, false
+	case failed > 0 && (!partial || failed == len(rt.parts)):
+		rt.relayErr(w, joinErrs(errs))
+		return failed, false
+	}
+	return failed, true
+}
+
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rt.met.reads.Add(1)
 	body, err := readBody(w, r)
 	if err != nil {
-		rt.met.errors4xx.Add(1)
-		writeError(w, http.StatusBadRequest, err)
+		rt.badRequest(w, err)
 		return
 	}
 	var peek struct {
@@ -729,16 +761,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		} `json:"queries"`
 	}
 	if err := json.Unmarshal(body, &peek); err != nil || len(peek.Queries) == 0 {
-		rt.met.errors4xx.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode batch: %v", err))
+		rt.badRequest(w, fmt.Errorf("decode batch: %v", err))
 		return
 	}
 	for qi := range peek.Queries {
 		// Same contract as handleTopK: per-node counters do not merge, so a
 		// stats request must fail loudly rather than silently drop them.
 		if peek.Queries[qi].Stats {
-			rt.met.errors4xx.Add(1)
-			writeError(w, http.StatusBadRequest, fmt.Errorf("router: stats=true is not supported through the router (per-node counters do not merge); query %d sets it", qi))
+			rt.badRequest(w, fmt.Errorf("router: stats=true is not supported through the router (per-node counters do not merge); query %d sets it", qi))
 			return
 		}
 	}
@@ -746,54 +776,18 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The whole batch is forwarded to every partition (each holds a row
 	// subset of every query's candidate pool), then merged query-by-query.
 	perPart := make([][][]wireResult, len(rt.parts))
-	errs := make([]error, len(rt.parts))
-	var wg sync.WaitGroup
-	for i, p := range rt.parts {
-		wg.Add(1)
-		go func(i int, p *partition) {
-			defer wg.Done()
-			data, err := rt.partitionFetch(r.Context(), p, http.MethodPost, "/v1/batch", body)
-			if err != nil {
-				errs[i] = fmt.Errorf("partition %s: %w", p.name, err)
-				return
-			}
-			var br struct {
-				Results [][]wireResult `json:"results"`
-			}
-			if err := json.Unmarshal(data, &br); err != nil || len(br.Results) != len(peek.Queries) {
-				errs[i] = fmt.Errorf("partition %s: malformed batch response", p.name)
-				return
-			}
-			perPart[i] = br.Results
-		}(i, p)
-	}
-	wg.Wait()
-	// Scan every outcome before answering — returning on the first error
-	// would let a retryable failure in an early partition mask a later
-	// partition's terminal verdict behind a 503, and would count only one of
-	// several failed partitions.
-	var terminal *terminalError
-	failed := 0
-	for _, err := range errs {
-		if err == nil {
-			continue
+	// Batches have no partial mode: a batch is usually a programmatic
+	// consumer that wants all-or-nothing.
+	if _, ok := rt.scatter(w, r, "/v1/batch", body, false, func(i int, data []byte) error {
+		var br struct {
+			Results [][]wireResult `json:"results"`
 		}
-		failed++
-		rt.met.partitionFailures.Add(1)
-		var te *terminalError
-		if terminal == nil && errors.As(err, &te) {
-			terminal = te
+		if err := json.Unmarshal(data, &br); err != nil || len(br.Results) != len(peek.Queries) {
+			return errors.New("malformed batch response")
 		}
-	}
-	if terminal != nil {
-		rt.relayTerminal(w, terminal)
-		return
-	}
-	if failed > 0 {
-		// Batches have no partial mode: a batch is usually a programmatic
-		// consumer that wants all-or-nothing.
-		rt.met.unavailable.Add(1)
-		writeError(w, http.StatusServiceUnavailable, joinErrs(errs))
+		perPart[i] = br.Results
+		return nil
+	}); !ok {
 		return
 	}
 	out := struct {
@@ -805,9 +799,6 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			lists[pi] = perPart[pi][qi]
 		}
 		out.Results[qi] = mergeTopK(lists, peek.Queries[qi].K)
-		if out.Results[qi] == nil {
-			out.Results[qi] = []wireResult{}
-		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -449,6 +449,68 @@ func TestAllowPartialContract(t *testing.T) {
 	if len(tr.Results) == 0 {
 		t.Fatal("partial response has no results from the surviving partitions")
 	}
+
+	// Batches have no partial mode: the same opt-in on /v1/batch still
+	// answers 503, never a silently incomplete batch.
+	bb, _ := json.Marshal(map[string]any{"queries": []json.RawMessage{body}})
+	bresp, err := client.Post(rts.URL+"/v1/batch?allow_partial=1", "application/json", bytes.NewReader(bb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bout, _ := readAllBounded(bresp.Body)
+	bresp.Body.Close()
+	if bresp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("allow_partial batch with a dead partition: status %d, want 503: %s", bresp.StatusCode, bout)
+	}
+	if bresp.Header.Get("Retry-After") == "" {
+		t.Fatal("batch 503 without Retry-After")
+	}
+}
+
+// TestHugeKRouted pins that a client's k sizes nothing in the router: a k
+// far beyond every row (and beyond memory, were it allocated) answers 200
+// with every row, byte-identical to a single node, on /v1/topk and
+// /v1/batch.
+func TestHugeKRouted(t *testing.T) {
+	data := dataset.Generate(dataset.Uniform, 300, len(testRoles()), 98)
+	oracle, err := sdquery.NewShardedIndex(data, testRoles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
+	osrv := serve.New(oracle)
+	defer osrv.Close()
+	ots := httptest.NewServer(osrv.Handler())
+	defer ots.Close()
+	rt, _ := clusterFromRows(t, data, []string{"a", "b"}, 32)
+	rts := httptest.NewServer(rt.Handler())
+	defer rts.Close()
+
+	q := testQueries(1, 99)[0]
+	q.K = 1 << 40
+	topk := queryBody(t, q)
+	batch, _ := json.Marshal(map[string]any{"queries": []json.RawMessage{topk, topk}})
+	client := &http.Client{}
+	for _, ep := range []struct {
+		path string
+		body []byte
+	}{{"/v1/topk", topk}, {"/v1/batch", batch}} {
+		ostatus, ob := postBody(t, client, ots.URL+ep.path, ep.body)
+		rstatus, rb := postBody(t, client, rts.URL+ep.path, ep.body)
+		if ostatus != http.StatusOK || rstatus != http.StatusOK {
+			t.Fatalf("%s with k = 1<<40: status oracle %d router %d: %s", ep.path, ostatus, rstatus, rb)
+		}
+		if !bytes.Equal(ob, rb) {
+			t.Fatalf("%s with k = 1<<40 diverged:\noracle %s\nrouter %s", ep.path, ob, rb)
+		}
+	}
+	var tr struct {
+		Results []wireResult `json:"results"`
+	}
+	_, rb := postBody(t, client, rts.URL+"/v1/topk", topk)
+	if err := json.Unmarshal(rb, &tr); err != nil || len(tr.Results) != len(data) {
+		t.Fatalf("k = 1<<40 returned %d rows (%v), want all %d", len(tr.Results), err, len(data))
+	}
 }
 
 // TestRendezvousStableUnderMembershipChange pins the rendezvous property
@@ -561,8 +623,9 @@ func FuzzMerge(f *testing.F) {
 	f.Add([]byte{4, 2, 2, 2, 2, 9, 9, 9, 9}, 7)
 	f.Add([]byte{}, 5)
 	f.Add([]byte{255, 255, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 2)
+	f.Add([]byte{1, 3, 1, 5}, 1<<40) // a client k no router may allocate
 	f.Fuzz(func(t *testing.T, raw []byte, k int) {
-		if k < 1 || k > 1000 {
+		if k < 1 {
 			return
 		}
 		// Decode a deterministic list-of-lists from the raw bytes.

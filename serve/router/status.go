@@ -1,10 +1,7 @@
 package router
 
 import (
-	"bytes"
-	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 )
@@ -12,26 +9,6 @@ import (
 // Router observability: /healthz (liveness plus per-node breaker states),
 // /statz (JSON snapshot of topology, watermarks, and counters), /metrics
 // (Prometheus text format).
-
-// newBodyRequest builds a JSON request with an optional body.
-func newBodyRequest(ctx context.Context, method, url string, body []byte) (*http.Request, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	return req, nil
-}
-
-func readAllBounded(r io.Reader) ([]byte, error) {
-	return io.ReadAll(io.LimitReader(r, maxBody))
-}
 
 // NodeStatz is one node's row in the router's Statz.
 type NodeStatz struct {

@@ -70,7 +70,7 @@ func TestReplWireGolden(t *testing.T) {
 		`{"format":"sd-repl/v1","source":"golden-1","shards":1,"dims":4,"lsns":[3]}`+"\n")
 	same("leader statz repl_lsns", field(lts.URL+"/statz", "repl_lsns"), "[3]")
 
-	follower, err := NewFollower(lts.URL, WithFollowInterval(10*time.Millisecond))
+	follower, err := NewFollower(lts.URL, WithFollowInterval(10*time.Millisecond), WithPromotionWALDir(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,5 +94,5 @@ func TestReplWireGolden(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("promote: %d %s", status, body)
 	}
-	same("promote response", body, `{"promoted":true,"generation":1,"durable":false,"lsns":[3]}`+"\n")
+	same("promote response", body, `{"promoted":true,"generation":1,"durable":true,"lsns":[3]}`+"\n")
 }
