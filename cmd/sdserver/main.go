@@ -76,7 +76,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "per-request deadline enforced mid-query (0 disables)")
 		drainT   = flag.Duration("drain-timeout", 15*time.Second, "maximum graceful-drain wait on SIGTERM")
 
-		cache    = flag.Bool("cache", true, "hot-query result cache with heavy-hitter admission")
+		cache    = flag.Bool("cache", true, "hot-query result cache (probation and main FIFO queues)")
 		cacheCap = flag.Int("cache-capacity", 1024, "maximum resident cached answers")
 
 		follow     = flag.String("follow", "", "run as a read replica of this leader URL (excludes -data/-index/-wal-dir)")

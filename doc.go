@@ -137,10 +137,12 @@
 // result cache (serve.WithResultCache) sits between admission and the
 // engine: entries are keyed on canonical query bytes and versioned by the
 // snapshot epoch every publish bumps, so swap/compaction invalidation is
-// free and hits stay byte-identical to the live engine; a HeavyKeeper
-// frequency sketch admits only the traffic's hot head, and the hit path
-// allocates nothing. /statz and /metrics expose the hit rate. The JSON
-// wire format is documented in serve/wire.go, next to this binary format.
+// free and hits stay byte-identical to the live engine; new answers wait
+// in a small probation queue and only those hit there join the main
+// queue, so one-off queries cannot evict the traffic's hot head, and the
+// hit path allocates nothing. /statz and /metrics expose the hit rate.
+// The JSON wire format is documented in serve/wire.go, next to this binary
+// format.
 //
 // Scan, SDIndex, and TA break score ties by ascending dataset ID, so their
 // answers are byte-identical to each other; BRS and PE resolve

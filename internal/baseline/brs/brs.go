@@ -109,7 +109,7 @@ func (e *Engine) TopK(spec query.Spec) ([]query.Result, error) {
 		return bound
 	}
 	bf := e.tree.BestFirst(upper)
-	out := make([]query.Result, 0, spec.K)
+	out := make([]query.Result, 0, min(spec.K, len(e.data)))
 	for len(out) < spec.K {
 		_, id, score, ok := bf.Next()
 		if !ok {

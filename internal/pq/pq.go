@@ -20,11 +20,6 @@ func NewHeap[T any](less func(a, b T) bool) *Heap[T] {
 	return &Heap[T]{less: less}
 }
 
-// NewHeapCap returns an empty heap with pre-allocated capacity.
-func NewHeapCap[T any](less func(a, b T) bool, capacity int) *Heap[T] {
-	return &Heap[T]{less: less, items: make([]T, 0, capacity)}
-}
-
 // Len reports the number of elements in the heap.
 func (h *Heap[T]) Len() int { return len(h.items) }
 

@@ -49,7 +49,7 @@ func TestHeapReplaceTop(t *testing.T) {
 }
 
 func TestHeapReset(t *testing.T) {
-	h := NewHeapCap(func(a, b int) bool { return a < b }, 4)
+	h := NewHeap(func(a, b int) bool { return a < b })
 	h.Push(1)
 	h.Push(2)
 	h.Reset()
@@ -195,7 +195,7 @@ func TestTopKMatchesSortQuick(t *testing.T) {
 }
 
 func BenchmarkHeapPushPop(b *testing.B) {
-	h := NewHeapCap(func(a, b float64) bool { return a < b }, 1024)
+	h := NewHeap(func(a, b float64) bool { return a < b })
 	rng := rand.New(rand.NewSource(3))
 	vals := make([]float64, 1024)
 	for i := range vals {

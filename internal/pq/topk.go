@@ -64,7 +64,9 @@ func NewTopKOrdered[T any](k int, outranks func(a, b T) bool) *TopK[T] {
 		}
 		return a.seq > b.seq
 	}
-	t.heap = NewHeapCap(less, k)
+	// No preallocation: k may exceed the items ever offered by any margin
+	// (K = 1<<40 over a thousand rows), so the heap grows by append.
+	t.heap = NewHeap(less)
 	return t
 }
 

@@ -65,6 +65,56 @@ func TestPublicEnginesAgree(t *testing.T) {
 	}
 }
 
+// TestHugeKReturnsEveryRow: a k far beyond the row count is a valid query
+// that returns every row in rank order — no engine may size a buffer by k.
+func TestHugeKReturnsEveryRow(t *testing.T) {
+	const n = 1000
+	data := dataset.Generate(dataset.Uniform, n, 4, 3)
+	roles := []Role{Repulsive, Attractive, Repulsive, Attractive}
+	q := Query{Point: []float64{0.2, 0.4, 0.6, 0.8}, K: 1 << 40, Roles: roles, Weights: []float64{1, 0.5, 2, 1}}
+	scanEng, err := NewScan(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scanEng.TopK(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != n {
+		t.Fatalf("scan returned %d rows, want all %d", len(want), n)
+	}
+	builders := []struct {
+		name  string
+		build func() (Engine, error)
+	}{
+		{"scan", func() (Engine, error) { return NewScan(data) }},
+		{"ta", func() (Engine, error) { return NewTA(data) }},
+		{"brs", func() (Engine, error) { return NewBRS(data, 0) }},
+		{"pe", func() (Engine, error) { return NewPE(data) }},
+		{"sd", func() (Engine, error) { return NewSDIndex(data, roles) }},
+	}
+	for _, b := range builders {
+		t.Run(b.name, func(t *testing.T) {
+			eng, err := b.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.TopK(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != n {
+				t.Fatalf("%d rows, want all %d", len(got), n)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("rank %d: %+v, scan has %+v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
 func TestQueryScoreMatchesDefinition(t *testing.T) {
 	q := Query{
 		Point:   []float64{0, 10},

@@ -22,42 +22,106 @@ import (
 // disagrees with the current one, so stale bodies are reclaimed by the
 // traffic that touches them.
 //
-// Admission is gated by a HeavyKeeper top-k sketch (sketch.go): every
-// lookup feeds the sketch, and a computed answer is stored only while its
-// key ranks among the sketch's current heavy hitters. The sketch's heap
-// expels a key only to admit a hotter one, and expulsion evicts the key's
-// cache entry via the onEvict callback — so the cache is always a subset
-// of the tracked heavy hitters and its size never exceeds the configured
-// capacity. A one-off query cannot displace an established hot entry.
+// What stays resident is decided by two FIFO rings (S3-FIFO without its
+// ghost queue). Every computed answer enters the probation ring, which holds
+// a tenth of the capacity; a hit bumps the entry's use count. When probation
+// overflows, its oldest entry moves to the main ring, its count cleared, if
+// it was hit since it entered (or the main ring still has a free slot, so a
+// cold cache fills at once) and is dropped otherwise, so a one-off query
+// never displaces an entry that has been hit. The main ring holds the rest
+// of the capacity and evicts CLOCK-style: its hand decrements and re-queues
+// entries hit since it last passed and evicts the first one whose count is
+// spent. The map is the authority on what is resident: a ring slot whose
+// entry is no longer the map's entry for its key (a stale version dropped
+// by get, possibly stored again since) is discarded when the ring reaches
+// it. Every map entry sits in exactly one slot, so the resident count never
+// exceeds the capacity.
 //
-// The hit path is allocation-free: key buffers come from a pool, hashing is
-// inline FNV-1a, the map lookup uses the compiler's []byte→string
-// no-copy conversion, and the cached body is written to the response as-is.
-// A single mutex guards map and sketch together; the critical section is a
-// few hundred nanoseconds, far below the cost of the engine query a hit
-// saves, and the common contention case (many goroutines hitting the same
-// hot key) is exactly the case the cache exists for.
+// The hit path is allocation-free: key buffers come from a pool, the map
+// lookup uses the compiler's []byte→string no-copy conversion, and the
+// cached body is written to the response as-is. A single mutex guards the
+// map and both rings; the critical section is a map lookup and a counter
+// bump, far below the cost of the engine query a hit saves, and the common
+// contention case (many goroutines hitting the same hot key) is exactly the
+// case the cache exists for.
 type resultCache struct {
-	mu      sync.Mutex
-	entries map[string]cacheEntry
-	sketch  *heavyKeeper
-	keyPool sync.Pool // *[]byte
+	mu        sync.Mutex
+	entries   map[string]*cacheEntry
+	probation ring
+	main      ring
+	keyPool   sync.Pool // *[]byte
 }
 
 // cacheEntry is one cached answer: the exact response body writeJSON would
 // produce (trailing newline included), valid only at its version pair.
 type cacheEntry struct {
+	key   string
 	gen   uint64
 	epoch uint64
 	body  []byte
+	uses  uint8 // hits in its current ring, at most maxUses
 }
 
+// maxUses caps an entry's use count. Each pass of the main ring's hand
+// spends one, so a burst of hits buys at most that many passes.
+const maxUses = 3
+
 func newResultCache(capacity int) *resultCache {
-	c := &resultCache{entries: make(map[string]cacheEntry, capacity)}
-	// The eviction callback runs inside sketch.add/offer, which only ever
-	// executes under c.mu — no extra locking needed.
-	c.sketch = newHeavyKeeper(capacity, func(key string) { delete(c.entries, key) })
-	return c
+	probation := max(capacity/10, 1)
+	return &resultCache{
+		entries:   make(map[string]*cacheEntry, capacity),
+		probation: ring{slots: make([]*cacheEntry, probation)},
+		main:      ring{slots: make([]*cacheEntry, capacity-probation)},
+	}
+}
+
+// ring is a fixed-size FIFO of cache entries.
+type ring struct {
+	slots []*cacheEntry
+	head  int // oldest slot
+	n     int
+}
+
+func (r *ring) full() bool { return r.n == len(r.slots) }
+
+func (r *ring) push(e *cacheEntry) {
+	r.slots[(r.head+r.n)%len(r.slots)] = e
+	r.n++
+}
+
+func (r *ring) pop() *cacheEntry {
+	e := r.slots[r.head]
+	r.slots[r.head] = nil
+	r.head = (r.head + 1) % len(r.slots)
+	r.n--
+	return e
+}
+
+// resident reports whether e is still the map's entry for its key.
+func (c *resultCache) resident(e *cacheEntry) bool { return c.entries[e.key] == e }
+
+// promote moves an entry leaving probation into the main ring, first
+// making room there: the hand re-queues entries with uses left (spending
+// one), discards slots whose entry is no longer resident, and evicts the
+// first resident entry with none. Without a main ring (capacity 1) the
+// entry is dropped.
+func (c *resultCache) promote(e *cacheEntry) {
+	for c.main.full() {
+		if c.main.n == 0 {
+			delete(c.entries, e.key)
+			return
+		}
+		v := c.main.pop()
+		switch {
+		case !c.resident(v):
+		case v.uses > 0:
+			v.uses--
+			c.main.push(v)
+		default:
+			delete(c.entries, v.key)
+		}
+	}
+	c.main.push(e)
 }
 
 // getBuf and putBuf recycle key-encoding buffers so the hit path never
@@ -73,41 +137,52 @@ func (c *resultCache) getBuf() *[]byte {
 
 func (c *resultCache) putBuf(b *[]byte) { c.keyPool.Put(b) }
 
-// get looks the key up at the given version pair. Every lookup — hit or
-// miss — feeds the admission sketch, so frequency is measured on demand,
-// not on fill. An entry whose version disagrees with (gen, epoch) is
-// deleted and reported as a miss: served bytes are always exactly what the
-// current index would answer.
+// get looks the key up at the given version pair; a hit bumps the entry's
+// use count. An entry whose version disagrees with (gen, epoch) is deleted
+// and reported as a miss: served bytes are always exactly what the current
+// index would answer. Its ring slot stays behind until the ring reaches it.
 func (c *resultCache) get(key []byte, gen, epoch uint64) ([]byte, bool) {
-	h := hashKey(key)
 	c.mu.Lock()
-	c.sketch.add(h, key)
+	defer c.mu.Unlock()
 	e, ok := c.entries[string(key)]
-	if ok && (e.gen != gen || e.epoch != epoch) {
-		delete(c.entries, string(key))
-		ok = false
-	}
-	c.mu.Unlock()
 	if !ok {
 		return nil, false
+	}
+	if e.gen != gen || e.epoch != epoch {
+		delete(c.entries, string(key))
+		return nil, false
+	}
+	if e.uses < maxUses {
+		e.uses++
 	}
 	return e.body, true
 }
 
-// put offers a freshly computed body for caching. It is admitted only while
-// the key currently ranks among the sketch's heavy hitters; the return
-// value reports admission (false feeds the rejection counter). The caller
-// must have verified that gen and epoch still describe the index the body
-// was computed from — see handleTopK for the protocol.
-func (c *resultCache) put(key []byte, gen, epoch uint64, body []byte) bool {
-	h := hashKey(key)
+// put stores a freshly computed body. It never refuses: a key already
+// resident takes the new version in place, and a new one enters probation,
+// pushing out probation's oldest entry if the ring is full. The caller must
+// have verified that gen and epoch still describe the index the body was
+// computed from — see handleTopK for the protocol.
+func (c *resultCache) put(key []byte, gen, epoch uint64, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.sketch.hot(h) {
-		return false
+	if e, ok := c.entries[string(key)]; ok {
+		e.gen, e.epoch, e.body = gen, epoch, body
+		return
 	}
-	c.entries[string(key)] = cacheEntry{gen: gen, epoch: epoch, body: body}
-	return true
+	if c.probation.full() {
+		switch v := c.probation.pop(); {
+		case !c.resident(v):
+		case v.uses > 0 || !c.main.full():
+			v.uses = 0 // the main ring counts only hits made there
+			c.promote(v)
+		default:
+			delete(c.entries, v.key)
+		}
+	}
+	e := &cacheEntry{key: string(key), gen: gen, epoch: epoch, body: body}
+	c.entries[e.key] = e
+	c.probation.push(e)
 }
 
 // len reports the resident entry count (for /statz).
@@ -117,21 +192,10 @@ func (c *resultCache) len() int {
 	return len(c.entries)
 }
 
-// hashKey is inline FNV-1a 64 — no hash.Hash64 interface, no allocation.
-func hashKey(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
 // canonNaNBits is the single bit pattern every NaN canonicalizes to.
 // decodeQuery rejects NaN before any key is built, so this is defense in
 // depth: even a NaN smuggled through a future code path cannot mint
-// per-bit-pattern distinct keys (NaN has 2^52-ish encodings) or corrupt
-// the sketch.
+// per-bit-pattern distinct keys (NaN has 2^52-ish encodings).
 var canonNaNBits = math.Float64bits(math.NaN())
 
 // canonFloatBits maps a float to the bit pattern its cache key uses. Zeros

@@ -50,8 +50,8 @@ func TestCacheDifferentialUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	nextID := idx.Len()
 	for round := 0; round < 15; round++ {
-		// Ask each query several times: the repeats are cache hits once the
-		// sketch warms, and every answer must match a fresh direct call.
+		// Ask each query several times: the repeats are cache hits, and
+		// every answer must match a fresh direct call.
 		for qi, q := range queries {
 			direct, err := idx.TopK(q)
 			if err != nil {

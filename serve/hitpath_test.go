@@ -53,8 +53,8 @@ func (hr *hitRequest) rewind() *http.Request {
 	return hr.req
 }
 
-// warmHit serves the query until the result cache answers it (the admission
-// sketch wants to see a key a few times before it is stored).
+// warmHit serves the query until the result cache answers it (the first
+// request computes and stores the answer).
 func warmHit(t testing.TB, srv *Server, hr *hitRequest, w *hitWriter) {
 	for i := 0; i < 64; i++ {
 		before := srv.met.cacheHits.Load()

@@ -112,16 +112,15 @@ type metrics struct {
 	latency    [nEndpoints]histogram
 
 	// Coalescing telemetry: executed batches and the queries they carried;
-	// the mean batch size is the coalescing win the load harness gates on.
+	// their ratio is the mean coalesced batch size.
 	batches   atomic.Uint64
 	coalesced atomic.Uint64
 
 	swaps atomic.Uint64
 
 	// Result-cache telemetry. Hits and misses are /v1/topk lookups against
-	// the cache; rejects are computed answers the HeavyKeeper admission
-	// sketch declined to store (the key was not among the tracked heavy
-	// hitters) or that failed the post-execution epoch check.
+	// the cache; rejects are computed answers not stored because the index
+	// or its epoch moved while they ran (the post-execution check).
 	cacheHits    atomic.Uint64
 	cacheMisses  atomic.Uint64
 	cacheRejects atomic.Uint64
@@ -223,7 +222,7 @@ func (m *metrics) writeProm(w io.Writer, idx Index, cache *resultCache) {
 	fmt.Fprintf(w, "sdserver_cache_hits_total %d\n", m.cacheHits.Load())
 	fmt.Fprintf(w, "# HELP sdserver_cache_misses_total Result-cache misses on /v1/topk.\n# TYPE sdserver_cache_misses_total counter\n")
 	fmt.Fprintf(w, "sdserver_cache_misses_total %d\n", m.cacheMisses.Load())
-	fmt.Fprintf(w, "# HELP sdserver_cache_admission_rejects_total Computed answers the heavy-hitter sketch declined to cache.\n# TYPE sdserver_cache_admission_rejects_total counter\n")
+	fmt.Fprintf(w, "# HELP sdserver_cache_admission_rejects_total Computed answers not cached because the index or its epoch moved while they ran.\n# TYPE sdserver_cache_admission_rejects_total counter\n")
 	fmt.Fprintf(w, "sdserver_cache_admission_rejects_total %d\n", m.cacheRejects.Load())
 	fmt.Fprintf(w, "# HELP sdserver_cache_hit_rate Result-cache hit rate since start (hits / lookups).\n# TYPE sdserver_cache_hit_rate gauge\n")
 	fmt.Fprintf(w, "sdserver_cache_hit_rate %g\n", m.cacheHitRate())
@@ -292,7 +291,7 @@ func (s *Server) writeReplProm(w io.Writer) {
 	}
 	fmt.Fprintf(w, "# HELP sdserver_role Node role (the labeled role has value 1).\n# TYPE sdserver_role gauge\n")
 	fmt.Fprintf(w, "sdserver_role{role=%q} 1\n", role)
-	fmt.Fprintf(w, "# HELP sdserver_repl_lsn Last-applied WAL LSN per shard.\n# TYPE sdserver_repl_lsn gauge\n")
+	fmt.Fprintf(w, "# HELP sdserver_repl_lsn Last-applied WAL LSN (one stream, labeled shard 0).\n# TYPE sdserver_repl_lsn gauge\n")
 	fmt.Fprintf(w, "sdserver_repl_lsn{shard=\"0\"} %d\n", s.Index().LSN())
 	fmt.Fprintf(w, "# HELP sdserver_generation Cluster generation (promotion fencing token).\n# TYPE sdserver_generation gauge\n")
 	fmt.Fprintf(w, "sdserver_generation %d\n", s.gen.Load())
@@ -300,7 +299,7 @@ func (s *Server) writeReplProm(w io.Writer) {
 	if f == nil {
 		return
 	}
-	fmt.Fprintf(w, "# HELP sdserver_repl_lag_records Leader records not yet applied locally (summed over shards).\n# TYPE sdserver_repl_lag_records gauge\n")
+	fmt.Fprintf(w, "# HELP sdserver_repl_lag_records Leader records not yet applied locally.\n# TYPE sdserver_repl_lag_records gauge\n")
 	fmt.Fprintf(w, "sdserver_repl_lag_records %d\n", f.lag.Load())
 	fmt.Fprintf(w, "# HELP sdserver_repl_pulls_total Successful replication polls.\n# TYPE sdserver_repl_pulls_total counter\n")
 	fmt.Fprintf(w, "sdserver_repl_pulls_total %d\n", f.pulls.Load())

@@ -18,14 +18,14 @@
 //     requests are gathered — bounded window, bounded batch — into single
 //     BatchTopK calls, riding the index's one-task-per-query batch path
 //     instead of paying one engine dispatch per request.
-//   - Hot-query result cache (cache.go, sketch.go; WithResultCache):
-//     answers are cached keyed on canonical query bytes and versioned by
-//     the snapshot epoch, which every insert/remove/compaction/swap
-//     publish bumps — so invalidation is free and a hit is byte-identical
-//     to what the engine would return now. A HeavyKeeper top-k frequency
-//     sketch gates admission so only the Zipf head of the traffic occupies
-//     the bounded cache, and the hit path allocates nothing and never
-//     enters the coalescer queue.
+//   - Hot-query result cache (cache.go; WithResultCache): answers are
+//     cached keyed on canonical query bytes and versioned by the snapshot
+//     epoch, which every insert/remove/compaction/swap publish bumps — so
+//     invalidation is free and a hit is byte-identical to what the engine
+//     would return now. New answers wait in a small probation queue and
+//     only those hit there move on to the main queue, so the Zipf head of
+//     the traffic keeps the bounded cache and one-off queries pass through;
+//     the hit path allocates nothing and never enters the coalescer queue.
 //   - Backpressure: the admission queue and the per-endpoint concurrency
 //     limits are bounded; when they are full the server answers 429 with
 //     Retry-After immediately instead of letting goroutines and latency
@@ -112,8 +112,6 @@ type config struct {
 	queueDepth int
 	executors  int
 	reqTimeout time.Duration
-	writeLimit int
-	batchLimit int
 	cacheOn    bool
 	cacheCap   int
 	loadOpts   []sdquery.SDOption
@@ -149,28 +147,31 @@ func WithExecutors(n int) Option { return func(c *config) { c.executors = n } }
 // queries run uncancellable (TopKWithStats carries no context).
 func WithRequestTimeout(d time.Duration) Option { return func(c *config) { c.reqTimeout = d } }
 
-// WithWriteConcurrency bounds concurrent /v1/insert + DELETE handlers
-// (default 64); excess writes get 429.
-func WithWriteConcurrency(n int) Option { return func(c *config) { c.writeLimit = n } }
-
-// WithBatchConcurrency bounds concurrent /v1/batch handlers and stats=true
-// /v1/topk queries (default 4) — both run outside the coalescer, so a few
-// in flight saturate the CPUs.
-func WithBatchConcurrency(n int) Option { return func(c *config) { c.batchLimit = n } }
+// Concurrency limits of the endpoints that run outside the coalescer;
+// excess requests get 429.
+const (
+	// writeLimit bounds concurrent /v1/insert + DELETE handlers.
+	writeLimit = 64
+	// batchLimit bounds concurrent /v1/batch handlers and stats=true
+	// /v1/topk queries: each runs its own engine work, so a few in flight
+	// saturate the CPUs.
+	batchLimit = 4
+)
 
 // WithResultCache enables the hot-query result cache (default off). Cached
 // /v1/topk answers are keyed on the canonical query encoding and versioned
 // by (swap generation, index epoch), so a hit is byte-identical to what the
 // current index would answer and any write or swap invalidates implicitly —
-// see cache.go. Admission is gated by a HeavyKeeper top-k frequency sketch:
-// only queries ranking among the hottest WithCacheCapacity keys are stored,
-// so scan-like cold traffic cannot thrash the hot set.
+// see cache.go. Every computed answer is stored, first in a probation queue
+// a tenth of the capacity long; once the cache is full only answers hit
+// there move on to the main queue, so scan-like cold traffic cannot thrash
+// the hot set.
 func WithResultCache(on bool) Option { return func(c *config) { c.cacheOn = on } }
 
-// WithCacheCapacity bounds the result cache to the n hottest queries
-// (default 1024). Implies nothing about memory precisely — entries are
-// whole response bodies — but k=10-ish answers are ~300 bytes, so the
-// default is a few hundred KB at saturation.
+// WithCacheCapacity bounds the result cache to n answers (default 1024).
+// Implies nothing about memory precisely — entries are whole response
+// bodies — but k=10-ish answers are ~300 bytes, so the default is a few
+// hundred KB at saturation.
 func WithCacheCapacity(n int) Option { return func(c *config) { c.cacheCap = n } }
 
 // WithLoadOptions sets the sdquery options applied to every index the server
@@ -251,8 +252,6 @@ func New(idx Index, opts ...Option) *Server {
 		maxBatch:   64,
 		queueDepth: 1024,
 		executors:  runtime.GOMAXPROCS(0),
-		writeLimit: 64,
-		batchLimit: 4,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -266,12 +265,6 @@ func New(idx Index, opts ...Option) *Server {
 	if cfg.executors < 1 {
 		cfg.executors = 1
 	}
-	if cfg.writeLimit < 1 {
-		cfg.writeLimit = 1
-	}
-	if cfg.batchLimit < 1 {
-		cfg.batchLimit = 1
-	}
 	if cfg.cacheCap < 1 {
 		cfg.cacheCap = 1024
 	}
@@ -279,8 +272,8 @@ func New(idx Index, opts ...Option) *Server {
 		cfg:      cfg,
 		met:      &metrics{start: time.Now()},
 		serverID: newServerID(),
-		writeSem: make(chan struct{}, cfg.writeLimit),
-		batchSem: make(chan struct{}, cfg.batchLimit),
+		writeSem: make(chan struct{}, writeLimit),
+		batchSem: make(chan struct{}, batchLimit),
 	}
 	if cfg.cacheOn {
 		s.cache = newResultCache(s.cfg.cacheCap)
@@ -484,9 +477,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		// snapshot the current (gen, epoch) pair no longer describes, so it
 		// is served once and not cached.
 		if s.box.Load() == box && box.idx.Epoch() == epoch {
-			if !s.cache.put(key, box.gen, epoch, body) {
-				s.met.cacheRejects.Add(1)
-			}
+			s.cache.put(key, box.gen, epoch, body)
 		} else {
 			s.met.cacheRejects.Add(1)
 		}
