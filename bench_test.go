@@ -284,7 +284,9 @@ func clusteredData(n, dims int, seed int64) [][]float64 {
 // other two everywhere; DefaultAccessCost (internal/core/sweep.go) is derived
 // from this benchmark's stream ns per fetched access and sweep ns per row.
 // The 2-dimensional cell is the stream's home ground — one pair tree, a deep
-// prune — and the planner must still stream there.
+// prune — and the planner must still stream there. The 4-dimensional cells
+// (two pair trees) are where the streams sweep the fewest rows per query short
+// of 2-d, so they show what the stream costs there next to the sweep.
 func BenchmarkPlannerCrossover(b *testing.B) {
 	type plan struct {
 		name string
@@ -343,4 +345,9 @@ func BenchmarkPlannerCrossover(b *testing.B) {
 	b.Run("uniform-2d/n=10000", func(b *testing.B) {
 		cell(b, dataset.Generate(dataset.Uniform, 10_000, 2, 1), []Role{Repulsive, Attractive}, []int{5}, true)
 	})
+	for _, n := range []int{50_000, 200_000} {
+		b.Run(fmt.Sprintf("uniform-4d/n=%d", n), func(b *testing.B) {
+			cell(b, dataset.Generate(dataset.Uniform, n, 4, 1), []Role{Repulsive, Attractive, Repulsive, Attractive}, []int{5}, false)
+		})
+	}
 }

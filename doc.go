@@ -213,12 +213,10 @@
 // snapshot is one atomic load (see above). The planner resolves
 // the query's shape (active dimensions, roles, zero weights) to the
 // surviving subproblem set, memoized per shape in the index's plan cache
-// (QueryStats.PlanCacheHits to observe). The
-// planner also picks the repulsive↔attractive bijection per query by zipping the active
-// dimensions of each role in descending weight order over a pre-built
-// pair-tree grid — the guided mapping of the paper's future-work
-// discussion, measured within ~1.5% of the per-query optimal bijection's
-// sorted-access floor on the evaluation workload.
+// (QueryStats.PlanCacheHits to observe). The repulsive↔attractive
+// bijection is the paper's, fixed at build time: the in-order zip of the two
+// role lists, one pair tree per pair and a sorted list per leftover
+// dimension.
 //
 // The Threshold-Algorithm aggregation is driven by a bound-driven
 // scheduler: each step bulk-fetches from the subproblem — across every
@@ -227,11 +225,10 @@
 // segment and the termination threshold re-checked after every batch
 // (the paper's fixed rotation is kept as an ablation, sdbench -exp
 // ablation-scheduler). Every subproblem implements a bulk fetch that drains whole
-// runs and returns its post-batch frontier bound for free. Together,
-// plan-time pairing and bound-driven scheduling cut sorted accesses on
-// the default 50k × 6 workload by ~32% against the round-robin in-order
-// baseline, at answers byte-identical to the scan oracle (property-tested
-// and fuzzed).
+// runs and returns its post-batch frontier bound for free. Bound-driven
+// scheduling cuts a pure stream's sorted accesses on the default 50k × 6
+// workload by ~16% against the round-robin rotation, at answers
+// byte-identical to the scan oracle (property-tested and fuzzed).
 //
 // Streaming is not always the cheaper exact plan: a sorted access costs as
 // much as sweeping on the order of a hundred rows of a segment's contiguous

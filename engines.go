@@ -35,7 +35,9 @@ const (
 
 // ErrWAL marks mutations rejected because the index's write-ahead log
 // failed (disk full, I/O error). The failure is sticky: the index keeps
-// answering queries but refuses further writes until reopened.
+// answering queries but refuses further writes until reopened. Opening a
+// log that holds a row outside the value domain (|v| > 1e150, written by an
+// older build) fails with it too, and leaves the log untouched.
 var ErrWAL = core.ErrWAL
 
 // WALStats is the observable state of an index's write-ahead log; see

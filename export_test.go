@@ -30,7 +30,6 @@ const SweepOnly = 1 << 30
 type PairingStrategy = core.Pairing
 
 const (
-	PairAdaptive      = core.PairAdaptive
 	PairInOrder       = core.PairInOrder
 	PairByCorrelation = core.PairByCorrelation
 	PairByVariance    = core.PairByVariance
@@ -46,7 +45,7 @@ const (
 	SchedRoundRobin  = core.SchedRoundRobin
 )
 
-// WithPairing selects the dimension-pairing strategy (default PairAdaptive).
+// WithPairing selects the dimension-pairing strategy (default PairInOrder).
 func WithPairing(p PairingStrategy) SDOption {
 	return func(c *sdConfig) { c.pairing = p }
 }

@@ -62,8 +62,8 @@ func NewWithCapacity(data [][]float64, capacity int) (*Engine, error) {
 	}
 	e := &Engine{data: data, dims: dims, tree: rstar.New(max(dims, 1), capacity)}
 	for i, p := range data {
-		if len(p) != dims {
-			return nil, fmt.Errorf("brs: point %d has %d dims, want %d", i, len(p), dims)
+		if err := query.CheckRow(p, dims); err != nil {
+			return nil, fmt.Errorf("brs: point %d: %w", i, err)
 		}
 		if err := e.tree.Insert(p, int32(i)); err != nil {
 			return nil, fmt.Errorf("brs: %w", err)
@@ -77,8 +77,8 @@ func (e *Engine) Len() int { return len(e.data) }
 
 // Insert adds a point to the underlying tree (Figure 8b's insertion cost).
 func (e *Engine) Insert(p []float64) error {
-	if len(p) != e.dims {
-		return fmt.Errorf("brs: point has %d dims, want %d", len(p), e.dims)
+	if err := query.CheckRow(p, e.dims); err != nil {
+		return fmt.Errorf("brs: %w", err)
 	}
 	id := int32(len(e.data))
 	e.data = append(e.data, p)

@@ -57,8 +57,8 @@ func New(data [][]float64) (*Engine, error) {
 		e.minVal[d], e.maxVal[d] = math.Inf(1), math.Inf(-1)
 	}
 	for i, p := range data {
-		if len(p) != dims {
-			return nil, fmt.Errorf("pe: point %d has %d dims, want %d", i, len(p), dims)
+		if err := query.CheckRow(p, dims); err != nil {
+			return nil, fmt.Errorf("pe: point %d: %w", i, err)
 		}
 		for d, c := range p {
 			e.minVal[d] = math.Min(e.minVal[d], c)
@@ -85,8 +85,8 @@ func (e *Engine) Len() int { return len(e.data) }
 // cost: one sorted splice per dimension). Scratch buffers are regrown
 // lazily on the next query.
 func (e *Engine) Insert(p []float64) error {
-	if len(p) != e.dims {
-		return fmt.Errorf("pe: point has %d dims, want %d", len(p), e.dims)
+	if err := query.CheckRow(p, e.dims); err != nil {
+		return fmt.Errorf("pe: %w", err)
 	}
 	id := int32(len(e.data))
 	e.data = append(e.data, p)

@@ -23,8 +23,8 @@ func New(data [][]float64) (*Engine, error) {
 		dims = len(data[0])
 	}
 	for i, p := range data {
-		if len(p) != dims {
-			return nil, fmt.Errorf("scan: point %d has %d dims, want %d", i, len(p), dims)
+		if err := query.CheckRow(p, dims); err != nil {
+			return nil, fmt.Errorf("scan: point %d: %w", i, err)
 		}
 	}
 	return &Engine{data: data, dims: dims}, nil

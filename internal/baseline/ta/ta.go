@@ -30,8 +30,8 @@ func New(data [][]float64) (*Engine, error) {
 	}
 	e := &Engine{data: data, dims: dims}
 	for i, p := range data {
-		if len(p) != dims {
-			return nil, fmt.Errorf("ta: point %d has %d dims, want %d", i, len(p), dims)
+		if err := query.CheckRow(p, dims); err != nil {
+			return nil, fmt.Errorf("ta: point %d: %w", i, err)
 		}
 	}
 	e.lists = make([]*dimlist.List, dims)

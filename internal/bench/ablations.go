@@ -15,7 +15,7 @@ func init() {
 		Title: "Ablation: querying time vs number of indexed angles (§4.2)",
 		Run:   runAblationAngles})
 	register(Experiment{ID: "ablation-pairing",
-		Title: "Ablation: querying time by pairing strategy (§8 future work)",
+		Title: "Ablation: querying time by build-time pairing strategy (§8 future work)",
 		Run:   runAblationPairing})
 	register(Experiment{ID: "ablation-granularity",
 		Title: "Ablation: 2-d subproblems vs 1-d subproblems (§5)",
@@ -80,15 +80,14 @@ func runAblationAngles(cfg Config) Report {
 }
 
 // runAblationPairing: correlation- and variance-guided build-time pairings
-// and the plan-time adaptive (weight-sorted) bijection against the paper's
-// arbitrary in-order mapping on correlated data, where the mapping choice
-// matters most.
+// against the paper's arbitrary in-order mapping on correlated data, where
+// the mapping choice matters most.
 func runAblationPairing(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	const dims, k = 6, 5
 	roles := rolesSplit(dims, 3)
 	n := cfg.scaled(250_000)
-	strategies := []core.Pairing{core.PairInOrder, core.PairByCorrelation, core.PairByVariance, core.PairAdaptive}
+	strategies := []core.Pairing{core.PairInOrder, core.PairByCorrelation, core.PairByVariance}
 	var series []Series
 	for _, dist := range []dataset.Distribution{dataset.Uniform, dataset.Correlated, dataset.AntiCorrelated} {
 		data := dataset.Generate(dist, n, dims, cfg.Seed)
@@ -107,7 +106,7 @@ func runAblationPairing(cfg Config) Report {
 		series = append(series, s)
 	}
 	return &SeriesReport{
-		Title:  fmt.Sprintf("Pairing strategy (x: 0=in-order, 1=by-correlation, 2=by-variance, 3=adaptive; 6-d, n=%d)", n),
+		Title:  fmt.Sprintf("Pairing strategy (x: 0=in-order, 1=by-correlation, 2=by-variance; 6-d, n=%d)", n),
 		XLabel: "strategy", YLabel: "total ms", Series: series,
 	}
 }

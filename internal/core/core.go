@@ -48,23 +48,9 @@ var ErrCanceled = errors.New("core: query canceled")
 type Pairing int
 
 const (
-	// PairAdaptive (the default) defers the bijection to query time: the
-	// engine indexes the full repulsive × attractive pair-tree grid (within
-	// pairGridCap) and the planner zips the active dimensions of each role
-	// in descending weight order per query — the strongest α with the
-	// strongest β, and so on. Matching strong with strong makes each pair's
-	// frontier bound fall steeply (the large β erodes the large α's bound),
-	// which is what the Threshold-Algorithm aggregation converges on; on
-	// the evaluation workload the measured access floor of weight-sorted
-	// pairing is within ~1.5% of the per-query optimal bijection, against
-	// ~20% above it for the fixed in-order zip. This is the guided mapping
-	// the paper's future-work section asks about, made affordable by plan-
-	// time selection. Beyond pairGridCap — or when a role set is empty at
-	// build — the engine falls back to PairInOrder's fixed structure.
-	PairAdaptive Pairing = iota
-	// PairInOrder zips D and S in index order — the paper's "arbitrary"
-	// mapping.
-	PairInOrder
+	// PairInOrder (the default) zips D and S in index order — the paper's
+	// "arbitrary" mapping, and the one its experiments use.
+	PairInOrder Pairing = iota
 	// PairByCorrelation greedily pairs the most strongly correlated
 	// (repulsive, attractive) dimensions first at build time.
 	PairByCorrelation
@@ -77,11 +63,6 @@ const (
 	PairNone
 )
 
-// pairGridCap bounds the adaptive pair-tree grid: |D| × |S| trees are built
-// only up to this many (each tree is O(n) memory), past which PairAdaptive
-// falls back to the fixed in-order zip.
-const pairGridCap = 32
-
 // defaultMemtableSize is the memtable row count past which the background
 // compactor seals it into a segment. Small enough that the per-query exact
 // scan of the memtable stays a rounding error next to the indexed
@@ -91,8 +72,6 @@ const defaultMemtableSize = 1024
 // String names the strategy.
 func (p Pairing) String() string {
 	switch p {
-	case PairAdaptive:
-		return "adaptive"
 	case PairInOrder:
 		return "in-order"
 	case PairByCorrelation:
@@ -117,7 +96,7 @@ type Config struct {
 	// setting; the per-pair trees depend on it). Queries may demote an
 	// active dimension to Ignored but may not flip roles.
 	Roles []query.Role
-	// Pairing selects the dimension-mapping strategy. Default PairAdaptive.
+	// Pairing selects the dimension-mapping strategy. Default PairInOrder.
 	Pairing Pairing
 	// Tree configures the per-pair §4 indexes.
 	Tree topk.Config
@@ -434,14 +413,10 @@ func (sn *snapshot) reach(d int, qv float64) float64 {
 	return math.Max(math.Abs(sn.minVal[d]-qv), math.Abs(sn.maxVal[d]-qv))
 }
 
-// Pairs returns the chosen dimension pairing (for inspection and tests).
-// Adaptive engines have no static pairing — the planner selects a bijection
-// per query — and return nil.
+// Pairs returns the chosen dimension pairing (for inspection and tests): the
+// bijection f of Eqn. 10, fixed at build time. Dimensions it leaves out are
+// solved alone over sorted lists.
 func (e *Engine) Pairs() []Pair { return append([]Pair(nil), e.layout.pairs...) }
-
-// Adaptive reports whether the engine selects its dimension pairing at plan
-// time over the full pair-tree grid.
-func (e *Engine) Adaptive() bool { return e.layout.adaptive }
 
 // Roles returns the build-time dimension roles.
 func (e *Engine) Roles() []query.Role { return append([]query.Role(nil), e.roles...) }

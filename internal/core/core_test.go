@@ -158,20 +158,17 @@ func TestPairingStrategiesAllCorrect(t *testing.T) {
 		query.Attractive, query.Attractive, query.Attractive,
 	}
 	truth, _ := scan.New(data)
-	for _, pairing := range []Pairing{PairAdaptive, PairInOrder, PairByCorrelation, PairByVariance, PairNone} {
+	for _, pairing := range []Pairing{PairInOrder, PairByCorrelation, PairByVariance, PairNone} {
 		eng, err := New(data, Config{Roles: roles, Pairing: pairing})
 		if err != nil {
 			t.Fatalf("%v: %v", pairing, err)
 		}
 		wantPairs := 3
-		if pairing == PairNone || pairing == PairAdaptive {
-			wantPairs = 0 // adaptive defers the bijection to plan time
+		if pairing == PairNone {
+			wantPairs = 0
 		}
 		if got := len(eng.Pairs()); got != wantPairs {
 			t.Fatalf("%v: %d pairs, want %d", pairing, got, wantPairs)
-		}
-		if got, want := eng.Adaptive(), pairing == PairAdaptive; got != want {
-			t.Fatalf("%v: Adaptive() = %v, want %v", pairing, got, want)
 		}
 		for qi := 0; qi < 10; qi++ {
 			spec := randomSpec(rng, data, roles)
@@ -186,8 +183,8 @@ func TestPairingUnbalancedRoles(t *testing.T) {
 	currentData = data
 	truth, _ := scan.New(data)
 	// 0..3 attractive dimensions of 6 (the Figure 7i/7j sweep): pairs =
-	// min(a, 6-a) under the fixed in-order zip; the adaptive default must
-	// answer identically with its plan-time bijection.
+	// min(a, 6-a) under the default in-order zip, and the other 6 - 2a
+	// dimensions run alone.
 	for a := 0; a <= 3; a++ {
 		roles := make([]query.Role, 6)
 		for d := range roles {
@@ -197,26 +194,18 @@ func TestPairingUnbalancedRoles(t *testing.T) {
 				roles[d] = query.Repulsive
 			}
 		}
-		eng, err := New(data, Config{Roles: roles, Pairing: PairInOrder})
+		eng, err := New(data, Config{Roles: roles})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := len(eng.Pairs()), a; got != want {
 			t.Fatalf("a=%d: %d pairs, want %d", a, got, want)
 		}
-		adEng, err := New(data, Config{Roles: roles})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := adEng.Adaptive(), a > 0; got != want {
-			// With zero attractive dims the grid is empty and the adaptive
-			// default falls back to the fixed structure.
-			t.Fatalf("a=%d: Adaptive() = %v, want %v", a, got, want)
+		if got, want := len(eng.layout.lone), 6-2*a; got != want {
+			t.Fatalf("a=%d: %d lone dimensions, want %d", a, got, want)
 		}
 		for qi := 0; qi < 6; qi++ {
-			spec := randomSpec(rng, data, roles)
-			checkAgainst(t, "sd", eng, truth, spec)
-			checkAgainst(t, "sd-adaptive", adEng, truth, spec)
+			checkAgainst(t, "sd", eng, truth, randomSpec(rng, data, roles))
 		}
 	}
 }
@@ -387,7 +376,7 @@ func TestBytesPositive(t *testing.T) {
 }
 
 // TestBytesEstimate pins the resident-size formula layer by layer: every
-// sealed segment contributes its index structures (trees or grid, lists),
+// sealed segment contributes its index structures (trees, lists),
 // its flat row block, its global-ID map, and its tombstone bitset; the
 // memtable contributes its ID, row, and dead arrays; the engine adds the
 // per-dimension extrema. A drifting estimate silently breaks capacity
@@ -406,9 +395,6 @@ func TestBytesEstimate(t *testing.T) {
 		for i, seg := range sn.segs {
 			segStruct := 0
 			for _, tr := range seg.trees {
-				segStruct += tr.Bytes()
-			}
-			for _, tr := range seg.grid {
 				segStruct += tr.Bytes()
 			}
 			for _, l := range seg.lists {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"testing"
@@ -66,7 +67,9 @@ func refParseApplied(raw []byte) uint64 {
 // FuzzWALReplay feeds arbitrary bytes as the entire live log file of an
 // otherwise-valid WAL directory. Whatever the bytes, recovery must never
 // panic and never error (a corrupt tail is the normal shape of a crashed
-// log), must never apply records past the first structural corruption, and
+// log) — unless it meets a sound insert outside the value domain, which it
+// must refuse with ErrWAL, keeping the file whole, as the stream apply must
+// too —, must never apply records past the first structural corruption, and
 // must be idempotent — recovering its own repaired output reproduces the
 // same state. The same bytes as a replication stream, applied to an engine
 // loaded from the same checkpoint, must reach the same LSN and Len, and may
@@ -87,6 +90,8 @@ func FuzzWALReplay(f *testing.F) {
 	// Header-only and empty files.
 	f.Add(append([]byte(nil), walMagic[:]...))
 	f.Add([]byte{})
+	// A sound record an older build accepted: a coordinate past the domain.
+	f.Add(writeRecord(append([]byte(nil), valid...), 4, insertPayload(3, []float64{0.1, 1e200, 0.1, 0.1})))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fs := seedWALDir(t)
@@ -107,6 +112,15 @@ func FuzzWALReplay(f *testing.F) {
 		}
 
 		re, err := Open(WALConfig{Dir: "idx", FS: fs}, RuntimeOptions{DisableCompaction: true})
+		if errors.Is(err, ErrWAL) {
+			if size, _ := fs.Stat("idx/000000001.wal"); size != int64(len(raw)) {
+				t.Fatalf("refused recovery cut the file from %d to %d bytes", len(raw), size)
+			}
+			if _, _, aerr := follower.ApplyWALStream(bytes.NewReader(raw)); !errors.Is(aerr, ErrWAL) {
+				t.Fatalf("recovery refused the log (%v), stream apply returned %v", err, aerr)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("recovery must never error on log corruption: %v", err)
 		}

@@ -112,8 +112,6 @@ type queryCtx struct {
 	coll       *pq.TopK[int]
 	drain      []pq.Scored[int]
 	scratch    queryPlan // plan storage for uncached shapes
-	sortRep    []int32   // adaptive planner scratch: active dims by weight
-	sortAtt    []int32
 
 	// done is the query's optional cancellation signal (a context's Done
 	// channel on the serving path); nil means the query runs to completion.
@@ -130,30 +128,12 @@ type queryCtx struct {
 func (e *Engine) initCtxPool() {
 	e.ctxPool.New = func() any {
 		return &queryCtx{
-			e:       e,
-			w:       make([]float64, e.dims),
-			signed:  make([]float64, e.dims),
-			coll:    pq.NewTopKOrdered[int](1, intAscending),
-			sortRep: make([]int32, 0, len(e.layout.gridRep)),
-			sortAtt: make([]int32, 0, len(e.layout.gridAtt)),
+			e:      e,
+			w:      make([]float64, e.dims),
+			signed: make([]float64, e.dims),
+			coll:   pq.NewTopKOrdered[int](1, intAscending),
 		}
 	}
-}
-
-// subsPerSegment is the worst-case subproblem count one segment contributes
-// under the engine's layout.
-func (e *Engine) subsPerSegment() (npair, ndim int) {
-	lo := &e.layout
-	if lo.adaptive {
-		// Matched pairs plus degenerate leftovers never exceed the larger
-		// active role set.
-		npair = len(lo.gridRep)
-		if len(lo.gridAtt) > npair {
-			npair = len(lo.gridAtt)
-		}
-		return npair, 0
-	}
-	return len(lo.pairs), len(lo.lone)
 }
 
 // getCtx acquires a context sized for the given snapshot: the pooled bitset
@@ -167,7 +147,7 @@ func (e *Engine) getCtx(sn *snapshot) *queryCtx {
 	if need := (sn.total + 63) / 64; len(c.seen) < need {
 		c.seen = make([]uint64, need)
 	}
-	npair, ndim := e.subsPerSegment()
+	npair, ndim := len(e.layout.pairs), len(e.layout.lone)
 	nseg := len(sn.segs)
 	for len(c.pairSubs) < npair*nseg {
 		c.pairSubs = append(c.pairSubs, pairSub{})
@@ -322,7 +302,6 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 
 	// Sweep the segments the planner does not stream at all (sweep.go) and
 	// bind the plan's subproblems to the rest.
-	c.prepSubs(pl)
 	nsubs := pl.nsubs()
 	for si, seg := range sn.segs {
 		if e.sweepsFirst(seg, nsubs) {
@@ -353,11 +332,9 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 	return c.appendResults(dst), stats, nil
 }
 
-// addPairSub binds one 2D subproblem — tree, dimension pair, weights — into
-// the context, accumulating its float-pad reach terms into the owning
-// segment's pad. Degenerate pairs (one zero weight) are valid: they
-// enumerate a single dimension's frontier through the same tree, which is
-// how adaptive engines run leftover dimensions without sorted lists.
+// buildSegSubs binds the plan's subproblems to one sealed segment — a §4
+// tree stream per surviving pair, a sorted-list iterator per surviving lone
+// dimension — accumulating that segment's float-error pad.
 //
 // The pad bounds the absolute floating-point error between a pair stream's
 // emitted scores/bounds (computed in normalized projection space and
@@ -376,113 +353,34 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 // summed weighted reach budgets the whole summation chain with orders of
 // magnitude to spare. Pads are tracked per segment: a point's unknown
 // contributions come only from its own segment's subproblems.
-func (c *queryCtx) addPairSub(tree *topk.Index, ref subRef, rep, attr int, wr, wa float64, qpt []float64) error {
-	q2 := geom.Point{X: qpt[attr], Y: qpt[rep]}
-	ps := &c.pairSubs[c.nPair]
-	if err := tree.StreamInto(&ps.st, q2, wr, wa); err != nil {
-		return fmt.Errorf("core: pair (%d, %d): %w", rep, attr, err)
-	}
-	c.nPair++
-	c.segPad[ref.ord] += floatSlack * (wr*c.sn.reach(rep, qpt[rep]) + wa*c.sn.reach(attr, qpt[attr]))
-	c.subs = append(c.subs, ps)
-	c.refs = append(c.refs, ref)
-	return nil
-}
-
-// prepSubs computes the per-query, segment-independent part of subproblem
-// binding. On adaptive layouts that is the plan-time bijection: the active
-// dimensions of each role are sorted by descending weight (ties to the lower
-// dimension, so the schedule is deterministic), to be zipped
-// strongest-with-strongest by buildSegSubs. Matching strong with strong makes
-// each matched pair's frontier fall steeply — measured on the evaluation
-// workload, the access floor of this zip is within ~1.5% of the per-query
-// optimal bijection. Fixed layouts need no preparation.
-func (c *queryCtx) prepSubs(pl *queryPlan) {
-	if !c.e.layout.adaptive {
-		return
-	}
-	rep := append(c.sortRep[:0], pl.activeRep...)
-	att := append(c.sortAtt[:0], pl.activeAtt...)
-	c.sortRep, c.sortAtt = rep, att // keep grown capacity pooled
-	sortByWeightDesc(rep, c.w)
-	sortByWeightDesc(att, c.w)
-}
-
-// buildSegSubs binds the plan's subproblems to one sealed segment,
-// accumulating that segment's float-error pad. Callers run prepSubs once per
-// query first.
-//
-// Adaptive layouts zip the sorted role lists strongest-with-strongest;
-// leftover dimensions of the longer side run as degenerate pairs with a zero
-// weight on the missing role, reusing the first grid dimension of that role
-// purely as tree storage.
 func (c *queryCtx) buildSegSubs(pl *queryPlan, spec query.Spec, si int) error {
 	e := c.e
 	seg := c.sn.segs[si]
 	ref := subRef{seg: seg, tomb: c.sn.tombs[si], ord: int32(si)}
-	if !e.layout.adaptive {
-		for _, pi := range pl.pairs {
-			pr := e.layout.pairs[pi]
-			if err := c.addPairSub(seg.trees[pi], ref, pr.Rep, pr.Attr, c.w[pr.Rep], c.w[pr.Attr], spec.Point); err != nil {
-				return err
-			}
+	qpt := spec.Point
+	for _, pi := range pl.pairs {
+		pr := e.layout.pairs[pi]
+		rep, attr := pr.Rep, pr.Attr
+		wr, wa := c.w[rep], c.w[attr]
+		ps := &c.pairSubs[c.nPair]
+		if err := seg.trees[pi].StreamInto(&ps.st, geom.Point{X: qpt[attr], Y: qpt[rep]}, wr, wa); err != nil {
+			return fmt.Errorf("core: pair (%d, %d): %w", rep, attr, err)
 		}
-		for _, li := range pl.lone {
-			d := e.layout.lone[li]
-			ds := &c.dimSubs[c.nDim]
-			c.nDim++
-			seg.lists[li].InitIter(&ds.it, spec.Point[d], c.w[d], e.roles[d] == query.Attractive)
-			c.segPad[ref.ord] += floatSlack * c.w[d] * c.sn.reach(d, spec.Point[d])
-			c.subs = append(c.subs, ds)
-			c.refs = append(c.refs, ref)
-		}
-		return nil
+		c.nPair++
+		c.segPad[ref.ord] += floatSlack * (wr*c.sn.reach(rep, qpt[rep]) + wa*c.sn.reach(attr, qpt[attr]))
+		c.subs = append(c.subs, ps)
+		c.refs = append(c.refs, ref)
 	}
-	lo := &e.layout
-	rep, att := c.sortRep, c.sortAtt
-	m := len(rep)
-	if len(att) < m {
-		m = len(att)
-	}
-	na := len(lo.gridAtt)
-	for i := 0; i < m; i++ {
-		r, a := int(rep[i]), int(att[i])
-		tree := seg.grid[int(lo.gridPos[r])*na+int(lo.gridPos[a])]
-		if err := c.addPairSub(tree, ref, r, a, c.w[r], c.w[a], spec.Point); err != nil {
-			return err
-		}
-	}
-	for _, ri := range rep[m:] {
-		r, a := int(ri), lo.gridAtt[0]
-		tree := seg.grid[int(lo.gridPos[r])*na+0]
-		if err := c.addPairSub(tree, ref, r, a, c.w[r], 0, spec.Point); err != nil {
-			return err
-		}
-	}
-	for _, ai := range att[m:] {
-		r, a := lo.gridRep[0], int(ai)
-		tree := seg.grid[0*na+int(lo.gridPos[a])]
-		if err := c.addPairSub(tree, ref, r, a, 0, c.w[a], spec.Point); err != nil {
-			return err
-		}
+	for _, li := range pl.lone {
+		d := e.layout.lone[li]
+		ds := &c.dimSubs[c.nDim]
+		c.nDim++
+		seg.lists[li].InitIter(&ds.it, qpt[d], c.w[d], e.roles[d] == query.Attractive)
+		c.segPad[ref.ord] += floatSlack * c.w[d] * c.sn.reach(d, qpt[d])
+		c.subs = append(c.subs, ds)
+		c.refs = append(c.refs, ref)
 	}
 	return nil
-}
-
-// sortByWeightDesc orders dims by descending w[d], breaking ties toward the
-// lower dimension index. Insertion sort: the lists are tiny (≤ the role-set
-// size) and the scratch is pooled, so this is allocation-free.
-func sortByWeightDesc(dims []int32, w []float64) {
-	for i := 1; i < len(dims); i++ {
-		d := dims[i]
-		wd := w[d]
-		j := i
-		for j > 0 && (w[dims[j-1]] < wd || (w[dims[j-1]] == wd && dims[j-1] > d)) {
-			dims[j] = dims[j-1]
-			j--
-		}
-		dims[j] = d
-	}
 }
 
 // appendResults drains the collector into dst best-first via the pooled

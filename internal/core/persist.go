@@ -131,35 +131,20 @@ func (e *Engine) saveSnapshot(w io.Writer, sn *snapshot) error {
 	for _, r := range e.roles {
 		cw.write(uint8(r))
 	}
-	cw.write(uint8(e.pairing))
-	cw.write(uint8(64)) // column width: the columns are float64 (Load also accepts 32)
+	cw.write(uint8(e.pairing) + 1) // the file numbers pairings from 1 (see Load)
+	cw.write(uint8(64))            // column width: the columns are float64 (Load also accepts 32)
 
-	// Fixed layout.
+	// Layout byte 0: the pair list, then the lone dimensions.
 	lo := &e.layout
-	adaptive := uint8(0)
-	if lo.adaptive {
-		adaptive = 1
+	cw.write(uint8(0))
+	cw.write(uint32(len(lo.pairs)))
+	for _, pr := range lo.pairs {
+		cw.write(uint32(pr.Rep))
+		cw.write(uint32(pr.Attr))
 	}
-	cw.write(adaptive)
-	if lo.adaptive {
-		cw.write(uint32(len(lo.gridRep)))
-		for _, d := range lo.gridRep {
-			cw.write(uint32(d))
-		}
-		cw.write(uint32(len(lo.gridAtt)))
-		for _, d := range lo.gridAtt {
-			cw.write(uint32(d))
-		}
-	} else {
-		cw.write(uint32(len(lo.pairs)))
-		for _, pr := range lo.pairs {
-			cw.write(uint32(pr.Rep))
-			cw.write(uint32(pr.Attr))
-		}
-		cw.write(uint32(len(lo.lone)))
-		for _, d := range lo.lone {
-			cw.write(uint32(d))
-		}
+	cw.write(uint32(len(lo.lone)))
+	for _, d := range lo.lone {
+		cw.write(uint32(d))
 	}
 
 	// Tree configuration: the exact inputs segment rebuilds need. Angles are
@@ -253,9 +238,14 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 			bad("unknown role %d for dimension %d", roles[d], d)
 		}
 	}
-	pairing := Pairing(cr.u8())
-	if pairing > PairNone {
-		bad("unknown pairing %d", pairing)
+	// The pairing byte is the strategy plus one. Byte 0 named the retired
+	// adaptive pair-tree grid, whose files load as the in-order zip.
+	pairing := PairInOrder
+	switch b := cr.u8(); {
+	case b > uint8(PairNone)+1:
+		bad("unknown pairing byte %d", b)
+	case b > 0:
+		pairing = Pairing(b - 1)
 	}
 	// Column width: 64, or 32 from an engine that also kept a float32 sweep
 	// copy. The persisted columns are float64 either way.
@@ -265,7 +255,10 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 
 	// The layout names every active dimension exactly once, each in a slot
 	// of its role: pair and grid rows are repulsive, pair and grid columns
-	// attractive, lone dimensions either.
+	// attractive, lone dimensions either. Layout byte 1 is the retired
+	// adaptive grid, which listed only the grid's rows and columns: it loads
+	// as their in-order zip, and the longer list's leftovers become lone
+	// dimensions.
 	seen := make([]bool, dims)
 	listed := 0
 	dim := func(slot string, want ...query.Role) int {
@@ -303,16 +296,9 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 	switch layoutByte := cr.u8(); {
 	case cr.err != nil:
 	case layoutByte == 1:
-		lo.adaptive = true
-		lo.gridRep = dimList("grid row", query.Repulsive)
-		lo.gridAtt = dimList("grid column", query.Attractive)
-		lo.gridPos = make([]int32, dims)
-		for i, d := range lo.gridRep {
-			lo.gridPos[d] = int32(i)
-		}
-		for i, d := range lo.gridAtt {
-			lo.gridPos[d] = int32(i)
-		}
+		rows := dimList("grid row", query.Repulsive)
+		cols := dimList("grid column", query.Attractive)
+		lo = pairLayout(makePairs(nil, rows, cols, PairInOrder), rows, cols)
 	case layoutByte == 0:
 		lo.pairs = make([]Pair, count("pair"))
 		for i := range lo.pairs {
@@ -353,7 +339,7 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 	}
 
 	// readRows reads one row block: IDs ascending across the whole stack and
-	// below total, finite coordinates.
+	// below total, coordinates inside the value domain.
 	lastID := int32(-1)
 	readRows := func() (ids []int32, cols []float64) {
 		rows := cr.u64()
@@ -370,8 +356,8 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 			lastID = id
 		}
 		for _, c := range cols {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				bad("non-finite coordinate %v", c)
+			if err := query.CheckValue(c); err != nil {
+				bad("coordinate %w", err)
 			}
 		}
 		return ids, cols

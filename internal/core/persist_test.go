@@ -63,6 +63,19 @@ const (
 	offLists   = offLayout + 1 // the first count of the layout
 )
 
+// gridFile rewrites a PairInOrder savedFile into the layout-1 file the
+// retired adaptive pair-tree grid saved for the same rows: pairing byte 0,
+// grid rows [0 2 4] and grid columns [1 3] in place of pairs (0,1), (2,3)
+// and lone [4]. The two layouts take the same 28 bytes, and the grid loads
+// as exactly the fixed layout it replaced.
+func gridFile(fixed []byte) []byte {
+	out := patchByte(patchByte(fixed, offPairing, 0), offLayout, 1)
+	for i, v := range []uint32{3, 0, 2, 4, 2, 1, 3} {
+		binary.LittleEndian.PutUint32(out[offLists+4*i:], v)
+	}
+	return out
+}
+
 // patchU32 and patchByte return a copy of file with one field replaced.
 func patchU32(file []byte, off int, v uint32) []byte {
 	out := append([]byte(nil), file...)
@@ -85,7 +98,7 @@ func lyingHeader(total uint64, nSegs uint32, rows uint64) []byte {
 	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	u32(persistVersion)
 	u32(1)                   // dims
-	b = append(b, 0, 0, 64)  // role ignored, pairing, column width
+	b = append(b, 0, 1, 64)  // role ignored, pairing in-order, column width
 	b = append(b, 0)         // fixed layout
 	u32(0)                   // pairs
 	u32(0)                   // lone dimensions
@@ -152,7 +165,7 @@ func badLayouts(t testing.TB) []struct {
 	file       []byte
 } {
 	fixed := savedFile(t, PairInOrder) // pairs (0,1), (2,3); lone [4]
-	grid := savedFile(t, PairAdaptive) // rows [0 2 4]; columns [1 3]
+	grid := gridFile(fixed)            // rows [0 2 4]; columns [1 3]
 	pair := func(i, field int) int { return offLists + 4 + 8*i + 4*field }
 	lone := offLists + 4 + 8*2 + 4
 	return []struct {
@@ -160,7 +173,7 @@ func badLayouts(t testing.TB) []struct {
 		file       []byte
 	}{
 		{"layout byte", "unknown layout byte 7", patchByte(fixed, offLayout, 7)},
-		{"pairing byte", "unknown pairing 5", patchByte(fixed, offPairing, byte(PairNone)+1)},
+		{"pairing byte", "unknown pairing byte 5", patchByte(fixed, offPairing, byte(PairNone)+2)},
 		{"pair row", "pair row dimension 5 has role ignored", patchU32(fixed, pair(0, 0), 5)},
 		{"pair column", "pair column dimension 4 has role repulsive", patchU32(fixed, pair(1, 1), 4)},
 		{"grid row", "grid row dimension 1 has role attractive", patchU32(grid, offLists+4, 1)},
@@ -170,10 +183,33 @@ func badLayouts(t testing.TB) []struct {
 	}
 }
 
+// TestLoadGridLayout loads a layout-1 file of the retired adaptive grid. It
+// comes up as the in-order zip of the grid's rows and columns with the
+// leftover row alone, and Save writes it back as the layout-0 file the same
+// rows save to today, byte for byte.
+func TestLoadGridLayout(t *testing.T) {
+	fixed := savedFile(t, PairInOrder)
+	e, err := Load(bytes.NewReader(gridFile(fixed)), RuntimeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(e.Pairs(), e.layout.lone, e.pairing), "[{0 1} {2 3}] [4] in-order"; got != want {
+		t.Fatalf("grid file loads as %s, want %s", got, want)
+	}
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), fixed) {
+		t.Fatal("re-saved grid file differs from the fixed layout's file")
+	}
+}
+
 func TestLoadRefusesBadLayout(t *testing.T) {
-	for _, pairing := range []Pairing{PairInOrder, PairAdaptive} {
-		if _, err := Load(bytes.NewReader(savedFile(t, pairing)), RuntimeOptions{}); err != nil {
-			t.Fatalf("unpatched %v file: %v", pairing, err)
+	fixed := savedFile(t, PairInOrder)
+	for _, file := range [][]byte{fixed, gridFile(fixed)} {
+		if _, err := Load(bytes.NewReader(file), RuntimeOptions{}); err != nil {
+			t.Fatalf("unpatched file (layout byte %d): %v", file[offLayout], err)
 		}
 	}
 	for _, tc := range badLayouts(t) {
@@ -188,8 +224,8 @@ func TestLoadRefusesBadLayout(t *testing.T) {
 // allocate past what the input backs; a stream it accepts must report a Len
 // equal to its untombstoned rows and answer exactly like the scan over them.
 func FuzzLoad(f *testing.F) {
-	for _, pairing := range []Pairing{PairInOrder, PairAdaptive} {
-		file := savedFile(f, pairing)
+	fixed := savedFile(f, PairInOrder)
+	for _, file := range [][]byte{fixed, gridFile(fixed)} {
 		f.Add(file)
 		for _, cut := range []int{0, 5, offLists, len(file) / 2, len(file) - 9, len(file) - 1} {
 			f.Add(file[:cut])

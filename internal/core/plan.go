@@ -42,17 +42,12 @@ type queryPlan struct {
 	// nothing and are dropped; their bound is 0 by omission. The same pairs
 	// also name the reach terms of the float pad. Because the layout is
 	// fixed at the engine level, the same indices select the right tree in
-	// every sealed segment. Fixed-pairing engines only.
+	// every sealed segment.
 	pairs []int32
 	// lone lists ordinals into the layout's lone-dimension list (not raw
 	// dimension numbers: the ordinal also indexes each segment's sorted
-	// lists) whose dimension has nonzero weight. Fixed-pairing engines only.
+	// lists) whose dimension has nonzero weight.
 	lone []int32
-	// activeRep and activeAtt split the active set by role, in dimension
-	// order — the inputs the adaptive planner's per-query weight sort zips
-	// into a bijection. Adaptive engines only.
-	activeRep []int32
-	activeAtt []int32
 }
 
 // maxPlanDims bounds the dimensionality the packed shape signature covers:
@@ -86,12 +81,8 @@ func planSignature(spec query.Spec) (uint64, bool) {
 }
 
 // nsubs is the number of subproblems the plan binds to each streamed
-// segment: the fixed layout's surviving pairs and lone dimensions, or the
-// adaptive zip's matched pairs plus leftovers (the larger active role set).
-// Only one of the two forms is populated on any engine.
-func (p *queryPlan) nsubs() int {
-	return len(p.pairs) + len(p.lone) + max(len(p.activeRep), len(p.activeAtt))
-}
+// segment: the layout's surviving pairs and lone dimensions.
+func (p *queryPlan) nsubs() int { return len(p.pairs) + len(p.lone) }
 
 // derivePlanInto computes the plan for spec's shape into p, reusing p's
 // slices. It is the single source of truth both the cached and the scratch
@@ -101,8 +92,6 @@ func (e *Engine) derivePlanInto(p *queryPlan, spec query.Spec) {
 	p.active = p.active[:0]
 	p.pairs = p.pairs[:0]
 	p.lone = p.lone[:0]
-	p.activeRep = p.activeRep[:0]
-	p.activeAtt = p.activeAtt[:0]
 	for d := 0; d < e.dims; d++ {
 		switch spec.Roles[d] {
 		case query.Ignored:
@@ -114,22 +103,12 @@ func (e *Engine) derivePlanInto(p *queryPlan, spec query.Spec) {
 					sign = 1
 				}
 				p.active = append(p.active, planDim{d: int32(d), sign: sign})
-				if e.layout.adaptive {
-					if sign > 0 {
-						p.activeRep = append(p.activeRep, int32(d))
-					} else {
-						p.activeAtt = append(p.activeAtt, int32(d))
-					}
-				}
 			}
 		default:
 			p.err = fmt.Errorf("core: dimension %d queried as %v but indexed as %v",
 				d, spec.Roles[d], e.roles[d])
 			return
 		}
-	}
-	if e.layout.adaptive {
-		return // pair selection happens per query over activeRep/activeAtt
 	}
 	// effW mirrors the weight the aggregation will use: the spec weight when
 	// the dimension's role is engaged, zero when demoted to Ignored.

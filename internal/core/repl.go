@@ -201,11 +201,15 @@ scan:
 // engine's LastLSN are skipped, the successor record applies, anything else
 // stops the stream. Unlike recovery, a stop is an error — the transport below
 // the stream is reliable, so damage means protocol violation, and the caller
-// must re-bootstrap. Returns the new LastLSN and the number of records applied
-// (skips excluded).
+// must re-bootstrap. A sound insert outside the value domain (an older
+// leader's row) is an ErrWAL error instead: re-bootstrapping cannot help, as
+// the leader's snapshot holds the same row. Returns the new LastLSN and the
+// number of records applied (skips excluded).
 func (e *Engine) ApplyWALStream(r io.Reader) (applied uint64, records int, err error) {
 	run := e.applyRecords(r, e.LastLSN())
 	switch {
+	case run.err != nil:
+		err = run.err
 	case run.valid == 0:
 		err = fmt.Errorf("%w: bad stream header", ErrReplGap)
 	case !run.clean:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	mathbits "math/bits"
 	"runtime"
 	"sort"
@@ -16,18 +15,15 @@ import (
 
 // layout is the engine's fixed subproblem structure, decided once at New from
 // the build-time roles (and, for the data-dependent pairing strategies, the
-// initial dataset) and shared by every sealed segment. Fixing the layout at
-// the engine level — rather than re-deriving it per segment — is what keeps
-// the per-shape plan cache valid across the whole segment stack: a plan's
-// pair and lone indices name the same dimensions in every segment's trees.
+// initial dataset) and shared by every sealed segment: the pairs of Eqn. 10's
+// bijection f, each answered by a 2D tree, and the lone dimensions f leaves
+// out, each answered by a sorted list. Fixing the layout at the engine level —
+// rather than re-deriving it per segment — is what keeps the per-shape plan
+// cache valid across the whole segment stack: a plan's pair and lone indices
+// name the same dimensions in every segment's trees and lists.
 type layout struct {
 	pairs []Pair
 	lone  []int
-	// Adaptive grid structure (PairAdaptive within pairGridCap): see Engine.
-	adaptive bool
-	gridRep  []int
-	gridAtt  []int
-	gridPos  []int32 // dim → its row/column index (shared: roles disjoint)
 }
 
 // segment is one sealed, immutable layer of the engine: a dimension-major
@@ -50,16 +46,14 @@ type segment struct {
 	dims int
 
 	// indexed is false on a segment too small to ever be streamed (see
-	// Engine.seal): it carries no trees, grid, or lists, and every query
-	// sweeps it.
+	// Engine.seal): it carries no trees or lists, and every query sweeps it.
 	indexed bool
-	trees   []*topk.Index   // fixed-pairing: parallel to layout.pairs
-	grid    []*topk.Index   // adaptive: gridRep × gridAtt trees
+	trees   []*topk.Index   // parallel to layout.pairs
 	lists   []*dimlist.List // parallel to layout.lone
 
 	// structBytes caches the resident size of the index structures (trees,
-	// grid, lists); they never change after the build, so Bytes() does not
-	// re-walk them.
+	// lists); they never change after the build, so Bytes() does not re-walk
+	// them.
 	structBytes int
 }
 
@@ -142,40 +136,19 @@ func buildSegment(cols []float64, ids []int32, dims int, lo *layout, treeCfg top
 	// Trees and lists copy their input columns, so they can slice the block
 	// directly — the throwaway per-dimension copies the row-major layout
 	// forced are gone.
-	colOf := s.col
-	if lo.adaptive {
-		s.grid = make([]*topk.Index, len(lo.gridRep)*len(lo.gridAtt))
-		for ri, r := range lo.gridRep {
-			for ai, a := range lo.gridAtt {
-				tree, err := topk.BuildColumns(colOf(a), colOf(r), treeCfg)
-				if err != nil {
-					return nil, fmt.Errorf("core: pair (%d, %d): %w", r, a, err)
-				}
-				s.grid[ri*len(lo.gridAtt)+ai] = tree
-			}
+	s.trees = make([]*topk.Index, len(lo.pairs))
+	for i, pr := range lo.pairs {
+		tree, err := topk.BuildColumns(s.col(pr.Attr), s.col(pr.Rep), treeCfg)
+		if err != nil {
+			return nil, fmt.Errorf("core: pair (%d, %d): %w", pr.Rep, pr.Attr, err)
 		}
-	} else {
-		s.trees = make([]*topk.Index, len(lo.pairs))
-		for i, pr := range lo.pairs {
-			tree, err := topk.BuildColumns(colOf(pr.Attr), colOf(pr.Rep), treeCfg)
-			if err != nil {
-				return nil, fmt.Errorf("core: pair (%d, %d): %w", pr.Rep, pr.Attr, err)
-			}
-			s.trees[i] = tree
-		}
-		s.lists = make([]*dimlist.List, len(lo.lone))
-		for i, d := range lo.lone {
-			s.lists[i] = dimlist.FromColumn(colOf(d))
-		}
+		s.trees[i] = tree
+		s.structBytes += tree.Bytes()
 	}
-	for _, t := range s.trees {
-		s.structBytes += t.Bytes()
-	}
-	for _, t := range s.grid {
-		s.structBytes += t.Bytes()
-	}
-	for _, l := range s.lists {
-		s.structBytes += l.Len() * 12 // 8B value + 4B id per entry
+	s.lists = make([]*dimlist.List, len(lo.lone))
+	for i, d := range lo.lone {
+		s.lists[i] = dimlist.FromColumn(s.col(d))
+		s.structBytes += s.lists[i].Len() * 12 // 8B value + 4B id per entry
 	}
 	return s, nil
 }
@@ -233,10 +206,9 @@ func popcount(bits []uint64) int {
 }
 
 // makeLayout fixes the engine's subproblem structure from the build-time
-// roles, falling back from the adaptive grid exactly as New always has. The
-// data parameter feeds the data-dependent pairing strategies only; it may be
-// empty, in which case PairByCorrelation and PairByVariance degrade to the
-// in-order zip (their statistics are undefined on an empty set).
+// roles. The data parameter feeds the data-dependent pairing strategies only;
+// it may be empty, in which case PairByCorrelation and PairByVariance degrade
+// to the in-order zip (their statistics are undefined on an empty set).
 func makeLayout(data [][]float64, roles []query.Role, pairing Pairing) layout {
 	var repulsive, attractive []int
 	for d, r := range roles {
@@ -247,31 +219,17 @@ func makeLayout(data [][]float64, roles []query.Role, pairing Pairing) layout {
 			attractive = append(attractive, d)
 		}
 	}
-	var lo layout
-	if pairing == PairAdaptive {
-		if len(repulsive) > 0 && len(attractive) > 0 &&
-			len(repulsive)*len(attractive) <= pairGridCap {
-			lo.adaptive = true
-			lo.gridRep = repulsive
-			lo.gridAtt = attractive
-			lo.gridPos = make([]int32, len(roles))
-			for i, d := range repulsive {
-				lo.gridPos[d] = int32(i)
-			}
-			for i, d := range attractive {
-				lo.gridPos[d] = int32(i)
-			}
-			return lo
-		}
-		// Degenerate or oversized grid: the adaptive planner has nothing to
-		// choose from (or too much to index), so fall back to the fixed
-		// in-order structure. Answers are identical either way.
-		pairing = PairInOrder
-	}
 	if len(data) == 0 && (pairing == PairByCorrelation || pairing == PairByVariance) {
 		pairing = PairInOrder
 	}
-	lo.pairs = makePairs(data, repulsive, attractive, pairing)
+	return pairLayout(makePairs(data, repulsive, attractive, pairing), repulsive, attractive)
+}
+
+// pairLayout completes a pair list into a layout: every dimension of
+// repulsive or attractive that no pair names becomes a lone dimension, in
+// ascending order.
+func pairLayout(pairs []Pair, repulsive, attractive []int) layout {
+	lo := layout{pairs: pairs}
 	paired := make(map[int]bool)
 	for _, pr := range lo.pairs {
 		paired[pr.Rep] = true
@@ -286,16 +244,11 @@ func makeLayout(data [][]float64, roles []query.Role, pairing Pairing) layout {
 	return lo
 }
 
-// validRow rejects non-finite coordinates and dimension mismatches — the
-// invariant every indexed row satisfies.
+// validRow rejects dimension mismatches and coordinates outside the shared
+// value domain (query.CheckRow) — the invariant every indexed row satisfies.
 func validRow(p []float64, dims int) error {
-	if len(p) != dims {
-		return fmt.Errorf("core: point has %d dims, want %d", len(p), dims)
-	}
-	for d, c := range p {
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return fmt.Errorf("core: dim %d is %v", d, c)
-		}
+	if err := query.CheckRow(p, dims); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

@@ -47,9 +47,9 @@ func TestSealIndexesBySize(t *testing.T) {
 			t.Fatal(err)
 		}
 		seg := eng.snap.Load().segs[0]
-		if seg.indexed != tc.indexed || (seg.grid != nil) != tc.indexed {
-			t.Fatalf("%d rows at access cost %d: indexed = %v (grid built: %v), want %v",
-				tc.rows, tc.cost, seg.indexed, seg.grid != nil, tc.indexed)
+		if seg.indexed != tc.indexed || (seg.trees != nil) != tc.indexed {
+			t.Fatalf("%d rows at access cost %d: indexed = %v (trees built: %v), want %v",
+				tc.rows, tc.cost, seg.indexed, seg.trees != nil, tc.indexed)
 		}
 		_, st, err := eng.TopKWithStats(sweepTestSpec(3))
 		if err != nil {

@@ -53,12 +53,14 @@ import (
 	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/query"
 )
 
 // ErrWAL marks a sticky write-ahead-log failure: the record (or a
 // subsequent fsync) could not be made durable, and every later mutation on
-// the engine fails fast with the same error. Reads are unaffected. Check
-// with errors.Is.
+// the engine fails fast with the same error. Reads are unaffected. Open and
+// a follower's stream apply also return it for a log record they refuse to
+// replay and will not cut off (see walRun.err). Check with errors.Is.
 var ErrWAL = errors.New("core: write-ahead log failure")
 
 // SyncPolicy selects when appended WAL records are fsynced.
@@ -618,7 +620,8 @@ func (e *Engine) Total() int { return e.snap.Load().total }
 // first corrupt record, and come back up appending to a fresh log file.
 // Recovery never fails on a torn tail — that is the normal shape of a
 // crashed log; it fails only when the directory is structurally unusable
-// (no checkpoint, unreadable checkpoint).
+// (no checkpoint, unreadable checkpoint) or the log holds a sound insert
+// outside the value domain (walRun.err), and then leaves the log as it is.
 func Open(c WALConfig, opt RuntimeOptions) (*Engine, error) {
 	c = c.withDefaults()
 	if c.Dir == "" {
@@ -685,7 +688,8 @@ func listWALFiles(ffs faultfs.FS, dir string) ([]uint64, error) {
 // or semantically invalid record, an LSN gap, a torn or alien file header)
 // it truncates that file at the last valid record and deletes every later
 // file — nothing is ever replayed past a corruption. The error return is
-// for infrastructure failures only, never corruption.
+// for infrastructure failures and for a sound record this build refuses
+// (walRun.err), never for corruption; neither touches the log.
 func (e *Engine) replayWAL(l *walLog, seqs []uint64) error {
 	applied := e.snap.Load().walLSN
 	for i, seq := range seqs {
@@ -696,6 +700,9 @@ func (e *Engine) replayWAL(l *walLog, seqs []uint64) error {
 		}
 		run := e.applyRecords(f, applied)
 		f.Close()
+		if run.err != nil {
+			return fmt.Errorf("core: open %s: %w", path, run.err)
+		}
 		applied = run.lsn
 		l.replayed.Add(uint64(run.records))
 		if run.maxLSN > 0 {
@@ -727,6 +734,11 @@ type walRun struct {
 	maxLSN  uint64 // highest LSN among the records read, duplicates included (0 = none)
 	valid   int64  // byte length of the valid prefix: the header plus every record read
 	clean   bool   // the stream ended at EOF on a record boundary, nothing refused
+	// err is set when the run stopped at a sound insert whose coordinates lie
+	// outside the value domain (query.MaxAbs) — a row written before that
+	// bound existed. It is not corruption: the caller must fail and keep
+	// the log, never cut it there.
+	err error
 }
 
 // applyRecords applies one log stream (file header, then records) over the
@@ -747,7 +759,14 @@ func (e *Engine) applyRecords(r io.Reader, cursor uint64) walRun {
 		case lsn <= run.lsn:
 			// Duplicate (retried append, or a file fully covered by the
 			// checkpoint): already applied, skip.
-		case lsn == run.lsn+1 && e.applyRecord(payload, lsn):
+		case lsn == run.lsn+1:
+			ok, err := e.applyRecord(payload, lsn)
+			if err != nil {
+				run.err = fmt.Errorf("%w: record at LSN %d: %v", ErrWAL, lsn, err)
+			}
+			if !ok {
+				return false
+			}
 			run.lsn = lsn
 			run.records++
 		default:
@@ -803,37 +822,44 @@ func scanWALRecords(r *bufio.Reader, emit func(lsn uint64, rec, payload []byte) 
 }
 
 // applyRecord applies one valid WAL record to the engine, reporting whether
-// its payload was semantically sound.
-func (e *Engine) applyRecord(payload []byte, lsn uint64) bool {
+// its payload was semantically sound. An insert that is sound but for a
+// finite coordinate past query.MaxAbs is not applied and comes back as the
+// error: older builds logged any finite value, and such a record must stop
+// recovery loudly rather than be cut off as corruption.
+func (e *Engine) applyRecord(payload []byte, lsn uint64) (bool, error) {
 	if len(payload) < 9 {
-		return false
+		return false, nil
 	}
 	op, id := payload[0], binary.LittleEndian.Uint64(payload[1:9])
 	switch op {
 	case opInsert:
 		if len(payload) != 9+8*e.dims || id > math.MaxInt32 {
-			return false
+			return false, nil
 		}
 		p := make([]float64, e.dims)
 		for d := range p {
 			p[d] = math.Float64frombits(binary.LittleEndian.Uint64(payload[9+8*d:]))
+			if math.IsNaN(p[d]) || math.IsInf(p[d], 0) {
+				return false, nil
+			}
 		}
-		return e.replayInsert(int(id), p, lsn)
+		if err := query.CheckRow(p, e.dims); err != nil {
+			return false, fmt.Errorf("insert of ID %d: %w (a row logged before the value domain was bounded cannot be opened)", id, err)
+		}
+		return e.replayInsert(int(id), p, lsn), nil
 	case opRemove:
 		if len(payload) != 9 || id > math.MaxInt32 {
-			return false
+			return false, nil
 		}
 		e.replayRemove(int(id), lsn)
-		return true
+		return true, nil
 	}
-	return false
+	return false, nil
 }
 
-// replayInsert applies a recovered insert without logging it again.
+// replayInsert applies a recovered insert without logging it again; p is
+// already inside the value domain.
 func (e *Engine) replayInsert(id int, p []float64, lsn uint64) bool {
-	if validRow(p, e.dims) != nil {
-		return false
-	}
 	e.wrMu.Lock()
 	defer e.wrMu.Unlock()
 	cur := e.snap.Load()

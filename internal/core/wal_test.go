@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -335,6 +339,57 @@ func TestWALReplayStopsAtLSNGap(t *testing.T) {
 	}
 	if e.Len() != 2 {
 		t.Fatalf("Len = %d, want 2: replay must stop at the gap", e.Len())
+	}
+}
+
+// TestWALReplayRefusesOutOfDomainRow replays a log written by a build that
+// accepted any finite coordinate: a sound insert past query.MaxAbs must make
+// Open and a follower's stream apply fail with ErrWAL naming the record, and
+// must leave every log byte in place — it is not corruption to be cut off.
+func TestWALReplayRefusesOutOfDomainRow(t *testing.T) {
+	fs := seedWALDir(t)
+	var first, second []byte
+	first = writeRecord(first, 1, insertPayload(0, []float64{1e150, -1e150, 0.3, 0.4}))
+	first = writeRecord(first, 2, insertPayload(1, []float64{0.5, 1e200, 0.7, 0.8}))
+	first = writeRecord(first, 3, insertPayload(2, []float64{0.9, 0.1, 0.2, 0.3}))
+	second = writeRecord(second, 4, insertPayload(3, []float64{0.1, 0.1, 0.1, 0.1}))
+	craftLog(t, fs, "idx/000000001.wal", first)
+	craftLog(t, fs, "idx/000000002.wal", second)
+	readAll := func(path string) []byte {
+		t.Helper()
+		f, err := fs.OpenFile(path, os.O_RDONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		b, err := io.ReadAll(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	before1, before2 := readAll("idx/000000001.wal"), readAll("idx/000000002.wal")
+
+	_, err := Open(WALConfig{Dir: "idx", FS: fs}, RuntimeOptions{})
+	if !errors.Is(err, ErrWAL) || !strings.Contains(err.Error(), "LSN 2") || !strings.Contains(err.Error(), "1e+150") {
+		t.Fatalf("Open = %v, want ErrWAL naming LSN 2 and the bound", err)
+	}
+	if !bytes.Equal(readAll("idx/000000001.wal"), before1) || !bytes.Equal(readAll("idx/000000002.wal"), before2) {
+		t.Fatal("a refused Open rewrote the log")
+	}
+
+	ckpt, err := fs.OpenFile("idx/"+ckptName, os.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := Load(bufio.NewReader(ckpt), RuntimeOptions{})
+	ckpt.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, n, err := follower.ApplyWALStream(bytes.NewReader(before1))
+	if !errors.Is(err, ErrWAL) || errors.Is(err, ErrReplGap) || lsn != 1 || n != 1 || follower.Len() != 1 {
+		t.Fatalf("ApplyWALStream = (%d, %d, %v), Len %d; want ErrWAL after LSN 1, one row", lsn, n, err, follower.Len())
 	}
 }
 

@@ -47,8 +47,38 @@ type Spec struct {
 	Roles []Role
 	// Weights are the α (repulsive) and β (attractive) parameters, one per
 	// dimension, aligned with Roles. Weights of Ignored dimensions are not
-	// read. All weights must be ≥ 0 and finite.
+	// read. All weights must be ≥ 0 and inside the value domain (CheckValue).
 	Weights []float64
+}
+
+// MaxAbs bounds the magnitude of every value an engine accepts: row
+// coordinates, query coordinates and weights. A score term w·|p − q| is then
+// at most 2e300, so no sum over fewer than 10⁷ dimensions overflows, and
+// every engine computes the same finite score for every row.
+const MaxAbs = 1e150
+
+// CheckValue refuses a value outside the shared domain: NaN, ±Inf, or a
+// magnitude above MaxAbs.
+func CheckValue(v float64) error {
+	if !(math.Abs(v) <= MaxAbs) {
+		return fmt.Errorf("%v is outside [-%g, %g]", v, MaxAbs, MaxAbs)
+	}
+	return nil
+}
+
+// CheckRow refuses a data row of the wrong dimensionality or with a
+// coordinate outside the value domain — the check every engine applies to
+// the rows it builds from, is given, or loads.
+func CheckRow(p []float64, dims int) error {
+	if len(p) != dims {
+		return fmt.Errorf("point has %d dims, want %d", len(p), dims)
+	}
+	for d, c := range p {
+		if err := CheckValue(c); err != nil {
+			return fmt.Errorf("dim %d: %w", d, err)
+		}
+	}
+	return nil
 }
 
 // Validate checks the spec against a dataset dimensionality.
@@ -68,15 +98,15 @@ func (s Spec) Validate(dims int) error {
 		switch s.Roles[i] {
 		case Attractive, Repulsive:
 			active++
-			if math.IsNaN(s.Weights[i]) || math.IsInf(s.Weights[i], 0) || s.Weights[i] < 0 {
+			if CheckValue(s.Weights[i]) != nil || s.Weights[i] < 0 {
 				return fmt.Errorf("query: dimension %d has invalid weight %v", i, s.Weights[i])
 			}
 		case Ignored:
 		default:
 			return fmt.Errorf("query: dimension %d has unknown role %d", i, s.Roles[i])
 		}
-		if math.IsNaN(s.Point[i]) || math.IsInf(s.Point[i], 0) {
-			return fmt.Errorf("query: dimension %d of the query point is %v", i, s.Point[i])
+		if err := CheckValue(s.Point[i]); err != nil {
+			return fmt.Errorf("query: dimension %d of the query point: %w", i, err)
 		}
 	}
 	if active == 0 {

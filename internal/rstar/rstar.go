@@ -119,7 +119,11 @@ type pathStep struct {
 }
 
 // chooseByOverlap implements the R* leaf-level rule: minimum overlap
-// enlargement, ties broken by area enlargement, then by area.
+// enlargement, ties broken by area enlargement, then by area. Areas are
+// products over every dimension and can overflow to +Inf (their differences
+// to NaN) on wide coordinates, so the first candidate is taken until a
+// comparison prefers another: the choice only shapes the tree, never what it
+// holds. chooseByArea and split's distribution rule do the same.
 func chooseByOverlap(entries []entry, e entry) int {
 	best, bestOverlap, bestAreaEnl, bestArea := -1, math.Inf(1), math.Inf(1), math.Inf(1)
 	for i := range entries {
@@ -134,7 +138,7 @@ func chooseByOverlap(entries []entry, e entry) int {
 		}
 		area := rectArea(entries[i].lo, entries[i].hi)
 		areaEnl := rectArea(enlarged.lo, enlarged.hi) - area
-		if overlap < bestOverlap ||
+		if best < 0 || overlap < bestOverlap ||
 			(overlap == bestOverlap && areaEnl < bestAreaEnl) ||
 			(overlap == bestOverlap && areaEnl == bestAreaEnl && area < bestArea) {
 			best, bestOverlap, bestAreaEnl, bestArea = i, overlap, areaEnl, area
@@ -151,7 +155,7 @@ func chooseByArea(entries []entry, e entry) int {
 		area := rectArea(entries[i].lo, entries[i].hi)
 		enlarged := combineRect(entries[i], e)
 		enl := rectArea(enlarged.lo, enlarged.hi) - area
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
+		if best < 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}
 	}
@@ -244,7 +248,7 @@ func (t *Tree) split(nd *node) (*node, *node) {
 		lo2, hi2 := groupMBR(entries[k:])
 		overlap := intersectionArea(lo1, hi1, lo2, hi2)
 		area := rectArea(lo1, hi1) + rectArea(lo2, hi2)
-		if overlap < bestOverlap || (overlap == bestOverlap && area < bestArea) {
+		if bestSplit < 0 || overlap < bestOverlap || (overlap == bestOverlap && area < bestArea) {
 			bestSplit, bestOverlap, bestArea = k, overlap, area
 		}
 	}

@@ -111,6 +111,30 @@ func TestInvariantsAfterInserts(t *testing.T) {
 	}
 }
 
+// TestWideCoordinates builds over coordinates whose box areas overflow to
+// +Inf (and area enlargements to NaN): the subtree and split choices must
+// still pick an entry, and the tree must stay valid and complete.
+func TestWideCoordinates(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	pts := randomData(rng, 800, 4)
+	for i, p := range pts {
+		for d := range p {
+			p[d] = (2*p[d] - 1) * 1e150
+		}
+		if i%7 == 0 {
+			p[i%4] = 1e150
+		}
+	}
+	tr := buildTree(t, pts, 9)
+	checkInvariants(t, tr)
+	n := 0
+	all := []float64{-1e150, -1e150, -1e150, -1e150}
+	tr.SearchRange(all, []float64{1e150, 1e150, 1e150, 1e150}, func([]float64, int32) bool { n++; return true })
+	if n != len(pts) {
+		t.Fatalf("range over everything found %d of %d points", n, len(pts))
+	}
+}
+
 func TestRangeSearchMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	pts := randomData(rng, 1500, 3)

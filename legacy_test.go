@@ -50,7 +50,10 @@ func legacyRows() (rows [][]float64, dead []bool) {
 // rows[:2000] with those columns and compaction off, after inserting
 // rows[2000:] and removing every ninth ID. Its header says width 32 but its
 // columns are float64 like every v3 file's, so it comes up as today's one
-// format and answers exactly.
+// format and answers exactly. Its layout byte is 1, the retired adaptive
+// pair-tree grid: it loads as the in-order zip of the grid's rows and
+// columns, Save writes that as layout 0, and the re-saved file answers the
+// same.
 func TestLoadWidth32File(t *testing.T) {
 	file, err := os.ReadFile("testdata/legacy/width32-v3.sdqx")
 	if err != nil {
@@ -67,18 +70,38 @@ func TestLoadWidth32File(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	if got, want := idx.Len(), liveRows(dead); got != want {
-		t.Fatalf("Len = %d, want the file's %d live rows", got, want)
+	// The envelope (6 bytes), version, dims, 4 roles, pairing and width
+	// precede the layout byte.
+	const offLayout = 6 + 4 + 4 + 4 + 2
+	if file[offLayout] != 1 {
+		t.Fatalf("fixture layout byte %d, want 1 (the grid)", file[offLayout])
 	}
+	var resaved bytes.Buffer
+	if err := idx.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if got := resaved.Bytes()[offLayout]; got != 0 {
+		t.Fatalf("re-saved layout byte %d, want 0", got)
+	}
+	again, err := LoadSDIndex(bytes.NewReader(resaved.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
 	rng := rand.New(rand.NewSource(37))
-	for i := 0; i < 60; i++ {
-		q := randomQuery(rng, roles, 40) // k ≤ 43: the sweep's prune has work to do
-		q.Point = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-		got, err := idx.TopK(q)
-		if err != nil {
-			t.Fatal(err)
+	for _, ix := range []*SDIndex{idx, again} {
+		if got, want := ix.Len(), liveRows(dead); got != want {
+			t.Fatalf("Len = %d, want the file's %d live rows", got, want)
 		}
-		sameResults(t, "width-32 file vs scan of its live rows", got, oracleTopK(rows, dead, q))
+		for i := 0; i < 60; i++ {
+			q := randomQuery(rng, roles, 40) // k ≤ 43: the sweep's prune has work to do
+			q.Point = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+			got, err := ix.TopK(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, "width-32 file vs scan of its live rows", got, oracleTopK(rows, dead, q))
+		}
 	}
 }
 

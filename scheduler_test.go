@@ -59,9 +59,16 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 		}{
 			{"bound-driven", nil},
 			{"round-robin", []sdquery.SDOption{sdquery.WithScheduler(sdquery.SchedRoundRobin)}},
-			{"round-robin/in-order", []sdquery.SDOption{
+			// The pairing strategy picks which trees exist, so which
+			// frontiers the scheduler interleaves.
+			{"round-robin/by-correlation", []sdquery.SDOption{
 				sdquery.WithScheduler(sdquery.SchedRoundRobin),
-				sdquery.WithPairing(sdquery.PairInOrder),
+				sdquery.WithPairing(sdquery.PairByCorrelation),
+			}},
+			{"by-variance", []sdquery.SDOption{sdquery.WithPairing(sdquery.PairByVariance)}},
+			{"none/stream-only", []sdquery.SDOption{
+				sdquery.WithPairing(sdquery.PairNone),
+				sdquery.WithStreamOnly(),
 			}},
 			// How the rows are split into segments is a scheduling choice too:
 			// the scheduler interleaves every segment's frontiers in one loop,

@@ -18,8 +18,11 @@ const (
 
 // Query is a complete SD-Query: the query object, the answer size, and the
 // per-dimension roles and weights (α for repulsive dimensions, β for
-// attractive ones). All weights must be finite and non-negative, and at
-// least one dimension must be active.
+// attractive ones). Weights must be non-negative, and at least one dimension
+// must be active. Every point coordinate and weight — and every data row
+// coordinate an engine is built from or given — must be finite with
+// magnitude at most 1e150, the value domain every engine shares: no score
+// can then overflow, so all engines rank alike.
 type Query struct {
 	Point   []float64
 	K       int

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -184,6 +185,9 @@ func TestBatchGolden(t *testing.T) {
 	}
 }
 
+// pastDomain is the smallest float64 above the engines' value bound.
+var pastDomain = math.Nextafter(1e150, math.Inf(1))
+
 // TestErrorShapes: malformed requests answer 400 with the JSON error
 // envelope — and a decodable-but-engine-invalid query (a role flip) fails
 // alone without poisoning the batch it was coalesced into.
@@ -210,6 +214,9 @@ func TestErrorShapes(t *testing.T) {
 		{"unknown-field", `{"point":[0.1,0.2,0.3,0.4],"k":3,"roles":["r","a","r","a"],"fanciness":9}`},
 		{"trailing-data", `{"point":[0.1,0.2,0.3,0.4],"k":3,"roles":["r","a","r","a"]} {"point":[0.9,0.9,0.9,0.9],"k":1,"roles":["r","a","r","a"]}`},
 		{"role-flip", `{"point":[0.1,0.2,0.3,0.4],"k":3,"roles":["a","r","a","r"]}`},
+		// One ulp past the shared value domain (|v| ≤ 1e150).
+		{"point-past-domain", fmt.Sprintf(`{"point":[0.1,%v,0.3,0.4],"k":3,"roles":["r","a","r","a"]}`, -pastDomain)},
+		{"weight-past-domain", fmt.Sprintf(`{"point":[0.1,0.2,0.3,0.4],"k":3,"roles":["r","a","r","a"],"weights":[1,%v,1,1]}`, pastDomain)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strings"
 	"sync"
 
 	sdquery "repro"
+	"repro/internal/query"
 )
 
 // JSON wire format. The binary Save/Load format (package sdquery) persists
@@ -221,8 +221,8 @@ func (wq *wireQuery) toQuery(dims int) (sdquery.Query, error) {
 		return q, fmt.Errorf("no attractive or repulsive dimensions")
 	}
 	for i, v := range wq.Point {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return q, fmt.Errorf("dimension %d of the point is %v", i, v)
+		if err := query.CheckValue(v); err != nil {
+			return q, fmt.Errorf("dimension %d of the point: %w", i, err)
 		}
 	}
 	weights := wq.Weights
@@ -236,7 +236,7 @@ func (wq *wireQuery) toQuery(dims int) (sdquery.Query, error) {
 		return q, fmt.Errorf("%d weights for %d dims", len(weights), dims)
 	}
 	for i, w := range weights {
-		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+		if query.CheckValue(w) != nil || w < 0 {
 			return q, fmt.Errorf("dimension %d has invalid weight %v", i, w)
 		}
 	}
