@@ -255,3 +255,58 @@ func TestTopKAppendZeroAllocsCompacted(t *testing.T) {
 		t.Fatalf("got %d results, want %d", len(buf), q.K)
 	}
 }
+
+// TestTopKAppendZeroAllocsManyShapes pins zero allocations for every query
+// shape, not just a few hot ones: on an 8-dimension index, after more than a
+// thousand distinct shapes — per dimension the role engaged with a nonzero
+// weight, engaged with a zero weight, or Ignored — one more new shape still
+// queries without allocating. Every query derives its plan into its pooled
+// context.
+func TestTopKAppendZeroAllocsManyShapes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise alloc-free paths")
+	}
+	const dims, shapes = 8, 1100
+	roles := make([]Role, dims)
+	for d := range roles {
+		roles[d] = []Role{Repulsive, Attractive}[d%2]
+	}
+	idx, err := NewSDIndex(dataset.Generate(dataset.Uniform, 2_000, dims, 3), roles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := func(s int) Query {
+		q := Query{Point: make([]float64, dims), K: 10, Roles: make([]Role, dims), Weights: make([]float64, dims)}
+		for d := range q.Point {
+			q.Point[d] = float64(d) / dims
+			switch s % 3 {
+			case 0:
+				q.Roles[d], q.Weights[d] = roles[d], 0.5+float64(d)/dims
+			case 1:
+				q.Roles[d] = roles[d] // engaged, weight 0
+			} // case 2: Ignored
+			s /= 3
+		}
+		return q
+	}
+	var buf []Result
+	for s := 0; s < shapes; s++ {
+		if buf, err = idx.TopKAppend(buf[:0], shape(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := shape(shapes)
+	avg := measureAllocs(func() {
+		var err error
+		buf, err = idx.TopKAppend(buf[:0], q)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("a query of shape %d allocates %.2f objects per query in steady state, want 0", shapes, avg)
+	}
+	if len(buf) != q.K {
+		t.Fatalf("got %d results, want %d", len(buf), q.K)
+	}
+}

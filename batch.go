@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/core"
 )
 
 // workerPool is how many goroutines one BatchTopK call runs its queries on:
@@ -150,8 +148,7 @@ type QueryStats struct {
 	// Rounds counts scheduler steps — one adaptive batch dispatched to one
 	// subproblem.
 	Rounds int
-	// PlanCacheHits is 1 when the query's derived plan came from the
-	// index's plan cache and 0 when it was derived afresh.
+	// Deprecated: PlanCacheHits is always 0; every query derives its plan.
 	PlanCacheHits int
 }
 
@@ -164,7 +161,10 @@ func (s *SDIndex) TopKWithStats(q Query) ([]Result, QueryStats, error) {
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	return convertResults(res), QueryStats(core.Stats(st)), nil
+	return convertResults(res), QueryStats{
+		Subproblems: st.Subproblems, Segments: st.Segments, Fetched: st.Fetched, Scored: st.Scored,
+		Swept: st.Swept, SweptSegments: st.SweptSegments, Rounds: st.Rounds,
+	}, nil
 }
 
 // BatchTopK answers many queries as one call: one task per query, spread

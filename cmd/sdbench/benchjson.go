@@ -88,12 +88,9 @@ type workloadJSON struct {
 	// sweep, per workload. Both are absent on workloads that only stream.
 	SweptMean         float64 `json:"swept_mean,omitempty"`
 	SweptSegmentsMean float64 `json:"swept_segments_mean,omitempty"`
-	// PlanCacheHitRate is hits / queries: 1.0 means every query after the
-	// warm-up answered from a cached plan.
-	PlanCacheHitRate float64 `json:"plan_cache_hit_rate,omitempty"`
 }
 
-const benchJSONSchema = "sdbench/v12"
+const benchJSONSchema = "sdbench/v13"
 
 // countNonTestLOC counts lines the way CI's "Non-test line budget" step
 // does: every .go file under root that is not a test, outside benchmark/
@@ -135,7 +132,6 @@ func collectStats(idx *sdquery.SDIndex, queries []sdquery.Query) (w workloadJSON
 		total.SweptSegments += st.SweptSegments
 		total.Subproblems += st.Subproblems
 		total.Rounds += st.Rounds
-		total.PlanCacheHits += st.PlanCacheHits
 	}
 	qn := float64(len(queries))
 	w.FetchedMean = float64(total.Fetched) / qn
@@ -144,7 +140,6 @@ func collectStats(idx *sdquery.SDIndex, queries []sdquery.Query) (w workloadJSON
 	w.SweptSegmentsMean = float64(total.SweptSegments) / qn
 	w.SubproblemsMean = float64(total.Subproblems) / qn
 	w.RoundsMean = float64(total.Rounds) / qn
-	w.PlanCacheHitRate = float64(total.PlanCacheHits) / qn
 	return w, nil
 }
 

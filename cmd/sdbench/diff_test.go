@@ -63,7 +63,7 @@ func TestDiffAgainstBaseline(t *testing.T) {
 		{"write-unavailability ceiling", func(b *benchJSON) { b.Workloads[3].WriteUnavailableMs = 30_000 }, "ceiling"},
 		{"missing workload", func(b *benchJSON) { b.Workloads = b.Workloads[1:] }, "missing from report"},
 		{"scale mismatch", func(b *benchJSON) { b.Scale = 0.25 }, "not comparable"},
-		{"schema mismatch", func(b *benchJSON) { b.Schema = "sdbench/v11" }, "regenerate the baseline"}, // the last schema with scaling rows
+		{"schema mismatch", func(b *benchJSON) { b.Schema = "sdbench/v12" }, "regenerate the baseline"}, // the last schema with a plan-cache hit rate
 	} {
 		fresh := benchJSON{Schema: benchJSONSchema, Scale: 1,
 			Workloads: append([]workloadJSON(nil), ok.Workloads...)}

@@ -50,13 +50,12 @@
 // front). Insert appends to the memtable in O(d) with no index
 // maintenance, Remove flips a copy-on-write tombstone bit, and neither
 // ever blocks a reader. A background compactor — kicked past
-// WithMemtableSize rows, disabled by WithCompaction(false) — seals the
-// memtable into a segment, keeps the stack logarithmic (each segment at
-// least twice its successor), and rewrites dead-heavy segments; Compact
-// forces a synchronous full fold. SDIndex.Snapshot pins a point-in-time
-// view — one atomic load is already a consistent cut — that keeps answering
-// byte-identically to the scan oracle at its acquisition instant while
-// churn proceeds underneath.
+// WithMemtableSize rows — seals the memtable into a segment, keeps the
+// stack logarithmic (each segment at least twice its successor), and
+// rewrites dead-heavy segments; Compact forces a synchronous full fold.
+// SDIndex.Snapshot pins a point-in-time view — one atomic load is already a
+// consistent cut — that keeps answering byte-identically to the scan oracle
+// at its acquisition instant while churn proceeds underneath.
 //
 // # Persistence
 //
@@ -209,14 +208,14 @@
 // # Performance
 //
 // A query is snapshotted, planned, scheduled — streamed or swept, segment
-// by segment — and batch-executed. The
-// snapshot is one atomic load (see above). The planner resolves
-// the query's shape (active dimensions, roles, zero weights) to the
-// surviving subproblem set, memoized per shape in the index's plan cache
-// (QueryStats.PlanCacheHits to observe). The repulsive↔attractive
-// bijection is the paper's, fixed at build time: the in-order zip of the two
-// role lists, one pair tree per pair and a sorted list per leftover
-// dimension.
+// by segment — and batch-executed. The snapshot is one atomic load (see
+// above). The planner resolves the query's shape (active dimensions, roles,
+// zero weights) to the surviving subproblem set, one O(d) pass per query
+// into its pooled context; a query whose weights are all zero binds no
+// stream and sweeps every segment, answering the k lowest live IDs at score
+// 0. The repulsive↔attractive bijection is the paper's, fixed at build
+// time: the in-order zip of the two role lists, one pair tree per pair and
+// a sorted list per leftover dimension.
 //
 // The Threshold-Algorithm aggregation is driven by a bound-driven
 // scheduler: each step bulk-fetches from the subproblem — across every
@@ -250,7 +249,7 @@
 //
 // All per-query state — weights, bounds, descent rates, emission buffers,
 // the sweep's block scratch, the seen bitset, stream cursors and heaps, the
-// result collector, the plan scratch — lives in the index's sync.Pool
+// result collector, the plan — lives in the index's sync.Pool
 // contexts. SDIndex.TopKAppend appends results into a caller-reused buffer;
 // on a compacted index (empty memtable — the steady state background
 // compaction converges to), and over a WithShards stack alike, it performs
@@ -262,11 +261,9 @@
 // Below the scheduler, sealed segments store their coordinates in
 // dimension-major columns and every bulk scoring site — packed leaf
 // scans, random-access rescores, the memtable sweep — runs through
-// 8-wide unrolled kernels over those columns (internal/simd; the sdsimd
-// build tag swaps in AVX assembly on amd64, bit-identical to the pure-Go
-// kernels and gated so in CI). The columns are float64 only: a float32
-// sweep copy measured 1.1–1.55× slower in every cell, because the sweep
-// is compute-bound, and was retired.
+// 8-wide unrolled kernels over those columns (internal/simd). The columns
+// are float64 only: a float32 sweep copy measured 1.1–1.55× slower in every
+// cell, because the sweep is compute-bound, and was retired.
 //
 // A query is never split across goroutines: one scheduler loop walks every
 // sealed segment's frontiers, so QueryStats is a pure function of the query

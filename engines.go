@@ -137,15 +137,6 @@ func WithMemtableSize(rows int) SDOption {
 	return func(c *sdConfig) { c.rt.MemtableSize = rows }
 }
 
-// WithCompaction enables or disables background compaction (default
-// enabled). With compaction disabled the memtable grows without bound —
-// queries stay exact, scanning it row by row — and segments are only ever
-// folded by an explicit Compact call; useful for tests and for bulk-load
-// phases that end with one big Compact.
-func WithCompaction(enabled bool) SDOption {
-	return func(c *sdConfig) { c.rt.DisableCompaction = !enabled }
-}
-
 // WithWAL gives the index a crash-safe write-ahead log rooted at dir.
 // Every Insert and Remove is appended — checksummed and length-prefixed —
 // to the index's one group-committed log before it is acknowledged, so a
@@ -210,10 +201,10 @@ func WithWorkers(n int) SDOption {
 
 // SDIndex is the paper's SD-Index: the general top-k engine with k and
 // weights supplied at query time. Every index is one engine — one segment
-// stack, one write-ahead log, one compactor, one plan cache, one epoch —
-// and every query runs on its caller's goroutine. Parallelism is across
-// queries (BatchTopK's WithWorkers, concurrent callers) and across segments
-// at seal time (WithShards), not a different type.
+// stack, one write-ahead log, one compactor, one epoch — and every query
+// runs on its caller's goroutine. Parallelism is across queries
+// (BatchTopK's WithWorkers, concurrent callers) and across segments at seal
+// time (WithShards), not a different type.
 type SDIndex struct {
 	eng   *core.Engine
 	roles []Role

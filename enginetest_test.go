@@ -102,13 +102,12 @@ func loadWidth32(data [][]float64, roles []sdquery.Role, opts ...sdquery.SDOptio
 	return sdquery.LoadSDIndex(bytes.NewReader(file), opts...)
 }
 
-// widePad ignored dimensions lift every workload past the 21 the plan
-// cache's shape signature covers.
+// widePad ignored dimensions are appended to every workload.
 const widePad = 22
 
 // wideIndex serves a workload through an SD-Index padded with widePad
-// ignored, zero-valued dimensions, which add exactly 0 to every score: each
-// query derives its plan into the pooled scratch plan instead of the cache.
+// ignored, zero-valued dimensions, which add exactly 0 to every score: the
+// plan must drop every one of them and the answers must not move.
 type wideIndex struct{ *sdquery.SDIndex }
 
 func padWide[T any](v []T) []T { return append(append([]T(nil), v...), make([]T, widePad)...) }
@@ -151,16 +150,17 @@ func TestDifferentialSDIndexPairings(t *testing.T) {
 }
 
 // TestDifferentialSDIndexScheduling runs the full oracle workloads against
-// the scheduling ablation and the uncached planner: the round-robin rotation
-// and shapes too wide for the plan cache must answer byte-identically to the
-// oracle, exactly like the bound-driven cached default (covered by
-// TestDifferentialSDIndex).
+// the scheduling ablation and against 22 padded Ignored dimensions: the
+// round-robin rotation and the padded shapes must answer byte-identically to
+// the oracle, exactly like the bound-driven default (covered by
+// TestDifferentialSDIndex). The padded cell keeps its historical name,
+// no-plan-cache.
 func TestDifferentialSDIndexScheduling(t *testing.T) {
 	t.Run("round-robin", func(t *testing.T) {
 		runSDIndex(t, "sdindex-roundrobin", sdquery.WithScheduler(sdquery.SchedRoundRobin))
 	})
 	t.Run("no-plan-cache", func(t *testing.T) {
-		runBuilt(t, "sdindex-nocache", newWideIndex)
+		runBuilt(t, "sdindex-wide", newWideIndex)
 	})
 }
 

@@ -11,8 +11,8 @@ import "repro/internal/core"
 // change an answer, the figures reach them through internal/bench and
 // core.Config, and the differential suites here must cover every setting.
 
-// WithStreamOnly pins pure streaming: no segment is swept, every seal builds
-// its index, and Stats are exactly the pre-planner trace.
+// WithStreamOnly pins pure streaming: no segment a query can stream is swept,
+// every seal builds its index, and Stats are exactly the pre-planner trace.
 func WithStreamOnly() SDOption { return WithAccessCost(core.StreamOnly) }
 
 // WithAccessCost sets the planner's unit cost — one sorted access in swept
@@ -20,6 +20,14 @@ func WithStreamOnly() SDOption { return WithAccessCost(core.StreamOnly) }
 // bail-outs on tiny data (a small one).
 func WithAccessCost(rows int) SDOption {
 	return func(c *sdConfig) { c.rt.AccessCost = rows }
+}
+
+// WithCompaction(false) turns background compaction off: the memtable grows
+// without bound — queries stay exact, scanning it row by row — and segments
+// are only ever folded by an explicit Compact call, so a test can hold rows
+// in the memtable.
+func WithCompaction(enabled bool) SDOption {
+	return func(c *sdConfig) { c.rt.DisableCompaction = !enabled }
 }
 
 // SweepOnly is an access cost under which every segment is swept up front.

@@ -137,9 +137,9 @@ type RuntimeOptions struct {
 	// AccessCost overrides the sweep-or-stream planner's one unit cost — the
 	// price of a sorted access in swept rows (DefaultAccessCost). No public
 	// option sets it: 0, what every user-facing constructor passes, selects
-	// the measured constant. StreamOnly pins pure streaming — no segment is
-	// ever swept and every seal builds its index — for the paper-figure
-	// engines of internal/bench and the stream halves of the
+	// the measured constant. StreamOnly pins pure streaming — no segment a
+	// query can stream is swept and every seal builds its index — for the
+	// paper-figure engines of internal/bench and the stream halves of the
 	// differential suites, whose datasets are all small enough that the
 	// planner would sweep them and leave the streams without coverage. A
 	// positive value is for tests that need bail-outs on tiny data.
@@ -207,14 +207,6 @@ type Engine struct {
 	wal *walLog
 
 	ctxPool sync.Pool // *queryCtx — see hotpath.go
-
-	// Plan cache (plan.go): immutable per-shape plans behind an atomic
-	// pointer to a copy-on-write map, shared by every pooled query context.
-	// Plans depend only on the build-time layout and roles — which never
-	// change after New — so Insert, Remove, and compaction need no
-	// invalidation.
-	planMu sync.Mutex
-	plans  atomic.Pointer[map[uint64]*queryPlan]
 }
 
 // New builds the SD-Index over the dataset, sealing it into the engine's
@@ -478,9 +470,6 @@ type Stats struct {
 	// subproblem (under either scheduler), so the figure is comparable
 	// across scheduling modes.
 	Rounds int
-	// PlanCacheHits is 1 when the query's plan came from the engine's plan
-	// cache, 0 when it was derived.
-	PlanCacheHits int
 }
 
 // TopK answers the SD-Query. spec.Roles must match the build-time roles,

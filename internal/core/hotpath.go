@@ -71,15 +71,20 @@ func intAscending(a, b int) bool { return a < b }
 // queryCtx is the pooled per-query state of TopKAppend: weights, signed
 // weights, subproblem storage, frontier bounds, batch sizes, per-segment
 // sums and pads, the emission buffer, the seen bitset, the collector with
-// its drain buffer, and the scratch plan for shapes the engine's plan cache
-// does not cover. One context cycles through queries via the engine's
-// sync.Pool; on a compacted engine (one sealed segment, empty memtable) a
-// warm context replays queries with zero heap allocations.
+// its drain buffer, and the query's plan (plan.go). One context cycles
+// through queries via the engine's sync.Pool; on a compacted engine (one
+// sealed segment, empty memtable) a warm context replays queries with zero
+// heap allocations.
 type queryCtx struct {
-	e      *Engine
-	sn     *snapshot // the query's frozen epoch
-	w      []float64 // effective weights under build-time roles
-	signed []float64 // +w repulsive / −w attractive, folding the role branch
+	e  *Engine
+	sn *snapshot // the query's frozen epoch
+
+	// The query's plan (derivePlan): effective and signed weights, and the
+	// layout's surviving pair and lone-dimension ordinals.
+	w      []float64
+	signed []float64
+	pairs  []int32
+	lone   []int32
 
 	pairSubs []pairSub // value storage; subs holds pointers into it
 	dimSubs  []dimSub
@@ -111,7 +116,6 @@ type queryCtx struct {
 	seen       []uint64            // bitset over global dataset IDs
 	coll       *pq.TopK[int]
 	drain      []pq.Scored[int]
-	scratch    queryPlan // plan storage for uncached shapes
 
 	// done is the query's optional cancellation signal (a context's Done
 	// channel on the serving path); nil means the query runs to completion.
@@ -131,6 +135,8 @@ func (e *Engine) initCtxPool() {
 			e:      e,
 			w:      make([]float64, e.dims),
 			signed: make([]float64, e.dims),
+			pairs:  make([]int32, 0, len(e.layout.pairs)),
+			lone:   make([]int32, 0, len(e.layout.lone)),
 			coll:   pq.NewTopKOrdered[int](1, intAscending),
 		}
 	}
@@ -215,13 +221,13 @@ func (c *queryCtx) markSeen(id int32) bool {
 //
 // The flow is snapshot, plan, sweep, build, schedule: one atomic load
 // freezes the engine's segment stack (no lock is taken anywhere on this
-// path), the query's shape resolves to a plan (usually a cache hit — see
-// plan.go) naming the surviving subproblems, the memtable's rows and the
-// segments too small to be worth streaming are swept exactly up front
-// (sweep.go), the plan's subproblems are bound to every other sealed
-// segment, and the engine's configured scheduler (scheduler.go) drives the
-// §5 aggregation to the exact answer — finishing a segment with a sweep
-// when its streams turn out dearer than that.
+// path), the query's shape resolves to a plan (plan.go) naming the
+// surviving subproblems, the memtable's rows and the segments too small to
+// be worth streaming — every segment, when the plan binds no stream — are
+// swept exactly up front (sweep.go), the plan's subproblems are bound to
+// every other sealed segment, and the engine's configured scheduler
+// (scheduler.go) drives the §5 aggregation to the exact answer — finishing
+// a segment with a sweep when its streams turn out dearer than that.
 func (e *Engine) TopKAppend(dst []query.Result, spec query.Spec) ([]query.Result, Stats, error) {
 	return e.topKAppendAt(e.snap.Load(), dst, spec, nil)
 }
@@ -252,19 +258,8 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 		return dst, stats, ErrCanceled
 	}
 
-	pl, hit := e.planFor(spec, &c.scratch)
-	if pl.err != nil {
-		return dst, stats, pl.err
-	}
-	if hit {
-		stats.PlanCacheHits = 1
-	}
-	clear(c.w)
-	clear(c.signed)
-	for _, ad := range pl.active {
-		w := spec.Weights[ad.d]
-		c.w[ad.d] = w
-		c.signed[ad.d] = float64(ad.sign) * w
+	if err := c.derivePlan(spec); err != nil {
+		return dst, stats, err
 	}
 
 	// Ties are broken by ascending global dataset ID, exactly like the
@@ -273,23 +268,6 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 	coll := c.coll
 	coll.Reset(spec.K)
 	stats.Segments = len(sn.segs)
-	if len(pl.active) == 0 {
-		// Every active dimension weighs zero: all live points tie at 0.
-		for si, seg := range sn.segs {
-			tomb := sn.tombs[si]
-			for l := 0; l < seg.rows; l++ {
-				if !bitGet(tomb, l) {
-					coll.Add(int(seg.ids[l]), 0)
-				}
-			}
-		}
-		for i, id := range sn.memIDs {
-			if !bitGet(sn.memDead, i) {
-				coll.Add(int(id), 0)
-			}
-		}
-		return c.appendResults(dst), stats, nil
-	}
 
 	// The memtable is swept exactly, up front: its rows are few (bounded by
 	// the compaction threshold), they live in no index structure, and
@@ -302,7 +280,7 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 
 	// Sweep the segments the planner does not stream at all (sweep.go) and
 	// bind the plan's subproblems to the rest.
-	nsubs := pl.nsubs()
+	nsubs := len(c.pairs) + len(c.lone)
 	for si, seg := range sn.segs {
 		if e.sweepsFirst(seg, nsubs) {
 			c.sweepSegment(si, spec.Point, &stats)
@@ -311,7 +289,7 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 			}
 			continue
 		}
-		if err := c.buildSegSubs(pl, spec, si); err != nil {
+		if err := c.buildSegSubs(spec, si); err != nil {
 			return dst, stats, err
 		}
 	}
@@ -353,12 +331,12 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 // summed weighted reach budgets the whole summation chain with orders of
 // magnitude to spare. Pads are tracked per segment: a point's unknown
 // contributions come only from its own segment's subproblems.
-func (c *queryCtx) buildSegSubs(pl *queryPlan, spec query.Spec, si int) error {
+func (c *queryCtx) buildSegSubs(spec query.Spec, si int) error {
 	e := c.e
 	seg := c.sn.segs[si]
 	ref := subRef{seg: seg, tomb: c.sn.tombs[si], ord: int32(si)}
 	qpt := spec.Point
-	for _, pi := range pl.pairs {
+	for _, pi := range c.pairs {
 		pr := e.layout.pairs[pi]
 		rep, attr := pr.Rep, pr.Attr
 		wr, wa := c.w[rep], c.w[attr]
@@ -371,7 +349,7 @@ func (c *queryCtx) buildSegSubs(pl *queryPlan, spec query.Spec, si int) error {
 		c.subs = append(c.subs, ps)
 		c.refs = append(c.refs, ref)
 	}
-	for _, li := range pl.lone {
+	for _, li := range c.lone {
 		d := e.layout.lone[li]
 		ds := &c.dimSubs[c.nDim]
 		c.nDim++

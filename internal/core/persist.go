@@ -193,7 +193,7 @@ func (e *Engine) saveSnapshot(w io.Writer, sn *snapshot) error {
 // segment's trees and lists deterministically from the persisted rows. The
 // reloaded engine answers byte-identically to the one that was saved and
 // reports the same Bytes (the only state not round-tripped is runtime:
-// context-pool warmth, plan cache contents, in-flight compaction).
+// context-pool warmth, in-flight compaction).
 //
 // Load trusts nothing it reads. Every length-prefixed array is read in
 // bounded chunks (readArray), the layout must name each active dimension

@@ -311,8 +311,9 @@ func (c *queryCtx) runRoundRobin(qpt []float64, stats *Stats) {
 		// within the float slack of the projection bounds) might still
 		// displace a kept one through the ID tie-break. A segment with an
 		// exhausted subproblem sums to −Inf — fully enumerated, nothing
-		// unseen left in it. The planner never sweeps under this scheduler,
-		// so every segment owns subproblems and takes part.
+		// unseen left in it. This scheduler sweeps a segment only when the
+		// plan binds no stream, and then this loop does not run, so every
+		// segment owns subproblems and takes part.
 		if !c.coll.Full() {
 			continue
 		}

@@ -77,9 +77,11 @@ func resolveAccessCost(cfg int, sched Scheduler) int {
 func (e *Engine) probeCost(nsubs int) int { return nsubs * RateWindow * e.accessCost }
 
 // sweepsFirst reports whether a segment is swept before any of the plan's
-// nsubs streams is bound to it.
+// nsubs streams is bound to it. A plan with no stream to bind (every weight
+// zero) sweeps every segment, under any access cost: with every signed weight
+// +0 each row scores +0, and the collector keeps the k lowest live IDs.
 func (e *Engine) sweepsFirst(seg *segment, nsubs int) bool {
-	return !seg.indexed || seg.rows <= e.probeCost(nsubs)
+	return !seg.indexed || nsubs == 0 || seg.rows <= e.probeCost(nsubs)
 }
 
 const (

@@ -10,9 +10,8 @@
 //     the operation order of the obvious scalar loop, so results are
 //     bit-identical to the reference implementation; the 8-wide unrolling
 //     only interleaves *independent* computations, which changes no
-//     rounding. This is what lets the optional assembly kernels use packed
-//     SSE arithmetic (one rounding per multiply and add, same as scalar)
-//     while fused-multiply-add — a different rounding — stays forbidden.
+//     rounding. Fused multiply-add — a different rounding — stays
+//     forbidden.
 //
 //  2. Hoist every per-element branch to the call site. The callers
 //     pre-resolve projection kinds and weight signs into
@@ -22,9 +21,8 @@
 //  3. Eliminate bounds checks by reslicing to a length the compiler can
 //     reason about ([:8:8] blocks over a len&^7 prefix), not by unsafe.
 //
-// The assembly variants live behind the `sdsimd` build tag (amd64 only) and
-// fall back to the pure-Go kernels elsewhere; TestKernelBitIdentity pins
-// byte-equality between the two on every build.
+// TestKernelBitIdentity pins every kernel to byte-equality with its scalar
+// reference.
 package simd
 
 import "math"
@@ -35,14 +33,6 @@ import "math"
 // coefficient signs (cy = ±α, cx = ±β), so one kernel serves all four
 // streams. xs and ys must be at least len(dst) long.
 func BlendKeys(dst, xs, ys []float64, cx, cy float64) {
-	if asmActive && len(dst) >= 8 {
-		blendKeysAsm(dst, xs, ys, cx, cy)
-		return
-	}
-	blendKeysGeneric(dst, xs, ys, cx, cy)
-}
-
-func blendKeysGeneric(dst, xs, ys []float64, cx, cy float64) {
 	xs = xs[:len(dst)]
 	ys = ys[:len(dst)]
 	for len(dst) >= 8 {

@@ -72,11 +72,11 @@ func requireBitEqual(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestKernelBitIdentity pins every kernel — whichever implementation the
-// build selected — to byte-equality with the scalar reference, across sizes
-// that exercise the 8-wide body, the tail, and the empty case.
+// TestKernelBitIdentity pins every kernel to byte-equality with the scalar
+// reference, across sizes that exercise the 8-wide body, the tail, and the
+// empty case, and for BlendKeys across random lengths and every sign
+// combination of its coefficients.
 func TestKernelBitIdentity(t *testing.T) {
-	t.Logf("accelerated kernels: %v", Accelerated())
 	rng := rand.New(rand.NewSource(9))
 	sizes := []int{0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200}
 	for _, n := range sizes {
@@ -89,6 +89,18 @@ func TestKernelBitIdentity(t *testing.T) {
 		BlendKeys(got, xs, ys, cx, cy)
 		blendKeysScalar(want, xs, ys, cx, cy)
 		requireBitEqual(t, "BlendKeys", got, want)
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(300)
+		xs := randVals(rng, n)
+		ys := randVals(rng, n)
+		cx := math.Copysign(rng.Float64(), float64(rng.Intn(2)*2-1))
+		cy := math.Copysign(rng.Float64(), float64(rng.Intn(2)*2-1))
+		got := make([]float64, n)
+		want := make([]float64, n)
+		BlendKeys(got, xs, ys, cx, cy)
+		blendKeysScalar(want, xs, ys, cx, cy)
+		requireBitEqual(t, "BlendKeys (random signs)", got, want)
 	}
 	for _, n := range sizes {
 		for _, dims := range []int{0, 1, 2, 6, 13} {
@@ -145,28 +157,9 @@ func TestKernelBitIdentity(t *testing.T) {
 	}
 }
 
-// TestBlendKeysGenericMatchesDispatch pins the generic path against the
-// dispatched one directly: in an sdsimd build this is the asm-vs-Go
-// equivalence proof, in a default build it is a (trivially true) identity.
-func TestBlendKeysGenericMatchesDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(300)
-		xs := randVals(rng, n)
-		ys := randVals(rng, n)
-		cx := math.Copysign(rng.Float64(), float64(rng.Intn(2)*2-1))
-		cy := math.Copysign(rng.Float64(), float64(rng.Intn(2)*2-1))
-		got := make([]float64, n)
-		want := make([]float64, n)
-		BlendKeys(got, xs, ys, cx, cy)
-		blendKeysGeneric(want, xs, ys, cx, cy)
-		requireBitEqual(t, "BlendKeys vs generic", got, want)
-	}
-}
-
-// BenchmarkScoreKernel compares the scalar reference loop, the unrolled
-// pure-Go kernel, and (in sdsimd builds) the assembly kernel on the
-// leaf-scan blend. The dims=6 ScoreRows case mirrors the memtable sweep.
+// BenchmarkScoreKernel compares the scalar reference loop with the unrolled
+// kernel on the leaf-scan blend and the row and column sweeps. The dims=6
+// ScoreRows case mirrors the memtable sweep.
 func BenchmarkScoreKernel(b *testing.B) {
 	const n = 4096
 	rng := rand.New(rand.NewSource(7))
@@ -183,17 +176,9 @@ func BenchmarkScoreKernel(b *testing.B) {
 	b.Run("blend-unrolled", func(b *testing.B) {
 		b.SetBytes(n * 16)
 		for i := 0; i < b.N; i++ {
-			blendKeysGeneric(dst, xs, ys, 0.25, 0.75)
+			BlendKeys(dst, xs, ys, 0.25, 0.75)
 		}
 	})
-	if Accelerated() {
-		b.Run("blend-asm", func(b *testing.B) {
-			b.SetBytes(n * 16)
-			for i := 0; i < b.N; i++ {
-				blendKeysAsm(dst, xs, ys, 0.25, 0.75)
-			}
-		})
-	}
 
 	const dims = 6
 	flat := randVals(rng, n*dims)

@@ -327,15 +327,6 @@ func (idx *Index) Delete(p geom.Point) bool {
 	return true
 }
 
-func spliceIn(pts []geom.Point, p geom.Point, toItem func(geom.Point) item) []geom.Point {
-	target := toItem(p)
-	i := sort.Search(len(pts), func(i int) bool { return !lessItem(toItem(pts[i]), target) })
-	pts = append(pts, geom.Point{})
-	copy(pts[i+1:], pts[i:])
-	pts[i] = p
-	return pts
-}
-
 func spliceOut(pts []geom.Point, p geom.Point, toItem func(geom.Point) item) []geom.Point {
 	target := toItem(p)
 	i := sort.Search(len(pts), func(i int) bool { return !lessItem(toItem(pts[i]), target) })

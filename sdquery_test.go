@@ -290,3 +290,94 @@ func TestEngineErrorsSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestAllZeroWeights pins queries whose every engaged dimension weighs zero
+// (the rest Ignored, whatever their weights): they bind no stream and sweep every segment, so
+// every live row scores +0 and the answer is the k lowest live IDs — over
+// three sealed segments, memtable rows and tombstones, under the planning
+// default, pure streaming and the round-robin scheduler. The scan oracle
+// cannot tell −0 from +0 under ==, so the sign is checked on its own.
+func TestAllZeroWeights(t *testing.T) {
+	roles := []Role{Repulsive, Attractive, Repulsive, Attractive}
+	data := dataset.Generate(dataset.Uniform, 6_000, 4, 41)
+	extra := dataset.Generate(dataset.Uniform, 50, 4, 42)
+	all := append(append([][]float64(nil), data...), extra...)
+	dead := map[int]bool{}
+	for id := 0; id < len(all); id += 97 { // every segment and the memtable
+		dead[id] = true
+	}
+	dead[1], dead[2], dead[6_001] = true, true, true
+	scanEng, err := NewScan(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	everyRow, err := scanEng.TopK(Query{Point: make([]float64, 4), K: len(all), Roles: roles, Weights: make([]float64, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []Result // the scan's answer with removed rows masked out
+	for _, r := range everyRow {
+		if !dead[r.ID] {
+			live = append(live, r)
+		}
+	}
+	queries := []Query{
+		{Point: []float64{0.3, 0.7, 0.1, 0.9}, Roles: roles, Weights: []float64{0, 0, 0, 0}},
+		{Point: []float64{0.3, 0.7, 0.1, 0.9}, Roles: []Role{Ignored, Attractive, Ignored, Attractive}, Weights: []float64{7, 0, 9, 0}},
+		{Point: []float64{0.5, 0.5, 0.5, 0.5}, Roles: []Role{Repulsive, Ignored, Repulsive, Attractive}, Weights: []float64{0, 5, 0, 0}},
+	}
+	for _, mode := range []struct {
+		name string
+		opts []SDOption
+	}{
+		{"default", nil},
+		{"stream", []SDOption{WithStreamOnly()}},
+		{"round-robin", []SDOption{WithScheduler(SchedRoundRobin)}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			opts := append([]SDOption{WithShards(3), WithCompaction(false)}, mode.opts...)
+			idx, err := NewSDIndex(data, roles, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idx.Close()
+			for _, p := range extra {
+				if _, err := idx.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for id := range dead {
+				if !idx.Remove(id) {
+					t.Fatalf("remove %d refused", id)
+				}
+			}
+			if segs, mem := idx.Segments(); segs != 3 || mem != len(extra) {
+				t.Fatalf("%d segments, %d memtable rows, want 3, %d", segs, mem, len(extra))
+			}
+			for qi, q := range queries {
+				for _, k := range []int{1, 7, 100, len(all)} {
+					q.K = k
+					got, st, err := idx.TopKWithStats(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := live[:min(k, len(live))]
+					if len(got) != len(want) {
+						t.Fatalf("query %d k=%d: %d results, want %d", qi, k, len(got), len(want))
+					}
+					for i, r := range got {
+						if r != want[i] || r.Score != 0 || math.Signbit(r.Score) {
+							t.Fatalf("query %d k=%d rank %d: %+v, want %+v at +0", qi, k, i, r, want[i])
+						}
+						if dead[r.ID] || (i > 0 && r.ID <= got[i-1].ID) {
+							t.Fatalf("query %d k=%d rank %d: ID %d removed or out of order", qi, k, i, r.ID)
+						}
+					}
+					if st.Subproblems != 0 || st.Fetched != 0 || st.SweptSegments != 3 {
+						t.Fatalf("query %d k=%d: bound streams or skipped a segment: %+v", qi, k, st)
+					}
+				}
+			}
+		})
+	}
+}

@@ -131,7 +131,6 @@ type metrics struct {
 	scored      atomic.Uint64
 	swept       atomic.Uint64 // rows scored by segment sweeps (part of scored)
 	sweptSegs   atomic.Uint64 // segments the planner finished with a sweep
-	planHits    atomic.Uint64
 	statQueries atomic.Uint64
 }
 
@@ -241,8 +240,6 @@ func (m *metrics) writeProm(w io.Writer, idx Index, cache *resultCache) {
 	fmt.Fprintf(w, "sdserver_engine_swept_rows_total %d\n", m.swept.Load())
 	fmt.Fprintf(w, "# HELP sdserver_engine_swept_segments_total Sealed segments the planner finished with a sweep, stats-enabled queries.\n# TYPE sdserver_engine_swept_segments_total counter\n")
 	fmt.Fprintf(w, "sdserver_engine_swept_segments_total %d\n", m.sweptSegs.Load())
-	fmt.Fprintf(w, "# HELP sdserver_engine_plan_cache_hits_total Plan-cache hits reported by stats-enabled queries.\n# TYPE sdserver_engine_plan_cache_hits_total counter\n")
-	fmt.Fprintf(w, "sdserver_engine_plan_cache_hits_total %d\n", m.planHits.Load())
 	fmt.Fprintf(w, "# HELP sdserver_engine_stats_queries_total Queries that carried stats=true.\n# TYPE sdserver_engine_stats_queries_total counter\n")
 	fmt.Fprintf(w, "sdserver_engine_stats_queries_total %d\n", m.statQueries.Load())
 
@@ -373,7 +370,6 @@ type Statz struct {
 	EngineScored   uint64 `json:"engine_scored"`
 	EngineSwept    uint64 `json:"engine_swept_rows"`
 	EngineSweptSeg uint64 `json:"engine_swept_segments"`
-	EnginePlanHits uint64 `json:"engine_plan_cache_hits"`
 	StatsQueries   uint64 `json:"stats_queries"`
 
 	// Write-ahead-log state, zero-valued when the serving index is not
@@ -409,7 +405,6 @@ func (m *metrics) statz(idx Index, cache *resultCache) Statz {
 		EngineScored:       m.scored.Load(),
 		EngineSwept:        m.swept.Load(),
 		EngineSweptSeg:     m.sweptSegs.Load(),
-		EnginePlanHits:     m.planHits.Load(),
 		StatsQueries:       m.statQueries.Load(),
 	}
 	var total uint64

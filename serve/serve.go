@@ -424,7 +424,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		s.met.scored.Add(uint64(st.Scored))
 		s.met.swept.Add(uint64(st.Swept))
 		s.met.sweptSegs.Add(uint64(st.SweptSegments))
-		s.met.planHits.Add(uint64(st.PlanCacheHits))
 		writeJSON(w, http.StatusOK, topkResponse{Results: wireResults(res), Stats: wireQueryStats(st)})
 		return
 	}

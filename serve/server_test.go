@@ -337,8 +337,7 @@ func TestInsertRemove(t *testing.T) {
 // query and the index state, so with the result cache off two identical
 // stats:true requests answer byte-identical bodies. The index is the served
 // shape — four segments the planner probes before it streams or sweeps
-// them — and one request warms the plan cache first, since PlanCacheHits is
-// a counter too.
+// them.
 func TestStatsDeterministic(t *testing.T) {
 	idx := testIndex(t, 20_000, 9)
 	srv := New(idx, WithResultCache(false))
@@ -349,11 +348,7 @@ func TestStatsDeterministic(t *testing.T) {
 		wq := queryBody(t, q)
 		return append(wq[:len(wq)-1], []byte(`,"stats":true}`)...)
 	}
-	queries := testQueries(21, 12)
-	if status, body := post(t, ts.Client(), ts.URL+"/v1/topk", withStats(queries[0])); status != http.StatusOK {
-		t.Fatalf("warm-up status %d: %s", status, body)
-	}
-	for i, q := range queries[1:] {
+	for i, q := range testQueries(21, 12) {
 		var bodies [2][]byte
 		for r := range bodies {
 			var status int
@@ -364,8 +359,8 @@ func TestStatsDeterministic(t *testing.T) {
 		if !bytes.Equal(bodies[0], bodies[1]) {
 			t.Fatalf("query %d: identical requests, different bodies\n%s%s", i, bodies[0], bodies[1])
 		}
-		if !bytes.Contains(bodies[0], []byte(`"plan_cache_hits":1`)) {
-			t.Fatalf("query %d: no stats, or a plan-cache miss after the warm-up: %s", i, bodies[0])
+		if !bytes.Contains(bodies[0], []byte(`"stats":{`)) {
+			t.Fatalf("query %d: no stats: %s", i, bodies[0])
 		}
 	}
 }

@@ -32,8 +32,8 @@ import (
 // formatting, so a response is byte-identical to encoding the results of a
 // direct ShardedIndex.TopK call — the property the e2e golden tests pin.
 // The stats counters are deterministic too: every query runs on one
-// goroutine, so two identical requests at the same index epoch and plan-cache
-// state return byte-identical bodies (TestStatsDeterministic).
+// goroutine, so two identical requests at the same index epoch return
+// byte-identical bodies (TestStatsDeterministic).
 // Unknown fields are rejected: a typo'd knob fails loudly with a 400
 // instead of being silently ignored.
 
@@ -78,7 +78,6 @@ type wireStats struct {
 	Swept         int `json:"swept"`
 	SweptSegments int `json:"swept_segments"`
 	Rounds        int `json:"rounds"`
-	PlanCacheHits int `json:"plan_cache_hits"`
 }
 
 type topkResponse struct {
@@ -261,7 +260,6 @@ func wireQueryStats(st sdquery.QueryStats) *wireStats {
 		Swept:         st.Swept,
 		SweptSegments: st.SweptSegments,
 		Rounds:        st.Rounds,
-		PlanCacheHits: st.PlanCacheHits,
 	}
 }
 
