@@ -171,7 +171,8 @@ func TestBatchTopKZeroAllocsPerQuery(t *testing.T) {
 
 // TestTopKAppendZeroAllocsAfterInsert pins the memtable query path: rows
 // appended by Insert are covered by regrown pooled bitsets and scored by
-// the exact memtable scan, neither of which may allocate in steady state.
+// the sweep of the memtable's columns (simd.ScoreCols, the segments' kernel),
+// neither of which may allocate in steady state.
 // Compaction is disabled so the memtable is guaranteed to hold rows during
 // the measurement (a background seal mid-window would be charged to the
 // query by testing.AllocsPerRun's global counters).

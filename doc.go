@@ -41,13 +41,14 @@
 // # Storage: segments, snapshots, compaction
 //
 // Every engine is an epoch-versioned stack of immutable sealed segments —
-// flat rows, global IDs, and the per-pair index structures, built once and
-// never mutated — plus a small mutable memtable absorbing recent Inserts.
-// The engine's state is a single atomic pointer to an immutable snapshot,
-// so the query path holds no lock at all: TopK/TopKAppend load the
-// snapshot once and plan across every sealed segment (tombstones mask
-// removed rows at emission; the memtable's rows are scored exactly up
-// front). Insert appends to the memtable in O(d) with no index
+// dimension-major columns, global IDs, and the per-pair index structures,
+// built once and never mutated — plus a small mutable memtable absorbing
+// recent Inserts in a column block of the same layout. The engine's state
+// is a single atomic pointer to an immutable snapshot, so the query path
+// holds no lock at all: TopK/TopKAppend load the snapshot once and plan
+// across every sealed segment (tombstones mask removed rows at emission;
+// the memtable's rows are scored exactly up front). Insert writes the row
+// into the next free slot of each memtable column in O(d) with no index
 // maintenance, Remove flips a copy-on-write tombstone bit, and neither
 // ever blocks a reader. A background compactor — kicked past
 // WithMemtableSize rows — seals the memtable into a segment, keeps the
@@ -258,10 +259,11 @@
 // forms allocate only the returned slice, and BatchTopK only its answer
 // plus a constant handful of objects per call.
 //
-// Below the scheduler, sealed segments store their coordinates in
-// dimension-major columns and every bulk scoring site — packed leaf
-// scans, random-access rescores, the memtable sweep — runs through
-// 8-wide unrolled kernels over those columns (internal/simd). The columns
+// Below the scheduler, sealed segments and the memtable store their
+// coordinates in dimension-major columns and every bulk scoring site —
+// packed leaf scans, random-access rescores, segment and memtable sweeps,
+// which share one kernel (simd.ScoreCols) — runs through 8-wide unrolled
+// kernels over those columns (internal/simd). The columns
 // are float64 only: a float32 sweep copy measured 1.1–1.55× slower in every
 // cell, because the sweep is compute-bound, and was retired.
 //

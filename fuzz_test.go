@@ -41,7 +41,8 @@ func fuzzDataset(seed int64, n, dims int) ([][]float64, []sdquery.Role) {
 // guided inputs force seals, folds, and tombstone masking through the
 // background compactor) under an interleaved insert/remove/query stream,
 // with a snapshot pinned mid-churn, on a one-segment sequential index and
-// on twins including a multi-segment one with workers. Every live answer
+// on twins including a multi-segment one with workers and one whose
+// memtable is never sealed. Every live answer
 // must match the oracle over the current row set; the pinned snapshot must
 // keep matching the oracle frozen at its acquisition.
 func FuzzTopKChurn(f *testing.F) {
@@ -75,10 +76,18 @@ func FuzzTopKChurn(f *testing.F) {
 			t.Fatalf("build segmented: %v", err)
 		}
 		defer idxSeg.Close()
+		// A compaction-off twin: its memtable is never sealed, so its column
+		// block regrows many times under the churn and every query sweeps
+		// all the rows inserted since the build.
+		idxMem, err := sdquery.NewSDIndex(data, roles,
+			sdquery.WithMemtableSize(4), sdquery.WithCompaction(false))
+		if err != nil {
+			t.Fatalf("build compaction-off: %v", err)
+		}
 		twins := []struct {
 			name string
 			idx  *sdquery.SDIndex
-		}{{"bail-out", idxBail}, {"segmented", idxSeg}}
+		}{{"bail-out", idxBail}, {"segmented", idxSeg}, {"compaction-off", idxMem}}
 		mirror := append([][]float64(nil), data...)
 		dead := make([]bool, len(mirror))
 

@@ -118,10 +118,6 @@ func (e *Engine) Compact() {
 	e.compactTail(len(sn.segs), sn.memRows())
 }
 
-// memSrc marks a kept row that came from the memtable (vs. a segment
-// ordinal) in compactTail's provenance records.
-const memSrc = -1
-
 // compactTail seals the last nSegs sealed segments plus the first memUpto
 // memtable rows into one replacement segment. Caller holds compactMu, so
 // the segment stack cannot change underneath (only this goroutine replaces
@@ -136,29 +132,25 @@ func (e *Engine) compactTail(nSegs, memUpto int) {
 	// order, which the stack invariant reduces to simple concatenation —
 	// and build the replacement segments' trees and lists. The output is
 	// one segment, or ⌈kept/cap⌉ equal chunks under the row cap (segCap);
-	// columns are gathered dimension-major (source segments are already
-	// columnar, memtable rows are transposed on the way through).
+	// columns are gathered dimension-major from the sources' column blocks,
+	// the memtable's included.
 	type src struct{ seg, local int32 }
 	var kept []src
 	var ids []int32
-	for si := first; si < n; si++ {
-		s, tomb := sn.segs[si], sn.tombs[si]
-		for l := 0; l < s.rows; l++ {
-			if bitGet(tomb, l) {
-				continue
-			}
-			kept = append(kept, src{int32(si), int32(l)})
-			ids = append(ids, s.ids[l])
-		}
-	}
 	d := e.dims
-	for l := 0; l < memUpto; l++ {
-		if bitGet(sn.memDead, l) {
-			continue
+	gather := func(seg, upto int) {
+		_, _, layerIDs, dead := sn.layer(seg, d)
+		for l := 0; l < upto; l++ {
+			if !bitGet(dead, l) {
+				kept = append(kept, src{int32(seg), int32(l)})
+				ids = append(ids, layerIDs[l])
+			}
 		}
-		kept = append(kept, src{memSrc, int32(l)})
-		ids = append(ids, sn.memIDs[l])
 	}
+	for si := first; si < n; si++ {
+		gather(si, sn.segs[si].rows)
+	}
+	gather(memSrc, memUpto)
 	nk := len(kept)
 	nchunks := 1
 	if c := e.segCap(sn.live); c > 0 && nk > c {
@@ -171,15 +163,10 @@ func (e *Engine) compactTail(nSegs, memUpto int) {
 			clo, chi := ci*nk/nchunks, (ci+1)*nk/nchunks
 			rows := chi - clo
 			cols := make([]float64, rows*d)
-			for dd := 0; dd < d; dd++ {
-				c := cols[dd*rows : (dd+1)*rows]
-				for j := range c {
-					if k := kept[clo+j]; k.seg == memSrc {
-						c[j] = sn.memFlat[int(k.local)*d+dd]
-					} else {
-						s := sn.segs[k.seg]
-						c[j] = s.cols[dd*s.rows+int(k.local)]
-					}
+			for j, k := range kept[clo:chi] {
+				from, stride, _, _ := sn.layer(int(k.seg), d)
+				for dd := 0; dd < d; dd++ {
+					cols[dd*rows+j] = from[dd*stride+int(k.local)]
 				}
 			}
 			return cols, ids[clo:chi:chi]
@@ -203,13 +190,7 @@ func (e *Engine) compactTail(nSegs, memUpto int) {
 		for ci := 0; ci < nchunks; ci++ {
 			clo, chi := ci*nk/nchunks, (ci+1)*nk/nchunks
 			for j := clo; j < chi; j++ {
-				nowDead := false
-				if k := kept[j]; k.seg == memSrc {
-					nowDead = bitGet(cur.memDead, int(k.local))
-				} else {
-					nowDead = bitGet(cur.tombs[k.seg], int(k.local))
-				}
-				if nowDead {
+				if k := kept[j]; !cur.alive(int(k.seg), int(k.local)) {
 					if tombs[ci] == nil {
 						tombs[ci] = make([]uint64, (chi-clo+63)/64)
 					}
@@ -218,12 +199,19 @@ func (e *Engine) compactTail(nSegs, memUpto int) {
 			}
 		}
 	}
+	// The unsealed memtable tail moves to a fresh block, its columns starting
+	// at slot 0 again; an empty tail holds none.
+	var memCols []float64
+	if m := cur.memRows(); m > memUpto {
+		cols, stride, _, _ := cur.layer(memSrc, d)
+		memCols, _ = e.regrowCols(cols, stride, memUpto, m)
+	}
 	ns := &snapshot{
 		epoch:   cur.epoch + 1,
 		segs:    append([]*segment(nil), cur.segs[:first]...),
 		tombs:   append([][]uint64(nil), cur.tombs[:first]...),
 		memIDs:  cur.memIDs[memUpto:],
-		memFlat: cur.memFlat[memUpto*d:],
+		memCols: memCols,
 		memDead: shiftBits(cur.memDead, memUpto, len(cur.memIDs)),
 		total:   cur.total,
 		live:    cur.live,
@@ -238,11 +226,11 @@ func (e *Engine) compactTail(nSegs, memUpto int) {
 	e.snap.Store(ns)
 	e.wrMu.Unlock()
 	e.compactions.Add(1)
-	if memUpto > 0 && e.wal != nil {
+	if l := e.wal.Load(); memUpto > 0 && l != nil {
 		// Sealing memtable rows seals their log records' era too: rotate so
 		// the next checkpoint (whose snapshot now carries those rows in a
 		// sealed segment) can retire the closed file whole.
-		e.wal.rotate()
+		l.rotate()
 	}
 }
 

@@ -9,7 +9,7 @@
 // per-subproblem frontier bounds.
 //
 // Storage architecture: the engine is an epoch-versioned stack of immutable
-// sealed segments — flat data, per-pair trees, sorted lists, built once and
+// sealed segments — column data, per-pair trees, sorted lists, built once and
 // never mutated — plus a small mutable memtable absorbing recent Inserts.
 // Queries acquire a copy-on-write snapshot with one atomic load and hold no
 // lock at all: every sealed segment contributes its subproblem streams to
@@ -203,8 +203,9 @@ type Engine struct {
 
 	// wal is the engine's write-ahead log, nil when durability is off —
 	// see wal.go. Mutations append to it under wrMu and wait for the group
-	// commit outside it.
-	wal *walLog
+	// commit outside it. It is atomic because AttachWAL (promotion) sets it
+	// while lock-free readers such as WALStats may be running.
+	wal atomic.Pointer[walLog]
 
 	ctxPool sync.Pool // *queryCtx — see hotpath.go
 }
@@ -440,7 +441,7 @@ func (e *Engine) Segments() (segments, memRows int) {
 func (e *Engine) Compactions() uint64 { return e.compactions.Load() }
 
 // Bytes estimates the resident size of the engine: every sealed segment's
-// index structures, flat row block, global-ID map, and tombstone bitset,
+// index structures, column block, global-ID map, and tombstone bitset,
 // plus the memtable arrays and the per-dimension extrema — everything the
 // engine itself retains beyond the caller's dataset, so capacity planning
 // numbers are honest.

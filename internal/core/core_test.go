@@ -406,10 +406,10 @@ func TestBytesEstimate(t *testing.T) {
 			want += 4 * len(seg.ids)     // global-ID map
 			want += 8 * len(sn.tombs[i]) // tombstone bitset words
 		}
-		want += 4 * len(sn.memIDs)  // memtable IDs
-		want += 8 * len(sn.memFlat) // memtable rows
-		want += 8 * len(sn.memDead) // memtable tombstone words
-		want += 8 * 2 * dims        // minVal + maxVal
+		want += 4 * len(sn.memIDs)        // memtable IDs
+		want += 8 * dims * len(sn.memIDs) // memtable rows
+		want += 8 * len(sn.memDead)       // memtable tombstone words
+		want += 8 * 2 * dims              // minVal + maxVal
 		return structures, want
 	}
 	structures, want := perLayer(eng.snap.Load())

@@ -224,10 +224,11 @@ func (c *queryCtx) markSeen(id int32) bool {
 // path), the query's shape resolves to a plan (plan.go) naming the
 // surviving subproblems, the memtable's rows and the segments too small to
 // be worth streaming — every segment, when the plan binds no stream — are
-// swept exactly up front (sweep.go), the plan's subproblems are bound to
-// every other sealed segment, and the engine's configured scheduler
-// (scheduler.go) drives the §5 aggregation to the exact answer — finishing
-// a segment with a sweep when its streams turn out dearer than that.
+// swept exactly up front by the one column kernel (sweep.go), the plan's
+// subproblems are bound to every other sealed segment, and the engine's
+// configured scheduler (scheduler.go) drives the §5 aggregation to the exact
+// answer — finishing a segment with a sweep when its streams turn out
+// dearer than that.
 func (e *Engine) TopKAppend(dst []query.Result, spec query.Spec) ([]query.Result, Stats, error) {
 	return e.topKAppendAt(e.snap.Load(), dst, spec, nil)
 }
@@ -272,11 +273,11 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 	// The memtable is swept exactly, up front: its rows are few (bounded by
 	// the compaction threshold), they live in no index structure, and
 	// seeding the collector with their exact scores only tightens the
-	// threshold everything after it prunes against. It runs through the same
-	// block sweep as the sealed segments (sweep.go), in row-major form — the
-	// memtable is append-oriented.
-	c.sweep(nil, sn.memIDs, sn.memDead, spec.Point)
-	stats.Scored += len(sn.memIDs) - popcount(sn.memDead)
+	// threshold everything after it prunes against. Its columns run through
+	// the same block sweep as the sealed segments' (sweep.go).
+	cols, stride, ids, dead := sn.layer(memSrc, e.dims)
+	c.sweep(cols, stride, ids, dead, spec.Point)
+	stats.Scored += len(ids) - popcount(dead)
 
 	// Sweep the segments the planner does not stream at all (sweep.go) and
 	// bind the plan's subproblems to the rest.

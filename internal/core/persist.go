@@ -178,10 +178,15 @@ func (e *Engine) saveSnapshot(w io.Writer, sn *snapshot) error {
 		cw.write(seg.cols) // dimension-major since format v3
 		writeBitset(sn.tombs[i])
 	}
-	cw.write(uint64(len(sn.memIDs)))
-	cw.write(sn.memIDs)
-	cw.write(sn.memFlat)
-	writeBitset(sn.memDead)
+	memCols, stride, memIDs, memDead := sn.layer(memSrc, e.dims)
+	rows := make([]float64, len(memIDs)*e.dims) // the file's memtable is row-major
+	for l := range memIDs {
+		copyRow(memCols, stride, l, rows[l*e.dims:(l+1)*e.dims])
+	}
+	cw.write(uint64(len(memIDs)))
+	cw.write(memIDs)
+	cw.write(rows)
+	writeBitset(memDead)
 
 	if cw.err != nil {
 		return fmt.Errorf("core: save: %w", cw.err)
@@ -392,7 +397,8 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 		segIDs, blocks = append(segIDs, ids), append(blocks, cols)
 		sn.tombs = append(sn.tombs, readBitset(len(ids)))
 	}
-	sn.memIDs, sn.memFlat = readRows()
+	var memRows []float64 // row-major in the file
+	sn.memIDs, memRows = readRows()
 	sn.memDead = readBitset(len(sn.memIDs))
 
 	// Cross-check the persisted live count against the actual tombstones —
@@ -406,6 +412,12 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 	}
 	if cr.err != nil {
 		return fail()
+	}
+	// The memtable goes dimension-major, into a block of exactly its rows
+	// (the first Insert regrows it): value i is row i/dims, dimension i%dims.
+	sn.memCols = make([]float64, len(memRows))
+	for i, v := range memRows {
+		sn.memCols[i%dims*len(sn.memIDs)+i/dims] = v
 	}
 
 	e := &Engine{
@@ -452,18 +464,14 @@ func Merge(parts []*Engine, opt RuntimeOptions) (*Engine, error) {
 		}
 		sn := e.snap.Load()
 		total = max(total, sn.total)
-		for si, s := range sn.segs {
-			for l, id := range s.ids {
-				if !bitGet(sn.tombs[si], l) {
+		for si := memSrc; si < len(sn.segs); si++ {
+			cols, stride, ids, dead := sn.layer(si, e.dims)
+			for l, id := range ids {
+				if !bitGet(dead, l) {
 					p := make([]float64, e.dims)
-					s.copyRow(l, p)
+					copyRow(cols, stride, l, p)
 					live = append(live, row{id, p})
 				}
-			}
-		}
-		for l, id := range sn.memIDs {
-			if !bitGet(sn.memDead, l) {
-				live = append(live, row{id, sn.memFlat[l*e.dims : (l+1)*e.dims]})
 			}
 		}
 	}

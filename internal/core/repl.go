@@ -64,11 +64,8 @@ func (e *Engine) Row(id int) ([]float64, bool) {
 		return nil, false
 	}
 	out := make([]float64, e.dims)
-	if seg < 0 {
-		copy(out, sn.memFlat[local*e.dims:(local+1)*e.dims])
-	} else {
-		sn.segs[seg].copyRow(local, out)
-	}
+	cols, stride, _, _ := sn.layer(seg, e.dims)
+	copyRow(cols, stride, local, out)
 	return out, true
 }
 
@@ -110,7 +107,7 @@ type WALTailInfo struct {
 // before their snapshot publishes), and a torn in-flight append past
 // LeaderLSN merely ends the scan early without a gap.
 func (e *Engine) WALTail(w io.Writer, from uint64, maxBytes int) (WALTailInfo, error) {
-	l := e.wal
+	l := e.wal.Load()
 	if l == nil {
 		return WALTailInfo{}, fmt.Errorf("core: WALTail: engine has no write-ahead log")
 	}
@@ -204,9 +201,14 @@ scan:
 // must re-bootstrap. A sound insert outside the value domain (an older
 // leader's row) is an ErrWAL error instead: re-bootstrapping cannot help, as
 // the leader's snapshot holds the same row. Returns the new LastLSN and the
-// number of records applied (skips excluded).
+// number of records applied (skips excluded). Applied inserts fill the
+// memtable like local ones, so the compactor is kicked the same way: a
+// follower seals and folds on its own.
 func (e *Engine) ApplyWALStream(r io.Reader) (applied uint64, records int, err error) {
 	run := e.applyRecords(r, e.LastLSN())
+	if e.needsCompaction() {
+		e.kickCompactor()
+	}
 	switch {
 	case run.err != nil:
 		err = run.err

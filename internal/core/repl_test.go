@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -141,7 +142,7 @@ func TestReplTailAfterCheckpointRetireIsGap(t *testing.T) {
 	}
 	// Seal the current log file so the checkpoint can retire it, then write
 	// more so the leader LSN moves past the retired range.
-	e.wal.rotate()
+	e.wal.Load().rotate()
 	if err := e.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
@@ -272,5 +273,86 @@ func TestReplApplyRejectsDamage(t *testing.T) {
 	gapped := append(append([]byte(nil), raw[:8]...), raw[8+16+plen:]...)
 	if _, _, err := f2.ApplyWALStream(bytes.NewReader(gapped)); !errors.Is(err, ErrReplGap) {
 		t.Fatalf("gapped stream: err %v, want ErrReplGap", err)
+	}
+}
+
+// leaderTail builds a WAL-backed leader, snapshots it while still empty,
+// applies n scripted mutations, and returns the leader with the snapshot and
+// the WAL tail that follows it.
+func leaderTail(t *testing.T, fs faultfs.FS, n int, seed int64) (leader *Engine, snap, tail []byte) {
+	t.Helper()
+	leader = newWALEngine(t, fs, "wal", WALConfig{Policy: SyncNever})
+	var snapBuf, tailBuf bytes.Buffer
+	lsn, err := leader.SaveWithLSN(&snapBuf)
+	if err != nil {
+		t.Fatalf("SaveWithLSN: %v", err)
+	}
+	applyScript(t, leader, walScript(n, seed))
+	if info, err := leader.WALTail(&tailBuf, lsn, 0); err != nil || info.Gap {
+		t.Fatalf("WALTail: %+v %v", info, err)
+	}
+	return leader, snapBuf.Bytes(), tailBuf.Bytes()
+}
+
+// A follower applies its leader's tail through recovery's record loop and
+// then compacts like the leader: its memtable seals past MemtableSize
+// instead of holding every row applied since bootstrap, and it still
+// answers exactly like the leader.
+func TestReplFollowerSealsMemtable(t *testing.T) {
+	leader, snap, tail := leaderTail(t, faultfs.NewMem(), 200, 36)
+	defer leader.Close()
+	f, err := Load(bytes.NewReader(snap), RuntimeOptions{MemtableSize: 16})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if _, _, err := f.ApplyWALStream(bytes.NewReader(tail)); err != nil {
+		t.Fatalf("ApplyWALStream: %v", err)
+	}
+	waitCompactIdle(t, f)
+	if segs, mem := f.Segments(); mem >= 16 {
+		t.Fatalf("follower holds %d memtable rows over %d segments, want fewer than 16", mem, segs)
+	}
+	answersMustMatch(t, "follower", f, leader)
+}
+
+// Promoting a follower right after it applied a tail races its running
+// compaction, which reads the log (rotate after a seal, maybeCheckpoint),
+// and a health check reading WALStats, while AttachWAL installs the log.
+// Run under -race.
+func TestReplPromoteDuringCompaction(t *testing.T) {
+	fs := faultfs.NewMem()
+	leader, snap, tail := leaderTail(t, fs, 300, 37)
+	defer leader.Close()
+	for round := 0; round < 20; round++ {
+		f, err := Load(bytes.NewReader(snap), RuntimeOptions{MemtableSize: 4})
+		if err != nil {
+			t.Fatalf("round %d: Load: %v", round, err)
+		}
+		if _, _, err := f.ApplyWALStream(bytes.NewReader(tail)); err != nil {
+			t.Fatalf("round %d: ApplyWALStream: %v", round, err)
+		}
+		stop, polled := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(polled)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					f.WALStats()
+				}
+			}
+		}()
+		err = f.AttachWAL(WALConfig{Dir: fmt.Sprintf("promoted-%d", round), FS: fs, Policy: SyncNever})
+		close(stop)
+		<-polled
+		if err != nil {
+			t.Fatalf("round %d: AttachWAL: %v", round, err)
+		}
+		waitCompactIdle(t, f)
+		answersMustMatch(t, fmt.Sprintf("round %d", round), f, leader)
+		if err := f.Close(); err != nil {
+			t.Fatalf("round %d: Close: %v", round, err)
+		}
 	}
 }

@@ -18,9 +18,9 @@ import (
 // initial dataset) and shared by every sealed segment: the pairs of Eqn. 10's
 // bijection f, each answered by a 2D tree, and the lone dimensions f leaves
 // out, each answered by a sorted list. Fixing the layout at the engine level —
-// rather than re-deriving it per segment — is what keeps the per-shape plan
-// cache valid across the whole segment stack: a plan's pair and lone indices
-// name the same dimensions in every segment's trees and lists.
+// rather than re-deriving it per segment — is what lets a query derive its
+// plan once for the whole segment stack: a plan's pair and lone indices name
+// the same dimensions in every segment's trees and lists.
 type layout struct {
 	pairs []Pair
 	lone  []int
@@ -43,7 +43,6 @@ type segment struct {
 	ids  []int32   // local row → global dataset ID, strictly ascending
 	cols []float64 // dims × rows, dimension-major: column d = cols[d*rows:(d+1)*rows]
 	rows int
-	dims int
 
 	// indexed is false on a segment too small to ever be streamed (see
 	// Engine.seal): it carries no trees or lists, and every query sweeps it.
@@ -60,12 +59,13 @@ type segment struct {
 // col returns dimension d's contiguous column.
 func (s *segment) col(d int) []float64 { return s.cols[d*s.rows : (d+1)*s.rows] }
 
-// copyRow gathers one local row's coordinates into dst (len ≥ dims) — the
-// random-access path for callers that need a whole row (replication reads,
-// compaction gathers); the query path never materializes rows.
-func (s *segment) copyRow(local int, dst []float64) {
-	for d := 0; d < s.dims; d++ {
-		dst[d] = s.cols[d*s.rows+local]
+// copyRow gathers row local of a dimension-major column block (column d at
+// cols[d*stride:]) into dst, one value per dimension — the random-access
+// path for callers that need a whole row (Engine.Row, Merge, Save); the
+// query path never materializes rows.
+func copyRow(cols []float64, stride, local int, dst []float64) {
+	for d := range dst {
+		dst[d] = cols[d*stride+local]
 	}
 }
 
@@ -74,7 +74,7 @@ func (s *segment) copyRow(local int, dst []float64) {
 // every query whatever its plan (sweepsFirst), so it is sealed without
 // index structures.
 func (e *Engine) seal(cols []float64, ids []int32) (*segment, error) {
-	return buildSegment(cols, ids, e.dims, &e.layout, e.treeCfg, len(ids) > e.probeCost(1))
+	return buildSegment(cols, ids, &e.layout, e.treeCfg, len(ids) > e.probeCost(1))
 }
 
 // sealAll seals n segments, segment i from the columns and IDs input(i)
@@ -124,12 +124,12 @@ func (e *Engine) segCap(live int) int {
 // an immutable segment under the engine's layout and tree configuration. IDs
 // must be strictly ascending; indexed false leaves the trees and lists
 // unbuilt. An empty row set returns nil.
-func buildSegment(cols []float64, ids []int32, dims int, lo *layout, treeCfg topk.Config, indexed bool) (*segment, error) {
+func buildSegment(cols []float64, ids []int32, lo *layout, treeCfg topk.Config, indexed bool) (*segment, error) {
 	rows := len(ids)
 	if rows == 0 {
 		return nil, nil
 	}
-	s := &segment{ids: ids, cols: cols, rows: rows, dims: dims, indexed: indexed}
+	s := &segment{ids: ids, cols: cols, rows: rows, indexed: indexed}
 	if !indexed {
 		return s, nil
 	}

@@ -18,10 +18,11 @@ import (
 // Sharing discipline: segment structures are immutable forever. Tombstone
 // bitsets are copy-on-write — a Remove copies the affected segment's bitset,
 // so bitsets reachable from any published snapshot never change. The
-// memtable's backing arrays are append-shared: Insert extends memIDs/memFlat
-// in place when capacity allows, which is safe because every older snapshot
-// bounds its reads by its own slice lengths, and the writer only ever writes
-// beyond every published length (writes are serialized by Engine.wrMu).
+// memtable's backing arrays are append-shared: Insert extends memIDs and
+// writes the row into the next free slot of each memCols column, which is
+// safe because every older snapshot bounds its reads by its own row count,
+// and the writer only ever writes beyond every published length (writes are
+// serialized by Engine.wrMu).
 type snapshot struct {
 	// epoch is the snapshot's version number: strictly increasing across
 	// every publish (insert, remove, compaction swap), assigned under wrMu
@@ -35,7 +36,7 @@ type snapshot struct {
 	tombs [][]uint64 // parallel to segs; nil = no removals in that segment
 
 	memIDs  []int32   // memtable global IDs, ascending (insertion order)
-	memFlat []float64 // memtable rows, row-major
+	memCols []float64 // memtable columns, stride len/dims (layer); nil when empty
 	memDead []uint64  // memtable tombstones (COW, like segment tombs)
 
 	total int // global ID space size: the next Insert's ID lower bound
@@ -55,19 +56,36 @@ type snapshot struct {
 // memRows reports the number of memtable rows this snapshot can see.
 func (sn *snapshot) memRows() int { return len(sn.memIDs) }
 
+// memSrc is the memtable's ordinal where a layer of the stack is numbered.
+const memSrc = -1
+
+// layer returns one layer of the stack — sealed segment seg, or the memtable
+// for seg = memSrc — as a sweep reads it: its dimension-major column block
+// and column stride, its global IDs and its tombstones. The memtable's block
+// has a fixed stride, len/dims (a 0-dimension block is empty).
+func (sn *snapshot) layer(seg, dims int) (cols []float64, stride int, ids []int32, dead []uint64) {
+	if seg >= 0 {
+		s := sn.segs[seg]
+		return s.cols, s.rows, s.ids, sn.tombs[seg]
+	}
+	return sn.memCols, len(sn.memCols) / max(dims, 1), sn.memIDs, sn.memDead
+}
+
 // bytes is the snapshot's resident size: every sealed segment (structures,
-// flat copy, ID map, tombstones), the memtable arrays, and the extrema.
+// columns, ID map, tombstones), the memtable's rows and tombstones, and the
+// extrema.
 func (sn *snapshot) bytes() int {
-	total := 8 * (len(sn.minVal) + len(sn.maxVal))
+	dims := len(sn.minVal)
+	total := 8 * 2 * dims
 	for i, s := range sn.segs {
 		total += s.bytes(len(sn.tombs[i]))
 	}
-	total += 4*len(sn.memIDs) + 8*len(sn.memFlat) + 8*len(sn.memDead)
+	total += (4+8*dims)*len(sn.memIDs) + 8*len(sn.memDead)
 	return total
 }
 
 // locate finds a global ID in this snapshot: the owning segment's ordinal
-// (or -1 for the memtable) and the local row index, with ok=false when the
+// (or memSrc for the memtable) and the local row index, with ok=false when the
 // row is absent (never inserted, or dropped by compaction). Tombstoned rows
 // are still located; callers check liveness separately.
 func (sn *snapshot) locate(id int) (seg int, local int, ok bool) {
@@ -91,7 +109,7 @@ func (sn *snapshot) locate(id int) (seg int, local int, ok bool) {
 	ids := sn.memIDs
 	l := sort.Search(len(ids), func(i int) bool { return ids[i] >= int32(id) })
 	if l < len(ids) && ids[l] == int32(id) {
-		return -1, l, true
+		return memSrc, l, true
 	}
 	return 0, 0, false
 }
@@ -224,10 +242,10 @@ func (e *Engine) insert(p []float64, id int) (int, error) {
 func (e *Engine) logAndPublishInsert(cur *snapshot, id int32, p []float64) (CommitWait, error) {
 	lsn := cur.walLSN
 	var wait CommitWait
-	if e.wal != nil {
+	if l := e.wal.Load(); l != nil {
 		lsn++
 		var err error
-		if wait, err = e.wal.appendInsert(lsn, int(id), p); err != nil {
+		if wait, err = l.appendInsert(lsn, int(id), p); err != nil {
 			return nil, err
 		}
 	}
@@ -235,15 +253,24 @@ func (e *Engine) logAndPublishInsert(cur *snapshot, id int32, p []float64) (Comm
 	return wait, nil
 }
 
-// publishInsert builds and publishes the post-insert snapshot. Caller holds
-// wrMu and has validated the row.
+// publishInsert builds and publishes the post-insert snapshot: the row goes
+// into the next free slot of each memtable column, in a fresh block when the
+// current one is full. Caller holds wrMu and has validated the row.
 func (e *Engine) publishInsert(cur *snapshot, id int32, p []float64, lsn uint64) {
+	n := len(cur.memIDs)
+	cols, stride, _, _ := cur.layer(memSrc, e.dims)
+	if n == stride {
+		cols, stride = e.regrowCols(cols, stride, 0, n)
+	}
+	for d, v := range p {
+		cols[d*stride+n] = v
+	}
 	ns := &snapshot{
 		epoch:   cur.epoch + 1,
 		segs:    cur.segs,
 		tombs:   cur.tombs,
 		memIDs:  append(cur.memIDs, id),
-		memFlat: append(cur.memFlat, p...),
+		memCols: cols,
 		memDead: cur.memDead,
 		total:   int(id) + 1,
 		live:    cur.live + 1,
@@ -264,6 +291,18 @@ func (e *Engine) publishInsert(cur *snapshot, id int32, p []float64, lsn uint64)
 		}
 	}
 	e.snap.Store(ns)
+}
+
+// regrowCols copies rows [lo, hi) of a memtable block into a fresh one of
+// stride max(MemtableSize, 2·(hi−lo)), returning it and its stride.
+// Published snapshots keep reading the old block; no writer touches it again.
+func (e *Engine) regrowCols(cols []float64, stride, lo, hi int) ([]float64, int) {
+	n := max(e.memSize, 2*(hi-lo))
+	out := make([]float64, e.dims*n)
+	for d := 0; d < e.dims; d++ {
+		copy(out[d*n:], cols[d*stride+lo:d*stride+hi])
+	}
+	return out, n
 }
 
 // Remove deletes a point by dataset ID (tombstoning its row), reporting
@@ -292,10 +331,10 @@ func (e *Engine) RemoveDurable(id int) (bool, error) {
 	}
 	lsn := cur.walLSN
 	var wait CommitWait
-	if e.wal != nil {
+	if l := e.wal.Load(); l != nil {
 		lsn++
 		var err error
-		if wait, err = e.wal.appendRemove(lsn, id); err != nil {
+		if wait, err = l.appendRemove(lsn, id); err != nil {
 			e.wrMu.Unlock()
 			return false, err
 		}
@@ -321,7 +360,7 @@ func (e *Engine) removeLocked(cur *snapshot, id int, lsn uint64) bool {
 	ns := &snapshot{
 		epoch: cur.epoch + 1,
 		segs:  cur.segs, tombs: cur.tombs,
-		memIDs: cur.memIDs, memFlat: cur.memFlat, memDead: cur.memDead,
+		memIDs: cur.memIDs, memCols: cur.memCols, memDead: cur.memDead,
 		total: cur.total, live: cur.live - 1,
 		walLSN: lsn,
 		minVal: cur.minVal, maxVal: cur.maxVal,

@@ -30,6 +30,10 @@ import "repro/internal/simd"
 // streams had not settled, with the same per-row arithmetic as the stream
 // path's rescoring, into the same order-independent collector, so answers
 // are byte-identical whichever way each segment went.
+//
+// The memtable is held in the same dimension-major layout as a segment — one
+// column block of fixed stride, filled by Insert — so every sweep, of a
+// segment or of the memtable, runs one kernel: simd.ScoreCols.
 
 // DefaultAccessCost is the price of one sorted access in swept rows — the
 // planner's single tuning constant. Measured with BenchmarkPlannerCrossover
@@ -95,25 +99,20 @@ const (
 
 // sweep scores every live row of one layer that the streams have not already
 // settled, exactly and block by block, into the collector. The layer is a
-// sealed segment's contiguous dimension-major columns or — seg nil — the
-// memtable's row-major block; ids and dead are its global IDs and
-// tombstones. Rows below the prune line are dropped on the score alone
-// (strictly below: a tie at the k-th rank still reaches the collector's ID
-// tie-break), so tombstones and the seen bitset are consulted only for the
-// few rows that could enter the top k.
-func (c *queryCtx) sweep(seg *segment, ids []int32, dead []uint64, qpt []float64) {
+// sealed segment or the memtable, both dimension-major column blocks: cols
+// with column stride stride, ids and dead its global IDs and tombstones.
+// Rows below the prune line are dropped on the score alone (strictly below:
+// a tie at the k-th rank still reaches the collector's ID tie-break), so
+// tombstones and the seen bitset are consulted only for the few rows that
+// could enter the top k.
+func (c *queryCtx) sweep(cols []float64, stride int, ids []int32, dead []uint64, qpt []float64) {
 	coll := c.coll
-	d := c.e.dims
 	for base, blk := 0, 1; base < len(ids); base, blk = base+sweepBlock, blk+1 {
 		if blk%sweepPollBlocks == 0 && c.pollCancel() {
 			return
 		}
 		scores := c.sweepScore[:min(len(ids)-base, sweepBlock)]
-		if seg == nil {
-			simd.ScoreRows(scores, c.sn.memFlat[base*d:], d, qpt, c.signed)
-		} else {
-			simd.ScoreCols(scores, seg.cols, seg.rows, base, qpt, c.signed)
-		}
+		simd.ScoreCols(scores, cols, stride, base, qpt, c.signed)
 		line := coll.Threshold() // −Inf, which drops nothing, until k rows are kept
 		for j, sc := range scores {
 			if sc < line {
@@ -134,12 +133,12 @@ func (c *queryCtx) sweep(seg *segment, ids []int32, dead []uint64, qpt []float64
 // it: every live row the segment's streams had not settled is scored. A
 // sweep that cancellation cut short is not counted.
 func (c *queryCtx) sweepSegment(si int, qpt []float64, stats *Stats) {
-	seg, tomb := c.sn.segs[si], c.sn.tombs[si]
-	c.sweep(seg, seg.ids, tomb, qpt)
+	cols, stride, ids, dead := c.sn.layer(si, c.e.dims)
+	c.sweep(cols, stride, ids, dead, qpt)
 	if c.canceled {
 		return
 	}
-	n := seg.rows - popcount(tomb) - c.segSettled[si]
+	n := len(ids) - popcount(dead) - c.segSettled[si]
 	stats.Scored += n
 	stats.Swept += n
 	stats.SweptSegments++

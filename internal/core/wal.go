@@ -508,13 +508,13 @@ func (e *Engine) attachWAL(c WALConfig, seq uint64) error {
 		return fmt.Errorf("%w: %s already holds a checkpoint; recover it with Open instead of overwriting", ErrWAL, c.Dir)
 	}
 	l := newWALLog(c)
-	e.wal = l
+	e.wal.Store(l)
 	if err := e.Checkpoint(); err != nil {
-		e.wal = nil
+		e.wal.Store(nil)
 		return err
 	}
 	if err := l.start(seq); err != nil {
-		e.wal = nil
+		e.wal.Store(nil)
 		return err
 	}
 	return nil
@@ -527,9 +527,13 @@ func (e *Engine) attachWAL(c WALConfig, seq uint64) error {
 // mutation applied so far, and refuses a directory already holding one);
 // subsequent mutations log from the engine's current LSN onward, so a
 // follower of the promoted engine sees one contiguous history. The caller
-// must guarantee no mutations are in flight during the attach.
+// must guarantee no mutations are in flight during the attach. A follower's
+// compactor may still be running; the attach takes compactMu, so no
+// compaction step sees the log before it is started.
 func (e *Engine) AttachWAL(c WALConfig) error {
-	if e.wal != nil {
+	e.compactMu.Lock()
+	defer e.compactMu.Unlock()
+	if e.wal.Load() != nil {
 		return fmt.Errorf("%w: engine already has a write-ahead log", ErrWAL)
 	}
 	return e.attachWAL(c, 1)
@@ -541,7 +545,7 @@ func (e *Engine) AttachWAL(c WALConfig) error {
 // log volume passes WALConfig.CheckpointBytes; it is also safe to call
 // explicitly. No-op without a WAL.
 func (e *Engine) Checkpoint() error {
-	l := e.wal
+	l := e.wal.Load()
 	if l == nil {
 		return nil
 	}
@@ -562,7 +566,7 @@ func (e *Engine) Checkpoint() error {
 // Best-effort: on failure the log files stay put and the next trigger
 // retries. Called from the compactor.
 func (e *Engine) maybeCheckpoint() {
-	if e.wal == nil || e.wal.sealedBytes() < e.wal.ckptBy {
+	if l := e.wal.Load(); l == nil || l.sealedBytes() < l.ckptBy {
 		return
 	}
 	e.Checkpoint()
@@ -572,26 +576,26 @@ func (e *Engine) maybeCheckpoint() {
 // server shutting down under SyncInterval/SyncNever calls it so every
 // acknowledged mutation survives power loss too. No-op without a WAL.
 func (e *Engine) Sync() error {
-	if e.wal == nil {
-		return nil
+	if l := e.wal.Load(); l != nil {
+		return l.sync()
 	}
-	return e.wal.sync()
+	return nil
 }
 
 // Close flushes and closes the engine's WAL. The engine stays queryable
 // (reads never touch the log) but every later mutation fails. No-op without
 // a WAL.
 func (e *Engine) Close() error {
-	if e.wal == nil {
-		return nil
+	if l := e.wal.Load(); l != nil {
+		return l.close()
 	}
-	return e.wal.close()
+	return nil
 }
 
 // WALStats reports the WAL's counters and health. Engines without a WAL
 // report Enabled=false.
 func (e *Engine) WALStats() WALStats {
-	l := e.wal
+	l := e.wal.Load()
 	if l == nil {
 		return WALStats{}
 	}
@@ -650,9 +654,9 @@ func Open(c WALConfig, opt RuntimeOptions) (*Engine, error) {
 	if n := len(seqs); n > 0 {
 		nextSeq = seqs[n-1] + 1
 	}
-	e.wal = l
+	e.wal.Store(l)
 	if err := l.start(nextSeq); err != nil {
-		e.wal = nil
+		e.wal.Store(nil)
 		return nil, err
 	}
 	// Files fully covered by the checkpoint we just loaded may be left over

@@ -54,59 +54,6 @@ func BlendKeys(dst, xs, ys []float64, cx, cy float64) {
 	}
 }
 
-// ScoreRows fills dst[j] with the SD-score of the j-th row of a row-major
-// block: dst[j] = Σ_d signed[d]·|flat[j·dims+d] − q[d]|, accumulated in
-// ascending dimension order — exactly the scalar per-row loop, so scores
-// are bit-identical to it. It is the memtable sweep kernel: eight rows
-// advance together, each with its own accumulator chain, so the eight
-// |Δ|-multiply-adds per dimension are independent and pipeline.
-// flat must hold at least len(dst)·dims values; q and signed at least dims.
-func ScoreRows(dst []float64, flat []float64, dims int, q, signed []float64) {
-	if dims == 0 {
-		for j := range dst {
-			dst[j] = 0
-		}
-		return
-	}
-	q = q[:dims]
-	signed = signed[:dims]
-	j := 0
-	for ; j+8 <= len(dst); j += 8 {
-		base := j * dims
-		r0 := flat[base+0*dims : base+1*dims : base+1*dims]
-		r1 := flat[base+1*dims : base+2*dims : base+2*dims]
-		r2 := flat[base+2*dims : base+3*dims : base+3*dims]
-		r3 := flat[base+3*dims : base+4*dims : base+4*dims]
-		r4 := flat[base+4*dims : base+5*dims : base+5*dims]
-		r5 := flat[base+5*dims : base+6*dims : base+6*dims]
-		r6 := flat[base+6*dims : base+7*dims : base+7*dims]
-		r7 := flat[base+7*dims : base+8*dims : base+8*dims]
-		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		for d := 0; d < dims; d++ {
-			qd, wd := q[d], signed[d]
-			s0 += wd * math.Abs(r0[d]-qd)
-			s1 += wd * math.Abs(r1[d]-qd)
-			s2 += wd * math.Abs(r2[d]-qd)
-			s3 += wd * math.Abs(r3[d]-qd)
-			s4 += wd * math.Abs(r4[d]-qd)
-			s5 += wd * math.Abs(r5[d]-qd)
-			s6 += wd * math.Abs(r6[d]-qd)
-			s7 += wd * math.Abs(r7[d]-qd)
-		}
-		out := dst[j : j+8 : j+8]
-		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
-		out[4], out[5], out[6], out[7] = s4, s5, s6, s7
-	}
-	for ; j < len(dst); j++ {
-		row := flat[j*dims : (j+1)*dims : (j+1)*dims]
-		var s float64
-		for d := 0; d < dims; d++ {
-			s += signed[d] * math.Abs(row[d]-q[d])
-		}
-		dst[j] = s
-	}
-}
-
 // GatherScore fills dst[j] with the SD-score of candidate row idx[j] read
 // from dimension-major float64 columns (column d is cols[d·rows:(d+1)·rows]).
 // The accumulation order per candidate matches the scalar row loop, so
@@ -143,8 +90,9 @@ func GatherScore(dst []float64, cols []float64, rows int, idx []int32, q, signed
 }
 
 // ScoreCols fills dst[j] with the SD-score of row off+j read contiguously
-// from dimension-major float64 columns (column d is cols[d·rows:(d+1)·rows]):
-// the segment sweep kernel. Eight consecutive rows advance together, each
+// from dimension-major float64 columns (column d starts at cols[d·rows], rows
+// being the column stride): the one sweep kernel, for sealed segments and
+// the memtable alike. Eight consecutive rows advance together, each
 // with a register accumulator carried across the dimensions in ascending
 // order — the same operation order as the scalar row loop and GatherScore,
 // so scores are bit-identical to both — and every load is sequential, so a

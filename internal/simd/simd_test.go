@@ -15,17 +15,6 @@ func blendKeysScalar(dst, xs, ys []float64, cx, cy float64) {
 	}
 }
 
-func scoreRowsScalar(dst []float64, flat []float64, dims int, q, signed []float64) {
-	for j := range dst {
-		var s float64
-		row := flat[j*dims : (j+1)*dims]
-		for d := 0; d < dims; d++ {
-			s += signed[d] * math.Abs(row[d]-q[d])
-		}
-		dst[j] = s
-	}
-}
-
 func gatherScoreScalar(dst []float64, cols []float64, rows int, idx []int32, q, signed []float64) {
 	for j := range dst {
 		var s float64
@@ -103,18 +92,6 @@ func TestKernelBitIdentity(t *testing.T) {
 		requireBitEqual(t, "BlendKeys (random signs)", got, want)
 	}
 	for _, n := range sizes {
-		for _, dims := range []int{0, 1, 2, 6, 13} {
-			flat := randVals(rng, n*dims)
-			q := randVals(rng, dims)
-			signed := randVals(rng, dims)
-			got := make([]float64, n)
-			want := make([]float64, n)
-			ScoreRows(got, flat, dims, q, signed)
-			scoreRowsScalar(want, flat, dims, q, signed)
-			requireBitEqual(t, "ScoreRows", got, want)
-		}
-	}
-	for _, n := range sizes {
 		for _, dims := range []int{1, 2, 6, 13} {
 			rows := 97
 			cols := randVals(rng, rows*dims)
@@ -131,12 +108,12 @@ func TestKernelBitIdentity(t *testing.T) {
 			requireBitEqual(t, "GatherScore", got, want)
 		}
 	}
-	// The contiguous sweep kernels, at offsets that put the block's start,
-	// its 8-wide body and its tail everywhere in the column — and against
-	// the gather kernel over the same rows, which the engine's stream path
-	// scores with: a row must score identically whichever path reaches it.
+	// The sweep kernel, at offsets that put the block's start, its 8-wide
+	// body and its tail everywhere in the column — and against the gather
+	// kernel over the same rows, which the engine's stream path scores
+	// with: a row must score identically whichever path reaches it.
 	for _, n := range sizes {
-		for _, dims := range []int{1, 2, 6, 13} {
+		for _, dims := range []int{0, 1, 2, 6, 13} {
 			rows := n + 11
 			off := rng.Intn(12)
 			cols := randVals(rng, rows*dims)
@@ -158,8 +135,9 @@ func TestKernelBitIdentity(t *testing.T) {
 }
 
 // BenchmarkScoreKernel compares the scalar reference loop with the unrolled
-// kernel on the leaf-scan blend and the row and column sweeps. The dims=6
-// ScoreRows case mirrors the memtable sweep.
+// kernel on the leaf-scan blend and on the one sweep kernel, ScoreCols. The
+// dims=6 column case mirrors a sweep of a segment or the memtable: both are
+// dimension-major blocks swept 512 rows at a time.
 func BenchmarkScoreKernel(b *testing.B) {
 	const n = 4096
 	rng := rand.New(rand.NewSource(7))
@@ -181,33 +159,20 @@ func BenchmarkScoreKernel(b *testing.B) {
 	})
 
 	const dims = 6
-	flat := randVals(rng, n*dims)
+	cols := randVals(rng, n*dims)
 	q := randVals(rng, dims)
 	signed := randVals(rng, dims)
-	b.Run("rows-scalar", func(b *testing.B) {
-		b.SetBytes(n * dims * 8)
-		for i := 0; i < b.N; i++ {
-			scoreRowsScalar(dst, flat, dims, q, signed)
-		}
-	})
-	b.Run("rows-unrolled", func(b *testing.B) {
-		b.SetBytes(n * dims * 8)
-		for i := 0; i < b.N; i++ {
-			ScoreRows(dst, flat, dims, q, signed)
-		}
-	})
-	// The segment sweep: the same values dimension-major, in 512-row blocks.
 	b.Run("cols-scalar", func(b *testing.B) {
 		b.SetBytes(n * dims * 8)
 		for i := 0; i < b.N; i++ {
-			scoreColsScalar(dst, flat, n, 0, q, signed)
+			scoreColsScalar(dst, cols, n, 0, q, signed)
 		}
 	})
 	b.Run("cols-sweep", func(b *testing.B) {
 		b.SetBytes(n * dims * 8)
 		for i := 0; i < b.N; i++ {
 			for off := 0; off < n; off += 512 {
-				ScoreCols(dst[off:off+512], flat, n, off, q, signed)
+				ScoreCols(dst[off:off+512], cols, n, off, q, signed)
 			}
 		}
 	})
