@@ -53,12 +53,10 @@ func BenchmarkFig8i(b *testing.B)  { runExperiment(b, "fig8i") }
 func BenchmarkFig8j(b *testing.B)  { runExperiment(b, "fig8j") }
 func BenchmarkTable1(b *testing.B) { runExperiment(b, "table1") }
 
-func BenchmarkAblationAngles(b *testing.B)      { runExperiment(b, "ablation-angles") }
-func BenchmarkAblationPairing(b *testing.B)     { runExperiment(b, "ablation-pairing") }
-func BenchmarkAblationGranularity(b *testing.B) { runExperiment(b, "ablation-granularity") }
-func BenchmarkAblationBranching(b *testing.B)   { runExperiment(b, "ablation-branching") }
-func BenchmarkAblationBulk(b *testing.B)        { runExperiment(b, "ablation-bulk") }
-func BenchmarkAblationAlg4(b *testing.B)        { runExperiment(b, "ablation-alg4") }
+func BenchmarkAblationAngles(b *testing.B)    { runExperiment(b, "ablation-angles") }
+func BenchmarkAblationBranching(b *testing.B) { runExperiment(b, "ablation-branching") }
+func BenchmarkAblationBulk(b *testing.B)      { runExperiment(b, "ablation-bulk") }
+func BenchmarkAblationAlg4(b *testing.B)      { runExperiment(b, "ablation-alg4") }
 
 // --- Micro-benchmarks: per-query cost of the public engines -------------
 

@@ -222,13 +222,13 @@
 // scheduler: each step bulk-fetches from the subproblem — across every
 // sealed segment — whose frontier bound is falling fastest per sorted
 // access, with sibling bounds, float pads, and retirement tracked per
-// segment and the termination threshold re-checked after every batch
-// (the paper's fixed rotation is kept as an ablation, sdbench -exp
-// ablation-scheduler). Every subproblem implements a bulk fetch that drains whole
-// runs and returns its post-batch frontier bound for free. Bound-driven
-// scheduling cuts a pure stream's sorted accesses on the default 50k × 6
-// workload by ~16% against the round-robin rotation, at answers
-// byte-identical to the scan oracle (property-tested and fuzzed).
+// segment and the termination threshold re-checked after every batch. It
+// is the only schedule: any access order returns the same answer, so the
+// engine keeps the cheapest it has measured (the paper's fixed rotation
+// took ~16% more sorted accesses on the default 50k × 6 workload). Every
+// subproblem implements a bulk fetch that drains whole runs and returns its
+// post-batch frontier bound for free. Answers are byte-identical to the scan
+// oracle (property-tested and fuzzed).
 //
 // Streaming is not always the cheaper exact plan: a sorted access costs as
 // much as sweeping on the order of a hundred rows of a segment's contiguous

@@ -12,9 +12,7 @@ import (
 	"repro/internal/baseline/ta"
 	"repro/internal/core"
 	"repro/internal/faultfs"
-	"repro/internal/geom"
 	"repro/internal/query"
-	"repro/internal/topk"
 )
 
 // SyncPolicy selects when write-ahead-log records are fsynced — the
@@ -48,11 +46,7 @@ type WALStats = core.WALStats
 type SDOption func(*sdConfig)
 
 type sdConfig struct {
-	pairing      core.Pairing // pairing, tree, angles, scheduler and access cost: only tests set them (export_test.go)
-	tree         topk.Config
-	angleDegrees []float64
-	useAngles    bool
-	rt           core.RuntimeOptions
+	rt           core.RuntimeOptions // memtable size and segments; only tests set the rest (export_test.go)
 	workers      int
 	workersSet   bool
 	walDir       string
@@ -100,21 +94,7 @@ func (c *sdConfig) walConfig() core.WALConfig {
 // runtime knobs opt, creating the WAL directory when WithWAL names one; nil
 // ids number the rows 0..n−1.
 func (c *sdConfig) newEngine(data [][]float64, ids []int32, roles []Role, opt core.RuntimeOptions) (*core.Engine, error) {
-	cfg := core.Config{Roles: roles, Pairing: c.pairing, Tree: c.tree, RuntimeOptions: opt}
-	if c.useAngles {
-		cfg.Tree.Angles = nil
-		for _, d := range c.angleDegrees {
-			a, err := geom.AngleFromDegrees(d)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Tree.Angles = append(cfg.Tree.Angles, a)
-		}
-		if len(cfg.Tree.Angles) == 0 {
-			// An explicit empty set falls back to 0° and 90° only.
-			cfg.Tree.Angles = []geom.Angle{{Alpha: 1, Beta: 0}, {Alpha: 0, Beta: 1}}
-		}
-	}
+	cfg := core.Config{Roles: roles, RuntimeOptions: opt}
 	if c.walDir != "" {
 		if err := writeManifest(c); err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ package sdquery_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"testing"
@@ -102,6 +103,68 @@ func loadWidth32(data [][]float64, roles []sdquery.Role, opts ...sdquery.SDOptio
 	return sdquery.LoadSDIndex(bytes.NewReader(file), opts...)
 }
 
+// loadPairing builds the index, saves it, and rewrites the file's pairing
+// byte to b and its layout to one the strategy that byte named could have
+// stored, then loads it back with the same options: 1 keeps the in-order
+// zip, 2 (by-correlation) zips the repulsive dimensions with the attractive
+// ones reversed, 3 (by-variance) zips both lists reversed, so the longer
+// one's first dimensions are left alone, and 4 (none) pairs nothing. Every
+// such layout takes the same bytes as the in-order one. Load binds the
+// stored layout whatever the byte, so these are the only indexes that run a
+// bijection other than the in-order zip.
+func loadPairing(b byte) builder {
+	return func(data [][]float64, roles []sdquery.Role, opts ...sdquery.SDOption) (sdquery.Engine, error) {
+		idx, err := sdquery.NewSDIndex(data, roles, opts...)
+		if err != nil {
+			return nil, err
+		}
+		defer idx.Close()
+		var buf bytes.Buffer
+		if err := idx.Save(&buf); err != nil {
+			return nil, err
+		}
+		var rep, att []uint32
+		for d, r := range roles {
+			switch r {
+			case sdquery.Repulsive:
+				rep = append(rep, uint32(d))
+			case sdquery.Attractive:
+				att = append(att, uint32(d))
+			}
+		}
+		np := min(len(rep), len(att))
+		switch b {
+		case 2:
+			slices.Reverse(att)
+		case 3:
+			slices.Reverse(rep)
+			slices.Reverse(att)
+		case 4:
+			np = 0
+		}
+		lay := binary.LittleEndian.AppendUint32(nil, uint32(np))
+		for i := 0; i < np; i++ {
+			lay = binary.LittleEndian.AppendUint32(lay, rep[i])
+			lay = binary.LittleEndian.AppendUint32(lay, att[i])
+		}
+		lone := slices.Sorted(slices.Values(append(rep[np:], att[np:]...)))
+		lay = binary.LittleEndian.AppendUint32(lay, uint32(len(lone)))
+		for _, d := range lone {
+			lay = binary.LittleEndian.AppendUint32(lay, d)
+		}
+		// The pairing byte follows the envelope, version, dimension count and
+		// roles; the width byte, layout byte 0 and the layout come after it.
+		file := buf.Bytes()
+		at := 6 + 4 + 4 + len(roles)
+		if file[at] != 1 || file[at+2] != 0 {
+			return nil, fmt.Errorf("Save wrote pairing byte %d and layout byte %d, want 1 and 0", file[at], file[at+2])
+		}
+		file[at] = b
+		copy(file[at+3:], lay)
+		return sdquery.LoadSDIndex(bytes.NewReader(file), opts...)
+	}
+}
+
 // widePad ignored dimensions are appended to every workload.
 const widePad = 22
 
@@ -138,26 +201,30 @@ func TestDifferentialSDIndex(t *testing.T) {
 	runSDIndex(t, "sdindex")
 }
 
+// TestDifferentialSDIndexPairings runs the oracle workloads over indexes
+// loaded from files under every pairing byte Load accepts from a saved
+// engine, each with a layout of its kind (loadPairing): the in-order zip,
+// two other bijections and the pair-free layout that degenerates into 1D
+// lists only. The layout decides which frontiers the aggregation
+// interleaves, never the answer.
 func TestDifferentialSDIndexPairings(t *testing.T) {
-	for _, p := range []sdquery.PairingStrategy{
-		sdquery.PairInOrder, sdquery.PairByCorrelation, sdquery.PairByVariance, sdquery.PairNone,
-	} {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			runSDIndex(t, "sdindex-"+p.String(), sdquery.WithPairing(p))
+	for i, name := range []string{"in-order", "by-correlation", "by-variance", "none"} {
+		t.Run(name, func(t *testing.T) {
+			runBuilt(t, "sdindex-"+name, loadPairing(byte(i+1)))
 		})
 	}
 }
 
 // TestDifferentialSDIndexScheduling runs the full oracle workloads against
-// the scheduling ablation and against 22 padded Ignored dimensions: the
-// round-robin rotation and the padded shapes must answer byte-identically to
-// the oracle, exactly like the bound-driven default (covered by
-// TestDifferentialSDIndex). The padded cell keeps its historical name,
+// the aggregation's hardest interleaving and against 22 padded Ignored
+// dimensions. The first cell keeps its historical name, round-robin (the
+// retired scheduler it ran): it loads the pair-free layout split into three
+// segments, so the one schedule interleaves only 1D frontiers, whose float
+// pad is 0, across segments. The padded cell keeps its historical name,
 // no-plan-cache.
 func TestDifferentialSDIndexScheduling(t *testing.T) {
 	t.Run("round-robin", func(t *testing.T) {
-		runSDIndex(t, "sdindex-roundrobin", sdquery.WithScheduler(sdquery.SchedRoundRobin))
+		runBuilt(t, "sdindex-pair-free-segmented", loadPairing(4), sdquery.WithShards(3))
 	})
 	t.Run("no-plan-cache", func(t *testing.T) {
 		runBuilt(t, "sdindex-wide", newWideIndex)
@@ -168,8 +235,11 @@ func TestDifferentialSDIndexScheduling(t *testing.T) {
 // storage-layer knobs: a tiny memtable forces the update phase through many
 // background seals and folds (multi-segment planning, tombstone masking,
 // snapshot isolation across compaction), while disabled compaction forces
-// every inserted row through the memtable scan path. Answers must stay
-// byte-identical to the oracle in both regimes.
+// every inserted row through the memtable scan path. The third cell keeps
+// its historical name (it ran the retired round-robin scheduler): a tiny
+// memtable over a loaded by-correlation layout, so every seal builds its
+// trees under a stored, not a derived, bijection. Answers must stay
+// byte-identical to the oracle in every regime.
 func TestDifferentialSDIndexStorage(t *testing.T) {
 	t.Run("tiny-memtable", func(t *testing.T) {
 		runSDIndex(t, "sdindex-tiny-memtable", sdquery.WithMemtableSize(4))
@@ -178,8 +248,7 @@ func TestDifferentialSDIndexStorage(t *testing.T) {
 		runSDIndex(t, "sdindex-no-compaction", sdquery.WithCompaction(false))
 	})
 	t.Run("tiny-memtable-roundrobin", func(t *testing.T) {
-		runSDIndex(t, "sdindex-tiny-memtable-roundrobin",
-			sdquery.WithMemtableSize(4), sdquery.WithScheduler(sdquery.SchedRoundRobin))
+		runBuilt(t, "sdindex-tiny-memtable-relaid", loadPairing(2), sdquery.WithMemtableSize(4))
 	})
 }
 
@@ -234,9 +303,10 @@ func viaBatch(build builder) builder {
 // cap). Answers must stay byte-identical to the oracle in every cell. The
 // planner mode rotates with the cell, so that each segment count, and each
 // (workers, stack) pair, meets all three modes without the grid tripling.
-// The remaining tests pin the corners the grid does not reach: the
-// round-robin scheduler over a five-segment stack loaded from a float32-width
-// file, batched (every mode), and the NewShardedIndex spelling.
+// The remaining tests pin the corners the grid does not reach: a
+// five-segment stack loaded from a float32-width file, batched (every mode;
+// the cell's name is historical, from the retired round-robin scheduler it
+// also ran), and the NewShardedIndex spelling.
 func TestDifferentialSDIndexParallel(t *testing.T) {
 	cell := 0
 	for _, segs := range []int{1, 2, 7} {
@@ -260,9 +330,8 @@ func TestDifferentialSDIndexParallel(t *testing.T) {
 		}
 	}
 	t.Run("round-robin-float32", func(t *testing.T) {
-		runBuilt(t, "sdindex-parallel-roundrobin-float32", viaBatch(loadWidth32),
-			sdquery.WithWorkers(2), sdquery.WithShards(5),
-			sdquery.WithScheduler(sdquery.SchedRoundRobin))
+		runBuilt(t, "sdindex-parallel-float32", viaBatch(loadWidth32),
+			sdquery.WithWorkers(2), sdquery.WithShards(5))
 	})
 	t.Run("sharded-constructor", func(t *testing.T) {
 		enginetest.Run(t, enginetest.Factory{

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/baseline/ta"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -14,12 +13,6 @@ func init() {
 	register(Experiment{ID: "ablation-angles",
 		Title: "Ablation: querying time vs number of indexed angles (§4.2)",
 		Run:   runAblationAngles})
-	register(Experiment{ID: "ablation-pairing",
-		Title: "Ablation: querying time by build-time pairing strategy (§8 future work)",
-		Run:   runAblationPairing})
-	register(Experiment{ID: "ablation-granularity",
-		Title: "Ablation: 2-d subproblems vs 1-d subproblems (§5)",
-		Run:   runAblationGranularity})
 	register(Experiment{ID: "ablation-branching",
 		Title: "Ablation: querying time vs branching factor (§4.1)",
 		Run:   runAblationBranching})
@@ -29,9 +22,6 @@ func init() {
 	register(Experiment{ID: "ablation-alg4",
 		Title: "Ablation: blended-bound stream vs literal Algorithm 4 (§4.2)",
 		Run:   runAblationAlg4})
-	register(Experiment{ID: "ablation-scheduler",
-		Title: "Ablation: bound-driven vs round-robin sorted-access scheduling",
-		Run:   runAblationScheduler})
 }
 
 // uniformAngles returns m angles evenly spaced across [0°, 90°].
@@ -76,122 +66,6 @@ func runAblationAngles(cfg Config) Report {
 	return &SeriesReport{
 		Title:  fmt.Sprintf("Indexed angle count (2-d uniform, n=%d, k=5)", n),
 		XLabel: "angles", YLabel: "total ms / MB", Series: []Series{timeSeries, memSeries},
-	}
-}
-
-// runAblationPairing: correlation- and variance-guided build-time pairings
-// against the paper's arbitrary in-order mapping on correlated data, where
-// the mapping choice matters most.
-func runAblationPairing(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	const dims, k = 6, 5
-	roles := rolesSplit(dims, 3)
-	n := cfg.scaled(250_000)
-	strategies := []core.Pairing{core.PairInOrder, core.PairByCorrelation, core.PairByVariance}
-	var series []Series
-	for _, dist := range []dataset.Distribution{dataset.Uniform, dataset.Correlated, dataset.AntiCorrelated} {
-		data := dataset.Generate(dist, n, dims, cfg.Seed)
-		specs := makeSpecs(roles, k, cfg.Queries, cfg.Seed+2)
-		s := Series{Name: dist.String()}
-		for si, strat := range strategies {
-			eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly, Pairing: strat})
-			if err != nil {
-				panic(err)
-			}
-			ms := runQueries(eng, specs)
-			s.X = append(s.X, float64(si))
-			s.Y = append(s.Y, ms)
-			cfg.logf("ablation-pairing %s %s: %.1f ms", dist, strat, ms)
-		}
-		series = append(series, s)
-	}
-	return &SeriesReport{
-		Title:  fmt.Sprintf("Pairing strategy (x: 0=in-order, 1=by-correlation, 2=by-variance; 6-d, n=%d)", n),
-		XLabel: "strategy", YLabel: "total ms", Series: series,
-	}
-}
-
-// runAblationScheduler isolates the sorted-access scheduler: the same engine
-// configuration under the paper's round-robin rotation and under the
-// bound-driven (frontier descent rate) schedule, reporting both wall time
-// and the mean sorted accesses per query — the quantity the scheduler
-// exists to cut.
-func runAblationScheduler(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	const dims, k = 6, 5
-	roles := rolesSplit(dims, 3)
-	n := cfg.scaled(250_000)
-	data := dataset.Generate(dataset.Uniform, n, dims, cfg.Seed)
-	specs := makeSpecs(roles, k, cfg.Queries, cfg.Seed+2)
-	timeSeries := Series{Name: "total ms"}
-	fetchSeries := Series{Name: "fetched mean"}
-	for si, sched := range []core.Scheduler{core.SchedRoundRobin, core.SchedBoundDriven} {
-		eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: core.RuntimeOptions{AccessCost: core.StreamOnly, Scheduler: sched}})
-		if err != nil {
-			panic(err)
-		}
-		ms := runQueries(eng, specs)
-		fetched := 0
-		for _, sp := range specs {
-			_, st, err := eng.TopKWithStats(sp)
-			if err != nil {
-				panic(err)
-			}
-			fetched += st.Fetched
-		}
-		mean := float64(fetched) / float64(len(specs))
-		timeSeries.X = append(timeSeries.X, float64(si))
-		timeSeries.Y = append(timeSeries.Y, ms)
-		fetchSeries.X = append(fetchSeries.X, float64(si))
-		fetchSeries.Y = append(fetchSeries.Y, mean)
-		cfg.logf("ablation-scheduler %v: %.1f ms, fetched mean %.1f", sched, ms, mean)
-	}
-	return &SeriesReport{
-		Title:  fmt.Sprintf("Scheduler (x: 0=round-robin, 1=bound-driven; 6-d, n=%d)", n),
-		XLabel: "scheduler", YLabel: "total ms / fetched", Series: []Series{timeSeries, fetchSeries},
-	}
-}
-
-// runAblationGranularity: the paper's central claim isolated — identical
-// aggregation machinery with 2-d subproblems (SD-Index), with 1-d
-// subproblems inside the same engine (PairNone), and the standalone adapted
-// TA.
-func runAblationGranularity(cfg Config) Report {
-	cfg = cfg.withDefaults()
-	const dims, k = 6, 5
-	roles := rolesSplit(dims, 3)
-	n := cfg.scaled(1_000_000)
-	data := dataset.Generate(dataset.Uniform, n, dims, cfg.Seed)
-	specs := makeSpecs(roles, k, cfg.Queries, cfg.Seed+2)
-	var series []Series
-
-	engPaired, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly})
-	if err != nil {
-		panic(err)
-	}
-	series = append(series, Series{Name: "2-d subproblems (SD-Index)",
-		X: []float64{0}, Y: []float64{runQueries(engPaired, specs)}})
-
-	engFlat, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly, Pairing: core.PairNone})
-	if err != nil {
-		panic(err)
-	}
-	series = append(series, Series{Name: "1-d subproblems (engine, PairNone)",
-		X: []float64{0}, Y: []float64{runQueries(engFlat, specs)}})
-
-	taEng, err := ta.New(data)
-	if err != nil {
-		panic(err)
-	}
-	series = append(series, Series{Name: "1-d subproblems (adapted TA)",
-		X: []float64{0}, Y: []float64{runQueries(taEng, specs)}})
-
-	for _, s := range series {
-		cfg.logf("ablation-granularity %s: %.1f ms", s.Name, s.Y[0])
-	}
-	return &SeriesReport{
-		Title:  fmt.Sprintf("Subproblem granularity (6-d uniform, n=%d, k=5)", n),
-		XLabel: "-", YLabel: "total ms", Series: series,
 	}
 }
 

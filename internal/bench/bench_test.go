@@ -15,9 +15,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig8a", "fig8b", "fig8c", "fig8d", "fig8e",
 		"fig8f", "fig8g", "fig8h", "fig8i", "fig8j",
 		"table1",
-		"ablation-angles", "ablation-pairing", "ablation-granularity",
-		"ablation-branching", "ablation-bulk", "ablation-alg4",
-		"ablation-scheduler",
+		"ablation-angles", "ablation-branching", "ablation-bulk", "ablation-alg4",
 	}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/top1"
-	"repro/internal/topk"
 )
 
 // rolesSplit assigns the first `attractive` dimensions to S and the rest to
@@ -104,8 +103,8 @@ func runQueries(eng engine, specs []query.Spec) float64 {
 // most of their reduced-scale datasets with a column sweep instead.
 var streamOnly = core.RuntimeOptions{AccessCost: core.StreamOnly}
 
-// newSDEngine builds the SD-Index with the evaluation defaults (branching 8,
-// single-point leaves, the five §6.1 angles), streaming only.
+// newSDEngine builds the SD-Index with the engine's tree defaults (branching
+// 8, 64-point packed leaves, the five §6.1 angles), streaming only.
 func newSDEngine(data [][]float64, roles []query.Role) *core.Engine {
 	eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly})
 	if err != nil {
@@ -176,9 +175,4 @@ func (m *multiTop1) bytes() int {
 // α, β ~ U(0, 1) outside makeSpecs.
 func newWeightRNG(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
-}
-
-// treeConfig returns the §6.1 default tree configuration.
-func treeConfig() topk.Config {
-	return topk.Config{}
 }

@@ -3,10 +3,10 @@
 // dimensions S are paired into min(|D|, |S|) two-dimensional subproblems
 // (Eqn. 10), each answered incrementally by a §4 top-k tree; leftover
 // dimensions become 1D subproblems over sorted lists with bidirectional
-// frontiers. A Threshold-Algorithm aggregation fetches the next best point
-// of every subproblem per round, scores fetched points exactly by random
-// access, and stops once the k-th best exact score reaches the sum of the
-// per-subproblem frontier bounds.
+// frontiers. A Threshold-Algorithm aggregation fetches from the subproblem
+// whose frontier bound falls fastest (scheduler.go), scores fetched points
+// exactly by random access, and stops once the k-th best exact score reaches
+// the sum of the per-subproblem frontier bounds.
 //
 // Storage architecture: the engine is an epoch-versioned stack of immutable
 // sealed segments — column data, per-pair trees, sorted lists, built once and
@@ -28,11 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dataset"
 	"repro/internal/query"
 	"repro/internal/topk"
 )
@@ -43,46 +41,11 @@ import (
 // originating context's error.
 var ErrCanceled = errors.New("core: query canceled")
 
-// Pairing selects the strategy mapping repulsive to attractive dimensions
-// (the bijection f of Eqn. 10).
-type Pairing int
-
-const (
-	// PairInOrder (the default) zips D and S in index order — the paper's
-	// "arbitrary" mapping, and the one its experiments use.
-	PairInOrder Pairing = iota
-	// PairByCorrelation greedily pairs the most strongly correlated
-	// (repulsive, attractive) dimensions first at build time.
-	PairByCorrelation
-	// PairByVariance pairs dimensions by descending variance rank.
-	PairByVariance
-	// PairNone builds no 2D subproblems; every dimension is solved alone.
-	// The engine then degenerates into the adapted Threshold Algorithm —
-	// the paper's observation for 0 attractive dimensions, exposed as an
-	// explicit ablation.
-	PairNone
-)
-
 // defaultMemtableSize is the memtable row count past which the background
 // compactor seals it into a segment. Small enough that the per-query exact
 // scan of the memtable stays a rounding error next to the indexed
 // subproblems, large enough that tree builds amortize over many inserts.
 const defaultMemtableSize = 1024
-
-// String names the strategy.
-func (p Pairing) String() string {
-	switch p {
-	case PairInOrder:
-		return "in-order"
-	case PairByCorrelation:
-		return "by-correlation"
-	case PairByVariance:
-		return "by-variance"
-	case PairNone:
-		return "none"
-	}
-	return fmt.Sprintf("Pairing(%d)", int(p))
-}
 
 // Pair is one 2D subproblem: the repulsive dimension is the tree's y axis,
 // the attractive one its x axis.
@@ -90,14 +53,15 @@ type Pair struct {
 	Rep, Attr int
 }
 
-// Config controls engine construction.
+// Config controls engine construction. The subproblem layout is not
+// configurable: the repulsive and attractive dimensions of Roles are zipped
+// in index order into pairs (makePairs), and the longer list's leftovers are
+// solved alone.
 type Config struct {
 	// Roles fixes each dimension's role at build time (the evaluation's
 	// setting; the per-pair trees depend on it). Queries may demote an
 	// active dimension to Ignored but may not flip roles.
 	Roles []query.Role
-	// Pairing selects the dimension-mapping strategy. Default PairInOrder.
-	Pairing Pairing
 	// Tree configures the per-pair §4 indexes.
 	Tree topk.Config
 	// WAL, when non-nil, makes every mutation durable: Insert and Remove
@@ -113,10 +77,6 @@ type Config struct {
 // the structural configuration — roles, pairing layout, tree shape — comes
 // from the file. apply is the one place they reach an Engine.
 type RuntimeOptions struct {
-	// Scheduler selects the sorted-access order of the §5 aggregation.
-	// Default SchedBoundDriven; SchedRoundRobin is the pre-scheduler
-	// behaviour, kept as an ablation. Answers are identical either way.
-	Scheduler Scheduler
 	// MemtableSize is the memtable row count past which the background
 	// compactor seals it into an immutable segment. Default 1024.
 	MemtableSize int
@@ -149,20 +109,16 @@ type RuntimeOptions struct {
 // apply validates the knobs and sets them on e, defaulting the memtable size
 // and resolving the access cost.
 func (opt RuntimeOptions) apply(e *Engine) error {
-	if !opt.Scheduler.valid() {
-		return fmt.Errorf("unknown scheduler %v", opt.Scheduler)
-	}
 	if opt.Segments < 0 {
 		return fmt.Errorf("negative segment count %d", opt.Segments)
 	}
-	e.sched = opt.Scheduler
 	e.memSize = opt.MemtableSize
 	if e.memSize <= 0 {
 		e.memSize = defaultMemtableSize
 	}
 	e.noCompact = opt.DisableCompaction
 	e.segments = opt.Segments
-	e.accessCost = resolveAccessCost(opt.AccessCost, opt.Scheduler)
+	e.accessCost = resolveAccessCost(opt.AccessCost)
 	return nil
 }
 
@@ -173,10 +129,8 @@ func (opt RuntimeOptions) apply(e *Engine) error {
 type Engine struct {
 	dims    int
 	roles   []query.Role
-	pairing Pairing // requested strategy (data layout may have fallen back)
 	layout  layout
 	treeCfg topk.Config
-	sched   Scheduler
 
 	// snap is the engine's current epoch. Queries, Len, and Bytes read it
 	// with one atomic load; writers build a successor and Store it.
@@ -257,8 +211,7 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 	e := &Engine{
 		dims:    dims,
 		roles:   append([]query.Role(nil), cfg.Roles...),
-		pairing: cfg.Pairing,
-		layout:  makeLayout(data, cfg.Roles, cfg.Pairing),
+		layout:  makeLayout(cfg.Roles),
 		treeCfg: cfg.Tree,
 	}
 	if err := cfg.RuntimeOptions.apply(e); err != nil {
@@ -316,75 +269,12 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// makePairs applies the pairing strategy (|pairs| = min(|D|, |S|), Eqn. 10).
-func makePairs(data [][]float64, repulsive, attractive []int, strategy Pairing) []Pair {
-	n := len(repulsive)
-	if len(attractive) < n {
-		n = len(attractive)
-	}
-	if n == 0 || strategy == PairNone {
-		return nil
-	}
-	rep := append([]int(nil), repulsive...)
-	attr := append([]int(nil), attractive...)
-	switch strategy {
-	case PairByVariance:
-		sortByVarianceDesc(data, rep)
-		sortByVarianceDesc(data, attr)
-	case PairByCorrelation:
-		return greedyCorrelationPairs(data, rep, attr, n)
-	}
-	pairs := make([]Pair, n)
-	for i := 0; i < n; i++ {
-		pairs[i] = Pair{Rep: rep[i], Attr: attr[i]}
-	}
-	return pairs
-}
-
-func sortByVarianceDesc(data [][]float64, dims []int) {
-	vars := make(map[int]float64, len(dims))
-	for _, d := range dims {
-		vars[d] = dataset.Variance(data, d)
-	}
-	sort.Slice(dims, func(i, j int) bool {
-		if vars[dims[i]] != vars[dims[j]] {
-			return vars[dims[i]] > vars[dims[j]]
-		}
-		return dims[i] < dims[j]
-	})
-}
-
-func greedyCorrelationPairs(data [][]float64, rep, attr []int, n int) []Pair {
-	type scored struct {
-		r, a int
-		c    float64
-	}
-	var all []scored
-	for _, r := range rep {
-		for _, a := range attr {
-			all = append(all, scored{r, a, math.Abs(dataset.Correlation(data, r, a))})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
-		}
-		if all[i].r != all[j].r {
-			return all[i].r < all[j].r
-		}
-		return all[i].a < all[j].a
-	})
-	usedR, usedA := map[int]bool{}, map[int]bool{}
-	var pairs []Pair
-	for _, s := range all {
-		if len(pairs) == n {
-			break
-		}
-		if usedR[s.r] || usedA[s.a] {
-			continue
-		}
-		usedR[s.r], usedA[s.a] = true, true
-		pairs = append(pairs, Pair{Rep: s.r, Attr: s.a})
+// makePairs zips repulsive and attractive dimensions in index order — the
+// paper's "arbitrary" bijection f of Eqn. 10, |pairs| = min(|D|, |S|).
+func makePairs(repulsive, attractive []int) []Pair {
+	pairs := make([]Pair, min(len(repulsive), len(attractive)))
+	for i := range pairs {
+		pairs[i] = Pair{Rep: repulsive[i], Attr: attractive[i]}
 	}
 	return pairs
 }
@@ -468,8 +358,7 @@ type Stats struct {
 	Swept         int
 	SweptSegments int
 	// Rounds counts scheduler steps: one adaptive batch dispatched to one
-	// subproblem (under either scheduler), so the figure is comparable
-	// across scheduling modes.
+	// subproblem.
 	Rounds int
 }
 

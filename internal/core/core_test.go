@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/baseline/scan"
 	"repro/internal/baseline/ta"
 	"repro/internal/dataset"
+	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/topk"
 )
@@ -147,32 +149,43 @@ func TestAllEnginesAgreeWithScan(t *testing.T) {
 	}
 }
 
-// TestPairingStrategiesAllCorrect: every pairing strategy yields the same
-// (scan-identical) answers — the mapping only affects performance.
-func TestPairingStrategiesAllCorrect(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	data := dataset.Generate(dataset.AntiCorrelated, 300, 6, 5)
+// TestTreeShapes: the §4 tree parameters of Config.Tree — fan-out, leaf
+// capacity, indexed angles — change how the pair streams descend, never what
+// the engine answers. Every shape must agree with the scan under the default
+// planner and pinned to pure streaming.
+func TestTreeShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	data := dataset.Generate(dataset.Correlated, 300, 4, 2)
 	currentData = data
-	roles := []query.Role{
-		query.Repulsive, query.Repulsive, query.Repulsive,
-		query.Attractive, query.Attractive, query.Attractive,
-	}
+	roles := []query.Role{query.Repulsive, query.Attractive, query.Repulsive, query.Attractive}
 	truth, _ := scan.New(data)
-	for _, pairing := range []Pairing{PairInOrder, PairByCorrelation, PairByVariance, PairNone} {
-		eng, err := New(data, Config{Roles: roles, Pairing: pairing})
-		if err != nil {
-			t.Fatalf("%v: %v", pairing, err)
+	angles := func(degrees ...float64) []geom.Angle {
+		out := make([]geom.Angle, len(degrees))
+		for i, d := range degrees {
+			a, err := geom.AngleFromDegrees(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = a
 		}
-		wantPairs := 3
-		if pairing == PairNone {
-			wantPairs = 0
-		}
-		if got := len(eng.Pairs()); got != wantPairs {
-			t.Fatalf("%v: %d pairs, want %d", pairing, got, wantPairs)
-		}
-		for qi := 0; qi < 10; qi++ {
-			spec := randomSpec(rng, data, roles)
-			checkAgainst(t, pairing.String(), eng, truth, spec)
+		return out
+	}
+	shapes := map[string]topk.Config{
+		"default":  {},
+		"branch32": {Branching: 32, LeafCap: 8},
+		"leaf1":    {LeafCap: 1},
+		"angles2":  {Angles: angles(0, 90)},
+		"angles9":  {Angles: angles(0, 11, 22, 33, 45, 56, 67, 79, 90)},
+	}
+	for name, tree := range shapes {
+		for _, cost := range []int{0, StreamOnly} {
+			eng, err := New(data, Config{Roles: roles, Tree: tree, RuntimeOptions: RuntimeOptions{AccessCost: cost}})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for qi := 0; qi < 10; qi++ {
+				checkAgainst(t, fmt.Sprintf("%s/cost=%d", name, cost), eng, truth, randomSpec(rng, data, roles))
+			}
 		}
 	}
 }

@@ -119,7 +119,7 @@ type queryCtx struct {
 
 	// done is the query's optional cancellation signal (a context's Done
 	// channel on the serving path); nil means the query runs to completion.
-	// The scheduler loops poll it once per scheduling step, so cancellation
+	// The scheduler loop polls it once per scheduling step, so cancellation
 	// latency is one adaptive batch (≤ maxBatch sorted accesses), and the
 	// context is released back to the pool on every exit path — a cancelled
 	// query leaks no pooled buffers.
@@ -225,8 +225,8 @@ func (c *queryCtx) markSeen(id int32) bool {
 // surviving subproblems, the memtable's rows and the segments too small to
 // be worth streaming — every segment, when the plan binds no stream — are
 // swept exactly up front by the one column kernel (sweep.go), the plan's
-// subproblems are bound to every other sealed segment, and the engine's
-// configured scheduler (scheduler.go) drives the §5 aggregation to the exact
+// subproblems are bound to every other sealed segment, and the bound-driven
+// scheduler (scheduler.go) drives the §5 aggregation to the exact
 // answer — finishing a segment with a sweep when its streams turn out
 // dearer than that.
 func (e *Engine) TopKAppend(dst []query.Result, spec query.Spec) ([]query.Result, Stats, error) {
@@ -296,11 +296,7 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 	}
 	stats.Subproblems = len(c.subs)
 	if len(c.subs) > 0 {
-		if e.sched == SchedRoundRobin {
-			c.runRoundRobin(spec.Point, &stats)
-		} else {
-			c.runBoundDriven(spec.Point, &stats)
-		}
+		c.runBoundDriven(spec.Point, &stats)
 	}
 	if c.canceled {
 		// The partial collector state is meaningless to the caller; the

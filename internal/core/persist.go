@@ -131,8 +131,8 @@ func (e *Engine) saveSnapshot(w io.Writer, sn *snapshot) error {
 	for _, r := range e.roles {
 		cw.write(uint8(r))
 	}
-	cw.write(uint8(e.pairing) + 1) // the file numbers pairings from 1 (see Load)
-	cw.write(uint8(64))            // column width: the columns are float64 (Load also accepts 32)
+	cw.write(uint8(1))  // pairing byte: 1 is the in-order zip (see Load)
+	cw.write(uint8(64)) // column width: the columns are float64 (Load also accepts 32)
 
 	// Layout byte 0: the pair list, then the lone dimensions.
 	lo := &e.layout
@@ -243,14 +243,12 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 			bad("unknown role %d for dimension %d", roles[d], d)
 		}
 	}
-	// The pairing byte is the strategy plus one. Byte 0 named the retired
-	// adaptive pair-tree grid, whose files load as the in-order zip.
-	pairing := PairInOrder
-	switch b := cr.u8(); {
-	case b > uint8(PairNone)+1:
+	// The pairing byte named the strategy that chose the layout: 0 the retired
+	// adaptive grid, 1 the in-order zip (what Save writes), 2–4 the retired
+	// by-correlation, by-variance and pair-free strategies. The layout that
+	// follows is stored explicitly, so every known byte loads the same way.
+	if b := cr.u8(); b > 4 {
 		bad("unknown pairing byte %d", b)
-	case b > 0:
-		pairing = Pairing(b - 1)
 	}
 	// Column width: 64, or 32 from an engine that also kept a float32 sweep
 	// copy. The persisted columns are float64 either way.
@@ -303,7 +301,7 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 	case layoutByte == 1:
 		rows := dimList("grid row", query.Repulsive)
 		cols := dimList("grid column", query.Attractive)
-		lo = pairLayout(makePairs(nil, rows, cols, PairInOrder), rows, cols)
+		lo = pairLayout(makePairs(rows, cols), rows, cols)
 	case layoutByte == 0:
 		lo.pairs = make([]Pair, count("pair"))
 		for i := range lo.pairs {
@@ -329,6 +327,11 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 		var a geom.Angle
 		cr.read(&a.Alpha)
 		cr.read(&a.Beta)
+		// Trees take angles in [0°, 90°] only, and a segment too small to
+		// stream builds none, so a bad angle is caught here, not at a seal.
+		if _, err := geom.NewAngle(a.Alpha, a.Beta); err != nil {
+			bad("indexed angle (%v, %v) outside [0°, 90°]", a.Alpha, a.Beta)
+		}
 		treeCfg.Angles = append(treeCfg.Angles, a)
 	}
 
@@ -423,7 +426,6 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 	e := &Engine{
 		dims:    dims,
 		roles:   roles,
-		pairing: pairing,
 		layout:  lo,
 		treeCfg: treeCfg,
 	}
@@ -446,8 +448,8 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 
 // Merge builds one engine over the live rows of several whose rows are
 // disjoint slices of one global ID space — how a file written by the retired
-// sharded index (one engine section per shard) loads. Structure (roles,
-// pairing, tree shape) is the first part's; the ID space spans
+// sharded index (one engine section per shard) loads. Roles and tree shape
+// are the first part's, the pairs their in-order zip; the ID space spans
 // the widest part's, so an ID the old index assigned and then removed is not
 // handed out again.
 func Merge(parts []*Engine, opt RuntimeOptions) (*Engine, error) {
@@ -482,7 +484,7 @@ func Merge(parts []*Engine, opt RuntimeOptions) (*Engine, error) {
 		data[i], ids[i] = r.p, r.id
 	}
 	e, err := NewWithIDs(data, ids, Config{
-		Roles: first.roles, Pairing: first.pairing, Tree: first.treeCfg, RuntimeOptions: opt,
+		Roles: first.roles, Tree: first.treeCfg, RuntimeOptions: opt,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: merge: %w", err)

@@ -24,7 +24,7 @@ var loadRoles = []query.Role{query.Repulsive, query.Attractive, query.Repulsive,
 
 // savedFile saves a small engine with sealed rows, a tombstone in the sealed
 // segment, memtable rows and a memtable tombstone.
-func savedFile(t testing.TB, pairing Pairing) []byte {
+func savedFile(t testing.TB) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	row := func() []float64 {
@@ -38,7 +38,7 @@ func savedFile(t testing.TB, pairing Pairing) []byte {
 	for i := range data {
 		data[i] = row()
 	}
-	e, err := New(data, Config{Roles: loadRoles, Pairing: pairing, RuntimeOptions: RuntimeOptions{DisableCompaction: true}})
+	e, err := New(data, Config{Roles: loadRoles, RuntimeOptions: RuntimeOptions{DisableCompaction: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ const (
 	offLists   = offLayout + 1 // the first count of the layout
 )
 
-// gridFile rewrites a PairInOrder savedFile into the layout-1 file the
+// gridFile rewrites a savedFile into the layout-1 file the
 // retired adaptive pair-tree grid saved for the same rows: pairing byte 0,
 // grid rows [0 2 4] and grid columns [1 3] in place of pairs (0,1), (2,3)
 // and lone [4]. The two layouts take the same 28 bytes, and the grid loads
@@ -167,7 +167,7 @@ func TestSaveBytesPinned(t *testing.T) {
 }
 
 func TestLoadRefusesOldVersions(t *testing.T) {
-	file := savedFile(t, PairInOrder)
+	file := savedFile(t)
 	if _, err := Load(bytes.NewReader(file), RuntimeOptions{}); err != nil {
 		t.Fatalf("unpatched file: %v", err)
 	}
@@ -214,8 +214,8 @@ func badLayouts(t testing.TB) []struct {
 	name, want string
 	file       []byte
 } {
-	fixed := savedFile(t, PairInOrder) // pairs (0,1), (2,3); lone [4]
-	grid := gridFile(fixed)            // rows [0 2 4]; columns [1 3]
+	fixed := savedFile(t)   // pairs (0,1), (2,3); lone [4]
+	grid := gridFile(fixed) // rows [0 2 4]; columns [1 3]
 	pair := func(i, field int) int { return offLists + 4 + 8*i + 4*field }
 	lone := offLists + 4 + 8*2 + 4
 	return []struct {
@@ -223,7 +223,7 @@ func badLayouts(t testing.TB) []struct {
 		file       []byte
 	}{
 		{"layout byte", "unknown layout byte 7", patchByte(fixed, offLayout, 7)},
-		{"pairing byte", "unknown pairing byte 5", patchByte(fixed, offPairing, byte(PairNone)+2)},
+		{"pairing byte", "unknown pairing byte 5", patchByte(fixed, offPairing, 5)},
 		{"pair row", "pair row dimension 5 has role ignored", patchU32(fixed, pair(0, 0), 5)},
 		{"pair column", "pair column dimension 4 has role repulsive", patchU32(fixed, pair(1, 1), 4)},
 		{"grid row", "grid row dimension 1 has role attractive", patchU32(grid, offLists+4, 1)},
@@ -238,12 +238,12 @@ func badLayouts(t testing.TB) []struct {
 // leftover row alone, and Save writes it back as the layout-0 file the same
 // rows save to today, byte for byte.
 func TestLoadGridLayout(t *testing.T) {
-	fixed := savedFile(t, PairInOrder)
+	fixed := savedFile(t)
 	e, err := Load(bytes.NewReader(gridFile(fixed)), RuntimeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprint(e.Pairs(), e.layout.lone, e.pairing), "[{0 1} {2 3}] [4] in-order"; got != want {
+	if got, want := fmt.Sprint(e.Pairs(), e.layout.lone), "[{0 1} {2 3}] [4]"; got != want {
 		t.Fatalf("grid file loads as %s, want %s", got, want)
 	}
 	var buf bytes.Buffer
@@ -255,8 +255,33 @@ func TestLoadGridLayout(t *testing.T) {
 	}
 }
 
+// TestLoadLegacyPairingByte loads files whose pairing byte names a retired
+// strategy (2 by-correlation, 3 by-variance, 4 none). The layout after the
+// byte is what the engine binds, so each loads with its stored pairs, answers
+// like the scan, and saves back as the in-order file, byte for byte.
+func TestLoadLegacyPairingByte(t *testing.T) {
+	fixed := savedFile(t)
+	for b := byte(2); b <= 4; b++ {
+		e, err := Load(bytes.NewReader(patchByte(fixed, offPairing, b)), RuntimeOptions{DisableCompaction: true})
+		if err != nil {
+			t.Fatalf("pairing byte %d: %v", b, err)
+		}
+		if got, want := fmt.Sprint(e.Pairs(), e.layout.lone), "[{0 1} {2 3}] [4]"; got != want {
+			t.Fatalf("pairing byte %d loads as %s, want %s", b, got, want)
+		}
+		matchesScan(t, e, int64(b))
+		var buf bytes.Buffer
+		if err := e.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), fixed) {
+			t.Fatalf("pairing byte %d: re-saved file differs from the in-order file", b)
+		}
+	}
+}
+
 func TestLoadRefusesBadLayout(t *testing.T) {
-	fixed := savedFile(t, PairInOrder)
+	fixed := savedFile(t)
 	for _, file := range [][]byte{fixed, gridFile(fixed)} {
 		if _, err := Load(bytes.NewReader(file), RuntimeOptions{}); err != nil {
 			t.Fatalf("unpatched file (layout byte %d): %v", file[offLayout], err)
@@ -274,7 +299,7 @@ func TestLoadRefusesBadLayout(t *testing.T) {
 // allocate past what the input backs; a stream it accepts must report a Len
 // equal to its untombstoned rows and answer exactly like the scan over them.
 func FuzzLoad(f *testing.F) {
-	fixed := savedFile(f, PairInOrder)
+	fixed := savedFile(f)
 	for _, file := range [][]byte{fixed, gridFile(fixed)} {
 		f.Add(file)
 		for _, cut := range []int{0, 5, offLists, len(file) / 2, len(file) - 9, len(file) - 1} {
@@ -292,67 +317,75 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		sn := e.snap.Load()
-		var ids []int
-		var rows [][]float64
-		for si := memSrc; si < len(sn.segs); si++ {
-			cols, stride, layerIDs, dead := sn.layer(si, e.dims)
-			for l, id := range layerIDs {
-				if !bitGet(dead, l) {
-					p := make([]float64, e.dims)
-					copyRow(cols, stride, l, p)
-					ids, rows = append(ids, int(id)), append(rows, p)
-				}
-			}
-		}
-		if e.Len() != len(ids) {
-			t.Fatalf("Len %d, but %d rows are untombstoned", e.Len(), len(ids))
-		}
-		if sn.total > 1<<16 {
-			// A query clears a bitset over the whole claimed ID space (up to
-			// 256 MiB): that is the engine's per-query cost, not the loader's,
-			// and would only slow the fuzzer down.
-			return
-		}
-		truth, err := scan.New(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(int64(len(raw))))
-		for qi := 0; qi < 4; qi++ {
-			spec := query.Spec{
-				Point:   make([]float64, e.dims),
-				K:       1 + rng.Intn(len(ids)+2),
-				Roles:   e.roles,
-				Weights: make([]float64, e.dims),
-			}
-			for d := range spec.Point {
-				spec.Point[d], spec.Weights[d] = rng.Float64(), rng.Float64()
-			}
-			got, err := e.TopK(spec)
-			if spec.Validate(e.dims) != nil {
-				if err == nil {
-					t.Fatalf("query %d: accepted a spec the scan refuses", qi)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("query %d: %v", qi, err)
-			}
-			var want []query.Result
-			if len(rows) > 0 {
-				if want, err = truth.TopK(spec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("query %d: %d results, scan %d", qi, len(got), len(want))
-			}
-			for i, w := range want {
-				if got[i].ID != ids[w.ID] || math.Float64bits(got[i].Score) != math.Float64bits(w.Score) {
-					t.Fatalf("query %d result %d: (%d, %v), scan (%d, %v)", qi, i, got[i].ID, got[i].Score, ids[w.ID], w.Score)
-				}
-			}
-		}
+		matchesScan(t, e, int64(len(raw)))
 	})
+}
+
+// matchesScan checks a loaded engine against the scan over its untombstoned
+// rows: Len must count them, and four random queries (drawn from seed) must
+// return the scan's answers bit for bit.
+func matchesScan(t *testing.T, e *Engine, seed int64) {
+	t.Helper()
+	sn := e.snap.Load()
+	var ids []int
+	var rows [][]float64
+	for si := memSrc; si < len(sn.segs); si++ {
+		cols, stride, layerIDs, dead := sn.layer(si, e.dims)
+		for l, id := range layerIDs {
+			if !bitGet(dead, l) {
+				p := make([]float64, e.dims)
+				copyRow(cols, stride, l, p)
+				ids, rows = append(ids, int(id)), append(rows, p)
+			}
+		}
+	}
+	if e.Len() != len(ids) {
+		t.Fatalf("Len %d, but %d rows are untombstoned", e.Len(), len(ids))
+	}
+	if sn.total > 1<<16 {
+		// A query clears a bitset over the whole claimed ID space (up to
+		// 256 MiB): that is the engine's per-query cost, not the loader's,
+		// and would only slow the fuzzer down.
+		return
+	}
+	truth, err := scan.New(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for qi := 0; qi < 4; qi++ {
+		spec := query.Spec{
+			Point:   make([]float64, e.dims),
+			K:       1 + rng.Intn(len(ids)+2),
+			Roles:   e.roles,
+			Weights: make([]float64, e.dims),
+		}
+		for d := range spec.Point {
+			spec.Point[d], spec.Weights[d] = rng.Float64(), rng.Float64()
+		}
+		got, err := e.TopK(spec)
+		if spec.Validate(e.dims) != nil {
+			if err == nil {
+				t.Fatalf("query %d: accepted a spec the scan refuses", qi)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("query %d: %v", qi, err)
+		}
+		var want []query.Result
+		if len(rows) > 0 {
+			if want, err = truth.TopK(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("query %d: %d results, scan %d", qi, len(got), len(want))
+		}
+		for i, w := range want {
+			if got[i].ID != ids[w.ID] || math.Float64bits(got[i].Score) != math.Float64bits(w.Score) {
+				t.Fatalf("query %d result %d: (%d, %v), scan (%d, %v)", qi, i, got[i].ID, got[i].Score, ids[w.ID], w.Score)
+			}
+		}
+	}
 }

@@ -1,50 +1,19 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/simd"
 )
 
-// Scheduler selects the order in which the §5 Threshold-Algorithm
-// aggregation spends sorted accesses across its subproblems.
-type Scheduler int
-
-const (
-	// SchedBoundDriven (the default) schedules sorted accesses by the
-	// subproblems' frontier-bound telemetry: every step bulk-fetches from
-	// the subproblem whose bound is measured to be falling fastest per
-	// access (see runBoundDriven for why descent rate, not bound level, is
-	// the right greedy signal). The termination threshold is re-checked
-	// after every batch rather than once per rotation, so the loop stops
-	// the moment the k-th best score clears it, and the final batches are
-	// clamped to the predicted accesses-to-termination. The same prediction
-	// drives the sweep-or-stream planner (sweep.go): a segment whose streams
-	// cost more than one sweep of its columns is finished with that sweep.
-	SchedBoundDriven Scheduler = iota
-	// SchedRoundRobin is the paper's literal §5 loop — every round fetches
-	// one adaptive batch from every subproblem in fixed rotation, and the
-	// threshold is re-evaluated per round. Kept as an explicit ablation so
-	// the scheduling win stays benchmarkable (cmd/sdbench reports both).
-	SchedRoundRobin
-)
-
-// String names the scheduler.
-func (s Scheduler) String() string {
-	switch s {
-	case SchedBoundDriven:
-		return "bound-driven"
-	case SchedRoundRobin:
-		return "round-robin"
-	}
-	return fmt.Sprintf("Scheduler(%d)", int(s))
-}
-
-// valid reports whether s names an implemented scheduler.
-func (s Scheduler) valid() bool {
-	return s == SchedBoundDriven || s == SchedRoundRobin
-}
+// The §5 aggregation spends sorted accesses across its subproblems in the
+// order runBoundDriven picks: every step bulk-fetches from the subproblem
+// whose frontier bound is measured to be falling fastest per access. The
+// termination threshold is re-checked after every batch, so the loop stops
+// the moment the k-th best score clears it, and the final batches are
+// clamped to the predicted accesses-to-termination. The same prediction
+// drives the sweep-or-stream planner (sweep.go): a segment whose streams
+// cost more than one sweep of its columns is finished with that sweep.
 
 // Why any access order is sound — now per segment. Every subproblem emits
 // its segment's points in non-increasing contribution order, so at any
@@ -69,13 +38,12 @@ func (s Scheduler) valid() bool {
 //     were all scored exactly before scheduling began.
 //
 // Neither argument references the order in which frontiers were advanced —
-// only that each frontier descends — so the bound-driven schedule returns
-// byte-identical answers to the round-robin one (the property test and the
-// differential harness enforce this), and on a single-segment engine both
-// loops reproduce the pre-segment behaviour access for access. The
-// bound-driven loop additionally initializes bounds from cheap frontier
-// peeks (PeekScore / Bound, no fetch) instead of +Inf, which only tightens
-// the same inequalities.
+// only that each frontier descends — so any schedule returns the same exact
+// answer: the bound-driven one is a choice of cost, not of result (the
+// property test compares it across segment splits and planner modes, and
+// the differential harness against the scan). Bounds start from cheap
+// frontier peeks (PeekScore / Bound, no fetch) instead of +Inf, which only
+// tightens the same inequalities.
 
 // RateWindow is the minimum number of sorted accesses a frontier's descent
 // rate is measured over. Longer windows smooth across plateaus of duplicate
@@ -86,7 +54,7 @@ func (s Scheduler) valid() bool {
 const RateWindow = 8
 
 // pollCancel reports whether the query's cancellation signal has fired,
-// latching the result into c.canceled. Both scheduler loops poll it once
+// latching the result into c.canceled. The scheduler loop polls it once
 // per scheduling step — a nil-guarded non-blocking receive, free on the
 // uncancellable hot path — so a cancelled query stops within one adaptive
 // batch instead of running its aggregation to termination.
@@ -103,7 +71,7 @@ func (c *queryCtx) pollCancel() bool {
 	}
 }
 
-// runBoundDriven is the SchedBoundDriven aggregation loop. The schedule is
+// runBoundDriven is the §5 aggregation loop. The schedule is
 // driven by the subproblems' frontier-bound telemetry: each step drains the
 // subproblem whose bound is falling fastest per sorted access (the measured
 // descent rate of its frontier, the Quick-Combine heuristic), breaking rate
@@ -197,10 +165,7 @@ func (c *queryCtx) runBoundDriven(qpt []float64, stats *Stats) {
 		// slightly aggressive — enough, in an exact tie at the k-th rank
 		// with pad 0 (1D-only subproblems), to discard a point the oracle
 		// keeps. Left-to-right summation over the siblings is the form the
-		// soundness argument (and the pad budget) is stated for. Note the
-		// prune/score TRACE still differs between schedulers — frontiers sit
-		// at different depths when a given point first surfaces — only the
-		// returned top-k is schedule-independent.
+		// soundness argument (and the pad budget) is stated for.
 		other := 0.0
 		for j, b := range bounds {
 			if j != best && refs[j].ord == bs {
@@ -265,72 +230,6 @@ func (c *queryCtx) runBoundDriven(qpt []float64, stats *Stats) {
 				anchorB[best] = bounds[best]
 				sinceN[best] = 0
 			}
-		}
-	}
-}
-
-// runRoundRobin reproduces the paper's rotation exactly: bounds start at
-// +Inf (nothing may be pruned against a frontier that has not emitted),
-// every round fetches one adaptive batch from every subproblem in rotation,
-// and the threshold is re-evaluated once per round — per segment, as the
-// soundness argument above requires.
-func (c *queryCtx) runRoundRobin(qpt []float64, stats *Stats) {
-	subs := c.subs
-	ns := len(subs)
-	bounds := c.bounds[:ns]
-	bsize := c.bsize[:ns]
-	refs := c.refs
-	nseg := len(c.sn.segs)
-	segSum := c.segSum[:nseg]
-	segPad := c.segPad[:nseg]
-	for i := range bounds {
-		bounds[i] = math.Inf(1)
-		bsize[i] = 1
-	}
-	for {
-		if c.pollCancel() {
-			return
-		}
-		progressed := false
-		for i := range subs {
-			other := 0.0
-			for j, b := range bounds {
-				if j != i && refs[j].ord == refs[i].ord {
-					other += b
-				}
-			}
-			if c.runBatch(i, c.bsize[i], qpt, segPad[refs[i].ord], other, stats) > 0 {
-				progressed = true
-			}
-		}
-		if !progressed {
-			break // every subproblem exhausted: all points were seen
-		}
-		// Stop only once the k-th best strictly beats every segment's padded
-		// frontier sum: an unseen point that could tie it (exactly, or
-		// within the float slack of the projection bounds) might still
-		// displace a kept one through the ID tie-break. A segment with an
-		// exhausted subproblem sums to −Inf — fully enumerated, nothing
-		// unseen left in it. This scheduler sweeps a segment only when the
-		// plan binds no stream, and then this loop does not run, so every
-		// segment owns subproblems and takes part.
-		if !c.coll.Full() {
-			continue
-		}
-		for s := range segSum {
-			segSum[s] = 0
-		}
-		for i, b := range bounds {
-			segSum[refs[i].ord] += b
-		}
-		worst := math.Inf(-1)
-		for s, sum := range segSum {
-			if t := sum + segPad[s]; t > worst {
-				worst = t
-			}
-		}
-		if math.IsInf(worst, -1) || c.coll.Threshold() > worst {
-			break
 		}
 	}
 }

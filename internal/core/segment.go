@@ -14,13 +14,13 @@ import (
 )
 
 // layout is the engine's fixed subproblem structure, decided once at New from
-// the build-time roles (and, for the data-dependent pairing strategies, the
-// initial dataset) and shared by every sealed segment: the pairs of Eqn. 10's
-// bijection f, each answered by a 2D tree, and the lone dimensions f leaves
-// out, each answered by a sorted list. Fixing the layout at the engine level —
-// rather than re-deriving it per segment — is what lets a query derive its
-// plan once for the whole segment stack: a plan's pair and lone indices name
-// the same dimensions in every segment's trees and lists.
+// the build-time roles (or read from a file by Load) and shared by every
+// sealed segment: the pairs of Eqn. 10's bijection f, each answered by a 2D
+// tree, and the lone dimensions f leaves out, each answered by a sorted list.
+// Fixing the layout at the engine level — rather than re-deriving it per
+// segment — is what lets a query derive its plan once for the whole segment
+// stack: a plan's pair and lone indices name the same dimensions in every
+// segment's trees and lists.
 type layout struct {
 	pairs []Pair
 	lone  []int
@@ -206,10 +206,8 @@ func popcount(bits []uint64) int {
 }
 
 // makeLayout fixes the engine's subproblem structure from the build-time
-// roles. The data parameter feeds the data-dependent pairing strategies only;
-// it may be empty, in which case PairByCorrelation and PairByVariance degrade
-// to the in-order zip (their statistics are undefined on an empty set).
-func makeLayout(data [][]float64, roles []query.Role, pairing Pairing) layout {
+// roles: the in-order pairs plus a lone list per leftover dimension.
+func makeLayout(roles []query.Role) layout {
 	var repulsive, attractive []int
 	for d, r := range roles {
 		switch r {
@@ -219,10 +217,7 @@ func makeLayout(data [][]float64, roles []query.Role, pairing Pairing) layout {
 			attractive = append(attractive, d)
 		}
 	}
-	if len(data) == 0 && (pairing == PairByCorrelation || pairing == PairByVariance) {
-		pairing = PairInOrder
-	}
-	return pairLayout(makePairs(data, repulsive, attractive, pairing), repulsive, attractive)
+	return pairLayout(makePairs(repulsive, attractive), repulsive, attractive)
 }
 
 // pairLayout completes a pair list into a layout: every dimension of

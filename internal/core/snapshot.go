@@ -131,9 +131,6 @@ type View struct {
 	sn *snapshot
 }
 
-// Valid reports whether the View was acquired from an engine.
-func (v View) Valid() bool { return v.sn != nil }
-
 // Len reports the number of live rows the View can see.
 func (v View) Len() int { return v.sn.live }
 

@@ -63,11 +63,10 @@ const DefaultAccessCost = 128
 const StreamOnly = -1
 
 // resolveAccessCost maps Config.AccessCost to the engine's cost: StreamOnly
-// turns the planner off, as does the round-robin scheduler — the paper's
-// literal loop has none.
-func resolveAccessCost(cfg int, sched Scheduler) int {
+// (any negative value) turns the planner off, 0 selects DefaultAccessCost.
+func resolveAccessCost(cfg int) int {
 	switch {
-	case cfg < 0 || sched == SchedRoundRobin:
+	case cfg < 0:
 		return 0
 	case cfg == 0:
 		return DefaultAccessCost

@@ -113,7 +113,7 @@ func clamp01(x float64) float64 {
 }
 
 // Correlation returns the sample Pearson correlation between two coordinate
-// columns of a point set. Used by tests and the pairing strategies.
+// columns of a point set. The generator tests check each distribution with it.
 func Correlation(pts [][]float64, a, b int) float64 {
 	n := float64(len(pts))
 	if n < 2 {

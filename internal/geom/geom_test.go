@@ -50,11 +50,12 @@ func TestAngleFromDegreesEndpoints(t *testing.T) {
 	if err != nil || a90.Alpha != 0 || a90.Beta != 1 {
 		t.Fatalf("AngleFromDegrees(90) = %+v err=%v, want exact (0,1)", a90, err)
 	}
-	if _, err := AngleFromDegrees(-1); err == nil {
-		t.Error("AngleFromDegrees(-1): want error")
-	}
-	if _, err := AngleFromDegrees(91); err == nil {
-		t.Error("AngleFromDegrees(91): want error")
+	// An indexed projection angle lies in [0°, 90°]; one outside it is
+	// refused, not clamped.
+	for _, deg := range []float64{-5, -1, 91, 120} {
+		if a, err := AngleFromDegrees(deg); err == nil {
+			t.Errorf("AngleFromDegrees(%v) = %+v, want an error", deg, a)
+		}
 	}
 	a45 := MustAngle(1, 1)
 	if !approxEq(a45.Degrees(), 45) {

@@ -19,7 +19,6 @@ package netfault
 
 import (
 	"errors"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -273,7 +272,3 @@ func reset(c net.Conn) {
 
 // ErrProxyClosed is returned by helpers when the proxy is gone.
 var ErrProxyClosed = errors.New("netfault: proxy closed")
-
-// Drain reads and discards until EOF/error; test helper for keeping HTTP
-// keep-alive semantics honest when a body is intentionally abandoned.
-func Drain(r io.Reader) { io.Copy(io.Discard, r) }

@@ -210,19 +210,3 @@ func skyband(items []item, k int) []item {
 	}
 	return kept
 }
-
-// regionAt returns the region whose x-interval contains x. regions must be
-// non-empty with ascending XEnd and a final +Inf sentinel.
-func regionAt(regions []Region, x float64) *Region {
-	i := sort.Search(len(regions), func(i int) bool { return regions[i].XEnd >= x })
-	if i == len(regions) {
-		i = len(regions) - 1 // x = +Inf edge: the sentinel region
-	}
-	return &regions[i]
-}
-
-// envelopeValue evaluates f_p(x) = min(u + βx, v − βx) — used by tests and
-// by the insert fast path to compare an apex against the current envelope.
-func envelopeValue(it item, beta, x float64) float64 {
-	return math.Min(it.u+beta*x, it.v-beta*x)
-}

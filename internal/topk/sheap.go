@@ -92,9 +92,6 @@ func (h *sheap) release() {
 
 func (h *sheap) len() int { return len(h.keys) }
 
-// topKey returns the key of the maximum entry; callers guard with len.
-func (h *sheap) topKey() float64 { return h.keys[0] }
-
 // top returns the maximum entry without removing it; callers guard with len.
 func (h *sheap) top() sentry {
 	return sentry{key: h.keys[0], nd: h.pay[0].nd, mask: h.pay[0].mask}
@@ -102,8 +99,8 @@ func (h *sheap) top() sentry {
 
 // secondKey returns the best key excluding the root — in a max-heap
 // necessarily among the root's (up to four) children — or −Inf on a
-// single-entry heap. It equals what topKey would report after popping the
-// root, at a quarter of the cost.
+// single-entry heap. It equals the root's key after popping the root, at a
+// quarter of the cost.
 func (h *sheap) secondKey() float64 {
 	n := len(h.keys)
 	if n > 5 {

@@ -1,9 +1,7 @@
-// Scheduler and plan tests: the bound-driven schedule is a pure performance
-// feature — answers must stay byte-identical to the round-robin ablation
-// (and hence to the scan oracle) under every knob combination, and its
-// performance claim (fewer sorted accesses) is pinned so it cannot silently
-// rot. Plan derivation must refuse role flips and answer every shape
-// exactly.
+// Scheduler and plan tests: the bound-driven schedule is a choice of cost,
+// not of result — answers must stay byte-identical across every segment
+// split, layout and planner mode (and hence to the scan oracle). Plan
+// derivation must refuse role flips and answer every shape exactly.
 package sdquery_test
 
 import (
@@ -16,12 +14,12 @@ import (
 )
 
 // TestSchedulerEquivalenceProperty drives random specs through the same
-// dataset under every scheduler × pairing × planner combination and
+// dataset under every segment split × layout × planner combination and
 // requires byte-identical answers. This is the re-proof of the
 // prune-at-first-emission argument for non-uniform access order, run as a
 // property: a point's first emission is bounded by every sibling frontier
-// regardless of the order frontiers were advanced in, so no schedule may
-// change what is pruned, scored, or returned.
+// regardless of the order frontiers were advanced in, so no interleaving of
+// segments, subproblems, streams and sweeps may change what is returned.
 func TestSchedulerEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 12; trial++ {
@@ -51,46 +49,40 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 
 		type variant struct {
 			name string
-			eng  *sdquery.SDIndex
+			eng  sdquery.Engine
 		}
 		var variants []variant
 		for _, v := range []struct {
-			name string
-			opts []sdquery.SDOption
+			name  string
+			build builder
+			opts  []sdquery.SDOption
 		}{
-			{"bound-driven", nil},
-			{"round-robin", []sdquery.SDOption{sdquery.WithScheduler(sdquery.SchedRoundRobin)}},
-			// The pairing strategy picks which trees exist, so which
-			// frontiers the scheduler interleaves.
-			{"round-robin/by-correlation", []sdquery.SDOption{
-				sdquery.WithScheduler(sdquery.SchedRoundRobin),
-				sdquery.WithPairing(sdquery.PairByCorrelation),
-			}},
-			{"by-variance", []sdquery.SDOption{sdquery.WithPairing(sdquery.PairByVariance)}},
-			{"none/stream-only", []sdquery.SDOption{
-				sdquery.WithPairing(sdquery.PairNone),
-				sdquery.WithStreamOnly(),
-			}},
+			{"default", newSDIndex, nil},
+			// The layout picks which trees exist, so which frontiers the
+			// scheduler interleaves; a loaded file is the only way to bind one
+			// other than the in-order zip (loadPairing).
+			{"by-correlation", loadPairing(2), nil},
+			{"none/stream-only", loadPairing(4), []sdquery.SDOption{sdquery.WithStreamOnly()}},
 			// How the rows are split into segments is a scheduling choice too:
 			// the scheduler interleaves every segment's frontiers in one loop,
 			// and that must not leak into answers. WithShards forces real
 			// multi-segment stacks on these tiny datasets.
-			{"segmented", []sdquery.SDOption{sdquery.WithShards(4)}},
-			{"segmented/round-robin", []sdquery.SDOption{
+			{"segmented", newSDIndex, []sdquery.SDOption{sdquery.WithShards(4)}},
+			{"segmented/stream-only", newSDIndex, []sdquery.SDOption{
 				sdquery.WithShards(7),
-				sdquery.WithScheduler(sdquery.SchedRoundRobin),
+				sdquery.WithStreamOnly(),
 			}},
 			// Sweep or stream is one more scheduling choice. At these sizes the
 			// default (variant 0) sweeps every segment outright, so pure
 			// streaming and mid-stream retirement are forced explicitly.
-			{"stream-only", []sdquery.SDOption{sdquery.WithStreamOnly()}},
-			{"bail-out", []sdquery.SDOption{sdquery.WithAccessCost(2)}},
-			{"segmented/bail-out", []sdquery.SDOption{
+			{"stream-only", newSDIndex, []sdquery.SDOption{sdquery.WithStreamOnly()}},
+			{"bail-out", newSDIndex, []sdquery.SDOption{sdquery.WithAccessCost(2)}},
+			{"segmented/bail-out", newSDIndex, []sdquery.SDOption{
 				sdquery.WithShards(3),
 				sdquery.WithAccessCost(2),
 			}},
 		} {
-			eng, err := sdquery.NewSDIndex(data, roles, v.opts...)
+			eng, err := v.build(data, roles, v.opts...)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, v.name, err)
 			}
@@ -136,55 +128,6 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestBoundDrivenFetchesLess pins the scheduling win where it is most
-// pronounced: skewed weights make one subproblem's frontier dominate, the
-// situation a fixed rotation wastes accesses on. The bound-driven schedule
-// must perform strictly fewer sorted accesses than round-robin on the same
-// engine configuration, at identical answers.
-func TestBoundDrivenFetchesLess(t *testing.T) {
-	data := dataset.Generate(dataset.Uniform, 10_000, 6, 7)
-	roles := []sdquery.Role{
-		sdquery.Repulsive, sdquery.Attractive, sdquery.Repulsive,
-		sdquery.Attractive, sdquery.Repulsive, sdquery.Attractive,
-	}
-	// One dominant pair, two weak ones: rotation keeps draining the weak
-	// frontiers long after they stopped mattering.
-	q := sdquery.Query{
-		Point:   []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5},
-		K:       5,
-		Roles:   roles,
-		Weights: []float64{10, 10, 0.1, 0.1, 0.1, 0.1},
-	}
-
-	fetched := map[sdquery.SchedulerMode]int{}
-	var answers [][]sdquery.Result
-	for _, mode := range []sdquery.SchedulerMode{sdquery.SchedBoundDriven, sdquery.SchedRoundRobin} {
-		// Stream-pinned, so the comparison is between schedules and not
-		// between a schedule and the sweep the default would retire into.
-		idx, err := sdquery.NewSDIndex(data, roles, sdquery.WithScheduler(mode), sdquery.WithStreamOnly())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, st, err := idx.TopKWithStats(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Rounds == 0 {
-			t.Fatalf("%v: Stats.Rounds not reported", mode)
-		}
-		fetched[mode] = st.Fetched
-		answers = append(answers, res)
-	}
-	for i := range answers[0] {
-		if answers[0][i] != answers[1][i] {
-			t.Fatalf("schedulers disagree at rank %d: %+v vs %+v", i, answers[0][i], answers[1][i])
-		}
-	}
-	if bd, rr := fetched[sdquery.SchedBoundDriven], fetched[sdquery.SchedRoundRobin]; bd >= rr {
-		t.Fatalf("bound-driven fetched %d, round-robin %d: scheduling win regressed", bd, rr)
 	}
 }
 

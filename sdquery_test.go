@@ -1,6 +1,8 @@
 package sdquery
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -128,56 +130,43 @@ func TestQueryScoreMatchesDefinition(t *testing.T) {
 	}
 }
 
-func TestSDIndexOptions(t *testing.T) {
-	data := dataset.Generate(dataset.Correlated, 300, 4, 2)
-	roles := []Role{Repulsive, Attractive, Repulsive, Attractive}
-	scanEng, _ := NewScan(data)
-	variants := map[string]*SDIndex{}
-	for name, opts := range map[string][]SDOption{
-		"default":     nil,
-		"correlation": {WithPairing(PairByCorrelation)},
-		"variance":    {WithPairing(PairByVariance)},
-		"nopairs":     {WithPairing(PairNone)},
-		"branch32":    {WithBranching(32), WithLeafCapacity(8)},
-		"angles2":     {WithAngles(0, 90)},
-		"angles9":     {WithAngles(0, 11, 22, 33, 45, 56, 67, 79, 90)},
-	} {
-		idx, err := NewSDIndex(data, roles, opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		variants[name] = idx
-	}
-	rng := rand.New(rand.NewSource(92))
-	for qi := 0; qi < 10; qi++ {
-		q := Query{
-			Point:   []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()},
-			K:       5,
-			Roles:   roles,
-			Weights: []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()},
-		}
-		want, _ := scanEng.TopK(q)
-		for name, idx := range variants {
-			got, err := idx.TopK(q)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for i := range want {
-				if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-					t.Fatalf("%s result %d: %v, want %v", name, i, got[i].Score, want[i].Score)
-				}
-			}
-		}
-	}
-}
-
+// TestSDIndexBadAngles: an indexed projection angle outside [0°, 90°] is
+// refused. The public constructor fixes the paper's default angles, so the
+// one way an angle reaches an SDIndex from outside is a saved file; one whose
+// tree configuration lists −5° or 120° must not load.
 func TestSDIndexBadAngles(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 10, 2, 3)
-	if _, err := NewSDIndex(data, []Role{Repulsive, Attractive}, WithAngles(120)); err == nil {
-		t.Fatal("angle 120° accepted")
+	idx, err := NewSDIndex(data, []Role{Repulsive, Attractive})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewSDIndex(data, []Role{Repulsive, Attractive}, WithAngles(-5)); err == nil {
-		t.Fatal("angle -5° accepted")
+	defer idx.Close()
+	var buf bytes.Buffer
+	if err := idx.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	// Envelope (6), version and dimension count (4 + 4), two roles, the
+	// pairing, width and layout bytes, one pair (4 + 8), no lone dimension
+	// (4), then branching, leaf capacity (4 + 4) and rebuild threshold (8).
+	at := 6 + 4 + 4 + 2 + 3 + 12 + 4 + 16
+	if n := binary.LittleEndian.Uint32(file[at:]); n != 0 {
+		t.Fatalf("Save wrote %d angles, want the default's 0", n)
+	}
+	if _, err := LoadSDIndex(bytes.NewReader(file)); err != nil {
+		t.Fatalf("unmodified file refused: %v", err)
+	}
+	for _, deg := range []float64{120, -5} {
+		rad := deg * math.Pi / 180
+		bad := append([]byte(nil), file[:at]...)
+		bad = binary.LittleEndian.AppendUint32(bad, 1)
+		bad = binary.LittleEndian.AppendUint64(bad, math.Float64bits(math.Cos(rad)))
+		bad = binary.LittleEndian.AppendUint64(bad, math.Float64bits(math.Sin(rad)))
+		bad = append(bad, file[at+4:]...)
+		if got, err := LoadSDIndex(bytes.NewReader(bad)); err == nil {
+			got.Close()
+			t.Errorf("angle %v° accepted", deg)
+		}
 	}
 }
 
@@ -295,7 +284,7 @@ func TestEngineErrorsSurface(t *testing.T) {
 // (the rest Ignored, whatever their weights): they bind no stream and sweep every segment, so
 // every live row scores +0 and the answer is the k lowest live IDs — over
 // three sealed segments, memtable rows and tombstones, under the planning
-// default, pure streaming and the round-robin scheduler. The scan oracle
+// default, pure streaming and a 2-row access cost. The scan oracle
 // cannot tell −0 from +0 under ==, so the sign is checked on its own.
 func TestAllZeroWeights(t *testing.T) {
 	roles := []Role{Repulsive, Attractive, Repulsive, Attractive}
@@ -332,7 +321,10 @@ func TestAllZeroWeights(t *testing.T) {
 	}{
 		{"default", nil},
 		{"stream", []SDOption{WithStreamOnly()}},
-		{"round-robin", []SDOption{WithScheduler(SchedRoundRobin)}},
+		// The name is historical (the retired round-robin scheduler): the
+		// cell prices a sorted access at 2 rows, the cost under which the
+		// planner probes and retires streams on any segment it binds.
+		{"round-robin", []SDOption{WithAccessCost(2)}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			opts := append([]SDOption{WithShards(3), WithCompaction(false)}, mode.opts...)

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -73,12 +73,15 @@ func (n *node) available(reopenAfter time.Duration) bool {
 
 func (n *node) healthy() bool { return n.downSince.Load() == 0 }
 
+// latWindow is how many recent latencies a latRing keeps.
+const latWindow = 64
+
 // latRing is a small sliding window of observed request latencies. The
 // hedge trigger wants "this try is slower than this node usually is", which
 // a recent-window quantile answers without unbounded history.
 type latRing struct {
 	mu  sync.Mutex
-	buf [64]time.Duration
+	buf [latWindow]time.Duration
 	n   int // filled entries
 	i   int // next write
 }
@@ -93,17 +96,17 @@ func (l *latRing) observe(d time.Duration) {
 	l.mu.Unlock()
 }
 
-// quantile returns the q-quantile of the window (0 when empty).
+// quantile returns the q-quantile of the window (0 when empty). It sorts a
+// stack copy, so a routed read's three calls per partition allocate nothing.
 func (l *latRing) quantile(q float64) time.Duration {
+	var tmp [latWindow]time.Duration
 	l.mu.Lock()
-	n := l.n
-	tmp := make([]time.Duration, n)
-	copy(tmp, l.buf[:n])
+	n := copy(tmp[:], l.buf[:l.n])
 	l.mu.Unlock()
 	if n == 0 {
 		return 0
 	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	slices.Sort(tmp[:n])
 	idx := int(q * float64(n))
 	if idx >= n {
 		idx = n - 1

@@ -662,3 +662,22 @@ func FuzzMerge(f *testing.F) {
 		}
 	})
 }
+
+// TestLatRingQuantileZeroAllocs: a routed read asks each partition's ring
+// for three quantiles (two to balance, one to time the hedge), so quantile
+// must answer from a full window without allocating.
+func TestLatRingQuantileZeroAllocs(t *testing.T) {
+	var l latRing
+	for _, i := range rand.New(rand.NewSource(1)).Perm(latWindow) {
+		l.observe(time.Duration(i+1) * time.Millisecond)
+	}
+	if got := l.quantile(0.5); got != 33*time.Millisecond {
+		t.Fatalf("median of 1..64 ms = %v, want 33ms", got)
+	}
+	if got := l.quantile(0.99); got != 64*time.Millisecond {
+		t.Fatalf("p99 of 1..64 ms = %v, want 64ms", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { l.quantile(0.99) }); allocs != 0 {
+		t.Fatalf("quantile allocates %.1f times per call, want 0", allocs)
+	}
+}
