@@ -136,15 +136,22 @@ type QueryStats struct {
 	Segments int
 	// Fetched counts sorted-access emissions across all subproblems.
 	Fetched int
-	// Scored counts distinct points scored exactly — by random access after a
-	// sorted access surfaced them, or by a sweep.
+	// Scored counts distinct points whose exact score the query computed —
+	// by random access after a sorted access surfaced them, or by a sweep,
+	// which scores only the blocks of a segment it cannot skip.
 	Scored int
-	// Swept is the part of Scored that came from sweeping sealed segments'
-	// columns end to end instead of streaming them, and SweptSegments the
-	// number of segments the planner finished that way: "stream or sweep?"
-	// for this query (see the package documentation's Performance section).
+	// Swept counts the rows sweeps settled in sealed segments' columns
+	// instead of streaming them — scored, or skipped with their block — and
+	// SweptSegments the number of segments the planner finished that way:
+	// "stream or sweep?" for this query (see the package documentation's
+	// Performance section).
 	Swept         int
 	SweptSegments int
+	// BlocksBounded counts the 128-row blocks of swept segments whose box
+	// bound was computed, and BlocksSkipped those never scored because the
+	// bound ruled out every row in them.
+	BlocksBounded int
+	BlocksSkipped int
 	// Rounds counts scheduler steps — one adaptive batch dispatched to one
 	// subproblem.
 	Rounds int
@@ -164,6 +171,7 @@ func (s *SDIndex) TopKWithStats(q Query) ([]Result, QueryStats, error) {
 	return convertResults(res), QueryStats{
 		Subproblems: st.Subproblems, Segments: st.Segments, Fetched: st.Fetched, Scored: st.Scored,
 		Swept: st.Swept, SweptSegments: st.SweptSegments, Rounds: st.Rounds,
+		BlocksBounded: st.BlocksBounded, BlocksSkipped: st.BlocksSkipped,
 	}, nil
 }
 

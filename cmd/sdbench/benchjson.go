@@ -82,15 +82,19 @@ type workloadJSON struct {
 	ScoredMean      float64 `json:"scored_mean,omitempty"`
 	SubproblemsMean float64 `json:"subproblems_mean,omitempty"`
 	RoundsMean      float64 `json:"rounds_mean,omitempty"`
-	// SweptMean is the part of ScoredMean that came from sweeping sealed
-	// segments' columns instead of streaming them, and SweptSegmentsMean the
-	// number of segments per query the planner finished that way: stream or
-	// sweep, per workload. Both are absent on workloads that only stream.
+	// SweptMean is the rows sweeps of sealed segments settled instead of
+	// their streams (scored, or skipped with their block), and
+	// SweptSegmentsMean the number of segments per query the planner
+	// finished that way: stream or sweep, per workload. BlocksBoundedMean
+	// and BlocksSkippedMean are the zone sweep's blocks bounded and skipped
+	// per query. All are absent on workloads that only stream.
 	SweptMean         float64 `json:"swept_mean,omitempty"`
 	SweptSegmentsMean float64 `json:"swept_segments_mean,omitempty"`
+	BlocksBoundedMean float64 `json:"blocks_bounded_mean,omitempty"`
+	BlocksSkippedMean float64 `json:"blocks_skipped_mean,omitempty"`
 }
 
-const benchJSONSchema = "sdbench/v13"
+const benchJSONSchema = "sdbench/v14"
 
 // countNonTestLOC counts lines the way CI's "Non-test line budget" step
 // does: every .go file under root that is not a test, outside benchmark/
@@ -130,6 +134,8 @@ func collectStats(idx *sdquery.SDIndex, queries []sdquery.Query) (w workloadJSON
 		total.Scored += st.Scored
 		total.Swept += st.Swept
 		total.SweptSegments += st.SweptSegments
+		total.BlocksBounded += st.BlocksBounded
+		total.BlocksSkipped += st.BlocksSkipped
 		total.Subproblems += st.Subproblems
 		total.Rounds += st.Rounds
 	}
@@ -138,6 +144,8 @@ func collectStats(idx *sdquery.SDIndex, queries []sdquery.Query) (w workloadJSON
 	w.ScoredMean = float64(total.Scored) / qn
 	w.SweptMean = float64(total.Swept) / qn
 	w.SweptSegmentsMean = float64(total.SweptSegments) / qn
+	w.BlocksBoundedMean = float64(total.BlocksBounded) / qn
+	w.BlocksSkippedMean = float64(total.BlocksSkipped) / qn
 	w.SubproblemsMean = float64(total.Subproblems) / qn
 	w.RoundsMean = float64(total.Rounds) / qn
 	return w, nil

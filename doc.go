@@ -242,11 +242,22 @@
 // probe + sweep where the sweep wins, at most twice the cheaper plan where
 // the prediction errs, and exactly the stream where the stream wins; no
 // state is carried across queries and answers are byte-identical either
-// way. QueryStats names the choice: Fetched counts sorted accesses only,
-// Scored every row scored exactly however it was reached, Swept the part of
-// Scored that segment sweeps contributed, SweptSegments the segments
-// finished that way. There is no option to set, and
-// BenchmarkPlannerCrossover maps where the two plans cross.
+// way. There is no option to set, and BenchmarkPlannerCrossover maps where
+// the two plans cross.
+//
+// A segment sweep is zone-mapped. Every sealed segment keeps its rows
+// STR-tiled (Sort-Tile-Recursive) in 128-row blocks with a min/max box
+// each — derived state like the trees, rebuilt at every seal and at load,
+// never written to a file, which keeps ID order. The sweep bounds every
+// block by its box (BRS's per-rectangle bound) and scores blocks best bound
+// first until the best bound left falls below the prune line, so on a large
+// segment it scores a few thousand rows where it settles a million. The
+// planner still prices a sweep at the segment's row count, an upper bound.
+// QueryStats names the work: Fetched counts sorted accesses only, Scored
+// every row whose exact score was computed however it was reached, Swept
+// the rows segment sweeps settled (scored, or skipped with their block),
+// BlocksBounded and BlocksSkipped the blocks they bounded and skipped, and
+// SweptSegments the segments finished by a sweep.
 //
 // All per-query state — weights, bounds, descent rates, emission buffers,
 // the sweep's block scratch, the seen bitset, stream cursors and heaps, the

@@ -13,15 +13,68 @@ import (
 	sdquery "repro"
 )
 
+// fuzzZone is the zone mode a seed selects through dataSeed's bits 40 and
+// up; zero or all ones there — every small seed — keeps the grid data of
+// fuzzDataset. A zone seed's dataset outgrows one 128-row block, so its
+// segments are STR-tiled and swept block by block, and its rows, inserted
+// rows and query points all draw from one value corner: uniform,
+// clustered, all equal, denormal, or the value domain's ±1e150 ends.
+type fuzzZone struct {
+	on      bool
+	kind    int
+	centers [4]float64
+}
+
+func newFuzzZone(dataSeed int64) fuzzZone {
+	hi := dataSeed >> 40
+	if hi == 0 || hi == -1 {
+		return fuzzZone{}
+	}
+	z := fuzzZone{on: true, kind: int(uint64(hi) % 5)}
+	rng := rand.New(rand.NewSource(hi))
+	for i := range z.centers {
+		z.centers[i] = rng.Float64()
+	}
+	return z
+}
+
+// rows is the dataset size nRaw selects.
+func (z fuzzZone) rows(nRaw uint8) int {
+	if z.on {
+		return 129 + int(nRaw)
+	}
+	return 1 + int(nRaw)%64
+}
+
+// value draws one coordinate of the zone's corner.
+func (z fuzzZone) value(rng *rand.Rand) float64 {
+	switch z.kind {
+	case 0:
+		return rng.Float64()
+	case 1:
+		return z.centers[rng.Intn(len(z.centers))] + rng.NormFloat64()*1e-3
+	case 2:
+		return z.centers[0]
+	case 3:
+		return (rng.Float64() - 0.5) * 0x1p-1040
+	default:
+		return []float64{-1e150, 1e150, rng.Float64()}[rng.Intn(3)]
+	}
+}
+
 // fuzzDataset derives a small deterministic dataset and role set. Half the
-// coordinates snap to a 4-step grid so exact score ties are common.
+// coordinates snap to a 4-step grid so exact score ties are common; a zone
+// seed's coordinates come from its corner instead.
 func fuzzDataset(seed int64, n, dims int) ([][]float64, []sdquery.Role) {
 	rng := rand.New(rand.NewSource(seed))
+	zone := newFuzzZone(seed)
 	data := make([][]float64, n)
 	for i := range data {
 		row := make([]float64, dims)
 		for d := range row {
-			if rng.Intn(2) == 0 {
+			if zone.on {
+				row[d] = zone.value(rng)
+			} else if rng.Intn(2) == 0 {
 				row[d] = float64(rng.Intn(4)) / 4
 			} else {
 				row[d] = rng.Float64()
@@ -50,7 +103,8 @@ func FuzzTopKChurn(f *testing.F) {
 	f.Add(int64(9), uint8(60), uint8(5), uint8(2), int64(3), uint8(80))
 	f.Add(int64(4), uint8(10), uint8(2), uint8(9), int64(7), uint8(255))
 	f.Fuzz(func(t *testing.T, dataSeed int64, nRaw, dimsRaw, kRaw uint8, opSeed int64, opsRaw uint8) {
-		n := 1 + int(nRaw)%64
+		zone := newFuzzZone(dataSeed)
+		n := zone.rows(nRaw)
 		dims := 1 + int(dimsRaw)%5
 		data, roles := fuzzDataset(dataSeed, n, dims)
 
@@ -119,7 +173,9 @@ func FuzzTopKChurn(f *testing.F) {
 				Weights: make([]float64, dims),
 			}
 			for d := 0; d < dims; d++ {
-				q.Point[d] = float64(rng.Intn(9)) / 8
+				if q.Point[d] = float64(rng.Intn(9)) / 8; zone.on {
+					q.Point[d] = zone.value(rng)
+				}
 				if rng.Intn(3) == 0 {
 					q.Weights[d] = 1
 				} else {
@@ -149,7 +205,9 @@ func FuzzTopKChurn(f *testing.F) {
 			case 0:
 				p := make([]float64, dims)
 				for d := range p {
-					p[d] = float64(rng.Intn(4)) / 4
+					if p[d] = float64(rng.Intn(4)) / 4; zone.on {
+						p[d] = zone.value(rng)
+					}
 				}
 				id, err := idx.Insert(p)
 				if err != nil {
@@ -216,7 +274,8 @@ func FuzzTopK(f *testing.F) {
 	f.Add(int64(3), uint8(1), uint8(1), uint8(1), uint16(0xffff), int64(4))
 	f.Add(int64(11), uint8(30), uint8(4), uint8(33), uint16(0b101), int64(5))
 	f.Fuzz(func(t *testing.T, dataSeed int64, nRaw, dimsRaw, kRaw uint8, demote uint16, qSeed int64) {
-		n := 1 + int(nRaw)%64
+		zone := newFuzzZone(dataSeed)
+		n := zone.rows(nRaw)
 		dims := 1 + int(dimsRaw)%6
 		data, roles := fuzzDataset(dataSeed, n, dims)
 
@@ -249,7 +308,9 @@ func FuzzTopK(f *testing.F) {
 			Weights: make([]float64, dims),
 		}
 		for d := 0; d < dims; d++ {
-			q.Point[d] = float64(rng.Intn(9)) / 8
+			if q.Point[d] = float64(rng.Intn(9)) / 8; zone.on {
+				q.Point[d] = zone.value(rng)
+			}
 			switch rng.Intn(3) {
 			case 0:
 				q.Weights[d] = 0

@@ -6,19 +6,19 @@
 //
 // The paper describes BRS's adaptation as running constrained top-k queries
 // in each region where the score is monotone per dimension. The per-MBR
-// bound below is the same computation: within a rectangle, the repulsive
-// contribution is maximized at the corner farthest from q per dimension, and
-// the attractive penalty minimized at the nearest coordinate (zero when q's
-// coordinate lies inside the rectangle's extent) — exactly the region-wise
-// monotone extrema.
+// bound (simd.BoxBound, shared with the SD-Index's zone sweep) is the same
+// computation: within a rectangle, the repulsive contribution is maximized at
+// the corner farthest from q per dimension, and the attractive penalty
+// minimized at the nearest coordinate (zero when q's coordinate lies inside
+// the rectangle's extent) — exactly the region-wise monotone extrema.
 package brs
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/query"
 	"repro/internal/rstar"
+	"repro/internal/simd"
 )
 
 // Engine holds the R*-tree over the dataset.
@@ -92,22 +92,17 @@ func (e *Engine) TopK(spec query.Spec) ([]query.Result, error) {
 	if err := spec.Validate(e.dims); err != nil {
 		return nil, err
 	}
-	upper := func(lo, hi []float64) float64 {
-		var bound float64
-		for d, role := range spec.Roles {
-			switch role {
-			case query.Repulsive:
-				bound += spec.Weights[d] * math.Max(math.Abs(spec.Point[d]-lo[d]), math.Abs(spec.Point[d]-hi[d]))
-			case query.Attractive:
-				if spec.Point[d] < lo[d] {
-					bound -= spec.Weights[d] * (lo[d] - spec.Point[d])
-				} else if spec.Point[d] > hi[d] {
-					bound -= spec.Weights[d] * (spec.Point[d] - hi[d])
-				}
-			}
+	// The bound's kernel takes signed weights: +w repulsive, −w attractive.
+	signed := make([]float64, e.dims)
+	for d, role := range spec.Roles {
+		switch role {
+		case query.Repulsive:
+			signed[d] = spec.Weights[d]
+		case query.Attractive:
+			signed[d] = -spec.Weights[d]
 		}
-		return bound
 	}
+	upper := func(lo, hi []float64) float64 { return simd.BoxBound(lo, hi, spec.Point, signed) }
 	bf := e.tree.BestFirst(upper)
 	out := make([]query.Result, 0, min(spec.K, len(e.data)))
 	for len(out) < spec.K {

@@ -5,6 +5,7 @@ package scan
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/pq"
 	"repro/internal/query"
@@ -38,12 +39,35 @@ func (e *Engine) TopK(spec query.Spec) ([]query.Result, error) {
 	if err := spec.Validate(e.dims); err != nil {
 		return nil, err
 	}
+	// Each row's score is spec.Score's, bit for bit, with the role folded
+	// into the weight's sign once per query: score −= w·|Δ| is score +=
+	// (−w)·|Δ|, and an Ignored dimension's +0 term leaves the score as it is
+	// (a sum that starts at +0 never reaches −0).
+	signed := make([]float64, e.dims)
+	for d, r := range spec.Roles {
+		switch r {
+		case query.Repulsive:
+			signed[d] = spec.Weights[d]
+		case query.Attractive:
+			signed[d] = -spec.Weights[d]
+		}
+	}
+	q := spec.Point[:e.dims]
 	// Scan iterates in ID order, so insertion-order tie-breaking already is
 	// ascending-ID tie-breaking; the explicit order documents the contract
-	// every other engine is held to.
+	// every other engine is held to. A row strictly below the k-th best
+	// cannot enter, so it skips the collector.
 	collector := pq.NewTopKOrdered[int](spec.K, func(a, b int) bool { return a < b })
+	line := math.Inf(-1)
 	for i, p := range e.data {
-		collector.Add(i, spec.Score(p))
+		p = p[:e.dims]
+		var score float64
+		for d, w := range signed {
+			score += w * math.Abs(p[d]-q[d])
+		}
+		if score >= line && collector.Add(i, score) {
+			line = collector.Threshold()
+		}
 	}
 	scored := collector.Results()
 	out := make([]query.Result, len(scored))

@@ -129,7 +129,8 @@ func (e *Engine) compactTail(nSegs, memUpto int) {
 	first := n - nSegs
 
 	// Phase 1 (no locks): gather the live rows — in ascending global-ID
-	// order, which the stack invariant reduces to simple concatenation —
+	// order, which the stack invariant reduces to concatenating each
+	// segment's rows in ID order (byID) and the memtable's as they are —
 	// and build the replacement segments' trees and lists. The output is
 	// one segment, or ⌈kept/cap⌉ equal chunks under the row cap (segCap);
 	// columns are gathered dimension-major from the sources' column blocks,
@@ -140,7 +141,11 @@ func (e *Engine) compactTail(nSegs, memUpto int) {
 	d := e.dims
 	gather := func(seg, upto int) {
 		_, _, layerIDs, dead := sn.layer(seg, d)
-		for l := 0; l < upto; l++ {
+		for r := 0; r < upto; r++ {
+			l := r
+			if seg >= 0 {
+				l = int(sn.segs[seg].byID[r])
+			}
 			if !bitGet(dead, l) {
 				kept = append(kept, src{int32(seg), int32(l)})
 				ids = append(ids, layerIDs[l])
@@ -179,24 +184,27 @@ func (e *Engine) compactTail(nSegs, memUpto int) {
 		}
 	}
 
+	if h := e.builtHook; h != nil {
+		h()
+	}
+
 	// Phase 2: swap. Re-apply tombstones that landed while we were
 	// building, then publish the new stack. Chunk boundaries recompute with
 	// the same arithmetic as the build above, so a kept row's tombstone
-	// lands in the chunk that holds the row.
+	// lands in the chunk that holds the row, at the local row its ID rank
+	// was tiled to (byID).
 	e.wrMu.Lock()
 	cur := e.snap.Load()
 	tombs := make([][]uint64, len(builts))
 	if nk > 0 {
-		for ci := 0; ci < nchunks; ci++ {
+		for ci, built := range builts {
 			clo, chi := ci*nk/nchunks, (ci+1)*nk/nchunks
 			for j := clo; j < chi; j++ {
 				if k := kept[j]; !cur.alive(int(k.seg), int(k.local)) {
-					if tombs[ci] == nil {
-						tombs[ci] = make([]uint64, (chi-clo+63)/64)
-					}
-					tombs[ci][(j-clo)>>6] |= 1 << (uint(j-clo) & 63)
+					tombs[ci] = setBit(tombs[ci], int(built.byID[j-clo]), chi-clo)
 				}
 			}
+			tombs[ci] = trimBits(tombs[ci])
 		}
 	}
 	// The unsealed memtable tail moves to a fresh block, its columns starting

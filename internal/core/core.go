@@ -154,6 +154,10 @@ type Engine struct {
 	// seam (TestCancelMidSweep cancels a query between two sweeps with it),
 	// nil otherwise.
 	sweptHook func()
+	// builtHook, when set, runs in every compaction step after the
+	// replacement segments are built and before they are swapped in: a test
+	// seam (TestRemoveDuringCompaction removes rows there), nil otherwise.
+	builtHook func()
 
 	// wal is the engine's write-ahead log, nil when durability is off —
 	// see wal.go. Mutations append to it under wrMu and wait for the group
@@ -347,16 +351,25 @@ type Stats struct {
 	Segments int
 	// Fetched counts sorted-access emissions across all subproblems.
 	Fetched int
-	// Scored counts distinct points scored exactly: by random access after a
-	// sorted access surfaced them, or by a sweep (memtable rows and swept
-	// segment rows are always scored exactly).
+	// Scored counts distinct points whose exact score the query computed: by
+	// random access after a sorted access surfaced them, or by a sweep.
+	// Memtable rows are always scored; a sealed segment's sweep scores only
+	// the live rows of the blocks it did not skip.
 	Scored int
-	// Swept is the part of Scored that came from sweeping sealed segments'
-	// columns instead of streaming them, and SweptSegments the number of
-	// segments the planner finished that way — up front or by retiring their
-	// streams mid-query (scheduler.go). Both are 0 on a pure-stream engine.
+	// Swept counts the live rows sweeps of sealed segments settled instead
+	// of their streams — scored, or skipped with their block — and
+	// SweptSegments the number of segments the planner finished that way, up
+	// front or by retiring their streams mid-query (scheduler.go). Swept is
+	// the planner's unit: it reads the same whether a sweep skipped blocks or
+	// not. Both are 0 on a pure-stream engine.
 	Swept         int
 	SweptSegments int
+	// BlocksBounded counts the blocks of swept segments whose box bound the
+	// zone sweep computed (sweep.go), and BlocksSkipped those of them it never
+	// scored because their bound fell below the prune line. A segment of one
+	// block, and the memtable, are swept flat and count in neither.
+	BlocksBounded int
+	BlocksSkipped int
 	// Rounds counts scheduler steps: one adaptive batch dispatched to one
 	// subproblem.
 	Rounds int

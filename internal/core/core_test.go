@@ -390,7 +390,8 @@ func TestBytesPositive(t *testing.T) {
 
 // TestBytesEstimate pins the resident-size formula layer by layer: every
 // sealed segment contributes its index structures (trees, lists),
-// its flat row block, its global-ID map, and its tombstone bitset; the
+// its column block, its global-ID map and that map's inverse, its block
+// boxes, and its tombstone bitset; the
 // memtable contributes its ID, row, and dead arrays; the engine adds the
 // per-dimension extrema. A drifting estimate silently breaks capacity
 // planning.
@@ -417,6 +418,8 @@ func TestBytesEstimate(t *testing.T) {
 			want += segStruct
 			want += 8 * len(seg.cols)    // dimension-major column block
 			want += 4 * len(seg.ids)     // global-ID map
+			want += 4 * len(seg.byID)    // its inverse, ID rank → local row
+			want += 8 * len(seg.boxes)   // block boxes
 			want += 8 * len(sn.tombs[i]) // tombstone bitset words
 		}
 		want += 4 * len(sn.memIDs)        // memtable IDs

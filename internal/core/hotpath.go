@@ -23,8 +23,9 @@ const maxBatch = 64
 // bound, so the aggregation loop pays one virtual dispatch per run instead
 // of per point; bound peeks the same value without fetching, which the
 // bound-driven scheduler uses to seed its ordering before the first access.
-// Emission IDs are segment-local rows; the aggregation translates them to
-// global dataset IDs through the segment's ID map.
+// Emission IDs are ID ranks within the segment; the aggregation translates
+// them to local rows through the segment's byID and on to global dataset IDs
+// through its ID map.
 type subproblem interface {
 	nextBatch(dst []query.Emission) (n int, bound float64)
 	bound() float64
@@ -79,12 +80,14 @@ type queryCtx struct {
 	e  *Engine
 	sn *snapshot // the query's frozen epoch
 
-	// The query's plan (derivePlan): effective and signed weights, and the
-	// layout's surviving pair and lone-dimension ordinals.
-	w      []float64
-	signed []float64
-	pairs  []int32
-	lone   []int32
+	// The query's plan (derivePlan): effective and signed weights, the
+	// layout's surviving pair and lone-dimension ordinals, and the pad of the
+	// zone sweep's block bounds.
+	w       []float64
+	signed  []float64
+	pairs   []int32
+	lone    []int32
+	zonePad float64
 
 	pairSubs []pairSub // value storage; subs holds pointers into it
 	dimSubs  []dimSub
@@ -113,6 +116,8 @@ type queryCtx struct {
 	candGID    [maxBatch]int32
 	candScore  [maxBatch]float64
 	sweepScore [sweepBlock]float64 // one sweep block's scores (sweep.go)
+	zoneBound  []float64           // a zone sweep's block bounds (sweep.go)
+	zoneHeap   []int32             // its best-first heap of block ordinals
 	seen       []uint64            // bitset over global dataset IDs
 	coll       *pq.TopK[int]
 	drain      []pq.Scored[int]

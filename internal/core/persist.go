@@ -2,17 +2,19 @@ package core
 
 // On-disk persistence: a sealed-segment engine serializes to a versioned
 // little-endian binary format and loads back bit-exactly — same answers,
-// same Bytes — without re-deriving anything data-dependent. The file
-// carries the engine's structural identity (roles, the fixed subproblem
-// layout, the tree configuration) plus every segment's raw rows, global
-// IDs, and tombstones; index structures (trees, sorted lists) are NOT
-// serialized but rebuilt at load, which is deterministic: a segment's trees
-// are a pure function of its rows and the tree configuration, so the
-// reloaded engine's segment stack is structurally identical to the saved
-// one. Runtime knobs (RuntimeOptions) are not part of the file; Load takes
-// them fresh. One version is written and read (persistVersion); the bytes
-// reach Load from files, CHECKPOINTs and replication streams this process
-// did not write, so Load checks every field before it allocates or builds.
+// same Bytes, same Stats. The file carries the engine's structural identity
+// (roles, the fixed subproblem layout, the tree configuration) plus every
+// segment's raw rows, global IDs, and tombstones, all in ID order; index
+// structures (trees, sorted lists) and the tiling (tile.go: the STR order,
+// byID, the block boxes) are NOT serialized but rebuilt at load, which is
+// deterministic: a segment's trees and tiling are a pure function of its
+// rows in ID order and the tree configuration, so the reloaded engine's
+// segment stack is structurally identical to the saved one, and a file
+// does not depend on how its segments were tiled. Runtime knobs
+// (RuntimeOptions) are not part of the file; Load takes them fresh. One
+// version is written and read (persistVersion); the bytes reach Load from
+// files, CHECKPOINTs and replication streams this process did not write, so
+// Load checks every field before it allocates or builds.
 
 import (
 	"bufio"
@@ -171,12 +173,25 @@ func (e *Engine) saveSnapshot(w io.Writer, sn *snapshot) error {
 			cw.write(bits)
 		}
 	}
+	// Segments go out in ID order (byID), whatever order they are tiled in:
+	// the file is the same for every tiling.
 	cw.write(uint32(len(sn.segs)))
 	for i, seg := range sn.segs {
 		cw.write(uint64(seg.rows))
-		cw.write(seg.ids)
-		cw.write(seg.cols) // dimension-major since format v3
-		writeBitset(sn.tombs[i])
+		ids := make([]int32, seg.rows)
+		for r, l := range seg.byID {
+			ids[r] = seg.ids[l]
+		}
+		cw.write(ids)
+		col := make([]float64, seg.rows)
+		for d := 0; d < e.dims; d++ { // dimension-major since format v3
+			tiled := seg.cols[d*seg.rows : (d+1)*seg.rows]
+			for r, l := range seg.byID {
+				col[r] = tiled[l]
+			}
+			cw.write(col)
+		}
+		writeBitset(seg.idBits(sn.tombs[i]))
 	}
 	memCols, stride, memIDs, memDead := sn.layer(memSrc, e.dims)
 	rows := make([]float64, len(memIDs)*e.dims) // the file's memtable is row-major
@@ -433,13 +448,17 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
 	// The rebuild is the whole cost of a load, and segments rebuild
-	// independently from their dimension-major columns.
+	// independently from their dimension-major columns. The file's
+	// tombstones are in ID order; the rebuilt segments are tiled.
 	var err error
 	sn.segs, err = e.sealAll(len(segIDs), func(si int) ([]float64, []int32) {
 		return blocks[si], segIDs[si]
 	})
 	if err != nil {
 		return nil, err
+	}
+	for si, seg := range sn.segs {
+		sn.tombs[si] = seg.tiledBits(sn.tombs[si])
 	}
 	e.snap.Store(sn)
 	e.initCtxPool()

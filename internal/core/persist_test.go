@@ -331,11 +331,16 @@ func matchesScan(t *testing.T, e *Engine, seed int64) {
 	var rows [][]float64
 	for si := memSrc; si < len(sn.segs); si++ {
 		cols, stride, layerIDs, dead := sn.layer(si, e.dims)
-		for l, id := range layerIDs {
+		for r := range layerIDs {
+			// Ascending IDs, the scan's tie order: a segment's through byID.
+			l := r
+			if si >= 0 {
+				l = int(sn.segs[si].byID[r])
+			}
 			if !bitGet(dead, l) {
 				p := make([]float64, e.dims)
 				copyRow(cols, stride, l, p)
-				ids, rows = append(ids, int(id)), append(rows, p)
+				ids, rows = append(ids, int(layerIDs[l])), append(rows, p)
 			}
 		}
 	}

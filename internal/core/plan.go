@@ -26,7 +26,11 @@ import (
 //     least one nonzero weight (a pair with both weights zero contributes
 //     nothing; its bound is 0 by omission);
 //   - lone, ordinals into the layout's lone-dimension list whose dimension
-//     has nonzero weight.
+//     has nonzero weight;
+//   - zonePad, floatSlack times the query's weighted coordinate reach: what
+//     a zone sweep adds to every block's box bound. simd.BoxBound already
+//     covers every row of its box exactly; the pad keeps a skip from ever
+//     resting on the last ulp, the same margin the streams' bounds carry.
 //
 // Because the layout is fixed at the engine level, the same indices select
 // the right tree or list in every sealed segment.
@@ -52,6 +56,11 @@ func (c *queryCtx) derivePlan(spec query.Spec) error {
 				d, spec.Roles[d], e.roles[d])
 		}
 	}
+	c.zonePad = 0
+	for d, w := range c.w {
+		c.zonePad += w * c.sn.reach(d, spec.Point[d])
+	}
+	c.zonePad *= floatSlack
 	c.pairs = c.pairs[:0]
 	for i, pr := range e.layout.pairs {
 		if c.w[pr.Rep] != 0 || c.w[pr.Attr] != 0 {

@@ -272,18 +272,19 @@ func (c *queryCtx) runBatch(i, size int, qpt []float64, pad, otherBounds float64
 	line := coll.Threshold()
 	nc, settled := 0, 0
 	for _, em := range c.emit[:n] {
-		gid := seg.ids[em.ID]
+		l := seg.byID[em.ID] // streams emit ID ranks (segment.go)
+		gid := seg.ids[l]
 		if !c.markSeen(gid) {
 			continue // already scored or soundly discarded
 		}
-		if bitGet(ref.tomb, int(em.ID)) {
+		if bitGet(ref.tomb, int(l)) {
 			continue // tombstoned: removed after this segment sealed
 		}
 		settled++ // scored below or soundly discarded: a sweep skips it
 		if em.Contrib+otherBounds+pad < line {
 			continue // cannot enter the top k, now or later
 		}
-		c.candRow[nc] = em.ID
+		c.candRow[nc] = l
 		c.candGID[nc] = gid
 		nc++
 	}

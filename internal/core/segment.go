@@ -26,23 +26,40 @@ type layout struct {
 	lone  []int
 }
 
+// active lists the dimensions the layout covers, ascending: the tiling's key
+// dimensions (tile.go).
+func (lo *layout) active() []int {
+	var dims []int
+	for _, pr := range lo.pairs {
+		dims = append(dims, pr.Rep, pr.Attr)
+	}
+	dims = append(dims, lo.lone...)
+	sort.Ints(dims)
+	return dims
+}
+
 // segment is one sealed, immutable layer of the engine: a dimension-major
-// column block, the global dataset IDs of its rows (ascending), and the
-// per-layout index structures built once over the segment's local row space.
-// Columns — not rows — are the primary layout: the batch score kernels
-// (internal/simd) sweep one dimension's contiguous values for a whole
-// candidate batch, so the hot loop streams cache lines instead of striding
-// through row-major padding, and tree/list builds slice their input columns
-// straight out of the block with no per-dimension copy. The block is also
-// the persisted form (persist.go, format v3): Load seals each segment from
-// the columns exactly as read, with no transpose. Sealed segments are
-// never mutated — removals tombstone rows in the owning snapshot, and
-// compaction replaces whole segments — so queries walk them without any
-// synchronization.
+// column block, the global dataset IDs of its rows, and the per-layout index
+// structures built once over the segment's rows. Columns — not rows — are
+// the primary layout: the batch score kernels (internal/simd) sweep one
+// dimension's contiguous values for a whole candidate batch, so the hot loop
+// streams cache lines instead of striding through row-major padding.
+//
+// The rows are held in tiled order (tile.go): STR-ordered into blockRows-row
+// blocks, each with a min/max box, which is what lets a sweep skip whole
+// blocks (sweep.go). byID maps back to ID order — the order the file stores
+// (persist.go, format v3), compaction gathers in, and the trees and lists
+// number their points in: a stream's emission r is the r-th smallest ID,
+// local row byID[r]. Sealed segments are never mutated — removals tombstone
+// rows (by local row) in the owning snapshot, and compaction replaces whole
+// segments — so queries walk them without any synchronization.
 type segment struct {
-	ids  []int32   // local row → global dataset ID, strictly ascending
-	cols []float64 // dims × rows, dimension-major: column d = cols[d*rows:(d+1)*rows]
-	rows int
+	ids   []int32   // local row → global dataset ID, in tiled order
+	byID  []int32   // ID rank → local row: byID[r] holds the r-th smallest ID
+	maxID int32     // the largest global ID in the segment
+	cols  []float64 // dims × rows, dimension-major, tiled: column d = cols[d*rows:(d+1)*rows]
+	rows  int
+	boxes []float64 // block b's minima then maxima, dims each, at boxes[2*b*dims:]
 
 	// indexed is false on a segment too small to ever be streamed (see
 	// Engine.seal): it carries no trees or lists, and every query sweeps it.
@@ -55,9 +72,6 @@ type segment struct {
 	// them.
 	structBytes int
 }
-
-// col returns dimension d's contiguous column.
-func (s *segment) col(d int) []float64 { return s.cols[d*s.rows : (d+1)*s.rows] }
 
 // copyRow gathers row local of a dimension-major column block (column d at
 // cols[d*stride:]) into dst, one value per dimension — the random-access
@@ -120,25 +134,35 @@ func (e *Engine) segCap(live int) int {
 	return (live + e.segments - 1) / e.segments
 }
 
-// buildSegment seals rows (cols, dimension-major, with their global IDs) into
-// an immutable segment under the engine's layout and tree configuration. IDs
-// must be strictly ascending; indexed false leaves the trees and lists
-// unbuilt. An empty row set returns nil.
+// buildSegment seals rows (cols, dimension-major, with their global IDs,
+// both in ID order) into an immutable segment under the engine's layout and
+// tree configuration. IDs must be strictly ascending; indexed false leaves
+// the trees and lists unbuilt. The segment tiles its own copy of the rows,
+// so cols is only read. An empty row set returns nil.
 func buildSegment(cols []float64, ids []int32, lo *layout, treeCfg topk.Config, indexed bool) (*segment, error) {
 	rows := len(ids)
 	if rows == 0 {
 		return nil, nil
 	}
-	s := &segment{ids: ids, cols: cols, rows: rows, indexed: indexed}
+	s := &segment{rows: rows, maxID: ids[rows-1], indexed: indexed}
 	if !indexed {
+		s.tile(cols, ids, lo.active())
 		return s, nil
 	}
-	// Trees and lists copy their input columns, so they can slice the block
-	// directly — the throwaway per-dimension copies the row-major layout
-	// forced are gone.
+	// Tiling reads the ID-order columns the trees and lists are built from,
+	// and writes only fields they do not touch, so the two run side by side.
+	tiled := make(chan struct{})
+	go func() {
+		defer close(tiled)
+		s.tile(cols, ids, lo.active())
+	}()
+	defer func() { <-tiled }()
+	col := func(d int) []float64 { return cols[d*rows : (d+1)*rows] }
+	// Trees and lists copy their input columns and number their points by
+	// position, so built from the ID-order columns they emit ID ranks.
 	s.trees = make([]*topk.Index, len(lo.pairs))
 	for i, pr := range lo.pairs {
-		tree, err := topk.BuildColumns(s.col(pr.Attr), s.col(pr.Rep), treeCfg)
+		tree, err := topk.BuildColumns(col(pr.Attr), col(pr.Rep), treeCfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: pair (%d, %d): %w", pr.Rep, pr.Attr, err)
 		}
@@ -147,32 +171,34 @@ func buildSegment(cols []float64, ids []int32, lo *layout, treeCfg topk.Config, 
 	}
 	s.lists = make([]*dimlist.List, len(lo.lone))
 	for i, d := range lo.lone {
-		s.lists[i] = dimlist.FromColumn(s.col(d))
+		s.lists[i] = dimlist.FromColumn(col(d))
 		s.structBytes += s.lists[i].Len() * 12 // 8B value + 4B id per entry
 	}
 	return s, nil
 }
 
 // bytes is the segment's resident size: index structures plus the column
-// block, the global-ID map, and (caller-supplied) tombstone words.
+// block, the global-ID map and its inverse, the block boxes, and
+// (caller-supplied) tombstone words.
 func (s *segment) bytes(tombWords int) int {
-	return s.structBytes + 8*len(s.cols) + 4*len(s.ids) + 8*tombWords
+	return s.structBytes + 8*len(s.cols) + 4*len(s.ids) + 4*len(s.byID) + 8*len(s.boxes) + 8*tombWords
 }
 
 // findLocal locates a global ID in the segment by binary search over the
-// ascending ids, returning -1 when absent.
+// IDs in ascending order (through byID), returning its local row, or -1
+// when absent.
 func (s *segment) findLocal(id int32) int {
-	lo, hi := 0, len(s.ids)
+	lo, hi := 0, s.rows
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if s.ids[mid] < id {
+		if s.ids[s.byID[mid]] < id {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(s.ids) && s.ids[lo] == id {
-		return lo
+	if lo < s.rows && s.ids[s.byID[lo]] == id {
+		return int(s.byID[lo])
 	}
 	return -1
 }

@@ -96,10 +96,7 @@ func (sn *snapshot) locate(id int) (seg int, local int, ok bool) {
 	// than every ID in segs[i+1], and memtable IDs are the largest. Find
 	// the first layer whose max ID covers id, then binary-search within.
 	n := len(sn.segs)
-	li := sort.Search(n, func(i int) bool {
-		s := sn.segs[i]
-		return s.ids[s.rows-1] >= int32(id)
-	})
+	li := sort.Search(n, func(i int) bool { return sn.segs[i].maxID >= int32(id) })
 	if li < n {
 		if l := sn.segs[li].findLocal(int32(id)); l >= 0 {
 			return li, l, true

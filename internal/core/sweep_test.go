@@ -69,11 +69,12 @@ func TestSealIndexesBySize(t *testing.T) {
 // TestCancelMidSweep closes the query's done channel while a sweep is under
 // way — deterministically: a query over two sweep-only segments runs on the
 // caller's goroutine, and the done channel is closed the moment the first
-// sweep completes. The second sweep is entered unconditionally (a swept-first
-// segment polls nothing before its first block), so the only place it can
-// notice is the poll inside the sweep loop, sweepPollBlocks blocks in. The
-// query must report ErrCanceled, abandon the second sweep, and leak nothing:
-// the same engine then answers uncancelled queries exactly.
+// sweep completes. The second sweep is entered unconditionally (nothing
+// polls between two swept-first segments), so the only place it can notice
+// is the sweep's own poll: a zone sweep polls as it starts, before bounding
+// its blocks, and then every zonePollBlocks blocks it scores. The query must
+// report ErrCanceled, abandon the second sweep, and leak nothing: the same
+// engine then answers uncancelled queries exactly.
 func TestCancelMidSweep(t *testing.T) {
 	const segRows = 4 * sweepPollBlocks * sweepBlock
 	data := dataset.Generate(dataset.Uniform, 2*segRows, 4, 9)

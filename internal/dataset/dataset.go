@@ -138,22 +138,3 @@ func Correlation(pts [][]float64, a, b int) float64 {
 	}
 	return cov / math.Sqrt(varA*varB)
 }
-
-// Variance returns the sample variance of one coordinate column.
-func Variance(pts [][]float64, col int) float64 {
-	n := float64(len(pts))
-	if n < 2 {
-		return 0
-	}
-	var mean float64
-	for _, p := range pts {
-		mean += p[col]
-	}
-	mean /= n
-	var v float64
-	for _, p := range pts {
-		d := p[col] - mean
-		v += d * d
-	}
-	return v / (n - 1)
-}

@@ -93,16 +93,6 @@ func TestDistributionString(t *testing.T) {
 	}
 }
 
-func TestVariance(t *testing.T) {
-	pts := [][]float64{{1}, {2}, {3}, {4}, {5}}
-	if v := Variance(pts, 0); !closeTo(v, 2.5, 1e-12) {
-		t.Fatalf("Variance = %v, want 2.5", v)
-	}
-	if v := Variance(pts[:1], 0); v != 0 {
-		t.Fatalf("Variance of single point = %v, want 0", v)
-	}
-}
-
 func TestCorrelationDegenerate(t *testing.T) {
 	pts := [][]float64{{1, 2}, {1, 3}, {1, 4}}
 	if c := Correlation(pts, 0, 1); c != 0 {

@@ -130,3 +130,29 @@ func ScoreCols(dst []float64, cols []float64, rows, off int, q, signed []float64
 		dst[j] = s
 	}
 }
+
+// BoxBound returns an upper bound on the SD-score of every point inside the
+// box [lo, hi] (one interval per dimension) — BRS's per-rectangle bound and
+// the zone sweep's per-block bound. signed carries the score kernel's
+// weights (+w repulsive, −w attractive, 0 ignored). A repulsive term takes
+// the interval's farther end from q; an attractive term the distance from q
+// to the interval, 0 when q lies inside it. Terms accumulate in ascending
+// dimension order like ScoreCols', and every operation is monotone in the
+// coordinate, so the bound is at least the ScoreCols score of any row in the
+// box and equals it on a degenerate box (lo == hi).
+func BoxBound(lo, hi, q, signed []float64) float64 {
+	lo, hi = lo[:len(q)], hi[:len(q)]
+	signed = signed[:len(q)]
+	var b float64
+	for d, w := range signed {
+		switch qd := q[d]; {
+		case w > 0:
+			b += w * math.Max(math.Abs(qd-lo[d]), math.Abs(qd-hi[d]))
+		case w < 0 && qd < lo[d]:
+			b += w * (lo[d] - qd)
+		case w < 0 && qd > hi[d]:
+			b += w * (qd - hi[d])
+		}
+	}
+	return b
+}

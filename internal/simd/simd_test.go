@@ -177,3 +177,90 @@ func BenchmarkScoreKernel(b *testing.B) {
 		}
 	})
 }
+
+// TestBoxBoundCoversScores checks BoxBound against ScoreCols over random
+// boxes: degenerate ones (lo == hi), boxes whose rows are all equal,
+// denormal extents and the value domain's ±1e150 corners, each queried
+// from inside, on the faces and from outside, under repulsive, attractive,
+// ignored (±0) and huge weights. The bound padded the way the zone sweep
+// pads it must cover the exact score of every row in the box; the bare bound
+// does too, since each of its operations is monotone in the coordinate, and
+// on a degenerate box it equals the row's score bit for bit (BRS returns
+// that value as the point's score).
+func TestBoxBoundCoversScores(t *testing.T) {
+	const dims, rows = 5, 64
+	const slack = 64 * 0x1p-52 // the zone sweep's floatSlack
+	rng := rand.New(rand.NewSource(11))
+	coord := func(kind int) float64 {
+		switch kind {
+		case 0:
+			return rng.Float64()
+		case 1: // denormal
+			return (rng.Float64() - 0.5) * 0x1p-1030
+		case 2: // a domain corner
+			return []float64{-1e150, 1e150}[rng.Intn(2)]
+		default:
+			return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(9)-4))
+		}
+	}
+	lo, hi := make([]float64, dims), make([]float64, dims)
+	q, signed := make([]float64, dims), make([]float64, dims)
+	cols := make([]float64, dims*rows)
+	scores := make([]float64, rows)
+	for trial := 0; trial < 5000; trial++ {
+		kind, shape := rng.Intn(4), rng.Intn(3) // shape 0 degenerate, 1 all rows equal
+		for d := 0; d < dims; d++ {
+			a, b := coord(kind), coord(kind)
+			if shape == 0 || rng.Intn(8) == 0 {
+				b = a
+			}
+			lo[d], hi[d] = math.Min(a, b), math.Max(a, b)
+			switch rng.Intn(5) {
+			case 0:
+				q[d] = lo[d]
+			case 1:
+				q[d] = hi[d]
+			case 2:
+				q[d] = lo[d] + rng.Float64()*(hi[d]-lo[d])
+			default:
+				q[d] = coord(kind)
+			}
+			w := []float64{rng.Float64(), 1e150, 0}[rng.Intn(3)]
+			switch rng.Intn(3) {
+			case 0:
+				signed[d] = w
+			case 1:
+				signed[d] = -w
+			}
+		}
+		for r := 0; r < rows; r++ {
+			for d := 0; d < dims; d++ {
+				v := lo[d]
+				switch {
+				case shape == 1:
+				case rng.Intn(4) == 0:
+					v = hi[d]
+				default:
+					v = math.Min(hi[d], math.Max(lo[d], lo[d]+rng.Float64()*(hi[d]-lo[d])))
+				}
+				cols[d*rows+r] = v
+			}
+		}
+		ScoreCols(scores, cols, rows, 0, q, signed)
+		bound := BoxBound(lo, hi, q, signed)
+		var pad float64
+		for d := range q {
+			pad += math.Abs(signed[d]) * math.Max(math.Abs(lo[d]-q[d]), math.Abs(hi[d]-q[d]))
+		}
+		padded := bound + slack*pad
+		for r, sc := range scores {
+			if sc > bound || sc > padded {
+				t.Fatalf("trial %d row %d: score %v above bound %v (padded %v)\nlo %v\nhi %v\nq %v\nsigned %v",
+					trial, r, sc, bound, padded, lo, hi, q, signed)
+			}
+		}
+		if shape == 0 {
+			requireBitEqual(t, "degenerate box", []float64{bound}, scores[:1])
+		}
+	}
+}

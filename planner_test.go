@@ -96,8 +96,11 @@ func TestPlannerBailoutAfterAdds(t *testing.T) {
 			t.Fatalf("query %d: %d points scored by random access from %d sorted accesses: %+v",
 				qi, st.Scored-st.Swept, st.Fetched, st)
 		}
-		if st.SweptSegments > 0 && st.Scored > st.Swept {
-			handovers++ // streams scored points, then the segment was swept
+		if st.SweptSegments > 0 && st.Fetched > 0 {
+			// Streams scored points, then the segment was swept: the index
+			// is one segment and no memtable, so the first row its streams
+			// surface meets an empty collector and is scored.
+			handovers++
 		}
 		// Same query, same snapshot: the same choice and the same work.
 		_, again, err := idx.TopKWithStats(q)

@@ -241,7 +241,8 @@ func TestSegmentedStats(t *testing.T) {
 	}
 
 	// The planning default sweeps these 1000-row segments outright: the
-	// sweep counters sum across segments like the rest.
+	// sweep counters sum across segments like the rest. Each segment is 8
+	// blocks, every one bounded; the skipped ones settle their rows unscored.
 	planned, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +252,8 @@ func TestSegmentedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.SweptSegments != 4 || ps.Swept != len(data) || ps.Scored != ps.Swept || ps.Fetched != 0 {
+	if ps.SweptSegments != 4 || ps.Swept != len(data) || ps.Fetched != 0 || ps.BlocksBounded != 4*8 ||
+		ps.Scored == 0 || ps.Scored > ps.Swept || (ps.Scored < ps.Swept) != (ps.BlocksSkipped > 0) {
 		t.Fatalf("segment sweep stats not aggregated: %+v", ps)
 	}
 	for i := range want {

@@ -394,7 +394,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tr.Stats == nil || tr.Stats.Fetched == 0 || tr.Stats.Swept == 0 || tr.Stats.SweptSegments == 0 ||
-		tr.Stats.Scored < tr.Stats.Swept {
+		tr.Stats.Scored == 0 {
 		t.Fatalf("stats=true response carries no work counters: %s", body)
 	}
 
