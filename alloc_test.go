@@ -36,11 +36,12 @@ func measureAllocs(f func()) float64 {
 	return testing.AllocsPerRun(100, f)
 }
 
-// TestTopKAppendZeroAllocs pins every way the planner takes a segment: at
-// 10k rows the default probes the streams and retires them into a sweep, the
-// stream-pinned engine runs the aggregation to termination, and the
-// sweep-only engine never binds a stream. The sweep's block scratch and
-// per-segment accounting live in the pooled context like everything else.
+// TestTopKAppendZeroAllocs pins every way a query takes a segment: the
+// default zone-sweeps it, the stream-pinned engine runs the aggregation to
+// termination, and the same engine sweeps it under a plan that binds no
+// stream (every weight zero; the cell keeps its name from the retired
+// sweep-only hook). The zone sweep's bounds and heap and the streams' seen
+// bitset live in the pooled context like everything else.
 func TestTopKAppendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on otherwise alloc-free paths")
@@ -49,11 +50,12 @@ func TestTopKAppendZeroAllocs(t *testing.T) {
 	for _, mode := range []struct {
 		name         string
 		opts         []SDOption
+		zero         bool // every weight zero: the plan binds no stream
 		swept, fetch bool // what the query must have done
 	}{
-		{"default", nil, true, true},
-		{"stream", []SDOption{WithStreamOnly()}, false, true},
-		{"sweep", []SDOption{WithAccessCost(SweepOnly)}, true, false},
+		{"default", nil, false, true, false},
+		{"stream", []SDOption{WithStreamOnly()}, false, false, true},
+		{"sweep", []SDOption{WithStreamOnly()}, true, true, false},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			idx, err := NewSDIndex(data, allocRoles(), mode.opts...)
@@ -61,6 +63,9 @@ func TestTopKAppendZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			q := allocQuery()
+			if mode.zero {
+				q.Weights = make([]float64, len(q.Weights))
+			}
 			_, st, err := idx.TopKWithStats(q)
 			if err != nil {
 				t.Fatal(err)

@@ -134,17 +134,18 @@ type QueryStats struct {
 	// sustained insert traffic grows it until the background compactor folds
 	// the stack back down.
 	Segments int
-	// Fetched counts sorted-access emissions across all subproblems.
+	// Fetched counts sorted-access emissions across all subproblems: 0 on
+	// every index the public constructors build, which sweep instead of
+	// streaming.
 	Fetched int
 	// Scored counts distinct points whose exact score the query computed —
-	// by random access after a sorted access surfaced them, or by a sweep,
-	// which scores only the blocks of a segment it cannot skip.
+	// by a sweep, which scores only the blocks of a segment it cannot skip,
+	// or by random access after a sorted access surfaced them.
 	Scored int
-	// Swept counts the rows sweeps settled in sealed segments' columns
-	// instead of streaming them — scored, or skipped with their block — and
-	// SweptSegments the number of segments the planner finished that way:
-	// "stream or sweep?" for this query (see the package documentation's
-	// Performance section).
+	// Swept counts the live rows of the sealed segments the query swept —
+	// scored, or skipped with their block — and SweptSegments how many
+	// segments that was: every sealed segment, since each is answered by one
+	// zone sweep (see the package documentation's Performance section).
 	Swept         int
 	SweptSegments int
 	// BlocksBounded counts the 128-row blocks of swept segments whose box

@@ -255,7 +255,7 @@ func BenchmarkInsertSDIndex(b *testing.B) {
 	}
 }
 
-// --- Sweep or stream: where the planner's two plans cross ---------------
+// --- Stream or zone sweep: the §5 streams against the served plan --------
 
 // clusteredData draws n rows from 16 Gaussian clusters (σ = 0.05) clipped to
 // the unit cube — the shape of the served benchmark workloads, where the
@@ -275,27 +275,23 @@ func clusteredData(n, dims int, seed int64) [][]float64 {
 	return data
 }
 
-// BenchmarkPlannerCrossover maps the planner's decision: every cell runs the
-// same queries on a stream-pinned engine, a sweep-only engine and the
-// default (planning) engine, so the three ns/op sit side by side with the
-// work counters that explain them. The default must track the cheaper of the
-// other two everywhere; DefaultAccessCost (internal/core/sweep.go) is derived
-// from this benchmark's stream ns per fetched access and sweep ns per row.
-// The 2-dimensional cell is the stream's home ground — one pair tree, a deep
-// prune — and the planner must still stream there. The 4-dimensional cells
-// (two pair trees) are where the streams sweep the fewest rows per query short
-// of 2-d, so they show what the stream costs there next to the sweep.
-func BenchmarkPlannerCrossover(b *testing.B) {
+// BenchmarkStreamVsZone maps the §5 streams against the zone sweep every
+// public index answers with: every cell runs the same queries on a
+// stream-pinned engine and on a default one, so the two ns/op sit side by
+// side with the work counters that explain them. The 2-dimensional cells are
+// the stream's home ground — one pair tree, a deep prune — where it still
+// wins (ROADMAP item 1); the 4-dimensional cells (two pair trees) are where
+// the streams sweep the fewest rows per query short of 2-d.
+func BenchmarkStreamVsZone(b *testing.B) {
 	type plan struct {
 		name string
 		opts []SDOption
 	}
 	plans := []plan{
 		{"stream", []SDOption{WithStreamOnly()}},
-		{"sweep", []SDOption{WithAccessCost(SweepOnly)}},
-		{"default", nil},
+		{"zone", nil},
 	}
-	cell := func(b *testing.B, data [][]float64, roles []Role, ks []int, mustStream bool) {
+	cell := func(b *testing.B, data [][]float64, roles []Role, ks []int) {
 		for _, pl := range plans {
 			idx, err := NewSDIndex(data, roles, pl.opts...)
 			if err != nil {
@@ -305,17 +301,14 @@ func BenchmarkPlannerCrossover(b *testing.B) {
 				b.Run(fmt.Sprintf("k=%d/%s", k, pl.name), func(b *testing.B) {
 					queries := benchQueriesK(64, 2, roles, k)
 					var buf []Result
-					var fetched, swept int
+					var fetched, scored int
 					for _, q := range queries { // warm pools, count the work once
 						_, st, err := idx.TopKWithStats(q)
 						if err != nil {
 							b.Fatal(err)
 						}
 						fetched += st.Fetched
-						swept += st.Swept
-					}
-					if mustStream && pl.name == "default" && swept > 0 {
-						b.Fatalf("planner swept %d rows where the stream wins", swept)
+						scored += st.Scored
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
@@ -324,7 +317,7 @@ func BenchmarkPlannerCrossover(b *testing.B) {
 						}
 					}
 					b.ReportMetric(float64(fetched)/float64(len(queries)), "fetched/op")
-					b.ReportMetric(float64(swept)/float64(len(queries)), "swept/op")
+					b.ReportMetric(float64(scored)/float64(len(queries)), "scored/op")
 				})
 			}
 		}
@@ -336,16 +329,20 @@ func BenchmarkPlannerCrossover(b *testing.B) {
 				if dist == "clustered" {
 					data = clusteredData(n, 6, 1)
 				}
-				cell(b, data, benchRoles, []int{1, 5, 50}, false)
+				cell(b, data, benchRoles, []int{1, 5, 50})
 			})
 		}
 	}
+	twoD := []Role{Repulsive, Attractive}
 	b.Run("uniform-2d/n=10000", func(b *testing.B) {
-		cell(b, dataset.Generate(dataset.Uniform, 10_000, 2, 1), []Role{Repulsive, Attractive}, []int{5}, true)
+		cell(b, dataset.Generate(dataset.Uniform, 10_000, 2, 1), twoD, []int{5})
+	})
+	b.Run("uniform-2d/n=1000000", func(b *testing.B) {
+		cell(b, dataset.Generate(dataset.Uniform, 1_000_000, 2, 1), twoD, []int{1, 5, 50})
 	})
 	for _, n := range []int{50_000, 200_000} {
 		b.Run(fmt.Sprintf("uniform-4d/n=%d", n), func(b *testing.B) {
-			cell(b, dataset.Generate(dataset.Uniform, n, 4, 1), []Role{Repulsive, Attractive, Repulsive, Attractive}, []int{5}, false)
+			cell(b, dataset.Generate(dataset.Uniform, n, 4, 1), []Role{Repulsive, Attractive, Repulsive, Attractive}, []int{5})
 		})
 	}
 }

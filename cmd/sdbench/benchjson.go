@@ -82,12 +82,11 @@ type workloadJSON struct {
 	ScoredMean      float64 `json:"scored_mean,omitempty"`
 	SubproblemsMean float64 `json:"subproblems_mean,omitempty"`
 	RoundsMean      float64 `json:"rounds_mean,omitempty"`
-	// SweptMean is the rows sweeps of sealed segments settled instead of
-	// their streams (scored, or skipped with their block), and
-	// SweptSegmentsMean the number of segments per query the planner
-	// finished that way: stream or sweep, per workload. BlocksBoundedMean
-	// and BlocksSkippedMean are the zone sweep's blocks bounded and skipped
-	// per query. All are absent on workloads that only stream.
+	// SweptMean is the live rows of the sealed segments a query swept
+	// (scored, or skipped with their block), and SweptSegmentsMean how many
+	// segments per query that was. BlocksBoundedMean and BlocksSkippedMean
+	// are the zone sweep's blocks bounded and skipped per query. All are
+	// absent on workloads that only stream.
 	SweptMean         float64 `json:"swept_mean,omitempty"`
 	SweptSegmentsMean float64 `json:"swept_segments_mean,omitempty"`
 	BlocksBoundedMean float64 `json:"blocks_bounded_mean,omitempty"`

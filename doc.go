@@ -208,60 +208,41 @@
 //
 // # Performance
 //
-// A query is snapshotted, planned, scheduled — streamed or swept, segment
-// by segment — and batch-executed. The snapshot is one atomic load (see
-// above). The planner resolves the query's shape (active dimensions, roles,
-// zero weights) to the surviving subproblem set, one O(d) pass per query
-// into its pooled context; a query whose weights are all zero binds no
-// stream and sweeps every segment, answering the k lowest live IDs at score
-// 0. The repulsive↔attractive bijection is the paper's, fixed at build
-// time: the in-order zip of the two role lists, one pair tree per pair and
-// a sorted list per leftover dimension.
-//
-// The Threshold-Algorithm aggregation is driven by a bound-driven
-// scheduler: each step bulk-fetches from the subproblem — across every
-// sealed segment — whose frontier bound is falling fastest per sorted
-// access, with sibling bounds, float pads, and retirement tracked per
-// segment and the termination threshold re-checked after every batch. It
-// is the only schedule: any access order returns the same answer, so the
-// engine keeps the cheapest it has measured (the paper's fixed rotation
-// took ~16% more sorted accesses on the default 50k × 6 workload). Every
-// subproblem implements a bulk fetch that drains whole runs and returns its
-// post-batch frontier bound for free. Answers are byte-identical to the scan
-// oracle (property-tested and fuzzed).
-//
-// Streaming is not always the cheaper exact plan: a sorted access costs as
-// much as sweeping on the order of a hundred rows of a segment's contiguous
-// columns, so the engine chooses per segment and per query. A segment whose
-// sweep costs no more than probing the plan's streams is swept up front,
-// like the memtable (and sealed without an index when that holds for every
-// plan — about a thousand rows); any other segment is streamed, and the
-// scheduler retires it into one sweep as soon as what its streams have
-// spent plus what they are predicted to still need exceeds the sweep's
-// cost, or the spend alone reaches it. A query therefore pays at most
-// probe + sweep where the sweep wins, at most twice the cheaper plan where
-// the prediction errs, and exactly the stream where the stream wins; no
-// state is carried across queries and answers are byte-identical either
-// way. There is no option to set, and BenchmarkPlannerCrossover maps where
-// the two plans cross.
+// A query is snapshotted, planned and swept. The snapshot is one atomic
+// load (see above). The plan resolves the query's shape (active dimensions,
+// roles, zero weights) to the signed weights of the score kernel, one O(d)
+// pass per query into its pooled context. Then the memtable's rows and
+// every sealed segment are swept exactly by one column kernel
+// (simd.ScoreCols); a query whose weights are all zero scores every row +0
+// and answers the k lowest live IDs.
 //
 // A segment sweep is zone-mapped. Every sealed segment keeps its rows
 // STR-tiled (Sort-Tile-Recursive) in 128-row blocks with a min/max box
-// each — derived state like the trees, rebuilt at every seal and at load,
-// never written to a file, which keeps ID order. The sweep bounds every
-// block by its box (BRS's per-rectangle bound) and scores blocks best bound
-// first until the best bound left falls below the prune line, so on a large
-// segment it scores a few thousand rows where it settles a million. The
-// planner still prices a sweep at the segment's row count, an upper bound.
-// QueryStats names the work: Fetched counts sorted accesses only, Scored
-// every row whose exact score was computed however it was reached, Swept
-// the rows segment sweeps settled (scored, or skipped with their block),
-// BlocksBounded and BlocksSkipped the blocks they bounded and skipped, and
-// SweptSegments the segments finished by a sweep.
+// each — derived state, rebuilt at every seal and at load, never written to
+// a file, which keeps ID order. The sweep bounds every block by its box
+// (BRS's per-rectangle bound) and scores blocks best bound first until the
+// best bound left falls below the prune line, so on a large segment it
+// scores a few thousand rows of a million. QueryStats names the work: Scored
+// counts every row whose exact score was computed, Swept the live rows of
+// the swept segments (scored, or skipped with their block), BlocksBounded
+// and BlocksSkipped the blocks bounded and skipped, and SweptSegments the
+// segments swept — every one. Fetched, Subproblems and Rounds count the §5
+// streams' work and read 0.
 //
-// All per-query state — weights, bounds, descent rates, emission buffers,
-// the sweep's block scratch, the seen bitset, stream cursors and heaps, the
-// result collector, the plan — lives in the index's sync.Pool
+// The paper's §5 aggregation — a §4 pair tree per pair of the in-order zip
+// of repulsive and attractive dimensions, a sorted list per leftover
+// dimension, and a bound-driven Threshold-Algorithm scheduler over them —
+// is kept as the reproduction's engine: cmd/sdbench's figures build it, and
+// the differential suites hold it to the scan oracle. The served index
+// seals no trees. At 1M uniform 6-d rows the zone sweep answers in about
+// 0.24 ms on one core of the 2-vCPU box the numbers here come from, less
+// than half of what a stream probe before it cost; only at 2 dimensions,
+// where one pair tree prunes deep, do the streams still win
+// (BenchmarkStreamVsZone maps both). Answers are byte-identical to the scan
+// oracle either way (property-tested and fuzzed).
+//
+// All per-query state — weights, the sweep's block bounds, heap and
+// scratch, the result collector, the plan — lives in the index's sync.Pool
 // contexts. SDIndex.TopKAppend appends results into a caller-reused buffer;
 // on a compacted index (empty memtable — the steady state background
 // compaction converges to), and over a WithShards stack alike, it performs
@@ -270,16 +251,16 @@
 // forms allocate only the returned slice, and BatchTopK only its answer
 // plus a constant handful of objects per call.
 //
-// Below the scheduler, sealed segments and the memtable store their
-// coordinates in dimension-major columns and every bulk scoring site —
-// packed leaf scans, random-access rescores, segment and memtable sweeps,
-// which share one kernel (simd.ScoreCols) — runs through 8-wide unrolled
-// kernels over those columns (internal/simd). The columns
+// Sealed segments and the memtable store their coordinates in
+// dimension-major columns, and every bulk scoring site — segment and
+// memtable sweeps, which share one kernel (simd.ScoreCols), and the
+// streams' packed leaf scans and random-access rescores — runs through
+// 8-wide unrolled kernels over those columns (internal/simd). The columns
 // are float64 only: a float32 sweep copy measured 1.1–1.55× slower in every
 // cell, because the sweep is compute-bound, and was retired.
 //
-// A query is never split across goroutines: one scheduler loop walks every
-// sealed segment's frontiers, so QueryStats is a pure function of the query
+// A query is never split across goroutines: one loop sweeps every sealed
+// segment in turn, so QueryStats is a pure function of the query
 // and the snapshot, counter by counter, on every configuration — an index
 // built with NewShardedIndex counts exactly what NewSDIndex with the same
 // WithShards counts, and a served stats request repeats byte for byte.

@@ -26,21 +26,22 @@ func TestDifferentialScan(t *testing.T) {
 	})
 }
 
-// plannerModes are the three ways the sweep-or-stream planner can take a
-// segment, each forced in turn so every SD-Index configuration is held to
-// the oracle on all of them: the workloads are far too small for the default
-// planner to ever stream (every segment is swept up front, most are sealed
-// without an index), so pure streaming is pinned explicitly, and an access
-// cost of 2 rows makes even these segments worth probing and then, on about
-// two queries in three, retiring mid-stream — after the streams have already
-// added points to the collector.
-var plannerModes = []struct {
+// sdModes are the ways a segment can be answered, each forced in turn
+// so every SD-Index configuration is held to the oracle on all of them: the
+// default zone-sweeps every segment and builds no trees, so pure streaming
+// is pinned explicitly. The third mode keeps its historical name (it forced
+// the retired mid-stream hand-over from streams to a sweep): it streams with
+// compaction off, so every row the update phase inserts stays in the
+// memtable, whose sweep seeds the collector before the first sorted access
+// and puts the streams' first-emission prune to work from the start. The
+// names are kept so every cell's subtests keep theirs.
+var sdModes = []struct {
 	name string
 	opts []sdquery.SDOption
 }{
 	{"stream", []sdquery.SDOption{sdquery.WithStreamOnly()}},
 	{"default", nil},
-	{"bailout", []sdquery.SDOption{sdquery.WithAccessCost(2)}},
+	{"bailout", []sdquery.SDOption{sdquery.WithStreamOnly(), sdquery.WithCompaction(false)}},
 }
 
 // builder makes the SD-Index under test from a dataset and an option list.
@@ -51,21 +52,21 @@ func newSDIndex(data [][]float64, roles []sdquery.Role, opts ...sdquery.SDOption
 }
 
 // runSDIndex runs the oracle workloads against one SD-Index configuration
-// under every planner mode.
+// under every mode.
 func runSDIndex(t *testing.T, name string, opts ...sdquery.SDOption) {
 	runBuilt(t, name, newSDIndex, opts...)
 }
 
 // runBuilt is runSDIndex over the indexes build makes.
 func runBuilt(t *testing.T, name string, build builder, opts ...sdquery.SDOption) {
-	for mode := range plannerModes {
+	for mode := range sdModes {
 		runSDIndexMode(t, name, mode, build, opts...)
 	}
 }
 
-// runSDIndexMode is runBuilt for one planner mode.
+// runSDIndexMode is runBuilt for one mode.
 func runSDIndexMode(t *testing.T, name string, mode int, build builder, opts ...sdquery.SDOption) {
-	m := plannerModes[mode]
+	m := sdModes[mode]
 	all := append(append([]sdquery.SDOption(nil), opts...), m.opts...)
 	t.Run(m.name, func(t *testing.T) {
 		enginetest.Run(t, enginetest.Factory{
@@ -301,8 +302,8 @@ func viaBatch(build builder) builder {
 // segments stay, tombstones and memtable rows pile up) or churns (a 4-row
 // memtable: every few inserts seal, fold and re-split under the segment
 // cap). Answers must stay byte-identical to the oracle in every cell. The
-// planner mode rotates with the cell, so that each segment count, and each
-// (workers, stack) pair, meets all three modes without the grid tripling.
+// mode rotates with the cell, so that each segment count, and each
+// (workers, stack) pair, meets every mode without the grid tripling.
 // The remaining tests pin the corners the grid does not reach: a
 // five-segment stack loaded from a float32-width file, batched (every mode;
 // the cell's name is historical, from the retired round-robin scheduler it
@@ -321,7 +322,7 @@ func TestDifferentialSDIndexParallel(t *testing.T) {
 			}{{"static", nil}, {"churn", []sdquery.SDOption{sdquery.WithMemtableSize(4)}}} {
 				opts := append([]sdquery.SDOption{sdquery.WithShards(segs)}, workers.opts...)
 				opts = append(opts, stack.opts...)
-				mode := cell % len(plannerModes)
+				mode := cell % len(sdModes)
 				cell++
 				t.Run(fmt.Sprintf("segments=%d/%s/%s", segs, workers.name, stack.name), func(t *testing.T) {
 					runSDIndexMode(t, "sdindex-parallel", mode, workers.build, opts...)

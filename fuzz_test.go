@@ -94,10 +94,10 @@ func fuzzDataset(seed int64, n, dims int) ([][]float64, []sdquery.Role) {
 // guided inputs force seals, folds, and tombstone masking through the
 // background compactor) under an interleaved insert/remove/query stream,
 // with a snapshot pinned mid-churn, on a one-segment sequential index and
-// on twins including a multi-segment one with workers and one whose
-// memtable is never sealed. Every live answer
-// must match the oracle over the current row set; the pinned snapshot must
-// keep matching the oracle frozen at its acquisition.
+// on three twins: one pinned to streaming, a multi-segment one with workers
+// and one whose memtable is never sealed. Every live answer must match the
+// oracle over the current row set; the pinned snapshot must keep matching
+// the oracle frozen at its acquisition.
 func FuzzTopKChurn(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(3), uint8(5), int64(2), uint8(30))
 	f.Add(int64(9), uint8(60), uint8(5), uint8(2), int64(3), uint8(80))
@@ -112,13 +112,12 @@ func FuzzTopKChurn(f *testing.F) {
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
-		// A planner twin: an access cost of 2 rows makes these tiny segments
-		// worth streaming and then retiring into a sweep mid-query, so the
-		// hand-over from streams to sweep runs under churn too.
-		idxBail, err := sdquery.NewSDIndex(data, roles,
-			sdquery.WithMemtableSize(4), sdquery.WithAccessCost(2))
+		// A stream-pinned twin: every seal under the churn builds trees and
+		// lists, and every query streams them.
+		idxStream, err := sdquery.NewSDIndex(data, roles,
+			sdquery.WithMemtableSize(4), sdquery.WithStreamOnly())
 		if err != nil {
-			t.Fatalf("build bail-out: %v", err)
+			t.Fatalf("build stream-only: %v", err)
 		}
 		// A segmented twin with batch workers: the same churn over a
 		// three-segment stack the compactor keeps re-splitting under its
@@ -141,7 +140,7 @@ func FuzzTopKChurn(f *testing.F) {
 		twins := []struct {
 			name string
 			idx  *sdquery.SDIndex
-		}{{"bail-out", idxBail}, {"segmented", idxSeg}, {"compaction-off", idxMem}}
+		}{{"stream-only", idxStream}, {"segmented", idxSeg}, {"compaction-off", idxMem}}
 		mirror := append([][]float64(nil), data...)
 		dead := make([]bool, len(mirror))
 
@@ -283,17 +282,11 @@ func FuzzTopK(f *testing.F) {
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
-		// The planner's other two ways through a segment: these datasets are
-		// so small the default sweeps them outright, so one twin is pinned to
-		// pure streaming and one (access cost 2 rows) probes and then retires
-		// its streams into a sweep mid-query.
+		// The other way through a segment: the default zone-sweeps every
+		// segment, so a twin is pinned to pure streaming.
 		idxStream, err := sdquery.NewSDIndex(data, roles, sdquery.WithStreamOnly())
 		if err != nil {
 			t.Fatalf("build stream-only: %v", err)
-		}
-		idxBail, err := sdquery.NewSDIndex(data, roles, sdquery.WithAccessCost(2))
-		if err != nil {
-			t.Fatalf("build bail-out: %v", err)
 		}
 		oracle, err := sdquery.NewScan(data)
 		if err != nil {
@@ -341,7 +334,7 @@ func FuzzTopK(f *testing.F) {
 		for _, eng := range []struct {
 			name string
 			idx  *sdquery.SDIndex
-		}{{"sdindex", idx}, {"sdindex-stream", idxStream}, {"sdindex-bail-out", idxBail}} {
+		}{{"sdindex", idx}, {"sdindex-stream", idxStream}} {
 			got, err := eng.idx.TopK(q)
 			if err != nil {
 				t.Fatalf("%s: %v", eng.name, err)

@@ -52,22 +52,39 @@ func (e *Engine) TopK(spec query.Spec) ([]query.Result, error) {
 			signed[d] = -spec.Weights[d]
 		}
 	}
-	q := spec.Point[:e.dims]
+	q := spec.Point[:len(signed)]
 	// Scan iterates in ID order, so insertion-order tie-breaking already is
 	// ascending-ID tie-breaking; the explicit order documents the contract
 	// every other engine is held to. A row strictly below the k-th best
-	// cannot enter, so it skips the collector.
+	// cannot enter, so it skips the collector. Rows are scored two at a
+	// time — two independent sums, each still accumulated left to right —
+	// and offered in ID order.
 	collector := pq.NewTopKOrdered[int](spec.K, func(a, b int) bool { return a < b })
 	line := math.Inf(-1)
-	for i, p := range e.data {
-		p = p[:e.dims]
+	offer := func(i int, score float64) {
+		if score >= line && collector.Add(i, score) {
+			line = collector.Threshold()
+		}
+	}
+	rows := e.data
+	i := 0
+	for ; i+1 < len(rows); i += 2 {
+		p0, p1 := rows[i][:len(signed)], rows[i+1][:len(signed)]
+		var s0, s1 float64
+		for d, w := range signed {
+			s0 += w * math.Abs(p0[d]-q[d])
+			s1 += w * math.Abs(p1[d]-q[d])
+		}
+		offer(i, s0)
+		offer(i+1, s1)
+	}
+	if i < len(rows) {
+		p := rows[i][:len(signed)]
 		var score float64
 		for d, w := range signed {
 			score += w * math.Abs(p[d]-q[d])
 		}
-		if score >= line && collector.Add(i, score) {
-			line = collector.Threshold()
-		}
+		offer(i, score)
 	}
 	scored := collector.Results()
 	out := make([]query.Result, len(scored))

@@ -2,6 +2,8 @@ package scan
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/query"
@@ -64,5 +66,72 @@ func TestScanEmptyAndKOverflow(t *testing.T) {
 	}
 	if len(res) != 2 {
 		t.Fatalf("k>n returned %d, want 2", len(res))
+	}
+}
+
+// TestScanMatchesSpecScore holds the scan to query.Spec.Score bit for bit,
+// at every parity of the two-rows-per-iteration loop (n ∈ {0, 1, 2, 3,
+// 1001}): rows mix ±0, denormals, ±1e150 and repeated values, so exact ties
+// straddle the k-th rank, and the answer must be the k best rows by
+// (score descending, ID ascending) with every score's bits equal to
+// Spec.Score's.
+func TestScanMatchesSpecScore(t *testing.T) {
+	const dims = 4
+	rng := rand.New(rand.NewSource(11))
+	values := []float64{0, math.Copysign(0, -1), 0x1p-1060, -0x1p-1070, 1e150, -1e150, 0.5, 0.25}
+	roles := []query.Role{query.Repulsive, query.Attractive, query.Ignored, query.Attractive}
+	for _, n := range []int{0, 1, 2, 3, 1001} {
+		data := make([][]float64, n)
+		for i := range data {
+			data[i] = make([]float64, dims)
+			for d := range data[i] {
+				if rng.Intn(2) == 0 {
+					data[i][d] = values[rng.Intn(len(values))]
+				} else {
+					data[i][d] = rng.Float64()
+				}
+			}
+		}
+		e, err := New(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi := 0; qi < 20; qi++ {
+			spec := query.Spec{
+				Point:   make([]float64, dims),
+				K:       1 + rng.Intn(n+2),
+				Roles:   roles,
+				Weights: make([]float64, dims),
+			}
+			for d := range spec.Point {
+				spec.Point[d] = values[rng.Intn(len(values))]
+				spec.Weights[d] = []float64{0, 1, 1e150, rng.Float64()}[rng.Intn(4)]
+			}
+			want := make([]query.Result, n)
+			for i, p := range data {
+				want[i] = query.Result{ID: i, Score: spec.Score(p)}
+			}
+			sort.SliceStable(want, func(a, b int) bool { return want[a].Score > want[b].Score })
+			want = want[:min(spec.K, n)]
+			got, err := e.TopK(spec)
+			if n == 0 {
+				if err == nil { // no rows, no dimensionality: every query is refused
+					t.Fatalf("empty scan answered a %d-d query: %v", dims, got)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("n=%d query %d: %d results, want %d", n, qi, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Fatalf("n=%d query %d rank %d: (%d, %v), Spec.Score gives (%d, %v)",
+						n, qi, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
+				}
+			}
+		}
 	}
 }

@@ -99,9 +99,9 @@ func runQueries(eng engine, specs []query.Spec) float64 {
 
 // streamOnly pins every engine this package builds to pure streaming: the
 // figures and ablations reproduce the paper's index — sorted accesses against
-// baselines' — and the served engine's sweep-or-stream planner would answer
-// most of their reduced-scale datasets with a column sweep instead.
-var streamOnly = core.RuntimeOptions{AccessCost: core.StreamOnly}
+// baselines' — and the served engine answers every segment with a zone sweep
+// of its columns instead.
+var streamOnly = core.RuntimeOptions{StreamOnly: true}
 
 // newSDEngine builds the SD-Index with the engine's tree defaults (branching
 // 8, 64-point packed leaves, the five §6.1 angles), streaming only.

@@ -9,16 +9,19 @@
 // the sum of the per-subproblem frontier bounds.
 //
 // Storage architecture: the engine is an epoch-versioned stack of immutable
-// sealed segments — column data, per-pair trees, sorted lists, built once and
-// never mutated — plus a small mutable memtable absorbing recent Inserts.
-// Queries acquire a copy-on-write snapshot with one atomic load and hold no
-// lock at all: every sealed segment contributes its subproblem streams to
-// the §5 aggregation (tombstones mask removed rows at emission), and the
-// memtable's few rows are scored exactly up front. A background compactor
-// seals the memtable into a segment past a size threshold and folds small
-// segments together, amortizing tree builds off both the query and the
-// insert path. Sealed segments serialize to a versioned binary format
-// (Save / Load), so a persisted index restarts without rebuilding.
+// sealed segments — STR-tiled column data with a min/max box per block,
+// built once and never mutated — plus a small mutable memtable absorbing
+// recent Inserts. Queries acquire a copy-on-write snapshot with one atomic
+// load and hold no lock at all: the memtable's few rows are scored exactly
+// up front, and every sealed segment is answered by one zone sweep that
+// skips whole blocks by their box bound (sweep.go; tombstones mask removed
+// rows). Under RuntimeOptions.StreamOnly every seal also builds the per-pair
+// trees and sorted lists, and every segment contributes its subproblem
+// streams to the §5 aggregation instead. A background compactor seals the
+// memtable into a segment past a size threshold and folds small segments
+// together, amortizing seals off both the query and the insert path. Sealed
+// segments serialize to a versioned binary format (Save / Load), so a
+// persisted index restarts without re-ingesting its rows.
 //
 // The granularity of the subproblems — two dimensions instead of TA's one —
 // is the source of the paper's reported speedups and dimension scalability.
@@ -94,20 +97,16 @@ type RuntimeOptions struct {
 	// runs over the whole stack on its caller's goroutine. A loaded file's own
 	// stack loads as saved and compaction reshapes it from there.
 	Segments int
-	// AccessCost overrides the sweep-or-stream planner's one unit cost — the
-	// price of a sorted access in swept rows (DefaultAccessCost). No public
-	// option sets it: 0, what every user-facing constructor passes, selects
-	// the measured constant. StreamOnly pins pure streaming — no segment a
-	// query can stream is swept and every seal builds its index — for the
+	// StreamOnly answers every sealed segment with the §5 aggregation over its
+	// pair trees and lone-dimension lists instead of a zone sweep, and makes
+	// every seal build them. No public option sets it: the served engine
+	// zone-sweeps every segment (sweep.go) and builds no trees. It is for the
 	// paper-figure engines of internal/bench and the stream halves of the
-	// differential suites, whose datasets are all small enough that the
-	// planner would sweep them and leave the streams without coverage. A
-	// positive value is for tests that need bail-outs on tiny data.
-	AccessCost int
+	// differential suites.
+	StreamOnly bool
 }
 
-// apply validates the knobs and sets them on e, defaulting the memtable size
-// and resolving the access cost.
+// apply validates the knobs and sets them on e, defaulting the memtable size.
 func (opt RuntimeOptions) apply(e *Engine) error {
 	if opt.Segments < 0 {
 		return fmt.Errorf("negative segment count %d", opt.Segments)
@@ -118,7 +117,7 @@ func (opt RuntimeOptions) apply(e *Engine) error {
 	}
 	e.noCompact = opt.DisableCompaction
 	e.segments = opt.Segments
-	e.accessCost = resolveAccessCost(opt.AccessCost)
+	e.streamOnly = opt.StreamOnly
 	return nil
 }
 
@@ -147,8 +146,8 @@ type Engine struct {
 	memSize     int
 	noCompact   bool
 
-	segments   int // large sealed segments to keep (segCap); ≤ 1 = unbounded
-	accessCost int // a sorted access in swept rows; 0 = never sweep (scheduler.go)
+	segments   int  // large sealed segments to keep (segCap); ≤ 1 = unbounded
+	streamOnly bool // stream every segment instead of zone-sweeping it (sweep.go)
 
 	// sweptHook, when set, runs after every completed segment sweep: a test
 	// seam (TestCancelMidSweep cancels a query between two sweeps with it),
@@ -356,12 +355,12 @@ type Stats struct {
 	// Memtable rows are always scored; a sealed segment's sweep scores only
 	// the live rows of the blocks it did not skip.
 	Scored int
-	// Swept counts the live rows sweeps of sealed segments settled instead
-	// of their streams — scored, or skipped with their block — and
-	// SweptSegments the number of segments the planner finished that way, up
-	// front or by retiring their streams mid-query (scheduler.go). Swept is
-	// the planner's unit: it reads the same whether a sweep skipped blocks or
-	// not. Both are 0 on a pure-stream engine.
+	// Swept counts the live rows of the sealed segments the query swept —
+	// every live row of each, scored or skipped with its block — and
+	// SweptSegments how many segments that was: every one on a default
+	// engine, only those of a plan that binds no stream (every weight zero)
+	// under StreamOnly. Swept is the segment's live row count however many
+	// blocks the sweep skipped; Scored and BlocksSkipped say how many it did.
 	Swept         int
 	SweptSegments int
 	// BlocksBounded counts the blocks of swept segments whose box bound the

@@ -127,13 +127,12 @@ func TestAllEnginesAgreeWithScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The SD-Index three ways (sweep.go): the default plans — at these
-		// sizes, sweeps outright — one engine is pinned to pure streaming,
-		// and one is priced so that streams start and are retired mid-query.
+		// The SD-Index both ways (sweep.go): the default zone-sweeps every
+		// segment, and one engine is pinned to pure streaming.
 		tree := topk.Config{Branching: 2 + rng.Intn(7)}
-		var sdEngs [3]*Engine
-		for i, cost := range []int{0, StreamOnly, 2} {
-			if sdEngs[i], err = New(data, Config{Roles: roles, Tree: tree, RuntimeOptions: RuntimeOptions{AccessCost: cost}}); err != nil {
+		var sdEngs [2]*Engine
+		for i, streamOnly := range []bool{false, true} {
+			if sdEngs[i], err = New(data, Config{Roles: roles, Tree: tree, RuntimeOptions: RuntimeOptions{StreamOnly: streamOnly}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -144,15 +143,15 @@ func TestAllEnginesAgreeWithScan(t *testing.T) {
 			checkAgainst(t, "pe", peEng, truth, spec)
 			checkAgainst(t, "sd", sdEngs[0], truth, spec)
 			checkAgainst(t, "sd-stream", sdEngs[1], truth, spec)
-			checkAgainst(t, "sd-bail-out", sdEngs[2], truth, spec)
 		}
 	}
 }
 
 // TestTreeShapes: the §4 tree parameters of Config.Tree — fan-out, leaf
 // capacity, indexed angles — change how the pair streams descend, never what
-// the engine answers. Every shape must agree with the scan under the default
-// planner and pinned to pure streaming.
+// the engine answers. Every shape must agree with the scan, by default
+// (which builds no trees: the shape is only carried) and pinned to pure
+// streaming.
 func TestTreeShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	data := dataset.Generate(dataset.Correlated, 300, 4, 2)
@@ -178,13 +177,13 @@ func TestTreeShapes(t *testing.T) {
 		"angles9":  {Angles: angles(0, 11, 22, 33, 45, 56, 67, 79, 90)},
 	}
 	for name, tree := range shapes {
-		for _, cost := range []int{0, StreamOnly} {
-			eng, err := New(data, Config{Roles: roles, Tree: tree, RuntimeOptions: RuntimeOptions{AccessCost: cost}})
+		for _, streamOnly := range []bool{false, true} {
+			eng, err := New(data, Config{Roles: roles, Tree: tree, RuntimeOptions: RuntimeOptions{StreamOnly: streamOnly}})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			for qi := 0; qi < 10; qi++ {
-				checkAgainst(t, fmt.Sprintf("%s/cost=%d", name, cost), eng, truth, randomSpec(rng, data, roles))
+				checkAgainst(t, fmt.Sprintf("%s/stream-only=%v", name, streamOnly), eng, truth, randomSpec(rng, data, roles))
 			}
 		}
 	}
@@ -399,9 +398,9 @@ func TestBytesEstimate(t *testing.T) {
 	const n, dims = 500, 4
 	data := dataset.Generate(dataset.Uniform, n, dims, 19)
 	roles := []query.Role{query.Repulsive, query.Attractive, query.Repulsive, query.Repulsive}
-	// Stream-pinned so the 500-row segment is indexed at all: the default
-	// seals a segment this small without structures (TestSealIndexesBySize).
-	eng, err := New(data, Config{Roles: roles, RuntimeOptions: RuntimeOptions{DisableCompaction: true, AccessCost: StreamOnly}})
+	// Stream-pinned so the segment is indexed at all: the default seals
+	// without structures (TestSealIndexesBySize).
+	eng, err := New(data, Config{Roles: roles, RuntimeOptions: RuntimeOptions{DisableCompaction: true, StreamOnly: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,11 +102,9 @@ type queryCtx struct {
 	anchorB []float64 // bound at the start of the current rate window
 	sinceN  []int     // accesses accumulated in the current rate window
 
-	segSum     []float64 // per-segment Σ bounds (scheduler scratch)
-	segPad     []float64 // per-segment float-error pad
-	segDone    []bool    // segment fully enumerated (one sub exhausted) or retired
-	segFetched []int     // per-segment sorted accesses so far: the planner's spend
-	segSettled []int     // per-segment live rows the streams scored or pruned
+	segSum  []float64 // per-segment Σ bounds (scheduler scratch)
+	segPad  []float64 // per-segment float-error pad
+	segDone []bool    // segment fully enumerated (one sub exhausted) or retired
 
 	emit [maxBatch]query.Emission
 	// Candidate batch scratch: runBatch defers the emissions that survive its
@@ -118,7 +116,7 @@ type queryCtx struct {
 	sweepScore [sweepBlock]float64 // one sweep block's scores (sweep.go)
 	zoneBound  []float64           // a zone sweep's block bounds (sweep.go)
 	zoneHeap   []int32             // its best-first heap of block ordinals
-	seen       []uint64            // bitset over global dataset IDs
+	seen       []uint64            // bitset over global dataset IDs; sized and cleared only for streams
 	coll       *pq.TopK[int]
 	drain      []pq.Scored[int]
 
@@ -147,17 +145,13 @@ func (e *Engine) initCtxPool() {
 	}
 }
 
-// getCtx acquires a context sized for the given snapshot: the pooled bitset
-// covers the snapshot's whole global ID space, and the subproblem and
-// scheduler arrays cover every segment in the stack. Pooled capacity is kept
-// across queries, so in steady state (a stable segment count) nothing here
-// allocates.
+// getCtx acquires a context sized for the given snapshot: the subproblem
+// and scheduler arrays cover every segment in the stack. Pooled capacity is
+// kept across queries, so in steady state (a stable segment count) nothing
+// here allocates.
 func (e *Engine) getCtx(sn *snapshot) *queryCtx {
 	c := e.ctxPool.Get().(*queryCtx)
 	c.sn = sn
-	if need := (sn.total + 63) / 64; len(c.seen) < need {
-		c.seen = make([]uint64, need)
-	}
 	npair, ndim := len(e.layout.pairs), len(e.layout.lone)
 	nseg := len(sn.segs)
 	for len(c.pairSubs) < npair*nseg {
@@ -178,34 +172,26 @@ func (e *Engine) getCtx(sn *snapshot) *queryCtx {
 		c.segSum = make([]float64, nseg)
 		c.segPad = make([]float64, nseg)
 		c.segDone = make([]bool, nseg)
-		c.segFetched = make([]int, nseg)
-		c.segSettled = make([]int, nseg)
 	}
-	// Per-segment accumulators start every query at zero.
-	clear(c.segPad[:nseg])
-	clear(c.segFetched[:nseg])
-	clear(c.segSettled[:nseg])
+	clear(c.segPad[:nseg]) // per-segment accumulator: starts every query at zero
 	return c
 }
 
 // putCtx releases per-query resources (stream heaps back to their pool, the
-// bitset cleared) and returns the context.
+// seen bitset cleared if a stream was bound) and returns the context.
 func (e *Engine) putCtx(c *queryCtx) {
 	for i := 0; i < c.nPair; i++ {
 		c.pairSubs[i].st.Close()
+	}
+	if len(c.subs) > 0 {
+		clear(c.seen)
 	}
 	c.nPair, c.nDim = 0, 0
 	c.subs = c.subs[:0]
 	c.refs = c.refs[:0]
 	c.sn = nil
 	c.done, c.canceled = nil, false // never pin a request's Done channel
-	clear(c.seen)
 	e.ctxPool.Put(c)
-}
-
-// isSeen reports whether a stream has already surfaced a global dataset ID.
-func (c *queryCtx) isSeen(id int32) bool {
-	return c.seen[int(id)>>6]&(1<<(uint(id)&63)) != 0
 }
 
 // markSeen reports "newly seen" for a global dataset ID. Every emission's ID
@@ -224,16 +210,14 @@ func (c *queryCtx) markSeen(id int32) bool {
 // the steady-state query path performs no allocation. Results are appended
 // best-first; dst's existing elements are preserved.
 //
-// The flow is snapshot, plan, sweep, build, schedule: one atomic load
-// freezes the engine's segment stack (no lock is taken anywhere on this
-// path), the query's shape resolves to a plan (plan.go) naming the
-// surviving subproblems, the memtable's rows and the segments too small to
-// be worth streaming — every segment, when the plan binds no stream — are
-// swept exactly up front by the one column kernel (sweep.go), the plan's
-// subproblems are bound to every other sealed segment, and the bound-driven
-// scheduler (scheduler.go) drives the §5 aggregation to the exact
-// answer — finishing a segment with a sweep when its streams turn out
-// dearer than that.
+// The flow is snapshot, plan, sweep: one atomic load freezes the engine's
+// segment stack (no lock is taken anywhere on this path), the query's shape
+// resolves to a plan (plan.go), and the memtable's rows and then every
+// sealed segment are swept exactly by the one column kernel (sweep.go), the
+// segments block by block under their box bounds. Under StreamOnly the
+// plan's subproblems are bound to every sealed segment instead, and the
+// bound-driven scheduler (scheduler.go) drives the §5 aggregation to the
+// exact answer.
 func (e *Engine) TopKAppend(dst []query.Result, spec query.Spec) ([]query.Result, Stats, error) {
 	return e.topKAppendAt(e.snap.Load(), dst, spec, nil)
 }
@@ -284,17 +268,23 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 	c.sweep(cols, stride, ids, dead, spec.Point)
 	stats.Scored += len(ids) - popcount(dead)
 
-	// Sweep the segments the planner does not stream at all (sweep.go) and
-	// bind the plan's subproblems to the rest.
-	nsubs := len(c.pairs) + len(c.lone)
-	for si, seg := range sn.segs {
-		if e.sweepsFirst(seg, nsubs) {
+	// A default engine sweeps every sealed segment (sweep.go), and so does a
+	// stream-pinned one under a plan that binds no stream. Otherwise the
+	// plan's subproblems are bound to every segment, and only then does the
+	// query need the seen bitset, over the snapshot's whole global ID space.
+	if !e.streamOnly || len(c.pairs)+len(c.lone) == 0 {
+		for si := range sn.segs {
 			c.sweepSegment(si, spec.Point, &stats)
 			if c.canceled {
 				return dst, stats, ErrCanceled
 			}
-			continue
 		}
+		return c.appendResults(dst), stats, nil
+	}
+	if need := (sn.total + 63) / 64; len(c.seen) < need {
+		c.seen = make([]uint64, need)
+	}
+	for si := range sn.segs {
 		if err := c.buildSegSubs(spec, si); err != nil {
 			return dst, stats, err
 		}

@@ -4,9 +4,10 @@ package core
 // little-endian binary format and loads back bit-exactly — same answers,
 // same Bytes, same Stats. The file carries the engine's structural identity
 // (roles, the fixed subproblem layout, the tree configuration) plus every
-// segment's raw rows, global IDs, and tombstones, all in ID order; index
-// structures (trees, sorted lists) and the tiling (tile.go: the STR order,
-// byID, the block boxes) are NOT serialized but rebuilt at load, which is
+// segment's raw rows, global IDs, and tombstones, all in ID order; the
+// tiling (tile.go: the STR order, byID, the block boxes) and, on a
+// StreamOnly engine, the index structures (trees, sorted lists) are NOT
+// serialized but rebuilt at load, which is
 // deterministic: a segment's trees and tiling are a pure function of its
 // rows in ID order and the tree configuration, so the reloaded engine's
 // segment stack is structurally identical to the saved one, and a file
@@ -209,8 +210,9 @@ func (e *Engine) saveSnapshot(w io.Writer, sn *snapshot) error {
 	return bw.Flush()
 }
 
-// Load reconstructs an engine from a Save stream, rebuilding every sealed
-// segment's trees and lists deterministically from the persisted rows. The
+// Load reconstructs an engine from a Save stream, resealing every segment
+// deterministically from the persisted rows (trees and lists included only
+// under RuntimeOptions.StreamOnly). The
 // reloaded engine answers byte-identically to the one that was saved and
 // reports the same Bytes (the only state not round-tripped is runtime:
 // context-pool warmth, in-flight compaction).
@@ -342,8 +344,8 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 		var a geom.Angle
 		cr.read(&a.Alpha)
 		cr.read(&a.Beta)
-		// Trees take angles in [0°, 90°] only, and a segment too small to
-		// stream builds none, so a bad angle is caught here, not at a seal.
+		// Trees take angles in [0°, 90°] only, and a default engine's seals
+		// build none, so a bad angle is caught here, not at a seal.
 		if _, err := geom.NewAngle(a.Alpha, a.Beta); err != nil {
 			bad("indexed angle (%v, %v) outside [0°, 90°]", a.Alpha, a.Beta)
 		}

@@ -11,9 +11,9 @@ import (
 // whose frontier bound is measured to be falling fastest per access. The
 // termination threshold is re-checked after every batch, so the loop stops
 // the moment the k-th best score clears it, and the final batches are
-// clamped to the predicted accesses-to-termination. The same prediction
-// drives the sweep-or-stream planner (sweep.go): a segment whose streams
-// cost more than one sweep of its columns is finished with that sweep.
+// clamped to the predicted accesses-to-termination. The aggregation runs
+// only under RuntimeOptions.StreamOnly: a default engine sweeps every
+// segment instead (sweep.go).
 
 // Why any access order is sound — now per segment. Every subproblem emits
 // its segment's points in non-increasing contribution order, so at any
@@ -40,10 +40,10 @@ import (
 // Neither argument references the order in which frontiers were advanced —
 // only that each frontier descends — so any schedule returns the same exact
 // answer: the bound-driven one is a choice of cost, not of result (the
-// property test compares it across segment splits and planner modes, and
-// the differential harness against the scan). Bounds start from cheap
-// frontier peeks (PeekScore / Bound, no fetch) instead of +Inf, which only
-// tightens the same inequalities.
+// property test compares it across segment splits, layouts and the swept
+// plan, and the differential harness against the scan). Bounds start from
+// cheap frontier peeks (PeekScore / Bound, no fetch) instead of +Inf, which
+// only tightens the same inequalities.
 
 // RateWindow is the minimum number of sorted accesses a frontier's descent
 // rate is measured over. Longer windows smooth across plateaus of duplicate
@@ -175,7 +175,7 @@ func (c *queryCtx) runBoundDriven(qpt []float64, stats *Stats) {
 		// Once the frontier's descent rate is measured, the remaining gap
 		// between this segment's padded frontier sum and the prune line
 		// predicts how many more accesses termination needs if the frontier
-		// keeps its slope. Two decisions hang on that one estimate.
+		// keeps its slope.
 		size := bsize[best]
 		need := math.Inf(1) // predicted accesses to termination; +Inf = unknown
 		if math.IsInf(rate[best], 1) {
@@ -186,23 +186,6 @@ func (c *queryCtx) runBoundDriven(qpt []float64, stats *Stats) {
 			}
 		} else if r := rate[best]; r > 0 {
 			need = (segSum[bs] + segPad[bs] - line) / r // ≥ 0: bs survived the check above; +Inf with no line yet
-		}
-		// Sweep or stream (sweep.go): retire the segment into one sweep of
-		// its columns when what its streams have spent plus what they are
-		// predicted to still need exceeds the sweep's cost, and at the
-		// latest when the spend alone reaches it — a flat or unmeasured
-		// frontier predicts nothing, and the hard stop is what bounds the
-		// regret at twice the cheaper plan. The prediction takes the
-		// steepest frontier's word for the whole segment, so it errs toward
-		// streaming on. A batch never outruns the budget that is left.
-		if cost := c.e.accessCost; cost > 0 {
-			left := refs[best].seg.rows/cost - c.segFetched[bs] // accesses until the hard stop
-			if left <= 0 || (!math.IsInf(need, 1) && need > float64(left)) {
-				c.sweepSegment(int(bs), qpt, stats)
-				segDone[bs] = true
-				continue
-			}
-			size = min(size, left)
 		}
 		// Near termination the adaptive batch overshoots: a 64-wide drain
 		// keeps fetching after the threshold has already fallen past the
@@ -270,7 +253,7 @@ func (c *queryCtx) runBatch(i, size int, qpt []float64, pad, otherBounds float64
 	// per-emission consult. It is −Inf, which prunes nothing, until the
 	// collector holds k rows.
 	line := coll.Threshold()
-	nc, settled := 0, 0
+	nc := 0
 	for _, em := range c.emit[:n] {
 		l := seg.byID[em.ID] // streams emit ID ranks (segment.go)
 		gid := seg.ids[l]
@@ -280,7 +263,6 @@ func (c *queryCtx) runBatch(i, size int, qpt []float64, pad, otherBounds float64
 		if bitGet(ref.tomb, int(l)) {
 			continue // tombstoned: removed after this segment sealed
 		}
-		settled++ // scored below or soundly discarded: a sweep skips it
 		if em.Contrib+otherBounds+pad < line {
 			continue // cannot enter the top k, now or later
 		}
@@ -288,8 +270,6 @@ func (c *queryCtx) runBatch(i, size int, qpt []float64, pad, otherBounds float64
 		c.candGID[nc] = gid
 		nc++
 	}
-	c.segFetched[ref.ord] += n
-	c.segSettled[ref.ord] += settled
 	if nc > 0 {
 		stats.Scored += nc
 		scores := c.candScore[:nc]

@@ -61,11 +61,10 @@ type segment struct {
 	rows  int
 	boxes []float64 // block b's minima then maxima, dims each, at boxes[2*b*dims:]
 
-	// indexed is false on a segment too small to ever be streamed (see
-	// Engine.seal): it carries no trees or lists, and every query sweeps it.
-	indexed bool
-	trees   []*topk.Index   // parallel to layout.pairs
-	lists   []*dimlist.List // parallel to layout.lone
+	// trees and lists are built only by a StreamOnly engine's seals (see
+	// Engine.seal); a default engine's segments carry neither.
+	trees []*topk.Index   // parallel to layout.pairs
+	lists []*dimlist.List // parallel to layout.lone
 
 	// structBytes caches the resident size of the index structures (trees,
 	// lists); they never change after the build, so Bytes() does not re-walk
@@ -83,12 +82,11 @@ func copyRow(cols []float64, stride, local int, dst []float64) {
 	}
 }
 
-// seal builds one sealed segment under the engine's layout. A segment that
-// costs no more to sweep than a single stream costs to probe is swept by
-// every query whatever its plan (sweepsFirst), so it is sealed without
-// index structures.
+// seal builds one sealed segment under the engine's layout. Every query of a
+// default engine sweeps every segment (sweep.go), so only a StreamOnly
+// engine's seals build the trees and lists its streams need.
 func (e *Engine) seal(cols []float64, ids []int32) (*segment, error) {
-	return buildSegment(cols, ids, &e.layout, e.treeCfg, len(ids) > e.probeCost(1))
+	return buildSegment(cols, ids, &e.layout, e.treeCfg, e.streamOnly)
 }
 
 // sealAll seals n segments, segment i from the columns and IDs input(i)
@@ -144,7 +142,7 @@ func buildSegment(cols []float64, ids []int32, lo *layout, treeCfg topk.Config, 
 	if rows == 0 {
 		return nil, nil
 	}
-	s := &segment{rows: rows, maxID: ids[rows-1], indexed: indexed}
+	s := &segment{rows: rows, maxID: ids[rows-1]}
 	if !indexed {
 		s.tile(cols, ids, lo.active())
 		return s, nil

@@ -6,39 +6,9 @@ import (
 	"repro/internal/simd"
 )
 
-// Sweep or stream. A sealed segment can be answered two exact ways: by its
-// pair-tree streams under the §5 aggregation, which touch few rows but pay a
-// heap pop, a key blend and a random-access score per sorted access, or by
-// one zone-mapped sweep of its columns (below). Neither dominates — streams
-// win on large segments the prune line cuts deep into, the sweep wins
-// everywhere else — so the engine chooses per segment and per query, from
-// the numbers the scheduler already keeps, in one currency: swept rows.
-//
-//   - Sweeping segment s costs rows(s). That is an upper bound: the sweep
-//     skips every block its box bound rules out (below), which on a large
-//     segment is most of them, but the planner still prices the whole
-//     segment.
-//   - A sorted access costs accessCost rows (below).
-//   - sweepsFirst: a segment whose sweep costs no more than probing the
-//     plan's streams one rate window deep is swept up front like the
-//     memtable, before anything is bound; a segment for which that holds
-//     under every plan is sealed without an index (Engine.seal).
-//   - runBoundDriven retires a streamed segment into a sweep as soon as what
-//     its streams have spent plus what they are predicted to still need
-//     exceeds its sweep cost, and unconditionally once the spend alone
-//     reaches it.
-//
-// So a query pays, per segment, at most probe + sweep where the sweep wins,
-// at most twice the cheaper plan wherever the prediction errs, and exactly
-// the stream's cost where the stream wins. Nothing is carried across
-// queries: every choice is a function of the query and the snapshot, which
-// keeps Stats deterministic. A sweep settles exactly the rows the streams
-// had not settled, scoring them with the same per-row arithmetic as the
-// stream path's rescoring, into the same order-independent collector, so
-// answers are byte-identical whichever way each segment went.
-//
-// The zone sweep. A sealed segment's rows are STR-tiled into 128-row blocks
-// with a min/max box each (tile.go). Its sweep bounds every block by
+// One plan: every sealed segment is answered by one zone sweep of its
+// columns. A sealed segment's rows are STR-tiled into 128-row blocks with a
+// min/max box each (tile.go). Its sweep bounds every block by
 // simd.BoxBound — BRS's per-rectangle bound, padded by the query's zonePad —
 // and scores blocks best bound first, until the best bound left falls
 // strictly below the prune line: no row of a block left over can reach the
@@ -46,63 +16,27 @@ import (
 // rises. A tie at the line is still scored, for the collector's ID
 // tie-break. The walk's bounds and heap live in the pooled query context, so
 // it allocates nothing. The memtable and a segment of one block are swept
-// flat, every row.
+// flat, every row. Every row is scored with the same per-row arithmetic
+// into the same order-independent collector as on the stream path, so
+// answers are byte-identical to it and to the scan.
+//
+// Bounding a block costs about as much as scoring a few of its rows, so a
+// sweep of a large segment costs its block count plus the rows of the few
+// blocks the line does not rule out: at 1M uniform 6-d rows about 0.24 ms a
+// query, less than the first thousand sorted accesses of the §5 streams
+// cost. Only on 2-d data do the streams still win (BenchmarkStreamVsZone
+// maps both). So a default engine seals no pair trees or lone-dimension
+// lists (Engine.seal) and binds no stream. RuntimeOptions.StreamOnly keeps
+// the §5 aggregation for the paper's figures and the differential suites:
+// every segment is streamed, except under a plan that binds no stream
+// (every weight zero), which sweeps them all — with every signed weight +0
+// each row scores +0, and the collector keeps the k lowest live IDs. A
+// segment is either streamed or swept, never both, so a sweep never meets a
+// row a stream already settled.
 //
 // The memtable is held in the same dimension-major layout as a segment — one
 // column block of fixed stride, filled by Insert — so every sweep, of a
 // block, a segment or the memtable, runs one kernel: simd.ScoreCols.
-
-// DefaultAccessCost is the price of one sorted access in swept rows — the
-// planner's single tuning constant. Measured with BenchmarkPlannerCrossover
-// (6 dimensions, k ∈ {1, 5, 50}, one thread of the 2-vCPU 2.1 GHz Xeon this
-// repository is benchmarked on), which reports both sides of the ratio. A
-// sweep costs 6–10 ns per row including the threshold filter, at every size
-// from 10k to 1M rows. A sorted access — tree-heap pop, key blend, seen and
-// prune tests, gathered rescore — costs 280–540 ns in the steady state of a
-// stream over a cache-resident segment (10k–50k rows), 700–950 ns at 1M rows
-// where trees and columns miss cache, and about 1 µs in a stream's first few
-// dozen accesses, which pay for binding it and descending its cold tree: the
-// accesses the planner's up-front and early bail-out decisions price. That
-// is 40–70 rows per access at the cheap end and 100–140 everywhere the
-// decision is actually taken; rerunning the benchmark's default column at
-// 64, 96, 128 and 192 came out faster at each step on uniform data from 50k
-// to 1M rows (1M, k = 5: 11.6, 9.4, 8.4, 7.8 ms against a 6.4 ms sweep and a
-// 13.4 ms stream), with the 2-dimensional cell still streaming at all of
-// them. 128 is the measured ratio rounded to a power of two, not the fitted
-// optimum: the planner's regret is bounded for any value — a wrong one only
-// moves the crossover — and erring high is the cheaper mistake, since a
-// sweep that should have been a stream costs the ratio's error once while a
-// stream that should have been a sweep pays it on every access up to the
-// hard stop.
-const DefaultAccessCost = 128
-
-// StreamOnly is the Config.AccessCost that pins pure streaming.
-const StreamOnly = -1
-
-// resolveAccessCost maps Config.AccessCost to the engine's cost: StreamOnly
-// (any negative value) turns the planner off, 0 selects DefaultAccessCost.
-func resolveAccessCost(cfg int) int {
-	switch {
-	case cfg < 0:
-		return 0
-	case cfg == 0:
-		return DefaultAccessCost
-	}
-	return cfg
-}
-
-// probeCost is what probing nsubs streams one rate window deep costs, in
-// swept rows — the least a segment's streams can spend before the scheduler
-// knows anything about them.
-func (e *Engine) probeCost(nsubs int) int { return nsubs * RateWindow * e.accessCost }
-
-// sweepsFirst reports whether a segment is swept before any of the plan's
-// nsubs streams is bound to it. A plan with no stream to bind (every weight
-// zero) sweeps every segment, under any access cost: with every signed weight
-// +0 each row scores +0, and the collector keeps the k lowest live IDs.
-func (e *Engine) sweepsFirst(seg *segment, nsubs int) bool {
-	return !seg.indexed || nsubs == 0 || seg.rows <= e.probeCost(nsubs)
-}
 
 const (
 	// sweepBlock rows are scored per kernel call into pooled scratch: 4 KB
@@ -115,11 +49,10 @@ const (
 	zonePollBlocks = sweepPollBlocks * sweepBlock / blockRows
 )
 
-// sweep scores every live row of one layer that the streams have not already
-// settled, exactly and block by block, into the collector. The layer is the
-// memtable or a sealed segment of one block, both dimension-major column
-// blocks: cols with column stride stride, ids and dead its global IDs and
-// tombstones.
+// sweep scores every live row of one layer, exactly and block by block, into
+// the collector. The layer is the memtable or a sealed segment of one block,
+// both dimension-major column blocks: cols with column stride stride, ids
+// and dead its global IDs and tombstones.
 func (c *queryCtx) sweep(cols []float64, stride int, ids []int32, dead []uint64, qpt []float64) {
 	for base, blk := 0, 1; base < len(ids); base, blk = base+sweepBlock, blk+1 {
 		if blk%sweepPollBlocks == 0 && c.pollCancel() {
@@ -132,8 +65,8 @@ func (c *queryCtx) sweep(cols []float64, stride int, ids []int32, dead []uint64,
 // sweepRows scores rows [lo, hi) of a layer — at most sweepBlock of them —
 // with one kernel call into the collector. Rows below the prune line are
 // dropped on the score alone (strictly below: a tie at the k-th rank still
-// reaches the collector's ID tie-break), so tombstones and the seen bitset
-// are consulted only for the few rows that could enter the top k.
+// reaches the collector's ID tie-break), so tombstones are consulted only for
+// the few rows that could enter the top k.
 func (c *queryCtx) sweepRows(cols []float64, stride int, ids []int32, dead []uint64, lo, hi int, qpt []float64) {
 	coll := c.coll
 	scores := c.sweepScore[:hi-lo]
@@ -144,7 +77,7 @@ func (c *queryCtx) sweepRows(cols []float64, stride int, ids []int32, dead []uin
 			continue
 		}
 		l := lo + j
-		if bitGet(dead, l) || c.isSeen(ids[l]) {
+		if bitGet(dead, l) {
 			continue
 		}
 		if coll.Add(int(ids[l]), sc) {
@@ -153,13 +86,12 @@ func (c *queryCtx) sweepRows(cols []float64, stride int, ids []int32, dead []uin
 	}
 }
 
-// sweepSegment finishes sealed segment si with one sweep and accounts for
-// it: every live row the segment's streams had not settled is settled —
-// scored, or skipped with its block. A sweep that cancellation cut short is
-// not counted.
+// sweepSegment answers sealed segment si with one sweep and accounts for it:
+// every live row is settled — scored, or skipped with its block. A sweep
+// that cancellation cut short is not counted.
 func (c *queryCtx) sweepSegment(si int, qpt []float64, stats *Stats) {
 	seg, dead := c.sn.segs[si], c.sn.tombs[si]
-	n := seg.rows - popcount(dead) - c.segSettled[si]
+	n := seg.rows - popcount(dead)
 	scored := n
 	if seg.blocks() > 1 {
 		scored = c.sweepZones(si, qpt, stats)
@@ -183,9 +115,8 @@ func (c *queryCtx) sweepSegment(si int, qpt []float64, stats *Stats) {
 // prune line go on a max-heap in the pooled context, and blocks are popped
 // and scored until the best remaining bound falls strictly below the line —
 // every row of the rest scores at most its block's bound, and the line only
-// rises. It returns how many live rows the streams had not settled it
-// scored, and polls for cancellation on entry and every zonePollBlocks
-// blocks.
+// rises. It returns how many live rows it scored, and polls for cancellation
+// on entry and every zonePollBlocks blocks.
 func (c *queryCtx) sweepZones(si int, qpt []float64, stats *Stats) (scored int) {
 	if c.pollCancel() {
 		return 0
@@ -212,7 +143,6 @@ func (c *queryCtx) sweepZones(si int, qpt []float64, stats *Stats) (scored int) 
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i, bound)
 	}
-	settled := c.segSettled[si] > 0
 	popped := 0
 	for len(h) > 0 && bound[h[0]] >= c.coll.Threshold() {
 		if popped > 0 && popped%zonePollBlocks == 0 && c.pollCancel() {
@@ -225,7 +155,7 @@ func (c *queryCtx) sweepZones(si int, qpt []float64, stats *Stats) (scored int) 
 		popped++
 		lo, hi := b*blockRows, min((b+1)*blockRows, seg.rows)
 		c.sweepRows(seg.cols, seg.rows, seg.ids, dead, lo, hi, qpt)
-		scored += c.unsettled(seg.ids, dead, lo, hi, settled)
+		scored += hi - lo - popcountRange(dead, lo, hi)
 	}
 	stats.BlocksBounded += nb
 	stats.BlocksSkipped += nb - popped
@@ -254,15 +184,12 @@ func siftDown(h []int32, i int, bound []float64) {
 	}
 }
 
-// unsettled counts the live rows of [lo, hi) that no stream settled (settled
-// false: the segment's streams settled nothing).
-func (c *queryCtx) unsettled(ids []int32, dead []uint64, lo, hi int, settled bool) int {
-	if dead == nil && !settled {
-		return hi - lo
-	}
+// popcountRange counts the set bits of [lo, hi) in bits: the tombstoned
+// rows of a block.
+func popcountRange(bits []uint64, lo, hi int) int {
 	n := 0
-	for l := lo; l < hi; l++ {
-		if !bitGet(dead, l) && !(settled && c.isSeen(ids[l])) {
+	for l := lo; l < hi && l>>6 < len(bits); l++ { // a nil bitset counts 0
+		if bitGet(bits, l) {
 			n++
 		}
 	}

@@ -22,41 +22,43 @@ func sweepTestSpec(k int) query.Spec {
 	}
 }
 
-// TestSealIndexesBySize pins the seal rule: a segment no dearer to sweep than
-// one stream is to probe carries no index structures and is swept by every
-// query; one row more and it is indexed; a stream-pinned engine indexes
-// everything. Answers agree with the scan either way.
+// TestSealIndexesBySize pins the seal rule (the name is historical: the
+// retired planner indexed a segment by its size): a default engine seals no
+// trees or lists at any size and sweeps every segment whole, binding no
+// stream; a stream-pinned engine indexes every segment, down to a few rows.
+// Answers agree with the scan either way.
 func TestSealIndexesBySize(t *testing.T) {
 	roles := sweepTestRoles()
-	floor := RateWindow * DefaultAccessCost
 	for _, tc := range []struct {
-		rows, cost int
-		indexed    bool
+		rows       int
+		streamOnly bool
 	}{
-		{floor, 0, false},
-		{floor + 1, 0, true},
-		{floor, -1, true},
-		{3, -1, true},
-		{RateWindow * 2, 2, false},
-		{RateWindow*2 + 1, 2, true},
+		{3, false},
+		{blockRows + 1, false},
+		{RateWindow * 128, false},
+		{3, true},
+		{RateWindow * 128, true},
 	} {
 		data := dataset.Generate(dataset.Uniform, tc.rows, len(roles), 5)
 		currentData = data
-		eng, err := New(data, Config{Roles: roles, RuntimeOptions: RuntimeOptions{AccessCost: tc.cost}})
+		eng, err := New(data, Config{Roles: roles, RuntimeOptions: RuntimeOptions{StreamOnly: tc.streamOnly}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		seg := eng.snap.Load().segs[0]
-		if seg.indexed != tc.indexed || (seg.trees != nil) != tc.indexed {
-			t.Fatalf("%d rows at access cost %d: indexed = %v (trees built: %v), want %v",
-				tc.rows, tc.cost, seg.indexed, seg.trees != nil, tc.indexed)
+		if (seg.trees != nil) != tc.streamOnly || (seg.lists != nil) != tc.streamOnly {
+			t.Fatalf("%d rows, stream-only %v: trees built %v, lists built %v",
+				tc.rows, tc.streamOnly, seg.trees != nil, seg.lists != nil)
 		}
 		_, st, err := eng.TopKWithStats(sweepTestSpec(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tc.indexed && (st.SweptSegments != 1 || st.Swept != tc.rows || st.Fetched != 0 || st.Subproblems != 0) {
-			t.Fatalf("%d unindexed rows: stats %+v, want one segment swept whole", tc.rows, st)
+		if !tc.streamOnly && (st.SweptSegments != 1 || st.Swept != tc.rows || st.Fetched != 0 || st.Subproblems != 0) {
+			t.Fatalf("%d rows by default: stats %+v, want one segment swept whole", tc.rows, st)
+		}
+		if tc.streamOnly && (st.SweptSegments != 0 || st.Subproblems == 0) {
+			t.Fatalf("%d rows stream-only: stats %+v, want the segment streamed", tc.rows, st)
 		}
 		truth, err := scan.New(data)
 		if err != nil {
@@ -67,19 +69,19 @@ func TestSealIndexesBySize(t *testing.T) {
 }
 
 // TestCancelMidSweep closes the query's done channel while a sweep is under
-// way — deterministically: a query over two sweep-only segments runs on the
-// caller's goroutine, and the done channel is closed the moment the first
-// sweep completes. The second sweep is entered unconditionally (nothing
-// polls between two swept-first segments), so the only place it can notice
-// is the sweep's own poll: a zone sweep polls as it starts, before bounding
-// its blocks, and then every zonePollBlocks blocks it scores. The query must
+// way — deterministically: a query over two segments runs on the caller's
+// goroutine, and the done channel is closed the moment the first sweep
+// completes. The second sweep is entered unconditionally (nothing polls
+// between two segment sweeps), so the only place it can notice is the
+// sweep's own poll: a zone sweep polls as it starts, before bounding its
+// blocks, and then every zonePollBlocks blocks it scores. The query must
 // report ErrCanceled, abandon the second sweep, and leak nothing: the same
 // engine then answers uncancelled queries exactly.
 func TestCancelMidSweep(t *testing.T) {
 	const segRows = 4 * sweepPollBlocks * sweepBlock
 	data := dataset.Generate(dataset.Uniform, 2*segRows, 4, 9)
 	currentData = data
-	eng, err := New(data, Config{Roles: sweepTestRoles(), RuntimeOptions: RuntimeOptions{Segments: 2, AccessCost: 1 << 30}})
+	eng, err := New(data, Config{Roles: sweepTestRoles(), RuntimeOptions: RuntimeOptions{Segments: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

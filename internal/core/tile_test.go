@@ -78,15 +78,14 @@ func liveOracle(t *testing.T, data [][]float64, removed map[int]bool) (*scan.Eng
 
 // TestZoneSweepSkipsNoTopKRow is the zone sweep's property test: over tiled
 // segments of every value corner, with tombstones, at k ∈ {1, 5, 50, all},
-// on an engine that sweeps each of its three segments up front and on one
-// whose single segment is streamed and then retired into a sweep, every
-// answer is the scan's, bit for bit, and no block the sweep skipped could
-// have held a top-k row. A block is skipped only when its padded bound is
-// below the prune line, which never rises above the final k-th score; so
-// every block's padded bound is checked to cover the exact score of each of
-// its live rows, no block bounded below the k-th score may hold an answer
-// row, and the query's BlocksSkipped may not exceed the number of such
-// blocks. Every corner but all-equal rows must skip some blocks, or the test
+// on default engines of three segments and of one, and on a stream-pinned
+// engine for comparison, every answer is the scan's, bit for bit, and no
+// block a sweep skipped could have held a top-k row. A block is skipped only
+// when its padded bound is below the prune line, which never rises above
+// the final k-th score; so every block's padded bound is checked to cover
+// the exact score of each of its live rows, no block bounded below the k-th
+// score may hold an answer row, and the query's BlocksSkipped may not
+// exceed the number of such blocks. Every corner but all-equal rows must skip some blocks, or the test
 // would hold of a sweep that skips nothing.
 func TestZoneSweepSkipsNoTopKRow(t *testing.T) {
 	const n = 1500
@@ -100,27 +99,31 @@ func TestZoneSweepSkipsNoTopKRow(t *testing.T) {
 				data[i][d] = value()
 			}
 		}
-		upFront, err := New(data, Config{Roles: zoneRoles, RuntimeOptions: RuntimeOptions{
-			Segments: 3, DisableCompaction: true, AccessCost: 1 << 30}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		handOver, err := New(data, Config{Roles: zoneRoles, RuntimeOptions: RuntimeOptions{
-			DisableCompaction: true, AccessCost: 2}})
-		if err != nil {
-			t.Fatal(err)
+		labels := []string{"three-segment", "one-segment", "stream"}
+		var engs []*Engine
+		for _, opt := range []RuntimeOptions{
+			{Segments: 3, DisableCompaction: true},
+			{DisableCompaction: true},
+			{DisableCompaction: true, StreamOnly: true},
+		} {
+			eng, err := New(data, Config{Roles: zoneRoles, RuntimeOptions: opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			engs = append(engs, eng)
 		}
 		removed := map[int]bool{}
 		for id := range data {
 			if rng.Intn(7) == 0 {
 				removed[id] = true
-				upFront.Remove(id)
-				handOver.Remove(id)
+				for _, eng := range engs {
+					eng.Remove(id)
+				}
 			}
 		}
 		oracle, ids := liveOracle(t, data, removed)
 		skipped := 0
-		for _, eng := range []*Engine{upFront, handOver} {
+		for _, eng := range engs {
 			for _, seg := range eng.snap.Load().segs {
 				if seg.blocks() < 2 {
 					t.Fatalf("%s: a %d-row segment is not tiled", kind, seg.rows)
@@ -134,12 +137,12 @@ func TestZoneSweepSkipsNoTopKRow(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for ei, eng := range []*Engine{upFront, handOver} {
+				for ei, eng := range engs {
 					got, st, err := eng.TopKWithStats(spec)
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := []string{"up-front", "hand-over"}[ei]
+					label := labels[ei]
 					if len(got) != len(want) {
 						t.Fatalf("%s/%s k=%d query %d: %d results, scan %d", kind, label, k, qi, len(got), len(want))
 					}

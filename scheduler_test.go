@@ -1,6 +1,6 @@
 // Scheduler and plan tests: the bound-driven schedule is a choice of cost,
 // not of result — answers must stay byte-identical across every segment
-// split, layout and planner mode (and hence to the scan oracle). Plan
+// split, layout and plan, streamed or swept (and hence to the scan oracle). Plan
 // derivation must refuse role flips and answer every shape exactly.
 package sdquery_test
 
@@ -14,7 +14,7 @@ import (
 )
 
 // TestSchedulerEquivalenceProperty drives random specs through the same
-// dataset under every segment split × layout × planner combination and
+// dataset under every segment split × layout × plan combination and
 // requires byte-identical answers. This is the re-proof of the
 // prune-at-first-emission argument for non-uniform access order, run as a
 // property: a point's first emission is bounded by every sibling frontier
@@ -72,15 +72,10 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 				sdquery.WithShards(7),
 				sdquery.WithStreamOnly(),
 			}},
-			// Sweep or stream is one more scheduling choice. At these sizes the
-			// default (variant 0) sweeps every segment outright, so pure
-			// streaming and mid-stream retirement are forced explicitly.
+			// Sweep or stream is one more choice of cost: the default
+			// (variant 0) zone-sweeps every segment, so pure streaming is
+			// forced explicitly.
 			{"stream-only", newSDIndex, []sdquery.SDOption{sdquery.WithStreamOnly()}},
-			{"bail-out", newSDIndex, []sdquery.SDOption{sdquery.WithAccessCost(2)}},
-			{"segmented/bail-out", newSDIndex, []sdquery.SDOption{
-				sdquery.WithShards(3),
-				sdquery.WithAccessCost(2),
-			}},
 		} {
 			eng, err := v.build(data, roles, v.opts...)
 			if err != nil {
@@ -313,21 +308,34 @@ func servedWorkload(n, q int, seed int64) ([][]float64, []sdquery.Role, []sdquer
 
 // TestStatsDeterministicServed: every query runs on its caller's goroutine,
 // so its work counters are a pure function of the query and the snapshot.
-// On the served configuration — four segments of benchmark-shaped rows,
-// large enough that the planner probes their streams before it streams or
-// sweeps them — NewShardedIndex, which adds WithWorkers, reports exactly the
-// Stats NewSDIndex does, field for field, on every repetition.
+// On the served configuration — four zone-swept segments of benchmark-shaped
+// rows — and pinned to streaming, NewShardedIndex, which adds WithWorkers,
+// reports exactly the Stats NewSDIndex does, field for field, on every
+// repetition.
 func TestStatsDeterministicServed(t *testing.T) {
 	data, roles, queries := servedWorkload(20_000, 200, 27)
-	sharded, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(4))
+	for _, stream := range []bool{false, true} {
+		opts := []sdquery.SDOption{sdquery.WithShards(4)}
+		if stream {
+			opts = append(opts, sdquery.WithStreamOnly())
+		}
+		statsDeterministic(t, data, roles, queries, stream, opts)
+	}
+}
+
+// statsDeterministic is TestStatsDeterministicServed on one configuration:
+// streams must have fetched, sweeps skipped blocks.
+func statsDeterministic(t *testing.T, data [][]float64, roles []sdquery.Role, queries []sdquery.Query, stream bool, opts []sdquery.SDOption) {
+	t.Helper()
+	sharded, err := sdquery.NewShardedIndex(data, roles, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := sdquery.NewSDIndex(data, roles, sdquery.WithShards(4))
+	plain, err := sdquery.NewSDIndex(data, roles, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetched := 0
+	fetched, skipped := 0, 0
 	for rep := 0; rep < 3; rep++ {
 		for i, q := range queries {
 			got, gst, err := sharded.TopKWithStats(q)
@@ -345,9 +353,13 @@ func TestStatsDeterministicServed(t *testing.T) {
 				t.Fatalf("repetition %d query %d: answers differ\n%v\n%v", rep, i, got, want)
 			}
 			fetched += gst.Fetched
+			skipped += gst.BlocksSkipped
 		}
 	}
-	if fetched == 0 {
+	if stream && fetched == 0 {
 		t.Fatal("no query streamed: the workload no longer reaches the scheduler")
+	}
+	if !stream && (fetched != 0 || skipped == 0) {
+		t.Fatalf("default: %d sorted accesses and %d blocks skipped, want none and some", fetched, skipped)
 	}
 }

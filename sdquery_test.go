@@ -283,9 +283,10 @@ func TestEngineErrorsSurface(t *testing.T) {
 // TestAllZeroWeights pins queries whose every engaged dimension weighs zero
 // (the rest Ignored, whatever their weights): they bind no stream and sweep every segment, so
 // every live row scores +0 and the answer is the k lowest live IDs — over
-// three sealed segments, memtable rows and tombstones, under the planning
-// default, pure streaming and a 2-row access cost. The scan oracle
-// cannot tell −0 from +0 under ==, so the sign is checked on its own.
+// three sealed segments, memtable rows and tombstones, by default, pinned to
+// streaming, and pinned to streaming after a Save → Load round trip. The
+// scan oracle cannot tell −0 from +0 under ==, so the sign is checked on its
+// own.
 func TestAllZeroWeights(t *testing.T) {
 	roles := []Role{Repulsive, Attractive, Repulsive, Attractive}
 	data := dataset.Generate(dataset.Uniform, 6_000, 4, 41)
@@ -316,15 +317,15 @@ func TestAllZeroWeights(t *testing.T) {
 		{Point: []float64{0.5, 0.5, 0.5, 0.5}, Roles: []Role{Repulsive, Ignored, Repulsive, Attractive}, Weights: []float64{0, 5, 0, 0}},
 	}
 	for _, mode := range []struct {
-		name string
-		opts []SDOption
+		name   string
+		opts   []SDOption
+		reload bool
 	}{
-		{"default", nil},
-		{"stream", []SDOption{WithStreamOnly()}},
+		{"default", nil, false},
+		{"stream", []SDOption{WithStreamOnly()}, false},
 		// The name is historical (the retired round-robin scheduler): the
-		// cell prices a sorted access at 2 rows, the cost under which the
-		// planner probes and retires streams on any segment it binds.
-		{"round-robin", []SDOption{WithAccessCost(2)}},
+		// cell saves the stream-pinned index and queries the one it loads.
+		{"round-robin", []SDOption{WithStreamOnly()}, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			opts := append([]SDOption{WithShards(3), WithCompaction(false)}, mode.opts...)
@@ -342,6 +343,16 @@ func TestAllZeroWeights(t *testing.T) {
 				if !idx.Remove(id) {
 					t.Fatalf("remove %d refused", id)
 				}
+			}
+			if mode.reload {
+				var buf bytes.Buffer
+				if err := idx.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if idx, err = LoadSDIndex(&buf, opts...); err != nil {
+					t.Fatal(err)
+				}
+				defer idx.Close()
 			}
 			if segs, mem := idx.Segments(); segs != 3 || mem != len(extra) {
 				t.Fatalf("%d segments, %d memtable rows, want 3, %d", segs, mem, len(extra))

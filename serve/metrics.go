@@ -129,8 +129,8 @@ type metrics struct {
 	// TopKWithStats path); statQueries is their denominator.
 	fetched     atomic.Uint64
 	scored      atomic.Uint64
-	swept       atomic.Uint64 // rows scored by segment sweeps (part of scored)
-	sweptSegs   atomic.Uint64 // segments the planner finished with a sweep
+	swept       atomic.Uint64 // live rows of swept segments, scored or skipped with their block
+	sweptSegs   atomic.Uint64 // sealed segments swept
 	statQueries atomic.Uint64
 }
 
@@ -236,9 +236,9 @@ func (m *metrics) writeProm(w io.Writer, idx Index, cache *resultCache) {
 	fmt.Fprintf(w, "sdserver_engine_fetched_total %d\n", m.fetched.Load())
 	fmt.Fprintf(w, "# HELP sdserver_engine_scored_total Points scored by stats-enabled queries.\n# TYPE sdserver_engine_scored_total counter\n")
 	fmt.Fprintf(w, "sdserver_engine_scored_total %d\n", m.scored.Load())
-	fmt.Fprintf(w, "# HELP sdserver_engine_swept_rows_total Rows scored by sweeping a sealed segment's columns instead of streaming it (part of scored), stats-enabled queries.\n# TYPE sdserver_engine_swept_rows_total counter\n")
+	fmt.Fprintf(w, "# HELP sdserver_engine_swept_rows_total Live rows of the sealed segments swept, scored or skipped with their block, stats-enabled queries.\n# TYPE sdserver_engine_swept_rows_total counter\n")
 	fmt.Fprintf(w, "sdserver_engine_swept_rows_total %d\n", m.swept.Load())
-	fmt.Fprintf(w, "# HELP sdserver_engine_swept_segments_total Sealed segments the planner finished with a sweep, stats-enabled queries.\n# TYPE sdserver_engine_swept_segments_total counter\n")
+	fmt.Fprintf(w, "# HELP sdserver_engine_swept_segments_total Sealed segments swept, stats-enabled queries.\n# TYPE sdserver_engine_swept_segments_total counter\n")
 	fmt.Fprintf(w, "sdserver_engine_swept_segments_total %d\n", m.sweptSegs.Load())
 	fmt.Fprintf(w, "# HELP sdserver_engine_stats_queries_total Queries that carried stats=true.\n# TYPE sdserver_engine_stats_queries_total counter\n")
 	fmt.Fprintf(w, "sdserver_engine_stats_queries_total %d\n", m.statQueries.Load())

@@ -336,8 +336,7 @@ func TestInsertRemove(t *testing.T) {
 // TestStatsDeterministic: a query's work counters are a pure function of the
 // query and the index state, so with the result cache off two identical
 // stats:true requests answer byte-identical bodies. The index is the served
-// shape — four segments the planner probes before it streams or sweeps
-// them.
+// shape — four zone-swept segments.
 func TestStatsDeterministic(t *testing.T) {
 	idx := testIndex(t, 20_000, 9)
 	srv := New(idx, WithResultCache(false))
@@ -367,9 +366,8 @@ func TestStatsDeterministic(t *testing.T) {
 
 // TestObservabilityEndpoints sanity-checks /healthz, /metrics, and /statz.
 func TestObservabilityEndpoints(t *testing.T) {
-	// 4 segments of 5000 rows: large enough that the engine binds and probes
-	// its streams before retiring each segment into a sweep, so both halves
-	// of the planner's accounting are nonzero.
+	// 4 segments of 5000 rows, each answered by a zone sweep: the sweep
+	// counters are nonzero and the sorted-access counter reads 0.
 	idx := testIndex(t, 20_000, 9)
 	srv := New(idx)
 	defer srv.Close()
@@ -393,7 +391,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &tr); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Stats == nil || tr.Stats.Fetched == 0 || tr.Stats.Swept == 0 || tr.Stats.SweptSegments == 0 ||
+	if tr.Stats == nil || tr.Stats.Fetched != 0 || tr.Stats.Swept == 0 || tr.Stats.SweptSegments != 4 ||
 		tr.Stats.Scored == 0 {
 		t.Fatalf("stats=true response carries no work counters: %s", body)
 	}
@@ -442,7 +440,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	if st.Endpoints["topk"].Requests < 5 {
 		t.Fatalf("statz records %d topk requests, want ≥ 5", st.Endpoints["topk"].Requests)
 	}
-	if st.EngineFetched == 0 || st.StatsQueries != 1 ||
+	if st.EngineFetched != 0 || st.StatsQueries != 1 || st.EngineScored != uint64(tr.Stats.Scored) ||
 		st.EngineSwept != uint64(tr.Stats.Swept) || st.EngineSweptSeg != uint64(tr.Stats.SweptSegments) {
 		t.Fatalf("statz engine counters not wired: %+v", st)
 	}
