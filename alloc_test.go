@@ -7,6 +7,7 @@ package sdquery
 // it shows up in wall-clock benchmarks.
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -36,31 +37,39 @@ func measureAllocs(f func()) float64 {
 	return testing.AllocsPerRun(100, f)
 }
 
-// TestTopKAppendZeroAllocs pins every way a query takes a segment: the
-// default zone-sweeps it, the stream-pinned engine runs the aggregation to
-// termination, and the same engine sweeps it under a plan that binds no
-// stream (every weight zero; the cell keeps its name from the retired
-// sweep-only hook). The zone sweep's bounds and heap and the streams' seen
-// bitset live in the pooled context like everything else.
+// TestTopKAppendZeroAllocs pins a warm query at zero allocations on the
+// default index, on one loaded from its own Save, and under a plan with every
+// weight zero, where every block bound is +0 and no block can be skipped. The
+// last two cells keep their historical names, stream and sweep (they ran the
+// retired §5 streams and a stream-pinned index's sweep). The zone sweep's
+// bounds and heap live in the pooled context like everything else.
 func TestTopKAppendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on otherwise alloc-free paths")
 	}
 	data := dataset.Generate(dataset.Uniform, 10_000, 4, 1)
 	for _, mode := range []struct {
-		name         string
-		opts         []SDOption
-		zero         bool // every weight zero: the plan binds no stream
-		swept, fetch bool // what the query must have done
+		name   string
+		reload bool // query the index Load makes of the built one's Save
+		zero   bool // every weight zero
 	}{
-		{"default", nil, false, true, false},
-		{"stream", []SDOption{WithStreamOnly()}, false, false, true},
-		{"sweep", []SDOption{WithStreamOnly()}, true, true, false},
+		{"default", false, false},
+		{"stream", true, false},
+		{"sweep", false, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			idx, err := NewSDIndex(data, allocRoles(), mode.opts...)
+			idx, err := NewSDIndex(data, allocRoles())
 			if err != nil {
 				t.Fatal(err)
+			}
+			if mode.reload {
+				var buf bytes.Buffer
+				if err := idx.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if idx, err = LoadSDIndex(&buf); err != nil {
+					t.Fatal(err)
+				}
 			}
 			q := allocQuery()
 			if mode.zero {
@@ -70,7 +79,7 @@ func TestTopKAppendZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if (st.Swept > 0) != mode.swept || (st.Fetched > 0) != mode.fetch {
+			if st.Swept != len(data) || (st.BlocksSkipped == 0) != mode.zero {
 				t.Fatalf("query did not take the path under test: %+v", st)
 			}
 			var buf []Result
@@ -93,8 +102,8 @@ func TestTopKAppendZeroAllocs(t *testing.T) {
 
 // TestTopKAppendZeroAllocsParallel pins the served shape: on a WithWorkers
 // index over a WithShards(4) stack, a warm single query walks all four
-// segments on the caller's goroutine and allocates nothing — the per-segment
-// scheduler arrays live in the pooled context. It holds on the freshly built
+// segments on the caller's goroutine and allocates nothing — the zone
+// sweep's scratch lives in the pooled context. It holds on the freshly built
 // stack and again after update churn and a Compact, which must hand back
 // four equal segments.
 func TestTopKAppendZeroAllocsParallel(t *testing.T) {

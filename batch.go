@@ -123,24 +123,21 @@ func (b *batchErr) shouldSkip(index int) bool {
 
 func (b *batchErr) first() error { return b.err }
 
-// QueryStats reports the work one query performed — the quantities the
-// paper's analysis reasons about when comparing subproblem granularities.
+// QueryStats reports the work one query performed.
 type QueryStats struct {
-	// Subproblems consulted (2D pairs plus 1D leftovers; zero-weight ones
-	// are skipped), summed across every sealed segment.
+	// Deprecated: Subproblems is always 0. The index answers every segment
+	// with a zone sweep and consults no §5 subproblem.
 	Subproblems int
 	// Segments counts the sealed segments the query planned across. A
 	// freshly built or Compact-ed index reports 1 (WithShards(n): n);
 	// sustained insert traffic grows it until the background compactor folds
 	// the stack back down.
 	Segments int
-	// Fetched counts sorted-access emissions across all subproblems: 0 on
-	// every index the public constructors build, which sweep instead of
-	// streaming.
+	// Deprecated: Fetched is always 0. The index makes no sorted accesses.
 	Fetched int
-	// Scored counts distinct points whose exact score the query computed —
-	// by a sweep, which scores only the blocks of a segment it cannot skip,
-	// or by random access after a sorted access surfaced them.
+	// Scored counts distinct points whose exact score the query computed:
+	// every memtable row, and the live rows of the blocks of a segment its
+	// sweep could not skip.
 	Scored int
 	// Swept counts the live rows of the sealed segments the query swept —
 	// scored, or skipped with their block — and SweptSegments how many
@@ -153,25 +150,22 @@ type QueryStats struct {
 	// bound ruled out every row in them.
 	BlocksBounded int
 	BlocksSkipped int
-	// Rounds counts scheduler steps — one adaptive batch dispatched to one
-	// subproblem.
+	// Deprecated: Rounds is always 0. The index runs no §5 scheduler.
 	Rounds int
 	// Deprecated: PlanCacheHits is always 0; every query derives its plan.
 	PlanCacheHits int
 }
 
-// TopKWithStats answers the query and reports its work counters. Useful for
-// understanding convergence on a given dataset (cmd/sdbench regenerates the
-// paper's figures of how fetch counts scale against dataset size and
-// correlation).
+// TopKWithStats answers the query and reports its work counters: how many
+// segments, blocks and rows its sweeps bounded, skipped and scored.
 func (s *SDIndex) TopKWithStats(q Query) ([]Result, QueryStats, error) {
 	res, st, err := s.eng.TopKWithStats(q.spec())
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
 	return convertResults(res), QueryStats{
-		Subproblems: st.Subproblems, Segments: st.Segments, Fetched: st.Fetched, Scored: st.Scored,
-		Swept: st.Swept, SweptSegments: st.SweptSegments, Rounds: st.Rounds,
+		Segments: st.Segments, Scored: st.Scored,
+		Swept: st.Swept, SweptSegments: st.SweptSegments,
 		BlocksBounded: st.BlocksBounded, BlocksSkipped: st.BlocksSkipped,
 	}, nil
 }

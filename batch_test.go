@@ -89,9 +89,7 @@ func TestBatchTopKPropagatesErrors(t *testing.T) {
 func TestTopKWithStats(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 10_000, 4, 24)
 	roles := []Role{Repulsive, Attractive, Repulsive, Attractive}
-	// Stream-pinned: these are the paper's counters. (At 10k rows the
-	// planning default hands the segment to a sweep — checked below.)
-	idx, err := NewSDIndex(data, roles, WithStreamOnly())
+	idx, err := NewSDIndex(data, roles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,45 +103,33 @@ func TestTopKWithStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 5 {
-		t.Fatalf("%d results, want 5", len(res))
+	scan, err := NewScan(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats.Swept != 0 || stats.SweptSegments != 0 {
-		t.Fatalf("stream-pinned engine swept: %+v", stats)
+	want, err := scan.TopK(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats.Subproblems != 2 { // two (repulsive, attractive) pairs
-		t.Fatalf("Subproblems = %d, want 2", stats.Subproblems)
+	if len(res) != len(want) {
+		t.Fatalf("%d results, want %d", len(res), len(want))
 	}
-	if stats.Fetched < 5 || stats.Scored < 5 || stats.Scored > stats.Fetched {
+	for i := range want {
+		if res[i] != want[i] {
+			t.Fatalf("rank %d: %+v, scan %+v", i, res[i], want[i])
+		}
+	}
+	// One segment of ⌈10000/128⌉ blocks, swept whole; the point of the
+	// index is that most blocks are skipped unscored. The stream counters
+	// are always 0.
+	if stats.Segments != 1 || stats.SweptSegments != 1 || stats.Swept != idx.Len() || stats.BlocksBounded != 79 ||
+		stats.BlocksSkipped == 0 || stats.Scored < 5 || stats.Scored >= stats.Swept ||
+		stats.Fetched != 0 || stats.Subproblems != 0 || stats.Rounds != 0 {
 		t.Fatalf("implausible stats: %+v", stats)
-	}
-	// The point of the index: far fewer fetches than a scan.
-	if stats.Fetched >= idx.Len() {
-		t.Fatalf("fetched %d of %d points — no pruning", stats.Fetched, idx.Len())
 	}
 	if _, _, err := idx.TopKWithStats(Query{Point: []float64{1}, K: 1,
 		Roles: roles[:1], Weights: []float64{1}}); err == nil {
 		t.Fatal("invalid query accepted")
-	}
-
-	// The default engine finishes this segment with a sweep: Swept names the
-	// part of Scored that no sorted access paid for.
-	planned, err := NewSDIndex(data, roles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pres, ps, err := planned.TopKWithStats(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res {
-		if pres[i] != res[i] {
-			t.Fatalf("planned answer differs at rank %d: %+v vs %+v", i, pres[i], res[i])
-		}
-	}
-	if ps.SweptSegments != 1 || ps.Swept == 0 || ps.Swept > planned.Len() ||
-		ps.Scored-ps.Swept > ps.Fetched || ps.Fetched >= stats.Fetched {
-		t.Fatalf("implausible planned stats: %+v (stream-pinned: %+v)", ps, stats)
 	}
 }
 

@@ -6,8 +6,6 @@ package sdquery
 // cmd/sdbench). Micro-benchmarks for the public API follow.
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -60,21 +58,17 @@ func BenchmarkAblationAlg4(b *testing.B)      { runExperiment(b, "ablation-alg4"
 
 // --- Micro-benchmarks: per-query cost of the public engines -------------
 
-func benchQueries(n int, seed int64) []Query {
-	return benchQueriesK(n, seed, benchRoles, 5)
-}
-
 var benchRoles = []Role{Repulsive, Attractive, Repulsive, Attractive, Repulsive, Attractive}
 
-func benchQueriesK(n int, seed int64, roles []Role, k int) []Query {
+func benchQueries(n int, seed int64) []Query {
 	rng := rand.New(rand.NewSource(seed))
-	dims := len(roles)
+	dims := len(benchRoles)
 	out := make([]Query, n)
 	for i := range out {
 		q := Query{
 			Point:   make([]float64, dims),
-			K:       k,
-			Roles:   roles,
+			K:       5,
+			Roles:   benchRoles,
 			Weights: make([]float64, dims),
 		}
 		for d := 0; d < dims; d++ {
@@ -252,97 +246,5 @@ func BenchmarkInsertSDIndex(b *testing.B) {
 		if _, err := idx.Insert(p); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Stream or zone sweep: the §5 streams against the served plan --------
-
-// clusteredData draws n rows from 16 Gaussian clusters (σ = 0.05) clipped to
-// the unit cube — the shape of the served benchmark workloads, where the
-// prune line cuts less deep than on uniform data.
-func clusteredData(n, dims int, seed int64) [][]float64 {
-	rng := rand.New(rand.NewSource(seed))
-	centres := dataset.Generate(dataset.Uniform, 16, dims, 0x5d)
-	data := make([][]float64, n)
-	for i := range data {
-		c := centres[rng.Intn(len(centres))]
-		row := make([]float64, dims)
-		for d := range row {
-			row[d] = math.Min(1, math.Max(0, c[d]+0.05*rng.NormFloat64()))
-		}
-		data[i] = row
-	}
-	return data
-}
-
-// BenchmarkStreamVsZone maps the §5 streams against the zone sweep every
-// public index answers with: every cell runs the same queries on a
-// stream-pinned engine and on a default one, so the two ns/op sit side by
-// side with the work counters that explain them. The 2-dimensional cells are
-// the stream's home ground — one pair tree, a deep prune — where it still
-// wins (ROADMAP item 1); the 4-dimensional cells (two pair trees) are where
-// the streams sweep the fewest rows per query short of 2-d.
-func BenchmarkStreamVsZone(b *testing.B) {
-	type plan struct {
-		name string
-		opts []SDOption
-	}
-	plans := []plan{
-		{"stream", []SDOption{WithStreamOnly()}},
-		{"zone", nil},
-	}
-	cell := func(b *testing.B, data [][]float64, roles []Role, ks []int) {
-		for _, pl := range plans {
-			idx, err := NewSDIndex(data, roles, pl.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, k := range ks {
-				b.Run(fmt.Sprintf("k=%d/%s", k, pl.name), func(b *testing.B) {
-					queries := benchQueriesK(64, 2, roles, k)
-					var buf []Result
-					var fetched, scored int
-					for _, q := range queries { // warm pools, count the work once
-						_, st, err := idx.TopKWithStats(q)
-						if err != nil {
-							b.Fatal(err)
-						}
-						fetched += st.Fetched
-						scored += st.Scored
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if buf, err = idx.TopKAppend(buf[:0], queries[i%len(queries)]); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(fetched)/float64(len(queries)), "fetched/op")
-					b.ReportMetric(float64(scored)/float64(len(queries)), "scored/op")
-				})
-			}
-		}
-	}
-	for _, dist := range []string{"uniform", "clustered"} {
-		for _, n := range []int{10_000, 50_000, 200_000, 1_000_000} {
-			b.Run(fmt.Sprintf("%s/n=%d", dist, n), func(b *testing.B) {
-				data := dataset.Generate(dataset.Uniform, n, 6, 1)
-				if dist == "clustered" {
-					data = clusteredData(n, 6, 1)
-				}
-				cell(b, data, benchRoles, []int{1, 5, 50})
-			})
-		}
-	}
-	twoD := []Role{Repulsive, Attractive}
-	b.Run("uniform-2d/n=10000", func(b *testing.B) {
-		cell(b, dataset.Generate(dataset.Uniform, 10_000, 2, 1), twoD, []int{5})
-	})
-	b.Run("uniform-2d/n=1000000", func(b *testing.B) {
-		cell(b, dataset.Generate(dataset.Uniform, 1_000_000, 2, 1), twoD, []int{1, 5, 50})
-	})
-	for _, n := range []int{50_000, 200_000} {
-		b.Run(fmt.Sprintf("uniform-4d/n=%d", n), func(b *testing.B) {
-			cell(b, dataset.Generate(dataset.Uniform, n, 4, 1), []Role{Repulsive, Attractive, Repulsive, Attractive}, []int{5})
-		})
 	}
 }

@@ -20,7 +20,7 @@ import (
 // perf trajectory future PRs compare against (BENCH_sdbench.json at the repo
 // root holds the committed baseline). Absolute numbers are
 // hardware-dependent; the trajectory of ns/op, the allocs/op invariants, and
-// the work counters (fetched/scored/rounds, which are hardware-independent)
+// the work counters (scored/swept/blocks, which are hardware-independent)
 // are the regression signal. The -baseline flag diffs a fresh report against
 // a committed one and fails on regression — see diff.go for the gate rules.
 type benchJSON struct {
@@ -77,23 +77,20 @@ type workloadJSON struct {
 	// an absolute ceiling — promotion that never fires shows up here, not in
 	// read availability.
 	WriteUnavailableMs float64 `json:"write_unavailable_ms,omitempty"`
-	// Work counters averaged over the query set.
-	FetchedMean     float64 `json:"fetched_mean,omitempty"`
-	ScoredMean      float64 `json:"scored_mean,omitempty"`
-	SubproblemsMean float64 `json:"subproblems_mean,omitempty"`
-	RoundsMean      float64 `json:"rounds_mean,omitempty"`
-	// SweptMean is the live rows of the sealed segments a query swept
-	// (scored, or skipped with their block), and SweptSegmentsMean how many
-	// segments per query that was. BlocksBoundedMean and BlocksSkippedMean
-	// are the zone sweep's blocks bounded and skipped per query. All are
-	// absent on workloads that only stream.
+	// Work counters averaged over the query set: ScoredMean is the rows a
+	// query scored exactly, SweptMean the live rows of the sealed segments it
+	// swept (scored, or skipped with their block), and SweptSegmentsMean how
+	// many segments per query that was. BlocksBoundedMean and
+	// BlocksSkippedMean are the zone sweep's blocks bounded and skipped per
+	// query.
+	ScoredMean        float64 `json:"scored_mean,omitempty"`
 	SweptMean         float64 `json:"swept_mean,omitempty"`
 	SweptSegmentsMean float64 `json:"swept_segments_mean,omitempty"`
 	BlocksBoundedMean float64 `json:"blocks_bounded_mean,omitempty"`
 	BlocksSkippedMean float64 `json:"blocks_skipped_mean,omitempty"`
 }
 
-const benchJSONSchema = "sdbench/v14"
+const benchJSONSchema = "sdbench/v15"
 
 // countNonTestLOC counts lines the way CI's "Non-test line budget" step
 // does: every .go file under root that is not a test, outside benchmark/
@@ -129,24 +126,18 @@ func collectStats(idx *sdquery.SDIndex, queries []sdquery.Query) (w workloadJSON
 		if err != nil {
 			return w, err
 		}
-		total.Fetched += st.Fetched
 		total.Scored += st.Scored
 		total.Swept += st.Swept
 		total.SweptSegments += st.SweptSegments
 		total.BlocksBounded += st.BlocksBounded
 		total.BlocksSkipped += st.BlocksSkipped
-		total.Subproblems += st.Subproblems
-		total.Rounds += st.Rounds
 	}
 	qn := float64(len(queries))
-	w.FetchedMean = float64(total.Fetched) / qn
 	w.ScoredMean = float64(total.Scored) / qn
 	w.SweptMean = float64(total.Swept) / qn
 	w.SweptSegmentsMean = float64(total.SweptSegments) / qn
 	w.BlocksBoundedMean = float64(total.BlocksBounded) / qn
 	w.BlocksSkippedMean = float64(total.BlocksSkipped) / qn
-	w.SubproblemsMean = float64(total.Subproblems) / qn
-	w.RoundsMean = float64(total.Rounds) / qn
 	return w, nil
 }
 

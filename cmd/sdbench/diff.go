@@ -27,14 +27,15 @@ const availabilitySlack = 0.005
 // 30,000ms sentinel when writes never recover).
 const writeUnavailableCeilingMs = 5000
 
-// fetchedRegressionTolerance gates the hardware-independent signal: on
-// single-engine workloads the sorted-access count is a deterministic
+// scoredRegressionTolerance gates the hardware-independent signal: on
+// single-engine workloads the count of rows a query scores exactly — the
+// rows of the blocks its zone sweep could not skip — is a deterministic
 // function of the seeded workload and the algorithm, identical on every
 // machine, so it catches algorithmic regressions that timing noise would
 // hide. The small headroom only keeps a deliberate off-by-a-few change from
-// blocking CI; any real change to fetch behaviour must regenerate the
-// baseline in the same commit.
-const fetchedRegressionTolerance = 0.05
+// blocking CI; any real change to pruning must regenerate the baseline in
+// the same commit.
+const scoredRegressionTolerance = 0.05
 
 // diffAgainstBaseline loads the committed baseline report and fails (with
 // every violation listed) when the fresh report breaks a rule that holds on
@@ -43,8 +44,8 @@ const fetchedRegressionTolerance = 0.05
 //   - a workload present in the baseline is missing from the fresh report
 //     (renames must update the baseline, not silently drop coverage);
 //   - a workload that was allocation-free in the baseline allocates;
-//   - a "topk/…" workload's fetched_mean grew by more than
-//     fetchedRegressionTolerance — the deterministic, hardware-independent
+//   - a "topk/…" workload's scored_mean grew by more than
+//     scoredRegressionTolerance — the deterministic, hardware-independent
 //     regression signal. batch/topk is exempt: its index is split into
 //     GOMAXPROCS segments, so its counters follow the machine's CPU count;
 //   - the failover workload's availability or write-unavailability window
@@ -127,11 +128,11 @@ func diffAgainstBaseline(baselinePath string, fresh benchJSON) error {
 				"workload %q: write-unavailability window %.0fms exceeds the %dms ceiling — automated promotion is not healing the killed partition",
 				b.Name, f.WriteUnavailableMs, writeUnavailableCeilingMs))
 		}
-		if strings.HasPrefix(b.Name, "topk/") && b.FetchedMean > 0 {
-			if limit := b.FetchedMean * (1 + fetchedRegressionTolerance); f.FetchedMean > limit {
+		if strings.HasPrefix(b.Name, "topk/") && b.ScoredMean > 0 {
+			if limit := b.ScoredMean * (1 + scoredRegressionTolerance); f.ScoredMean > limit {
 				violations = append(violations, fmt.Sprintf(
-					"workload %q: fetched_mean %.1f exceeds baseline %.1f by more than %.0f%% (hardware-independent)",
-					b.Name, f.FetchedMean, b.FetchedMean, fetchedRegressionTolerance*100))
+					"workload %q: scored_mean %.1f exceeds baseline %.1f by more than %.0f%% (hardware-independent)",
+					b.Name, f.ScoredMean, b.ScoredMean, scoredRegressionTolerance*100))
 			}
 		}
 	}

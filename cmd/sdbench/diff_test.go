@@ -23,25 +23,25 @@ func writeBaseline(t *testing.T, b benchJSON) string {
 
 // TestDiffAgainstBaseline pins the CI gate's rules: ns/op and p99 never fail
 // it, however far they move; any allocation in a zero-alloc workload, a
-// fetched_mean growth past 5%, the failover workload's absolute bounds and
+// scored_mean growth past 5%, the failover workload's absolute bounds and
 // dropped workloads do; scale/schema mismatches are refused.
 func TestDiffAgainstBaseline(t *testing.T) {
 	base := benchJSON{
 		Schema: benchJSONSchema,
 		Scale:  1,
 		Workloads: []workloadJSON{
-			{Name: "topk/sdindex-append", NsPerOp: 1_000_000, AllocsPerOp: 0, FetchedMean: 2000},
+			{Name: "topk/sdindex-append", NsPerOp: 1_000_000, AllocsPerOp: 0, ScoredMean: 2000},
 			{Name: "topk/sdindex", NsPerOp: 1_000_000, AllocsPerOp: 4},
-			{Name: "batch/topk", NsPerOp: 1_000_000, AllocsPerOp: 70, FetchedMean: 2000},
+			{Name: "batch/topk", NsPerOp: 1_000_000, AllocsPerOp: 70, ScoredMean: 2000},
 			{Name: "cluster/failover", NsPerOp: 1_000_000, P99NsPerOp: 2_000_000, AllocsPerOp: -1, Availability: 0.999, WriteUnavailableMs: 800},
 		},
 	}
 	path := writeBaseline(t, base)
 
 	ok := benchJSON{Schema: benchJSONSchema, Scale: 1, Workloads: []workloadJSON{
-		{Name: "topk/sdindex-append", NsPerOp: 3_000_000, AllocsPerOp: 0, FetchedMean: 2040}, // 3× ns: printed, not gated; +2% fetched: within tolerance
-		{Name: "topk/sdindex", NsPerOp: 900_000, AllocsPerOp: 6},                             // allocs gated only at baseline 0
-		{Name: "batch/topk", NsPerOp: 1_000_000, AllocsPerOp: 70, FetchedMean: 9000},         // segment count follows CPU count: exempt
+		{Name: "topk/sdindex-append", NsPerOp: 3_000_000, AllocsPerOp: 0, ScoredMean: 2080}, // 3× ns: printed, not gated; +4% scored: within tolerance
+		{Name: "topk/sdindex", NsPerOp: 900_000, AllocsPerOp: 6, ScoredMean: 1e9},           // allocs gated only at baseline 0; no baseline scored_mean arms nothing
+		{Name: "batch/topk", NsPerOp: 1_000_000, AllocsPerOp: 70, ScoredMean: 9000},         // segment count follows CPU count: exempt
 		{Name: "cluster/failover", NsPerOp: 1_400_000, P99NsPerOp: 9_000_000, AllocsPerOp: -1,
 			Availability: 0.996, WriteUnavailableMs: 4_500}, // both absolute gates: above the floor, under the ceiling
 		{Name: "topk/new-workload", NsPerOp: 1, AllocsPerOp: 99}, // extra workloads are fine
@@ -56,7 +56,7 @@ func TestDiffAgainstBaseline(t *testing.T) {
 		want string
 	}{
 		{"alloc regression", func(b *benchJSON) { b.Workloads[0].AllocsPerOp = 1 }, "guarantees 0"},
-		{"fetched regression", func(b *benchJSON) { b.Workloads[0].FetchedMean = 2200 }, "hardware-independent"},
+		{"scored regression", func(b *benchJSON) { b.Workloads[0].ScoredMean = 2120 }, "hardware-independent"}, // +6%
 		{"queries mismatch", func(b *benchJSON) { b.Workloads[0].Queries = 128 }, "not comparable"},
 		{"availability floor", func(b *benchJSON) { b.Workloads[3].Availability = 0.985 }, "below the 0.99 floor"},
 		{"availability collapse", func(b *benchJSON) { b.Workloads[3].Availability = 0.991 }, "collapsed from baseline"},

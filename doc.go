@@ -226,20 +226,20 @@
 // counts every row whose exact score was computed, Swept the live rows of
 // the swept segments (scored, or skipped with their block), BlocksBounded
 // and BlocksSkipped the blocks bounded and skipped, and SweptSegments the
-// segments swept — every one. Fetched, Subproblems and Rounds count the §5
-// streams' work and read 0.
+// segments swept — every one. Fetched, Subproblems and Rounds are kept for
+// compatibility and read 0.
 //
 // The paper's §5 aggregation — a §4 pair tree per pair of the in-order zip
 // of repulsive and attractive dimensions, a sorted list per leftover
 // dimension, and a bound-driven Threshold-Algorithm scheduler over them —
-// is kept as the reproduction's engine: cmd/sdbench's figures build it, and
-// the differential suites hold it to the scan oracle. The served index
-// seals no trees. At 1M uniform 6-d rows the zone sweep answers in about
-// 0.24 ms on one core of the 2-vCPU box the numbers here come from, less
-// than half of what a stream probe before it cost; only at 2 dimensions,
-// where one pair tree prunes deep, do the streams still win
-// (BenchmarkStreamVsZone maps both). Answers are byte-identical to the scan
-// oracle either way (property-tested and fuzzed).
+// is the reproduction's own static index in internal/bench, which
+// cmd/sdbench's figures build and a differential test holds to the scan
+// oracle. The served index holds no trees. At 1M uniform 6-d rows the zone
+// sweep answers in about 0.24 ms on one core of the 2-vCPU box the numbers
+// here come from, less than half of what a stream probe before it cost;
+// only at 2 dimensions, where one pair tree prunes deep, did the streams
+// still win. Answers are byte-identical to the scan oracle
+// (property-tested and fuzzed).
 //
 // All per-query state — weights, the sweep's block bounds, heap and
 // scratch, the result collector, the plan — lives in the index's sync.Pool
@@ -252,10 +252,9 @@
 // plus a constant handful of objects per call.
 //
 // Sealed segments and the memtable store their coordinates in
-// dimension-major columns, and every bulk scoring site — segment and
-// memtable sweeps, which share one kernel (simd.ScoreCols), and the
-// streams' packed leaf scans and random-access rescores — runs through
-// 8-wide unrolled kernels over those columns (internal/simd). The columns
+// dimension-major columns, and every sweep, of a segment or of the
+// memtable, runs one 8-wide unrolled kernel over those columns
+// (simd.ScoreCols). The columns
 // are float64 only: a float32 sweep copy measured 1.1–1.55× slower in every
 // cell, because the sweep is compute-bound, and was retired.
 //

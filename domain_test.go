@@ -30,8 +30,10 @@ func TestValueDomain(t *testing.T) {
 		{"pe", sdquery.NewPE, false},
 		{"brs", func(d [][]float64) (sdquery.Engine, error) { return sdquery.NewBRS(d, 0) }, false},
 		{"sdindex", func(d [][]float64) (sdquery.Engine, error) { return sdquery.NewSDIndex(d, roles) }, true},
+		// Three zone-swept segments; the name is historical (the cell pinned
+		// the retired §5 streams).
 		{"sdindex-stream", func(d [][]float64) (sdquery.Engine, error) {
-			return sdquery.NewSDIndex(d, roles, sdquery.WithStreamOnly())
+			return sdquery.NewSDIndex(d, roles, sdquery.WithShards(3))
 		}, true},
 	}
 	rng := rand.New(rand.NewSource(11))

@@ -26,22 +26,21 @@ func TestDifferentialScan(t *testing.T) {
 	})
 }
 
-// sdModes are the ways a segment can be answered, each forced in turn
-// so every SD-Index configuration is held to the oracle on all of them: the
-// default zone-sweeps every segment and builds no trees, so pure streaming
-// is pinned explicitly. The third mode keeps its historical name (it forced
-// the retired mid-stream hand-over from streams to a sweep): it streams with
-// compaction off, so every row the update phase inserts stays in the
-// memtable, whose sweep seeds the collector before the first sorted access
-// and puts the streams' first-emission prune to work from the start. The
+// sdModes are the served configurations every SD-Index cell runs under, so
+// each configuration is held to the oracle on all of them. Two keep
+// historical names (they pinned the retired §5 streams): stream queries the
+// index Load makes of the built one's Save, and bailout holds every row the
+// update phase inserts in the memtable (compaction off), whose flat sweep
+// seeds the collector before the first segment's blocks are bounded. The
 // names are kept so every cell's subtests keep theirs.
 var sdModes = []struct {
-	name string
-	opts []sdquery.SDOption
+	name   string
+	opts   []sdquery.SDOption
+	reload bool
 }{
-	{"stream", []sdquery.SDOption{sdquery.WithStreamOnly()}},
-	{"default", nil},
-	{"bailout", []sdquery.SDOption{sdquery.WithStreamOnly(), sdquery.WithCompaction(false)}},
+	{"stream", nil, true},
+	{"default", nil, false},
+	{"bailout", []sdquery.SDOption{sdquery.WithCompaction(false)}, false},
 }
 
 // builder makes the SD-Index under test from a dataset and an option list.
@@ -68,6 +67,9 @@ func runBuilt(t *testing.T, name string, build builder, opts ...sdquery.SDOption
 func runSDIndexMode(t *testing.T, name string, mode int, build builder, opts ...sdquery.SDOption) {
 	m := sdModes[mode]
 	all := append(append([]sdquery.SDOption(nil), opts...), m.opts...)
+	if m.reload {
+		build = reloaded(build)
+	}
 	t.Run(m.name, func(t *testing.T) {
 		enginetest.Run(t, enginetest.Factory{
 			Name:          name + "-" + m.name,
@@ -77,6 +79,37 @@ func runSDIndexMode(t *testing.T, name string, mode int, build builder, opts ...
 			},
 		})
 	})
+}
+
+// reloaded is build followed by a Save → Load round trip under the same
+// options; an index in a test wrapper is loaded back into the same wrapper.
+func reloaded(build builder) builder {
+	return func(data [][]float64, roles []sdquery.Role, opts ...sdquery.SDOption) (sdquery.Engine, error) {
+		eng, err := build(data, roles, opts...)
+		if err != nil {
+			return nil, err
+		}
+		var idx *sdquery.SDIndex
+		wrap := func(l *sdquery.SDIndex) sdquery.Engine { return l }
+		switch e := eng.(type) {
+		case *sdquery.SDIndex:
+			idx = e
+		case wideIndex:
+			idx, wrap = e.SDIndex, func(l *sdquery.SDIndex) sdquery.Engine { return wideIndex{l} }
+		case batchIndex:
+			idx, wrap = e.SDIndex, func(l *sdquery.SDIndex) sdquery.Engine { return batchIndex{l} }
+		}
+		defer idx.Close()
+		var buf bytes.Buffer
+		if err := idx.Save(&buf); err != nil {
+			return nil, err
+		}
+		loaded, err := sdquery.LoadSDIndex(&buf, opts...)
+		if err != nil {
+			return nil, err
+		}
+		return wrap(loaded), nil
+	}
 }
 
 // loadWidth32 builds the index, saves it, marks the file's column width 32 —
@@ -205,9 +238,8 @@ func TestDifferentialSDIndex(t *testing.T) {
 // TestDifferentialSDIndexPairings runs the oracle workloads over indexes
 // loaded from files under every pairing byte Load accepts from a saved
 // engine, each with a layout of its kind (loadPairing): the in-order zip,
-// two other bijections and the pair-free layout that degenerates into 1D
-// lists only. The layout decides which frontiers the aggregation
-// interleaves, never the answer.
+// two other bijections and the pair-free layout. Load checks the layout and
+// ignores it, so none of them may move an answer.
 func TestDifferentialSDIndexPairings(t *testing.T) {
 	for i, name := range []string{"in-order", "by-correlation", "by-variance", "none"} {
 		t.Run(name, func(t *testing.T) {
@@ -217,12 +249,9 @@ func TestDifferentialSDIndexPairings(t *testing.T) {
 }
 
 // TestDifferentialSDIndexScheduling runs the full oracle workloads against
-// the aggregation's hardest interleaving and against 22 padded Ignored
-// dimensions. The first cell keeps its historical name, round-robin (the
-// retired scheduler it ran): it loads the pair-free layout split into three
-// segments, so the one schedule interleaves only 1D frontiers, whose float
-// pad is 0, across segments. The padded cell keeps its historical name,
-// no-plan-cache.
+// a pair-free legacy file split into three segments and against 22 padded
+// Ignored dimensions. Both cells keep historical names: round-robin (the
+// retired scheduler it ran) and no-plan-cache.
 func TestDifferentialSDIndexScheduling(t *testing.T) {
 	t.Run("round-robin", func(t *testing.T) {
 		runBuilt(t, "sdindex-pair-free-segmented", loadPairing(4), sdquery.WithShards(3))
@@ -238,9 +267,8 @@ func TestDifferentialSDIndexScheduling(t *testing.T) {
 // snapshot isolation across compaction), while disabled compaction forces
 // every inserted row through the memtable scan path. The third cell keeps
 // its historical name (it ran the retired round-robin scheduler): a tiny
-// memtable over a loaded by-correlation layout, so every seal builds its
-// trees under a stored, not a derived, bijection. Answers must stay
-// byte-identical to the oracle in every regime.
+// memtable over an index loaded from a by-correlation legacy file. Answers
+// must stay byte-identical to the oracle in every regime.
 func TestDifferentialSDIndexStorage(t *testing.T) {
 	t.Run("tiny-memtable", func(t *testing.T) {
 		runSDIndex(t, "sdindex-tiny-memtable", sdquery.WithMemtableSize(4))

@@ -94,8 +94,8 @@ func fuzzDataset(seed int64, n, dims int) ([][]float64, []sdquery.Role) {
 // guided inputs force seals, folds, and tombstone masking through the
 // background compactor) under an interleaved insert/remove/query stream,
 // with a snapshot pinned mid-churn, on a one-segment sequential index and
-// on three twins: one pinned to streaming, a multi-segment one with workers
-// and one whose memtable is never sealed. Every live answer must match the
+// on two twins: a multi-segment one with workers and one whose memtable is
+// never sealed. Every live answer must match the
 // oracle over the current row set; the pinned snapshot must keep matching
 // the oracle frozen at its acquisition.
 func FuzzTopKChurn(f *testing.F) {
@@ -111,13 +111,6 @@ func FuzzTopKChurn(f *testing.F) {
 		idx, err := sdquery.NewSDIndex(data, roles, sdquery.WithMemtableSize(4))
 		if err != nil {
 			t.Fatalf("build: %v", err)
-		}
-		// A stream-pinned twin: every seal under the churn builds trees and
-		// lists, and every query streams them.
-		idxStream, err := sdquery.NewSDIndex(data, roles,
-			sdquery.WithMemtableSize(4), sdquery.WithStreamOnly())
-		if err != nil {
-			t.Fatalf("build stream-only: %v", err)
 		}
 		// A segmented twin with batch workers: the same churn over a
 		// three-segment stack the compactor keeps re-splitting under its
@@ -140,7 +133,7 @@ func FuzzTopKChurn(f *testing.F) {
 		twins := []struct {
 			name string
 			idx  *sdquery.SDIndex
-		}{{"stream-only", idxStream}, {"segmented", idxSeg}, {"compaction-off", idxMem}}
+		}{{"segmented", idxSeg}, {"compaction-off", idxMem}}
 		mirror := append([][]float64(nil), data...)
 		dead := make([]bool, len(mirror))
 
@@ -282,12 +275,6 @@ func FuzzTopK(f *testing.F) {
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
-		// The other way through a segment: the default zone-sweeps every
-		// segment, so a twin is pinned to pure streaming.
-		idxStream, err := sdquery.NewSDIndex(data, roles, sdquery.WithStreamOnly())
-		if err != nil {
-			t.Fatalf("build stream-only: %v", err)
-		}
 		oracle, err := sdquery.NewScan(data)
 		if err != nil {
 			t.Fatalf("scan: %v", err)
@@ -331,22 +318,17 @@ func FuzzTopK(f *testing.F) {
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
-		for _, eng := range []struct {
-			name string
-			idx  *sdquery.SDIndex
-		}{{"sdindex", idx}, {"sdindex-stream", idxStream}} {
-			got, err := eng.idx.TopK(q)
-			if err != nil {
-				t.Fatalf("%s: %v", eng.name, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s returned %d results, scan %d\nq=%+v\ngot  %v\nwant %v",
-					eng.name, len(got), len(want), q, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: rank %d differs\nq=%+v\ngot  %v\nwant %v", eng.name, i, q, got, want)
-				}
+		got, err := idx.TopK(q)
+		if err != nil {
+			t.Fatalf("sdindex: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("sdindex returned %d results, scan %d\nq=%+v\ngot  %v\nwant %v",
+				len(got), len(want), q, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("sdindex: rank %d differs\nq=%+v\ngot  %v\nwant %v", i, q, got, want)
 			}
 		}
 	})

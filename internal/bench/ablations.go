@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/topk"
@@ -51,11 +50,7 @@ func runAblationAngles(cfg Config) Report {
 	timeSeries := Series{Name: "query ms"}
 	memSeries := Series{Name: "index MB"}
 	for _, m := range []int{2, 3, 5, 9, 17} {
-		eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly,
-			Tree: topk.Config{Angles: uniformAngles(m)}})
-		if err != nil {
-			panic(err)
-		}
+		eng := newSDEngine(data, roles, topk.Config{Angles: uniformAngles(m)})
 		ms := runQueries(eng, specs)
 		timeSeries.X = append(timeSeries.X, float64(m))
 		timeSeries.Y = append(timeSeries.Y, ms)
@@ -80,10 +75,7 @@ func runAblationBranching(cfg Config) Report {
 	specs := makeSpecs(roles, k, cfg.Queries, cfg.Seed+2)
 	s := Series{Name: "SD-Index topK"}
 	for _, b := range []int{2, 4, 8, 16, 32, 64} {
-		eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly, Tree: topk.Config{Branching: b}})
-		if err != nil {
-			panic(err)
-		}
+		eng := newSDEngine(data, roles, topk.Config{Branching: b})
 		ms := runQueries(eng, specs)
 		s.X = append(s.X, float64(b))
 		s.Y = append(s.Y, ms)
@@ -170,10 +162,7 @@ func runAblationBulk(cfg Config) Report {
 	timeSeries := Series{Name: "query ms"}
 	memSeries := Series{Name: "index MB"}
 	for _, lc := range []int{1, 4, 16, 64} {
-		eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly, Tree: topk.Config{LeafCap: lc}})
-		if err != nil {
-			panic(err)
-		}
+		eng := newSDEngine(data, roles, topk.Config{LeafCap: lc})
 		ms := runQueries(eng, specs)
 		timeSeries.X = append(timeSeries.X, float64(lc))
 		timeSeries.Y = append(timeSeries.Y, ms)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/baseline/ta"
 	"repro/internal/dataset"
 	"repro/internal/query"
+	"repro/internal/topk"
 )
 
 func init() {
@@ -99,7 +100,7 @@ func timeMethod(cfg Config, method string, data [][]float64, roles []query.Role,
 		}
 		return runQueries(eng, specs)
 	case "SD-Index":
-		eng := newSDEngine(data, roles)
+		eng := newSDEngine(data, roles, topk.Config{})
 		return runQueries(eng, specs)
 	case "TA":
 		eng, err := ta.New(data)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/baseline/brs"
 	"repro/internal/baseline/pe"
 	"repro/internal/baseline/scan"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/query"
@@ -70,7 +69,7 @@ func runFig8Updates(cfg Config) Report {
 	for _, dist := range []dataset.Distribution{dataset.Uniform, dataset.Correlated} {
 		data := dataset.Generate(dist, n, dims, cfg.Seed)
 		specs := makeSpecs(roles, k, cfg.Queries, cfg.Seed+2)
-		eng := newSDEngine(data, roles)
+		eng := newSDEngine(data, roles, topk.Config{})
 		base := runQueries(eng, specs)
 		noUpd := Series{Name: fmt.Sprintf("SD-Index %s", dist)}
 		withUpd := Series{Name: fmt.Sprintf("SD-Index* %s", dist)}
@@ -139,7 +138,7 @@ func runFig8Insert(cfg Config) Report {
 					}
 				})
 			case "SD-Index topK":
-				eng := newSDEngine(data, roles)
+				eng := newSDEngine(data, roles, topk.Config{})
 				ms = timeMS(func() {
 					for _, p := range inserts {
 						if _, err := eng.Insert(p); err != nil {
@@ -317,7 +316,7 @@ func runFig8Memory(cfg Config) Report {
 	for _, n0 := range sizes {
 		n := cfg.scaled(n0)
 		dataU := dataset.Generate(dataset.Uniform, n, dims, cfg.Seed)
-		eng := newSDEngine(dataU, roles)
+		eng := newSDEngine(dataU, roles, topk.Config{})
 		mb := float64(eng.Bytes()) / (1 << 20)
 		series[0].X = append(series[0].X, float64(n))
 		series[0].Y = append(series[0].Y, mb)
@@ -356,11 +355,7 @@ func runFig8Branching(cfg Config) Report {
 			s    *Series
 			leaf int
 		}{{&leaf1, 1}, {&leaf64, 64}} {
-			eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly,
-				Tree: topk.Config{Branching: b, LeafCap: variant.leaf}})
-			if err != nil {
-				panic(err)
-			}
+			eng := newSDEngine(data, roles, topk.Config{Branching: b, LeafCap: variant.leaf})
 			mb := float64(eng.Bytes()) / (1 << 20)
 			variant.s.X = append(variant.s.X, float64(b))
 			variant.s.Y = append(variant.s.Y, mb)
@@ -391,7 +386,7 @@ func runFig8Construction(cfg Config) Report {
 			var secs float64
 			switch m {
 			case "SD-Index topK":
-				secs = timeMS(func() { newSDEngine(data, roles) }) / 1000
+				secs = timeMS(func() { newSDEngine(data, roles, topk.Config{}) }) / 1000
 			case "SD-Index top1":
 				secs = timeMS(func() { newMultiTop1(data, roles, 1) }) / 1000
 			case "BRS":

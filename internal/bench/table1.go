@@ -3,9 +3,9 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/query"
+	"repro/internal/topk"
 )
 
 func init() {
@@ -32,10 +32,7 @@ func runTable1(cfg Config) Report {
 	mols := dataset.ChEMBL(n, cfg.Seed)
 	data := dataset.MoleculeVectors(mols) // [drug-likeness, MW] normalized
 	roles := []query.Role{query.Attractive, query.Repulsive}
-	eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly})
-	if err != nil {
-		panic(err)
-	}
+	eng := newSDEngine(data, roles, topk.Config{})
 	overall := dataset.Stats(mols)
 	columns := []string{"Description", "Drug-likeness", "MW", "PSA", "exceptions"}
 	rows := [][]string{{

@@ -4,11 +4,11 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/top1"
+	"repro/internal/topk"
 )
 
 // rolesSplit assigns the first `attractive` dimensions to S and the rest to
@@ -64,10 +64,10 @@ type engine interface {
 	TopK(query.Spec) ([]query.Result, error)
 }
 
-// appendEngine is the zero-allocation query surface (core.Engine): results
+// appendEngine is the zero-allocation query surface (sdIndex): results
 // appended into a reused buffer, no per-query garbage.
 type appendEngine interface {
-	TopKAppend([]query.Result, query.Spec) ([]query.Result, core.Stats, error)
+	TopKAppend([]query.Result, query.Spec) ([]query.Result, error)
 }
 
 // runQueries executes all specs and returns total wall milliseconds.
@@ -81,7 +81,7 @@ func runQueries(eng engine, specs []query.Spec) float64 {
 		return timeMS(func() {
 			for _, s := range specs {
 				var err error
-				buf, _, err = ae.TopKAppend(buf[:0], s)
+				buf, err = ae.TopKAppend(buf[:0], s)
 				if err != nil {
 					panic(err)
 				}
@@ -97,16 +97,11 @@ func runQueries(eng engine, specs []query.Spec) float64 {
 	})
 }
 
-// streamOnly pins every engine this package builds to pure streaming: the
-// figures and ablations reproduce the paper's index — sorted accesses against
-// baselines' — and the served engine answers every segment with a zone sweep
-// of its columns instead.
-var streamOnly = core.RuntimeOptions{StreamOnly: true}
-
-// newSDEngine builds the SD-Index with the engine's tree defaults (branching
-// 8, 64-point packed leaves, the five §6.1 angles), streaming only.
-func newSDEngine(data [][]float64, roles []query.Role) *core.Engine {
-	eng, err := core.New(data, core.Config{Roles: roles, RuntimeOptions: streamOnly})
+// newSDEngine builds the SD-Index (sdindex.go) with the tree shape an
+// ablation varies; the zero shape is the defaults the figures use (branching
+// 8, 64-point packed leaves, the five §6.1 angles).
+func newSDEngine(data [][]float64, roles []query.Role, tree topk.Config) *sdIndex {
+	eng, err := newSDIndex(data, roles, tree)
 	if err != nil {
 		panic(err)
 	}
@@ -119,7 +114,7 @@ func newSDEngine(data [][]float64, roles []query.Role) *core.Engine {
 // It answers the fixed workload (k and weights chosen at build time) that
 // the top-1 experiments of Figures 8b/8e/8h/8j measure.
 type multiTop1 struct {
-	pairs []core.Pair
+	pairs [][2]int // (repulsive, attractive)
 	idxs  []*top1.Index
 	data  [][]float64
 	k     int
@@ -140,10 +135,10 @@ func newMultiTop1(data [][]float64, roles []query.Role, k int) *multiTop1 {
 	}
 	m := &multiTop1{data: data, k: k}
 	for i := 0; i < n; i++ {
-		pr := core.Pair{Rep: rep[i], Attr: attr[i]}
+		pr := [2]int{rep[i], attr[i]}
 		pts := make([]geom.Point, len(data))
 		for j, p := range data {
-			pts[j] = geom.Point{ID: j, X: p[pr.Attr], Y: p[pr.Rep]}
+			pts[j] = geom.Point{ID: j, X: p[pr[1]], Y: p[pr[0]]}
 		}
 		idx, err := top1.Build(pts, top1.Config{Alpha: 1, Beta: 1, K: k})
 		if err != nil {
@@ -157,7 +152,7 @@ func newMultiTop1(data [][]float64, roles []query.Role, k int) *multiTop1 {
 
 func (m *multiTop1) insert(id int, p []float64) {
 	for i, pr := range m.pairs {
-		if err := m.idxs[i].Insert(geom.Point{ID: id, X: p[pr.Attr], Y: p[pr.Rep]}); err != nil {
+		if err := m.idxs[i].Insert(geom.Point{ID: id, X: p[pr[1]], Y: p[pr[0]]}); err != nil {
 			panic(err)
 		}
 	}

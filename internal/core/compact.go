@@ -1,8 +1,8 @@
 package core
 
 // Background compaction: the write path only ever appends to the memtable
-// and flips tombstone bits, so index maintenance — tree builds, sorted-list
-// builds, dead-row reclamation — happens here, off both the insert and the
+// and flips tombstone bits, so index maintenance — sealing and tiling,
+// dead-row reclamation — happens here, off both the insert and the
 // query path. The compactor runs three policies, all expressed as one
 // primitive (compactTail: seal the last nSegs segments plus a memtable
 // prefix into one fresh segment):
@@ -15,7 +15,7 @@ package core
 //     the insert count and queries plan across O(log n) segments.
 //   - Reclaim: a segment whose tombstone fraction crosses half is rewritten
 //     (together with the stack suffix below it, preserving the global-ID
-//     ordering invariant), dropping dead rows and their index entries.
+//     ordering invariant), dropping dead rows.
 //
 // Exactly one compaction step runs at a time (compactMu); steps build the
 // replacement segment OUTSIDE any lock — concurrent queries keep answering
@@ -131,10 +131,10 @@ func (e *Engine) compactTail(nSegs, memUpto int) {
 	// Phase 1 (no locks): gather the live rows — in ascending global-ID
 	// order, which the stack invariant reduces to concatenating each
 	// segment's rows in ID order (byID) and the memtable's as they are —
-	// and build the replacement segments' trees and lists. The output is
-	// one segment, or ⌈kept/cap⌉ equal chunks under the row cap (segCap);
-	// columns are gathered dimension-major from the sources' column blocks,
-	// the memtable's included.
+	// and seal the replacement segments. The output is one segment, or
+	// ⌈kept/cap⌉ equal chunks under the row cap (segCap); columns are
+	// gathered dimension-major from the sources' column blocks, the
+	// memtable's included.
 	type src struct{ seg, local int32 }
 	var kept []src
 	var ids []int32
@@ -163,8 +163,7 @@ func (e *Engine) compactTail(nSegs, memUpto int) {
 	}
 	var builts []*segment
 	if nk > 0 { // else nothing survived at all
-		var err error
-		builts, err = e.sealAll(nchunks, func(ci int) ([]float64, []int32) {
+		builts = e.sealAll(nchunks, func(ci int) ([]float64, []int32) {
 			clo, chi := ci*nk/nchunks, (ci+1)*nk/nchunks
 			rows := chi - clo
 			cols := make([]float64, rows*d)
@@ -176,12 +175,6 @@ func (e *Engine) compactTail(nSegs, memUpto int) {
 			}
 			return cols, ids[clo:chi:chi]
 		})
-		if err != nil {
-			// Every row was validated at insert time; a build failure here is
-			// a bug, but the safe reaction is to leave the current (correct,
-			// just uncompacted) snapshot in place.
-			return
-		}
 	}
 
 	if h := e.builtHook; h != nil {

@@ -1,30 +1,22 @@
-// Package core implements the paper's §5 multi-dimensional SD-Query engine —
-// the SD-Index proper. The query's repulsive dimensions D and attractive
-// dimensions S are paired into min(|D|, |S|) two-dimensional subproblems
-// (Eqn. 10), each answered incrementally by a §4 top-k tree; leftover
-// dimensions become 1D subproblems over sorted lists with bidirectional
-// frontiers. A Threshold-Algorithm aggregation fetches from the subproblem
-// whose frontier bound falls fastest (scheduler.go), scores fetched points
-// exactly by random access, and stops once the k-th best exact score reaches
-// the sum of the per-subproblem frontier bounds.
+// Package core implements the served SD-Index: an exact SD-score top-k
+// engine over a storage stack of immutable sealed segments plus a small
+// mutable memtable absorbing recent Inserts.
 //
-// Storage architecture: the engine is an epoch-versioned stack of immutable
-// sealed segments — STR-tiled column data with a min/max box per block,
-// built once and never mutated — plus a small mutable memtable absorbing
-// recent Inserts. Queries acquire a copy-on-write snapshot with one atomic
-// load and hold no lock at all: the memtable's few rows are scored exactly
-// up front, and every sealed segment is answered by one zone sweep that
-// skips whole blocks by their box bound (sweep.go; tombstones mask removed
-// rows). Under RuntimeOptions.StreamOnly every seal also builds the per-pair
-// trees and sorted lists, and every segment contributes its subproblem
-// streams to the §5 aggregation instead. A background compactor seals the
-// memtable into a segment past a size threshold and folds small segments
-// together, amortizing seals off both the query and the insert path. Sealed
-// segments serialize to a versioned binary format (Save / Load), so a
-// persisted index restarts without re-ingesting its rows.
+// A sealed segment holds STR-tiled column data with a min/max box per
+// 128-row block, built once and never mutated. Queries acquire a
+// copy-on-write snapshot with one atomic load and hold no lock at all: the
+// memtable's few rows are scored exactly up front, and every sealed segment
+// is answered by one zone sweep that skips whole blocks by their box bound
+// (sweep.go; tombstones mask removed rows) — the box bound of the paper's
+// BRS baseline (§6.1) applied to storage blocks. A background compactor
+// seals the memtable into a segment past a size threshold and folds small
+// segments together, amortizing seals off both the query and the insert
+// path. Sealed segments serialize to a versioned binary format (Save /
+// Load), so a persisted index restarts without re-ingesting its rows.
 //
-// The granularity of the subproblems — two dimensions instead of TA's one —
-// is the source of the paper's reported speedups and dimension scalability.
+// The paper's §5 aggregation over §4 pair trees is not here: it is the
+// figures' own static SD-Index in internal/bench, and this package imports
+// neither internal/topk nor internal/dimlist.
 package core
 
 import (
@@ -35,7 +27,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/query"
-	"repro/internal/topk"
 )
 
 // ErrCanceled is returned by the cancellation-aware query paths
@@ -45,28 +36,17 @@ import (
 var ErrCanceled = errors.New("core: query canceled")
 
 // defaultMemtableSize is the memtable row count past which the background
-// compactor seals it into a segment. Small enough that the per-query exact
-// scan of the memtable stays a rounding error next to the indexed
-// subproblems, large enough that tree builds amortize over many inserts.
+// compactor seals it into a segment. Small enough that the per-query flat
+// sweep of the memtable stays a rounding error next to the zone-swept
+// segments, large enough that seals amortize over many inserts.
 const defaultMemtableSize = 1024
 
-// Pair is one 2D subproblem: the repulsive dimension is the tree's y axis,
-// the attractive one its x axis.
-type Pair struct {
-	Rep, Attr int
-}
-
-// Config controls engine construction. The subproblem layout is not
-// configurable: the repulsive and attractive dimensions of Roles are zipped
-// in index order into pairs (makePairs), and the longer list's leftovers are
-// solved alone.
+// Config controls engine construction.
 type Config struct {
 	// Roles fixes each dimension's role at build time (the evaluation's
-	// setting; the per-pair trees depend on it). Queries may demote an
-	// active dimension to Ignored but may not flip roles.
+	// setting). Queries may demote an active dimension to Ignored but may
+	// not flip roles.
 	Roles []query.Role
-	// Tree configures the per-pair §4 indexes.
-	Tree topk.Config
 	// WAL, when non-nil, makes every mutation durable: Insert and Remove
 	// append checksummed records to a per-engine log before publishing, and
 	// Open replays the tail over the last checkpoint after a crash. See
@@ -77,8 +57,8 @@ type Config struct {
 
 // RuntimeOptions are the engine knobs that change neither the answers nor the
 // persisted file. Config embeds them; Load and Open take them fresh, while
-// the structural configuration — roles, pairing layout, tree shape — comes
-// from the file. apply is the one place they reach an Engine.
+// the structural configuration — the roles — comes from the file. apply is
+// the one place they reach an Engine.
 type RuntimeOptions struct {
 	// MemtableSize is the memtable row count past which the background
 	// compactor seals it into an immutable segment. Default 1024.
@@ -97,13 +77,6 @@ type RuntimeOptions struct {
 	// runs over the whole stack on its caller's goroutine. A loaded file's own
 	// stack loads as saved and compaction reshapes it from there.
 	Segments int
-	// StreamOnly answers every sealed segment with the §5 aggregation over its
-	// pair trees and lone-dimension lists instead of a zone sweep, and makes
-	// every seal build them. No public option sets it: the served engine
-	// zone-sweeps every segment (sweep.go) and builds no trees. It is for the
-	// paper-figure engines of internal/bench and the stream halves of the
-	// differential suites.
-	StreamOnly bool
 }
 
 // apply validates the knobs and sets them on e, defaulting the memtable size.
@@ -117,7 +90,6 @@ func (opt RuntimeOptions) apply(e *Engine) error {
 	}
 	e.noCompact = opt.DisableCompaction
 	e.segments = opt.Segments
-	e.streamOnly = opt.StreamOnly
 	return nil
 }
 
@@ -126,10 +98,9 @@ func (opt RuntimeOptions) apply(e *Engine) error {
 // pointer load. Insert, Remove, and compaction serialize among themselves
 // on internal mutexes and publish new snapshots; they never block readers.
 type Engine struct {
-	dims    int
-	roles   []query.Role
-	layout  layout
-	treeCfg topk.Config
+	dims   int
+	roles  []query.Role
+	active []int // the non-Ignored dimensions, ascending: the tiling's keys
 
 	// snap is the engine's current epoch. Queries, Len, and Bytes read it
 	// with one atomic load; writers build a successor and Store it.
@@ -146,8 +117,7 @@ type Engine struct {
 	memSize     int
 	noCompact   bool
 
-	segments   int  // large sealed segments to keep (segCap); ≤ 1 = unbounded
-	streamOnly bool // stream every segment instead of zone-sweeping it (sweep.go)
+	segments int // large sealed segments to keep (segCap); ≤ 1 = unbounded
 
 	// sweptHook, when set, runs after every completed segment sweep: a test
 	// seam (TestCancelMidSweep cancels a query between two sweeps with it),
@@ -202,21 +172,7 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("core: unknown role %d", r)
 		}
 	}
-	// The engine defaults its per-pair trees to packed leaves: the tree
-	// semantics are identical (the paper's §4 disk-style layout), and the
-	// 64-point leaves — the widest the leaf-cursor bitmask supports — cut
-	// both heap traffic on the query path and node overhead by an order
-	// of magnitude. Callers can force single-point leaves (the paper's
-	// in-memory layout) through Config.Tree.LeafCap.
-	if cfg.Tree.LeafCap == 0 {
-		cfg.Tree.LeafCap = 64
-	}
-	e := &Engine{
-		dims:    dims,
-		roles:   append([]query.Role(nil), cfg.Roles...),
-		layout:  makeLayout(cfg.Roles),
-		treeCfg: cfg.Tree,
-	}
+	e := newEngine(append([]query.Role(nil), cfg.Roles...))
 	if err := cfg.RuntimeOptions.apply(e); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -242,7 +198,7 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 		// construction). Columns are gathered dimension-major straight from
 		// the caller's rows — the segment's primary layout.
 		nchunks := max(1, min(e.segments, n))
-		segs, err := e.sealAll(nchunks, func(ci int) ([]float64, []int32) {
+		sn.segs = e.sealAll(nchunks, func(ci int) ([]float64, []int32) {
 			lo, hi := ci*n/nchunks, (ci+1)*n/nchunks
 			rows := hi - lo
 			cols := make([]float64, rows*dims)
@@ -254,11 +210,7 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 			}
 			return cols, ids[lo:hi:hi]
 		})
-		if err != nil {
-			return nil, err
-		}
-		sn.segs = segs
-		sn.tombs = make([][]uint64, len(segs))
+		sn.tombs = make([][]uint64, len(sn.segs))
 	}
 	e.snap.Store(sn)
 	e.initCtxPool()
@@ -272,22 +224,22 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// makePairs zips repulsive and attractive dimensions in index order — the
-// paper's "arbitrary" bijection f of Eqn. 10, |pairs| = min(|D|, |S|).
-func makePairs(repulsive, attractive []int) []Pair {
-	pairs := make([]Pair, min(len(repulsive), len(attractive)))
-	for i := range pairs {
-		pairs[i] = Pair{Rep: repulsive[i], Attr: attractive[i]}
+// newEngine is an engine over roles with its derived fields set: what New
+// and Load share before the rows arrive.
+func newEngine(roles []query.Role) *Engine {
+	e := &Engine{dims: len(roles), roles: roles}
+	for d, r := range roles {
+		if r != query.Ignored {
+			e.active = append(e.active, d)
+		}
 	}
-	return pairs
+	return e
 }
 
-// floatSlack, times a query's weighted coordinate reach, bounds the drift
-// between the pair trees' projection-space score arithmetic (normalize,
-// blend, rescale: a handful of roundings per term) and the exact
-// contribution. 64 ulps per unit of term magnitude is far above anything
-// the ~10-operation chain can accumulate while staying many orders of
-// magnitude below real score gaps.
+// floatSlack, times a query's weighted coordinate reach, is the zone
+// sweep's margin on a block bound (plan.go): 64 ulps per unit of term
+// magnitude, far above the rounding of a d-term sum while staying many
+// orders of magnitude below real score gaps.
 const floatSlack = 64 * 0x1p-52
 
 // reach returns an upper bound on |p_d − q_d| over every indexed row —
@@ -298,11 +250,6 @@ func (sn *snapshot) reach(d int, qv float64) float64 {
 	}
 	return math.Max(math.Abs(sn.minVal[d]-qv), math.Abs(sn.maxVal[d]-qv))
 }
-
-// Pairs returns the chosen dimension pairing (for inspection and tests): the
-// bijection f of Eqn. 10, fixed at build time. Dimensions it leaves out are
-// solved alone over sorted lists.
-func (e *Engine) Pairs() []Pair { return append([]Pair(nil), e.layout.pairs...) }
 
 // Roles returns the build-time dimension roles.
 func (e *Engine) Roles() []query.Role { return append([]query.Role(nil), e.roles...) }
@@ -334,33 +281,24 @@ func (e *Engine) Segments() (segments, memRows int) {
 func (e *Engine) Compactions() uint64 { return e.compactions.Load() }
 
 // Bytes estimates the resident size of the engine: every sealed segment's
-// index structures, column block, global-ID map, and tombstone bitset,
-// plus the memtable arrays and the per-dimension extrema — everything the
-// engine itself retains beyond the caller's dataset, so capacity planning
-// numbers are honest.
+// column block, global-ID map and its inverse, block boxes, and tombstone
+// bitset, plus the memtable arrays and the per-dimension extrema —
+// everything the engine itself retains beyond the caller's dataset, so
+// capacity planning numbers are honest.
 func (e *Engine) Bytes() int { return e.snap.Load().bytes() }
 
-// Stats reports the work one query performed — the quantities the paper's
-// analysis argues about (fetches per subproblem versus a full scan).
+// Stats reports the work one query performed.
 type Stats struct {
-	// Subproblems actually consulted (zero-weight ones are skipped),
-	// summed across every sealed segment.
-	Subproblems int
 	// Segments counts the sealed segments the query planned across.
 	Segments int
-	// Fetched counts sorted-access emissions across all subproblems.
-	Fetched int
-	// Scored counts distinct points whose exact score the query computed: by
-	// random access after a sorted access surfaced them, or by a sweep.
+	// Scored counts distinct points whose exact score the query computed.
 	// Memtable rows are always scored; a sealed segment's sweep scores only
 	// the live rows of the blocks it did not skip.
 	Scored int
 	// Swept counts the live rows of the sealed segments the query swept —
 	// every live row of each, scored or skipped with its block — and
-	// SweptSegments how many segments that was: every one on a default
-	// engine, only those of a plan that binds no stream (every weight zero)
-	// under StreamOnly. Swept is the segment's live row count however many
-	// blocks the sweep skipped; Scored and BlocksSkipped say how many it did.
+	// SweptSegments how many segments that was: every one the query
+	// finished. Scored and BlocksSkipped say how much of Swept was scored.
 	Swept         int
 	SweptSegments int
 	// BlocksBounded counts the blocks of swept segments whose box bound the
@@ -369,9 +307,6 @@ type Stats struct {
 	// block, and the memtable, are swept flat and count in neither.
 	BlocksBounded int
 	BlocksSkipped int
-	// Rounds counts scheduler steps: one adaptive batch dispatched to one
-	// subproblem.
-	Rounds int
 }
 
 // TopK answers the SD-Query. spec.Roles must match the build-time roles,

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,9 +12,7 @@ import (
 	"repro/internal/baseline/scan"
 	"repro/internal/baseline/ta"
 	"repro/internal/dataset"
-	"repro/internal/geom"
 	"repro/internal/query"
-	"repro/internal/topk"
 )
 
 const eps = 1e-9
@@ -127,64 +126,16 @@ func TestAllEnginesAgreeWithScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The SD-Index both ways (sweep.go): the default zone-sweeps every
-		// segment, and one engine is pinned to pure streaming.
-		tree := topk.Config{Branching: 2 + rng.Intn(7)}
-		var sdEngs [2]*Engine
-		for i, streamOnly := range []bool{false, true} {
-			if sdEngs[i], err = New(data, Config{Roles: roles, Tree: tree, RuntimeOptions: RuntimeOptions{StreamOnly: streamOnly}}); err != nil {
-				t.Fatal(err)
-			}
+		sdEng, err := New(data, Config{Roles: roles})
+		if err != nil {
+			t.Fatal(err)
 		}
 		for qi := 0; qi < 8; qi++ {
 			spec := randomSpec(rng, data, roles)
 			checkAgainst(t, "ta", taEng, truth, spec)
 			checkAgainst(t, "brs", brsEng, truth, spec)
 			checkAgainst(t, "pe", peEng, truth, spec)
-			checkAgainst(t, "sd", sdEngs[0], truth, spec)
-			checkAgainst(t, "sd-stream", sdEngs[1], truth, spec)
-		}
-	}
-}
-
-// TestTreeShapes: the §4 tree parameters of Config.Tree — fan-out, leaf
-// capacity, indexed angles — change how the pair streams descend, never what
-// the engine answers. Every shape must agree with the scan, by default
-// (which builds no trees: the shape is only carried) and pinned to pure
-// streaming.
-func TestTreeShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	data := dataset.Generate(dataset.Correlated, 300, 4, 2)
-	currentData = data
-	roles := []query.Role{query.Repulsive, query.Attractive, query.Repulsive, query.Attractive}
-	truth, _ := scan.New(data)
-	angles := func(degrees ...float64) []geom.Angle {
-		out := make([]geom.Angle, len(degrees))
-		for i, d := range degrees {
-			a, err := geom.AngleFromDegrees(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = a
-		}
-		return out
-	}
-	shapes := map[string]topk.Config{
-		"default":  {},
-		"branch32": {Branching: 32, LeafCap: 8},
-		"leaf1":    {LeafCap: 1},
-		"angles2":  {Angles: angles(0, 90)},
-		"angles9":  {Angles: angles(0, 11, 22, 33, 45, 56, 67, 79, 90)},
-	}
-	for name, tree := range shapes {
-		for _, streamOnly := range []bool{false, true} {
-			eng, err := New(data, Config{Roles: roles, Tree: tree, RuntimeOptions: RuntimeOptions{StreamOnly: streamOnly}})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for qi := 0; qi < 10; qi++ {
-				checkAgainst(t, fmt.Sprintf("%s/stream-only=%v", name, streamOnly), eng, truth, randomSpec(rng, data, roles))
-			}
+			checkAgainst(t, "sd", sdEng, truth, spec)
 		}
 	}
 }
@@ -194,9 +145,9 @@ func TestPairingUnbalancedRoles(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 200, 6, 9)
 	currentData = data
 	truth, _ := scan.New(data)
-	// 0..3 attractive dimensions of 6 (the Figure 7i/7j sweep): pairs =
-	// min(a, 6-a) under the default in-order zip, and the other 6 - 2a
-	// dimensions run alone.
+	// 0..3 attractive dimensions of 6 (the Figure 7i/7j sweep): the saved
+	// layout's pairs are min(a, 6-a) under the in-order zip, and the other
+	// 6 - 2a dimensions are listed alone.
 	for a := 0; a <= 3; a++ {
 		roles := make([]query.Role, 6)
 		for d := range roles {
@@ -210,11 +161,18 @@ func TestPairingUnbalancedRoles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := len(eng.Pairs()), a; got != want {
-			t.Fatalf("a=%d: %d pairs, want %d", a, got, want)
+		var buf bytes.Buffer
+		if err := eng.Save(&buf); err != nil {
+			t.Fatal(err)
 		}
-		if got, want := len(eng.layout.lone), 6-2*a; got != want {
-			t.Fatalf("a=%d: %d lone dimensions, want %d", a, got, want)
+		// Version, dimension count, six roles, the pairing, width and layout
+		// bytes, then the pair count, the pairs and the lone count.
+		file := buf.Bytes()
+		const at = 4 + 4 + 6 + 3
+		pairs := int(binary.LittleEndian.Uint32(file[at:]))
+		lone := int(binary.LittleEndian.Uint32(file[at+4+8*pairs:]))
+		if pairs != a || lone != 6-2*a {
+			t.Fatalf("a=%d: %d pairs and %d lone dimensions saved, want %d and %d", a, pairs, lone, a, 6-2*a)
 		}
 		for qi := 0; qi < 6; qi++ {
 			checkAgainst(t, "sd", eng, truth, randomSpec(rng, data, roles))
@@ -388,9 +346,8 @@ func TestBytesPositive(t *testing.T) {
 }
 
 // TestBytesEstimate pins the resident-size formula layer by layer: every
-// sealed segment contributes its index structures (trees, lists),
-// its column block, its global-ID map and that map's inverse, its block
-// boxes, and its tombstone bitset; the
+// sealed segment contributes its column block, its global-ID map and that
+// map's inverse, its block boxes, and its tombstone bitset; the
 // memtable contributes its ID, row, and dead arrays; the engine adds the
 // per-dimension extrema. A drifting estimate silently breaks capacity
 // planning.
@@ -398,23 +355,12 @@ func TestBytesEstimate(t *testing.T) {
 	const n, dims = 500, 4
 	data := dataset.Generate(dataset.Uniform, n, dims, 19)
 	roles := []query.Role{query.Repulsive, query.Attractive, query.Repulsive, query.Repulsive}
-	// Stream-pinned so the segment is indexed at all: the default seals
-	// without structures (TestSealIndexesBySize).
-	eng, err := New(data, Config{Roles: roles, RuntimeOptions: RuntimeOptions{DisableCompaction: true, StreamOnly: true}})
+	eng, err := New(data, Config{Roles: roles, RuntimeOptions: RuntimeOptions{DisableCompaction: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	perLayer := func(sn *snapshot) (structures, want int) {
+	perLayer := func(sn *snapshot) (want int) {
 		for i, seg := range sn.segs {
-			segStruct := 0
-			for _, tr := range seg.trees {
-				segStruct += tr.Bytes()
-			}
-			for _, l := range seg.lists {
-				segStruct += l.Len() * 12
-			}
-			structures += segStruct
-			want += segStruct
 			want += 8 * len(seg.cols)    // dimension-major column block
 			want += 4 * len(seg.ids)     // global-ID map
 			want += 4 * len(seg.byID)    // its inverse, ID rank → local row
@@ -425,16 +371,15 @@ func TestBytesEstimate(t *testing.T) {
 		want += 8 * dims * len(sn.memIDs) // memtable rows
 		want += 8 * len(sn.memDead)       // memtable tombstone words
 		want += 8 * 2 * dims              // minVal + maxVal
-		return structures, want
+		return want
 	}
-	structures, want := perLayer(eng.snap.Load())
-	if got := eng.Bytes(); got != want {
-		t.Fatalf("Bytes() = %d, want %d (structures %d)", got, want, structures)
+	if got, want := eng.Bytes(), perLayer(eng.snap.Load()); got != want {
+		t.Fatalf("Bytes() = %d, want %d", got, want)
 	}
 	// The dataset-side arrays must actually be counted: the estimate has to
-	// exceed the index structures alone by at least the flat copy.
-	if got := eng.Bytes(); got < structures+8*n*dims {
-		t.Fatalf("Bytes() = %d undercounts the flat copy (structures alone: %d)", got, structures)
+	// hold at least the flat copy.
+	if got := eng.Bytes(); got < 8*n*dims {
+		t.Fatalf("Bytes() = %d undercounts the flat copy", got)
 	}
 	// Inserts land in the memtable: the estimate grows by at least the
 	// appended row and keeps matching the per-layer formula.
@@ -445,7 +390,7 @@ func TestBytesEstimate(t *testing.T) {
 	if got := eng.Bytes(); got < before+8*dims {
 		t.Fatalf("Bytes() after Insert = %d, want ≥ %d", got, before+8*dims)
 	}
-	if _, want := perLayer(eng.snap.Load()); eng.Bytes() != want {
+	if want := perLayer(eng.snap.Load()); eng.Bytes() != want {
 		t.Fatalf("Bytes() after Insert = %d, per-layer formula says %d", eng.Bytes(), want)
 	}
 	// Removes add tombstone words; compaction folds every layer into one
@@ -453,14 +398,14 @@ func TestBytesEstimate(t *testing.T) {
 	if !eng.Remove(3) {
 		t.Fatal("Remove(3) = false")
 	}
-	if _, want := perLayer(eng.snap.Load()); eng.Bytes() != want {
+	if want := perLayer(eng.snap.Load()); eng.Bytes() != want {
 		t.Fatalf("Bytes() after Remove = %d, per-layer formula says %d", eng.Bytes(), want)
 	}
 	eng.Compact()
 	if segs, mem := eng.Segments(); segs != 1 || mem != 0 {
 		t.Fatalf("after Compact: %d segments, %d memtable rows", segs, mem)
 	}
-	if _, want := perLayer(eng.snap.Load()); eng.Bytes() != want {
+	if want := perLayer(eng.snap.Load()); eng.Bytes() != want {
 		t.Fatalf("Bytes() after Compact = %d, per-layer formula says %d", eng.Bytes(), want)
 	}
 }

@@ -2,16 +2,16 @@ package core
 
 // On-disk persistence: a sealed-segment engine serializes to a versioned
 // little-endian binary format and loads back bit-exactly — same answers,
-// same Bytes, same Stats. The file carries the engine's structural identity
-// (roles, the fixed subproblem layout, the tree configuration) plus every
+// same Bytes, same Stats. The file carries the engine's roles plus every
 // segment's raw rows, global IDs, and tombstones, all in ID order; the
-// tiling (tile.go: the STR order, byID, the block boxes) and, on a
-// StreamOnly engine, the index structures (trees, sorted lists) are NOT
-// serialized but rebuilt at load, which is
-// deterministic: a segment's trees and tiling are a pure function of its
-// rows in ID order and the tree configuration, so the reloaded engine's
-// segment stack is structurally identical to the saved one, and a file
-// does not depend on how its segments were tiled. Runtime knobs
+// tiling (tile.go: the STR order, byID, the block boxes) is NOT serialized
+// but rebuilt at load, which is deterministic: a segment's tiling is a pure
+// function of its rows in ID order, so the reloaded engine's segment stack
+// is structurally identical to the saved one, and a file does not depend on
+// how its segments were tiled. The file also carries a pairing byte, a
+// subproblem layout and a tree configuration, from when the engine answered
+// over the paper's §4 pair trees: Save writes the values every engine built
+// then wrote, and Load checks and ignores them. Runtime knobs
 // (RuntimeOptions) are not part of the file; Load takes them fresh. One
 // version is written and read (persistVersion); the bytes reach Load from
 // files, CHECKPOINTs and replication streams this process did not write, so
@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/query"
-	"repro/internal/topk"
 )
 
 // persistVersion identifies the core engine's section of the file format.
@@ -42,7 +41,7 @@ const persistVersion = 3
 
 // maxPersistDims caps the dimensionality Load will accept — a sanity bound
 // that turns a corrupt header into an error instead of an absurd
-// allocation. It bounds the tree fan-out the same way.
+// allocation. It bounds the stored tree fan-out the same way.
 const maxPersistDims = 1 << 16
 
 // loadChunk bounds how far Load allocates ahead of the bytes it has read: a
@@ -137,30 +136,33 @@ func (e *Engine) saveSnapshot(w io.Writer, sn *snapshot) error {
 	cw.write(uint8(1))  // pairing byte: 1 is the in-order zip (see Load)
 	cw.write(uint8(64)) // column width: the columns are float64 (Load also accepts 32)
 
-	// Layout byte 0: the pair list, then the lone dimensions.
-	lo := &e.layout
+	// Layout byte 0 with the in-order zip of the repulsive and attractive
+	// dimensions as pairs and the longer list's leftovers, ascending, as lone
+	// dimensions; then the tree configuration every engine stored: branching
+	// and rebuild threshold 0 (defaults), 64-point leaves, no angles.
+	var rep, att []uint32
+	for d, r := range e.roles {
+		switch r {
+		case query.Repulsive:
+			rep = append(rep, uint32(d))
+		case query.Attractive:
+			att = append(att, uint32(d))
+		}
+	}
+	np := min(len(rep), len(att))
 	cw.write(uint8(0))
-	cw.write(uint32(len(lo.pairs)))
-	for _, pr := range lo.pairs {
-		cw.write(uint32(pr.Rep))
-		cw.write(uint32(pr.Attr))
+	cw.write(uint32(np))
+	for i := 0; i < np; i++ {
+		cw.write(rep[i])
+		cw.write(att[i])
 	}
-	cw.write(uint32(len(lo.lone)))
-	for _, d := range lo.lone {
-		cw.write(uint32(d))
-	}
-
-	// Tree configuration: the exact inputs segment rebuilds need. Angles are
-	// persisted as their (Alpha, Beta) pairs, not degrees, so the reloaded
-	// trees blend over bit-identical projection coefficients.
-	cw.write(uint32(e.treeCfg.Branching))
-	cw.write(uint32(e.treeCfg.LeafCap))
-	cw.write(e.treeCfg.RebuildThreshold)
-	cw.write(uint32(len(e.treeCfg.Angles)))
-	for _, a := range e.treeCfg.Angles {
-		cw.write(a.Alpha)
-		cw.write(a.Beta)
-	}
+	lone := slices.Sorted(slices.Values(append(rep[np:], att[np:]...)))
+	cw.write(uint32(len(lone)))
+	cw.write(lone)
+	cw.write(uint32(0))  // branching
+	cw.write(uint32(64)) // leaf capacity
+	cw.write(0.0)        // rebuild threshold
+	cw.write(uint32(0))  // angles
 
 	cw.write(sn.minVal)
 	cw.write(sn.maxVal)
@@ -211,11 +213,10 @@ func (e *Engine) saveSnapshot(w io.Writer, sn *snapshot) error {
 }
 
 // Load reconstructs an engine from a Save stream, resealing every segment
-// deterministically from the persisted rows (trees and lists included only
-// under RuntimeOptions.StreamOnly). The
-// reloaded engine answers byte-identically to the one that was saved and
-// reports the same Bytes (the only state not round-tripped is runtime:
-// context-pool warmth, in-flight compaction).
+// deterministically from the persisted rows. The reloaded engine answers
+// byte-identically to the one that was saved and reports the same Bytes
+// (the only state not round-tripped is runtime: context-pool warmth,
+// in-flight compaction).
 //
 // Load trusts nothing it reads. Every length-prefixed array is read in
 // bounded chunks (readArray), the layout must name each active dimension
@@ -276,12 +277,11 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 	// The layout names every active dimension exactly once, each in a slot
 	// of its role: pair and grid rows are repulsive, pair and grid columns
 	// attractive, lone dimensions either. Layout byte 1 is the retired
-	// adaptive grid, which listed only the grid's rows and columns: it loads
-	// as their in-order zip, and the longer list's leftovers become lone
-	// dimensions.
+	// adaptive grid, which listed only the grid's rows and columns. The
+	// layout is checked and then ignored, like the pairing byte.
 	seen := make([]bool, dims)
 	listed := 0
-	dim := func(slot string, want ...query.Role) int {
+	dim := func(slot string, want ...query.Role) {
 		switch v := cr.u32(); {
 		case cr.err != nil:
 		case v >= uint32(dims):
@@ -293,9 +293,7 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 		default:
 			seen[v] = true
 			listed++
-			return int(v)
 		}
-		return 0
 	}
 	count := func(slot string) int {
 		n := cr.u32()
@@ -305,26 +303,22 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 		}
 		return int(n)
 	}
-	dimList := func(slot string, want ...query.Role) []int {
-		out := make([]int, count(slot))
-		for i := range out {
-			out[i] = dim(slot, want...)
+	dimList := func(slot string, want ...query.Role) {
+		for n := count(slot); n > 0; n-- {
+			dim(slot, want...)
 		}
-		return out
 	}
-	var lo layout
 	switch layoutByte := cr.u8(); {
 	case cr.err != nil:
 	case layoutByte == 1:
-		rows := dimList("grid row", query.Repulsive)
-		cols := dimList("grid column", query.Attractive)
-		lo = pairLayout(makePairs(rows, cols), rows, cols)
+		dimList("grid row", query.Repulsive)
+		dimList("grid column", query.Attractive)
 	case layoutByte == 0:
-		lo.pairs = make([]Pair, count("pair"))
-		for i := range lo.pairs {
-			lo.pairs[i] = Pair{Rep: dim("pair row", query.Repulsive), Attr: dim("pair column", query.Attractive)}
+		for n := count("pair"); n > 0; n-- {
+			dim("pair row", query.Repulsive)
+			dim("pair column", query.Attractive)
 		}
-		lo.lone = dimList("lone", query.Repulsive, query.Attractive)
+		dimList("lone", query.Repulsive, query.Attractive)
 	default:
 		bad("unknown layout byte %d", layoutByte)
 	}
@@ -332,24 +326,22 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 		bad("layout covers %d of %d active dimensions", listed, active)
 	}
 
-	var treeCfg topk.Config
-	treeCfg.Branching = int(cr.u32())
-	treeCfg.LeafCap = int(cr.u32())
-	cr.read(&treeCfg.RebuildThreshold)
-	nAngles := int(cr.u32())
-	if nAngles > 1024 || treeCfg.Branching > maxPersistDims {
-		bad("bad tree configuration (branching %d, %d angles)", treeCfg.Branching, nAngles)
+	// The tree configuration: branching, leaf capacity, rebuild threshold
+	// and the indexed angles as (Alpha, Beta) pairs — checked and ignored.
+	branching := cr.u32()
+	cr.u32() // leaf capacity
+	cr.u64() // rebuild threshold
+	nAngles := cr.u32()
+	if nAngles > 1024 || branching > maxPersistDims {
+		bad("bad tree configuration (branching %d, %d angles)", branching, nAngles)
 	}
-	for i := 0; i < nAngles && cr.err == nil; i++ {
+	for i := 0; i < int(nAngles) && cr.err == nil; i++ {
 		var a geom.Angle
 		cr.read(&a.Alpha)
 		cr.read(&a.Beta)
-		// Trees take angles in [0°, 90°] only, and a default engine's seals
-		// build none, so a bad angle is caught here, not at a seal.
 		if _, err := geom.NewAngle(a.Alpha, a.Beta); err != nil {
 			bad("indexed angle (%v, %v) outside [0°, 90°]", a.Alpha, a.Beta)
 		}
-		treeCfg.Angles = append(treeCfg.Angles, a)
 	}
 
 	sn := &snapshot{
@@ -440,25 +432,16 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 		sn.memCols[i%dims*len(sn.memIDs)+i/dims] = v
 	}
 
-	e := &Engine{
-		dims:    dims,
-		roles:   roles,
-		layout:  lo,
-		treeCfg: treeCfg,
-	}
+	e := newEngine(roles)
 	if err := opt.apply(e); err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
 	// The rebuild is the whole cost of a load, and segments rebuild
 	// independently from their dimension-major columns. The file's
 	// tombstones are in ID order; the rebuilt segments are tiled.
-	var err error
-	sn.segs, err = e.sealAll(len(segIDs), func(si int) ([]float64, []int32) {
+	sn.segs = e.sealAll(len(segIDs), func(si int) ([]float64, []int32) {
 		return blocks[si], segIDs[si]
 	})
-	if err != nil {
-		return nil, err
-	}
 	for si, seg := range sn.segs {
 		sn.tombs[si] = seg.tiledBits(sn.tombs[si])
 	}
@@ -469,8 +452,8 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 
 // Merge builds one engine over the live rows of several whose rows are
 // disjoint slices of one global ID space — how a file written by the retired
-// sharded index (one engine section per shard) loads. Roles and tree shape
-// are the first part's, the pairs their in-order zip; the ID space spans
+// sharded index (one engine section per shard) loads. Roles are the first
+// part's; the ID space spans
 // the widest part's, so an ID the old index assigned and then removed is not
 // handed out again.
 func Merge(parts []*Engine, opt RuntimeOptions) (*Engine, error) {
@@ -505,7 +488,7 @@ func Merge(parts []*Engine, opt RuntimeOptions) (*Engine, error) {
 		data[i], ids[i] = r.p, r.id
 	}
 	e, err := NewWithIDs(data, ids, Config{
-		Roles: first.roles, Tree: first.treeCfg, RuntimeOptions: opt,
+		Roles: first.roles, RuntimeOptions: opt,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: merge: %w", err)

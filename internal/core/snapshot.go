@@ -71,9 +71,9 @@ func (sn *snapshot) layer(seg, dims int) (cols []float64, stride int, ids []int3
 	return sn.memCols, len(sn.memCols) / max(dims, 1), sn.memIDs, sn.memDead
 }
 
-// bytes is the snapshot's resident size: every sealed segment (structures,
-// columns, ID map, tombstones), the memtable's rows and tombstones, and the
-// extrema.
+// bytes is the snapshot's resident size: every sealed segment (columns, ID
+// map and its inverse, block boxes, tombstones), the memtable's rows and
+// tombstones, and the extrema.
 func (sn *snapshot) bytes() int {
 	dims := len(sn.minVal)
 	total := 8 * 2 * dims
@@ -167,7 +167,7 @@ func (v View) TopKAppendCancel(dst []query.Result, spec query.Spec, done <-chan 
 }
 
 // Insert appends a point to the memtable and returns its global dataset ID.
-// The write path never touches index structures: sealing and tree builds are
+// The write path never touches sealed segments: sealing and tiling are
 // deferred to the background compactor, so an insert is O(dims) plus one
 // snapshot publish (plus, on a WAL-backed engine, one log append and a
 // shared group-commit fsync), and in-flight queries are never blocked or

@@ -16,23 +16,17 @@ import (
 // rises. A tie at the line is still scored, for the collector's ID
 // tie-break. The walk's bounds and heap live in the pooled query context, so
 // it allocates nothing. The memtable and a segment of one block are swept
-// flat, every row. Every row is scored with the same per-row arithmetic
-// into the same order-independent collector as on the stream path, so
-// answers are byte-identical to it and to the scan.
+// flat, every row. Every row is scored with the scan's per-row arithmetic
+// into an order-independent collector, so answers are byte-identical to the
+// scan's. Under a plan whose every signed weight is +0 each row scores +0,
+// and the collector keeps the k lowest live IDs.
 //
 // Bounding a block costs about as much as scoring a few of its rows, so a
 // sweep of a large segment costs its block count plus the rows of the few
 // blocks the line does not rule out: at 1M uniform 6-d rows about 0.24 ms a
-// query, less than the first thousand sorted accesses of the §5 streams
-// cost. Only on 2-d data do the streams still win (BenchmarkStreamVsZone
-// maps both). So a default engine seals no pair trees or lone-dimension
-// lists (Engine.seal) and binds no stream. RuntimeOptions.StreamOnly keeps
-// the §5 aggregation for the paper's figures and the differential suites:
-// every segment is streamed, except under a plan that binds no stream
-// (every weight zero), which sweeps them all — with every signed weight +0
-// each row scores +0, and the collector keeps the k lowest live IDs. A
-// segment is either streamed or swept, never both, so a sweep never meets a
-// row a stream already settled.
+// query, less than the first thousand sorted accesses of the paper's §5
+// pair-tree streams cost (internal/bench keeps those streams as the
+// figures' SD-Index). Only at 2-d do the streams still answer faster.
 //
 // The memtable is held in the same dimension-major layout as a segment — one
 // column block of fixed stride, filled by Insert — so every sweep, of a
@@ -43,11 +37,28 @@ const (
 	// of scores, resident in L1 next to the collector.
 	sweepBlock = 512
 	// sweepPollBlocks is the cancellation poll interval of a sweep: every
-	// 4096 rows, about the ≈ 25 µs a scheduler step's 64 accesses cost.
+	// 4096 rows, ≈ 18 µs of scoring at 6-d (≈ 4.4 ns a row).
 	sweepPollBlocks = 8
 	// zonePollBlocks is the same interval in a zone sweep's blocks.
 	zonePollBlocks = sweepPollBlocks * sweepBlock / blockRows
 )
+
+// pollCancel reports whether the query's cancellation signal has fired,
+// latching the result into c.canceled: a nil-guarded non-blocking receive,
+// free on the uncancellable hot path, so a cancelled query stops within one
+// poll interval instead of sweeping to the end.
+func (c *queryCtx) pollCancel() bool {
+	if c.done == nil {
+		return false
+	}
+	select {
+	case <-c.done:
+		c.canceled = true
+		return true
+	default:
+		return false
+	}
+}
 
 // sweep scores every live row of one layer, exactly and block by block, into
 // the collector. The layer is the memtable or a sealed segment of one block,

@@ -22,43 +22,29 @@ func sweepTestSpec(k int) query.Spec {
 	}
 }
 
-// TestSealIndexesBySize pins the seal rule (the name is historical: the
-// retired planner indexed a segment by its size): a default engine seals no
-// trees or lists at any size and sweeps every segment whole, binding no
-// stream; a stream-pinned engine indexes every segment, down to a few rows.
-// Answers agree with the scan either way.
+// TestSealIndexesBySize pins the seal rule (the name is historical: a
+// retired planner indexed a segment by its size): a segment of any size is
+// answered by one sweep of every live row — flat for a single block, zoned
+// for more — and answers agree with the scan.
 func TestSealIndexesBySize(t *testing.T) {
 	roles := sweepTestRoles()
-	for _, tc := range []struct {
-		rows       int
-		streamOnly bool
-	}{
-		{3, false},
-		{blockRows + 1, false},
-		{RateWindow * 128, false},
-		{3, true},
-		{RateWindow * 128, true},
-	} {
-		data := dataset.Generate(dataset.Uniform, tc.rows, len(roles), 5)
+	for _, rows := range []int{3, blockRows + 1, 8 * blockRows} {
+		data := dataset.Generate(dataset.Uniform, rows, len(roles), 5)
 		currentData = data
-		eng, err := New(data, Config{Roles: roles, RuntimeOptions: RuntimeOptions{StreamOnly: tc.streamOnly}})
+		eng, err := New(data, Config{Roles: roles})
 		if err != nil {
 			t.Fatal(err)
-		}
-		seg := eng.snap.Load().segs[0]
-		if (seg.trees != nil) != tc.streamOnly || (seg.lists != nil) != tc.streamOnly {
-			t.Fatalf("%d rows, stream-only %v: trees built %v, lists built %v",
-				tc.rows, tc.streamOnly, seg.trees != nil, seg.lists != nil)
 		}
 		_, st, err := eng.TopKWithStats(sweepTestSpec(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tc.streamOnly && (st.SweptSegments != 1 || st.Swept != tc.rows || st.Fetched != 0 || st.Subproblems != 0) {
-			t.Fatalf("%d rows by default: stats %+v, want one segment swept whole", tc.rows, st)
+		bounded := 0 // a segment of one block is swept flat
+		if blocks := (rows + blockRows - 1) / blockRows; blocks > 1 {
+			bounded = blocks
 		}
-		if tc.streamOnly && (st.SweptSegments != 0 || st.Subproblems == 0) {
-			t.Fatalf("%d rows stream-only: stats %+v, want the segment streamed", tc.rows, st)
+		if st.SweptSegments != 1 || st.Swept != rows || st.BlocksBounded != bounded {
+			t.Fatalf("%d rows: stats %+v, want one segment swept whole", rows, st)
 		}
 		truth, err := scan.New(data)
 		if err != nil {

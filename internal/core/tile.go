@@ -6,16 +6,17 @@ import "math"
 // STR (Sort-Tile-Recursive) order, cut into blockRows-row blocks that each
 // carry a min/max box over every dimension, so a sweep can bound a whole
 // block by its box (simd.BoxBound) and skip it unscored when the bound falls
-// below the prune line (sweep.go). Tiling is derived state, like the trees:
-// it is rebuilt at every seal — bulk build, compaction, Load — from the rows
-// in ID order, and never written to a file (Save writes ID order).
+// below the prune line (sweep.go). Tiling is derived state: it is rebuilt
+// at every seal — bulk build, compaction, Load — from the rows in ID order,
+// and never written to a file (Save writes ID order).
 //
 // STR on d key dimensions: sort the rows by the first key dimension and cut
 // them into ⌈P^(1/d)⌉ slabs of whole blocks (P the range's block count), then
 // tile each slab the same way on the remaining d−1 dimensions; the last
 // dimension's sort is cut straight into blocks. The key dimensions are the
-// layout's active ones, in ascending order: an Ignored dimension never
-// scores, so slabbing on it would only coarsen the boxes that do.
+// engine's active (non-Ignored) ones, in ascending order: an Ignored
+// dimension never scores, so slabbing on it would only coarsen the boxes
+// that do.
 //
 // Each sort is a stable LSD radix sort on a monotone 32-bit key — the value
 // rounded to float32, mapped to order-preserving bits — over rows fed in in
@@ -41,8 +42,7 @@ func (s *segment) box(b, dims int) (lo, hi []float64) {
 // tile fills s's tiled state from its rows (cols dimension-major and ids
 // ascending, both in ID order): the STR order's ids and columns, byID, and
 // every block's box. A segment of one block keeps its ID order. cols and ids
-// are only read, so the segment's trees can build from the same columns at
-// the same time.
+// are only read.
 func (s *segment) tile(cols []float64, ids []int32, keyDims []int) {
 	rows := s.rows
 	dims := len(cols) / rows

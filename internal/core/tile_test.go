@@ -78,15 +78,14 @@ func liveOracle(t *testing.T, data [][]float64, removed map[int]bool) (*scan.Eng
 
 // TestZoneSweepSkipsNoTopKRow is the zone sweep's property test: over tiled
 // segments of every value corner, with tombstones, at k ∈ {1, 5, 50, all},
-// on default engines of three segments and of one, and on a stream-pinned
-// engine for comparison, every answer is the scan's, bit for bit, and no
-// block a sweep skipped could have held a top-k row. A block is skipped only
+// on engines of three segments and of one, every answer is the scan's, bit
+// for bit, and no block a sweep skipped could have held a top-k row. A block is skipped only
 // when its padded bound is below the prune line, which never rises above
 // the final k-th score; so every block's padded bound is checked to cover
 // the exact score of each of its live rows, no block bounded below the k-th
 // score may hold an answer row, and the query's BlocksSkipped may not
-// exceed the number of such blocks. Every corner but all-equal rows must skip some blocks, or the test
-// would hold of a sweep that skips nothing.
+// exceed the number of such blocks. Every corner but all-equal rows must
+// skip some blocks, or the test would hold of a sweep that skips nothing.
 func TestZoneSweepSkipsNoTopKRow(t *testing.T) {
 	const n = 1500
 	for ci, kind := range zoneCorners {
@@ -99,12 +98,11 @@ func TestZoneSweepSkipsNoTopKRow(t *testing.T) {
 				data[i][d] = value()
 			}
 		}
-		labels := []string{"three-segment", "one-segment", "stream"}
+		labels := []string{"three-segment", "one-segment"}
 		var engs []*Engine
 		for _, opt := range []RuntimeOptions{
 			{Segments: 3, DisableCompaction: true},
 			{DisableCompaction: true},
-			{DisableCompaction: true, StreamOnly: true},
 		} {
 			eng, err := New(data, Config{Roles: zoneRoles, RuntimeOptions: opt})
 			if err != nil {
@@ -153,9 +151,6 @@ func TestZoneSweepSkipsNoTopKRow(t *testing.T) {
 								kind, label, k, qi, i, got[i].ID, got[i].Score, ids[w.ID], w.Score)
 						}
 						answer[got[i].ID] = true
-					}
-					if st.SweptSegments == 0 {
-						continue
 					}
 					kth := math.Inf(-1) // the line never rises while fewer than k rows are kept
 					if len(want) == k {

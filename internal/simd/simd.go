@@ -54,50 +54,15 @@ func BlendKeys(dst, xs, ys []float64, cx, cy float64) {
 	}
 }
 
-// GatherScore fills dst[j] with the SD-score of candidate row idx[j] read
-// from dimension-major float64 columns (column d is cols[d·rows:(d+1)·rows]).
-// The accumulation order per candidate matches the scalar row loop, so
-// scores are bit-identical to scoring the same row from a row-major layout.
-// This is the sealed-segment batch score kernel: the per-dimension inner
-// loops issue independent gathers the memory system overlaps, where the old
-// row-at-a-time loop serialized one short dependent chain per candidate.
-func GatherScore(dst []float64, cols []float64, rows int, idx []int32, q, signed []float64) {
-	dims := len(q)
-	idx = idx[:len(dst)]
-	for j := range dst {
-		dst[j] = 0
-	}
-	for d := 0; d < dims; d++ {
-		col := cols[d*rows : (d+1)*rows : (d+1)*rows]
-		qd, wd := q[d], signed[d]
-		j := 0
-		for ; j+8 <= len(dst); j += 8 {
-			i := idx[j : j+8 : j+8]
-			o := dst[j : j+8 : j+8]
-			o[0] += wd * math.Abs(col[i[0]]-qd)
-			o[1] += wd * math.Abs(col[i[1]]-qd)
-			o[2] += wd * math.Abs(col[i[2]]-qd)
-			o[3] += wd * math.Abs(col[i[3]]-qd)
-			o[4] += wd * math.Abs(col[i[4]]-qd)
-			o[5] += wd * math.Abs(col[i[5]]-qd)
-			o[6] += wd * math.Abs(col[i[6]]-qd)
-			o[7] += wd * math.Abs(col[i[7]]-qd)
-		}
-		for ; j < len(dst); j++ {
-			dst[j] += wd * math.Abs(col[idx[j]]-qd)
-		}
-	}
-}
-
 // ScoreCols fills dst[j] with the SD-score of row off+j read contiguously
 // from dimension-major float64 columns (column d starts at cols[d·rows], rows
 // being the column stride): the one sweep kernel, for sealed segments and
 // the memtable alike. Eight consecutive rows advance together, each
 // with a register accumulator carried across the dimensions in ascending
-// order — the same operation order as the scalar row loop and GatherScore,
-// so scores are bit-identical to both — and every load is sequential, so a
-// sweep runs at streaming bandwidth instead of GatherScore's one cache miss
-// per candidate per dimension. off+len(dst) must not exceed rows.
+// order — the same operation order as the scalar row loop, so scores are
+// bit-identical to it — and every load is sequential, so a sweep runs at
+// streaming bandwidth instead of one cache miss per row per dimension.
+// off+len(dst) must not exceed rows.
 func ScoreCols(dst []float64, cols []float64, rows, off int, q, signed []float64) {
 	dims := len(q)
 	signed = signed[:dims]

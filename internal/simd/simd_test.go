@@ -15,16 +15,6 @@ func blendKeysScalar(dst, xs, ys []float64, cx, cy float64) {
 	}
 }
 
-func gatherScoreScalar(dst []float64, cols []float64, rows int, idx []int32, q, signed []float64) {
-	for j := range dst {
-		var s float64
-		for d := range q {
-			s += signed[d] * math.Abs(cols[d*rows+int(idx[j])]-q[d])
-		}
-		dst[j] = s
-	}
-}
-
 func scoreColsScalar(dst []float64, cols []float64, rows, off int, q, signed []float64) {
 	for j := range dst {
 		var s float64
@@ -91,27 +81,8 @@ func TestKernelBitIdentity(t *testing.T) {
 		blendKeysScalar(want, xs, ys, cx, cy)
 		requireBitEqual(t, "BlendKeys (random signs)", got, want)
 	}
-	for _, n := range sizes {
-		for _, dims := range []int{1, 2, 6, 13} {
-			rows := 97
-			cols := randVals(rng, rows*dims)
-			q := randVals(rng, dims)
-			signed := randVals(rng, dims)
-			idx := make([]int32, n)
-			for i := range idx {
-				idx[i] = int32(rng.Intn(rows))
-			}
-			got := make([]float64, n)
-			want := make([]float64, n)
-			GatherScore(got, cols, rows, idx, q, signed)
-			gatherScoreScalar(want, cols, rows, idx, q, signed)
-			requireBitEqual(t, "GatherScore", got, want)
-		}
-	}
 	// The sweep kernel, at offsets that put the block's start, its 8-wide
-	// body and its tail everywhere in the column — and against the gather
-	// kernel over the same rows, which the engine's stream path scores
-	// with: a row must score identically whichever path reaches it.
+	// body and its tail everywhere in the column.
 	for _, n := range sizes {
 		for _, dims := range []int{0, 1, 2, 6, 13} {
 			rows := n + 11
@@ -119,17 +90,11 @@ func TestKernelBitIdentity(t *testing.T) {
 			cols := randVals(rng, rows*dims)
 			q := randVals(rng, dims)
 			signed := randVals(rng, dims)
-			idx := make([]int32, n)
-			for i := range idx {
-				idx[i] = int32(off + i)
-			}
 			got := make([]float64, n)
 			want := make([]float64, n)
 			ScoreCols(got, cols, rows, off, q, signed)
 			scoreColsScalar(want, cols, rows, off, q, signed)
 			requireBitEqual(t, "ScoreCols", got, want)
-			GatherScore(want, cols, rows, idx, q, signed)
-			requireBitEqual(t, "ScoreCols vs GatherScore", got, want)
 		}
 	}
 }

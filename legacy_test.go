@@ -51,9 +51,8 @@ func legacyRows() (rows [][]float64, dead []bool) {
 // rows[2000:] and removing every ninth ID. Its header says width 32 but its
 // columns are float64 like every v3 file's, so it comes up as today's one
 // format and answers exactly. Its layout byte is 1, the retired adaptive
-// pair-tree grid: it loads as the in-order zip of the grid's rows and
-// columns, Save writes that as layout 0, and the re-saved file answers the
-// same.
+// pair-tree grid: Load checks it and ignores it, Save writes the in-order
+// zip as layout 0, and the re-saved file answers the same.
 func TestLoadWidth32File(t *testing.T) {
 	file, err := os.ReadFile("testdata/legacy/width32-v3.sdqx")
 	if err != nil {

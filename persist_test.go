@@ -2,8 +2,8 @@
 // same answers (ascending-ID tie-breaks included), same Bytes, same
 // liveness — and a reloaded index must keep serving updates with the same
 // global ID sequence. The double-save check is the strongest form: because
-// segments round-trip verbatim and tree rebuilds are deterministic, saving
-// the reloaded index must reproduce the file byte for byte.
+// segments round-trip verbatim and their tiling rebuilds deterministically,
+// saving the reloaded index must reproduce the file byte for byte.
 package sdquery
 
 import (

@@ -1,6 +1,6 @@
-// Scheduler and plan tests: the bound-driven schedule is a choice of cost,
-// not of result — answers must stay byte-identical across every segment
-// split, layout and plan, streamed or swept (and hence to the scan oracle). Plan
+// Plan tests: how the rows are split into segments and how a file laid out
+// its retired subproblem layout are choices of cost, not of result — answers
+// must stay byte-identical across them (and hence to the scan oracle). Plan
 // derivation must refuse role flips and answer every shape exactly.
 package sdquery_test
 
@@ -14,12 +14,11 @@ import (
 )
 
 // TestSchedulerEquivalenceProperty drives random specs through the same
-// dataset under every segment split × layout × plan combination and
-// requires byte-identical answers. This is the re-proof of the
-// prune-at-first-emission argument for non-uniform access order, run as a
-// property: a point's first emission is bounded by every sibling frontier
-// regardless of the order frontiers were advanced in, so no interleaving of
-// segments, subproblems, streams and sweeps may change what is returned.
+// dataset under several segment splits and legacy file layouts and requires
+// byte-identical answers: the order in which a query's sweeps visit
+// segments and blocks must not leak into what is returned. The name is
+// historical: the property compared the retired §5 scheduler's access
+// orders.
 func TestSchedulerEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 12; trial++ {
@@ -58,24 +57,15 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 			opts  []sdquery.SDOption
 		}{
 			{"default", newSDIndex, nil},
-			// The layout picks which trees exist, so which frontiers the
-			// scheduler interleaves; a loaded file is the only way to bind one
-			// other than the in-order zip (loadPairing).
+			// Files whose pairing byte and layout name retired strategies
+			// (loadPairing): Load checks the layout and ignores it.
 			{"by-correlation", loadPairing(2), nil},
-			{"none/stream-only", loadPairing(4), []sdquery.SDOption{sdquery.WithStreamOnly()}},
-			// How the rows are split into segments is a scheduling choice too:
-			// the scheduler interleaves every segment's frontiers in one loop,
-			// and that must not leak into answers. WithShards forces real
-			// multi-segment stacks on these tiny datasets.
+			{"none", loadPairing(4), nil},
+			// WithShards forces real multi-segment stacks on these tiny
+			// datasets: one query sweeps every segment in turn, each against
+			// the line the ones before it left.
 			{"segmented", newSDIndex, []sdquery.SDOption{sdquery.WithShards(4)}},
-			{"segmented/stream-only", newSDIndex, []sdquery.SDOption{
-				sdquery.WithShards(7),
-				sdquery.WithStreamOnly(),
-			}},
-			// Sweep or stream is one more choice of cost: the default
-			// (variant 0) zone-sweeps every segment, so pure streaming is
-			// forced explicitly.
-			{"stream-only", newSDIndex, []sdquery.SDOption{sdquery.WithStreamOnly()}},
+			{"segmented-7", newSDIndex, []sdquery.SDOption{sdquery.WithShards(7)}},
 		} {
 			eng, err := v.build(data, roles, v.opts...)
 			if err != nil {
@@ -188,12 +178,13 @@ func TestPlanShapes(t *testing.T) {
 }
 
 // TestSegmentedStats: on a WithShards index the stats surface sums every
-// segment's work, and the stats path answers exactly like the fast path and
-// the scan.
+// segment's sweep, and the stats path answers exactly like the fast path and
+// the scan. Each 1000-row segment is 8 blocks, every one bounded; the
+// skipped ones settle their rows unscored.
 func TestSegmentedStats(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 4_000, 4, 13)
 	roles := []sdquery.Role{sdquery.Repulsive, sdquery.Attractive, sdquery.Repulsive, sdquery.Attractive}
-	idx, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(4), sdquery.WithStreamOnly())
+	idx, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +199,9 @@ func TestSegmentedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Fetched <= 0 || st.Scored <= 0 || st.Rounds <= 0 {
-		t.Fatalf("segment stats not aggregated: %+v", st)
-	}
-	if st.Segments != 4 || st.Subproblems < st.Segments {
-		t.Fatalf("Segments %d, Subproblems %d; want 4 segments with at least a subproblem each", st.Segments, st.Subproblems)
+	if st.Segments != 4 || st.SweptSegments != 4 || st.Swept != len(data) || st.BlocksBounded != 4*8 ||
+		st.Scored == 0 || st.Scored > st.Swept || (st.Scored < st.Swept) != (st.BlocksSkipped > 0) {
+		t.Fatalf("segment sweep stats not aggregated: %+v", st)
 	}
 	scan, err := sdquery.NewScan(data)
 	if err != nil {
@@ -232,28 +221,6 @@ func TestSegmentedStats(t *testing.T) {
 	for i := range want {
 		if res[i] != want[i] || fast[i] != want[i] {
 			t.Fatalf("rank %d: stats path %+v, fast path %+v, scan %+v", i, res[i], fast[i], want[i])
-		}
-	}
-
-	// The planning default sweeps these 1000-row segments outright: the
-	// sweep counters sum across segments like the rest. Each segment is 8
-	// blocks, every one bounded; the skipped ones settle their rows unscored.
-	planned, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer planned.Close()
-	pres, ps, err := planned.TopKWithStats(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.SweptSegments != 4 || ps.Swept != len(data) || ps.Fetched != 0 || ps.BlocksBounded != 4*8 ||
-		ps.Scored == 0 || ps.Scored > ps.Swept || (ps.Scored < ps.Swept) != (ps.BlocksSkipped > 0) {
-		t.Fatalf("segment sweep stats not aggregated: %+v", ps)
-	}
-	for i := range want {
-		if pres[i] != want[i] {
-			t.Fatalf("planned answer diverges at rank %d: %+v vs %+v", i, pres[i], want[i])
 		}
 	}
 }
@@ -309,33 +276,20 @@ func servedWorkload(n, q int, seed int64) ([][]float64, []sdquery.Role, []sdquer
 // TestStatsDeterministicServed: every query runs on its caller's goroutine,
 // so its work counters are a pure function of the query and the snapshot.
 // On the served configuration — four zone-swept segments of benchmark-shaped
-// rows — and pinned to streaming, NewShardedIndex, which adds WithWorkers,
-// reports exactly the Stats NewSDIndex does, field for field, on every
-// repetition.
+// rows — NewShardedIndex, which adds WithWorkers, reports exactly the Stats
+// NewSDIndex does, field for field, on every repetition, and the sweeps skip
+// blocks.
 func TestStatsDeterministicServed(t *testing.T) {
 	data, roles, queries := servedWorkload(20_000, 200, 27)
-	for _, stream := range []bool{false, true} {
-		opts := []sdquery.SDOption{sdquery.WithShards(4)}
-		if stream {
-			opts = append(opts, sdquery.WithStreamOnly())
-		}
-		statsDeterministic(t, data, roles, queries, stream, opts)
-	}
-}
-
-// statsDeterministic is TestStatsDeterministicServed on one configuration:
-// streams must have fetched, sweeps skipped blocks.
-func statsDeterministic(t *testing.T, data [][]float64, roles []sdquery.Role, queries []sdquery.Query, stream bool, opts []sdquery.SDOption) {
-	t.Helper()
-	sharded, err := sdquery.NewShardedIndex(data, roles, opts...)
+	sharded, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := sdquery.NewSDIndex(data, roles, opts...)
+	plain, err := sdquery.NewSDIndex(data, roles, sdquery.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetched, skipped := 0, 0
+	skipped := 0
 	for rep := 0; rep < 3; rep++ {
 		for i, q := range queries {
 			got, gst, err := sharded.TopKWithStats(q)
@@ -352,14 +306,10 @@ func statsDeterministic(t *testing.T, data [][]float64, roles []sdquery.Role, qu
 			if !slices.Equal(got, want) {
 				t.Fatalf("repetition %d query %d: answers differ\n%v\n%v", rep, i, got, want)
 			}
-			fetched += gst.Fetched
 			skipped += gst.BlocksSkipped
 		}
 	}
-	if stream && fetched == 0 {
-		t.Fatal("no query streamed: the workload no longer reaches the scheduler")
-	}
-	if !stream && (fetched != 0 || skipped == 0) {
-		t.Fatalf("default: %d sorted accesses and %d blocks skipped, want none and some", fetched, skipped)
+	if skipped == 0 {
+		t.Fatal("no block skipped: the workload no longer exercises the zone sweep")
 	}
 }

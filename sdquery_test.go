@@ -281,12 +281,14 @@ func TestEngineErrorsSurface(t *testing.T) {
 }
 
 // TestAllZeroWeights pins queries whose every engaged dimension weighs zero
-// (the rest Ignored, whatever their weights): they bind no stream and sweep every segment, so
-// every live row scores +0 and the answer is the k lowest live IDs — over
-// three sealed segments, memtable rows and tombstones, by default, pinned to
-// streaming, and pinned to streaming after a Save → Load round trip. The
-// scan oracle cannot tell −0 from +0 under ==, so the sign is checked on its
-// own.
+// (the rest Ignored, whatever their weights): every block bound is +0, so
+// every segment is swept whole, every live row scores +0 and the answer is
+// the k lowest live IDs — over three sealed segments, memtable rows and
+// tombstones (default), after a Compact has sealed the memtable and dropped
+// the removed rows, and after a Save → Load round trip. The last two cells
+// keep their historical names, stream and round-robin (they ran the retired
+// §5 streams and scheduler). The scan oracle cannot tell −0 from +0 under
+// ==, so the sign is checked on its own.
 func TestAllZeroWeights(t *testing.T) {
 	roles := []Role{Repulsive, Attractive, Repulsive, Attractive}
 	data := dataset.Generate(dataset.Uniform, 6_000, 4, 41)
@@ -317,18 +319,15 @@ func TestAllZeroWeights(t *testing.T) {
 		{Point: []float64{0.5, 0.5, 0.5, 0.5}, Roles: []Role{Repulsive, Ignored, Repulsive, Attractive}, Weights: []float64{0, 5, 0, 0}},
 	}
 	for _, mode := range []struct {
-		name   string
-		opts   []SDOption
-		reload bool
+		name            string
+		compact, reload bool
 	}{
-		{"default", nil, false},
-		{"stream", []SDOption{WithStreamOnly()}, false},
-		// The name is historical (the retired round-robin scheduler): the
-		// cell saves the stream-pinned index and queries the one it loads.
-		{"round-robin", []SDOption{WithStreamOnly()}, true},
+		{"default", false, false},
+		{"stream", true, false},
+		{"round-robin", false, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			opts := append([]SDOption{WithShards(3), WithCompaction(false)}, mode.opts...)
+			opts := []SDOption{WithShards(3), WithCompaction(false)}
 			idx, err := NewSDIndex(data, roles, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -354,8 +353,13 @@ func TestAllZeroWeights(t *testing.T) {
 				}
 				defer idx.Close()
 			}
-			if segs, mem := idx.Segments(); segs != 3 || mem != len(extra) {
-				t.Fatalf("%d segments, %d memtable rows, want 3, %d", segs, mem, len(extra))
+			memRows := len(extra)
+			if mode.compact {
+				idx.Compact()
+				memRows = 0
+			}
+			if segs, mem := idx.Segments(); segs != 3 || mem != memRows {
+				t.Fatalf("%d segments, %d memtable rows, want 3, %d", segs, mem, memRows)
 			}
 			for qi, q := range queries {
 				for _, k := range []int{1, 7, 100, len(all)} {
@@ -376,8 +380,8 @@ func TestAllZeroWeights(t *testing.T) {
 							t.Fatalf("query %d k=%d rank %d: ID %d removed or out of order", qi, k, i, r.ID)
 						}
 					}
-					if st.Subproblems != 0 || st.Fetched != 0 || st.SweptSegments != 3 {
-						t.Fatalf("query %d k=%d: bound streams or skipped a segment: %+v", qi, k, st)
+					if st.SweptSegments != 3 || st.BlocksSkipped != 0 {
+						t.Fatalf("query %d k=%d: skipped a segment or a block: %+v", qi, k, st)
 					}
 				}
 			}

@@ -127,7 +127,6 @@ type metrics struct {
 
 	// Engine work counters, accumulated from stats-enabled queries (the
 	// TopKWithStats path); statQueries is their denominator.
-	fetched     atomic.Uint64
 	scored      atomic.Uint64
 	swept       atomic.Uint64 // live rows of swept segments, scored or skipped with their block
 	sweptSegs   atomic.Uint64 // sealed segments swept
@@ -232,8 +231,6 @@ func (m *metrics) writeProm(w io.Writer, idx Index, cache *resultCache) {
 		fmt.Fprintf(w, "sdserver_cache_entries 0\n")
 	}
 
-	fmt.Fprintf(w, "# HELP sdserver_engine_fetched_total Sorted accesses spent by stats-enabled queries.\n# TYPE sdserver_engine_fetched_total counter\n")
-	fmt.Fprintf(w, "sdserver_engine_fetched_total %d\n", m.fetched.Load())
 	fmt.Fprintf(w, "# HELP sdserver_engine_scored_total Points scored by stats-enabled queries.\n# TYPE sdserver_engine_scored_total counter\n")
 	fmt.Fprintf(w, "sdserver_engine_scored_total %d\n", m.scored.Load())
 	fmt.Fprintf(w, "# HELP sdserver_engine_swept_rows_total Live rows of the sealed segments swept, scored or skipped with their block, stats-enabled queries.\n# TYPE sdserver_engine_swept_rows_total counter\n")
@@ -366,7 +363,6 @@ type Statz struct {
 	IndexCompactions uint64 `json:"index_compactions,omitempty"`
 	Swaps            uint64 `json:"swaps"`
 
-	EngineFetched  uint64 `json:"engine_fetched"`
 	EngineScored   uint64 `json:"engine_scored"`
 	EngineSwept    uint64 `json:"engine_swept_rows"`
 	EngineSweptSeg uint64 `json:"engine_swept_segments"`
@@ -401,7 +397,6 @@ func (m *metrics) statz(idx Index, cache *resultCache) Statz {
 		IndexPoints:        idx.Len(),
 		IndexBytes:         idx.Bytes(),
 		Swaps:              m.swaps.Load(),
-		EngineFetched:      m.fetched.Load(),
 		EngineScored:       m.scored.Load(),
 		EngineSwept:        m.swept.Load(),
 		EngineSweptSeg:     m.sweptSegs.Load(),

@@ -420,7 +420,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.met.statQueries.Add(1)
-		s.met.fetched.Add(uint64(st.Fetched))
 		s.met.scored.Add(uint64(st.Scored))
 		s.met.swept.Add(uint64(st.Swept))
 		s.met.sweptSegs.Add(uint64(st.SweptSegments))

@@ -367,7 +367,7 @@ func TestStatsDeterministic(t *testing.T) {
 // TestObservabilityEndpoints sanity-checks /healthz, /metrics, and /statz.
 func TestObservabilityEndpoints(t *testing.T) {
 	// 4 segments of 5000 rows, each answered by a zone sweep: the sweep
-	// counters are nonzero and the sorted-access counter reads 0.
+	// counters are nonzero.
 	idx := testIndex(t, 20_000, 9)
 	srv := New(idx)
 	defer srv.Close()
@@ -391,9 +391,17 @@ func TestObservabilityEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &tr); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Stats == nil || tr.Stats.Fetched != 0 || tr.Stats.Swept == 0 || tr.Stats.SweptSegments != 4 ||
-		tr.Stats.Scored == 0 {
+	if tr.Stats == nil || tr.Stats.Swept == 0 || tr.Stats.SweptSegments != 4 || tr.Stats.Scored == 0 {
 		t.Fatalf("stats=true response carries no work counters: %s", body)
+	}
+	// The block counters are the engine's own, field for field.
+	_, want, err := idx.TopKWithStats(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.BlocksBounded == 0 || tr.Stats.BlocksBounded != want.BlocksBounded || tr.Stats.BlocksSkipped != want.BlocksSkipped {
+		t.Fatalf("stats=true response blocks %d bounded, %d skipped; TopKWithStats %+v",
+			tr.Stats.BlocksBounded, tr.Stats.BlocksSkipped, want)
 	}
 
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
@@ -418,7 +426,6 @@ func TestObservabilityEndpoints(t *testing.T) {
 		"sdserver_index_points",
 		"sdserver_index_segments",
 		"sdserver_index_compactions_total",
-		"sdserver_engine_fetched_total",
 		"sdserver_engine_swept_rows_total",
 		"sdserver_engine_swept_segments_total",
 	} {
@@ -440,7 +447,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	if st.Endpoints["topk"].Requests < 5 {
 		t.Fatalf("statz records %d topk requests, want ≥ 5", st.Endpoints["topk"].Requests)
 	}
-	if st.EngineFetched != 0 || st.StatsQueries != 1 || st.EngineScored != uint64(tr.Stats.Scored) ||
+	if st.StatsQueries != 1 || st.EngineScored != uint64(tr.Stats.Scored) ||
 		st.EngineSwept != uint64(tr.Stats.Swept) || st.EngineSweptSeg != uint64(tr.Stats.SweptSegments) {
 		t.Fatalf("statz engine counters not wired: %+v", st)
 	}

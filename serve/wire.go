@@ -26,7 +26,7 @@ import (
 // A top-k response:
 //
 //	{"results": [{"id": 17, "score": 0.42}, ...],
-//	 "stats": {"fetched": 48, "swept": 24910, ...}}   // only when requested
+//	 "stats": {"scored": 1410, "swept": 24910, ...}}   // only when requested
 //
 // Scores are encoded with encoding/json's shortest-roundtrip float
 // formatting, so a response is byte-identical to encoding the results of a
@@ -71,13 +71,12 @@ type wireResult struct {
 }
 
 type wireStats struct {
-	Subproblems   int `json:"subproblems"`
 	Segments      int `json:"segments"`
-	Fetched       int `json:"fetched"`
 	Scored        int `json:"scored"`
 	Swept         int `json:"swept"`
 	SweptSegments int `json:"swept_segments"`
-	Rounds        int `json:"rounds"`
+	BlocksBounded int `json:"blocks_bounded"`
+	BlocksSkipped int `json:"blocks_skipped"`
 }
 
 type topkResponse struct {
@@ -253,13 +252,12 @@ func wireResults(res []sdquery.Result) []wireResult {
 
 func wireQueryStats(st sdquery.QueryStats) *wireStats {
 	return &wireStats{
-		Subproblems:   st.Subproblems,
 		Segments:      st.Segments,
-		Fetched:       st.Fetched,
 		Scored:        st.Scored,
 		Swept:         st.Swept,
 		SweptSegments: st.SweptSegments,
-		Rounds:        st.Rounds,
+		BlocksBounded: st.BlocksBounded,
+		BlocksSkipped: st.BlocksSkipped,
 	}
 }
 

@@ -7,12 +7,12 @@ import (
 	sdquery "repro"
 )
 
-// TestDefaultIndexOnlySweeps pins the served plan: a default index answers
-// every sealed segment with a zone sweep and seals no pair trees or lists —
-// as built, after churn and Compact, and after Save → Load. Every query
-// binds no stream (Fetched and Subproblems 0) and sweeps every segment, and
-// Bytes() is exactly the column block, the ID map and its inverse, the block
-// boxes, the tombstones and the per-dimension extrema: nothing for trees.
+// TestDefaultIndexOnlySweeps pins the served plan: an index answers every
+// sealed segment with a zone sweep — as built, after churn and Compact, and
+// after Save → Load. Every query sweeps every segment (the deprecated stream
+// counters read 0), and Bytes() is exactly the column block, the ID map and
+// its inverse, the block boxes, the tombstones and the per-dimension
+// extrema.
 func TestDefaultIndexOnlySweeps(t *testing.T) {
 	const n, dims, blockRows = 20_000, 6, 128
 	data, roles, queries := servedWorkload(n, 60, 47)
@@ -34,7 +34,7 @@ func TestDefaultIndexOnlySweeps(t *testing.T) {
 			8*2*dims*blocks + // block boxes
 			8*2*dims // minVal and maxVal
 		if got := idx.Bytes(); got != want {
-			t.Fatalf("%s: Bytes() = %d, want %d for %d rows without trees", stage, got, want, rows)
+			t.Fatalf("%s: Bytes() = %d, want %d for %d rows", stage, got, want, rows)
 		}
 		if perRow := float64(idx.Bytes()) / float64(rows); perRow > 60 {
 			t.Fatalf("%s: %.1f B/row, want at most 60", stage, perRow)
@@ -45,7 +45,7 @@ func TestDefaultIndexOnlySweeps(t *testing.T) {
 				t.Fatal(err)
 			}
 			if st.Fetched != 0 || st.Subproblems != 0 || st.Rounds != 0 || st.SweptSegments != segs {
-				t.Fatalf("%s query %d: %+v, want no stream and every segment swept", stage, qi, st)
+				t.Fatalf("%s query %d: %+v, want every segment swept", stage, qi, st)
 			}
 		}
 	}
