@@ -6,6 +6,7 @@ package sdquery
 // cmd/sdbench). Micro-benchmarks for the public API follow.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -60,15 +61,19 @@ func BenchmarkAblationAlg4(b *testing.B)      { runExperiment(b, "ablation-alg4"
 
 var benchRoles = []Role{Repulsive, Attractive, Repulsive, Attractive, Repulsive, Attractive}
 
-func benchQueries(n int, seed int64) []Query {
+func benchQueries(n int, seed int64) []Query { return benchQueriesFor(n, seed, benchRoles, 5) }
+
+// benchQueriesFor draws n queries over roles at k: points and weights
+// uniform in [0, 1).
+func benchQueriesFor(n int, seed int64, roles []Role, k int) []Query {
 	rng := rand.New(rand.NewSource(seed))
-	dims := len(benchRoles)
+	dims := len(roles)
 	out := make([]Query, n)
 	for i := range out {
 		q := Query{
 			Point:   make([]float64, dims),
-			K:       5,
-			Roles:   benchRoles,
+			K:       k,
+			Roles:   roles,
 			Weights: make([]float64, dims),
 		}
 		for d := 0; d < dims; d++ {
@@ -126,6 +131,53 @@ func BenchmarkTopK(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkZoneSweep times the zone sweep (internal/core/sweep.go) on one
+// 1M-row uniform segment at 6 and at 2 dimensions, k = 1, 5 and 50, with the
+// rows a query scores and the blocks it bounds per query beside ns/op. The
+// 2-d cells are where the paper's pair-tree streams, one tree deep, answered
+// faster than the sweep (README's zone-sweep table).
+func BenchmarkZoneSweep(b *testing.B) {
+	cells := []struct {
+		name  string
+		roles []Role
+	}{
+		{"uniform-6d/n=1000000", benchRoles},
+		{"uniform-2d/n=1000000", []Role{Repulsive, Attractive}},
+	}
+	for _, cell := range cells {
+		b.Run(cell.name, func(b *testing.B) {
+			data := dataset.Generate(dataset.Uniform, 1_000_000, len(cell.roles), 1)
+			idx, err := NewSDIndex(data, cell.roles)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, k := range []int{1, 5, 50} {
+				b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+					queries := benchQueriesFor(64, 2, cell.roles, k)
+					var buf []Result
+					var scored, bounded int
+					for _, q := range queries { // warm the context pools, count the work once
+						_, st, err := idx.TopKWithStats(q)
+						if err != nil {
+							b.Fatal(err)
+						}
+						scored += st.Scored
+						bounded += st.BlocksBounded
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if buf, err = idx.TopKAppend(buf[:0], queries[i%len(queries)]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(scored)/float64(len(queries)), "scored/op")
+					b.ReportMetric(float64(bounded)/float64(len(queries)), "bounded/op")
+				})
+			}
+		})
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // The paper describes BRS's adaptation as running constrained top-k queries
 // in each region where the score is monotone per dimension. The per-MBR
-// bound (simd.BoxBound, shared with the SD-Index's zone sweep) is the same
+// bound (simd.BoxBounds, shared with the SD-Index's zone sweep) is the same
 // computation: within a rectangle, the repulsive contribution is maximized at
 // the corner farthest from q per dimension, and the attractive penalty
 // minimized at the nearest coordinate (zero when q's coordinate lies inside
@@ -102,7 +102,8 @@ func (e *Engine) TopK(spec query.Spec) ([]query.Result, error) {
 			signed[d] = -spec.Weights[d]
 		}
 	}
-	upper := func(lo, hi []float64) float64 { return simd.BoxBound(lo, hi, spec.Point, signed) }
+	var one [1]float64 // one box: its dimension-major layout is its own lo and hi
+	upper := func(lo, hi []float64) float64 { simd.BoxBounds(one[:], lo, hi, spec.Point, signed); return one[0] }
 	bf := e.tree.BestFirst(upper)
 	out := make([]query.Result, 0, min(spec.K, len(e.data)))
 	for len(out) < spec.K {

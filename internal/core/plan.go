@@ -20,7 +20,7 @@ import (
 //     (+w repulsive, −w attractive): the spec weight where the dimension's
 //     build-time role is engaged, zero where it is Ignored;
 //   - zonePad, floatSlack times the query's weighted coordinate reach: what
-//     a zone sweep adds to every block's box bound. simd.BoxBound already
+//     a zone sweep adds to every block's box bound. simd.BoxBounds already
 //     covers every row of its box exactly; the pad keeps a skip from ever
 //     resting on the last ulp.
 func (c *queryCtx) derivePlan(spec query.Spec) error {

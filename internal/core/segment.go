@@ -30,7 +30,7 @@ type segment struct {
 	maxID int32     // the largest global ID in the segment
 	cols  []float64 // dims × rows, dimension-major, tiled: column d = cols[d*rows:(d+1)*rows]
 	rows  int
-	boxes []float64 // block b's minima then maxima, dims each, at boxes[2*b*dims:]
+	boxes []float64 // every block's minima, then maxima, dimension-major: block b's in dimension d at [d*nb+b], [(dims+d)*nb+b]
 }
 
 // copyRow gathers row local of a dimension-major column block (column d at
@@ -145,6 +145,21 @@ func popcount(bits []uint64) int {
 	n := 0
 	for _, w := range bits {
 		n += mathbits.OnesCount64(w)
+	}
+	return n
+}
+
+// popcountRange counts the set bits of [lo, hi) in bits, a word at a time:
+// the tombstoned rows of a block. A bitset holds no bit past its last word,
+// so a trimmed or nil one counts 0 there.
+func popcountRange(bits []uint64, lo, hi int) int {
+	hi = min(hi, 64*len(bits))
+	n := 0
+	for lo < hi {
+		end := min(hi, lo&^63+64) // the end of lo's word, or hi
+		w := bits[lo>>6] >> (uint(lo) & 63)
+		n += mathbits.OnesCount64(w << (64 - uint(end-lo))) // its low end−lo bits
+		lo = end
 	}
 	return n
 }

@@ -8,25 +8,27 @@ import (
 
 // One plan: every sealed segment is answered by one zone sweep of its
 // columns. A sealed segment's rows are STR-tiled into 128-row blocks with a
-// min/max box each (tile.go). Its sweep bounds every block by
-// simd.BoxBound — BRS's per-rectangle bound, padded by the query's zonePad —
-// and scores blocks best bound first, until the best bound left falls
-// strictly below the prune line: no row of a block left over can reach the
-// top k, since each scores at most its block's bound and the line only
-// rises. A tie at the line is still scored, for the collector's ID
-// tie-break. The walk's bounds and heap live in the pooled query context, so
-// it allocates nothing. The memtable and a segment of one block are swept
+// min/max box each (tile.go). Its sweep bounds every block in one
+// simd.BoxBounds pass — BRS's per-rectangle bound, padded by the query's
+// zonePad — scores the best block first, which seeds the prune line, and
+// then scores the blocks that still reach the line best bound first, until
+// the best bound left falls strictly below it: no row of a block left over
+// can reach the top k, since each scores at most its block's bound and the
+// line only rises. A tie at the line is still scored, for the collector's
+// ID tie-break. The walk's bounds and heap live in the pooled query context,
+// so it allocates nothing. The memtable and a segment of one block are swept
 // flat, every row. Every row is scored with the scan's per-row arithmetic
 // into an order-independent collector, so answers are byte-identical to the
 // scan's. Under a plan whose every signed weight is +0 each row scores +0,
 // and the collector keeps the k lowest live IDs.
 //
-// Bounding a block costs about as much as scoring a few of its rows, so a
-// sweep of a large segment costs its block count plus the rows of the few
-// blocks the line does not rule out: at 1M uniform 6-d rows about 0.24 ms a
-// query, less than the first thousand sorted accesses of the paper's §5
-// pair-tree streams cost (internal/bench keeps those streams as the
-// figures' SD-Index). Only at 2-d do the streams still answer faster.
+// A block bound costs about what scoring one row does, so a sweep of a large
+// segment costs its block count plus the rows of the few blocks the line
+// does not rule out: at 1M uniform rows, one thread, about 0.08–0.14 ms a
+// query at 6-d and 0.03 ms at 2-d (k = 1–50, BenchmarkZoneSweep). The
+// paper's §5 pair-tree streams (internal/bench keeps them as the figures'
+// SD-Index) took 4–17 ms at 6-d; at 2-d, one tree deep, they still answer
+// k = 1 and 5 faster (6–10 µs), and the sweep catches up only at k = 50.
 //
 // The memtable is held in the same dimension-major layout as a segment — one
 // column block of fixed stride, filled by Insert — so every sweep, of a
@@ -121,39 +123,40 @@ func (c *queryCtx) sweepSegment(si int, qpt []float64, stats *Stats) {
 }
 
 // sweepZones sweeps sealed segment si block by block, best bound first
-// (tile.go has the blocks): every block's box bound, padded by the query's
-// zonePad, is computed up front, the blocks that could still reach the
-// prune line go on a max-heap in the pooled context, and blocks are popped
-// and scored until the best remaining bound falls strictly below the line —
-// every row of the rest scores at most its block's bound, and the line only
-// rises. It returns how many live rows it scored, and polls for cancellation
-// on entry and every zonePollBlocks blocks.
+// (tile.go has the blocks): one simd.BoxBounds pass bounds every block,
+// padded by the query's zonePad, and finds the best one. The max-heap in the
+// pooled context starts as that block alone; once it is scored, which seeds
+// the prune line, the other blocks whose bound still reaches the line join
+// it, and blocks are popped and scored until the best remaining bound falls
+// strictly below the line — every row of the rest scores at most its block's
+// bound, and the line only rises. A block the line already rules out never
+// goes on the heap, and the blocks scored are those a heap of every block
+// would pop. It returns how many live rows it scored, and polls for
+// cancellation on entry and every zonePollBlocks blocks.
 func (c *queryCtx) sweepZones(si int, qpt []float64, stats *Stats) (scored int) {
 	if c.pollCancel() {
 		return 0
 	}
 	seg, dead := c.sn.segs[si], c.sn.tombs[si]
-	dims, nb := c.e.dims, seg.blocks()
+	nb := seg.blocks()
 	if cap(c.zoneBound) < nb {
 		c.zoneBound = make([]float64, nb)
 		c.zoneHeap = make([]int32, 0, nb)
 	}
 	bound := c.zoneBound[:nb]
-	h := c.zoneHeap[:0]
-	line := c.coll.Threshold()
-	for b := range bound {
-		lo, hi := seg.box(b, dims)
-		ub := simd.BoxBound(lo, hi, qpt, c.signed) + c.zonePad
+	half := len(seg.boxes) / 2
+	simd.BoxBounds(bound, seg.boxes[:half], seg.boxes[half:], qpt, c.signed)
+	best := 0
+	for b, ub := range bound {
+		ub += c.zonePad
 		if math.IsNaN(ub) { // −Inf + Inf, past the value domain's reach: prune nothing
 			ub = math.Inf(1)
 		}
-		if bound[b] = ub; ub >= line {
-			h = append(h, int32(b))
+		if bound[b] = ub; ub > bound[best] { // a tie keeps the lower block, as the heap does
+			best = b
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i, bound)
-	}
+	h := append(c.zoneHeap[:0], int32(best))
 	popped := 0
 	for len(h) > 0 && bound[h[0]] >= c.coll.Threshold() {
 		if popped > 0 && popped%zonePollBlocks == 0 && c.pollCancel() {
@@ -167,6 +170,17 @@ func (c *queryCtx) sweepZones(si int, qpt []float64, stats *Stats) (scored int) 
 		lo, hi := b*blockRows, min((b+1)*blockRows, seg.rows)
 		c.sweepRows(seg.cols, seg.rows, seg.ids, dead, lo, hi, qpt)
 		scored += hi - lo - popcountRange(dead, lo, hi)
+		if popped == 1 { // the best block has seeded the line
+			line := c.coll.Threshold()
+			for o, ub := range bound {
+				if ub >= line && o != best {
+					h = append(h, int32(o))
+				}
+			}
+			for i := len(h)/2 - 1; i >= 0; i-- {
+				siftDown(h, i, bound)
+			}
+		}
 	}
 	stats.BlocksBounded += nb
 	stats.BlocksSkipped += nb - popped
@@ -193,16 +207,4 @@ func siftDown(h []int32, i int, bound []float64) {
 		h[i], h[best] = h[best], h[i]
 		i = best
 	}
-}
-
-// popcountRange counts the set bits of [lo, hi) in bits: the tombstoned
-// rows of a block.
-func popcountRange(bits []uint64, lo, hi int) int {
-	n := 0
-	for l := lo; l < hi && l>>6 < len(bits); l++ { // a nil bitset counts 0
-		if bitGet(bits, l) {
-			n++
-		}
-	}
-	return n
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/baseline/scan"
@@ -97,5 +98,36 @@ func TestCancelMidSweep(t *testing.T) {
 	}
 	for k := 1; k <= 64; k *= 4 {
 		checkAgainst(t, "after-cancel", eng, truth, sweepTestSpec(k))
+	}
+}
+
+// TestPopcountRange holds popcountRange to the bit loop it replaced: over
+// random bitsets of 0 to 5 words, trimmed to their last set word or nil,
+// every range — unaligned, one bit, whole words, and running past the set's
+// end — counts the same set bits.
+func TestPopcountRange(t *testing.T) {
+	bitLoop := func(bits []uint64, lo, hi int) int {
+		n := 0
+		for l := lo; l < hi; l++ {
+			if bitGet(bits, l) {
+				n++
+			}
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		var bits []uint64
+		for w := rng.Intn(6); w > 0; w-- {
+			bits = append(bits, []uint64{0, ^uint64(0), rng.Uint64()}[rng.Intn(3)])
+		}
+		bits = trimBits(bits)
+		for i := 0; i < 40; i++ {
+			lo := rng.Intn(64*len(bits) + 130)
+			hi := lo + []int{0, 1, 63, 64, 65, 128, rng.Intn(300)}[rng.Intn(7)]
+			if got, want := popcountRange(bits, lo, hi), bitLoop(bits, lo, hi); got != want {
+				t.Fatalf("popcountRange(%x, %d, %d) = %d, the bit loop counts %d", bits, lo, hi, got, want)
+			}
+		}
 	}
 }

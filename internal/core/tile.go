@@ -5,7 +5,7 @@ import "math"
 // Tiling: the zone sweep's storage order. A sealed segment keeps its rows in
 // STR (Sort-Tile-Recursive) order, cut into blockRows-row blocks that each
 // carry a min/max box over every dimension, so a sweep can bound a whole
-// block by its box (simd.BoxBound) and skip it unscored when the bound falls
+// block by its box (simd.BoxBounds) and skip it unscored when the bound falls
 // below the prune line (sweep.go). Tiling is derived state: it is rebuilt
 // at every seal — bulk build, compaction, Load — from the rows in ID order,
 // and never written to a file (Save writes ID order).
@@ -33,12 +33,6 @@ const blockRows = 128
 // blocks is the segment's block count: ⌈rows/blockRows⌉.
 func (s *segment) blocks() int { return (s.rows + blockRows - 1) / blockRows }
 
-// box returns block b's per-dimension minima and maxima.
-func (s *segment) box(b, dims int) (lo, hi []float64) {
-	box := s.boxes[2*b*dims : 2*(b+1)*dims]
-	return box[:dims], box[dims:]
-}
-
 // tile fills s's tiled state from its rows (cols dimension-major and ids
 // ascending, both in ID order): the STR order's ids and columns, byID, and
 // every block's box. A segment of one block keeps its ID order. cols and ids
@@ -63,7 +57,8 @@ func (s *segment) tile(cols []float64, ids []int32, keyDims []int) {
 	s.boxes = make([]float64, 2*nb*dims)
 	for d := 0; d < dims; d++ {
 		col := s.cols[d*rows : (d+1)*rows]
-		for b := 0; b < nb; b++ {
+		lo, hi := s.boxes[d*nb:(d+1)*nb], s.boxes[(dims+d)*nb:(dims+d+1)*nb]
+		for b := range lo {
 			c := col[b*blockRows : min((b+1)*blockRows, rows)]
 			mn, mx := c[0], c[0]
 			for _, v := range c[1:] {
@@ -74,8 +69,7 @@ func (s *segment) tile(cols []float64, ids []int32, keyDims []int) {
 					mx = v
 				}
 			}
-			lo, hi := s.box(b, dims)
-			lo[d], hi[d] = mn, mx
+			lo[b], hi[b] = mn, mx
 		}
 	}
 }

@@ -79,7 +79,8 @@ func liveOracle(t *testing.T, data [][]float64, removed map[int]bool) (*scan.Eng
 // TestZoneSweepSkipsNoTopKRow is the zone sweep's property test: over tiled
 // segments of every value corner, with tombstones, at k ∈ {1, 5, 50, all},
 // on engines of three segments and of one, every answer is the scan's, bit
-// for bit, and no block a sweep skipped could have held a top-k row. A block is skipped only
+// for bit, answers and Stats equal the full-heap walk's (heapWalkTopK), and
+// no block a sweep skipped could have held a top-k row. A block is skipped only
 // when its padded bound is below the prune line, which never rises above
 // the final k-th score; so every block's padded bound is checked to cover
 // the exact score of each of its live rows, no block bounded below the k-th
@@ -141,6 +142,16 @@ func TestZoneSweepSkipsNoTopKRow(t *testing.T) {
 						t.Fatal(err)
 					}
 					label := labels[ei]
+					ref, rst := heapWalkTopK(t, eng, spec)
+					if st != rst || len(got) != len(ref) {
+						t.Fatalf("%s/%s k=%d query %d: stats %+v and %d results, the full-heap walk's %+v and %d",
+							kind, label, k, qi, st, len(got), rst, len(ref))
+					}
+					for i := range ref {
+						if got[i].ID != ref[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(ref[i].Score) {
+							t.Fatalf("%s/%s k=%d query %d rank %d: %+v, the full-heap walk's %+v", kind, label, k, qi, i, got[i], ref[i])
+						}
+					}
 					if len(got) != len(want) {
 						t.Fatalf("%s/%s k=%d query %d: %d results, scan %d", kind, label, k, qi, len(got), len(want))
 					}
@@ -172,6 +183,77 @@ func TestZoneSweepSkipsNoTopKRow(t *testing.T) {
 	}
 }
 
+// heapWalkTopK answers spec on eng's current snapshot the way TopKWithStats
+// does, but zone-sweeps each segment with heapWalkZones: the reference the
+// seeded walk of sweepZones must match in answers and in every Stats field.
+func heapWalkTopK(t *testing.T, eng *Engine, spec query.Spec) ([]query.Result, Stats) {
+	t.Helper()
+	sn := eng.snap.Load()
+	c := eng.getCtx(sn)
+	defer eng.putCtx(c)
+	if err := c.derivePlan(spec); err != nil {
+		t.Fatal(err)
+	}
+	c.coll.Reset(spec.K)
+	stats := Stats{Segments: len(sn.segs)}
+	cols, stride, ids, dead := sn.layer(memSrc, eng.dims)
+	c.sweep(cols, stride, ids, dead, spec.Point)
+	stats.Scored += len(ids) - popcount(dead)
+	for si, seg := range sn.segs {
+		n := seg.rows - popcount(sn.tombs[si])
+		scored := n
+		if seg.blocks() > 1 {
+			scored = c.heapWalkZones(si, spec.Point, &stats)
+		} else {
+			c.sweep(seg.cols, seg.rows, seg.ids, sn.tombs[si], spec.Point)
+		}
+		stats.Scored += scored
+		stats.Swept += n
+		stats.SweptSegments++
+	}
+	return c.appendResults(nil), stats
+}
+
+// heapWalkZones is the zone sweep's walk without a seeded line: every block
+// whose padded bound reaches the line at entry goes on the max-heap, and
+// blocks pop best bound first, the lower block on a tie, until the best bound
+// left is strictly below the line.
+func (c *queryCtx) heapWalkZones(si int, qpt []float64, stats *Stats) (scored int) {
+	seg, dead := c.sn.segs[si], c.sn.tombs[si]
+	nb := seg.blocks()
+	bound := make([]float64, nb)
+	half := len(seg.boxes) / 2
+	simd.BoxBounds(bound, seg.boxes[:half], seg.boxes[half:], qpt, c.signed)
+	var h []int32
+	line := c.coll.Threshold()
+	for b := range bound {
+		ub := bound[b] + c.zonePad
+		if math.IsNaN(ub) {
+			ub = math.Inf(1)
+		}
+		if bound[b] = ub; ub >= line {
+			h = append(h, int32(b))
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, bound)
+	}
+	popped := 0
+	for len(h) > 0 && bound[h[0]] >= c.coll.Threshold() {
+		b := int(h[0])
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0, bound)
+		popped++
+		lo, hi := b*blockRows, min((b+1)*blockRows, seg.rows)
+		c.sweepRows(seg.cols, seg.rows, seg.ids, dead, lo, hi, qpt)
+		scored += hi - lo - popcountRange(dead, lo, hi)
+	}
+	stats.BlocksBounded += nb
+	stats.BlocksSkipped += nb - popped
+	return scored
+}
+
 // zoneBlocksBelow checks every block of eng's segments against spec: its
 // padded box bound must cover the exact score of each live row in it, and a
 // block bounded strictly below kth must hold no row of answer. It returns
@@ -187,9 +269,11 @@ func zoneBlocksBelow(t *testing.T, eng *Engine, spec query.Spec, kth float64, an
 	below := 0
 	scores := make([]float64, blockRows)
 	for si, seg := range sn.segs {
-		for b := 0; b < seg.blocks(); b++ {
-			lo, hi := seg.box(b, eng.dims)
-			bound := simd.BoxBound(lo, hi, spec.Point, c.signed) + c.zonePad
+		bounds := make([]float64, seg.blocks())
+		half := len(seg.boxes) / 2
+		simd.BoxBounds(bounds, seg.boxes[:half], seg.boxes[half:], spec.Point, c.signed)
+		for b := range bounds {
+			bound := bounds[b] + c.zonePad
 			first, end := b*blockRows, min((b+1)*blockRows, seg.rows)
 			simd.ScoreCols(scores[:end-first], seg.cols, seg.rows, first, spec.Point, c.signed)
 			for j, sc := range scores[:end-first] {

@@ -96,28 +96,38 @@ func ScoreCols(dst []float64, cols []float64, rows, off int, q, signed []float64
 	}
 }
 
-// BoxBound returns an upper bound on the SD-score of every point inside the
-// box [lo, hi] (one interval per dimension) — BRS's per-rectangle bound and
-// the zone sweep's per-block bound. signed carries the score kernel's
-// weights (+w repulsive, −w attractive, 0 ignored). A repulsive term takes
-// the interval's farther end from q; an attractive term the distance from q
-// to the interval, 0 when q lies inside it. Terms accumulate in ascending
-// dimension order like ScoreCols', and every operation is monotone in the
-// coordinate, so the bound is at least the ScoreCols score of any row in the
-// box and equals it on a degenerate box (lo == hi).
-func BoxBound(lo, hi, q, signed []float64) float64 {
-	lo, hi = lo[:len(q)], hi[:len(q)]
-	signed = signed[:len(q)]
-	var b float64
-	for d, w := range signed {
-		switch qd := q[d]; {
-		case w > 0:
-			b += w * math.Max(math.Abs(qd-lo[d]), math.Abs(qd-hi[d]))
-		case w < 0 && qd < lo[d]:
-			b += w * (lo[d] - qd)
-		case w < 0 && qd > hi[d]:
-			b += w * (qd - hi[d])
+// BoxBounds fills dst[b] with an upper bound on the SD-score of every point
+// in box b of the n = len(dst) boxes held dimension-major in lo and hi (box b
+// spans [lo[d·n+b], hi[d·n+b]] in dimension d, lo ≤ hi, so one box is just
+// its own lo and hi): BRS's per-rectangle bound and the zone sweep's
+// per-block bound. signed carries the score kernel's weights (+w repulsive,
+// −w attractive, 0 ignored). A repulsive term takes the interval's farther
+// end from q; an attractive term the distance from q to the interval, 0 when
+// q lies inside it. Each dimension is one branch-free pass over every box,
+// so terms accumulate in ascending dimension order like ScoreCols', and every
+// operation is monotone in the coordinate: a bound is at least the ScoreCols
+// score of any row in its box and equals it on a degenerate box (lo == hi).
+func BoxBounds(dst, lo, hi, q, signed []float64) {
+	n := len(dst)
+	clear(dst)
+	for d, w := range signed[:len(q)] {
+		qd := q[d]
+		l, h := lo[d*n:(d+1)*n], hi[d*n:(d+1)*n]
+		switch {
+		case w > 0: // the farther end: at most one of the two is negative
+			for b := range dst {
+				dst[b] += w * max(qd-l[b], h[b]-qd)
+			}
+		case w < 0: // at most one of the two is positive; +0 inside adds nothing
+			for b := range dst {
+				dst[b] += w * math.Float64frombits(positive(l[b]-qd)|positive(qd-h[b]))
+			}
 		}
 	}
-	return b
+}
+
+// positive returns the bits of x, or of +0 when x is not above 0.
+func positive(x float64) uint64 {
+	u := math.Float64bits(x)
+	return u &^ uint64(int64(u)>>63)
 }
